@@ -58,13 +58,16 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         a, b, s = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"grid values must be numbers: {text!r}") from exc
+    if not all(math.isfinite(v) for v in (a, b, s)):
+        raise ConfigError(f"grid values must be finite: {text!r}")
     return a, b, s
 
 
-def _grid_db(args) -> np.ndarray:
+def _grid_db(args) -> tuple[np.ndarray, float]:
+    """The --grid points in dB and their step."""
     a, b, s = _parse_grid(args.grid)
     spec = SweepSpec(kind=SweepKind.THRESHOLD, start_db=a, stop_db=b, step_db=s)
-    return spec.grid_db()
+    return spec.grid_db(), s
 
 
 def _seed(value: str) -> int:
@@ -72,6 +75,20 @@ def _seed(value: str) -> int:
     if not 0 <= n < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
     return n
+
+
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return n
+
+
+def _target_outage(value: str) -> float:
+    p = float(value)
+    if not 0.0 < p < 1.0:
+        raise argparse.ArgumentTypeError(f"target outage must lie in (0, 1), got {value}")
+    return p
 
 
 def _write(args, text: str) -> None:
@@ -104,11 +121,9 @@ def _single_interferer(cfg: ScenarioConfig):
     return spec, rank
 
 
-def _mc_density_per_db(dist, grid_db: np.ndarray) -> np.ndarray:
-    step = np.diff(grid_db)
-    edges = np.concatenate(
-        [[grid_db[0] - step[0] / 2], grid_db[:-1] + step / 2, [grid_db[-1] + step[-1] / 2]]
-    )
+def _mc_density_per_db(dist, grid_db: np.ndarray, step_db: float) -> np.ndarray:
+    """Empirical density per dB in bins of width step_db centred on the grid."""
+    edges = np.append(grid_db - step_db / 2, grid_db[-1] + step_db / 2)
     return dist.histogram_db(edges)
 
 
@@ -119,7 +134,7 @@ def _mc_density_per_db(dist, grid_db: np.ndarray) -> np.ndarray:
 def cmd_pdf(args) -> int:
     cfg = _load(args)
     model = model_for(cfg)
-    grid_db = _grid_db(args)
+    grid_db, step_db = _grid_db(args)
     grid = 10.0 ** (grid_db / 10.0)
     pdf = model.sinr_pdf(grid)
     per_db = pdf * grid * math.log(10.0) / 10.0
@@ -128,7 +143,7 @@ def cmd_pdf(args) -> int:
     meta_kw = {"grid_db": args.grid}
     if args.mc:
         dist = _simulate(cfg, args)
-        mc = _mc_density_per_db(dist, grid_db)
+        mc = _mc_density_per_db(dist, grid_db, step_db)
         columns.append("mc_pdf_per_db")
         for row, v in zip(rows, mc):
             row.append(float(v))
@@ -141,7 +156,7 @@ def cmd_pdf(args) -> int:
 def cmd_outage(args) -> int:
     cfg = _load(args)
     model = model_for(cfg)
-    grid_db = _grid_db(args)
+    grid_db, _ = _grid_db(args)
     grid = 10.0 ** (grid_db / 10.0)
     out = model.outage(grid)
     columns = ["gamma0_db", "outage"]
@@ -225,7 +240,7 @@ def cmd_mc_validate(args) -> int:
     cfg = _load(args)
     model = model_for(cfg)
     tolerance = 0.01 if cfg.own_mode is OwnMode.BEAMFORMING else 0.03
-    grid_db = _grid_db(args)
+    grid_db, step_db = _grid_db(args)
     grid = 10.0 ** (grid_db / 10.0)
     dist = _simulate(cfg, args)
 
@@ -233,7 +248,7 @@ def cmd_mc_validate(args) -> int:
     emp = dist.ecdf(grid)
     deltas = emp - closed
     pdf_closed = np.asarray(model.sinr_pdf(grid), dtype=float) * grid * math.log(10.0) / 10.0
-    pdf_emp = _mc_density_per_db(dist, grid_db)
+    pdf_emp = _mc_density_per_db(dist, grid_db, step_db)
     sup_pdf = float(np.max(np.abs(pdf_closed - pdf_emp)))
 
     notes = []
@@ -364,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help=f"START:STOP:STEP in dB (default {grid_default})")
         if mc:
             sp.add_argument("--seed", type=_seed, default=0)
-            sp.add_argument("--samples", type=int, default=1_000_000)
-            sp.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK)
+            sp.add_argument("--samples", type=_positive_int, default=1_000_000)
+            sp.add_argument("--chunk-size", type=_positive_int, default=DEFAULT_CHUNK)
         if sweep:
-            sp.add_argument("--target-outage", type=float, default=0.01)
+            sp.add_argument("--target-outage", type=_target_outage, default=0.01)
 
     sp = sub.add_parser("pdf", help="closed-form SINR density")
     common(sp, grid_default="-5:20:0.5", mc=True)

@@ -11,10 +11,10 @@ symbols, which unit-modulus constellations make exact).
 Conventions that must match the analytic model:
 
 * Beamforming reception: the serving BS beamforms along the dominant
-  eigenvector of H0^H H0 (block power iteration with Rayleigh-Ritz
-  extraction); MRC makes SINR = rho*lam/(1+Y) with Y the per-layer
-  leakage sum.  A precoded interferer's layer enters through a Haar
-  column scaled 1/sqrt(n_L); an OSTBC interferer enters through
+  eigenvector of H0^H H0 (one batched LAPACK ``eigh`` per chunk); MRC
+  makes SINR = rho*lam/(1+Y) with Y the per-layer leakage sum.  A
+  precoded interferer's layer enters through a Haar column scaled
+  1/sqrt(n_L); an OSTBC interferer enters through
   H*q/n_T with q a unit-modulus symbol vector, i.e. the symbol vector
   is normalized to unit norm, which is what gives the analysis's
   Exp(rate n_T) leakage term and rate P/(n_T sigma2).
@@ -30,8 +30,8 @@ Conventions that must match the analytic model:
   only in that interferer treatment.
 
 Determinism: per-chunk Philox streams spawned from the master seed;
-draw order within a chunk is fixed (H0, interferer randomness in config
-order, then eigensolver start vectors) so results depend only on
+draw order within a chunk is fixed (H0, then interferer randomness in
+config order; the eigensolve draws nothing) so results depend only on
 (scenario, n_samples, seed, chunk_size).
 """
 
@@ -57,9 +57,11 @@ def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. circularly-symmetric complex Gaussians, unit variance."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= 1.0 / math.sqrt(2.0)
+    return z
 
 
 def haar_columns(rng: np.random.Generator, batch: int, n: int, k: int) -> np.ndarray:
@@ -93,88 +95,37 @@ def _symbols(rng: np.random.Generator, shape, mode: str) -> np.ndarray:
 # dominant eigenpair
 
 
-def _ritz_top(mats: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top Ritz pair of each matrix over its 2-column subspace."""
-    mv = mats @ v
-    s = np.conj(np.swapaxes(v, -1, -2)) @ mv
-    # 2x2 Hermitian eigenproblem in closed form
-    a = s[:, 0, 0].real
-    d = s[:, 1, 1].real
-    b = s[:, 0, 1]
-    half_tr = 0.5 * (a + d)
-    disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + np.abs(b) ** 2, 0.0))
-    lam = half_tr + disc
-    # eigenvector of [[a, b], [b*, d]]: of the two row-derived candidates
-    # (b, lam-a) and (lam-d, b*), the one keyed to the larger diagonal
-    # entry has norm >= disc, so it stays well-conditioned near ties
-    use_first = a < d
-    e1 = np.where(use_first, b, lam - d)
-    e2 = np.where(use_first, lam - a, b.conj())
-    nrm = np.sqrt(np.abs(e1) ** 2 + np.abs(e2) ** 2)
-    degenerate = nrm == 0
-    e1 = np.where(degenerate, 1.0, e1)
-    nrm = np.where(degenerate, 1.0, nrm)
-    w = (v[:, :, 0] * e1[:, None] + v[:, :, 1] * e2[:, None]) / nrm[:, None]
+def _top_eigpair(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenpair of each Hermitian PSD matrix in a batch.
+
+    One batched LAPACK ``eigh``; ``tol`` is an acceptance check on its
+    result, the residual test ||M w - lam w|| <= tol*lam, which raises
+    NumericInstabilityError for any draw that fails it.
+    """
+    evals, evecs = np.linalg.eigh(mats)
+    lam, w = evals[:, -1], evecs[:, :, -1]
+    resid = np.linalg.norm((mats @ w[..., None])[..., 0] - lam[:, None] * w, axis=1)
+    # written as "not <=" so that a NaN residual is refused too
+    bad = ~(resid <= tol * np.maximum(lam, np.finfo(float).tiny))
+    if np.any(bad):
+        raise NumericInstabilityError(
+            f"eigh residual above tol={tol} relative for {int(np.sum(bad))} "
+            f"of {lam.size} draws"
+        )
     return lam, w
 
 
-def _dominant_eig_batch(
-    mats: np.ndarray,
-    tol: float,
-    rng: np.random.Generator,
-    max_iter: int = 300,
-    restarts: int = 3,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dominant eigenpair of a batch of Hermitian PSD matrices.
-
-    Block power iteration with a two-column subspace and closed-form
-    Rayleigh-Ritz extraction; a one-column subspace would stall on the
-    near-equal top eigenvalues that Wishart draws regularly produce.
-    Acceptance is the residual test ||M w - lam w|| <= tol*lam.
-    """
-    batch, n, _ = mats.shape
-    lam_out = np.zeros(batch)
-    vec_out = np.zeros((batch, n), dtype=complex)
-    if n == 1:
-        lam_out[:] = mats[:, 0, 0].real
-        vec_out[:, 0] = 1.0
-        return lam_out, vec_out
-
-    k = 2
-    active = np.arange(batch)
-    v = haar_columns(rng, batch, n, k)
-    for attempt in range(restarts + 1):
-        m_act = mats[active]
-        for _ in range(max_iter):
-            lam, w = _ritz_top(m_act, v)
-            resid = np.linalg.norm(m_act @ w[..., None] - lam[:, None, None] * w[..., None], axis=(1, 2))
-            done = resid <= tol * np.maximum(lam, np.finfo(float).tiny)
-            if np.any(done):
-                idx = active[done]
-                lam_out[idx] = lam[done]
-                vec_out[idx] = w[done]
-                active = active[~done]
-                if active.size == 0:
-                    return lam_out, vec_out
-                m_act = mats[active]
-                v = v[~done]
-            v, _ = np.linalg.qr(m_act @ v)
-        if attempt < restarts:
-            v = haar_columns(rng, active.size, n, k)
-    raise NumericInstabilityError(
-        f"eigensolver failed to converge for {active.size} of {batch} draws"
-    )
-
-
 def dominant_eigvec(m: np.ndarray, tol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Dominant (eigenvalue, unit eigenvector) of one Hermitian PSD matrix."""
+    """Dominant (eigenvalue, unit eigenvector) of one Hermitian PSD matrix.
+
+    ``tol`` bounds the accepted residual ||M w - lam w|| / lam.
+    """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("dominant_eigvec expects a square matrix")
-    rng = _generator(np.random.SeedSequence(0))
-    lam, vec = _dominant_eig_batch(m[None], tol, rng)
+    lam, vec = _top_eigpair(m[None], tol)
     return float(lam[0]), vec[0]
 
 
@@ -243,8 +194,8 @@ def _simulate_bf_chunk(
     sigma2 = cfg.noise_power
     h0 = complex_normal(rng, (n, cfg.n_r, cfg.n_t))
 
-    # all interferer randomness is drawn before the eigensolver so that
-    # its variable-length restart draws cannot shift these streams
+    # the eigensolve draws nothing, so each chunk's stream is H0 then the
+    # interferers in config order
     draws = []
     for spec in cfg.interferers:
         h = complex_normal(rng, (n, cfg.n_r, cfg.n_t))
@@ -259,7 +210,7 @@ def _simulate_bf_chunk(
             draws.append((spec, h @ equiv))
 
     mats = np.conj(np.swapaxes(h0, 1, 2)) @ h0
-    _, w = _dominant_eig_batch(mats, tol, rng)
+    _, w = _top_eigpair(mats, tol)
     f = np.einsum("brt,bt->br", h0, w)
     lam = np.sum(np.abs(f) ** 2, axis=1)  # ||H0 w||^2, consistent with f
 
@@ -280,7 +231,11 @@ def simulate_bf_sinr(
     symbol_mode: str = "qpsk",
     tol: float = 1e-10,
 ) -> EmpiricalDistribution:
-    """Simulate post-MRC SINR samples for beamforming reception."""
+    """Simulate post-MRC SINR samples for beamforming reception.
+
+    ``tol`` bounds the accepted eigensolver residual ||M w - lam w|| / lam
+    of every draw's dominant eigenpair of H0^H H0.
+    """
     if cfg.own_mode is not OwnMode.BEAMFORMING:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected bf")
     sizes = _chunk_sizes(n_samples, chunk_size)

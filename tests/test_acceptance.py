@@ -31,7 +31,8 @@ from ranksinr.sweeps import (
 )
 from ranksinr.wishart import compute_weights, pdf_lambda_max
 
-GRID_DB = np.arange(-5.0, 20.0 + 1e-9, 0.5)
+GRID_STEP_DB = 0.5
+GRID_DB = np.arange(-5.0, 20.0 + 1e-9, GRID_STEP_DB)
 
 
 @pytest.fixture
@@ -99,7 +100,7 @@ def test_criterion_03_ostbc_surrogate_within_band(
     )
 
     pdf_closed = np.asarray(model.sinr_pdf(gamma)) * gamma * math.log(10.0) / 10.0
-    pdf_emp = _mc_density_per_db(dist, GRID_DB)
+    pdf_emp = _mc_density_per_db(dist, GRID_DB, GRID_STEP_DB)
     diff = np.abs(pdf_closed - pdf_emp)
     peak_at = float(GRID_DB[int(np.argmax(diff))])
     mode_at = float(GRID_DB[int(np.argmax(pdf_closed))])

@@ -5,6 +5,7 @@ confirms the module entry point is wired up.
 """
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -256,11 +257,54 @@ def test_unparseable_json_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("grid", ["0:5", "a:b:c", "5:0:1", "0:5:0"])
+@pytest.mark.parametrize("grid", ["0:5", "a:b:c", "5:0:1", "0:5:0", "nan:5:1", "0:inf:1"])
 def test_bad_grids_exit_2(tmp_path, capsys, grid):
     cfg = write_cfg(tmp_path)
     code, _, err = run(capsys, "outage", "--config", cfg, f"--grid={grid}")
     assert code == cli.EXIT_CONFIG
+
+
+def parse_exit_code(*argv):
+    # argparse reports a bad option value by exiting 2 before main() runs
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return exc.value.code
+
+
+@pytest.mark.parametrize("option", ["--samples", "--chunk-size"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("command", [
+    ["mc-validate"], ["outage", "--mc"], ["pdf", "--mc"], ["approx-validate"],
+], ids="-".join)
+def test_nonpositive_sample_options_exit_2(tmp_path, capsys, command, option, value):
+    cfg = write_cfg(tmp_path)
+    assert parse_exit_code(*command, "--config", cfg, option, value) == cli.EXIT_CONFIG
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gain", "sweep-inr"])
+@pytest.mark.parametrize("target", ["0", "1", "1.5", "-0.1", "nan"])
+def test_target_outage_outside_unit_interval_exits_2(tmp_path, capsys, command, target):
+    cfg = write_cfg(tmp_path)
+    code = parse_exit_code(command, "--config", cfg, "--target-outage", target)
+    assert code == cli.EXIT_CONFIG
+    assert "target outage" in capsys.readouterr().err
+
+
+def test_single_point_grid_with_mc(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    code, out, _ = run(capsys, "pdf", "--config", cfg, "--mc",
+                       "--samples", "20000", "--grid=5:5:1")
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert header[-1] == "mc_pdf_per_db" and len(rows) == 1
+    # one bin from 4.5 to 5.5 dB
+    assert abs(float(rows[0][2]) - float(rows[0][3])) < 0.02
+    code, out, _ = run(capsys, "mc-validate", "--config", cfg,
+                       "--samples", "20000", "--grid=5:5:1")
+    doc = json.loads(out)
+    assert len(doc["points"]) == 1 and doc["points"][0]["gamma0_db"] == 5.0
+    assert math.isfinite(doc["pdf_sup_norm_per_db"])
 
 
 def test_gain_rejects_multi_interferer_configs(tmp_path, capsys):

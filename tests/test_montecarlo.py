@@ -5,6 +5,8 @@ analytic machinery (exponential/gamma limits, Haar isotropy), so that
 using it to judge the closed forms is not circular.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,6 +15,7 @@ from ranksinr import bf
 from ranksinr.errors import ConfigError
 from ranksinr.montecarlo import (
     EmpiricalDistribution,
+    _generator,
     complex_normal,
     dominant_eigvec,
     empirical_outage,
@@ -65,6 +68,41 @@ def test_dominant_eigvec_trivial_and_guard():
     assert abs(w[0]) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         dominant_eigvec(np.eye(2, dtype=complex), tol=1e-3)
+
+
+def test_dominant_eigvec_on_a_tied_top_eigenvalue():
+    tol = 1e-10
+    m = np.eye(3, dtype=complex)
+    lam, w = dominant_eigvec(m, tol=tol)
+    assert lam == 1.0
+    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(m @ w - lam * w) <= tol * lam
+
+
+def test_complex_normal_matches_the_two_array_construction():
+    # same generator state, same draw order: real parts, then imaginary
+    a = np.random.default_rng(8)
+    b = np.random.default_rng(8)
+    z = complex_normal(a, (1000, 3, 2))
+    re = b.standard_normal((1000, 3, 2))
+    im = b.standard_normal((1000, 3, 2))
+    assert z.tobytes() == ((re + 1j * im) / math.sqrt(2.0)).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_bf_without_interference_is_rho_times_top_singular_value_squared(n):
+    # one chunk draws H0 first from the first spawned stream; without
+    # interferers each sample is rho * sigma_max(H0)^2
+    cfg = ScenarioConfig(
+        n_r=n, n_t=n, noise_power=1.0, snr_db=10.0, own_mode=OwnMode.BEAMFORMING
+    )
+    seed, draws = 17, 2_000
+    dist = simulate_bf_sinr(cfg, draws, seed=seed)
+    rng = _generator(np.random.SeedSequence(seed).spawn(1)[0])
+    h0 = complex_normal(rng, (draws, n, n))
+    sigma_max = np.linalg.svd(h0, compute_uv=False)[:, 0]
+    expected = own_numerator_scale(cfg) * sigma_max**2
+    assert np.max(np.abs(dist.samples / expected - 1.0)) <= 1e-12
 
 
 def test_haar_columns_isotropy():
