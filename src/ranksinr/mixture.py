@@ -22,7 +22,12 @@ The (1 - rho_k/rho_i) denominators make the expansion explosive for
 near-equal group rates; near-ties must be merged before coefficients are
 computed, and the coefficients themselves are evaluated in 40-digit
 arithmetic because the alternating signs cancel heavily for large
-multiplicities.
+multiplicities.  Rounded to double they can still sum to 1 only within
+1e8 (OSTBC at 8x8).
+
+This is the paper's form of the interference law.  It feeds ``dump-xi``,
+``pdf_y``/``cdf_y`` and the models' ``mixture`` field; the outage and
+density themselves are evaluated without it (``engine``).
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ def group_rates(
     rates = [float(r) for r in rates]
     if not rates:
         raise EmptyMixtureError(
-            "no interference terms; use the noise-only evaluation path"
+            "no interference terms; a scenario without interferers has no mixture"
         )
     if any(not (r > 0 and math.isfinite(r)) for r in rates):
         raise ValueError(f"rates must be positive and finite, got {rates}")
@@ -232,7 +237,8 @@ def build_mixture(rates, rel_tol: float = DEFAULT_GROUP_TOL) -> MixtureSpec:
     if drift > 1e-6:
         warnings.warn(
             f"Xi coefficients sum to 1 with drift {drift:.2e} after rounding "
-            "to double; downstream results are unreliable for this rate set",
+            "to double; pdf_y, cdf_y and the dumped coefficients are "
+            "unreliable for this rate set (outage and pdf do not use them)",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -115,13 +115,25 @@ def _top_eigpair(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return lam, w
 
 
+# residual tolerances accepted by the eigensolver check: below double
+# precision's machine epsilon no residual can pass, above 1e-6 the
+# eigenvector is too loose for the SINR samples
+TOL_RANGE = (np.finfo(float).eps, 1e-6)
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse residual tolerances outside TOL_RANGE, NaN included."""
+    lo, hi = TOL_RANGE
+    if not lo <= tol <= hi:
+        raise ValueError(f"tol must lie in [{lo:.3g}, {hi:g}], got {tol}")
+
+
 def dominant_eigvec(m: np.ndarray, tol: float = 1e-10) -> tuple[float, np.ndarray]:
     """Dominant (eigenvalue, unit eigenvector) of one Hermitian PSD matrix.
 
     ``tol`` bounds the accepted residual ||M w - lam w|| / lam.
     """
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
+    _check_tol(tol)
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("dominant_eigvec expects a square matrix")
@@ -234,10 +246,12 @@ def simulate_bf_sinr(
     """Simulate post-MRC SINR samples for beamforming reception.
 
     ``tol`` bounds the accepted eigensolver residual ||M w - lam w|| / lam
-    of every draw's dominant eigenpair of H0^H H0.
+    of every draw's dominant eigenpair of H0^H H0; it must lie in
+    TOL_RANGE.
     """
     if cfg.own_mode is not OwnMode.BEAMFORMING:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected bf")
+    _check_tol(tol)
     sizes = _chunk_sizes(n_samples, chunk_size)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     parts = [

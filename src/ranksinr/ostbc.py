@@ -7,34 +7,35 @@ P0/(n_T^2 sigma2); the squared code normalization inflates the effective
 noise by n_T^2.  Per-layer interference leakage terms are approximated
 as exponentials (see the approx module for how good that is), making the
 denominator the same hyper-exponential mixture as in the beamforming
-analysis.  The resulting SINR density is
+analysis, Y = sum_r Exp(rho_r) over the scenario's rate set.  X is the
+one-term gamma mixture {(1, N-1): 1} of the beamforming formulas, so
+with a = g/rho_bar and mu_s(a) = E[Y^s e^{-aY}]/s! the outage
+probability and density are
 
-    f(g) ~= sum_{i,j} Xi_ij g^{N-1} e^{-g/rho} (1/rho)^N (1/rho_i)^j
-            * sum_{r=0}^{N} C(N,r) Gamma(r+j)/(Gamma(N) Gamma(j))
-              * (g/rho + 1/rho_i)^{-(r+j)}
+    P(g0) ~= 1 - sum_{s<=N-1} a^s mu_s(a) Q(N-s, a),
 
-and the outage probability
+    f(g)  ~= (1/rho_bar) a^{N-1} e^{-a}/(N-1)!
+             * sum_{s<=N} C(N,s) s! mu_s(a),
 
-    P(g0) ~= 1 - sum_{i,j} Xi_ij e^{-g0/rho} (1/rho_i)^j
-             * sum_{r=0}^{N-1} sum_{s=0}^{r} C(r,s)
-               Gamma(j+s)/(r! Gamma(j)) (g0/rho)^r
-               * (g0/rho + 1/rho_i)^{-(j+s)}.
+Q the regularized upper incomplete gamma function.  The terms a^s mu_s
+are positive and come from a positive-term recursion in the Laplace
+transform of Y (see ``engine``), so nothing cancels: the results are
+good to a few 1e-15 absolute at any size.
 
 Both are approximations: the exponential step flattens the true
 product-of-exponential-and-beta shape, which shows up as a visible
-mismatch around the density mode.  Single-group and no-interference
-paths mirror the beamforming module's structure.
+mismatch around the density mode.  `mixture` keeps the paper's
+partial-fraction form of Y for inspection; evaluation does not read it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
-from ._eval import LD, log_float_ld, log_int_ld, sum_signed
+from .engine import SinrEngine
 from .errors import ConfigError
 from .inversion import clamp_probability
 from .inversion import threshold_at_outage as _invert
@@ -42,208 +43,46 @@ from .mixture import DEFAULT_GROUP_TOL, MixtureSpec, build_mixture
 from .scenario import OwnMode, ScenarioConfig, build_rate_set, own_numerator_scale
 
 
-def _rising(beta: int, r: int) -> int:
-    return math.prod(range(beta, beta + r))
-
-
-class _PdfTerms:
-    """Flattened (i,j) x r index set of the general PDF sum."""
-
-    def __init__(self, shape: int, mix: MixtureSpec, rho: float):
-        sign, logc, inv_rho_i, rpj = [], [], [], []
-        rhos, js, xis = mix.terms()
-        log_rho = log_float_ld(rho)
-        for rho_i, j, xi in zip(rhos, js, xis):
-            j = int(j)
-            if xi == 0.0:
-                continue
-            log_rho_i = log_float_ld(rho_i)
-            for r in range(shape + 1):
-                num = math.comb(shape, r) * math.factorial(r + j - 1)
-                den = math.factorial(shape - 1) * math.factorial(j - 1)
-                logc.append(
-                    log_float_ld(abs(xi))
-                    + log_int_ld(num) - log_int_ld(den)
-                    - shape * log_rho
-                    - j * log_rho_i
-                )
-                sign.append(math.copysign(1.0, xi))
-                inv_rho_i.append(1.0 / rho_i)
-                rpj.append(r + j)
-        self.sign = np.array(sign, dtype=LD)
-        self.logc = np.array(logc, dtype=LD)
-        self.inv_rho_i = np.array(inv_rho_i, dtype=LD)
-        self.rpj = np.array(rpj, dtype=LD)
-        self.shape = shape
-        self.rho = LD(rho)
-
-    def eval_at(self, g: float) -> float:
-        if g == 0.0:
-            # g^{N-1} kills everything unless N = 1
-            if self.shape != 1:
-                return 0.0
-            logs = self.logc - self.rpj * np.log(self.inv_rho_i)
-            return sum_signed(self.sign * np.exp(logs))
-        gl = LD(g)
-        logs = (self.logc
-                + (self.shape - 1) * np.log(gl)
-                - gl / self.rho
-                - self.rpj * np.log(gl / self.rho + self.inv_rho_i))
-        return sum_signed(self.sign * np.exp(logs))
-
-
-class _OutageTerms:
-    """Flattened (i,j) x (r,s) index set of the general outage sum."""
-
-    def __init__(self, shape: int, mix: MixtureSpec, rho: float):
-        sign, logc, inv_rho_i, rarr, spj = [], [], [], [], []
-        rhos, js, xis = mix.terms()
-        for rho_i, j, xi in zip(rhos, js, xis):
-            j = int(j)
-            if xi == 0.0:
-                continue
-            log_rho_i = log_float_ld(rho_i)
-            for r in range(shape):
-                for s in range(r + 1):
-                    num = math.comb(r, s) * math.factorial(j + s - 1)
-                    den = math.factorial(r) * math.factorial(j - 1)
-                    logc.append(
-                        log_float_ld(abs(xi))
-                        + log_int_ld(num) - log_int_ld(den)
-                        - j * log_rho_i
-                    )
-                    sign.append(math.copysign(1.0, xi))
-                    inv_rho_i.append(1.0 / rho_i)
-                    rarr.append(r)
-                    spj.append(j + s)
-        self.sign = np.array(sign, dtype=LD)
-        self.logc = np.array(logc, dtype=LD)
-        self.inv_rho_i = np.array(inv_rho_i, dtype=LD)
-        self.r = np.array(rarr, dtype=LD)
-        self.spj = np.array(spj, dtype=LD)
-        self.rho = LD(rho)
-
-    def eval_at(self, g0: float) -> float:
-        u = LD(g0) / self.rho
-        logs = (self.logc
-                - u
-                + self.r * np.log(u)
-                - self.spj * np.log(u + self.inv_rho_i))
-        return 1.0 - sum_signed(self.sign * np.exp(logs))
-
-
 @dataclass(frozen=True, eq=False)
 class OstbcModel:
     """Analytic SINR model for OSTBC reception.
 
-    `shape` is the numerator gamma shape n_R*n_T; `mixture` is None when
-    the scenario has no interferers.  `notes` carries model caveats
-    (e.g. no full-rate code above two transmit antennas).
+    `shape` is the numerator gamma shape n_R*n_T; `rates` is the raw
+    interference rate set and `mixture` its grouped partial-fraction
+    form, None when the scenario has no interferers.  `notes` carries
+    model caveats (e.g. no full-rate code above two transmit antennas).
     """
 
     shape: int
     mixture: MixtureSpec | None
     rho_bar: float
+    rates: tuple[float, ...] = ()
     notes: tuple[str, ...] = ()
-    _pdf_terms: _PdfTerms | None = field(init=False, repr=False)
-    _outage_terms: _OutageTerms | None = field(init=False, repr=False)
+    _engine: SinrEngine = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.shape < 1:
             raise ValueError(f"shape must be >= 1, got {self.shape}")
         if self.rho_bar <= 0:
             raise ValueError(f"rho_bar must be positive, got {self.rho_bar}")
-        pdf_t = outage_t = None
-        if self.mixture is not None:
-            pdf_t = _PdfTerms(self.shape, self.mixture, self.rho_bar)
-            outage_t = _OutageTerms(self.shape, self.mixture, self.rho_bar)
-        object.__setattr__(self, "_pdf_terms", pdf_t)
-        object.__setattr__(self, "_outage_terms", outage_t)
+        object.__setattr__(self, "_engine", SinrEngine(
+            {(1, self.shape - 1): 1}, self.rates, self.rho_bar))
 
-    # -- general-mixture route ------------------------------------------
-    def _pdf_general(self, g: float) -> float:
-        return self._pdf_terms.eval_at(g)
-
-    def _outage_general(self, g0: float) -> float:
-        return clamp_probability(self._outage_terms.eval_at(g0), "ostbc outage")
-
-    # -- dedicated single-group route (plain arithmetic) -----------------
-    def _pdf_single(self, g: float) -> float:
-        mix = self.mixture
-        beta, rho1 = mix.multiplicities[0], mix.rates[0]
-        rho, n = self.rho_bar, self.shape
-        a = g / rho + 1.0 / rho1
-        base = (g**(n - 1) * math.exp(-g / rho) * (1.0 / rho) ** n
-                * (1.0 / rho1) ** beta / (math.gamma(n)))
-        terms = [
-            base * math.comb(n, r) * _rising(beta, r) * a ** (-(r + beta))
-            for r in range(n + 1)
-        ]
-        return math.fsum(terms)
-
-    def _outage_single(self, g0: float) -> float:
-        mix = self.mixture
-        beta, rho1 = mix.multiplicities[0], mix.rates[0]
-        rho, n = self.rho_bar, self.shape
-        u = g0 / rho
-        a = u + 1.0 / rho1
-        damp = math.exp(-u) * (1.0 / rho1) ** beta
-        terms = []
-        if damp > 0.0:
-            for r in range(n):
-                for s in range(r + 1):
-                    terms.append(
-                        damp * math.comb(r, s) * _rising(beta, s)
-                        / math.factorial(r) * u**r * a ** (-(beta + s))
-                    )
-        return clamp_probability(1.0 - math.fsum(terms), "ostbc outage")
-
-    # -- no-interference route --------------------------------------------
-    def _pdf_noise_only(self, g: np.ndarray) -> np.ndarray:
-        n, rho = self.shape, self.rho_bar
-        out = np.zeros_like(g)
-        pos = g > 0
-        out[pos] = np.exp(
-            (n - 1) * np.log(g[pos]) - g[pos] / rho
-            - special.gammaln(n) - n * math.log(rho)
-        )
-        if n == 1:
-            out[~pos] = 1.0 / rho
-        return out
-
-    # -- public surface ---------------------------------------------------
     def sinr_pdf(self, gamma):
         """Approximate density of the SINR at gamma (scalar or array)."""
         arr = np.asarray(gamma, dtype=np.float64)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("sinr_pdf requires gamma >= 0")
-        flat = np.atleast_1d(arr).astype(np.float64)
-        if self.mixture is None:
-            out = self._pdf_noise_only(flat)
-        else:
-            single = self.mixture.n_groups == 1
-            out = np.empty_like(flat)
-            for idx, g in enumerate(flat):
-                out[idx] = (self._pdf_single(float(g)) if single
-                            else self._pdf_general(float(g)))
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        vals = self._engine.pdf(arr.ravel())
+        return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
     def outage(self, gamma0):
         """Approximate P(SINR <= gamma0), scalar or array."""
         arr = np.asarray(gamma0, dtype=np.float64)
-        if np.any(arr <= 0):
+        if (arr <= 0).any():
             raise ValueError("outage requires gamma0 > 0")
-        flat = np.atleast_1d(arr).astype(np.float64)
-        if self.mixture is None:
-            vals = special.gammainc(self.shape, flat / self.rho_bar)
-            out = np.array([clamp_probability(float(v), "ostbc outage") for v in vals])
-        else:
-            single = self.mixture.n_groups == 1
-            out = np.empty_like(flat)
-            for idx, g in enumerate(flat):
-                out[idx] = (self._outage_single(float(g)) if single
-                            else self._outage_general(float(g)))
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        vals = self._engine.outage(arr.ravel()).reshape(arr.shape)
+        return clamp_probability(vals, "ostbc outage")
 
     def threshold(self, p_target: float) -> float:
         """Outage threshold gamma0 with outage(gamma0) = p_target."""
@@ -251,7 +90,10 @@ class OstbcModel:
 
 
 def from_config(cfg: ScenarioConfig, rel_tol: float = DEFAULT_GROUP_TOL) -> OstbcModel:
-    """Build the OSTBC model for a scenario."""
+    """Build the OSTBC model for a scenario.
+
+    rel_tol only sets the grouping of the `mixture` field.
+    """
     if cfg.own_mode is not OwnMode.OSTBC:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected ostbc")
     rates = build_rate_set(cfg)
@@ -260,6 +102,7 @@ def from_config(cfg: ScenarioConfig, rel_tol: float = DEFAULT_GROUP_TOL) -> Ostb
         shape=cfg.n_r * cfg.n_t,
         mixture=mix,
         rho_bar=own_numerator_scale(cfg),
+        rates=rates,
         notes=cfg.warnings(),
     )
 

@@ -25,6 +25,7 @@ from ranksinr.scenario import (
 from ranksinr.wishart import cdf_lambda_max, compute_weights, pdf_lambda_max
 
 from conftest import REF_BF
+from mp_sinr import reference_curves
 
 
 def mixing_pdf(model: bf.BfModel, g: float) -> float:
@@ -76,10 +77,8 @@ def test_threshold_roundtrip(ref_model):
         assert ref_model.outage(g0) == pytest.approx(p, rel=1e-9)
 
 
-def test_single_and_general_routes_agree():
-    # one equal-power rank-2 interferer gives a single mixture group,
-    # exercising the plain-arithmetic route; the log-domain route must
-    # produce the same curve
+def test_single_group_matches_mpmath():
+    # one equal-power rank-2 interferer: a single rate of multiplicity 2
     cfg = ScenarioConfig(
         n_r=2, n_t=2, noise_power=1.0, snr_db=15.0,
         own_mode=OwnMode.BEAMFORMING,
@@ -90,15 +89,10 @@ def test_single_and_general_routes_agree():
         ),
     )
     model = bf.from_config(cfg)
-    assert model.mixture.n_groups == 1
-    for g_db in (-5.0, 0.0, 5.0, 10.0):
-        g = 10 ** (g_db / 10)
-        assert model._outage_single(g) == pytest.approx(
-            model._outage_general(g), rel=1e-9
-        )
-        assert model._pdf_single(g) == pytest.approx(
-            model._pdf_general(g), rel=1e-9
-        )
+    g = 10 ** (np.array([-5.0, 0.0, 5.0, 10.0]) / 10)
+    outage, pdf = reference_curves(cfg, g)
+    assert model.outage(g) == pytest.approx(outage, rel=1e-12)
+    assert model.sinr_pdf(g) == pytest.approx(pdf, rel=1e-12)
 
 
 def test_no_interferer_reduces_to_eigenvalue_cdf():

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import ranksinr
 from ranksinr import cli
 from ranksinr.errors import NumericInstabilityError
 
@@ -345,3 +346,12 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1].startswith("5,")
+
+
+def test_package_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ranksinr", "--version"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"ranksinr {ranksinr.__version__}"

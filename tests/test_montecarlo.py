@@ -70,6 +70,13 @@ def test_dominant_eigvec_trivial_and_guard():
         dominant_eigvec(np.eye(2, dtype=complex), tol=1e-3)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), 1e-17, 1e-3])
+def test_simulate_bf_rejects_tol_outside_its_range(tol):
+    # a bad argument, not a numeric failure of the eigensolver
+    with pytest.raises(ValueError, match="tol must lie in"):
+        simulate_bf_sinr(REF_BF, 1000, seed=0, tol=tol)
+
+
 def test_dominant_eigvec_on_a_tied_top_eigenvalue():
     tol = 1e-10
     m = np.eye(3, dtype=complex)
