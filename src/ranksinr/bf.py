@@ -34,7 +34,7 @@ from .engine import SinrEngine
 from .errors import ConfigError
 from .inversion import clamp_probability
 from .inversion import threshold_at_outage as _invert
-from .mixture import DEFAULT_GROUP_TOL, MixtureSpec, build_mixture
+from .mixture import MixtureSpec, build_mixture
 from .scenario import OwnMode, ScenarioConfig, build_rate_set, own_numerator_scale
 from .wishart import EigenWeightTable, compute_weights
 
@@ -82,15 +82,12 @@ class BfModel:
         return _invert(lambda g: self.outage(g), p_target)
 
 
-def from_config(cfg: ScenarioConfig, rel_tol: float = DEFAULT_GROUP_TOL) -> BfModel:
-    """Build the beamforming model for a scenario.
-
-    rel_tol only sets the grouping of the `mixture` field.
-    """
+def from_config(cfg: ScenarioConfig) -> BfModel:
+    """Build the beamforming model for a scenario."""
     if cfg.own_mode is not OwnMode.BEAMFORMING:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected bf")
     rates = build_rate_set(cfg)
-    mix = build_mixture(rates, rel_tol) if rates else None
+    mix = build_mixture(rates) if rates else None
     return BfModel(
         table=compute_weights(cfg.n_r, cfg.n_t),
         mixture=mix,

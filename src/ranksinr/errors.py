@@ -25,8 +25,9 @@ class UnsupportedDimensionError(RankSinrError):
 class NumericInstabilityError(RankSinrError):
     """Raised when an evaluated probability lands outside [0, 1].
 
-    Signals catastrophic cancellation in an alternating sum; results near
-    the boundary within 1e-12 are clamped, anything further is refused.
+    Signals catastrophic cancellation in an alternating sum; results
+    within inversion.PROB_SLACK (1e-9) of [0, 1] are clamped, anything
+    further is refused.
     """
 
 

@@ -40,20 +40,37 @@ def clamp_probability(p, context: str = "probability"):
     return float(out) if out.ndim == 0 else out
 
 
-def _first_reaching(outage_fn, x: np.ndarray, p_target: float) -> int:
-    """Index of the first x whose outage reaches p_target; x.size if none."""
-    reached = np.asarray(outage_fn(x)) >= p_target
-    return int(np.argmax(reached)) if reached.any() else x.size
+def _first_true(pred, x: np.ndarray) -> int:
+    """Index of the first x where pred holds; x.size if none."""
+    hits = pred(x)
+    return int(np.argmax(hits)) if hits.any() else x.size
 
 
-def _bracket(outage_fn, p_target: float) -> tuple[float, float]:
-    """Neighbouring lattice points lo < hi, outage(lo) < p_target <= outage(hi)."""
+def _nsection(pred, lo: float, hi: float, rel_tol: float) -> float:
+    """Midpoint of the bracket lo < hi, pred false at lo and true at hi.
+
+    pred maps an array to booleans and changes once, from false to true.
+    Each call on SECTIONS interior points keeps the sub-interval where
+    it changes, until the bracket is rel_tol wide or stops shrinking.
+    """
+    while hi - lo > rel_tol * lo:
+        x = lo + (hi - lo) * FRACTIONS
+        i = _first_true(pred, x)
+        new = (x[i - 1] if i else lo, x[i] if i < SECTIONS else hi)
+        if new == (lo, hi):  # the bracket is a few ulps wide
+            break
+        lo, hi = new
+    return float(0.5 * (lo + hi))
+
+
+def _bracket(reached, p_target: float) -> tuple[float, float]:
+    """Neighbouring lattice points lo < hi, reached false at lo, true at hi."""
     inner = LATTICE[INNER]
-    i = _first_reaching(outage_fn, inner, p_target)
+    i = _first_true(reached, inner)
     if 0 < i < inner.size:
         return inner[i - 1], inner[i]
     x = LATTICE[:INNER.start + 1] if i == 0 else LATTICE[INNER.stop - 1:]
-    j = _first_reaching(outage_fn, x, p_target)
+    j = _first_true(reached, x)
     if j == 0:
         raise NumericInstabilityError(
             f"no threshold above 1e-150 stays under outage {p_target}"
@@ -82,12 +99,8 @@ def threshold_at_outage(
     """
     if not (0.0 < p_target < 1.0):
         raise ValueError(f"target outage must lie in (0, 1), got {p_target}")
-    lo, hi = _bracket(outage_fn, p_target)
-    while hi - lo > rel_tol * lo:
-        x = lo + (hi - lo) * FRACTIONS
-        i = _first_reaching(outage_fn, x, p_target)
-        new = (x[i - 1] if i else lo, x[i] if i < SECTIONS else hi)
-        if new == (lo, hi):  # the bracket is a few ulps wide
-            break
-        lo, hi = new
-    return float(0.5 * (lo + hi))
+
+    def reached(x):
+        return np.asarray(outage_fn(x)) >= p_target
+
+    return _nsection(reached, *_bracket(reached, p_target), rel_tol)

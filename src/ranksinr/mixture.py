@@ -10,13 +10,18 @@ the sum is a signed mixture of gamma densities
 
 with partial-fraction coefficients
 
-    Xi_ij = (-1)^{beta_i+j} sum_{Omega(i,j)} prod_{k != i}
-            C(beta_k+q_k-1, q_k) (rho_k/rho_i)^{q_k}
-            / (1 - rho_k/rho_i)^{beta_k+q_k},
+    Xi_ij = (-1)^{beta_i+j} [t^{beta_i-j}] prod_{k != i}
+            (1 - r_k)^{-beta_k} (1 - t r_k/(1 - r_k))^{-beta_k},
 
-where Omega(i,j) runs over nonnegative integer tuples (q_1..q_G) with
-q_i = 0 and sum q_k = beta_i - j.  G = 1 degenerates to a plain gamma
-density (Xi_{1,beta_1} = 1).
+r_k = rho_k/rho_i.  The coefficient of t^q in (1 - x t)^{-beta} is
+C(beta+q-1, q) x^q, so the product, truncated at degree beta_i - 1,
+carries the paper's sum over the tuples (q_1..q_G) with q_i = 0 and
+sum q_k = beta_i - j of prod_{k != i} C(beta_k+q_k-1, q_k)
+(rho_k/rho_i)^{q_k} / (1 - rho_k/rho_i)^{beta_k+q_k}, without
+enumerating them: one series product per group, O(G^2 beta^2)
+operations for G groups of multiplicity up to beta, where the tuple
+count grows combinatorially.  G = 1 degenerates to a plain gamma
+density (Xi_{1,beta_1} = 1, the other orders 0).
 
 The (1 - rho_k/rho_i) denominators make the expansion explosive for
 near-equal group rates; near-ties must be merged before coefficients are
@@ -131,46 +136,14 @@ def group_rates(
     return tuple(group_scales), tuple(group_counts)
 
 
-def enumerate_tuples(
-    i: int, j: int, multiplicities: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """All (q_1..q_G) with q_i = 0 and sum q = beta_i - j, 1-based i."""
-    g = len(multiplicities)
-    if not (1 <= i <= g):
-        raise ValueError(f"group index {i} out of range 1..{g}")
-    if not (1 <= j <= multiplicities[i - 1]):
-        raise ValueError(f"order {j} out of range 1..{multiplicities[i - 1]}")
-    budget = multiplicities[i - 1] - j
-    others = [k for k in range(g) if k != i - 1]
-
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, remaining: int, acc: list[int]) -> None:
-        if pos == len(others):
-            if remaining == 0:
-                tup = [0] * g
-                for k, q in zip(others, acc):
-                    tup[k] = q
-                out.append(tuple(tup))
-            return
-        if pos == len(others) - 1:
-            rec(pos + 1, 0, acc + [remaining])
-            return
-        for q in range(remaining + 1):
-            rec(pos + 1, remaining - q, acc + [q])
-
-    if others:
-        rec(0, budget, [])
-    elif budget == 0:
-        out.append((0,) * g)
-    # G = 1 with j < beta_1 has no admissible tuple: coefficient is 0
-    return out
-
-
 def xi_coefficients(
     rates: tuple[float, ...], multiplicities: tuple[int, ...]
 ) -> MixtureSpec:
-    """Fill the partial-fraction coefficients for grouped rates."""
+    """Fill the partial-fraction coefficients for grouped rates.
+
+    Each group's coefficients are one truncated series product (module
+    docstring), evaluated in 40-digit arithmetic and rounded to double.
+    """
     g = len(rates)
     if g == 0:
         raise EmptyMixtureError("no groups")
@@ -194,32 +167,23 @@ def xi_coefficients(
         )
 
     xi: dict[tuple[int, int], float] = {}
-    if g == 1:
-        beta = multiplicities[0]
-        for j in range(1, beta + 1):
-            xi[(1, j)] = 1.0 if j == beta else 0.0
-    else:
-        with mpmath.workdps(40):
-            ratios = [[mpmath.mpf(rk) / mpmath.mpf(ri) for rk in rates] for ri in rates]
-            for i in range(1, g + 1):
-                beta_i = multiplicities[i - 1]
-                for j in range(1, beta_i + 1):
-                    total = mpmath.mpf(0)
-                    for tup in enumerate_tuples(i, j, multiplicities):
-                        prod = mpmath.mpf(1)
-                        for k in range(g):
-                            if k == i - 1:
-                                continue
-                            beta_k, q_k = multiplicities[k], tup[k]
-                            r = ratios[i - 1][k]
-                            prod *= (
-                                math.comb(beta_k + q_k - 1, q_k)
-                                * r**q_k
-                                / (1 - r) ** (beta_k + q_k)
-                            )
-                        total += prod
-                    sign = -1 if (beta_i + j) % 2 else 1
-                    xi[(i, j)] = float(sign * total)
+    with mpmath.workdps(40):
+        for i, (rho_i, beta_i) in enumerate(zip(rates, multiplicities)):
+            # the docstring's product with t -> -t, which absorbs the sign
+            # (-1)^{beta_i+j}: prod_{k != i} (1 - r_k)^{-beta_k}
+            # (1 + t r_k/(1 - r_k))^{-beta_k}, truncated at t^{beta_i-1}
+            series = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (beta_i - 1)
+            for k, (rho_k, beta_k) in enumerate(zip(rates, multiplicities)):
+                if k == i:
+                    continue
+                r = mpmath.mpf(rho_k) / mpmath.mpf(rho_i)
+                x, head = r / (r - 1), (1 - r) ** beta_k
+                factor = [math.comb(beta_k + q - 1, q) * x**q / head
+                          for q in range(beta_i)]
+                series = [mpmath.fsum(series[p] * factor[n - p] for p in range(n + 1))
+                          for n in range(beta_i)]
+            for j in range(1, beta_i + 1):
+                xi[(i + 1, j)] = float(series[beta_i - j])
 
     return MixtureSpec(
         rates=tuple(float(r) for r in rates),

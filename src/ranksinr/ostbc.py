@@ -39,7 +39,7 @@ from .engine import SinrEngine
 from .errors import ConfigError
 from .inversion import clamp_probability
 from .inversion import threshold_at_outage as _invert
-from .mixture import DEFAULT_GROUP_TOL, MixtureSpec, build_mixture
+from .mixture import MixtureSpec, build_mixture
 from .scenario import OwnMode, ScenarioConfig, build_rate_set, own_numerator_scale
 
 
@@ -89,15 +89,12 @@ class OstbcModel:
         return _invert(lambda g: self.outage(g), p_target)
 
 
-def from_config(cfg: ScenarioConfig, rel_tol: float = DEFAULT_GROUP_TOL) -> OstbcModel:
-    """Build the OSTBC model for a scenario.
-
-    rel_tol only sets the grouping of the `mixture` field.
-    """
+def from_config(cfg: ScenarioConfig) -> OstbcModel:
+    """Build the OSTBC model for a scenario."""
     if cfg.own_mode is not OwnMode.OSTBC:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected ostbc")
     rates = build_rate_set(cfg)
-    mix = build_mixture(rates, rel_tol) if rates else None
+    mix = build_mixture(rates) if rates else None
     return OstbcModel(
         shape=cfg.n_r * cfg.n_t,
         mixture=mix,

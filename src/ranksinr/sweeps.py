@@ -16,6 +16,7 @@ import numpy as np
 
 from . import bf, ostbc
 from .errors import ConfigError
+from .inversion import _nsection
 from .scenario import (
     InterfererSpec,
     OwnMode,
@@ -229,26 +230,19 @@ def find_crossing(
     cfgr = single_interferer_config(own_mode, n_r, n_t, snr_db, inr_db, rank)
     m1, mr = model_for(cfg1), model_for(cfgr)
 
-    def diff(g: float) -> float:
+    def diff(g: np.ndarray) -> np.ndarray:
         return mr.outage(g) - m1.outage(g)
 
     lo = m1.threshold(0.01)
-    if diff(lo) >= 0:
+    # one call brackets the crossing on lo * 2^k, k = 0..200
+    grid = lo * 2.0 ** np.arange(201)
+    d = diff(grid)
+    if d[0] >= 0:
         raise ConfigError(
             "no gain at the 1% outage point; crossing search needs one"
         )
-    hi = lo
-    for _ in range(200):
-        hi *= 2.0
-        if diff(hi) > 0:
-            break
-    else:
+    if not (d > 0).any():
         raise ConfigError("outage curves do not cross below the search cap")
-    while hi - lo > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if diff(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    gamma_cross = 0.5 * (lo + hi)
+    k = int(np.argmax(d > 0))
+    gamma_cross = _nsection(lambda g: diff(g) > 0, grid[k - 1], grid[k], rel_tol)
     return gamma_cross, float(m1.outage(gamma_cross))

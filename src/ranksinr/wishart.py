@@ -117,9 +117,6 @@ class EigenWeightTable:
     def sum_exact(self) -> Fraction:
         return sum(self.weights.values(), Fraction(0))
 
-    def weight(self, k: int, l: int) -> float:
-        return float(self.weights.get((k, l), Fraction(0)))
-
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(k, l, psi) arrays in sorted (k, l) order."""
         psis = self._signs * np.exp(self._log_abs)

@@ -1,11 +1,15 @@
 """Partial-fraction mixture of the interference sum.
 
-Oracles: hand-expanded two-term hypoexponential, direct convolution by
-quadrature, simulated sums, and the sum-of-scales mean identity.
+Oracles: hand-expanded two-term hypoexponential, the paper's term-by-term
+Omega-tuple sum for the coefficients, direct convolution by quadrature,
+simulated sums, and the sum-of-scales mean identity.
 """
 
+import itertools
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -15,14 +19,19 @@ from ranksinr.mixture import (
     MixtureSpec,
     build_mixture,
     cdf_y,
-    enumerate_tuples,
     group_rates,
     mean_y,
     pdf_y,
     sample_sum,
     xi_coefficients,
 )
-from ranksinr.scenario import build_rate_set
+from ranksinr.scenario import (
+    InterfererSpec,
+    OwnMode,
+    ScenarioConfig,
+    Technique,
+    build_rate_set,
+)
 
 from conftest import REF_BF, ks_distance
 
@@ -78,19 +87,80 @@ def test_convolution_quadrature_oracle():
     assert pdf_y(grid, spec) == pytest.approx(target, abs=5e-4)
 
 
-def test_enumerate_tuples_examples():
-    # G=3, beta=(2,1,1): i=1, j=1 leaves budget 1 for groups 2 and 3
-    tups = enumerate_tuples(1, 1, (2, 1, 1))
-    assert sorted(tups) == [(0, 0, 1), (0, 1, 0)]
-    # j = beta_i leaves zero budget: only the zero tuple
-    assert enumerate_tuples(1, 2, (2, 1, 1)) == [(0, 0, 0)]
-    # single group: no admissible tuple below the top order
-    assert enumerate_tuples(1, 1, (3,)) == []
-    assert enumerate_tuples(1, 3, (3,)) == [(0,)]
-    with pytest.raises(ValueError):
-        enumerate_tuples(4, 1, (2, 1, 1))
-    with pytest.raises(ValueError):
-        enumerate_tuples(1, 3, (2, 1, 1))
+def omega_tuple_sum(rates, multiplicities):
+    """Xi_ij summed term by term over Omega(i, j), the paper's form.
+
+    Omega(i, j) holds the tuples (q_1..q_G) with q_i = 0 and
+    sum q = beta_i - j; each contributes prod_{k != i}
+    C(beta_k+q_k-1, q_k) r_k^q_k / (1 - r_k)^(beta_k+q_k), r_k = rho_k/rho_i.
+    """
+    g = len(rates)
+    xi = {}
+    with mpmath.workdps(40):
+        for i in range(g):
+            beta_i = multiplicities[i]
+            for j in range(1, beta_i + 1):
+                budget = beta_i - j
+                total = mpmath.mpf(0)
+                for q in itertools.product(range(budget + 1), repeat=g):
+                    if q[i] or sum(q) != budget:
+                        continue
+                    prod = mpmath.mpf(1)
+                    for k in range(g):
+                        if k == i:
+                            continue
+                        r = mpmath.mpf(rates[k]) / mpmath.mpf(rates[i])
+                        prod *= (math.comb(multiplicities[k] + q[k] - 1, q[k])
+                                 * r ** q[k] / (1 - r) ** (multiplicities[k] + q[k]))
+                    total += prod
+                sign = -1 if (beta_i + j) % 2 else 1
+                xi[(i + 1, j)] = float(sign * total)
+    return xi
+
+
+@pytest.mark.parametrize(
+    "rates, multiplicities",
+    [
+        ((3.0,), (1,)),
+        ((3.0,), (8,)),
+        ((5.0, 2.0), (3, 5)),
+        ((0.5, 2.0), (8, 1)),
+        ((10.0, 6.31, 3.98), (1, 2, 8)),
+        ((1.0, 0.7, 0.45, 0.2), (2, 7, 3, 5)),
+        ((4.0, 2.5, 1.2, 0.3), (8, 8, 8, 8)),
+        # near tie: conditioning 1e-4
+        ((2.0 * (1 + 1e-4), 2.0, 0.5), (4, 3, 2)),
+        ((3.0, 1.0, 1.0 * (1 - 1e-4), 0.1), (2, 5, 6, 3)),
+    ],
+    ids=["g1-order1", "g1-order8", "g2", "g2-rising", "g3-reference-powers",
+         "g4-mixed", "g4-order8", "g3-near-tie", "g4-near-tie"],
+)
+def test_series_matches_omega_tuple_sum_bit_for_bit(rates, multiplicities):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        spec = xi_coefficients(rates, multiplicities)
+    expect = omega_tuple_sum(rates, multiplicities)
+    # hex compares every bit, the sign of zero included
+    assert {k: v.hex() for k, v in spec.xi.items()} == {
+        k: v.hex() for k, v in expect.items()
+    }
+
+
+def test_eight_by_eight_ostbc_with_eight_full_rank_sm_interferers():
+    # 8 groups of 64 equal terms: Omega holds about 1e10 tuples in all,
+    # out of reach of term-by-term summation
+    cfg = ScenarioConfig(
+        n_r=8, n_t=8, noise_power=1.0, snr_db=15.0, own_mode=OwnMode.OSTBC,
+        interferers=tuple(
+            InterfererSpec(technique=Technique.SPATIAL_MULTIPLEXING,
+                           inr_db=float(inr), layers=8)
+            for inr in range(1, 9)
+        ),
+    )
+    spec = xi_coefficients(*group_rates(build_rate_set(cfg)))
+    assert spec.multiplicities == (64,) * 8
+    assert len(spec.xi) == 512
+    assert all(math.isfinite(v) for v in spec.xi.values())
 
 
 def test_grouping_reference_powers_stay_distinct():

@@ -79,6 +79,28 @@ def test_single_group_matches_mpmath():
     assert model.sinr_pdf(g) == pytest.approx(pdf, rel=1e-12)
 
 
+def test_seven_full_rank_sm_interferers_at_4x4():
+    # seven 4-layer SM interferers at 1..7 dB: seven groups of 16 equal
+    # terms, whose Xi coefficients take 3.8e5 tuples summed term by term
+    cfg = ScenarioConfig(
+        n_r=4, n_t=4, noise_power=1.0, snr_db=15.0, own_mode=OwnMode.OSTBC,
+        interferers=tuple(
+            InterfererSpec(technique=Technique.SPATIAL_MULTIPLEXING,
+                           inr_db=float(inr), layers=4)
+            for inr in range(1, 8)
+        ),
+    )
+    # 40 digits do not survive this expansion's cancellation; the build
+    # says so, and the outage does not read the coefficients
+    with pytest.warns(RuntimeWarning, match="drift"):
+        model = ostbc.from_config(cfg)
+    assert model.mixture.n_groups == 7
+    assert model.mixture.multiplicities == (16,) * 7
+    g = 10 ** (np.array([-5.0, 0.0, 5.0, 10.0, 15.0]) / 10)
+    outage, _ = reference_curves(cfg, g)
+    assert model.outage(g) == pytest.approx(outage, abs=1e-12)
+
+
 def test_no_interferer_is_gamma():
     cfg = ScenarioConfig(
         n_r=2, n_t=2, noise_power=1.0, snr_db=15.0, own_mode=OwnMode.OSTBC

@@ -161,3 +161,56 @@ def test_crossing_sits_above_ten_percent_outage():
 def test_crossing_search_refuses_rank_one():
     with pytest.raises(ConfigError, match="1% outage"):
         find_crossing(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, rank=1)
+
+
+def bisect_crossing(m1, mr, rel_tol=1e-9):
+    """Scalar doubling and bisection on the sign of mr - m1."""
+    lo = m1.threshold(0.01)
+    hi = lo
+    while mr.outage(hi) - m1.outage(hi) <= 0:
+        hi *= 2.0
+    while hi - lo > rel_tol * lo:
+        mid = 0.5 * (lo + hi)
+        if mr.outage(mid) - m1.outage(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class CountingModel:
+    """A model whose outage calls are counted."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def threshold(self, p):
+        return self.model.threshold(p)
+
+    def outage(self, g):
+        self.calls += 1
+        return self.model.outage(g)
+
+
+@pytest.mark.parametrize(
+    "mode, n_r, n_t, rank",
+    [(OwnMode.BEAMFORMING, 2, 2, 2), (OwnMode.BEAMFORMING, 2, 4, 4),
+     (OwnMode.BEAMFORMING, 4, 4, 4), (OwnMode.OSTBC, 2, 2, 2)],
+)
+def test_crossing_matches_bisection_with_few_evaluations(monkeypatch, mode, n_r, n_t, rank):
+    from ranksinr import sweeps
+
+    built = []
+
+    def counting_model_for(cfg):
+        built.append(CountingModel(model_for(cfg)))
+        return built[-1]
+
+    monkeypatch.setattr(sweeps, "model_for", counting_model_for)
+    gamma_x, level = find_crossing(mode, n_r, n_t, 15.0, 10.0, rank)
+    m1, mr = built
+    # the rank-r outage is read once per difference evaluation
+    assert mr.calls <= 10
+    expect = bisect_crossing(m1.model, mr.model)
+    assert gamma_x == pytest.approx(expect, rel=1e-9)
+    assert level == pytest.approx(m1.model.outage(expect), rel=1e-8)
