@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import ranksinr
@@ -168,6 +169,73 @@ def test_dump_xi_report(tmp_path, capsys):
     assert abs(float(meta["xi_sum"]) - 1.0) < 1e-9
     # one coefficient per (group, order) pair
     assert len(rows) == 4
+
+
+# the (OSTBC, BF, 2-layer SM) INR patterns of the benchmark's curves
+# scenarios (benchmarks/workloads.py)
+REF_PATTERNS = ((6.0, 8.0, 10.0), (10.0, 8.0, 6.0), (4.0, 9.0, 12.0), (12.0, 4.0, 9.0),
+                (7.0, 7.5, 11.0), (3.0, 12.0, 8.0), (9.0, 3.0, 5.0), (11.0, 10.0, 2.0),
+                (5.0, 6.0, 7.0), (2.0, 11.0, 5.0), (8.0, 2.0, 12.0), (10.0, 12.0, 4.0))
+
+
+def _xi_series(groups, dps=100):
+    """Xi_ij from the truncated product of the mixture docstring at dps digits."""
+    out = {}
+    with mpmath.workdps(dps):
+        for i, (rho_i, beta_i) in groups.items():
+            series = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (beta_i - 1)
+            for k, (rho_k, beta_k) in groups.items():
+                if k == i:
+                    continue
+                r = mpmath.mpf(rho_k) / mpmath.mpf(rho_i)
+                factor = [math.comb(beta_k + q - 1, q) * (r / (r - 1)) ** q
+                          / (1 - r) ** beta_k for q in range(beta_i)]
+                series = [sum(series[m] * factor[n - m] for m in range(n + 1))
+                          for n in range(beta_i)]
+            for j in range(1, beta_i + 1):
+                out[(i, j)] = series[beta_i - j]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:Xi coefficients sum to 1 with drift")
+@pytest.mark.parametrize("mode", ["ostbc", "bf"])
+@pytest.mark.parametrize("n_r,n_t", [(2, 4), (4, 4)])
+def test_dump_xi_is_accurate_or_refused(tmp_path, capsys, n_r, n_t, mode):
+    out = tmp_path / "xi.json"
+    accepted = 0
+    for o, b, s in REF_PATTERNS:
+        cfg = write_cfg(tmp_path, n_r=n_r, n_t=n_t, own_mode=mode, interferers=[
+            {"technique": "ostbc", "inr_db": o},
+            {"technique": "bf", "inr_db": b},
+            {"technique": "sm", "inr_db": s, "layers": 2},
+        ])
+        code, _, err = run(capsys, "dump-xi", "--config", cfg, "--format", "json",
+                           "--out", str(out))
+        if code == cli.EXIT_NUMERIC:
+            assert "sum|Xi|" in err
+            assert not out.exists()
+            continue
+        assert code == 0
+        accepted += 1
+        rows = json.loads(out.read_text())["rows"]
+        out.unlink()
+        ref = _xi_series({g: (rho, beta) for g, rho, beta, _, _ in rows})
+        for g, _, _, j, xi in rows:
+            assert abs(mpmath.mpf(xi) - ref[(g, j)]) < 1e-12, (o, b, s, g, j)
+    assert accepted > 0
+
+
+def test_dump_xi_refuses_seven_full_rank_sm_interferers(tmp_path, capsys):
+    # sum|Xi| = 7.5e55: the dump read xi_sum -2.07e39 and exited 0
+    cfg = write_cfg(tmp_path, n_r=4, n_t=4, own_mode="ostbc", interferers=[
+        {"technique": "sm", "inr_db": float(v), "layers": 4} for v in range(1, 8)
+    ])
+    out = tmp_path / "xi.csv"
+    with pytest.warns(RuntimeWarning):
+        code, _, err = run(capsys, "dump-xi", "--config", cfg, "--out", str(out))
+    assert code == cli.EXIT_NUMERIC
+    assert "numeric instability" in err
+    assert not out.exists()
 
 
 def test_mc_validate_passes_for_bf(tmp_path, capsys):
