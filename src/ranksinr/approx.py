@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
-from .montecarlo import _generator, complex_normal, haar_columns
+from .montecarlo import _generator, complex_normal
 from .scenario import MAX_ANTENNAS
 
 
@@ -96,6 +96,9 @@ def _product_pdf_scalar(x: float, pd: ProductDistribution) -> float:
             -n_l * x * math.exp(-s) + (a - 1) * s + (b - 1) * math.log(one_minus_t) - lognorm
         )
 
+    # imported on use: scipy.integrate adds about 0.3 s to every CLI start
+    from scipy import integrate
+
     res = integrate.quad(
         integrand, -np.inf, 0.0, epsabs=1e-10, epsrel=0.0, limit=200, full_output=1
     )
@@ -123,6 +126,8 @@ def product_mean_quadrature(pd: ProductDistribution) -> float:
     def integrand(t: float) -> float:
         return t * math.exp((pd.alpha - 1) * math.log(t) + (pd.beta - 1) * math.log1p(-t) - lognorm)
 
+    from scipy import integrate
+
     val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
     return val / pd.n_l
 
@@ -147,7 +152,10 @@ def simulate_exact_terms(
     rng = _generator(np.random.SeedSequence(seed))
     h0 = complex_normal(rng, (n_samples, n_r, n_t))
     hi = complex_normal(rng, (n_samples, n_r, n_t))
-    v = haar_columns(rng, n_samples, n_t, n_l)[:, :, 0] / math.sqrt(n_l)
+    # the first column of a Haar n_l-frame, drawn as the whole frame's
+    # Gaussian matrix so the stream is that of haar_columns
+    z = complex_normal(rng, (n_samples, n_t, n_l))[:, :, 0]
+    v = z / (np.linalg.norm(z, axis=1, keepdims=True) * math.sqrt(n_l))
     u = np.einsum("brt,bt->br", hi, v)
     fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
     return np.abs(np.einsum("br,br->b", h0[:, :, 0].conj(), u)) ** 2 / fro2
@@ -215,9 +223,8 @@ def compare_chain(
     if not np.isfinite(product_density[0]):
         product_density = product_density.copy()
         product_density[0] = product_density[1]  # presentation-only clip at x=0
-    product_cdf = np.concatenate(
-        [[0.0], integrate.cumulative_trapezoid(product_density, grid)]
-    )
+    trapezoids = np.diff(grid) * (product_density[1:] + product_density[:-1]) / 2.0
+    product_cdf = np.concatenate([[0.0], np.cumsum(trapezoids)])
 
     rate = n_t * n_l
     exp_density = exp_approx_pdf(grid, n_t, n_l)

@@ -29,7 +29,7 @@ Conventions that must match the analytic model:
   instant for OSTBC interferers.  For n_T = 2 the two paths differ
   only in that interferer treatment.
 
-Determinism: per-chunk Philox streams spawned from the master seed;
+Determinism: per-chunk SFC64 streams spawned from the master seed;
 draw order within a chunk is fixed (H0, then interferer randomness in
 config order; the eigensolve draws nothing) so results depend only on
 (scenario, n_samples, seed, chunk_size).
@@ -46,13 +46,13 @@ import numpy as np
 from .errors import ConfigError, NumericInstabilityError
 from .scenario import OwnMode, ScenarioConfig, Technique, own_numerator_scale
 
-RNG_NAME = "philox4x64"
+RNG_NAME = "sfc64"
 DEFAULT_CHUNK = 250_000
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 
 
 def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_seq))
+    return np.random.Generator(np.random.SFC64(seed_seq))
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -67,15 +67,28 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def haar_columns(rng: np.random.Generator, batch: int, n: int, k: int) -> np.ndarray:
     """Haar-random orthonormal k-frames in C^n, batched.
 
-    QR of a Gaussian matrix with the R-diagonal phases divided out; the
-    phase fix is what makes the distribution exactly Haar rather than
-    merely orthonormal.
+    Classical Gram-Schmidt, applied twice per column, orthonormalises
+    the columns of a complex Gaussian matrix Z.  It computes Z = QR with
+    the diagonal of R real and positive: each column's R entry is the
+    norm it is divided by.  That QR factor is unique, and its Q is
+    exactly Haar distributed, because the Gaussian law of Z is invariant
+    under left multiplication by any unitary U, which maps the factor Q
+    to UQ (Mezzadri, Notices AMS 54, 2007, where a LAPACK QR gets the
+    positive diagonal from a phase fix).  The second pass only removes
+    the round-off the first one leaves behind.  Each column is projected
+    on all earlier ones at once, so the loop runs over columns, never
+    over the batch.  At k = 1 the frame is z/||z||.
     """
-    z = complex_normal(rng, (batch, n, k))
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("bkk->bk", r)
-    phase = diag / np.abs(diag)
-    return q * phase.conj()[:, None, :]
+    q = complex_normal(rng, (batch, n, k))
+    for j in range(k):
+        v = q[:, :, j]
+        if j:
+            prev = q[:, :, :j]
+            prev_h = prev.conj()
+            for _ in range(2):
+                v -= np.einsum("bnk,bk->bn", prev, np.einsum("bnk,bn->bk", prev_h, v))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return q
 
 
 def qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:

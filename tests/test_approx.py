@@ -5,6 +5,8 @@ independence approximation as an exp x beta product, and the final
 mean-matched exponential.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -19,6 +21,7 @@ from ranksinr.approx import (
     simulate_exact_terms,
 )
 from ranksinr.errors import UnsupportedDimensionError
+from ranksinr.montecarlo import _generator, complex_normal
 
 from conftest import ks_distance
 
@@ -86,6 +89,23 @@ def test_exact_simulation_mean():
     s = simulate_exact_terms(2, 2, 1, 400_000, seed=8)
     assert s.mean() == pytest.approx(0.5, abs=0.005)
     assert np.all(s >= 0)
+
+
+@pytest.mark.parametrize("n_r,n_t,n_l", [(2, 2, 1), (2, 2, 2), (3, 4, 3), (4, 4, 4), (2, 8, 8)])
+def test_exact_terms_use_the_first_column_of_a_full_frame(n_r, n_t, n_l):
+    # reference: the whole n_l-frame orthonormalised by a phase-fixed QR,
+    # first column kept
+    n, seed = 5_000, 31
+    rng = _generator(np.random.SeedSequence(seed))
+    h0 = complex_normal(rng, (n, n_r, n_t))
+    hi = complex_normal(rng, (n, n_r, n_t))
+    q, r = np.linalg.qr(complex_normal(rng, (n, n_t, n_l)))
+    v = q[:, :, 0] * (r[:, 0, 0] / np.abs(r[:, 0, 0])).conj()[:, None] / math.sqrt(n_l)
+    u = np.einsum("brt,bt->br", hi, v)
+    fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
+    ref = np.abs(np.einsum("br,br->b", h0[:, :, 0].conj(), u)) ** 2 / fro2
+    s = simulate_exact_terms(n_r, n_t, n_l, n, seed)
+    assert np.max(np.abs(s - ref) / ref) <= 1e-12
 
 
 def test_chain_report_fields_and_rows():

@@ -423,3 +423,14 @@ def test_package_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"ranksinr {ranksinr.__version__}"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only approx's quadratures need it, and they import it on use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ranksinr.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -125,6 +125,28 @@ def test_haar_columns_isotropy():
     assert np.max(np.abs(outer - np.eye(n_t) / n_t)) < 0.01
 
 
+def _phase_fixed_qr_frames(rng, batch, n, k):
+    # reference: LAPACK QR with the R-diagonal phases divided out (Mezzadri 2007)
+    q, r = np.linalg.qr(complex_normal(rng, (batch, n, k)))
+    diag = np.einsum("bkk->bk", r)
+    return q * (diag / np.abs(diag)).conj()[:, None, :]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_haar_columns_equal_phase_fixed_qr_frames(n):
+    draws = 2_000
+    for k in range(1, n + 1):
+        seed = np.random.SeedSequence([n, k])
+        a, b = _generator(seed), _generator(seed)
+        q = haar_columns(a, draws, n, k)
+        ref = _phase_fixed_qr_frames(b, draws, n, k)
+        assert np.max(np.abs(q - ref)) <= 1e-12, (n, k)
+        gram = np.swapaxes(q.conj(), 1, 2) @ q
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-13, (n, k)
+        # both consumed the stream identically
+        assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes()
+
+
 def test_single_antenna_no_interference_is_unit_exponential():
     cfg = ScenarioConfig(
         n_r=1, n_t=1, noise_power=1.0, snr_db=0.0, own_mode=OwnMode.BEAMFORMING
