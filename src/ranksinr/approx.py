@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
-from .montecarlo import _generator, complex_normal
+from .montecarlo import DEFAULT_CHUNK, _generator, complex_normal, run_chunks
 from .scenario import MAX_ANTENNAS
 
 
@@ -141,24 +141,34 @@ def sample_product(pd: ProductDistribution, n_samples: int, seed: int) -> np.nda
     return e * rng.beta(pd.alpha, pd.beta, size=n_samples)
 
 
+def _exact_terms_chunk(
+    n_r: int, n_t: int, n_l: int, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    h0 = complex_normal(rng, (n, n_r, n_t))
+    hi = complex_normal(rng, (n, n_r, n_t))
+    # the first column of a Haar n_l-frame, drawn as the whole frame's
+    # Gaussian matrix so the stream is that of haar_columns
+    z = complex_normal(rng, (n, n_t, n_l))[:, :, 0]
+    v = z / (np.linalg.norm(z, axis=1, keepdims=True) * math.sqrt(n_l))
+    u = np.einsum("brt,bt->br", hi, v)
+    fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
+    return np.abs(np.einsum("br,br->b", h0[:, :, 0].conj(), u)) ** 2 / fro2
+
+
 def simulate_exact_terms(
-    n_r: int, n_t: int, n_l: int, n_samples: int, seed: int
+    n_r: int, n_t: int, n_l: int, n_samples: int, seed: int,
+    chunk_size: int = DEFAULT_CHUNK,
 ) -> np.ndarray:
     """Joint-simulation samples of S = |c^H u|^2 / ||H0||_F^2.
 
     c is a column of the serving channel, u the interferer channel times
     one unit-Frobenius precoder column; nothing is assumed independent.
+    Chunked and seeded like the receiver simulations in ``montecarlo``.
     """
-    rng = _generator(np.random.SeedSequence(seed))
-    h0 = complex_normal(rng, (n_samples, n_r, n_t))
-    hi = complex_normal(rng, (n_samples, n_r, n_t))
-    # the first column of a Haar n_l-frame, drawn as the whole frame's
-    # Gaussian matrix so the stream is that of haar_columns
-    z = complex_normal(rng, (n_samples, n_t, n_l))[:, :, 0]
-    v = z / (np.linalg.norm(z, axis=1, keepdims=True) * math.sqrt(n_l))
-    u = np.einsum("brt,bt->br", hi, v)
-    fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
-    return np.abs(np.einsum("br,br->b", h0[:, :, 0].conj(), u)) ** 2 / fro2
+    return run_chunks(
+        lambda n, rng: _exact_terms_chunk(n_r, n_t, n_l, n, rng),
+        n_samples, seed, chunk_size,
+    )
 
 
 @dataclass(frozen=True)
@@ -201,6 +211,7 @@ def compare_chain(
     seed: int = 0,
     x_max: float = 3.0,
     n_points: int = 300,
+    chunk_size: int = DEFAULT_CHUNK,
 ) -> ChainReport:
     """Evaluate all three chain stages and their pairwise distances.
 
@@ -210,7 +221,7 @@ def compare_chain(
     pd = ProductDistribution(n_r=n_r, n_t=n_t, n_l=n_l)
     grid = np.linspace(0.0, x_max, n_points)
 
-    samples = simulate_exact_terms(n_r, n_t, n_l, n_samples, seed)
+    samples = simulate_exact_terms(n_r, n_t, n_l, n_samples, seed, chunk_size)
     edges = np.concatenate([grid, [np.inf]])
     counts, _ = np.histogram(samples, bins=edges)
     widths = np.diff(grid)

@@ -32,14 +32,19 @@ Conventions that must match the analytic model:
 Determinism: per-chunk SFC64 streams spawned from the master seed;
 draw order within a chunk is fixed (H0, then interferer randomness in
 config order; the eigensolve draws nothing) so results depend only on
-(scenario, n_samples, seed, chunk_size).
+(scenario, n_samples, seed, chunk_size).  Chunks run in parallel
+threads (numpy's generators, ufuncs, einsum and batched eigh release
+the GIL) and are concatenated in chunk order, so the worker count never
+changes a result.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,7 +52,10 @@ from .errors import ConfigError, NumericInstabilityError
 from .scenario import OwnMode, ScenarioConfig, Technique, own_numerator_scale
 
 RNG_NAME = "sfc64"
-DEFAULT_CHUNK = 250_000
+# 2^14 samples: a chunk's arrays stay near the cache and a few-1e5-sample
+# run still splits into enough chunks to keep every CPU busy; on the oracle
+# benchmark (2-CPU host) it beat 2^15 and 2^16
+DEFAULT_CHUNK = 16_384
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 
 
@@ -201,7 +209,7 @@ def empirical_outage(dist: EmpiricalDistribution, gamma0: float) -> OutageEstima
 
 
 # ---------------------------------------------------------------------------
-# beamforming-mode simulation
+# chunk runner
 
 
 def _chunk_sizes(n_samples: int, chunk_size: int) -> list[int]:
@@ -211,6 +219,35 @@ def _chunk_sizes(n_samples: int, chunk_size: int) -> list[int]:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     full, rem = divmod(n_samples, chunk_size)
     return [chunk_size] * full + ([rem] if rem else [])
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_chunks(
+    simulate: Callable[[int, np.random.Generator], np.ndarray],
+    n_samples: int,
+    seed: int,
+    chunk_size: int,
+) -> np.ndarray:
+    """Concatenated ``simulate(n, rng)`` over the chunks of ``n_samples``.
+
+    Chunk i draws from the i-th SFC64 stream spawned from ``seed``, so
+    each chunk is independent of the others and of where it runs.  The
+    chunks run on up to one thread per usable CPU and are joined in
+    chunk order; an exception from any chunk is raised here.
+    """
+    sizes = _chunk_sizes(n_samples, chunk_size)
+    rngs = [_generator(ss) for ss in np.random.SeedSequence(seed).spawn(len(sizes))]
+    with ThreadPoolExecutor(max_workers=min(len(sizes), _usable_cpus())) as pool:
+        return np.concatenate(list(pool.map(simulate, sizes, rngs)))
+
+
+# ---------------------------------------------------------------------------
+# beamforming-mode simulation
 
 
 def _simulate_bf_chunk(
@@ -265,15 +302,11 @@ def simulate_bf_sinr(
     if cfg.own_mode is not OwnMode.BEAMFORMING:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected bf")
     _check_tol(tol)
-    sizes = _chunk_sizes(n_samples, chunk_size)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    parts = [
-        _simulate_bf_chunk(cfg, n, _generator(ss), symbol_mode, tol)
-        for n, ss in zip(sizes, children)
-    ]
-    return EmpiricalDistribution(
-        samples=np.concatenate(parts), seed=seed, chunk_size=chunk_size
+    samples = run_chunks(
+        lambda n, rng: _simulate_bf_chunk(cfg, n, rng, symbol_mode, tol),
+        n_samples, seed, chunk_size,
     )
+    return EmpiricalDistribution(samples=samples, seed=seed, chunk_size=chunk_size)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +375,8 @@ def simulate_ostbc_sinr(
     """
     if cfg.own_mode is not OwnMode.OSTBC:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected ostbc")
-    sizes = _chunk_sizes(n_samples, chunk_size)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    parts = [
-        _simulate_ostbc_chunk(cfg, n, _generator(ss), symbol_mode, force_component)
-        for n, ss in zip(sizes, children)
-    ]
-    return EmpiricalDistribution(
-        samples=np.concatenate(parts), seed=seed, chunk_size=chunk_size
+    samples = run_chunks(
+        lambda n, rng: _simulate_ostbc_chunk(cfg, n, rng, symbol_mode, force_component),
+        n_samples, seed, chunk_size,
     )
+    return EmpiricalDistribution(samples=samples, seed=seed, chunk_size=chunk_size)

@@ -289,6 +289,7 @@ def test_criterion_10_monte_carlo_reruns_are_byte_identical(announce, tmp_path):
         "outage": ["--mc", "--grid=0:10:2"],
         "pdf": ["--mc", "--grid=0:10:2"],
         "mc-validate": ["--grid=0:10:5"],
+        "approx-validate": [],
     }.items():
         blobs = []
         for attempt in ("a", "b"):

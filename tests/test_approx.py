@@ -94,9 +94,9 @@ def test_exact_simulation_mean():
 @pytest.mark.parametrize("n_r,n_t,n_l", [(2, 2, 1), (2, 2, 2), (3, 4, 3), (4, 4, 4), (2, 8, 8)])
 def test_exact_terms_use_the_first_column_of_a_full_frame(n_r, n_t, n_l):
     # reference: the whole n_l-frame orthonormalised by a phase-fixed QR,
-    # first column kept
+    # first column kept; one chunk draws from the first spawned stream
     n, seed = 5_000, 31
-    rng = _generator(np.random.SeedSequence(seed))
+    rng = _generator(np.random.SeedSequence(seed).spawn(1)[0])
     h0 = complex_normal(rng, (n, n_r, n_t))
     hi = complex_normal(rng, (n, n_r, n_t))
     q, r = np.linalg.qr(complex_normal(rng, (n, n_t, n_l)))

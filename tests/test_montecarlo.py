@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ranksinr import bf
+from ranksinr import approx, bf, montecarlo
+from ranksinr.approx import simulate_exact_terms
 from ranksinr.errors import ConfigError
 from ranksinr.montecarlo import (
     EmpiricalDistribution,
@@ -248,3 +249,45 @@ def test_chunking_covers_all_samples():
     dist = simulate_bf_sinr(REF_BF, 123_457, seed=1, chunk_size=50_000)
     assert dist.sample_count == 123_457
     assert dist.chunk_size == 50_000
+
+
+_CHUNK, _N_CHUNKED = 1_000, 3_357  # three full chunks and a remainder
+_RUNNERS = {
+    "bf": (lambda seed: simulate_bf_sinr(REF_BF, _N_CHUNKED, seed, _CHUNK).samples,
+           lambda n, rng: montecarlo._simulate_bf_chunk(REF_BF, n, rng, "qpsk", 1e-10)),
+    "ostbc-alamouti": (
+        lambda seed: simulate_ostbc_sinr(REF_OSTBC, _N_CHUNKED, seed, _CHUNK).samples,
+        lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng, "qpsk", False)),
+    "ostbc-component": (
+        lambda seed: simulate_ostbc_sinr(REF_OSTBC, _N_CHUNKED, seed, _CHUNK,
+                                         force_component=True).samples,
+        lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng, "qpsk", True)),
+    "exact-terms": (
+        lambda seed: simulate_exact_terms(2, 4, 2, _N_CHUNKED, seed, _CHUNK),
+        lambda n, rng: approx._exact_terms_chunk(2, 4, 2, n, rng)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RUNNERS))
+def test_results_do_not_depend_on_the_worker_count(name, monkeypatch):
+    # reference: the chunks one after another in this thread, chunk i on
+    # the i-th spawned stream
+    run, chunk = _RUNNERS[name]
+    seed = 23
+    children = np.random.SeedSequence(seed).spawn(4)
+    sizes = [_CHUNK] * 3 + [_N_CHUNKED - 3 * _CHUNK]
+    serial = np.concatenate([chunk(n, _generator(ss)) for n, ss in zip(sizes, children)])
+    assert run(seed).tobytes() == serial.tobytes()
+    for workers in (1, 3):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        assert run(seed).tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("simulate,cfg,kw", [
+    (simulate_bf_sinr, REF_BF, {}),
+    # the Alamouti path draws no symbols, the component path does
+    (simulate_ostbc_sinr, REF_OSTBC, {"force_component": True}),
+])
+def test_an_error_inside_a_chunk_reaches_the_caller(simulate, cfg, kw):
+    with pytest.raises(ValueError, match="symbol mode"):
+        simulate(cfg, _N_CHUNKED, 0, _CHUNK, symbol_mode="bpsk", **kw)
