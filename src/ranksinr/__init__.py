@@ -14,7 +14,8 @@ from .approx import (
     exp_approx_pdf,
     product_pdf,
 )
-from .bf import BfModel, outage_bf, sinr_pdf_bf
+from .bf import BfModel
+from .engine import SinrModel
 from .errors import (
     ConfigError,
     DegenerateRatesError,
@@ -27,11 +28,10 @@ from .mixture import MixtureSpec, build_mixture, cdf_y, pdf_y
 from .montecarlo import (
     EmpiricalDistribution,
     dominant_eigvec,
-    empirical_outage,
     simulate_bf_sinr,
     simulate_ostbc_sinr,
 )
-from .ostbc import OstbcModel, outage_ostbc, outage_white_interference, sinr_pdf_ostbc
+from .ostbc import OstbcModel, outage_white_interference
 from .scenario import (
     InterfererSpec,
     OwnMode,
@@ -61,6 +61,7 @@ __all__ = [
     "ProductDistribution",
     "RankSinrError",
     "ScenarioConfig",
+    "SinrModel",
     "SweepKind",
     "SweepSpec",
     "Technique",
@@ -72,18 +73,13 @@ __all__ = [
     "compute_weights",
     "config_from_dict",
     "dominant_eigvec",
-    "empirical_outage",
     "exp_approx_pdf",
     "find_crossing",
     "load_config",
-    "outage_bf",
-    "outage_ostbc",
     "outage_white_interference",
     "pdf_y",
     "product_pdf",
     "simulate_bf_sinr",
     "simulate_ostbc_sinr",
-    "sinr_pdf_bf",
-    "sinr_pdf_ostbc",
     "threshold_gain",
 ]

@@ -13,12 +13,13 @@ and mu_s(a) = E[Y^s e^{-aY}]/s!,
     f(g)  = sum_kl psi_kl (k/rho_bar) a_k^l e^{-a_k}/l!
             * sum_{s<=l+1} C(l+1,s) s! mu_s(a_k),
 
-Q the regularized upper incomplete gamma function.  The terms a^s mu_s
-are the pmf of a Poisson(aY) count and follow from a positive-term
-recursion in the Laplace transform of Y (see ``engine``), so the only
-cancellation left is in the signed psi sum: below 1e-13 absolute up to
-4x4, about 1e-9 at 8x8.  With no interferers mu_s vanishes for s >= 1
-and the outage is the eigenvalue CDF itself.
+Q the regularized upper incomplete gamma function.  These are the
+formulas of ``engine.SinrModel``; this module only supplies the psi
+table and rho_bar.  The terms a^s mu_s are the pmf of a Poisson(aY)
+count and follow from a positive-term recursion in the Laplace
+transform of Y, so the only cancellation left is in the signed psi sum:
+below 1e-13 absolute up to 4x4, about 1e-9 at 8x8.  With no interferers
+mu_s vanishes for s >= 1 and the outage is the eigenvalue CDF itself.
 
 `mixture` keeps the paper's partial-fraction form of Y for inspection
 (``dump-xi``, ``pdf_y``); evaluation does not read it.
@@ -26,60 +27,25 @@ and the outage is the eigenvalue CDF itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from .engine import SinrEngine
+from .engine import SinrModel
 from .errors import ConfigError
-from .inversion import clamp_probability
-from .inversion import threshold_at_outage as _invert
-from .mixture import MixtureSpec, build_mixture
+from .mixture import build_mixture
 from .scenario import OwnMode, ScenarioConfig, build_rate_set, own_numerator_scale
-from .wishart import EigenWeightTable, compute_weights
+from .wishart import compute_weights
 
 
-@dataclass(frozen=True, eq=False)
-class BfModel:
+class BfModel(SinrModel):
     """Analytic SINR model for beamforming reception.
 
-    `rates` is the raw interference rate set and `mixture` its grouped
-    partial-fraction form, None when the scenario has no interferers;
-    `rho_bar` is the long-term SNR P0/sigma2 scaling the dominant
-    eigenvalue.
+    `weights` is the exact largest-eigenvalue table of ``wishart`` and
+    `rho_bar` the long-term SNR P0/sigma2 scaling that eigenvalue.
     """
 
-    table: EigenWeightTable
-    mixture: MixtureSpec | None
-    rho_bar: float
-    rates: tuple[float, ...] = ()
-    _engine: SinrEngine = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.rho_bar <= 0:
-            raise ValueError(f"rho_bar must be positive, got {self.rho_bar}")
-        object.__setattr__(self, "_engine",
-                           SinrEngine(self.table.weights, self.rates, self.rho_bar))
-
-    def sinr_pdf(self, gamma):
-        """Density of the SINR at gamma (scalar or array)."""
-        arr = np.asarray(gamma, dtype=np.float64)
-        if (arr < 0).any():
-            raise ValueError("sinr_pdf requires gamma >= 0")
-        vals = self._engine.pdf(arr.ravel())
-        return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
-
-    def outage(self, gamma0):
-        """P(SINR <= gamma0), scalar or array."""
-        arr = np.asarray(gamma0, dtype=np.float64)
-        if (arr <= 0).any():
-            raise ValueError("outage requires gamma0 > 0")
-        vals = self._engine.outage(arr.ravel()).reshape(arr.shape)
-        return clamp_probability(vals, "bf outage")
-
-    def threshold(self, p_target: float) -> float:
-        """Outage threshold gamma0 with outage(gamma0) = p_target."""
-        return _invert(lambda g: self.outage(g), p_target)
+    # bound here, not only inherited: the span tracer of
+    # benchmarks/tracing.py wraps what it finds in vars(cls), so a method
+    # left on the base class gets no spans and `--trace 1` divides by zero
+    outage = SinrModel.outage
+    sinr_pdf = SinrModel.sinr_pdf
 
 
 def from_config(cfg: ScenarioConfig) -> BfModel:
@@ -89,20 +55,9 @@ def from_config(cfg: ScenarioConfig) -> BfModel:
     rates = build_rate_set(cfg)
     mix = build_mixture(rates) if rates else None
     return BfModel(
-        table=compute_weights(cfg.n_r, cfg.n_t),
+        weights=compute_weights(cfg.n_r, cfg.n_t).weights,
         mixture=mix,
         rho_bar=own_numerator_scale(cfg),
         rates=rates,
+        notes=cfg.warnings(),
     )
-
-
-def sinr_pdf_bf(gamma, model: BfModel):
-    return model.sinr_pdf(gamma)
-
-
-def outage_bf(gamma0, model: BfModel):
-    return model.outage(gamma0)
-
-
-def threshold_at_outage(p_target: float, model: BfModel) -> float:
-    return model.threshold(p_target)

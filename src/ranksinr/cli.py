@@ -222,15 +222,13 @@ def cmd_sweep_inr(args) -> int:
 def cmd_sweep_n(args) -> int:
     cfg = _load(args)
     spec, rank = _single_interferer(cfg)
-    a, b, s = _parse_grid(args.grid)
-    counts = []
-    v = a
-    while v <= b + 1e-9:
-        if abs(v - round(v)) > 1e-9 or round(v) < 1:
-            raise ConfigError(f"interferer counts must be positive integers, got {v}")
-        counts.append(int(round(v)))
-        v += s
-    sw = SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=tuple(counts),
+    grid, _ = _grid_db(args)
+    counts = np.round(grid)
+    bad = (np.abs(grid - counts) > 1e-9) | (counts < 1)
+    if bad.any():
+        raise ConfigError(
+            f"interferer counts must be positive integers, got {grid[bad][0]}")
+    sw = SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=tuple(int(c) for c in counts),
                    p_star=args.target_outage)
     points = sweep_interferer_count(
         cfg.own_mode, cfg.n_r, cfg.n_t, cfg.snr_db, spec.inr_db, sw, rank

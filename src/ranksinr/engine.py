@@ -1,9 +1,11 @@
-"""Outage and density of SINR = X/(1+Y) on a grid, without cancellation in Y.
+"""One SINR model for both receivers: SINR = X/(1+Y), evaluated on a grid.
 
 The numerator is X = rho_bar * Z with Z a signed gamma mixture,
-f_Z(z) = sum_kl psi_kl k^{l+1} z^l e^{-kz}/l!: the largest Wishart
-eigenvalue for a beamforming victim (weights from ``wishart``), the
-one-term table {(1, N-1): 1} for an OSTBC victim.  The interference
+f_Z(z) = sum_kl psi_kl k^{l+1} z^l e^{-kz}/l!.  The two receivers differ
+only in that table and in rho_bar (``scenario.own_numerator_scale``):
+beamforming (``bf``) takes the largest Wishart eigenvalue, whose exact
+weights come from ``wishart``; OSTBC (``ostbc``) takes the one-term
+table {(1, N-1): 1}, Z ~ Gamma(N, 1).  The interference
 Y = sum_r Exp(rho_r) runs over the raw rate set; equal rates are
 counted, near-equal ones are never merged.
 
@@ -38,8 +40,14 @@ beamforming.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 from scipy import special
+
+from . import inversion
+from .mixture import MixtureSpec
 
 
 def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -54,32 +62,47 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (windows @ y[:, ::-1, None])[:, :, 0]
 
 
-class SinrEngine:
-    """Outage and pdf of rho_bar*Z/(1+Y) for one psi table and rate set.
+@dataclass(frozen=True, eq=False)
+class SinrModel:
+    """Outage, density and outage thresholds of rho_bar*Z/(1+Y).
 
     `weights` maps (k, l) to psi_kl.  Exact rationals are rounded once
     here, correctly: that keeps sum psi = 1, and with it the outage at
     large gamma, within 1e-12 even at 8x8.  `rates` is the raw
-    interference rate set, empty for no interferers.
+    interference rate set, empty for no interferers, and `mixture` its
+    grouped partial-fraction form (None without interferers), kept for
+    inspection: evaluation does not read it.  `notes` carries model
+    caveats (e.g. no full-rate code above two transmit antennas).
     """
 
-    def __init__(self, weights: dict, rates, rho_bar: float):
-        items = sorted(weights.items())
-        self.kvals, self.kidx = np.unique([k for (k, _), _ in items], return_inverse=True)
-        self.ls = np.array([l for (_, l), _ in items])
-        self.psis = np.array([float(w) for _, w in items])
-        self.psi_k = np.bincount(self.kidx, weights=self.psis,
-                                 minlength=self.kvals.size)
-        self.rho_bar = float(rho_bar)
-        rho, count = np.unique(np.asarray(rates, dtype=np.float64), return_counts=True)
-        self.rho, self.count = rho, count.astype(np.float64)
-        n = int(self.ls.max()) + 1  # orders 0..lmax
-        self._orders = np.arange(n, dtype=np.float64)
-        self._log_fact = special.gammaln(self._orders + 1.0)
-        # log C(c+s-1, s): the negative binomial coefficient of each rate
-        self._log_binom = (special.gammaln(self.count[:, None] + self._orders)
-                           - special.gammaln(self.count)[:, None] - self._log_fact)
-        self._pdf_scale = self.psis * self.kvals[self.kidx] / self.rho_bar
+    weights: dict[tuple[int, int], Fraction | int]
+    mixture: MixtureSpec | None
+    rho_bar: float
+    rates: tuple[float, ...] = ()
+    notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.rho_bar <= 0:
+            raise ValueError(f"rho_bar must be positive, got {self.rho_bar}")
+        items = sorted(self.weights.items())
+        kvals, kidx = np.unique([k for (k, _), _ in items], return_inverse=True)
+        ls = np.array([l for (_, l), _ in items])
+        psis = np.array([float(w) for _, w in items])
+        rho, count = np.unique(np.asarray(self.rates, dtype=np.float64),
+                               return_counts=True)
+        count = count.astype(np.float64)
+        orders = np.arange(int(ls.max()) + 1, dtype=np.float64)  # 0..lmax
+        log_fact = special.gammaln(orders + 1.0)
+        # the evaluation tables; frozen, so they go straight into __dict__
+        vars(self).update(
+            kvals=kvals, kidx=kidx, ls=ls, psis=psis,
+            psi_k=np.bincount(kidx, weights=psis, minlength=kvals.size),
+            rho=rho, count=count, _orders=orders, _log_fact=log_fact,
+            # log C(c+s-1, s): the negative binomial coefficient of each rate
+            _log_binom=(special.gammaln(count[:, None] + orders)
+                        - special.gammaln(count)[:, None] - log_fact),
+            _pdf_scale=psis * kvals[kidx] / self.rho_bar,
+        )
 
     def _counts(self, gamma: np.ndarray):
         """a_k, log L(a_k), log w_r^m, Poisson(a_k) pmf and nu_s(a_k).
@@ -107,7 +130,7 @@ class SinrEngine:
         """(K*G, n) -> (T, G): row block k_i, column l_i for each psi term."""
         return x.reshape(self.kvals.size, g, -1)[self.kidx, :, self.ls]
 
-    def outage(self, gamma: np.ndarray) -> np.ndarray:
+    def _outage(self, gamma: np.ndarray) -> np.ndarray:
         """P(SINR <= gamma) on a 1-d array of gamma > 0, unclamped."""
         g = gamma.size
         a, log_l, _, pois, nu = self._counts(gamma)
@@ -123,7 +146,7 @@ class SinrEngine:
         noise_free = -np.expm1(log_l).reshape(self.kvals.size, g)
         return self.psi_k @ noise_free + self.psis @ terms
 
-    def pdf(self, gamma: np.ndarray) -> np.ndarray:
+    def _pdf(self, gamma: np.ndarray) -> np.ndarray:
         """SINR density on a 1-d array of gamma >= 0."""
         g = gamma.size
         a, _, log_wpow, pois, nu = self._counts(gamma)
@@ -135,3 +158,25 @@ class SinrEngine:
         inner = (n * _convolve(pois / n, nu)
                  + np.exp(-a)[:, None] * _convolve(bp, nu))
         return self._pdf_scale @ self._per_term(inner, g)
+
+    def sinr_pdf(self, gamma):
+        """Density of the SINR at gamma (scalar or array)."""
+        arr = np.asarray(gamma, dtype=np.float64)
+        if (arr < 0).any():
+            raise ValueError("sinr_pdf requires gamma >= 0")
+        vals = self._pdf(arr.ravel())
+        return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
+
+    def outage(self, gamma0):
+        """P(SINR <= gamma0), scalar or array."""
+        arr = np.asarray(gamma0, dtype=np.float64)
+        if (arr <= 0).any():
+            raise ValueError("outage requires gamma0 > 0")
+        vals = self._outage(arr.ravel()).reshape(arr.shape)
+        return inversion.clamp_probability(vals, "SINR outage")
+
+    def threshold(self, p_target: float) -> float:
+        """Outage threshold gamma0 with outage(gamma0) = p_target."""
+        # looked up on the module at call time, like self.outage on the
+        # class, so that wrappers installed there see every inversion
+        return inversion.threshold_at_outage(lambda g: self.outage(g), p_target)

@@ -14,7 +14,9 @@ class DegenerateRatesError(RankSinrError):
 
     The partial-fraction weights contain factors 1/(1 - rho_k/rho_i); when
     two group rates nearly coincide these blow up and the expansion loses
-    all precision.  Callers should coarsen the grouping tolerance instead.
+    all precision.  Equal rates belong in one group: ``build_mixture``
+    merges rates within ``mixture.GROUP_TOL`` of each other before the
+    coefficients are computed.
     """
 
 

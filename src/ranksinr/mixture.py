@@ -48,7 +48,8 @@ from scipy import special
 
 from .errors import DegenerateRatesError, EmptyMixtureError
 
-DEFAULT_GROUP_TOL = 1e-9
+# relative gap below which two scales count as one group
+GROUP_TOL = 1e-9
 CONDITIONING_WARN = 1e-3
 
 
@@ -97,14 +98,12 @@ class MixtureSpec:
         return self._rho_flat.copy(), self._j_flat.copy(), self._xi_flat.copy()
 
 
-def group_rates(
-    rates, rel_tol: float = DEFAULT_GROUP_TOL
-) -> tuple[tuple[float, ...], tuple[int, ...]]:
+def group_rates(rates) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Merge near-equal scales into groups.
 
     Returns (group scales descending, multiplicities).  A scale joins
     the current group when its relative gap to the group's running
-    power-weighted mean is at most rel_tol; the merged scale is the
+    power-weighted mean is at most GROUP_TOL; the merged scale is the
     power-weighted mean sum(rho^2)/sum(rho).
     """
     rates = [float(r) for r in rates]
@@ -114,8 +113,6 @@ def group_rates(
         )
     if any(not (r > 0 and math.isfinite(r)) for r in rates):
         raise ValueError(f"rates must be positive and finite, got {rates}")
-    if not (0 < rel_tol < 0.1):
-        raise ValueError(f"rel_tol must lie in (0, 0.1), got {rel_tol}")
 
     ordered = sorted(rates, reverse=True)
     group_scales: list[float] = []
@@ -123,7 +120,7 @@ def group_rates(
     sum_r = sum_r2 = 0.0
     count = 0
     for r in ordered:
-        if count and (sum_r2 / sum_r - r) / (sum_r2 / sum_r) > rel_tol:
+        if count and (sum_r2 / sum_r - r) / (sum_r2 / sum_r) > GROUP_TOL:
             group_scales.append(sum_r2 / sum_r)
             group_counts.append(count)
             sum_r = sum_r2 = 0.0
@@ -156,12 +153,13 @@ def xi_coefficients(
         conditioning = min(conditioning, gap)
     if conditioning == 0.0:
         raise DegenerateRatesError(
-            "duplicate group rates; regroup with a larger tolerance"
+            "duplicate group rates; pass the raw rates to build_mixture, "
+            "which merges equal ones into one group"
         )
     if conditioning < CONDITIONING_WARN:
         warnings.warn(
             f"mixture conditioning {conditioning:.2e} below {CONDITIONING_WARN:.0e}; "
-            "Xi coefficients may be inaccurate, consider coarser grouping",
+            "Xi coefficients may be inaccurate",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -193,9 +191,9 @@ def xi_coefficients(
     )
 
 
-def build_mixture(rates, rel_tol: float = DEFAULT_GROUP_TOL) -> MixtureSpec:
+def build_mixture(rates) -> MixtureSpec:
     """Group raw scales and compute coefficients in one step."""
-    scales, counts = group_rates(rates, rel_tol)
+    scales, counts = group_rates(rates)
     spec = xi_coefficients(scales, counts)
     drift = abs(spec.xi_sum() - 1.0)
     if drift > 1e-6:

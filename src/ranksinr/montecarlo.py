@@ -204,10 +204,6 @@ class EmpiricalDistribution:
         return counts / (self.samples.size * widths)
 
 
-def empirical_outage(dist: EmpiricalDistribution, gamma0: float) -> OutageEstimate:
-    return dist.outage(gamma0)
-
-
 # ---------------------------------------------------------------------------
 # chunk runner
 

@@ -1,4 +1,4 @@
-"""Dominant-eigenvalue statistics of complex central Wishart matrices.
+"""Exact weight tables of the largest eigenvalue of complex Wishart matrices.
 
 For H with i.i.d. unit-variance circularly-symmetric complex Gaussian
 entries, the largest eigenvalue of H^H H has CDF det(A(x))/det(A(inf)),
@@ -16,17 +16,18 @@ floating-point one cancels catastrophically from p = 4 on.  Every entry
 the determinant, its constant part and its derivative stay in Python
 integers; rationals appear only in psi_kl = c l! / (k^{l+1} c_inf).  A
 cold 8 x 8 table takes about 0.15 s on a 2-core x86-64 host.
+
+The tables stay exact here; ``engine.SinrModel`` rounds them to double
+once and evaluates the distribution (a beamforming model without
+interferers at rho_bar = 1 is the law of lambda_max itself).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-from scipy import special
 
 from .errors import UnsupportedDimensionError
 from .scenario import MAX_ANTENNAS
@@ -85,36 +86,15 @@ def _det(entries: list[list[Ring]]) -> Ring:
 class EigenWeightTable:
     """Weights psi_kl of the largest-eigenvalue PDF at unit scale.
 
-    `weights` holds exact rationals keyed (k, l); flat float arrays for
-    evaluation are derived once at construction.
+    `weights` holds exact rationals keyed (k, l).
     """
 
     p: int
     q: int
     weights: dict[tuple[int, int], Fraction]
-    _ks: np.ndarray = field(init=False, repr=False)
-    _ls: np.ndarray = field(init=False, repr=False)
-    _signs: np.ndarray = field(init=False, repr=False)
-    _log_abs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        items = sorted(self.weights.items())
-        ks = np.array([k for (k, _), _ in items], dtype=np.int64)
-        ls = np.array([l for (_, l), _ in items], dtype=np.int64)
-        vals = np.array([float(v) for _, v in items], dtype=np.float64)
-        object.__setattr__(self, "_ks", ks)
-        object.__setattr__(self, "_ls", ls)
-        object.__setattr__(self, "_signs", np.sign(vals))
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_log_abs", np.log(np.abs(vals)))
 
     def sum_exact(self) -> Fraction:
         return sum(self.weights.values(), Fraction(0))
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(k, l, psi) arrays in sorted (k, l) order."""
-        psis = self._signs * np.exp(self._log_abs)
-        return self._ks.copy(), self._ls.copy(), psis
 
 
 # typed: True == 1 must not reach the cached 1 x q table past the check
@@ -150,59 +130,3 @@ def compute_weights(n_r: int, n_t: int) -> EigenWeightTable:
     if total != 1:
         raise AssertionError(f"weights sum to {total}, expected exactly 1")
     return EigenWeightTable(p=p, q=q, weights=weights)
-
-
-def _unit_pdf(u: np.ndarray, table: EigenWeightTable) -> np.ndarray:
-    """PDF at unit scale, log-domain per term to dodge x^l overflow."""
-    ks = table._ks.astype(np.float64)
-    ls = table._ls.astype(np.float64)
-    out = np.zeros_like(u)
-    pos = u > 0
-    if np.any(pos):
-        up = u[pos, None]
-        logterm = (
-            table._log_abs
-            + ls * np.log(up)
-            - special.gammaln(ls + 1.0)
-            + (ls + 1.0) * np.log(ks)
-            - ks * up
-        )
-        out[pos] = np.sum(table._signs * np.exp(logterm), axis=1)
-    if np.any(~pos):
-        # x = 0: only l = 0 terms survive, each contributing psi * k
-        zero_mask = table._ls == 0
-        out[~pos] = float(np.sum(table._signs[zero_mask]
-                                 * np.exp(table._log_abs[zero_mask])
-                                 * ks[zero_mask]))
-    return out
-
-
-def pdf_lambda_max(x, table: EigenWeightTable, scale: float = 1.0):
-    """PDF of scale * lambda_max at x; scalar in, scalar out."""
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("pdf_lambda_max requires x >= 0")
-    flat = np.atleast_1d(arr) / scale
-    vals = _unit_pdf(flat, table) / scale
-    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
-
-
-def cdf_lambda_max(x, table: EigenWeightTable, scale: float = 1.0):
-    """CDF of scale * lambda_max; signed mixture of gamma CDFs."""
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("cdf_lambda_max requires x >= 0")
-    flat = np.atleast_1d(arr)[:, None] / scale
-    ks, ls, psis = table.flat()
-    vals = np.sum(psis * special.gammainc(ls + 1.0, ks * flat), axis=1)
-    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
-
-
-def mean_lambda_max(table: EigenWeightTable, scale: float = 1.0) -> float:
-    """E[scale * lambda_max] from the gamma-mixture moments."""
-    ks, ls, psis = table.flat()
-    return scale * float(np.sum(psis * (ls + 1.0) / ks))

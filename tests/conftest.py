@@ -5,10 +5,12 @@ tests and the acceptance gate reuse the same draws.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ranksinr import bf
 from ranksinr.montecarlo import simulate_bf_sinr, simulate_ostbc_sinr
 from ranksinr.scenario import (
     InterfererSpec,
@@ -86,3 +88,15 @@ def ks_distance(samples: np.ndarray, cdf_values_at_sorted: np.ndarray) -> float:
             np.max(np.abs(ecdf_lo - cdf_values_at_sorted)),
         )
     )
+
+
+def eigen_model(n_r: int, n_t: int) -> bf.BfModel:
+    """The law of lambda_max: a beamforming model with no interferers at
+    rho_bar = 1 (0 dB SNR), whose outage is the CDF and density the pdf."""
+    return bf.from_config(ScenarioConfig(n_r=n_r, n_t=n_t, noise_power=1.0, snr_db=0.0,
+                                         own_mode=OwnMode.BEAMFORMING))
+
+
+def exact_mean(weights) -> Fraction:
+    """E[lambda_max] = sum_kl psi_kl (l+1)/k over an exact weight table."""
+    return sum(w * Fraction(l + 1, k) for (k, l), w in weights.items())

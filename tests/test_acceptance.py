@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from conftest import REF_BF, ks_distance
+from conftest import REF_BF, eigen_model, ks_distance
 from ranksinr import bf, cli, ostbc
 from ranksinr.approx import ProductDistribution, product_mean_quadrature
 from ranksinr.cli import _mc_density_per_db
@@ -29,7 +29,7 @@ from ranksinr.sweeps import (
     sweep_interferer_count,
     threshold_gain,
 )
-from ranksinr.wishart import compute_weights, pdf_lambda_max
+from ranksinr.wishart import compute_weights
 
 GRID_STEP_DB = 0.5
 GRID_DB = np.arange(-5.0, 20.0 + 1e-9, GRID_STEP_DB)
@@ -53,8 +53,9 @@ def test_criterion_01_weight_tables_normalize(announce):
         for n_t in range(1, 7):
             table = compute_weights(n_r, n_t)
             sums_exact &= table.sum_exact() == Fraction(1)
+            model = eigen_model(n_r, n_t)
             total, _ = quad(
-                lambda x: float(pdf_lambda_max(x, table)), 0.0, np.inf, limit=300
+                lambda x: float(model.sinr_pdf(x)), 0.0, np.inf, limit=300
             )
             worst = max(worst, abs(total - 1.0))
     elapsed = time.perf_counter() - t0

@@ -2,7 +2,8 @@
 
 The independent oracle is the mixing integral: with X = rho*lambda_max
 and Y the interference sum, the SINR density is
-f(g) = int f_X(g(1+y)) (1+y) f_Y(y) dy, evaluated by quadrature.
+f(g) = int f_X(g(1+y)) (1+y) f_Y(y) dy, evaluated by quadrature, with
+f_X written out here from the exact weight table.
 """
 
 import math
@@ -20,22 +21,27 @@ from ranksinr.scenario import (
     ScenarioConfig,
     Technique,
     build_rate_set,
-    own_numerator_scale,
 )
-from ranksinr.wishart import cdf_lambda_max, compute_weights, pdf_lambda_max
+from ranksinr.wishart import compute_weights
 
 from conftest import REF_BF
 from mp_sinr import reference_curves
 
 
-def mixing_pdf(model: bf.BfModel, g: float) -> float:
+def mixing_pdf(model: bf.BfModel, cfg: ScenarioConfig, g: float) -> float:
+    # density of rho_bar * lambda_max: sum_kl psi_kl k^{l+1} u^l e^{-ku}/l!
+    # at u = x/rho_bar > 0, over rho_bar; u^l e^{-ku} in logs, as u grows
+    # without bound on the way to y = inf
+    terms = [(k, l, float(w))
+             for (k, l), w in compute_weights(cfg.n_r, cfg.n_t).weights.items()]
+
+    def pdf_x(x):
+        u = x / model.rho_bar
+        return sum(w * k ** (l + 1) * math.exp(l * math.log(u) - k * u)
+                   / math.factorial(l) for k, l, w in terms) / model.rho_bar
+
     def integrand(y):
-        x = g * (1.0 + y)
-        return float(
-            pdf_lambda_max(x, model.table, model.rho_bar)
-            * (1.0 + y)
-            * pdf_y(y, model.mixture)
-        )
+        return float(pdf_x(g * (1.0 + y)) * (1.0 + y) * pdf_y(y, model.mixture))
 
     val, _ = integrate.quad(integrand, 0.0, np.inf, limit=300)
     return val
@@ -50,7 +56,7 @@ def test_pdf_matches_mixing_integral(ref_model):
     for g_db in (-5.0, 0.0, 5.0, 10.0, 15.0):
         g = 10 ** (g_db / 10)
         assert ref_model.sinr_pdf(g) == pytest.approx(
-            mixing_pdf(ref_model, g), rel=1e-8
+            mixing_pdf(ref_model, REF_BF, g), rel=1e-8
         )
 
 
@@ -101,12 +107,9 @@ def test_no_interferer_reduces_to_eigenvalue_cdf():
     )
     model = bf.from_config(cfg)
     assert model.mixture is None
-    table = compute_weights(3, 2)
-    rho = own_numerator_scale(cfg)
     g = np.linspace(0.5, 40.0, 25)
-    assert model.outage(g) == pytest.approx(
-        np.asarray(cdf_lambda_max(g, table, rho)), rel=1e-12
-    )
+    outage, _ = reference_curves(cfg, g)
+    assert model.outage(g) == pytest.approx(outage, rel=1e-12)
 
 
 def test_outage_monotone_in_threshold_and_inr(ref_model):
@@ -127,13 +130,6 @@ def test_outage_monotone_in_threshold_and_inr(ref_model):
 
     vals = [outage_at(x) for x in (0.0, 5.0, 10.0, 15.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-def test_wrapper_functions(ref_model):
-    g = np.array([0.5, 2.0])
-    assert bf.sinr_pdf_bf(g, ref_model) == pytest.approx(ref_model.sinr_pdf(g))
-    assert bf.outage_bf(g, ref_model) == pytest.approx(ref_model.outage(g))
-    assert bf.threshold_at_outage(0.01, ref_model) == ref_model.threshold(0.01)
 
 
 def test_from_config_rejects_wrong_mode():

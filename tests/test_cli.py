@@ -406,6 +406,19 @@ def test_sweep_n_rejects_fractional_counts(tmp_path, capsys):
     assert "positive integers" in err
 
 
+def test_sweep_n_zero_step_exits_2(tmp_path):
+    # a zero step once appended counts forever; in a subprocess, so that
+    # a regression times out instead of hanging the suite
+    cfg = write_cfg(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ranksinr", "sweep-n", "--config", cfg,
+         "--grid=1:5:0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "step must be positive" in proc.stderr
+
+
 def test_numeric_instability_exits_3(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path)
 

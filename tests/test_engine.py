@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ranksinr import bf, cli, ostbc
-from ranksinr.engine import SinrEngine
+from ranksinr.engine import SinrModel
 from ranksinr.scenario import (
     InterfererSpec,
     OwnMode,
@@ -100,10 +100,10 @@ def test_pdf_at_zero_threshold():
 
 
 def test_far_thresholds_stay_finite():
-    eng = SinrEngine({(1, 0): 2, (2, 2): -1}, (3.0, 3.0, 0.5), 10.0)
+    model = SinrModel({(1, 0): 2, (2, 2): -1}, None, 10.0, (3.0, 3.0, 0.5))
     g = np.array([1e-150, 1e-45, 1e45, 1e150])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        out, pdf = eng.outage(g), eng.pdf(g)
+        out, pdf = model.outage(g), model.sinr_pdf(g)
     assert 0.0 < out[0] < 1e-149 and out[-1] == 1.0
     assert np.all(np.isfinite(pdf)) and pdf[-1] == 0.0
 
@@ -112,6 +112,6 @@ def test_equal_rates_are_counted_not_merged():
     # a near tie stays two rates, where partial fractions would divide by
     # the gap; the outage moves by no more than its derivative allows
     def outage(second):
-        return SinrEngine({(1, 3): 1}, (2.0, second), 4.0).outage(np.array([1.0]))[0]
+        return SinrModel({(1, 3): 1}, None, 4.0, (2.0, second)).outage(1.0)
 
     assert outage(2.0 * (1 + 1e-10)) == pytest.approx(outage(2.0), abs=1e-10)

@@ -175,7 +175,7 @@ def test_grouping_merges_near_ties_power_weighted():
     assert scales[0] == pytest.approx(5.0, rel=1e-9)
     assert scales[1] == 1.0
     # above tolerance the pair must stay split
-    scales2, counts2 = group_rates((5.0, 5.0 * 1.001, 1.0), rel_tol=1e-9)
+    scales2, counts2 = group_rates((5.0, 5.0 * 1.001, 1.0))
     assert counts2 == (1, 1, 1)
 
 
@@ -186,14 +186,14 @@ def test_epsilon_split_continuity():
     eps = 1e-7
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        split = build_mixture((4.0 * (1 + eps), 4.0, 1.0), rel_tol=1e-9)
+        split = build_mixture((4.0 * (1 + eps), 4.0, 1.0))
     assert split.n_groups == 3
     assert pdf_y(y, split) == pytest.approx(pdf_y(y, merged), abs=1e-5)
 
 
 def test_conditioning_warning_on_close_groups():
     with pytest.warns(RuntimeWarning, match="conditioning"):
-        build_mixture((1.0, 1.0005), rel_tol=1e-9)
+        build_mixture((1.0, 1.0005))
 
 
 def test_degenerate_rates_error():

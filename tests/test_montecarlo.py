@@ -19,7 +19,6 @@ from ranksinr.montecarlo import (
     _generator,
     complex_normal,
     dominant_eigvec,
-    empirical_outage,
     haar_columns,
     simulate_bf_sinr,
     simulate_ostbc_sinr,
@@ -219,7 +218,6 @@ def test_outage_estimate_and_ecdf():
     est = dist.outage(1.2)
     assert est.probability == 0.5
     assert est.std_error == pytest.approx(np.sqrt(0.25 / 4))
-    assert empirical_outage(dist, 1.2) == est
     grid = np.array([0.4, 1.0, 3.0])
     assert dist.ecdf(grid) == pytest.approx([0.0, 0.5, 1.0])
 

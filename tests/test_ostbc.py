@@ -19,10 +19,10 @@ from conftest import REF_BF, REF_OSTBC
 from mp_sinr import reference_curves
 
 
-def mixing_pdf(model: ostbc.OstbcModel, g: float) -> float:
+def mixing_pdf(model: ostbc.OstbcModel, cfg: ScenarioConfig, g: float) -> float:
     def integrand(y):
         x = g * (1.0 + y)
-        fx = stats.gamma.pdf(x, a=model.shape, scale=model.rho_bar)
+        fx = stats.gamma.pdf(x, a=cfg.n_r * cfg.n_t, scale=model.rho_bar)
         return float(fx * (1.0 + y) * pdf_y(y, model.mixture))
 
     val, _ = integrate.quad(integrand, 0.0, np.inf, limit=300)
@@ -38,7 +38,7 @@ def test_pdf_matches_mixing_integral(ref_model):
     for g_db in (-5.0, 0.0, 5.0, 10.0):
         g = 10 ** (g_db / 10)
         assert ref_model.sinr_pdf(g) == pytest.approx(
-            mixing_pdf(ref_model, g), rel=1e-8
+            mixing_pdf(ref_model, REF_OSTBC, g), rel=1e-8
         )
 
 
@@ -185,12 +185,3 @@ def test_notes_propagate():
         n_r=4, n_t=4, noise_power=1.0, snr_db=15.0, own_mode=OwnMode.OSTBC
     )
     assert any("full-rate" in n for n in ostbc.from_config(cfg).notes)
-
-
-def test_wrappers(ref_model):
-    g = np.array([0.5, 2.0])
-    assert ostbc.sinr_pdf_ostbc(g, ref_model) == pytest.approx(
-        ref_model.sinr_pdf(g)
-    )
-    assert ostbc.outage_ostbc(g, ref_model) == pytest.approx(ref_model.outage(g))
-    assert ostbc.threshold_at_outage(0.01, ref_model) == ref_model.threshold(0.01)

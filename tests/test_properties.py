@@ -9,6 +9,7 @@ import math
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.integrate import quad
 
 from ranksinr import bf, ostbc
 from ranksinr.mixture import build_mixture, mean_y
@@ -21,7 +22,9 @@ from ranksinr.scenario import (
     db_to_linear,
 )
 from ranksinr.sweeps import model_for
-from ranksinr.wishart import compute_weights, mean_lambda_max
+from ranksinr.wishart import compute_weights
+
+from conftest import exact_mean
 
 # random draws legitimately wander into ill-conditioned rate sets that the
 # library flags; the warnings are the subject of dedicated tests elsewhere
@@ -149,11 +152,12 @@ def test_csi_gap_ostbc_never_beats_bf(cfg, g_db):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.floats(min_value=0.1, max_value=30.0))
 def test_eigenvalue_mean_scales_linearly(n_r, n_t, scale):
-    table = compute_weights(n_r, n_t)
-    assert math.isclose(
-        mean_lambda_max(table, scale=scale),
-        scale * mean_lambda_max(table),
-        rel_tol=1e-12,
-    )
+    weights = compute_weights(n_r, n_t).weights
+    mean = exact_mean(weights)
     # the top eigenvalue dominates the average one
-    assert mean_lambda_max(table) >= max(n_r, n_t) - 1e-12
+    assert mean >= max(n_r, n_t)
+    # E[scale * lambda_max] = int_0^inf (1 - F): a model without
+    # interferers at rho_bar = scale scales the exact mean
+    model = bf.BfModel(weights=weights, mixture=None, rho_bar=scale)
+    area, _ = quad(lambda x: 1.0 - model.outage(x), 0.0, math.inf, limit=200)
+    assert math.isclose(area, scale * float(mean), rel_tol=1e-9)

@@ -5,7 +5,8 @@ incomplete-gamma determinant; tables up to p = 5 against the same
 determinant expanded over a dict of Fraction coefficients; all tables
 against a digest of their exact values; larger tables against
 eigendecompositions of simulated Wishart matrices and against exact
-rational invariants.
+rational invariants.  The distribution itself is evaluated through a
+beamforming model without interferers at rho_bar = 1 (``eigen_model``).
 """
 
 import functools
@@ -18,14 +19,9 @@ import pytest
 from scipy import integrate
 
 from ranksinr.errors import UnsupportedDimensionError
-from ranksinr.wishart import (
-    cdf_lambda_max,
-    compute_weights,
-    mean_lambda_max,
-    pdf_lambda_max,
-)
+from ranksinr.wishart import compute_weights
 
-from conftest import ks_distance
+from conftest import eigen_model, exact_mean, ks_distance
 
 # det of [[g1(x), g2(x)], [g2(x), g3(x)]] with g_n the order-n lower
 # incomplete gamma, expanded by hand and differentiated
@@ -113,7 +109,7 @@ def test_single_antenna_is_unit_exponential():
     table = compute_weights(1, 1)
     assert table.weights == {(1, 0): Fraction(1)}
     x = np.linspace(0.0, 8.0, 50)
-    assert pdf_lambda_max(x, table) == pytest.approx(np.exp(-x), rel=1e-14)
+    assert eigen_model(1, 1).sinr_pdf(x) == pytest.approx(np.exp(-x), rel=1e-14)
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (2, 3), (3, 3), (4, 4), (5, 6)])
@@ -131,17 +127,16 @@ def test_term_counts_are_stable(p, q, count):
 
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (2, 4), (4, 4)])
 def test_pdf_integrates_to_one(p, q):
-    table = compute_weights(p, q)
+    model = eigen_model(p, q)
     val, err = integrate.quad(
-        lambda x: float(pdf_lambda_max(x, table)), 0.0, np.inf, limit=200
+        lambda x: float(model.sinr_pdf(x)), 0.0, np.inf, limit=200
     )
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mean_2x2_is_seven_halves():
-    table = compute_weights(2, 2)
-    assert mean_lambda_max(table) == pytest.approx(3.5, rel=1e-14)
-    assert mean_lambda_max(table, scale=2.0) == pytest.approx(7.0, rel=1e-14)
+    mean = exact_mean(compute_weights(2, 2).weights)
+    assert mean == Fraction(7, 2)
 
 
 def test_dims_commute():
@@ -150,22 +145,9 @@ def test_dims_commute():
     assert a.weights == b.weights
 
 
-def test_scale_family():
-    table = compute_weights(3, 2)
-    x = np.linspace(0.01, 20.0, 40)
-    rho = 3.7
-    assert pdf_lambda_max(x, table, scale=rho) == pytest.approx(
-        pdf_lambda_max(x / rho, table) / rho, rel=1e-13
-    )
-    assert cdf_lambda_max(x, table, scale=rho) == pytest.approx(
-        cdf_lambda_max(x / rho, table), rel=1e-13
-    )
-
-
 def test_cdf_limits_and_monotonicity():
-    table = compute_weights(4, 4)
-    x = np.linspace(0.0, 60.0, 200)
-    c = cdf_lambda_max(x, table)
+    x = np.linspace(0.0, 60.0, 200)[1:]  # the model takes x > 0
+    c = eigen_model(4, 4).outage(x)
     assert c[0] == pytest.approx(0.0, abs=1e-12)
     assert c[-1] == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.diff(c) >= -1e-12)
@@ -178,8 +160,7 @@ def test_against_simulated_wishart_eigenvalues(p, q):
     h = (rng.standard_normal((n, q, p)) + 1j * rng.standard_normal((n, q, p))) / np.sqrt(2)
     lam = np.linalg.eigvalsh(np.swapaxes(h.conj(), 1, 2) @ h)[:, -1]
     lam.sort()
-    table = compute_weights(p, q)
-    ks = ks_distance(lam, np.asarray(cdf_lambda_max(lam, table)))
+    ks = ks_distance(lam, eigen_model(p, q).outage(lam))
     assert ks < 0.01, f"KS({p},{q}) = {ks:.4f}"
 
 
