@@ -62,7 +62,7 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (windows @ y[:, ::-1, None])[:, :, 0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SinrModel:
     """Outage, density and outage thresholds of rho_bar*Z/(1+Y).
 
@@ -93,16 +93,14 @@ class SinrModel:
         count = count.astype(np.float64)
         orders = np.arange(int(ls.max()) + 1, dtype=np.float64)  # 0..lmax
         log_fact = special.gammaln(orders + 1.0)
-        # the evaluation tables; frozen, so they go straight into __dict__
-        vars(self).update(
-            kvals=kvals, kidx=kidx, ls=ls, psis=psis,
-            psi_k=np.bincount(kidx, weights=psis, minlength=kvals.size),
-            rho=rho, count=count, _orders=orders, _log_fact=log_fact,
-            # log C(c+s-1, s): the negative binomial coefficient of each rate
-            _log_binom=(special.gammaln(count[:, None] + orders)
-                        - special.gammaln(count)[:, None] - log_fact),
-            _pdf_scale=psis * kvals[kidx] / self.rho_bar,
-        )
+        self.kvals, self.kidx, self.ls, self.psis = kvals, kidx, ls, psis
+        self.psi_k = np.bincount(kidx, weights=psis, minlength=kvals.size)
+        self.rho, self.count = rho, count
+        self._orders, self._log_fact = orders, log_fact
+        # log C(c+s-1, s): the negative binomial coefficient of each rate
+        self._log_binom = (special.gammaln(count[:, None] + orders)
+                           - special.gammaln(count)[:, None] - log_fact)
+        self._pdf_scale = psis * kvals[kidx] / self.rho_bar
 
     def _counts(self, gamma: np.ndarray):
         """a_k, log L(a_k), log w_r^m, Poisson(a_k) pmf and nu_s(a_k).

@@ -103,7 +103,10 @@ def test_far_thresholds_stay_finite():
     model = SinrModel({(1, 0): 2, (2, 2): -1}, None, 10.0, (3.0, 3.0, 0.5))
     g = np.array([1e-150, 1e-45, 1e45, 1e150])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        out, pdf = model.outage(g), model.sinr_pdf(g)
+        # the unclamped evaluators: the clamp would hide an overshoot
+        out, pdf = model._outage(g), model._pdf(g)
+        assert np.array_equal(model.outage(g), out)
+        assert np.array_equal(model.sinr_pdf(g), pdf)
     assert 0.0 < out[0] < 1e-149 and out[-1] == 1.0
     assert np.all(np.isfinite(pdf)) and pdf[-1] == 0.0
 
