@@ -25,12 +25,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .mixture import MixtureSpec, build_mixture, cdf_y, pdf_y
-from .montecarlo import (
-    EmpiricalDistribution,
-    dominant_eigvec,
-    simulate_bf_sinr,
-    simulate_ostbc_sinr,
-)
+from .montecarlo import EmpiricalDistribution, simulate_bf_sinr, simulate_ostbc_sinr
 from .ostbc import OstbcModel, outage_white_interference
 from .scenario import (
     InterfererSpec,
@@ -72,7 +67,6 @@ __all__ = [
     "compare_chain",
     "compute_weights",
     "config_from_dict",
-    "dominant_eigvec",
     "exp_approx_pdf",
     "find_crossing",
     "load_config",

@@ -209,17 +209,15 @@ def compare_chain(
     n_l: int,
     n_samples: int = 1_000_000,
     seed: int = 0,
-    x_max: float = 3.0,
-    n_points: int = 300,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> ChainReport:
     """Evaluate all three chain stages and their pairwise distances.
 
-    The exact stage is binned on the grid; distances use grid-evaluated
+    The grid is 300 points on [0, 3].  The exact stage is binned on it; distances use grid-evaluated
     CDFs (cumulative trapezoid for the product stage).
     """
     pd = ProductDistribution(n_r=n_r, n_t=n_t, n_l=n_l)
-    grid = np.linspace(0.0, x_max, n_points)
+    grid = np.linspace(0.0, 3.0, 300)
 
     samples = simulate_exact_terms(n_r, n_t, n_l, n_samples, seed, chunk_size)
     edges = np.concatenate([grid, [np.inf]])

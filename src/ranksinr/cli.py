@@ -298,9 +298,7 @@ def cmd_approx_validate(args) -> int:
             break
     rep = compare_chain(cfg.n_r, cfg.n_t, n_l, n_samples=args.samples, seed=args.seed,
                         chunk_size=args.chunk_size)
-    mean_err = abs(rep.mean_product - 1.0 / (cfg.n_t * n_l))
-    exact_gap = abs(rep.mean_exact - rep.mean_product)
-    passed = mean_err <= 1e-9 and exact_gap <= 5.0 * rep.se_exact
+    passed = abs(rep.mean_exact - rep.mean_product) <= 5.0 * rep.se_exact
     meta = metadata(cfg, seed=args.seed, samples=args.samples, rng=RNG_NAME,
                     chunk_size=args.chunk_size, n_l=n_l,
                     mean_exact=rep.mean_exact, mean_product=rep.mean_product,

@@ -28,10 +28,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def metadata(cfg: ScenarioConfig | None = None, **extra) -> dict[str, str]:
-    meta = {"tool": f"ranksinr {__version__}"}
-    if cfg is not None:
-        meta["config_hash"] = config_hash(cfg)
+def metadata(cfg: ScenarioConfig, **extra) -> dict[str, str]:
+    meta = {"tool": f"ranksinr {__version__}", "config_hash": config_hash(cfg)}
     for k, v in extra.items():
         if v is not None:
             meta[k] = _fmt(v)

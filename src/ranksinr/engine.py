@@ -171,7 +171,7 @@ class SinrModel:
         if (arr <= 0).any():
             raise ValueError("outage requires gamma0 > 0")
         vals = self._outage(arr.ravel()).reshape(arr.shape)
-        return inversion.clamp_probability(vals, "SINR outage")
+        return inversion.clamp_probability(vals)
 
     def threshold(self, p_target: float) -> float:
         """Outage threshold gamma0 with outage(gamma0) = p_target."""

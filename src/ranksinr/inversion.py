@@ -21,9 +21,11 @@ INNER = slice(249 - 75, 249 + 76)
 # interior points per n-section step: the bracket shrinks 33x per call
 SECTIONS = 32
 FRACTIONS = np.arange(1, SECTIONS + 1) / (SECTIONS + 1)
+# relative width at which threshold_at_outage stops n-sectioning
+THRESHOLD_REL_TOL = 1e-10
 
 
-def clamp_probability(p, context: str = "probability"):
+def clamp_probability(p):
     """Clamp round-off excursions; refuse anything materially outside [0,1].
 
     Takes a float or an array and returns the same kind.
@@ -33,7 +35,7 @@ def clamp_probability(p, context: str = "probability"):
     if not (arr.min() >= -PROB_SLACK and arr.max() <= 1.0 + PROB_SLACK):
         bad = arr[~((arr >= -PROB_SLACK) & (arr <= 1.0 + PROB_SLACK))]
         raise NumericInstabilityError(
-            f"{context} evaluated to {float(bad[0])!r}, outside [0, 1]; "
+            f"SINR outage evaluated to {float(bad[0])!r}, outside [0, 1]; "
             "the coefficient expansion has lost too much precision"
         )
     out = arr.clip(0.0, 1.0)
@@ -83,9 +85,7 @@ def _bracket(reached, p_target: float) -> tuple[float, float]:
 
 
 def threshold_at_outage(
-    outage_fn: Callable[[np.ndarray], np.ndarray],
-    p_target: float,
-    rel_tol: float = 1e-10,
+    outage_fn: Callable[[np.ndarray], np.ndarray], p_target: float
 ) -> float:
     """Largest-threshold inverse of a nondecreasing outage curve.
 
@@ -93,7 +93,8 @@ def threshold_at_outage(
     array of thresholds to their outages; each call evaluates a whole
     array.  One call on the x4 lattice brackets the target, then each
     n-section call on SECTIONS interior points keeps the sub-interval
-    where the curve crosses it, until the bracket is rel_tol wide.
+    where the curve crosses it, until the bracket is THRESHOLD_REL_TOL
+    wide.
     The curve is a CDF, hence monotone with full support, so a bracket
     always exists within floating range.
     """
@@ -103,4 +104,4 @@ def threshold_at_outage(
     def reached(x):
         return np.asarray(outage_fn(x)) >= p_target
 
-    return _nsection(reached, *_bracket(reached, p_target), rel_tol)
+    return _nsection(reached, *_bracket(reached, p_target), THRESHOLD_REL_TOL)

@@ -28,7 +28,8 @@ near-equal group rates; near-ties must be merged before coefficients are
 computed, and the coefficients themselves are evaluated in 40-digit
 arithmetic because the alternating signs cancel heavily for large
 multiplicities.  Rounded to double they can still sum to 1 only within
-1e8 (OSTBC at 8x8).
+1e8 (OSTBC at 8x8), so ``pdf_y`` and ``cdf_y`` refuse a mixture whose
+coefficients drift from summing to 1, or whose groups sit too close.
 
 This is the paper's form of the interference law.  It feeds ``dump-xi``,
 ``pdf_y``/``cdf_y`` and the models' ``mixture`` field; the outage and
@@ -39,18 +40,20 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateRatesError, EmptyMixtureError
+from .errors import DegenerateRatesError, EmptyMixtureError, NumericInstabilityError
 
 # relative gap below which two scales count as one group
 GROUP_TOL = 1e-9
-CONDITIONING_WARN = 1e-3
+# pdf_y and cdf_y refuse a mixture whose double coefficients sum to 1 with
+# a larger drift, or whose conditioning is smaller
+XI_DRIFT_MAX = 1e-6
+CONDITIONING_MIN = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,13 +159,6 @@ def xi_coefficients(
             "duplicate group rates; pass the raw rates to build_mixture, "
             "which merges equal ones into one group"
         )
-    if conditioning < CONDITIONING_WARN:
-        warnings.warn(
-            f"mixture conditioning {conditioning:.2e} below {CONDITIONING_WARN:.0e}; "
-            "Xi coefficients may be inaccurate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     xi: dict[tuple[int, int], float] = {}
     with mpmath.workdps(40):
@@ -193,18 +189,23 @@ def xi_coefficients(
 
 def build_mixture(rates) -> MixtureSpec:
     """Group raw scales and compute coefficients in one step."""
-    scales, counts = group_rates(rates)
-    spec = xi_coefficients(scales, counts)
-    drift = abs(spec.xi_sum() - 1.0)
-    if drift > 1e-6:
-        warnings.warn(
-            f"Xi coefficients sum to 1 with drift {drift:.2e} after rounding "
-            "to double; pdf_y, cdf_y and the dumped coefficients are "
-            "unreliable for this rate set (outage and pdf do not use them)",
-            RuntimeWarning,
-            stacklevel=2,
+    return xi_coefficients(*group_rates(rates))
+
+
+def _refuse_unreliable(spec: MixtureSpec) -> None:
+    """Refuse evaluating Y's law from coefficients that cannot carry it."""
+    if spec.conditioning < CONDITIONING_MIN:
+        raise NumericInstabilityError(
+            f"mixture conditioning {spec.conditioning:.2e} below "
+            f"{CONDITIONING_MIN:.0e}; the Xi coefficients are inaccurate"
         )
-    return spec
+    drift = abs(spec.xi_sum() - 1.0)
+    # written as "not <=" so that a NaN sum is refused too
+    if not drift <= XI_DRIFT_MAX:
+        raise NumericInstabilityError(
+            f"Xi coefficients sum to 1 with drift {drift:.2e} after rounding "
+            "to double; the interference law is unreliable for this rate set"
+        )
 
 
 def pdf_y(y, spec: MixtureSpec):
@@ -212,6 +213,7 @@ def pdf_y(y, spec: MixtureSpec):
     arr = np.asarray(y, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError("pdf_y requires y >= 0")
+    _refuse_unreliable(spec)
     flat = np.atleast_1d(arr)
     rho, jj, xi = spec._rho_flat, spec._j_flat, spec._xi_flat
     out = np.zeros_like(flat)
@@ -238,6 +240,7 @@ def cdf_y(y, spec: MixtureSpec):
     arr = np.asarray(y, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError("cdf_y requires y >= 0")
+    _refuse_unreliable(spec)
     flat = np.atleast_1d(arr)[:, None]
     rho, jj, xi = spec._rho_flat, spec._j_flat, spec._xi_flat
     vals = np.sum(xi * special.gammainc(jj, flat / rho), axis=1)

@@ -44,7 +44,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -104,92 +104,47 @@ def qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
     return _QPSK[rng.integers(0, 4, size=shape)]
 
 
-def _symbols(rng: np.random.Generator, shape, mode: str) -> np.ndarray:
-    if mode == "qpsk":
-        return qpsk_symbols(rng, shape)
-    if mode == "gaussian":
-        return complex_normal(rng, shape)
-    raise ValueError(f"symbol mode must be 'qpsk' or 'gaussian', got {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # dominant eigenpair
 
 
-def _top_eigpair(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+# accepted eigensolver residual ||M w - lam w|| / lam of every draw
+EIGH_RESIDUAL_TOL = 1e-10
+
+
+def _top_eigpair(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest eigenpair of each Hermitian PSD matrix in a batch.
 
-    One batched LAPACK ``eigh``; ``tol`` is an acceptance check on its
-    result, the residual test ||M w - lam w|| <= tol*lam, which raises
-    NumericInstabilityError for any draw that fails it.
+    One batched LAPACK ``eigh``; its result must pass the residual test
+    ||M w - lam w|| <= EIGH_RESIDUAL_TOL*lam, and any draw that fails it
+    raises NumericInstabilityError.
     """
     evals, evecs = np.linalg.eigh(mats)
     lam, w = evals[:, -1], evecs[:, :, -1]
     resid = np.linalg.norm((mats @ w[..., None])[..., 0] - lam[:, None] * w, axis=1)
     # written as "not <=" so that a NaN residual is refused too
-    bad = ~(resid <= tol * np.maximum(lam, np.finfo(float).tiny))
+    bad = ~(resid <= EIGH_RESIDUAL_TOL * np.maximum(lam, np.finfo(float).tiny))
     if np.any(bad):
         raise NumericInstabilityError(
-            f"eigh residual above tol={tol} relative for {int(np.sum(bad))} "
-            f"of {lam.size} draws"
+            f"eigh residual above {EIGH_RESIDUAL_TOL} relative for "
+            f"{int(np.sum(bad))} of {lam.size} draws"
         )
     return lam, w
-
-
-# residual tolerances accepted by the eigensolver check: below double
-# precision's machine epsilon no residual can pass, above 1e-6 the
-# eigenvector is too loose for the SINR samples
-TOL_RANGE = (np.finfo(float).eps, 1e-6)
-
-
-def _check_tol(tol: float) -> None:
-    """Refuse residual tolerances outside TOL_RANGE, NaN included."""
-    lo, hi = TOL_RANGE
-    if not lo <= tol <= hi:
-        raise ValueError(f"tol must lie in [{lo:.3g}, {hi:g}], got {tol}")
-
-
-def dominant_eigvec(m: np.ndarray, tol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Dominant (eigenvalue, unit eigenvector) of one Hermitian PSD matrix.
-
-    ``tol`` bounds the accepted residual ||M w - lam w|| / lam.
-    """
-    _check_tol(tol)
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("dominant_eigvec expects a square matrix")
-    lam, vec = _top_eigpair(m[None], tol)
-    return float(lam[0]), vec[0]
 
 
 # ---------------------------------------------------------------------------
 # empirical results
 
 
-class OutageEstimate(NamedTuple):
-    probability: float
-    std_error: float
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Raw SINR samples (linear) plus the provenance needed to redo them."""
+    """Raw SINR samples (linear)."""
 
     samples: np.ndarray
-    seed: int
-    chunk_size: int
-    rng_name: str = RNG_NAME
 
     @property
     def sample_count(self) -> int:
         return int(self.samples.size)
-
-    def outage(self, gamma0: float) -> OutageEstimate:
-        if gamma0 <= 0:
-            raise ValueError(f"gamma0 must be positive, got {gamma0}")
-        p = float(np.mean(self.samples <= gamma0))
-        se = math.sqrt(max(p * (1.0 - p), 0.0) / self.samples.size)
-        return OutageEstimate(p, se)
 
     def ecdf(self, grid) -> np.ndarray:
         """Empirical CDF evaluated on a grid of linear SINR values."""
@@ -246,9 +201,7 @@ def run_chunks(
 # beamforming-mode simulation
 
 
-def _simulate_bf_chunk(
-    cfg: ScenarioConfig, n: int, rng: np.random.Generator, symbol_mode: str, tol: float
-) -> np.ndarray:
+def _simulate_bf_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     sigma2 = cfg.noise_power
     h0 = complex_normal(rng, (n, cfg.n_r, cfg.n_t))
 
@@ -258,17 +211,17 @@ def _simulate_bf_chunk(
     for spec in cfg.interferers:
         h = complex_normal(rng, (n, cfg.n_r, cfg.n_t))
         if spec.technique is Technique.OSTBC:
-            d = _symbols(rng, (n, cfg.n_t), symbol_mode)
+            d = qpsk_symbols(rng, (n, cfg.n_t))
             equiv = np.einsum("brt,bt->br", h, d) / cfg.n_t
             draws.append((spec, equiv[..., None]))
         else:
             v = haar_columns(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
-            d = _symbols(rng, (n, spec.layers), symbol_mode)
+            d = qpsk_symbols(rng, (n, spec.layers))
             equiv = np.einsum("btl,bl->btl", v, d)
             draws.append((spec, h @ equiv))
 
     mats = np.conj(np.swapaxes(h0, 1, 2)) @ h0
-    _, w = _top_eigpair(mats, tol)
+    _, w = _top_eigpair(mats)
     f = np.einsum("brt,bt->br", h0, w)
     lam = np.sum(np.abs(f) ** 2, axis=1)  # ||H0 w||^2, consistent with f
 
@@ -286,23 +239,18 @@ def simulate_bf_sinr(
     n_samples: int,
     seed: int,
     chunk_size: int = DEFAULT_CHUNK,
-    symbol_mode: str = "qpsk",
-    tol: float = 1e-10,
 ) -> EmpiricalDistribution:
     """Simulate post-MRC SINR samples for beamforming reception.
 
-    ``tol`` bounds the accepted eigensolver residual ||M w - lam w|| / lam
-    of every draw's dominant eigenpair of H0^H H0; it must lie in
-    TOL_RANGE.
+    A draw whose dominant eigenpair of H0^H H0 has an eigensolver residual
+    above EIGH_RESIDUAL_TOL relative raises NumericInstabilityError.
     """
     if cfg.own_mode is not OwnMode.BEAMFORMING:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected bf")
-    _check_tol(tol)
     samples = run_chunks(
-        lambda n, rng: _simulate_bf_chunk(cfg, n, rng, symbol_mode, tol),
-        n_samples, seed, chunk_size,
+        lambda n, rng: _simulate_bf_chunk(cfg, n, rng), n_samples, seed, chunk_size,
     )
-    return EmpiricalDistribution(samples=samples, seed=seed, chunk_size=chunk_size)
+    return EmpiricalDistribution(samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +258,7 @@ def simulate_bf_sinr(
 
 
 def _ostbc_interference_terms(
-    cfg: ScenarioConfig, h0: np.ndarray, rng: np.random.Generator, alamouti: bool,
-    symbol_mode: str,
+    cfg: ScenarioConfig, h0: np.ndarray, rng: np.random.Generator, alamouti: bool
 ) -> np.ndarray:
     """Normalized interference Y per draw, symbol-averaged powers."""
     n = h0.shape[0]
@@ -330,7 +277,7 @@ def _ostbc_interference_terms(
             y += (p_i / (cfg.n_t**2 * sigma2)) * (np.abs(a) ** 2 + np.abs(b) ** 2) / fro2
         elif spec.technique is Technique.OSTBC:
             # component path: fresh full-power symbol vector per instant
-            d = _symbols(rng, (n, cfg.n_t, cfg.n_t), symbol_mode)
+            d = qpsk_symbols(rng, (n, cfg.n_t, cfg.n_t))
             g = np.einsum("brt,btm->brm", h, d) / math.sqrt(cfg.n_t)
             proj = np.abs(np.einsum("brm,brm->bm", h0.conj(), g)) ** 2
             y += (p_i / (cfg.n_t * sigma2)) * np.sum(proj, axis=1) / fro2
@@ -344,13 +291,12 @@ def _ostbc_interference_terms(
 
 
 def _simulate_ostbc_chunk(
-    cfg: ScenarioConfig, n: int, rng: np.random.Generator, symbol_mode: str,
-    force_component: bool,
+    cfg: ScenarioConfig, n: int, rng: np.random.Generator, force_component: bool
 ) -> np.ndarray:
     sigma2 = cfg.noise_power
     h0 = complex_normal(rng, (n, cfg.n_r, cfg.n_t))
     alamouti = cfg.n_t == 2 and not force_component
-    y = _ostbc_interference_terms(cfg, h0, rng, alamouti, symbol_mode)
+    y = _ostbc_interference_terms(cfg, h0, rng, alamouti)
     fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
     x = own_numerator_scale(cfg) * fro2
     return x / (1.0 + y)
@@ -361,7 +307,6 @@ def simulate_ostbc_sinr(
     n_samples: int,
     seed: int,
     chunk_size: int = DEFAULT_CHUNK,
-    symbol_mode: str = "qpsk",
     force_component: bool = False,
 ) -> EmpiricalDistribution:
     """Simulate post-combining SINR samples for OSTBC reception.
@@ -372,7 +317,7 @@ def simulate_ostbc_sinr(
     if cfg.own_mode is not OwnMode.OSTBC:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected ostbc")
     samples = run_chunks(
-        lambda n, rng: _simulate_ostbc_chunk(cfg, n, rng, symbol_mode, force_component),
+        lambda n, rng: _simulate_ostbc_chunk(cfg, n, rng, force_component),
         n_samples, seed, chunk_size,
     )
-    return EmpiricalDistribution(samples=samples, seed=seed, chunk_size=chunk_size)
+    return EmpiricalDistribution(samples=samples)

@@ -27,6 +27,10 @@ from .scenario import (
 )
 
 
+# points a dB grid may hold; larger grids are refused before allocation
+MAX_GRID_POINTS = 100_000
+
+
 class SweepKind(Enum):
     THRESHOLD = "threshold"
     SNR = "snr"
@@ -62,11 +66,21 @@ class SweepSpec:
                 raise ConfigError(
                     f"empty grid: stop {self.stop_db} dB < start {self.start_db} dB"
                 )
+            # written as "not <" so that an overflowing span is refused too
+            if not self._steps() < MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"grid {self.start_db}:{self.stop_db}:{self.step_db} dB holds "
+                    f"more than {MAX_GRID_POINTS} points"
+                )
+
+    def _steps(self) -> float:
+        # the slack keeps a stop that round-off leaves just short of a point
+        return (self.stop_db - self.start_db) / self.step_db + 1e-9
 
     def grid_db(self) -> np.ndarray:
         if self.kind is SweepKind.NUM_INTERFERERS:
             raise ConfigError("count sweeps have no dB grid")
-        n = int(math.floor((self.stop_db - self.start_db) / self.step_db + 1e-9)) + 1
+        n = int(math.floor(self._steps())) + 1
         return self.start_db + self.step_db * np.arange(n)
 
 
@@ -77,7 +91,6 @@ def single_interferer_config(
     snr_db: float,
     inr_db: float,
     rank: int,
-    noise_power: float = 1.0,
 ) -> ScenarioConfig:
     """One iBS whose transmission rank is the study variable."""
     if rank == 1:
@@ -89,7 +102,7 @@ def single_interferer_config(
     return ScenarioConfig(
         n_r=n_r,
         n_t=n_t,
-        noise_power=noise_power,
+        noise_power=1.0,
         snr_db=snr_db,
         own_mode=own_mode,
         interferers=(spec,),
@@ -104,7 +117,6 @@ def equal_power_config(
     total_inr_db: float,
     count: int,
     rank: int,
-    noise_power: float = 1.0,
 ) -> ScenarioConfig:
     """count equal-power iBSs of the given rank at fixed total power."""
     per_inr_db = linear_to_db(db_to_linear(total_inr_db) / count)
@@ -117,7 +129,7 @@ def equal_power_config(
     return ScenarioConfig(
         n_r=n_r,
         n_t=n_t,
-        noise_power=noise_power,
+        noise_power=1.0,
         snr_db=snr_db,
         own_mode=own_mode,
         interferers=(spec,) * count,
@@ -219,7 +231,6 @@ def find_crossing(
     snr_db: float,
     inr_db: float,
     rank: int,
-    rel_tol: float = 1e-9,
 ) -> tuple[float, float]:
     """Threshold where the rank-1 and rank-r outage curves meet.
 
@@ -244,5 +255,5 @@ def find_crossing(
     if not (d > 0).any():
         raise ConfigError("outage curves do not cross below the search cap")
     k = int(np.argmax(d > 0))
-    gamma_cross = _nsection(lambda g: diff(g) > 0, grid[k - 1], grid[k], rel_tol)
+    gamma_cross = _nsection(lambda g: diff(g) > 0, grid[k - 1], grid[k], 1e-9)
     return gamma_cross, float(m1.outage(gamma_cross))

@@ -109,9 +109,9 @@ def test_exact_terms_use_the_first_column_of_a_full_frame(n_r, n_t, n_l):
 
 
 def test_chain_report_fields_and_rows():
-    rep = compare_chain(2, 2, 1, n_samples=100_000, seed=0, n_points=120)
+    rep = compare_chain(2, 2, 1, n_samples=100_000, seed=0)
     rows = list(rep.rows())
-    assert len(rows) == 120
+    assert len(rows) == 300
     assert all(len(r) == 4 for r in rows)
     assert rep.mean_product == pytest.approx(0.5, rel=1e-12)
     assert rep.mean_exp == pytest.approx(0.5, rel=1e-12)

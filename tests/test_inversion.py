@@ -7,7 +7,7 @@ import pytest
 
 from ranksinr import bf, ostbc
 from ranksinr.errors import NumericInstabilityError
-from ranksinr.inversion import clamp_probability, threshold_at_outage
+from ranksinr.inversion import _nsection, clamp_probability, threshold_at_outage
 from ranksinr.scenario import InterfererSpec, OwnMode, ScenarioConfig, Technique
 
 from conftest import REF_BF, REF_INTERFERERS, REF_OSTBC
@@ -93,5 +93,5 @@ def test_clamp_probability_on_arrays():
 
 def test_tolerance_below_resolution_still_terminates():
     # with rel_tol = 0 the bracket stops shrinking a few ulps wide
-    thr = threshold_at_outage(lambda g: -np.expm1(-np.asarray(g)), 0.5, rel_tol=0.0)
+    thr = _nsection(lambda g: -np.expm1(-g) >= 0.5, 0.5, 1.0, 0.0)
     assert thr == pytest.approx(math.log(2.0), rel=1e-15)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ranksinr.errors import DegenerateRatesError, EmptyMixtureError
+from ranksinr.errors import DegenerateRatesError, EmptyMixtureError, NumericInstabilityError
 from ranksinr.mixture import (
     MixtureSpec,
     build_mixture,
@@ -136,9 +136,7 @@ def omega_tuple_sum(rates, multiplicities):
          "g4-mixed", "g4-order8", "g3-near-tie", "g4-near-tie"],
 )
 def test_series_matches_omega_tuple_sum_bit_for_bit(rates, multiplicities):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        spec = xi_coefficients(rates, multiplicities)
+    spec = xi_coefficients(rates, multiplicities)
     expect = omega_tuple_sum(rates, multiplicities)
     # hex compares every bit, the sign of zero included
     assert {k: v.hex() for k, v in spec.xi.items()} == {
@@ -179,21 +177,33 @@ def test_grouping_merges_near_ties_power_weighted():
     assert counts2 == (1, 1, 1)
 
 
-def test_epsilon_split_continuity():
-    # grouped evaluation and barely-split evaluation agree on the pdf
-    y = np.linspace(0.05, 30.0, 40)
-    merged = build_mixture((4.0, 4.0, 1.0))
-    eps = 1e-7
+def silent_build(rates) -> MixtureSpec:
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        split = build_mixture((4.0 * (1 + eps), 4.0, 1.0))
+        warnings.simplefilter("error")
+        return build_mixture(rates)
+
+
+def test_epsilon_split_continuity():
+    # grouped evaluation works; a barely-split pair, conditioning 1e-7,
+    # builds but its pdf and cdf are refused, not answered inaccurately
+    y = np.linspace(0.05, 30.0, 40)
+    merged = silent_build((4.0, 4.0, 1.0))
+    assert np.all(np.isfinite(pdf_y(y, merged)))
+    split = silent_build((4.0 * (1 + 1e-7), 4.0, 1.0))
     assert split.n_groups == 3
-    assert pdf_y(y, split) == pytest.approx(pdf_y(y, merged), abs=1e-5)
+    with pytest.raises(NumericInstabilityError, match="conditioning"):
+        pdf_y(y, split)
+    with pytest.raises(NumericInstabilityError, match="conditioning"):
+        cdf_y(y, split)
 
 
-def test_conditioning_warning_on_close_groups():
-    with pytest.warns(RuntimeWarning, match="conditioning"):
-        build_mixture((1.0, 1.0005))
+def test_conditioning_refusal_on_close_groups():
+    spec = silent_build((1.0, 1.0005))
+    assert spec.conditioning < 1e-3
+    with pytest.raises(NumericInstabilityError, match="conditioning"):
+        pdf_y(1.0, spec)
+    with pytest.raises(NumericInstabilityError, match="conditioning"):
+        cdf_y(1.0, spec)
 
 
 def test_degenerate_rates_error():

@@ -1,12 +1,14 @@
 """OSTBC SINR model: quadrature oracle, limits, and reference bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from ranksinr import bf, ostbc
-from ranksinr.errors import ConfigError
-from ranksinr.mixture import pdf_y
+from ranksinr.errors import ConfigError, NumericInstabilityError
+from ranksinr.mixture import cdf_y, pdf_y
 from ranksinr.scenario import (
     InterfererSpec,
     OwnMode,
@@ -90,10 +92,15 @@ def test_seven_full_rank_sm_interferers_at_4x4():
             for inr in range(1, 8)
         ),
     )
-    # 40 digits do not survive this expansion's cancellation; the build
-    # says so, and the outage does not read the coefficients
-    with pytest.warns(RuntimeWarning, match="drift"):
+    # 40 digits do not survive this expansion's cancellation: the build is
+    # silent, the outage does not read the coefficients, and the law of Y
+    # read from them is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         model = ostbc.from_config(cfg)
+    for law in (pdf_y, cdf_y):
+        with pytest.raises(NumericInstabilityError, match="drift"):
+            law(0.5, model.mixture)
     assert model.mixture.n_groups == 7
     assert model.mixture.multiplicities == (16,) * 7
     g = 10 ** (np.array([-5.0, 0.0, 5.0, 10.0, 15.0]) / 10)
@@ -170,7 +177,7 @@ def test_white_interference_is_upper_bound_approached_at_max_rank():
 def test_empirical_outage_at_zero_db(ref_model, ostbc_ref_run):
     # approximation-limited agreement at the reference scenario
     dist, _ = ostbc_ref_run
-    assert abs(dist.outage(1.0).probability - ref_model.outage(1.0)) < 0.02
+    assert abs(dist.ecdf(1.0) - ref_model.outage(1.0)) < 0.02
 
 
 def test_from_config_rejects_wrong_mode():

@@ -7,7 +7,6 @@ hunts for counterexamples.
 
 import math
 
-import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -25,10 +24,6 @@ from ranksinr.sweeps import model_for
 from ranksinr.wishart import compute_weights
 
 from conftest import exact_mean
-
-# random draws legitimately wander into ill-conditioned rate sets that the
-# library flags; the warnings are the subject of dedicated tests elsewhere
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 def well_separated(cfg) -> bool:
