@@ -20,11 +20,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
 from .montecarlo import DEFAULT_CHUNK, _generator, complex_normal, run_chunks
 from .scenario import MAX_ANTENNAS
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 @dataclass(frozen=True)
@@ -76,11 +80,11 @@ def _product_pdf_scalar(x: float, pd: ProductDistribution) -> float:
     if b == 0:
         # single-column channel: the beta weight is identically 1
         return n_l * math.exp(-n_l * x)
-    lognorm = special.betaln(a, b)
+    lognorm = _log_beta(a, b)
     if x == 0.0:
         if a == 1:
             return math.inf
-        return n_l * math.exp(special.betaln(a - 1, b) - lognorm)
+        return n_l * math.exp(_log_beta(a - 1, b) - lognorm)
 
     # t = exp(s) flattens the 1/t weight so the n_R = 1 near-zero
     # log-divergence integrates cleanly
@@ -96,7 +100,8 @@ def _product_pdf_scalar(x: float, pd: ProductDistribution) -> float:
             -n_l * x * math.exp(-s) + (a - 1) * s + (b - 1) * math.log(one_minus_t) - lognorm
         )
 
-    # imported on use: scipy.integrate adds about 0.3 s to every CLI start
+    # imported on use: scipy is the largest part of the import time, and
+    # only the quadratures here need it
     from scipy import integrate
 
     res = integrate.quad(
@@ -121,7 +126,7 @@ def product_mean_quadrature(pd: ProductDistribution) -> float:
     """Mean by integrating the beta weight against the exponential mean."""
     if pd.beta == 0:
         return 1.0 / pd.n_l
-    lognorm = special.betaln(pd.alpha, pd.beta)
+    lognorm = _log_beta(pd.alpha, pd.beta)
 
     def integrand(t: float) -> float:
         return t * math.exp((pd.alpha - 1) * math.log(t) + (pd.beta - 1) * math.log1p(-t) - lognorm)

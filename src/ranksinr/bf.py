@@ -5,21 +5,19 @@ collects the array gain of transmit/receive beamforming along the
 dominant eigenmode and Y = sum_r Exp(rho_r) is the interference sum over
 the scenario's rate set.  The dominant eigenvalue is the signed gamma
 mixture sum_kl psi_kl Gamma(l+1, rate k) of ``wishart``.  Conditioning
-on Y and expanding (1+Y)^r term by term gives, with a_k = k g/rho_bar
-and mu_s(a) = E[Y^s e^{-aY}]/s!,
+on Y, each gamma term is a Poisson count: with a_k = k gamma/rho_bar and g_k
+the pmf of N_k = Pois(a_k (1+Y)),
 
-    P(g0) = 1 - sum_kl psi_kl sum_{s<=l} a_k^s mu_s(a_k) Q(l-s+1, a_k),
+    P(gamma) = 1 - sum_kl psi_kl sum_{n<=l} g_{k,n},
 
-    f(g)  = sum_kl psi_kl (k/rho_bar) a_k^l e^{-a_k}/l!
-            * sum_{s<=l+1} C(l+1,s) s! mu_s(a_k),
+    f(gamma) = sum_kl psi_kl (k/rho_bar) (l+1) g_{k,l+1}/a_k.
 
-Q the regularized upper incomplete gamma function.  These are the
-formulas of ``engine.SinrModel``; this module only supplies the psi
-table and rho_bar.  The terms a^s mu_s are the pmf of a Poisson(aY)
-count and follow from a positive-term recursion in the Laplace
-transform of Y, so the only cancellation left is in the signed psi sum:
-below 1e-13 absolute up to 4x4, about 1e-9 at 8x8.  With no interferers
-mu_s vanishes for s >= 1 and the outage is the eigenvalue CDF itself.
+These are the formulas of ``engine.SinrModel``; this module only
+supplies the psi table and rho_bar.  g_k is a convolution of positive
+Poisson and negative binomial pmfs, so the only cancellation left is in
+the signed psi sum: below 1e-13 absolute up to 4x4, about 1e-9 at 8x8.
+With no interferers g_k is the Poisson(a_k) pmf and the outage is the
+eigenvalue CDF itself.
 
 `mixture` keeps the paper's partial-fraction form of Y for inspection
 (``dump-xi``, ``pdf_y``); evaluation does not read it.

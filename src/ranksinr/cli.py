@@ -65,11 +65,18 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return a, b, s
 
 
-def _grid_db(args) -> tuple[np.ndarray, float]:
-    """The --grid points in dB and their step."""
+def _grid_db(args) -> tuple[np.ndarray, np.ndarray, float]:
+    """The --grid points in dB, in linear scale, and their step."""
     a, b, s = _parse_grid(args.grid)
     spec = SweepSpec(kind=SweepKind.THRESHOLD, start_db=a, stop_db=b, step_db=s)
-    return spec.grid_db(), s
+    grid_db = spec.grid_db()
+    with np.errstate(over="ignore"):
+        grid = 10.0 ** (grid_db / 10.0)
+    bad = (grid == 0.0) | np.isinf(grid)
+    if bad.any():
+        raise ConfigError(
+            f"grid point {grid_db[bad][0]} dB underflows or overflows in linear scale")
+    return grid_db, grid, s
 
 
 def _seed(value: str) -> int:
@@ -136,8 +143,7 @@ def _mc_density_per_db(dist, grid_db: np.ndarray, step_db: float) -> np.ndarray:
 def cmd_pdf(args) -> int:
     cfg = _load(args)
     model = model_for(cfg)
-    grid_db, step_db = _grid_db(args)
-    grid = 10.0 ** (grid_db / 10.0)
+    grid_db, grid, step_db = _grid_db(args)
     pdf = model.sinr_pdf(grid)
     per_db = pdf * grid * math.log(10.0) / 10.0
     columns = ["gamma_db", "pdf", "pdf_per_db"]
@@ -158,8 +164,7 @@ def cmd_pdf(args) -> int:
 def cmd_outage(args) -> int:
     cfg = _load(args)
     model = model_for(cfg)
-    grid_db, _ = _grid_db(args)
-    grid = 10.0 ** (grid_db / 10.0)
+    grid_db, grid, _ = _grid_db(args)
     out = model.outage(grid)
     columns = ["gamma0_db", "outage"]
     rows = [list(t) for t in zip(grid_db, out)]
@@ -222,7 +227,7 @@ def cmd_sweep_inr(args) -> int:
 def cmd_sweep_n(args) -> int:
     cfg = _load(args)
     spec, rank = _single_interferer(cfg)
-    grid, _ = _grid_db(args)
+    grid, _, _ = _grid_db(args)
     counts = np.round(grid)
     bad = (np.abs(grid - counts) > 1e-9) | (counts < 1)
     if bad.any():
@@ -240,8 +245,7 @@ def cmd_mc_validate(args) -> int:
     cfg = _load(args)
     model = model_for(cfg)
     tolerance = 0.01 if cfg.own_mode is OwnMode.BEAMFORMING else 0.03
-    grid_db, step_db = _grid_db(args)
-    grid = 10.0 ** (grid_db / 10.0)
+    grid_db, grid, step_db = _grid_db(args)
     dist = _simulate(cfg, args)
 
     closed = np.asarray(model.outage(grid), dtype=float)

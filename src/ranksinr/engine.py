@@ -9,32 +9,28 @@ table {(1, N-1): 1}, Z ~ Gamma(N, 1).  The interference
 Y = sum_r Exp(rho_r) runs over the raw rate set; equal rates are
 counted, near-equal ones are never merged.
 
-Conditioning on Y, everything reduces to mu_s(a) = E[Y^s e^{-aY}]/s! at
-a_k = k*gamma/rho_bar, through nu_s = a^s mu_s = E[(aY)^s e^{-aY}/s!]:
-the probability that a Poisson(aY) count N equals s.  Its generating
-function sum_s nu_s t^s = L(a(1-t)), with L(a) = prod_r (1 + a rho_r)^{-1}
-the Laplace transform of Y, factors over the rates, so N is a sum of
+Conditioning on Y, P(k Z <= x) for one gamma term is P(Pois(x) > l),
+so everything reduces to the count N_k = Pois(a_k (1+Y)),
+a_k = k*gamma/rho_bar, and its pmf g_k.  Its generating function
+sum_n g_n t^n = e^{-a(1-t)} L(a(1-t)), with L(a) = prod_r (1 + a rho_r)^{-1}
+the Laplace transform of Y, factors: N is a Poisson(a) count plus
 independent negative binomial counts NB(c_r, w_r), w_r = a rho_r/(1 +
-a rho_r), c_r the multiplicity of rho_r.  nu is their convolution: one
-step per distinct rate, every term positive and at most 1.  (The same
-numbers come out of the recursion nu_0 = L, nu_{n+1} = 1/(n+1)
-sum_{m<=n} b_m nu_{n-m}, b_m = sum_r (a rho_r/(1 + a rho_r))^{m+1}, the
-series behind Moschopoulos' representation of gamma sums, Ann. Inst.
-Statist. Math. 37, 1985; it needs one step per order instead.)
+a rho_r), c_r the multiplicity of rho_r.  g is their convolution: one
+step per distinct rate, every term positive and at most 1.  Then
 
-With Q and P the regularized upper and lower incomplete gamma functions
-and p_t the Poisson(a) pmf,
+    P(gamma) = sum_k Psi_k (1 - g_{k,0}) - sum_kl psi_kl sum_{1<=n<=l} g_{k,n},
+    f(gamma) = sum_kl psi_kl (k/rho_bar) [g_{k,l} + (b/a * g_k)_l],
 
-    1 - P(gamma) = sum_kl psi_kl sum_{s<=l} nu_s(a_k) Q(l-s+1, a_k),
-    f(gamma)     = sum_kl psi_kl (k/rho_bar) (l+1)
-                   [e^{-a} nu_{l+1}/a + sum_{t<=l} p_t(a) nu_{l-t}/(t+1)],
-
-where nu_{l+1}/a = 1/(l+1) sum_{m<=l} (b_m/a) nu_{l-m} stays finite at
-a = 0.  Using sum psi = 1, the outage is assembled as
-sum_k Psi_k (-expm1(log L)) + sum_kl psi_kl (L P(l+1, a) - sum_{1<=s<=l}
-nu_s Q(l-s+1, a)), Psi_k = sum_l psi_kl, so with no interferers it is
-exactly the eigenvalue CDF sum psi_kl P(l+1, a_k).  The only signed sum
-left is the one over psi: none for OSTBC, about 1e-9 absolute at 8x8
+with Psi_k = sum_l psi_kl, 1 - g_0 = -expm1(-a + log L), which keeps
+the outage's leading term as gamma -> 0, and * the truncated
+convolution with b_m/a = sum_r c_r rho_r/(1 + a rho_r) w_r^m, finite at
+a = 0.  The density is the derivative term by term:
+E[(1+Y) Pois(l; a(1+Y))] = (l+1) g_{l+1}/a, and differentiating the
+generating function gives (n+1) g_{n+1} = a g_n + (b * g)_n, the series
+behind Moschopoulos' representation of gamma sums (Ann. Inst. Statist.
+Math. 37, 1985).  With no interferers g is the Poisson(a) pmf and the
+outage is the eigenvalue CDF sum psi_kl P(l+1, a_k).  The only signed
+sum is the one over psi: none for OSTBC, about 1e-9 absolute at 8x8
 beamforming.
 """
 
@@ -44,10 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from . import inversion
-from .mixture import MixtureSpec
+from .mixture import MixtureSpec, log_factorials, log_floored
 
 
 def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -90,39 +85,33 @@ class SinrModel:
         psis = np.array([float(w) for _, w in items])
         rho, count = np.unique(np.asarray(self.rates, dtype=np.float64),
                                return_counts=True)
-        count = count.astype(np.float64)
-        orders = np.arange(int(ls.max()) + 1, dtype=np.float64)  # 0..lmax
-        log_fact = special.gammaln(orders + 1.0)
+        orders = np.arange(int(ls.max()) + 1)  # 0..lmax
+        log_fact = log_factorials(int(ls.max()) + int(count.max(initial=1)))
         self.kvals, self.kidx, self.ls, self.psis = kvals, kidx, ls, psis
         self.psi_k = np.bincount(kidx, weights=psis, minlength=kvals.size)
-        self.rho, self.count = rho, count
-        self._orders, self._log_fact = orders, log_fact
+        self.rho, self.count = rho, count.astype(np.float64)
+        self._orders, self._log_fact = orders, log_fact[orders]
         # log C(c+s-1, s): the negative binomial coefficient of each rate
-        self._log_binom = (special.gammaln(count[:, None] + orders)
-                           - special.gammaln(count)[:, None] - log_fact)
+        self._log_binom = (log_fact[count[:, None] - 1 + orders]
+                           - log_fact[count - 1][:, None] - log_fact[orders])
         self._pdf_scale = psis * kvals[kidx] / self.rho_bar
 
     def _counts(self, gamma: np.ndarray):
-        """a_k, log L(a_k), log w_r^m, Poisson(a_k) pmf and nu_s(a_k).
+        """a_k, log g_{k,0}, log w_r^m and g_k, the pmf of N_k.
 
-        Rows run over (k, gamma) k-major: a and log L are (K*G,), log w_r^m
-        is (K*G, R, n), the pmfs are (K*G, n).
+        Rows run over (k, gamma) k-major: a and log g_0 are (K*G,), log w_r^m
+        is (K*G, R, n), g is (K*G, n).
         """
         a = (self.kvals[:, None] * (gamma / self.rho_bar)).ravel()
         ar = np.multiply.outer(a, self.rho)
         log1p = np.log1p(ar)
-        log_wpow = special.xlogy(self._orders, (ar / (1.0 + ar))[:, :, None])
+        log_wpow = self._orders * log_floored(ar / (1.0 + ar))[:, :, None]
         nb = np.exp(self._log_binom + log_wpow - (log1p * self.count)[:, :, None])
-        if self.rho.size:
-            nu = nb[:, 0]
-            for r in range(1, self.rho.size):
-                nu = _convolve(nu, nb[:, r])
-        else:
-            nu = np.zeros((a.size, self._orders.size))
-            nu[:, 0] = 1.0
-        pois = np.exp(special.xlogy(self._orders, a[:, None]) - a[:, None]
-                      - self._log_fact)
-        return a, -(log1p @ self.count), log_wpow, pois, nu
+        g = np.exp(self._orders * log_floored(a)[:, None] - a[:, None]
+                   - self._log_fact)
+        for r in range(self.rho.size):
+            g = _convolve(g, nb[:, r])
+        return a, -a - log1p @ self.count, log_wpow, g
 
     def _per_term(self, x: np.ndarray, g: int) -> np.ndarray:
         """(K*G, n) -> (T, G): row block k_i, column l_i for each psi term."""
@@ -131,45 +120,36 @@ class SinrModel:
     def _outage(self, gamma: np.ndarray) -> np.ndarray:
         """P(SINR <= gamma) on a 1-d array of gamma > 0, unclamped."""
         g = gamma.size
-        a, log_l, _, pois, nu = self._counts(gamma)
-        # the pmf's cumulative sums are Q(j+1, a), j = 0..lmax;
-        # tail[l] = sum_{1<=s<=l} nu_s Q(l-s+1, a)
-        nu_tail = nu.copy()
-        nu_tail[:, 0] = 0.0
-        tail = _convolve(np.cumsum(pois, axis=1), nu_tail)
-        lower = special.gammainc(self.ls[:, None] + 1.0,
-                                 a.reshape(self.kvals.size, g)[self.kidx])
-        ell = np.exp(log_l).reshape(self.kvals.size, g)[self.kidx]
-        terms = ell * lower - self._per_term(tail, g)
-        noise_free = -np.expm1(log_l).reshape(self.kvals.size, g)
-        return self.psi_k @ noise_free + self.psis @ terms
+        _, log_g0, _, pmf = self._counts(gamma)
+        # sum_{1<=n<=l} g_n summed from g_1 up: cumsum(g) - g_0 would round
+        # it to 0 as gamma -> 0, where 1 - g_0 keeps its digits
+        pmf[:, 0] = 0.0
+        partial = np.cumsum(pmf, axis=1)
+        head = -np.expm1(log_g0).reshape(self.kvals.size, g)
+        return self.psi_k @ head - self.psis @ self._per_term(partial, g)
 
     def _pdf(self, gamma: np.ndarray) -> np.ndarray:
         """SINR density on a 1-d array of gamma >= 0."""
         g = gamma.size
-        a, _, log_wpow, pois, nu = self._counts(gamma)
-        n = self._orders + 1.0
-        # b_m/a = sum_r c_r rho_r/(1 + a rho_r) w_r^m; (l+1) nu_{l+1}/a
-        # = sum_{m<=l} (b_m/a) nu_{l-m}
+        a, _, log_wpow, pmf = self._counts(gamma)
+        # b_m/a = sum_r c_r rho_r/(1 + a rho_r) w_r^m
         bp = np.einsum("grm,gr->gm", np.exp(log_wpow),
                        self.count * self.rho / (1.0 + np.multiply.outer(a, self.rho)))
-        inner = (n * _convolve(pois / n, nu)
-                 + np.exp(-a)[:, None] * _convolve(bp, nu))
-        return self._pdf_scale @ self._per_term(inner, g)
+        return self._pdf_scale @ self._per_term(pmf + _convolve(bp, pmf), g)
 
     def sinr_pdf(self, gamma):
         """Density of the SINR at gamma (scalar or array)."""
         arr = np.asarray(gamma, dtype=np.float64)
-        if (arr < 0).any():
-            raise ValueError("sinr_pdf requires gamma >= 0")
+        if not (np.isfinite(arr).all() and (arr >= 0).all()):
+            raise ValueError("sinr_pdf requires finite gamma >= 0")
         vals = self._pdf(arr.ravel())
         return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
     def outage(self, gamma0):
         """P(SINR <= gamma0), scalar or array."""
         arr = np.asarray(gamma0, dtype=np.float64)
-        if (arr <= 0).any():
-            raise ValueError("outage requires gamma0 > 0")
+        if not (np.isfinite(arr).all() and (arr > 0).all()):
+            raise ValueError("outage requires finite gamma0 > 0")
         vals = self._outage(arr.ravel()).reshape(arr.shape)
         return inversion.clamp_probability(vals)
 

@@ -33,7 +33,9 @@ coefficients drift from summing to 1, or whose groups sit too close.
 
 This is the paper's form of the interference law.  It feeds ``dump-xi``,
 ``pdf_y``/``cdf_y`` and the models' ``mixture`` field; the outage and
-density themselves are evaluated without it (``engine``).
+density themselves are evaluated without it (``engine``).  The gamma
+orders here are integers, so ``cdf_y`` needs no incomplete gamma
+function: P(j, x) = 1 - sum_{m<j} e^{-x} x^m/m!, from ``log_factorials``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateRatesError, EmptyMixtureError, NumericInstabilityError
 
@@ -54,6 +55,20 @@ GROUP_TOL = 1e-9
 # a larger drift, or whose conditioning is smaller
 XI_DRIFT_MAX = 1e-6
 CONDITIONING_MIN = 1e-3
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log m! for m = 0..n."""
+    return np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
+
+
+def log_floored(x: np.ndarray) -> np.ndarray:
+    """log x for x >= 0, with log 0 floored at -1e300.
+
+    Then m * log x is 0 at m = 0 and exp(m * log x) exactly 0 for m >= 1,
+    the limits x^m takes at x = 0, with no divide-by-zero warning.
+    """
+    return np.log(x, out=np.full(np.shape(x), -1e300), where=x > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +226,8 @@ def _refuse_unreliable(spec: MixtureSpec) -> None:
 def pdf_y(y, spec: MixtureSpec):
     """Density of the interference sum at y (scalar or array)."""
     arr = np.asarray(y, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("pdf_y requires y >= 0")
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise ValueError("pdf_y requires finite y >= 0")
     _refuse_unreliable(spec)
     flat = np.atleast_1d(arr)
     rho, jj, xi = spec._rho_flat, spec._j_flat, spec._xi_flat
@@ -225,7 +240,7 @@ def pdf_y(y, spec: MixtureSpec):
         logterm = (
             (jj - 1.0) * np.log(yp)
             - yp / rho
-            - special.gammaln(jj)
+            - log_factorials(int(jj.max()))[jj.astype(int) - 1]
             - jj * np.log(rho)
         )
         out[pos] = np.sum(np.sign(xi) * np.exp(log_abs_xi + logterm), axis=1)
@@ -238,12 +253,17 @@ def pdf_y(y, spec: MixtureSpec):
 def cdf_y(y, spec: MixtureSpec):
     """CDF of the interference sum; mixture of regularized gammas."""
     arr = np.asarray(y, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("cdf_y requires y >= 0")
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise ValueError("cdf_y requires finite y >= 0")
     _refuse_unreliable(spec)
-    flat = np.atleast_1d(arr)[:, None]
-    rho, jj, xi = spec._rho_flat, spec._j_flat, spec._xi_flat
-    vals = np.sum(xi * special.gammainc(jj, flat / rho), axis=1)
+    x = np.atleast_1d(arr)[:, None] / spec._rho_flat
+    jj, xi = spec._j_flat, spec._xi_flat
+    # P(j, x) = -expm1(-x) - sum_{1<=m<j} e^{-x} x^m/m!
+    m = np.arange(1, int(jj.max()))
+    pois = np.exp(m * log_floored(x)[:, :, None] - x[:, :, None]
+                  - log_factorials(m.size)[1:])
+    lower = -np.expm1(-x) - np.sum(pois * (m < jj[:, None]), axis=2)
+    vals = lower @ xi
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 

@@ -9,18 +9,16 @@ as exponentials (see the approx module for how good that is), making the
 denominator the same hyper-exponential mixture as in the beamforming
 analysis, Y = sum_r Exp(rho_r) over the scenario's rate set.  X is the
 one-term gamma mixture {(1, N-1): 1} of ``engine.SinrModel``, so with
-a = g/rho_bar and mu_s(a) = E[Y^s e^{-aY}]/s! the outage probability
-and density are
+a = gamma/rho_bar and g_n the pmf of the count Pois(a (1+Y)) the outage
+probability and density are
 
-    P(g0) ~= 1 - sum_{s<=N-1} a^s mu_s(a) Q(N-s, a),
+    P(gamma) ~= 1 - sum_{n<=N-1} g_n,
 
-    f(g)  ~= (1/rho_bar) a^{N-1} e^{-a}/(N-1)!
-             * sum_{s<=N} C(N,s) s! mu_s(a),
+    f(gamma) ~= (1/rho_bar) N g_N/a.
 
-Q the regularized upper incomplete gamma function.  The terms a^s mu_s
-are positive and come from a positive-term recursion in the Laplace
-transform of Y (see ``engine``), so nothing cancels: the results are
-good to a few 1e-15 absolute at any size.
+The g_n are positive and come from a convolution of positive Poisson
+and negative binomial pmfs (see ``engine``), so no signed sum is
+formed: the results are good to a few 1e-15 absolute at any size.
 
 Both are approximations: the exponential step flattens the true
 product-of-exponential-and-beta shape, which shows up as a visible

@@ -35,7 +35,10 @@ def db_to_linear(x_db: float) -> float:
     """Convert a dB quantity to its linear-scale value 10^(x/10)."""
     if not math.isfinite(x_db):
         raise ConfigError(f"dB value must be finite, got {x_db!r}")
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{x_db!r} dB overflows in linear scale") from None
 
 
 def linear_to_db(x: float) -> float:
@@ -89,6 +92,8 @@ class InterfererSpec:
             raise ConfigError(
                 f"{self.technique.value} interferers carry one layer, got {self.layers}"
             )
+        if db_to_linear(self.inr_db) == 0.0:
+            raise ConfigError(f"inr_db {self.inr_db!r} underflows in linear scale")
 
     def power(self, noise_power: float) -> float:
         """Linear long-term received power of this interferer."""
@@ -120,6 +125,12 @@ class ScenarioConfig:
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
         object.__setattr__(self, "interferers", tuple(self.interferers))
+        for power in (self.own_power, *self.interferer_powers()):
+            if not 0.0 < power < math.inf:
+                raise ConfigError(
+                    f"linear power {power!r} (noise_power * 10^(dB/10)) must be "
+                    "positive and finite"
+                )
         for spec in self.interferers:
             # an interferer's precoder has n_t rows, so its rank is capped
             # by n_t alone; the victim's antenna count does not constrain it
@@ -225,8 +236,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             f"got {data['own_mode']!r}"
         ) from None
 
+    entries = data.get("interferers", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"interferers must be a list, got {entries!r}")
     interferers = []
-    for idx, entry in enumerate(data.get("interferers", [])):
+    for idx, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"interferers[{idx}] must be an object")
         bad = set(entry) - _INT_KEYS

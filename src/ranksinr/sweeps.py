@@ -84,31 +84,6 @@ class SweepSpec:
         return self.start_db + self.step_db * np.arange(n)
 
 
-def single_interferer_config(
-    own_mode: OwnMode,
-    n_r: int,
-    n_t: int,
-    snr_db: float,
-    inr_db: float,
-    rank: int,
-) -> ScenarioConfig:
-    """One iBS whose transmission rank is the study variable."""
-    if rank == 1:
-        spec = InterfererSpec(technique=Technique.BEAMFORMING, inr_db=inr_db)
-    else:
-        spec = InterfererSpec(
-            technique=Technique.SPATIAL_MULTIPLEXING, inr_db=inr_db, layers=rank
-        )
-    return ScenarioConfig(
-        n_r=n_r,
-        n_t=n_t,
-        noise_power=1.0,
-        snr_db=snr_db,
-        own_mode=own_mode,
-        interferers=(spec,),
-    )
-
-
 def equal_power_config(
     own_mode: OwnMode,
     n_r: int,
@@ -118,8 +93,13 @@ def equal_power_config(
     count: int,
     rank: int,
 ) -> ScenarioConfig:
-    """count equal-power iBSs of the given rank at fixed total power."""
-    per_inr_db = linear_to_db(db_to_linear(total_inr_db) / count)
+    """count equal-power iBSs of the given rank at fixed total power.
+
+    A single iBS keeps the INR as given, with no round trip through
+    linear scale; the rank-1 vs rank-r studies build their configs so.
+    """
+    per_inr_db = (total_inr_db if count == 1
+                  else linear_to_db(db_to_linear(total_inr_db) / count))
     if rank == 1:
         spec = InterfererSpec(technique=Technique.BEAMFORMING, inr_db=per_inr_db)
     else:
@@ -167,7 +147,7 @@ def threshold_gain(
 ) -> GainPoint:
     thr = []
     for r in (1, rank):
-        cfg = single_interferer_config(own_mode, n_r, n_t, snr_db, inr_db, r)
+        cfg = equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, 1, r)
         thr.append(model_for(cfg).threshold(p_star))
     return GainPoint(x=inr_db if x is None else x, threshold_rank1=thr[0], threshold_rankr=thr[1])
 
@@ -237,9 +217,8 @@ def find_crossing(
     Returns (gamma_cross, outage level there).  Below the crossing the
     higher-rank interferer is milder; above it the ordering flips.
     """
-    cfg1 = single_interferer_config(own_mode, n_r, n_t, snr_db, inr_db, 1)
-    cfgr = single_interferer_config(own_mode, n_r, n_t, snr_db, inr_db, rank)
-    m1, mr = model_for(cfg1), model_for(cfgr)
+    m1, mr = (model_for(equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, 1, r))
+              for r in (1, rank))
 
     def diff(g: np.ndarray) -> np.ndarray:
         return mr.outage(g) - m1.outage(g)

@@ -146,6 +146,11 @@ def test_rejects_negative_arguments(ref_model):
         ref_model.sinr_pdf(-0.5)
     with pytest.raises(ValueError):
         ref_model.outage(0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ref_model.sinr_pdf(bad)
+        with pytest.raises(ValueError, match="finite"):
+            ref_model.outage([1.0, bad])
 
 
 def test_extreme_thresholds_stay_in_unit_interval(ref_model):

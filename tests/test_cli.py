@@ -362,6 +362,19 @@ def test_bad_grids_exit_2(tmp_path, capsys, grid):
     assert err.startswith("config error")
 
 
+@pytest.mark.parametrize("grid", ["-5:4000:1000", "-4000:0:1000"])
+@pytest.mark.parametrize("command", ["outage", "pdf", "mc-validate"])
+def test_grid_points_that_overflow_or_underflow_exit_2(tmp_path, capsys, command, grid):
+    # 10^(dB/10) is inf at 3995 dB and 0 at -4000 dB; refused before any
+    # model or simulation runs
+    cfg = write_cfg(tmp_path)
+    code, out, err = run(capsys, command, "--config", cfg, f"--grid={grid}",
+                         "--samples", "1000")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error") and "linear scale" in err
+    assert out == ""
+
+
 def parse_exit_code(*argv):
     # argparse reports a bad option value by exiting 2 before main() runs
     with pytest.raises(SystemExit) as exc:
@@ -467,12 +480,41 @@ def test_package_entry_point():
     assert proc.stdout.strip() == f"ranksinr {ranksinr.__version__}"
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only approx's quadratures need it, and they import it on use
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ranksinr.cli; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+def test_import_leaves_scipy_unloaded():
+    # only approx's quadratures need scipy, and they import it on use
+    probe = ("import sys, {}; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    for module in ("ranksinr", "ranksinr.cli"):
+        proc = subprocess.run([sys.executable, "-c", probe.format(module)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # every command but approx-validate; "import scipy" fails in the child
+    ref = write_cfg(tmp_path, "ref.json", interferers=[
+        {"technique": "ostbc", "inr_db": 6.0},
+        {"technique": "bf", "inr_db": 8.0},
+        {"technique": "sm", "inr_db": 10.0, "layers": 2},
+    ])
+    single = write_cfg(tmp_path, "single.json")
+    runs = [
+        ["outage", "--config", ref],
+        ["pdf", "--config", ref],
+        ["gain", "--config", single],
+        ["sweep-inr", "--config", single, "--grid=0:10:5"],
+        ["mc-validate", "--config", ref, "--samples", "100000", "--grid=0:10:5"],
+        ["dump-weights", "--config", ref],
+        ["dump-xi", "--config", ref],
+    ]
+    for i, argv in enumerate(runs):
+        argv += ["--out", str(tmp_path / f"out{i}")]
+    child = ("import json, sys; sys.modules['scipy'] = None; "
+             "from ranksinr import cli; "
+             "print(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))")
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == [cli.EXIT_OK] * len(runs), proc.stderr
+    assert all((tmp_path / f"out{i}").stat().st_size > 0 for i in range(len(runs)))

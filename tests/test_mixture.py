@@ -46,6 +46,9 @@ def test_two_scale_hypoexponential_by_hand():
     assert cdf_y(y, spec) == pytest.approx(
         1 - 2 * np.exp(-y / 2) + np.exp(-y), abs=1e-12
     )
+    for law in (pdf_y, cdf_y):
+        with pytest.raises(ValueError, match="finite"):
+            law(np.inf, spec)
 
 
 def test_single_group_is_erlang():

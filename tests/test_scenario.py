@@ -165,3 +165,14 @@ def test_config_from_dict_rejects_wrong_types():
         config_from_dict(dict(good, own_mode="mrc"))
     with pytest.raises(ConfigError):
         config_from_dict(dict(good, snr_db="15"))
+    for interferers in (5, None, {"technique": "bf", "inr_db": 8.0}):
+        with pytest.raises(ConfigError, match="must be a list"):
+            config_from_dict(dict(good, interferers=interferers))
+    # 10^400 overflows a double; 10^-400 is 0
+    for db in (4000.0, -4000.0):
+        with pytest.raises(ConfigError, match="linear"):
+            config_from_dict(dict(good, snr_db=db))
+        with pytest.raises(ConfigError, match="linear"):
+            config_from_dict(dict(good, interferers=[{"technique": "bf", "inr_db": db}]))
+    with pytest.raises(ConfigError, match="linear"):
+        config_from_dict(dict(good, noise_power=1e300, snr_db=100.0))

@@ -15,7 +15,6 @@ from ranksinr.sweeps import (
     equal_power_config,
     find_crossing,
     model_for,
-    single_interferer_config,
     sweep_inr,
     sweep_interferer_count,
     sweep_snr,
@@ -69,13 +68,13 @@ def test_count_sweep_has_no_db_grid():
 
 
 def test_rank_one_maps_to_beamforming_interferer():
-    cfg = single_interferer_config(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, rank=1)
+    cfg = equal_power_config(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, 1, 1)
     (spec,) = cfg.interferers
     assert spec.technique is Technique.BEAMFORMING
 
 
 def test_higher_rank_maps_to_spatial_multiplexing():
-    cfg = single_interferer_config(OwnMode.BEAMFORMING, 4, 4, 15.0, 10.0, rank=3)
+    cfg = equal_power_config(OwnMode.BEAMFORMING, 4, 4, 15.0, 10.0, 1, 3)
     (spec,) = cfg.interferers
     assert spec.technique is Technique.SPATIAL_MULTIPLEXING
     assert spec.layers == 3
@@ -88,13 +87,15 @@ def test_equal_power_split_conserves_total_power():
             OwnMode.BEAMFORMING, 2, 2, 15.0, total_db, count, rank=1
         )
         assert len(cfg.interferers) == count
+        if count == 1:
+            assert cfg.interferers[0].inr_db == total_db
         total_lin = sum(db_to_linear(s.inr_db) for s in cfg.interferers)
         assert total_lin == pytest.approx(db_to_linear(total_db), rel=1e-12)
 
 
 def test_model_dispatch_follows_own_mode():
-    cfg_b = single_interferer_config(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, 2)
-    cfg_o = single_interferer_config(OwnMode.OSTBC, 2, 2, 15.0, 10.0, 2)
+    cfg_b = equal_power_config(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, 1, 2)
+    cfg_o = equal_power_config(OwnMode.OSTBC, 2, 2, 15.0, 10.0, 1, 2)
     assert isinstance(model_for(cfg_b), bf.BfModel)
     assert isinstance(model_for(cfg_o), ostbc.OstbcModel)
 
@@ -149,8 +150,8 @@ def test_splitting_power_across_ibs_erodes_the_gain():
 def test_crossing_sits_above_ten_percent_outage():
     gamma_x, level = find_crossing(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, rank=2)
     assert level > 0.1
-    cfg1 = single_interferer_config(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, 1)
-    cfg2 = single_interferer_config(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, 2)
+    cfg1 = equal_power_config(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, 1, 1)
+    cfg2 = equal_power_config(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, 1, 2)
     m1, m2 = model_for(cfg1), model_for(cfg2)
     assert m1.outage(gamma_x) == pytest.approx(m2.outage(gamma_x), rel=1e-6)
     # below the crossing the spread interferer is milder, above it is worse
