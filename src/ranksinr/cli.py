@@ -9,6 +9,7 @@ error, 3 numeric instability, 4 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -376,7 +377,14 @@ def cmd_dump_xi(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Parsing leaves it unchanged, so `main` can be called again and again
+    in one process; the subcommands look up the library functions they
+    call at call time.
+    """
     p = argparse.ArgumentParser(
         prog="ranksinr",
         description="Closed-form SINR and outage under rank-aware MIMO interference",
@@ -443,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericInstabilityError as exc:

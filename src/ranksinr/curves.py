@@ -48,15 +48,32 @@ def render_csv(
     return buf.getvalue()
 
 
+# json.dumps(..., indent=1) runs json's pure-Python encoder; without an
+# indent the C encoder runs, and these separators give every item of a
+# row its line and indent
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n   ", ": "))
+
+
 def render_json(
     columns: Sequence[str], rows: Iterable[Sequence], meta: dict[str, str]
 ) -> str:
-    payload = {
-        "meta": meta,
-        "columns": list(columns),
-        "rows": [[v for v in row] for row in rows],
-    }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    """The text of json.dumps(payload, sort_keys=True, indent=1) + "\\n".
+
+    The payload is {"columns", "meta", "rows"}; rows hold scalars.
+    """
+    head = json.dumps({"columns": list(columns), "meta": meta, "rows": []},
+                      sort_keys=True, indent=1)
+    table = _ROWS_ENCODER.encode([list(row) for row in rows])
+    if table == "[]":
+        return head + "\n"
+    # table is [[a,\n   b],\n   [c]]: an encoded scalar holds no raw
+    # newline, so "],\n   [" only ever joins two rows.  There and at both
+    # ends a row bracket moves to a line of its own, and an empty row
+    # closes up again
+    body = ("[\n   " + table[2:-2] + "\n  ]").replace(
+        "],\n   [", "\n  ],\n  [\n   ").replace("[\n   \n  ]", "[]")
+    # head ends in '"rows": []\n}'
+    return f"{head[:-4]}[\n  {body}\n ]\n}}\n"
 
 
 def render(

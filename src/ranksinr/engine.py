@@ -97,21 +97,28 @@ class SinrModel:
         self._pdf_scale = psis * kvals[kidx] / self.rho_bar
 
     def _counts(self, gamma: np.ndarray):
-        """a_k, log g_{k,0}, log w_r^m and g_k, the pmf of N_k.
+        """a_k rho_r, log g_{k,0}, log w_r^m and g_k, the pmf of N_k.
 
-        Rows run over (k, gamma) k-major: a and log g_0 are (K*G,), log w_r^m
-        is (K*G, R, n), g is (K*G, n).
+        Rows run over (k, gamma) k-major: a rho is (K*G, R), log g_0 is
+        (K*G,), log w_r^m is (K*G, R, n), g is (K*G, n).
         """
-        a = (self.kvals[:, None] * (gamma / self.rho_bar)).ravel()
-        ar = np.multiply.outer(a, self.rho)
+        with np.errstate(over="ignore"):
+            a = np.minimum(self.kvals[:, None] * (gamma / self.rho_bar),
+                           np.finfo(np.float64).max).ravel()
+            ar = np.multiply.outer(a, self.rho)
+        # where a or a rho_r overflows, e^{-a} or (1 + a rho_r)^{-1}, and with
+        # it every g_{k,n}, lies far below the smallest double: a is held at
+        # the largest double and w_r is 1 there, so the outage reads
+        # sum psi and the density 0
         log1p = np.log1p(ar)
-        log_wpow = self._orders * log_floored(ar / (1.0 + ar))[:, :, None]
+        w = np.divide(ar, 1.0 + ar, out=np.ones_like(ar), where=ar < np.inf)
+        log_wpow = self._orders * log_floored(w)[:, :, None]
         nb = np.exp(self._log_binom + log_wpow - (log1p * self.count)[:, :, None])
         g = np.exp(self._orders * log_floored(a)[:, None] - a[:, None]
                    - self._log_fact)
         for r in range(self.rho.size):
             g = _convolve(g, nb[:, r])
-        return a, -a - log1p @ self.count, log_wpow, g
+        return ar, -a - log1p @ self.count, log_wpow, g
 
     def _per_term(self, x: np.ndarray, g: int) -> np.ndarray:
         """(K*G, n) -> (T, G): row block k_i, column l_i for each psi term."""
@@ -131,10 +138,10 @@ class SinrModel:
     def _pdf(self, gamma: np.ndarray) -> np.ndarray:
         """SINR density on a 1-d array of gamma >= 0."""
         g = gamma.size
-        a, _, log_wpow, pmf = self._counts(gamma)
+        ar, _, log_wpow, pmf = self._counts(gamma)
         # b_m/a = sum_r c_r rho_r/(1 + a rho_r) w_r^m
         bp = np.einsum("grm,gr->gm", np.exp(log_wpow),
-                       self.count * self.rho / (1.0 + np.multiply.outer(a, self.rho)))
+                       self.count * self.rho / (1.0 + ar))
         return self._pdf_scale @ self._per_term(pmf + _convolve(bp, pmf), g)
 
     def sinr_pdf(self, gamma):

@@ -326,6 +326,43 @@ def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_main_runs_back_to_back_in_one_process(tmp_path, capsys):
+    # one parser serves every call; no option or default of one call
+    # reaches the next
+    assert cli.build_parser() is cli.build_parser()
+    cfg = write_cfg(tmp_path)
+    code, out, _ = run(capsys, "mc-validate", "--config", cfg,
+                       "--samples", "20000", "--grid=0:10:5")
+    assert code == 0 and len(json.loads(out)["points"]) == 3
+    code, out, _ = run(capsys, "outage", "--config", cfg, "--mc",
+                       "--samples", "20000", "--grid=0:10:5")
+    assert code == 0
+    assert parse_csv(out)[1] == ["gamma0_db", "outage", "mc_outage", "mc_se"]
+    code, out, _ = run(capsys, "outage", "--config", cfg, "--grid=0:10:5")
+    assert code == 0
+    meta, header, rows = parse_csv(out)
+    assert header == ["gamma0_db", "outage"] and len(rows) == 3
+    assert "seed" not in meta and "samples" not in meta
+    assert parse_exit_code("outage", "--config", cfg, "--samples", "0") == cli.EXIT_CONFIG
+    capsys.readouterr()
+    code, out, _ = run(capsys, "gain", "--config", cfg)
+    assert code == 0 and parse_csv(out)[1][0] == "inr_db"
+
+
+@pytest.mark.filterwarnings("error")
+def test_thresholds_whose_scaled_value_overflows_read_the_limits(tmp_path, capsys):
+    # at snr -100 dB, gamma/rho_bar overflows from about 2980 dB on;
+    # e^{-a_k} underflowed long before, so the outage is 1 and the density 0
+    cfg = write_cfg(tmp_path, snr_db=-100.0,
+                    interferers=[{"technique": "bf", "inr_db": 5.0}])
+    code, out, err = run(capsys, "pdf", "--config", cfg, "--grid=3000:3080:40")
+    assert (code, err) == (0, "")
+    assert [r[1:] for r in parse_csv(out)[2]] == [["0", "0"]] * 3
+    code, out, err = run(capsys, "outage", "--config", cfg, "--grid=3000:3080:40")
+    assert (code, err) == (0, "")
+    assert [r[1] for r in parse_csv(out)[2]] == ["1"] * 3
+
+
 # --- failure modes ---
 
 

@@ -111,6 +111,18 @@ def test_far_thresholds_stay_finite():
     assert np.all(np.isfinite(pdf)) and pdf[-1] == 0.0
 
 
+def test_overflowing_count_means_read_the_limits():
+    # a_k = k gamma/rho_bar overflows at the tiny rho_bar, a_k rho_r at the
+    # huge rate; e^{-a_k} or (1 + a_k rho_r)^{-1} is below the smallest
+    # double there, so the outage is 1 and the density 0
+    g = np.array([1e300, 1.7e308])
+    for rho_bar, rates in ((1e-300, (3.0,)), (10.0, (1e308, 3.0))):
+        model = SinrModel({(1, 0): 2, (2, 2): -1}, None, rho_bar, rates)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out, pdf = model._outage(g), model._pdf(g)
+        assert out.tolist() == [1.0, 1.0] and pdf.tolist() == [0.0, 0.0]
+
+
 def test_equal_rates_are_counted_not_merged():
     # a near tie stays two rates, where partial fractions would divide by
     # the gap; the outage moves by no more than its derivative allows
