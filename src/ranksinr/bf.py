@@ -19,8 +19,9 @@ the signed psi sum: below 1e-13 absolute up to 4x4, about 1e-9 at 8x8.
 With no interferers g_k is the Poisson(a_k) pmf and the outage is the
 eigenvalue CDF itself.
 
-`mixture` keeps the paper's partial-fraction form of Y for inspection
-(``dump-xi``, ``pdf_y``); evaluation does not read it.
+`mixture` holds the grouping of the paper's partial-fraction form of Y;
+its coefficients are computed only if read (``dump-xi``, ``pdf_y``), and
+evaluation does not read them.
 """
 
 from __future__ import annotations

@@ -65,9 +65,10 @@ class SinrModel:
     here, correctly: that keeps sum psi = 1, and with it the outage at
     large gamma, within 1e-12 even at 8x8.  `rates` is the raw
     interference rate set, empty for no interferers, and `mixture` its
-    grouped partial-fraction form (None without interferers), kept for
-    inspection: evaluation does not read it.  `notes` carries model
-    caveats (e.g. no full-rate code above two transmit antennas).
+    grouping (None without interferers), whose partial-fraction
+    coefficients are computed only if read; evaluation does not read
+    `mixture`.  `notes` carries model caveats (e.g. no full-rate code
+    above two transmit antennas).
     """
 
     weights: dict[tuple[int, int], Fraction | int]

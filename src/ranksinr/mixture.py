@@ -31,9 +31,9 @@ multiplicities.  Rounded to double they can still sum to 1 only within
 1e8 (OSTBC at 8x8), so ``pdf_y`` and ``cdf_y`` refuse a mixture whose
 coefficients drift from summing to 1, or whose groups sit too close.
 
-This is the paper's form of the interference law.  It feeds ``dump-xi``,
-``pdf_y``/``cdf_y`` and the models' ``mixture`` field; the outage and
-density themselves are evaluated without it (``engine``).  The gamma
+This is the paper's form of the interference law.  ``dump-xi`` and
+``pdf_y``/``cdf_y`` compute it, and import mpmath, on first read of
+``MixtureSpec.xi``; no model build or curve reads it (``engine``).  The gamma
 orders here are integers, so ``cdf_y`` needs no incomplete gamma
 function: P(j, x) = 1 - sum_{m<j} e^{-x} x^m/m!, from ``log_factorials``.
 """
@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-import mpmath
 import numpy as np
 
 from .errors import DegenerateRatesError, EmptyMixtureError, NumericInstabilityError
@@ -73,47 +73,66 @@ def log_floored(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MixtureSpec:
-    """Grouped interference rates plus their mixture coefficients.
+    """Grouped interference rates; their mixture coefficients on first read.
 
-    `rates` are strictly decreasing group scales; `xi` maps 1-based
-    (group, order) pairs to coefficients.  `conditioning` is the minimum
-    over group pairs of |1 - rho_k/rho_i| (inf when G = 1); small values
-    mean the partial-fraction expansion is close to degenerate.
+    `rates` are strictly decreasing group scales.  `conditioning` is the
+    minimum over group pairs of |1 - rho_k/rho_i| (inf when G = 1); small
+    values mean the partial-fraction expansion is close to degenerate.
+    `xi` maps 1-based (group, order) pairs to coefficients; it is computed
+    when first read, so a spec whose coefficients are never read costs
+    only the grouping.
     """
 
     rates: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    xi: dict[tuple[int, int], float]
     conditioning: float
-    _rho_flat: np.ndarray = field(init=False, repr=False)
-    _j_flat: np.ndarray = field(init=False, repr=False)
-    _xi_flat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        items = sorted(self.xi.items())
-        object.__setattr__(
-            self,
-            "_rho_flat",
-            np.array([self.rates[i - 1] for (i, _), _ in items], dtype=np.float64),
-        )
-        object.__setattr__(
-            self, "_j_flat", np.array([j for (_, j), _ in items], dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "_xi_flat", np.array([v for _, v in items], dtype=np.float64)
-        )
 
     @property
     def n_groups(self) -> int:
         return len(self.rates)
 
+    @cached_property
+    def xi(self) -> dict[tuple[int, int], float]:
+        """Each group's coefficients from one truncated series product
+        (module docstring), in 40-digit arithmetic, rounded to double."""
+        import mpmath  # imported on use: nothing else needs it
+
+        xi: dict[tuple[int, int], float] = {}
+        groups = list(zip(self.rates, self.multiplicities))
+        with mpmath.workdps(40):
+            for i, (rho_i, beta_i) in enumerate(groups):
+                # the docstring's product with t -> -t, which absorbs the sign
+                # (-1)^{beta_i+j}: prod_{k != i} (1 - r_k)^{-beta_k}
+                # (1 + t r_k/(1 - r_k))^{-beta_k}, truncated at t^{beta_i-1}
+                series = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (beta_i - 1)
+                for k, (rho_k, beta_k) in enumerate(groups):
+                    if k == i:
+                        continue
+                    r = mpmath.mpf(rho_k) / mpmath.mpf(rho_i)
+                    x, head = r / (r - 1), (1 - r) ** beta_k
+                    factor = [math.comb(beta_k + q - 1, q) * x**q / head
+                              for q in range(beta_i)]
+                    series = [mpmath.fsum(series[p] * factor[n - p] for p in range(n + 1))
+                              for n in range(beta_i)]
+                for j in range(1, beta_i + 1):
+                    xi[(i + 1, j)] = float(series[beta_i - j])
+        return xi
+
+    @cached_property
+    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (rho_i, j, Xi_ij) per term, sorted by (i, j), as the laws read them
+        items = sorted(self.xi.items())
+        return (np.array([self.rates[i - 1] for (i, _), _ in items], dtype=np.float64),
+                np.array([j for (_, j), _ in items], dtype=np.float64),
+                np.array([v for _, v in items], dtype=np.float64))
+
     def xi_sum(self) -> float:
         """Should be 1; drift measures loss of precision in Xi."""
-        return float(np.sum(self._xi_flat))
+        return float(np.sum(self._flat[2]))
 
     def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho_i, j, Xi_ij) per mixture term, sorted by (i, j)."""
-        return self._rho_flat.copy(), self._j_flat.copy(), self._xi_flat.copy()
+        return tuple(a.copy() for a in self._flat)
 
 
 def group_rates(rates) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -154,11 +173,8 @@ def group_rates(rates) -> tuple[tuple[float, ...], tuple[int, ...]]:
 def xi_coefficients(
     rates: tuple[float, ...], multiplicities: tuple[int, ...]
 ) -> MixtureSpec:
-    """Fill the partial-fraction coefficients for grouped rates.
-
-    Each group's coefficients are one truncated series product (module
-    docstring), evaluated in 40-digit arithmetic and rounded to double.
-    """
+    """Validate grouped rates; the spec computes their coefficients on
+    first read of `xi`."""
     g = len(rates)
     if g == 0:
         raise EmptyMixtureError("no groups")
@@ -174,36 +190,15 @@ def xi_coefficients(
             "duplicate group rates; pass the raw rates to build_mixture, "
             "which merges equal ones into one group"
         )
-
-    xi: dict[tuple[int, int], float] = {}
-    with mpmath.workdps(40):
-        for i, (rho_i, beta_i) in enumerate(zip(rates, multiplicities)):
-            # the docstring's product with t -> -t, which absorbs the sign
-            # (-1)^{beta_i+j}: prod_{k != i} (1 - r_k)^{-beta_k}
-            # (1 + t r_k/(1 - r_k))^{-beta_k}, truncated at t^{beta_i-1}
-            series = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (beta_i - 1)
-            for k, (rho_k, beta_k) in enumerate(zip(rates, multiplicities)):
-                if k == i:
-                    continue
-                r = mpmath.mpf(rho_k) / mpmath.mpf(rho_i)
-                x, head = r / (r - 1), (1 - r) ** beta_k
-                factor = [math.comb(beta_k + q - 1, q) * x**q / head
-                          for q in range(beta_i)]
-                series = [mpmath.fsum(series[p] * factor[n - p] for p in range(n + 1))
-                          for n in range(beta_i)]
-            for j in range(1, beta_i + 1):
-                xi[(i + 1, j)] = float(series[beta_i - j])
-
     return MixtureSpec(
         rates=tuple(float(r) for r in rates),
         multiplicities=tuple(multiplicities),
-        xi=xi,
         conditioning=conditioning,
     )
 
 
 def build_mixture(rates) -> MixtureSpec:
-    """Group raw scales and compute coefficients in one step."""
+    """Group and validate raw scales; coefficients follow on first read."""
     return xi_coefficients(*group_rates(rates))
 
 
@@ -230,7 +225,7 @@ def pdf_y(y, spec: MixtureSpec):
         raise ValueError("pdf_y requires finite y >= 0")
     _refuse_unreliable(spec)
     flat = np.atleast_1d(arr)
-    rho, jj, xi = spec._rho_flat, spec._j_flat, spec._xi_flat
+    rho, jj, xi = spec._flat
     out = np.zeros_like(flat)
     pos = flat > 0
     if np.any(pos):
@@ -256,8 +251,8 @@ def cdf_y(y, spec: MixtureSpec):
     if not (np.isfinite(arr).all() and (arr >= 0).all()):
         raise ValueError("cdf_y requires finite y >= 0")
     _refuse_unreliable(spec)
-    x = np.atleast_1d(arr)[:, None] / spec._rho_flat
-    jj, xi = spec._j_flat, spec._xi_flat
+    rho, jj, xi = spec._flat
+    x = np.atleast_1d(arr)[:, None] / rho
     # P(j, x) = -expm1(-x) - sum_{1<=m<j} e^{-x} x^m/m!
     m = np.arange(1, int(jj.max()))
     pois = np.exp(m * log_floored(x)[:, :, None] - x[:, :, None]
@@ -269,7 +264,8 @@ def cdf_y(y, spec: MixtureSpec):
 
 def mean_y(spec: MixtureSpec) -> float:
     """Mixture mean via the coefficients (equals the sum of scales)."""
-    return float(np.sum(spec._xi_flat * spec._j_flat * spec._rho_flat))
+    rho, jj, xi = spec._flat
+    return float(np.sum(xi * jj * rho))
 
 
 def sample_sum(rates, size: int, rng: np.random.Generator) -> np.ndarray:

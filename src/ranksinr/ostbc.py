@@ -22,8 +22,9 @@ formed: the results are good to a few 1e-15 absolute at any size.
 
 Both are approximations: the exponential step flattens the true
 product-of-exponential-and-beta shape, which shows up as a visible
-mismatch around the density mode.  `mixture` keeps the paper's
-partial-fraction form of Y for inspection; evaluation does not read it.
+mismatch around the density mode.  `mixture` holds the grouping of the
+paper's partial-fraction form of Y; its coefficients are computed only
+if read, and evaluation does not read them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,16 @@ import pytest
 import ranksinr
 from ranksinr import cli
 from ranksinr.errors import NumericInstabilityError
+from ranksinr.mixture import MixtureSpec
 from ranksinr.montecarlo import DEFAULT_CHUNK
+
+
+# the reference mix: an OSTBC, a BF and a 2-layer SM interferer
+REF_MIX = [
+    {"technique": "ostbc", "inr_db": 6.0},
+    {"technique": "bf", "inr_db": 8.0},
+    {"technique": "sm", "inr_db": 10.0, "layers": 2},
+]
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -172,11 +181,7 @@ def test_dump_weights_fractions_sum_to_one(tmp_path, capsys):
 
 
 def test_dump_xi_report(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, interferers=[
-        {"technique": "ostbc", "inr_db": 6.0},
-        {"technique": "bf", "inr_db": 8.0},
-        {"technique": "sm", "inr_db": 10.0, "layers": 2},
-    ])
+    cfg = write_cfg(tmp_path, interferers=REF_MIX)
     code, out, _ = run(capsys, "dump-xi", "--config", cfg)
     assert code == 0
     meta, header, rows = parse_csv(out)
@@ -250,6 +255,42 @@ def test_dump_xi_refuses_seven_full_rank_sm_interferers(tmp_path, capsys):
     assert code == cli.EXIT_NUMERIC
     assert err.startswith("numeric instability")
     assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_dump_xi_json_bytes_on_the_reference_mix(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, interferers=REF_MIX)
+    out = tmp_path / "xi.json"
+    code, _, _ = run(capsys, "dump-xi", "--config", cfg, "--format", "json",
+                     "--out", str(out))
+    assert code == cli.EXIT_OK
+    rows = [[1, 6.309573444801933, 1, 1, 33.9119915983677],
+            [2, 5.0, 2, 1, -26.3669828608185],
+            [2, 5.0, 2, 2, -6.343383597831856],
+            [3, 1.9905358527674861, 1, 1, -0.20162513971734272]]
+    meta = {"conditioning": "0.207553403769",
+            "config_hash": "77483962ec61fb9e4098f224e27b3b2de0e58187cf503a4579ae7f2f1624c616",
+            "n_groups": "3", "tool": f"ranksinr {ranksinr.__version__}", "xi_sum": "1"}
+    expect = {"columns": ["group", "rho", "beta", "j", "xi"], "meta": meta, "rows": rows}
+    assert out.read_text() == json.dumps(expect, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("n, interferers, abs_sum", [
+    (2, REF_MIX, "1.48e+05"),
+    (4, REF_MIX, "3.54e+11"),
+    # three groups 2.3e-9 apart: 40 digits carry the coefficients, but
+    # they overflow double
+    (8, [{"technique": "sm", "inr_db": v, "layers": 8}
+         for v in (10.0, 10.00000001, 10.00000002)], "inf"),
+], ids=["ostbc-2x2-reference-mix", "ostbc-4x4-reference-mix", "ostbc-8x8-near-tie"])
+def test_dump_xi_refuses_cancelling_coefficients(tmp_path, capsys, n, interferers, abs_sum):
+    cfg = write_cfg(tmp_path, n_r=n, n_t=n, own_mode="ostbc", interferers=interferers)
+    out = tmp_path / "xi.csv"
+    code, _, err = run(capsys, "dump-xi", "--config", cfg, "--out", str(out))
+    assert code == cli.EXIT_NUMERIC
+    assert err == (f"numeric instability: Xi coefficients cancel: sum|Xi| = {abs_sum} "
+                   "exceeds 9e+03, so in double they are off by more than 1e-12 "
+                   "absolute\n")
     assert not out.exists()
 
 
@@ -497,6 +538,38 @@ def test_numeric_instability_exits_3(tmp_path, capsys, monkeypatch):
     assert "numeric instability" in err
 
 
+def test_model_path_never_computes_xi(tmp_path, capsys, monkeypatch):
+    # the curves, the gains and the Monte Carlo check read the count pmf
+    # of engine; with the partial-fraction coefficients made to raise on
+    # read, every command still writes the same bytes
+    ref = write_cfg(tmp_path, "ref.json", interferers=REF_MIX)
+    single = write_cfg(tmp_path, "single.json")
+    runs = [["outage", "--config", ref], ["outage", "--config", single],
+            ["pdf", "--config", ref], ["pdf", "--config", single],
+            # the gain commands take exactly one interferer
+            ["gain", "--config", single],
+            ["sweep-inr", "--config", single, "--grid=0:10:5"],
+            ["sweep-n", "--config", single, "--grid=1:3:1"]]
+    runs += [["mc-validate", "--config", cfg, "--samples", "100000", "--grid=0:10:5"]
+             for cfg in (ref, single)]
+    out = tmp_path / "out"
+
+    def outputs():
+        got = []
+        for argv in runs:
+            assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK, argv
+            got.append(out.read_bytes())
+        return got
+
+    plain = outputs()
+
+    def refuse(_spec):
+        raise AssertionError("Xi coefficients computed")
+
+    monkeypatch.setattr(MixtureSpec, "xi", property(refuse))
+    assert outputs() == plain
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path)
     proc = subprocess.run(
@@ -518,9 +591,10 @@ def test_package_entry_point():
 
 
 def test_import_leaves_scipy_unloaded():
-    # only approx's quadratures need scipy, and they import it on use
-    probe = ("import sys, {}; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # only approx's quadratures need scipy and only the Xi coefficients
+    # need mpmath; both are imported on use
+    probe = ("import sys, {}; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'mpmath')))")
     for module in ("ranksinr", "ranksinr.cli"):
         proc = subprocess.run([sys.executable, "-c", probe.format(module)],
                               capture_output=True, text=True)
@@ -529,27 +603,26 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # every command but approx-validate; "import scipy" fails in the child
-    ref = write_cfg(tmp_path, "ref.json", interferers=[
-        {"technique": "ostbc", "inr_db": 6.0},
-        {"technique": "bf", "inr_db": 8.0},
-        {"technique": "sm", "inr_db": 10.0, "layers": 2},
-    ])
+    # every command but approx-validate; "import scipy" fails in the
+    # child, and so does "import mpmath" for all but dump-xi, the last
+    ref = write_cfg(tmp_path, "ref.json", interferers=REF_MIX)
     single = write_cfg(tmp_path, "single.json")
     runs = [
         ["outage", "--config", ref],
         ["pdf", "--config", ref],
         ["gain", "--config", single],
         ["sweep-inr", "--config", single, "--grid=0:10:5"],
+        ["sweep-n", "--config", single, "--grid=1:3:1"],
         ["mc-validate", "--config", ref, "--samples", "100000", "--grid=0:10:5"],
         ["dump-weights", "--config", ref],
         ["dump-xi", "--config", ref],
     ]
     for i, argv in enumerate(runs):
         argv += ["--out", str(tmp_path / f"out{i}")]
-    child = ("import json, sys; sys.modules['scipy'] = None; "
-             "from ranksinr import cli; "
-             "print(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))")
+    child = ("import json, sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; "
+             "from ranksinr import cli; runs = json.loads(sys.argv[1]); "
+             "codes = [cli.main(a) for a in runs[:-1]]; del sys.modules['mpmath']; "
+             "print(json.dumps(codes + [cli.main(runs[-1])]))")
     proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

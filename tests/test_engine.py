@@ -81,6 +81,20 @@ def test_cli_curve_matches_mpmath(tmp_path, references, name, command):
     assert err <= TOL
 
 
+def test_heavy_multiplicities_outage(tmp_path):
+    # six groups of 64 equal rates: building their Xi coefficients made
+    # this call take about 0.2 s, which the outage never needed
+    cfg = _cfg(8, 8, OwnMode.OSTBC, [_sm(float(v), 8) for v in range(2, 13, 2)])
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    code = cli.main(["outage", "--config", str(cfg_path), "--grid=0:20:5",
+                     "--format", "json", "--out", str(out_path)])
+    assert code == cli.EXIT_OK
+    got = np.array([row[1] for row in json.loads(out_path.read_text())["rows"]])
+    outage, _ = reference_curves(cfg, 10.0 ** (np.arange(0.0, 21.0, 5.0) / 10.0))
+    assert np.max(np.abs(got - outage)) <= TOL
+
+
 def test_motivation_case_value_at_zero_db():
     # the partial-fraction route returned 0.063219 here
     model = ostbc.from_config(CASES["ostbc-1x3-bf-and-two-sm"])

@@ -5,6 +5,7 @@ Omega-tuple sum for the coefficients, direct convolution by quadrature,
 simulated sums, and the sum-of-scales mean identity.
 """
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from ranksinr import bf, ostbc
 from ranksinr.errors import DegenerateRatesError, EmptyMixtureError, NumericInstabilityError
 from ranksinr.mixture import (
     MixtureSpec,
@@ -33,7 +35,7 @@ from ranksinr.scenario import (
     build_rate_set,
 )
 
-from conftest import REF_BF, ks_distance
+from conftest import REF_BF, REF_OSTBC, ks_distance
 
 
 def test_two_scale_hypoexponential_by_hand():
@@ -143,6 +145,31 @@ def test_series_matches_omega_tuple_sum_bit_for_bit(rates, multiplicities):
     expect = omega_tuple_sum(rates, multiplicities)
     # hex compares every bit, the sign of zero included
     assert {k: v.hex() for k, v in spec.xi.items()} == {
+        k: v.hex() for k, v in expect.items()
+    }
+
+
+@pytest.mark.parametrize("cfg, expect", [
+    (REF_BF, {(1, 1): "0x1.0f4bc24049ba7p+5", (2, 1): "-0x1.a5df296b96871p+4",
+              (2, 2): "-0x1.95f9ff32aaebcp+2", (3, 1): "-0x1.9ceda429196e7p-3"}),
+    (REF_OSTBC, {(1, 1): "-0x1.20e3fd4166c68p+16", (1, 2): "0x1.ee94bd44d2985p+11",
+                 (2, 1): "0x1.2271307aa00fap+15", (2, 2): "0x1.b84be75a74716p+13",
+                 (2, 3): "0x1.3fc08e71dd4d8p+9", (2, 4): "0x1.5f055dce281edp+8",
+                 (3, 1): "0x1.0a9a25a4e5b70p+14", (3, 2): "0x1.5499255b25a7ep+9"}),
+], ids=["bf-2x2", "ostbc-2x2"])
+def test_reference_mix_coefficients_bit_for_bit(cfg, expect):
+    spec = xi_coefficients(*group_rates(build_rate_set(cfg)))
+    assert {k: v.hex() for k, v in spec.xi.items()} == expect
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("receiver", [bf, ostbc])
+def test_model_mixture_reads_the_same_coefficients(receiver, n):
+    base = REF_BF if receiver is bf else REF_OSTBC
+    cfg = dataclasses.replace(base, n_r=n, n_t=n)
+    model = receiver.from_config(cfg)
+    expect = xi_coefficients(*group_rates(build_rate_set(cfg))).xi
+    assert {k: v.hex() for k, v in model.mixture.xi.items()} == {
         k: v.hex() for k, v in expect.items()
     }
 
