@@ -66,11 +66,15 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return a, b, s
 
 
+def _grid(args) -> tuple[np.ndarray, float]:
+    """The --grid points as given, checked as a grid only, and their step."""
+    a, b, s = _parse_grid(args.grid)
+    return SweepSpec(kind=SweepKind.THRESHOLD, start_db=a, stop_db=b, step_db=s).grid_db(), s
+
+
 def _grid_db(args) -> tuple[np.ndarray, np.ndarray, float]:
     """The --grid points in dB, in linear scale, and their step."""
-    a, b, s = _parse_grid(args.grid)
-    spec = SweepSpec(kind=SweepKind.THRESHOLD, start_db=a, stop_db=b, step_db=s)
-    grid_db = spec.grid_db()
+    grid_db, s = _grid(args)
     with np.errstate(over="ignore"):
         grid = 10.0 ** (grid_db / 10.0)
     bad = (grid == 0.0) | np.isinf(grid)
@@ -228,7 +232,7 @@ def cmd_sweep_inr(args) -> int:
 def cmd_sweep_n(args) -> int:
     cfg = _load(args)
     spec, rank = _single_interferer(cfg)
-    grid, _, _ = _grid_db(args)
+    grid, _ = _grid(args)
     counts = np.round(grid)
     bad = (np.abs(grid - counts) > 1e-9) | (counts < 1)
     if bad.any():

@@ -32,10 +32,10 @@ multiplicities.  Rounded to double they can still sum to 1 only within
 coefficients drift from summing to 1, or whose groups sit too close.
 
 This is the paper's form of the interference law.  ``dump-xi`` and
-``pdf_y``/``cdf_y`` compute it, and import mpmath, on first read of
-``MixtureSpec.xi``; no model build or curve reads it (``engine``).  The gamma
-orders here are integers, so ``cdf_y`` needs no incomplete gamma
-function: P(j, x) = 1 - sum_{m<j} e^{-x} x^m/m!, from ``log_factorials``.
+``pdf_y``/``cdf_y`` compute it on first read of ``MixtureSpec.xi``; no
+model build or curve reads it (``engine``).  The gamma orders here are
+integers, so ``cdf_y`` needs no incomplete gamma function:
+P(j, x) = 1 - sum_{m<j} e^{-x} x^m/m!, from ``log_factorials``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from functools import cached_property
 
 import numpy as np
@@ -94,25 +95,24 @@ class MixtureSpec:
     @cached_property
     def xi(self) -> dict[tuple[int, int], float]:
         """Each group's coefficients from one truncated series product
-        (module docstring), in 40-digit arithmetic, rounded to double."""
-        import mpmath  # imported on use: nothing else needs it
-
+        (module docstring), in 40-digit decimal arithmetic, rounded to double."""
         xi: dict[tuple[int, int], float] = {}
-        groups = list(zip(self.rates, self.multiplicities))
-        with mpmath.workdps(40):
+        # Decimal(float) is exact; the context rounds every operation after it
+        groups = [(Decimal(rho), beta) for rho, beta in zip(self.rates, self.multiplicities)]
+        with localcontext(Context(prec=40)):
             for i, (rho_i, beta_i) in enumerate(groups):
                 # the docstring's product with t -> -t, which absorbs the sign
                 # (-1)^{beta_i+j}: prod_{k != i} (1 - r_k)^{-beta_k}
                 # (1 + t r_k/(1 - r_k))^{-beta_k}, truncated at t^{beta_i-1}
-                series = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (beta_i - 1)
+                series = [Decimal(1)] + [Decimal(0)] * (beta_i - 1)
                 for k, (rho_k, beta_k) in enumerate(groups):
                     if k == i:
                         continue
-                    r = mpmath.mpf(rho_k) / mpmath.mpf(rho_i)
+                    r = rho_k / rho_i
                     x, head = r / (r - 1), (1 - r) ** beta_k
                     factor = [math.comb(beta_k + q - 1, q) * x**q / head
                               for q in range(beta_i)]
-                    series = [mpmath.fsum(series[p] * factor[n - p] for p in range(n + 1))
+                    series = [sum(series[p] * factor[n - p] for p in range(n + 1))
                               for n in range(beta_i)]
                 for j in range(1, beta_i + 1):
                     xi[(i + 1, j)] = float(series[beta_i - j])

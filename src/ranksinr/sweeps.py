@@ -27,7 +27,8 @@ from .scenario import (
 )
 
 
-# points a dB grid may hold; larger grids are refused before allocation
+# points a dB grid may hold, and the largest interferer count a count sweep
+# takes; larger ones are refused before allocation
 MAX_GRID_POINTS = 100_000
 
 
@@ -54,9 +55,10 @@ class SweepSpec:
             raise ConfigError(f"p_star must lie in (0, 1), got {self.p_star}")
         if self.kind is SweepKind.NUM_INTERFERERS:
             if not self.counts or any(
-                not isinstance(c, int) or c < 1 for c in self.counts
+                not isinstance(c, int) or not 1 <= c <= MAX_GRID_POINTS for c in self.counts
             ):
-                raise ConfigError("counts must be a nonempty list of positive integers")
+                raise ConfigError(
+                    f"counts must be a nonempty list of integers in 1..{MAX_GRID_POINTS}")
             if list(self.counts) != sorted(self.counts):
                 raise ConfigError("counts must be nondecreasing")
         else:
@@ -135,6 +137,14 @@ class GainPoint:
         return linear_to_db(self.threshold_rankr / self.threshold_rank1)
 
 
+def _gain_point(x: float, own_mode: OwnMode, n_r: int, n_t: int, snr_db: float,
+                inr_db: float, count: int, rank: int, p_star: float) -> GainPoint:
+    """Thresholds at p_star under count equal rank-1, then rank-r, iBSs."""
+    thr = [model_for(equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, count, r))
+           .threshold(p_star) for r in (1, rank)]
+    return GainPoint(x=x, threshold_rank1=thr[0], threshold_rankr=thr[1])
+
+
 def threshold_gain(
     own_mode: OwnMode,
     n_r: int,
@@ -143,13 +153,8 @@ def threshold_gain(
     inr_db: float,
     rank: int,
     p_star: float = 0.01,
-    x: float | None = None,
 ) -> GainPoint:
-    thr = []
-    for r in (1, rank):
-        cfg = equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, 1, r)
-        thr.append(model_for(cfg).threshold(p_star))
-    return GainPoint(x=inr_db if x is None else x, threshold_rank1=thr[0], threshold_rankr=thr[1])
+    return _gain_point(inr_db, own_mode, n_r, n_t, snr_db, inr_db, 1, rank, p_star)
 
 
 def sweep_inr(
@@ -175,7 +180,7 @@ def sweep_snr(
     rank: int,
 ) -> list[GainPoint]:
     return [
-        threshold_gain(own_mode, n_r, n_t, v, inr_db, rank, spec.p_star, x=v)
+        _gain_point(v, own_mode, n_r, n_t, v, inr_db, 1, rank, spec.p_star)
         for v in spec.grid_db()
     ]
 
@@ -190,18 +195,8 @@ def sweep_interferer_count(
     rank: int,
 ) -> list[GainPoint]:
     """Gain vs number of equal-power iBSs at constant total power."""
-    points = []
-    for count in spec.counts:
-        thr = []
-        for r in (1, rank):
-            cfg = equal_power_config(
-                own_mode, n_r, n_t, snr_db, total_inr_db, count, r
-            )
-            thr.append(model_for(cfg).threshold(spec.p_star))
-        points.append(
-            GainPoint(x=float(count), threshold_rank1=thr[0], threshold_rankr=thr[1])
-        )
-    return points
+    return [_gain_point(float(count), own_mode, n_r, n_t, snr_db, total_inr_db, count, rank,
+                        spec.p_star) for count in spec.counts]
 
 
 def find_crossing(

@@ -513,6 +513,21 @@ def test_sweep_n_rejects_fractional_counts(tmp_path, capsys):
     assert "positive integers" in err
 
 
+def test_sweep_n_counts_are_not_db_values(tmp_path, capsys):
+    # 4001 read as dB overflows in linear scale; as a count it is an
+    # ordinary one, and a grid of counts is checked as a grid and for size
+    cfg = write_cfg(tmp_path)
+    code, out, _ = run(capsys, "sweep-n", "--config", cfg, "--grid=1:4001:1000")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [r[0] for r in rows] == ["1", "1001", "2001", "3001", "4001"]
+    for grid, message in (("5:1:1", "empty grid"), ("1:1e9:1", "more than"),
+                          ("1e300:1e300:1", "integers in 1..100000")):
+        code, _, err = run(capsys, "sweep-n", "--config", cfg, f"--grid={grid}")
+        assert code == cli.EXIT_CONFIG
+        assert message in err
+
+
 def test_sweep_n_zero_step_exits_2(tmp_path):
     # a zero step once appended counts forever; in a subprocess, so that
     # a regression times out instead of hanging the suite
@@ -591,8 +606,8 @@ def test_package_entry_point():
 
 
 def test_import_leaves_scipy_unloaded():
-    # only approx's quadratures need scipy and only the Xi coefficients
-    # need mpmath; both are imported on use
+    # only approx's quadratures need scipy, imported on use; nothing in
+    # the library imports mpmath
     probe = ("import sys, {}; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('scipy', 'mpmath')))")
     for module in ("ranksinr", "ranksinr.cli"):
@@ -603,14 +618,15 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # every command but approx-validate; "import scipy" fails in the
-    # child, and so does "import mpmath" for all but dump-xi, the last
+    # every command but approx-validate; "import scipy" and "import
+    # mpmath" fail in the child
     ref = write_cfg(tmp_path, "ref.json", interferers=REF_MIX)
     single = write_cfg(tmp_path, "single.json")
     runs = [
         ["outage", "--config", ref],
         ["pdf", "--config", ref],
         ["gain", "--config", single],
+        ["sweep-snr", "--config", single, "--grid=10:20:5"],
         ["sweep-inr", "--config", single, "--grid=0:10:5"],
         ["sweep-n", "--config", single, "--grid=1:3:1"],
         ["mc-validate", "--config", ref, "--samples", "100000", "--grid=0:10:5"],
@@ -621,8 +637,7 @@ def test_commands_run_without_scipy(tmp_path):
         argv += ["--out", str(tmp_path / f"out{i}")]
     child = ("import json, sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; "
              "from ranksinr import cli; runs = json.loads(sys.argv[1]); "
-             "codes = [cli.main(a) for a in runs[:-1]]; del sys.modules['mpmath']; "
-             "print(json.dumps(codes + [cli.main(runs[-1])]))")
+             "print(json.dumps([cli.main(a) for a in runs]))")
     proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,9 @@
 """Partial-fraction mixture of the interference sum.
 
 Oracles: hand-expanded two-term hypoexponential, the paper's term-by-term
-Omega-tuple sum for the coefficients, direct convolution by quadrature,
-simulated sums, and the sum-of-scales mean identity.
+Omega-tuple sum for the coefficients, the same series product run in
+mpmath, direct convolution by quadrature, simulated sums, and the
+sum-of-scales mean identity.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from ranksinr import bf, ostbc
@@ -147,6 +149,54 @@ def test_series_matches_omega_tuple_sum_bit_for_bit(rates, multiplicities):
     assert {k: v.hex() for k, v in spec.xi.items()} == {
         k: v.hex() for k, v in expect.items()
     }
+
+
+def mpmath_series(rates, multiplicities):
+    """Xi_ij from the series product of ``MixtureSpec.xi`` run in mpmath.
+
+    40 digits, every convolution sum exactly rounded by ``mpmath.fsum``,
+    rounded to double at the end: the library's form before it moved to
+    ``decimal``.
+    """
+    xi = {}
+    groups = list(zip(rates, multiplicities))
+    with mpmath.workdps(40):
+        for i, (rho_i, beta_i) in enumerate(groups):
+            series = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (beta_i - 1)
+            for k, (rho_k, beta_k) in enumerate(groups):
+                if k == i:
+                    continue
+                r = mpmath.mpf(rho_k) / mpmath.mpf(rho_i)
+                x, head = r / (r - 1), (1 - r) ** beta_k
+                factor = [math.comb(beta_k + q - 1, q) * x**q / head
+                          for q in range(beta_i)]
+                series = [mpmath.fsum(series[p] * factor[n - p] for p in range(n + 1))
+                          for n in range(beta_i)]
+            for j in range(1, beta_i + 1):
+                xi[(i + 1, j)] = float(series[beta_i - j])
+    return xi
+
+
+def assert_matches_mpmath_series(spec):
+    expect = mpmath_series(spec.rates, spec.multiplicities)
+    assert {k: v.hex() for k, v in spec.xi.items()} == {
+        k: v.hex() for k, v in expect.items()
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.5), st.integers(1, 8)), min_size=1, max_size=5))
+def test_decimal_series_matches_mpmath_series(groups):
+    # scales 10^U(-1, 1.5); equal or near-equal draws merge into one group
+    rates = [10.0**e for e, beta in groups for _ in range(beta)]
+    assert_matches_mpmath_series(build_mixture(rates))
+
+
+@pytest.mark.parametrize("n_groups, beta", [(4, 64), (8, 32), (8, 64)])
+def test_decimal_series_matches_mpmath_series_at_large_sizes(n_groups, beta):
+    # scales log-spaced over the drawn range 10^1.5 .. 10^-1
+    rates = [10.0 ** (1.5 - 2.5 * i / (n_groups - 1)) for i in range(n_groups)]
+    assert_matches_mpmath_series(xi_coefficients(rates, (beta,) * n_groups))
 
 
 @pytest.mark.parametrize("cfg, expect", [
