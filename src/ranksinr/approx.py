@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
-from .montecarlo import DEFAULT_CHUNK, _generator, complex_normal, run_chunks
+from .montecarlo import DEFAULT_CHUNK, complex_normal, run_chunks
 from .scenario import MAX_ANTENNAS
 
 
@@ -101,7 +101,7 @@ def _product_pdf_scalar(x: float, pd: ProductDistribution) -> float:
         )
 
     # imported on use: scipy is the largest part of the import time, and
-    # only the quadratures here need it
+    # only the quadrature here needs it
     from scipy import integrate
 
     res = integrate.quad(
@@ -120,30 +120,6 @@ def product_pdf(x, pd: ProductDistribution):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.array([_product_pdf_scalar(float(v), pd) for v in arr])
     return out if np.ndim(x) else float(out[0])
-
-
-def product_mean_quadrature(pd: ProductDistribution) -> float:
-    """Mean by integrating the beta weight against the exponential mean."""
-    if pd.beta == 0:
-        return 1.0 / pd.n_l
-    lognorm = _log_beta(pd.alpha, pd.beta)
-
-    def integrand(t: float) -> float:
-        return t * math.exp((pd.alpha - 1) * math.log(t) + (pd.beta - 1) * math.log1p(-t) - lognorm)
-
-    from scipy import integrate
-
-    val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
-    return val / pd.n_l
-
-
-def sample_product(pd: ProductDistribution, n_samples: int, seed: int) -> np.ndarray:
-    """Draws from the assumed-independent product, for oracle comparisons."""
-    rng = _generator(np.random.SeedSequence(seed))
-    e = rng.exponential(scale=1.0 / pd.n_l, size=n_samples)
-    if pd.beta == 0:
-        return e
-    return e * rng.beta(pd.alpha, pd.beta, size=n_samples)
 
 
 def _exact_terms_chunk(

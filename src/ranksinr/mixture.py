@@ -260,20 +260,3 @@ def cdf_y(y, spec: MixtureSpec):
     lower = -np.expm1(-x) - np.sum(pois * (m < jj[:, None]), axis=2)
     vals = lower @ xi
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
-
-
-def mean_y(spec: MixtureSpec) -> float:
-    """Mixture mean via the coefficients (equals the sum of scales)."""
-    rho, jj, xi = spec._flat
-    return float(np.sum(xi * jj * rho))
-
-
-def sample_sum(rates, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw the interference sum directly; oracle for the Xi machinery."""
-    rates = list(rates)
-    if not rates:
-        raise EmptyMixtureError("no interference terms to sample")
-    out = np.zeros(size)
-    for r in rates:
-        out += rng.exponential(scale=r, size=size)
-    return out

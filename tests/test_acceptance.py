@@ -17,10 +17,11 @@ from scipy import stats
 from scipy.integrate import quad
 
 from conftest import REF_BF, eigen_model, ks_distance
+from oracles import product_mean_quadrature, sample_sum
 from ranksinr import bf, cli, ostbc
-from ranksinr.approx import ProductDistribution, product_mean_quadrature
+from ranksinr.approx import ProductDistribution
 from ranksinr.cli import _mc_density_per_db
-from ranksinr.mixture import build_mixture, cdf_y, pdf_y, sample_sum
+from ranksinr.mixture import build_mixture, cdf_y, pdf_y
 from ranksinr.scenario import OwnMode, build_rate_set, config_to_dict
 from ranksinr.sweeps import (
     SweepKind,

@@ -96,6 +96,19 @@ def test_outage_is_silent_where_the_xi_mixture_is_unreliable(tmp_path, capsys):
     assert len(parse_csv(out)[2]) == 51
 
 
+def test_one_point_grid_prints_the_row_of_the_full_grid(tmp_path, capsys):
+    # 8x8 BF under the reference mix, whose signed psi sum amplifies
+    # round-off by about 1e7: a value that depended on the other points of
+    # the call read -1.09e-9 alone at 4 dB and exited 3
+    cfg = write_cfg(tmp_path, n_r=8, n_t=8, interferers=REF_MIX)
+    code, out, err = run(capsys, "outage", "--config", cfg)
+    assert (code, err) == (0, "")
+    full = {row[0]: row for row in parse_csv(out)[2]}
+    code, out, err = run(capsys, "outage", "--config", cfg, "--grid=4:4:1")
+    assert (code, err) == (0, "")
+    assert parse_csv(out)[2] == [full["4"]]
+
+
 def test_pdf_json_shape(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code, out, _ = run(capsys, "pdf", "--config", cfg, "--format", "json",

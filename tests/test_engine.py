@@ -3,7 +3,8 @@
 The CLI cases are configs whose partial-fraction evaluation failed:
 OSTBC on the reference mix at n_t >= 4 and six 4-layer SM interferers
 against a 4x4 BF victim were refused with exit 3, and the 1x3 OSTBC
-case came out 2.2e-4 off with exit 0.
+case came out 2.2e-4 off with exit 0.  Every value is also required to
+be the same bits whichever other points share its call.
 """
 
 import json
@@ -41,6 +42,10 @@ def _sm(inr_db, layers):
 
 
 SIX_SM = [_sm(float(v), 4) for v in range(3, 9)]
+SIX_8_LAYER_SM = [_sm(float(v), 8) for v in range(2, 13, 2)]
+# ten distinct rates: more than the 8 numpy's pairwise sum takes in order
+TEN_BF = [InterfererSpec(technique=Technique.BEAMFORMING, inr_db=1.0 + 0.7 * i)
+          for i in range(10)]
 BF_AND_TWO_SM = [InterfererSpec(technique=Technique.BEAMFORMING, inr_db=2.33),
                  _sm(0.0, 2), _sm(5.56, 2)]
 CASES = {
@@ -84,7 +89,7 @@ def test_cli_curve_matches_mpmath(tmp_path, references, name, command):
 def test_heavy_multiplicities_outage(tmp_path):
     # six groups of 64 equal rates: building their Xi coefficients made
     # this call take about 0.2 s, which the outage never needed
-    cfg = _cfg(8, 8, OwnMode.OSTBC, [_sm(float(v), 8) for v in range(2, 13, 2)])
+    cfg = _cfg(8, 8, OwnMode.OSTBC, SIX_8_LAYER_SM)
     cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out.json"
     cfg_path.write_text(json.dumps(config_to_dict(cfg)))
     code = cli.main(["outage", "--config", str(cfg_path), "--grid=0:20:5",
@@ -93,6 +98,45 @@ def test_heavy_multiplicities_outage(tmp_path):
     got = np.array([row[1] for row in json.loads(out_path.read_text())["rows"]])
     outage, _ = reference_curves(cfg, 10.0 ** (np.arange(0.0, 21.0, 5.0) / 10.0))
     assert np.max(np.abs(got - outage)) <= TOL
+
+
+@pytest.mark.parametrize("cfg, peak_db, a_values", [
+    (CASES["ostbc-8x8-reference-mix"], 9.5, np.linspace(600.0, 1000.0, 9)),
+    (_cfg(8, 8, OwnMode.OSTBC, SIX_8_LAYER_SM), 7.0, np.linspace(250.0, 450.0, 5)),
+], ids=["ostbc-8x8-reference-mix", "ostbc-8x8-six-8-layer-sm"])
+def test_counts_where_g0_underflows(cfg, peak_db, a_values):
+    # g starts in linear scale, so past a + sum_r c_r log1p(a rho_r) ~ 745
+    # g_0 reads 0 and every g_n with it; the mass dropped there must not
+    # show.  The point near the density's mode sets its scale.
+    model = ostbc.from_config(cfg)
+    gammas = np.append(10.0 ** (peak_db / 10.0), a_values * model.rho_bar)
+    assert np.count_nonzero(model._counts(gammas)[1][0] == 0.0) >= 4
+    outage, pdf = reference_curves(cfg, gammas)
+    assert np.max(np.abs(model.outage(gammas) - outage)) <= TOL
+    assert np.max(np.abs(model.sinr_pdf(gammas) - pdf)) / max(pdf) <= TOL
+
+
+GRID_CASES = {
+    **{f"{mode.value}-{n}x{n}-reference-mix": _cfg(n, n, mode, REF_INTERFERERS)
+       for mode in (OwnMode.BEAMFORMING, OwnMode.OSTBC) for n in (2, 4, 8)},
+    "bf-4x4-ten-distinct-rates": _cfg(4, 4, OwnMode.BEAMFORMING, TEN_BF),
+    "ostbc-4x4-ten-distinct-rates": _cfg(4, 4, OwnMode.OSTBC, TEN_BF),
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_CASES))
+def test_values_do_not_depend_on_the_other_points(name):
+    cfg = GRID_CASES[name]
+    model = (bf if cfg.own_mode is OwnMode.BEAMFORMING else ostbc).from_config(cfg)
+    gammas = 10.0 ** (GRID_DB / 10.0)
+    n = gammas.size
+    # the unclamped evaluators: the clamp would hide a difference below 0
+    for evaluate in (model._outage, model._pdf):
+        whole = [v.hex() for v in evaluate(gammas)]
+        assert [evaluate(gammas[i:i + 1])[0].hex() for i in range(n)] == whole
+        pairs = [evaluate(gammas[[i, (i + 1) % n]]) for i in range(n)]
+        assert [p[0].hex() for p in pairs] == whole
+        assert [p[1].hex() for p in pairs] == whole[1:] + whole[:1]
 
 
 def test_motivation_case_value_at_zero_db():

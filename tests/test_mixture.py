@@ -24,9 +24,7 @@ from ranksinr.mixture import (
     build_mixture,
     cdf_y,
     group_rates,
-    mean_y,
     pdf_y,
-    sample_sum,
     xi_coefficients,
 )
 from ranksinr.scenario import (
@@ -38,6 +36,7 @@ from ranksinr.scenario import (
 )
 
 from conftest import REF_BF, REF_OSTBC, ks_distance
+from oracles import sample_sum
 
 
 def test_two_scale_hypoexponential_by_hand():
@@ -300,8 +299,8 @@ def test_empty_rates_rejected():
 
 def test_mean_matches_sum_of_scales():
     rates = build_rate_set(REF_BF)
-    spec = build_mixture(rates)
-    assert mean_y(spec) == pytest.approx(sum(rates), rel=1e-9)
+    rho, jj, xi = build_mixture(rates).terms()
+    assert float(np.sum(xi * jj * rho)) == pytest.approx(sum(rates), rel=1e-9)
 
 
 def test_pdf_integrates_to_one_reference():
