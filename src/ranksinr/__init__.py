@@ -26,7 +26,7 @@ from .errors import (
 )
 from .mixture import MixtureSpec, build_mixture, cdf_y, pdf_y
 from .montecarlo import EmpiricalDistribution, simulate_bf_sinr, simulate_ostbc_sinr
-from .ostbc import OstbcModel, outage_white_interference
+from .ostbc import OstbcModel
 from .scenario import (
     InterfererSpec,
     OwnMode,
@@ -36,7 +36,7 @@ from .scenario import (
     config_from_dict,
     load_config,
 )
-from .sweeps import SweepKind, SweepSpec, find_crossing, threshold_gain
+from .sweeps import SweepKind, SweepSpec, threshold_gain
 from .wishart import EigenWeightTable, compute_weights
 
 __all__ = [
@@ -68,9 +68,7 @@ __all__ = [
     "compute_weights",
     "config_from_dict",
     "exp_approx_pdf",
-    "find_crossing",
     "load_config",
-    "outage_white_interference",
     "pdf_y",
     "product_pdf",
     "simulate_bf_sinr",

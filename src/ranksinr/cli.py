@@ -20,7 +20,7 @@ from ._version import __version__
 from .approx import compare_chain
 from .curves import metadata, render
 from .errors import ConfigError, NumericInstabilityError, RankSinrError
-from .mixture import build_mixture
+from .mixture import build_mixture, reliable_terms
 from .montecarlo import (
     DEFAULT_CHUNK,
     RNG_NAME,
@@ -49,8 +49,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VALIDATION = 4
-
-XI_ABS_SUM_MAX = 1e-12 * 2.0**53
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:
@@ -357,16 +355,8 @@ def cmd_dump_xi(args) -> int:
     cfg = _load(args)
     rates = build_rate_set(cfg)
     mix = build_mixture(rates)
-    # rounding a coefficient to double costs up to |Xi| 2^-53, so the
-    # printed coefficients and any sum of them, xi_sum included, keep
-    # 1e-12 absolute only while sum|Xi| <= 1e-12 * 2^53 (about 9.0e3)
-    abs_sum = math.fsum(abs(v) for v in mix.xi.values())
-    if abs_sum > XI_ABS_SUM_MAX:
-        raise NumericInstabilityError(
-            f"Xi coefficients cancel: sum|Xi| = {abs_sum:.3g} exceeds "
-            f"{XI_ABS_SUM_MAX:.2g}, so in double they are off by more than "
-            "1e-12 absolute"
-        )
+    # the printed coefficients keep 1e-12 absolute, or the dump is refused
+    reliable_terms(mix)
     rows = []
     for i, (rho, beta) in enumerate(zip(mix.rates, mix.multiplicities), start=1):
         for j in range(1, beta + 1):

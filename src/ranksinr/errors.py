@@ -25,11 +25,12 @@ class UnsupportedDimensionError(RankSinrError):
 
 
 class NumericInstabilityError(RankSinrError):
-    """Raised when an evaluated probability lands outside [0, 1].
+    """Raised where double precision cannot carry an answer.
 
-    Signals catastrophic cancellation in an alternating sum; results
-    within inversion.PROB_SLACK (1e-9) of [0, 1] are clamped, anything
-    further is refused.
+    Two cases: an evaluated probability lands outside [0, 1] (results
+    within inversion.PROB_SLACK, 1e-9, are clamped, anything further is
+    refused), and the Xi coefficients of Y's law cancel so much that
+    sum|Xi| > 1e-12 2^53 (``mixture.reliable_terms``).  The CLI exits 3.
     """
 
 

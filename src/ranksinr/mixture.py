@@ -27,15 +27,21 @@ The (1 - rho_k/rho_i) denominators make the expansion explosive for
 near-equal group rates; near-ties must be merged before coefficients are
 computed, and the coefficients themselves are evaluated in 40-digit
 arithmetic because the alternating signs cancel heavily for large
-multiplicities.  Rounded to double they can still sum to 1 only within
-1e8 (OSTBC at 8x8), so ``pdf_y`` and ``cdf_y`` refuse a mixture whose
-coefficients drift from summing to 1, or whose groups sit too close.
+multiplicities.  Rounding a coefficient to double costs up to
+|Xi_ij| 2^-53, and each term's regularized gamma is at most 1 (its
+density at most 1/rho_i), so the dumped coefficients, their sums and the
+CDF keep 1e-12 absolute only while sum|Xi| <= 1e-12 2^53 (about 9.0e3).
+That one rule, ``reliable_terms``, decides for ``dump-xi``, ``pdf_y`` and
+``cdf_y`` alike; past it they raise ``NumericInstabilityError``.  The 2x2
+OSTBC reference mix already has sum|Xi| = 1.5e5, 8x8 OSTBC 3.1e24.
 
 This is the paper's form of the interference law.  ``dump-xi`` and
 ``pdf_y``/``cdf_y`` compute it on first read of ``MixtureSpec.xi``; no
 model build or curve reads it (``engine``).  The gamma orders here are
-integers, so ``cdf_y`` needs no incomplete gamma function:
-P(j, x) = 1 - sum_{m<j} e^{-x} x^m/m!, from ``log_factorials``.
+integers, so both laws read one table of Pois(m; y/rho_i), m < max j:
+the density of term (i, j) is its (j-1) entry over rho_i, and its CDF is
+P(j, x) = -expm1(-x) - sum_{1<=m<j} Pois(m; x), with no incomplete gamma
+function.
 """
 
 from __future__ import annotations
@@ -52,10 +58,8 @@ from .errors import DegenerateRatesError, EmptyMixtureError, NumericInstabilityE
 
 # relative gap below which two scales count as one group
 GROUP_TOL = 1e-9
-# pdf_y and cdf_y refuse a mixture whose double coefficients sum to 1 with
-# a larger drift, or whose conditioning is smaller
-XI_DRIFT_MAX = 1e-6
-CONDITIONING_MIN = 1e-3
+# the largest sum|Xi| whose double coefficients keep 1e-12 absolute
+XI_ABS_SUM_MAX = 1e-12 * 2.0**53
 
 
 def log_factorials(n: int) -> np.ndarray:
@@ -202,61 +206,46 @@ def build_mixture(rates) -> MixtureSpec:
     return xi_coefficients(*group_rates(rates))
 
 
-def _refuse_unreliable(spec: MixtureSpec) -> None:
-    """Refuse evaluating Y's law from coefficients that cannot carry it."""
-    if spec.conditioning < CONDITIONING_MIN:
-        raise NumericInstabilityError(
-            f"mixture conditioning {spec.conditioning:.2e} below "
-            f"{CONDITIONING_MIN:.0e}; the Xi coefficients are inaccurate"
-        )
-    drift = abs(spec.xi_sum() - 1.0)
+def reliable_terms(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``spec.terms()``, or NumericInstabilityError where their doubles
+    cannot carry 1e-12 absolute (module docstring)."""
+    abs_sum = math.fsum(abs(v) for v in spec.xi.values())
     # written as "not <=" so that a NaN sum is refused too
-    if not drift <= XI_DRIFT_MAX:
+    if not abs_sum <= XI_ABS_SUM_MAX:
         raise NumericInstabilityError(
-            f"Xi coefficients sum to 1 with drift {drift:.2e} after rounding "
-            "to double; the interference law is unreliable for this rate set"
+            f"Xi coefficients cancel: sum|Xi| = {abs_sum:.3g} exceeds "
+            f"{XI_ABS_SUM_MAX:.2g}, so in double they are off by more than "
+            "1e-12 absolute"
         )
+    return spec.terms()
+
+
+def _poisson_table(y, spec: MixtureSpec, law: str):
+    """The terms and Pois(m; y/rho_i) for m < max j, shape (points, terms, m)."""
+    arr = np.asarray(y, dtype=np.float64)
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise ValueError(f"{law} requires finite y >= 0")
+    rho, jj, xi = reliable_terms(spec)
+    x = np.atleast_1d(arr)[:, None] / rho
+    m = np.arange(int(jj.max()))
+    table = m * log_floored(x)[:, :, None]
+    table -= x[:, :, None]
+    table -= log_factorials(m.size - 1)
+    np.exp(table, out=table)
+    return arr, x, table, rho, jj.astype(int), xi
 
 
 def pdf_y(y, spec: MixtureSpec):
     """Density of the interference sum at y (scalar or array)."""
-    arr = np.asarray(y, dtype=np.float64)
-    if not (np.isfinite(arr).all() and (arr >= 0).all()):
-        raise ValueError("pdf_y requires finite y >= 0")
-    _refuse_unreliable(spec)
-    flat = np.atleast_1d(arr)
-    rho, jj, xi = spec._flat
-    out = np.zeros_like(flat)
-    pos = flat > 0
-    if np.any(pos):
-        yp = flat[pos, None]
-        with np.errstate(divide="ignore"):
-            log_abs_xi = np.log(np.abs(xi))
-        logterm = (
-            (jj - 1.0) * np.log(yp)
-            - yp / rho
-            - log_factorials(int(jj.max()))[jj.astype(int) - 1]
-            - jj * np.log(rho)
-        )
-        out[pos] = np.sum(np.sign(xi) * np.exp(log_abs_xi + logterm), axis=1)
-    if np.any(~pos):
-        first = jj == 1.0
-        out[~pos] = float(np.sum(xi[first] / rho[first]))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    arr, _, table, rho, jj, xi = _poisson_table(y, spec, "pdf_y")
+    vals = table[:, np.arange(jj.size), jj - 1] @ (xi / rho)
+    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
 def cdf_y(y, spec: MixtureSpec):
     """CDF of the interference sum; mixture of regularized gammas."""
-    arr = np.asarray(y, dtype=np.float64)
-    if not (np.isfinite(arr).all() and (arr >= 0).all()):
-        raise ValueError("cdf_y requires finite y >= 0")
-    _refuse_unreliable(spec)
-    rho, jj, xi = spec._flat
-    x = np.atleast_1d(arr)[:, None] / rho
-    # P(j, x) = -expm1(-x) - sum_{1<=m<j} e^{-x} x^m/m!
-    m = np.arange(1, int(jj.max()))
-    pois = np.exp(m * log_floored(x)[:, :, None] - x[:, :, None]
-                  - log_factorials(m.size)[1:])
-    lower = -np.expm1(-x) - np.sum(pois * (m < jj[:, None]), axis=2)
+    arr, x, table, _, jj, xi = _poisson_table(y, spec, "cdf_y")
+    m = np.arange(1, table.shape[2])
+    lower = -np.expm1(-x) - np.sum(table[:, :, 1:] * (m < jj[:, None]), axis=2)
     vals = lower @ xi
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)

@@ -65,20 +65,3 @@ def from_config(cfg: ScenarioConfig) -> OstbcModel:
         notes=cfg.warnings(),
     )
 
-
-def outage_white_interference(gamma0, cfg: ScenarioConfig):
-    """Outage in the white-interference limit of the OSTBC model.
-
-    Spreading a fixed interference budget over ever more streams drives
-    the denominator sum Y to its mean sum(P_i)/(n_T sigma2); replacing Y
-    by that constant inflates the noise and keeps X gamma distributed:
-    the OSTBC model without interferers at rho_bar/(1 + E[Y]).  This is
-    the frontier the maximal-rank curve approaches from above: no rank
-    increase can beat it.
-    """
-    if cfg.own_mode is not OwnMode.OSTBC:
-        raise ConfigError("white-interference reference is defined for ostbc mode")
-    mean_y = sum(cfg.interferer_powers()) / (cfg.n_t * cfg.noise_power)
-    white = OstbcModel(weights={(1, cfg.n_r * cfg.n_t - 1): 1}, mixture=None,
-                       rho_bar=own_numerator_scale(cfg) / (1.0 + mean_y))
-    return white.outage(gamma0)

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import bf, ostbc
 from .errors import ConfigError
-from .inversion import _nsection
 from .scenario import (
     InterfererSpec,
     OwnMode,
@@ -198,36 +197,3 @@ def sweep_interferer_count(
     return [_gain_point(float(count), own_mode, n_r, n_t, snr_db, total_inr_db, count, rank,
                         spec.p_star) for count in spec.counts]
 
-
-def find_crossing(
-    own_mode: OwnMode,
-    n_r: int,
-    n_t: int,
-    snr_db: float,
-    inr_db: float,
-    rank: int,
-) -> tuple[float, float]:
-    """Threshold where the rank-1 and rank-r outage curves meet.
-
-    Returns (gamma_cross, outage level there).  Below the crossing the
-    higher-rank interferer is milder; above it the ordering flips.
-    """
-    m1, mr = (model_for(equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, 1, r))
-              for r in (1, rank))
-
-    def diff(g: np.ndarray) -> np.ndarray:
-        return mr.outage(g) - m1.outage(g)
-
-    lo = m1.threshold(0.01)
-    # one call brackets the crossing on lo * 2^k, k = 0..200
-    grid = lo * 2.0 ** np.arange(201)
-    d = diff(grid)
-    if d[0] >= 0:
-        raise ConfigError(
-            "no gain at the 1% outage point; crossing search needs one"
-        )
-    if not (d > 0).any():
-        raise ConfigError("outage curves do not cross below the search cap")
-    k = int(np.argmax(d > 0))
-    gamma_cross = _nsection(lambda g: diff(g) > 0, grid[k - 1], grid[k], 1e-9)
-    return gamma_cross, float(m1.outage(gamma_cross))

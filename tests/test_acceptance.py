@@ -17,7 +17,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from conftest import REF_BF, eigen_model, ks_distance
-from oracles import product_mean_quadrature, sample_sum
+from oracles import find_crossing, product_mean_quadrature, sample_sum
 from ranksinr import bf, cli, ostbc
 from ranksinr.approx import ProductDistribution
 from ranksinr.cli import _mc_density_per_db
@@ -26,7 +26,6 @@ from ranksinr.scenario import OwnMode, build_rate_set, config_to_dict
 from ranksinr.sweeps import (
     SweepKind,
     SweepSpec,
-    find_crossing,
     sweep_interferer_count,
     threshold_gain,
 )

@@ -11,13 +11,17 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 import ranksinr
 from ranksinr import cli
 from ranksinr.errors import NumericInstabilityError
-from ranksinr.mixture import MixtureSpec
+from ranksinr.mixture import MixtureSpec, build_mixture, cdf_y, pdf_y
 from ranksinr.montecarlo import DEFAULT_CHUNK
+from ranksinr.scenario import build_rate_set, load_config
+
+from oracles import law_gaps, xi_series
 
 
 # the reference mix: an OSTBC, a BF and a 2-layer SM interferer
@@ -212,23 +216,12 @@ REF_PATTERNS = ((6.0, 8.0, 10.0), (10.0, 8.0, 6.0), (4.0, 9.0, 12.0), (12.0, 4.0
                 (5.0, 6.0, 7.0), (2.0, 11.0, 5.0), (8.0, 2.0, 12.0), (10.0, 12.0, 4.0))
 
 
-def _xi_series(groups, dps=100):
-    """Xi_ij from the truncated product of the mixture docstring at dps digits."""
-    out = {}
-    with mpmath.workdps(dps):
-        for i, (rho_i, beta_i) in groups.items():
-            series = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (beta_i - 1)
-            for k, (rho_k, beta_k) in groups.items():
-                if k == i:
-                    continue
-                r = mpmath.mpf(rho_k) / mpmath.mpf(rho_i)
-                factor = [math.comb(beta_k + q - 1, q) * (r / (r - 1)) ** q
-                          / (1 - r) ** beta_k for q in range(beta_i)]
-                series = [sum(series[m] * factor[n - m] for m in range(n + 1))
-                          for n in range(beta_i)]
-            for j in range(1, beta_i + 1):
-                out[(i, j)] = series[beta_i - j]
-    return out
+def pattern_cfg(tmp_path, n_r, n_t, mode, o, b, s):
+    return write_cfg(tmp_path, n_r=n_r, n_t=n_t, own_mode=mode, interferers=[
+        {"technique": "ostbc", "inr_db": o},
+        {"technique": "bf", "inr_db": b},
+        {"technique": "sm", "inr_db": s, "layers": 2},
+    ])
 
 
 @pytest.mark.parametrize("mode", ["ostbc", "bf"])
@@ -237,11 +230,7 @@ def test_dump_xi_is_accurate_or_refused(tmp_path, capsys, n_r, n_t, mode):
     out = tmp_path / "xi.json"
     accepted = 0
     for o, b, s in REF_PATTERNS:
-        cfg = write_cfg(tmp_path, n_r=n_r, n_t=n_t, own_mode=mode, interferers=[
-            {"technique": "ostbc", "inr_db": o},
-            {"technique": "bf", "inr_db": b},
-            {"technique": "sm", "inr_db": s, "layers": 2},
-        ])
+        cfg = pattern_cfg(tmp_path, n_r, n_t, mode, o, b, s)
         code, _, err = run(capsys, "dump-xi", "--config", cfg, "--format", "json",
                            "--out", str(out))
         if code == cli.EXIT_NUMERIC:
@@ -252,10 +241,38 @@ def test_dump_xi_is_accurate_or_refused(tmp_path, capsys, n_r, n_t, mode):
         accepted += 1
         rows = json.loads(out.read_text())["rows"]
         out.unlink()
-        ref = _xi_series({g: (rho, beta) for g, rho, beta, _, _ in rows})
+        groups = {g: (rho, beta) for g, rho, beta, _, _ in rows}
+        ref = xi_series(*zip(*(groups[g] for g in sorted(groups))), dps=100)
         for g, _, _, j, xi in rows:
             assert abs(mpmath.mpf(xi) - ref[(g, j)]) < 1e-12, (o, b, s, g, j)
     assert accepted > 0
+
+
+@pytest.mark.parametrize("n_r,n_t,mode,patterns", [
+    (2, 2, "ostbc", REF_PATTERNS[:1]),
+    (2, 4, "ostbc", REF_PATTERNS), (2, 4, "bf", REF_PATTERNS),
+], ids=["ostbc-2x2-reference-mix", "ostbc-2x4", "bf-2x4"])
+def test_law_of_y_is_refused_where_dump_xi_is(tmp_path, capsys, n_r, n_t, mode, patterns):
+    # one rule for the Xi coefficients: pdf_y and cdf_y refuse a mix
+    # exactly where dump-xi exits 3, and answer it accurately elsewhere;
+    # the mixture depends on n_t, not n_r, so 4x4 repeats the 2x4 mixes
+    for o, b, s in patterns:
+        cfg = pattern_cfg(tmp_path, n_r, n_t, mode, o, b, s)
+        code, _, _ = run(capsys, "dump-xi", "--config", cfg, "--out", str(tmp_path / "xi"))
+        rates = build_rate_set(load_config(cfg))
+        spec = build_mixture(rates)
+        y = np.linspace(0.0, 6.0 * sum(rates), 241)
+        if code == cli.EXIT_NUMERIC:
+            for law in (pdf_y, cdf_y):
+                with pytest.raises(NumericInstabilityError, match=r"sum\|Xi\|"):
+                    law(y, spec)
+            continue
+        assert code == cli.EXIT_OK
+        # both within 1e-12 absolute; the rule bounds the density's own
+        # rounding only by 1e-12/min(rho), which can pass 1e-12 of its peak
+        cdf_gap, pdf_gap, _ = law_gaps(spec, y, pdf_y, cdf_y)
+        assert cdf_gap <= 1e-12, (o, b, s)
+        assert pdf_gap <= 1e-12, (o, b, s)
 
 
 def test_dump_xi_refuses_seven_full_rank_sm_interferers(tmp_path, capsys):

@@ -13,13 +13,14 @@ from ranksinr.sweeps import (
     SweepKind,
     SweepSpec,
     equal_power_config,
-    find_crossing,
     model_for,
     sweep_inr,
     sweep_interferer_count,
     sweep_snr,
     threshold_gain,
 )
+
+from oracles import find_crossing
 
 
 # --- spec validation ---
