@@ -37,6 +37,9 @@ over psi: none for OSTBC, about 1e-9 absolute at 8x8 beamforming.
 Each (k, gamma) column costs O(lmax R) for R distinct rates, and every
 sum (over rates, over k, over psi terms) runs in a fixed order down its
 axis, so a value does not depend on which other points share the call.
+So one model can carry rows, each with its own rho_bar and rates over
+one psi table, and each row reads the bits of its own one-row model; a
+call runs in blocks of BLOCK columns, a few MB however many points.
 g starts in linear scale: g_0 reads 0 once a + sum_r c_r log1p(a rho_r)
 passes about 745, and every g_n with it.  The mass dropped there,
 sum_{n<=lmax} g_n, is at most g_0 times the sum of the coefficients of
@@ -63,6 +66,10 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return x[0] if len(x) == 1 else np.cumsum(x, axis=0)[-1]
 
 
+# (k, point) columns evaluated at once: the count tables stay a few MB
+BLOCK = 4096
+
+
 @dataclass(eq=False)
 class SinrModel:
     """Outage, density and outage thresholds of rho_bar*Z/(1+Y).
@@ -75,50 +82,63 @@ class SinrModel:
     coefficients are computed only if read; evaluation does not read
     `mixture`.  `notes` carries model caveats (e.g. no full-rate code
     above two transmit antennas).
+
+    A model of several rows takes a tuple of rho_bar and one rate set
+    per row; axis 0 of its arguments runs over the rows.
     """
 
     weights: dict[tuple[int, int], Fraction | int]
     mixture: MixtureSpec | None
-    rho_bar: float
-    rates: tuple[float, ...] = ()
+    rho_bar: float | tuple[float, ...]
+    rates: tuple[float, ...] | tuple[tuple[float, ...], ...] = ()
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rho_bar <= 0:
+        rho_bar = np.asarray(self.rho_bar, dtype=np.float64)
+        if (rho_bar <= 0).any():
             raise ValueError(f"rho_bar must be positive, got {self.rho_bar}")
         items = sorted(self.weights.items())
         kvals, kidx = np.unique([k for (k, _), _ in items], return_inverse=True)
         ls = np.array([l for (_, l), _ in items])
         psis = np.array([float(w) for _, w in items])
-        # no interferers is one interferer of power 0, which adds exact zeros
-        rates = np.asarray(self.rates, dtype=np.float64).reshape(-1)
-        rho, count = np.unique(rates if rates.size else np.zeros(1), return_counts=True)
         self.kvals, self.kidx, self.ls, self.psis = kvals, kidx, ls, psis
         self.psi_k = np.bincount(kidx, weights=psis, minlength=kvals.size)
-        # rates run down axis 0, (k, gamma) columns across
-        self.rho, self.count = rho[:, None], count[:, None].astype(np.float64)
-        self._inv_orders = 1.0 / np.arange(1.0, ls.max() + 2.0)[:, None]
-        self._pdf_scale = psis * kvals[kidx] / self.rho_bar
+        # rates down axis 0, rows across; absent rates, and no interferers, are
+        # rate 0 with count 1: they add exact zeros and keep a/c_r finite
+        rows = [np.unique(np.asarray(r, dtype=np.float64).reshape(-1), return_counts=True)
+                for r in ((self.rates,) if rho_bar.ndim == 0 else self.rates)]
+        self.rho = np.zeros((max(1, *(r.size for r, _ in rows)), len(rows)))
+        self.count = np.ones_like(self.rho)
+        for j, (rho, count) in enumerate(rows):
+            self.rho[:rho.size, j], self.count[:count.size, j] = rho, count
+        self._rho_bar = rho_bar.reshape(-1)
+        self._inv_orders = 1.0 / np.arange(1.0, ls.max() + 2.0)[:, None, None]
+        self._pdf_scale = (psis * kvals[kidx])[:, None]
 
-    def _counts(self, gamma: np.ndarray):
+    def _counts(self, gamma: np.ndarray, rows=0):
         """log g_{k,0}, g_{k,n} for n = 0..lmax+1 and d_{k,n} for n = 0..lmax.
 
-        Columns run over (k, gamma) k-major: log g_0 is (K*G,), g is
-        (lmax+2, K*G) and d is (lmax+1, K*G).
+        gamma is 1-d, rows the row of each point or of all.  log g_0 is
+        (K, G), g is (lmax+2, K, G) and d is (lmax+1, K, G); the rates
+        run down axis 0 of the (R, K, G) terms.
         """
+        # np.take, unlike x[:, rows], lays the terms out C-contiguous: the
+        # recursion runs at strided speed on the other layout
+        rho = np.take(self.rho, rows, axis=1).reshape(len(self.rho), 1, -1)
+        count = np.take(self.count, rows, axis=1).reshape(rho.shape)
         with np.errstate(over="ignore"):
-            a = np.minimum(self.kvals[:, None] * (gamma / self.rho_bar),
-                           np.finfo(np.float64).max).ravel()
-            ar = self.rho * a
+            a = np.minimum(self.kvals[:, None] * (gamma / self._rho_bar[rows]),
+                           np.finfo(np.float64).max)
+            ar = rho * a
         # where a or a rho_r overflows, e^{-a} or (1 + a rho_r)^{-1}, and with
         # it every g_{k,n}, lies far below the smallest double: a is held at
         # the largest double and s_r is 0 there, so the outage reads
         # sum psi and the density 0
-        log_g0 = -a - _sum_rows(self.count * np.log1p(ar))
-        cs = self.count * (self.rho / (1.0 + ar))
-        ac = a / self.count
+        log_g0 = -a - _sum_rows(count * np.log1p(ar))
+        cs = count * (rho / (1.0 + ar))
+        ac = a / count
         step = a * self._inv_orders
-        g = np.empty((step.shape[0] + 1, a.size))
+        g = np.empty((step.shape[0] + 1, *a.shape))
         d = np.empty_like(step)
         g[0] = np.exp(log_g0)
         # h holds c_r h_{r,n} = c_r s_r (g_n + (a/c_r) c_r h_{r,n-1})
@@ -131,45 +151,59 @@ class SinrModel:
             np.multiply(step_n, d_n, out=g_next)
         return log_g0, g, d
 
-    def _per_term(self, x: np.ndarray, g: int) -> np.ndarray:
-        """(n, K*G) -> (T, G): order l_i of column block k_i for each psi term."""
-        return x.reshape(x.shape[0], self.kvals.size, g)[self.ls, self.kidx]
+    def _per_term(self, x: np.ndarray) -> np.ndarray:
+        """(n, K, G) -> (T, G): order l_i of block k_i for each psi term."""
+        return x[self.ls, self.kidx]
 
-    def _outage(self, gamma: np.ndarray) -> np.ndarray:
+    def _outage(self, gamma: np.ndarray, rows=0) -> np.ndarray:
         """P(SINR <= gamma) on a 1-d array of gamma > 0, unclamped."""
-        g = gamma.size
-        log_g0, pmf, _ = self._counts(gamma)
+        log_g0, pmf, _ = self._counts(gamma, rows)
         # sum_{1<=n<=l} g_n summed from g_1 up: cumsum(g) - g_0 would round
         # it to 0 as gamma -> 0, where 1 - g_0 keeps its digits
         pmf[0] = 0.0
         partial = np.cumsum(pmf, axis=0)
-        head = -np.expm1(log_g0).reshape(self.kvals.size, g)
-        return (_sum_rows(self.psi_k[:, None] * head)
-                - _sum_rows(self.psis[:, None] * self._per_term(partial, g)))
+        return (_sum_rows(self.psi_k[:, None] * -np.expm1(log_g0))
+                - _sum_rows(self.psis[:, None] * self._per_term(partial)))
 
-    def _pdf(self, gamma: np.ndarray) -> np.ndarray:
+    def _pdf(self, gamma: np.ndarray, rows=0) -> np.ndarray:
         """SINR density on a 1-d array of gamma >= 0."""
-        _, _, d = self._counts(gamma)
-        return _sum_rows(self._pdf_scale[:, None] * self._per_term(d, gamma.size))
+        _, _, d = self._counts(gamma, rows)
+        scale = self._pdf_scale / self._rho_bar[rows]
+        return _sum_rows(scale * self._per_term(d))
+
+    def _evaluate(self, kernel, arr: np.ndarray, rows) -> np.ndarray:
+        """kernel at every point of arr in blocks of at most BLOCK columns;
+        in a model of several rows axis 0 runs over `rows`, or all rows."""
+        rows = np.arange(self._rho_bar.size) if rows is None else np.asarray(rows)
+        if rows.size > 1 and arr.shape[:1] != rows.shape:
+            raise ValueError(f"axis 0 of gamma must run over {rows.size} model rows")
+        flat, point_rows = arr.ravel(), np.repeat(rows, arr.size // rows.size)
+        out = np.empty(flat.size)
+        step = max(1, BLOCK // self.kvals.size)
+        for s in range(0, flat.size, step):
+            out[s:s + step] = kernel(flat[s:s + step], point_rows[s:s + step])
+        return out.reshape(arr.shape)
 
     def sinr_pdf(self, gamma):
         """Density of the SINR at gamma (scalar or array)."""
         arr = np.asarray(gamma, dtype=np.float64)
         if not (np.isfinite(arr).all() and (arr >= 0).all()):
             raise ValueError("sinr_pdf requires finite gamma >= 0")
-        vals = self._pdf(arr.ravel())
-        return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
+        vals = self._evaluate(self._pdf, arr, None)
+        return float(vals) if arr.ndim == 0 else vals
 
-    def outage(self, gamma0):
-        """P(SINR <= gamma0), scalar or array."""
+    def outage(self, gamma0, rows=None):
+        """P(SINR <= gamma0), scalar or array; in a model of several rows
+        axis 0 runs over the row indices `rows`, all rows by default."""
         arr = np.asarray(gamma0, dtype=np.float64)
         if not (np.isfinite(arr).all() and (arr > 0).all()):
             raise ValueError("outage requires finite gamma0 > 0")
-        vals = self._outage(arr.ravel()).reshape(arr.shape)
-        return inversion.clamp_probability(vals)
+        return inversion.clamp_probability(self._evaluate(self._outage, arr, rows))
 
-    def threshold(self, p_target: float) -> float:
-        """Outage threshold gamma0 with outage(gamma0) = p_target."""
+    def threshold(self, p_target: float):
+        """Outage threshold gamma0 with outage(gamma0) = p_target: a float,
+        or one per row of a model of several rows, all inverted together."""
         # looked up on the module at call time, like self.outage on the
         # class, so that wrappers installed there see every inversion
-        return inversion.threshold_at_outage(lambda g: self.outage(g), p_target)
+        thr = inversion.threshold_at_outage(self.outage, p_target, self._rho_bar.size)
+        return thr if np.ndim(self.rho_bar) else float(thr[0])

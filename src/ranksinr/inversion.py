@@ -1,4 +1,8 @@
-"""Probability clamping and inversion of monotone outage curves."""
+"""Probability clamping and inversion of monotone outage curves.
+
+The curves of a batch are inverted together: every call evaluates all
+the rows still open, so a batch costs as many calls as its slowest curve.
+"""
 
 from __future__ import annotations
 
@@ -42,66 +46,78 @@ def clamp_probability(p):
     return float(out) if out.ndim == 0 else out
 
 
-def _first_true(pred, x: np.ndarray) -> int:
-    """Index of the first x where pred holds; x.size if none."""
-    hits = pred(x)
-    return int(np.argmax(hits)) if hits.any() else x.size
+def _first_true(hits: np.ndarray) -> np.ndarray:
+    """Per row of hits, the index of the first True; the row length if none."""
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1])
 
 
-def _nsection(pred, lo: float, hi: float, rel_tol: float) -> float:
-    """Midpoint of the bracket lo < hi, pred false at lo and true at hi.
+def _nsection(pred, lo: np.ndarray, hi: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Midpoints of the brackets lo < hi, one per row.
 
-    pred maps an array to booleans and changes once, from false to true.
-    Each call on SECTIONS interior points keeps the sub-interval where
-    it changes, until the bracket is rel_tol wide or stops shrinking.
+    pred(x, rows) maps points x, whose axis 0 runs over the row indices
+    rows, to booleans that change once per row, from false at lo to true
+    at hi.  Each call on SECTIONS interior points of every open bracket
+    keeps the sub-interval where pred changes; a row drops out once its
+    bracket is rel_tol wide or stops shrinking.
     """
-    while hi - lo > rel_tol * lo:
-        x = lo + (hi - lo) * FRACTIONS
-        i = _first_true(pred, x)
-        new = (x[i - 1] if i else lo, x[i] if i < SECTIONS else hi)
-        if new == (lo, hi):  # the bracket is a few ulps wide
-            break
-        lo, hi = new
-    return float(0.5 * (lo + hi))
+    lo, hi = lo.copy(), hi.copy()
+    rows = np.flatnonzero(hi - lo > rel_tol * lo)
+    while rows.size:
+        l, h = lo[rows, None], hi[rows, None]
+        # each row's bracket ends around its interior points
+        x = np.hstack((l, l + (h - l) * FRACTIONS, h))
+        i = _first_true(pred(x[:, 1:-1], rows))
+        at = np.arange(rows.size)
+        new_lo, new_hi = x[at, i], x[at, i + 1]
+        # a bracket a few ulps wide stops shrinking
+        moved = (new_lo != l[:, 0]) | (new_hi != h[:, 0])
+        lo[rows], hi[rows] = new_lo, new_hi
+        rows = rows[moved & (new_hi - new_lo > rel_tol * new_lo)]
+    return 0.5 * (lo + hi)
 
 
-def _bracket(reached, p_target: float) -> tuple[float, float]:
-    """Neighbouring lattice points lo < hi, reached false at lo, true at hi."""
+def _bracket(reached, p_target: float, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbouring lattice points lo < hi per row, reached false at lo."""
     inner = LATTICE[INNER]
-    i = _first_true(reached, inner)
-    if 0 < i < inner.size:
-        return inner[i - 1], inner[i]
-    x = LATTICE[:INNER.start + 1] if i == 0 else LATTICE[INNER.stop - 1:]
-    j = _first_true(reached, x)
-    if j == 0:
-        raise NumericInstabilityError(
-            f"no threshold above 1e-150 stays under outage {p_target}"
-        )
-    if j == x.size:
-        raise NumericInstabilityError(
-            f"no threshold below 1e150 reaches outage {p_target}"
-        )
-    return x[j - 1], x[j]
+    i = _first_true(reached(np.broadcast_to(inner, (n_rows, inner.size)),
+                            np.arange(n_rows)))
+    lo, hi = inner[np.maximum(i - 1, 0)], inner[np.minimum(i, inner.size - 1)]
+    rows = np.flatnonzero((i == 0) | (i == inner.size))
+    if rows.size:
+        # the rows outside the inner part search the outer part on their side
+        x = np.where((i[rows] == 0)[:, None], LATTICE[:INNER.start + 1],
+                     LATTICE[INNER.stop - 1:])
+        j = _first_true(reached(x, rows))
+        bad = (j == 0) | (j == x.shape[1])
+        if bad.any():
+            raise NumericInstabilityError(
+                f"no threshold above 1e-150 stays under outage {p_target}"
+                if j[bad.argmax()] == 0 else
+                f"no threshold below 1e150 reaches outage {p_target}"
+            )
+        at = np.arange(rows.size)
+        lo[rows], hi[rows] = x[at, j - 1], x[at, j]
+    return lo, hi
 
 
-def threshold_at_outage(
-    outage_fn: Callable[[np.ndarray], np.ndarray], p_target: float
-) -> float:
-    """Largest-threshold inverse of a nondecreasing outage curve.
+def threshold_at_outage(outage_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                        p_target: float, n_rows: int = 1) -> np.ndarray:
+    """Largest-threshold inverses of n_rows nondecreasing outage curves.
 
-    Finds gamma0 with outage_fn(gamma0) = p_target.  outage_fn maps an
-    array of thresholds to their outages; each call evaluates a whole
-    array.  One call on the x4 lattice brackets the target, then each
-    n-section call on SECTIONS interior points keeps the sub-interval
-    where the curve crosses it, until the bracket is THRESHOLD_REL_TOL
-    wide.
-    The curve is a CDF, hence monotone with full support, so a bracket
-    always exists within floating range.
+    Returns gamma0 with outage = p_target for every row.  outage_fn(x,
+    rows) maps x, whose axis 0 runs over the row indices rows, to their
+    outages.  One call on the x4 lattice brackets every row's target,
+    then each n-section call on SECTIONS interior points of every open
+    bracket keeps the sub-interval where its curve crosses it, until the
+    bracket is THRESHOLD_REL_TOL wide.  Each row sees the points it
+    would see alone, so a batch takes as many calls as its slowest row.
+    The curves are CDFs, hence monotone with full support, so a bracket
+    always exists within floating range; a row without one refuses all.
     """
     if not (0.0 < p_target < 1.0):
         raise ValueError(f"target outage must lie in (0, 1), got {p_target}")
 
-    def reached(x):
-        return np.asarray(outage_fn(x)) >= p_target
+    def reached(x, rows):
+        return np.asarray(outage_fn(x, rows)) >= p_target
 
-    return _nsection(reached, *_bracket(reached, p_target), THRESHOLD_REL_TOL)
+    return _nsection(reached, *_bracket(reached, p_target, n_rows), THRESHOLD_REL_TOL)

@@ -9,7 +9,7 @@ Positive gain means higher-rank interference is the milder one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -21,14 +21,19 @@ from .scenario import (
     OwnMode,
     ScenarioConfig,
     Technique,
+    build_rate_set,
     db_to_linear,
     linear_to_db,
+    own_numerator_scale,
 )
 
 
 # points a dB grid may hold, and the largest interferer count a count sweep
 # takes; larger ones are refused before allocation
 MAX_GRID_POINTS = 100_000
+# sweep points inverted together: past a few hundred rows the calls are
+# numpy-bound, and a batch bounds the configs and lattice arrays held
+POINTS_PER_BATCH = 512
 
 
 class SweepKind(Enum):
@@ -136,64 +141,46 @@ class GainPoint:
         return linear_to_db(self.threshold_rankr / self.threshold_rank1)
 
 
-def _gain_point(x: float, own_mode: OwnMode, n_r: int, n_t: int, snr_db: float,
-                inr_db: float, count: int, rank: int, p_star: float) -> GainPoint:
-    """Thresholds at p_star under count equal rank-1, then rank-r, iBSs."""
-    thr = [model_for(equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, count, r))
-           .threshold(p_star) for r in (1, rank)]
-    return GainPoint(x=x, threshold_rank1=thr[0], threshold_rankr=thr[1])
+def _gain_points(own_mode: OwnMode, n_r: int, n_t: int, rank: int, p_star: float,
+                 points: list[tuple]) -> list[GainPoint]:
+    """Thresholds at p_star under count equal rank-1, then rank-r, iBSs,
+    at each (x, snr_db, inr_db, count) of points; each (x, rank) is a row
+    of one model, POINTS_PER_BATCH points of rows inverted together."""
+    out = []
+    for s in range(0, len(points), POINTS_PER_BATCH):
+        batch = points[s:s + POINTS_PER_BATCH]
+        cfgs = [equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, count, r)
+                for _, snr_db, inr_db, count in batch for r in (1, rank)]
+        model = replace(model_for(cfgs[0]), mixture=None,
+                        rho_bar=tuple(map(own_numerator_scale, cfgs)),
+                        rates=tuple(map(build_rate_set, cfgs)))
+        thr = model.threshold(p_star).reshape(-1, 2).tolist()
+        out += [GainPoint(x, *pair) for (x, *_), pair in zip(batch, thr)]
+    return out
 
 
-def threshold_gain(
-    own_mode: OwnMode,
-    n_r: int,
-    n_t: int,
-    snr_db: float,
-    inr_db: float,
-    rank: int,
-    p_star: float = 0.01,
-) -> GainPoint:
-    return _gain_point(inr_db, own_mode, n_r, n_t, snr_db, inr_db, 1, rank, p_star)
+def threshold_gain(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float, inr_db,
+                   rank: int, p_star: float = 0.01) -> GainPoint | list[GainPoint]:
+    """Gain at one INR, or one gain per INR of a 1-d array."""
+    inrs = inr_db if np.ndim(inr_db) else [inr_db]
+    points = _gain_points(own_mode, n_r, n_t, rank, p_star, [(v, snr_db, v, 1) for v in inrs])
+    return points if np.ndim(inr_db) else points[0]
 
 
-def sweep_inr(
-    own_mode: OwnMode,
-    n_r: int,
-    n_t: int,
-    snr_db: float,
-    spec: SweepSpec,
-    rank: int,
-) -> list[GainPoint]:
-    return [
-        threshold_gain(own_mode, n_r, n_t, snr_db, v, rank, spec.p_star)
-        for v in spec.grid_db()
-    ]
+def sweep_inr(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float, spec: SweepSpec,
+              rank: int) -> list[GainPoint]:
+    return threshold_gain(own_mode, n_r, n_t, snr_db, spec.grid_db(), rank, spec.p_star)
 
 
-def sweep_snr(
-    own_mode: OwnMode,
-    n_r: int,
-    n_t: int,
-    inr_db: float,
-    spec: SweepSpec,
-    rank: int,
-) -> list[GainPoint]:
-    return [
-        _gain_point(v, own_mode, n_r, n_t, v, inr_db, 1, rank, spec.p_star)
-        for v in spec.grid_db()
-    ]
+def sweep_snr(own_mode: OwnMode, n_r: int, n_t: int, inr_db: float, spec: SweepSpec,
+              rank: int) -> list[GainPoint]:
+    return _gain_points(own_mode, n_r, n_t, rank, spec.p_star,
+                        [(v, v, inr_db, 1) for v in spec.grid_db()])
 
 
-def sweep_interferer_count(
-    own_mode: OwnMode,
-    n_r: int,
-    n_t: int,
-    snr_db: float,
-    total_inr_db: float,
-    spec: SweepSpec,
-    rank: int,
-) -> list[GainPoint]:
+def sweep_interferer_count(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float,
+                           total_inr_db: float, spec: SweepSpec,
+                           rank: int) -> list[GainPoint]:
     """Gain vs number of equal-power iBSs at constant total power."""
-    return [_gain_point(float(count), own_mode, n_r, n_t, snr_db, total_inr_db, count, rank,
-                        spec.p_star) for count in spec.counts]
-
+    return _gain_points(own_mode, n_r, n_t, rank, spec.p_star,
+                        [(float(c), snr_db, total_inr_db, c) for c in spec.counts])

@@ -168,5 +168,6 @@ def find_crossing(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float, inr_db: 
     if not (d > 0).any():
         raise ConfigError("outage curves do not cross below the search cap")
     k = int(np.argmax(d > 0))
-    gamma_cross = _nsection(lambda g: diff(g) > 0, grid[k - 1], grid[k], 1e-9)
+    gamma_cross = float(_nsection(lambda g, rows: diff(g) > 0, grid[k - 1:k], grid[k:k + 1],
+                                  1e-9)[0])
     return gamma_cross, float(m1.outage(gamma_cross))

@@ -4,10 +4,12 @@ The CLI cases are configs whose partial-fraction evaluation failed:
 OSTBC on the reference mix at n_t >= 4 and six 4-layer SM interferers
 against a 4x4 BF victim were refused with exit 3, and the 1x3 OSTBC
 case came out 2.2e-4 off with exit 0.  Every value is also required to
-be the same bits whichever other points share its call.
+be the same bits whichever other points share its call, and each row of
+a stacked model the bits of its own one-row model.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +139,52 @@ def test_values_do_not_depend_on_the_other_points(name):
         pairs = [evaluate(gammas[[i, (i + 1) % n]]) for i in range(n)]
         assert [p[0].hex() for p in pairs] == whole
         assert [p[1].hex() for p in pairs] == whole[1:] + whole[:1]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_stacked_rows_are_the_bits_of_their_own_models(n):
+    # rows with one, three and ten distinct rates and none at all: a row
+    # pads the rates it lacks, which must add exact zeros
+    cfgs = [_cfg(n, n, OwnMode.BEAMFORMING, REF_INTERFERERS),
+            _cfg(n, n, OwnMode.BEAMFORMING, TEN_BF, snr_db=20.0),
+            _cfg(n, n, OwnMode.BEAMFORMING, [], snr_db=3.0),
+            _cfg(n, n, OwnMode.BEAMFORMING, [_sm(9.0, n)], snr_db=12.0)]
+    models = [bf.from_config(cfg) for cfg in cfgs]
+    stacked = bf.BfModel(models[0].weights, None, tuple(m.rho_bar for m in models),
+                         tuple(m.rates for m in models))
+    gammas = 10.0 ** (GRID_DB / 10.0)
+    grid = np.tile(gammas, (len(models), 1))
+    for method in ("outage", "sinr_pdf"):
+        got = getattr(stacked, method)(grid)
+        for row, model in enumerate(models):
+            assert [v.hex() for v in got[row]] == [
+                v.hex() for v in getattr(model, method)(gammas)]
+    # a subset of the rows, in any order
+    assert np.array_equal(stacked.outage(grid[:2], [3, 1]),
+                          [models[3].outage(gammas), models[1].outage(gammas)])
+    assert [t.hex() for t in stacked.threshold(0.01)] == [
+        m.threshold(0.01).hex() for m in models]
+    with pytest.raises(ValueError, match="4 model rows"):
+        stacked.outage(gammas)
+
+
+def test_large_grids_are_evaluated_in_bounded_memory():
+    # 8x8 beamforming keeps about 9 KB of count tables per point: a 2e4-point
+    # outage peaked at 181 MB in one block, about 5 MB in blocks of BLOCK
+    # columns; the blocks leave every value the same bits
+    model = bf.from_config(GRID_CASES["bf-8x8-reference-mix"])
+    gammas = 10.0 ** (np.linspace(-5.0, 20.0, 20_001) / 10.0)
+    tracemalloc.start()
+    try:
+        # the unclamped evaluation: the clamp would hide a difference below 0
+        whole = model._evaluate(model._outage, gammas, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    sub = gammas[::400]
+    assert sub.size == 51
+    assert [v.hex() for v in whole[::400]] == [v.hex() for v in model._outage(sub)]
 
 
 def test_motivation_case_value_at_zero_db():

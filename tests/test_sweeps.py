@@ -145,6 +145,45 @@ def test_splitting_power_across_ibs_erodes_the_gain():
     assert gains[0] > gains[-1]
 
 
+# --- lockstep inversion ---
+
+
+def _bits(p: GainPoint):
+    return p.threshold_rank1.hex(), p.threshold_rankr.hex()
+
+
+@pytest.mark.parametrize("mode", [OwnMode.BEAMFORMING, OwnMode.OSTBC])
+@pytest.mark.parametrize("n, inrs, snrs", [
+    (2, (0.0, 15.0, 5.0), (5.0, 25.0, 10.0)),
+    (4, (0.0, 15.0, 5.0), (5.0, 25.0, 10.0)),
+    (8, (6.0, 9.0, 3.0), (10.0, 20.0, 10.0)),
+])
+def test_sweep_rows_are_the_bits_of_gain(mode, n, inrs, snrs):
+    # every row of a sweep is inverted in the same calls as the others,
+    # and must come out as if it had been inverted alone
+    inr = SweepSpec(SweepKind.INR, *inrs)
+    for p in sweep_inr(mode, n, n, 15.0, inr, n):
+        assert _bits(p) == _bits(threshold_gain(mode, n, n, 15.0, p.x, n))
+    snr = SweepSpec(SweepKind.SNR, *snrs)
+    for p in sweep_snr(mode, n, n, 10.0, snr, n):
+        assert _bits(p) == _bits(threshold_gain(mode, n, n, p.x, 10.0, n))
+    counts = SweepSpec(SweepKind.NUM_INTERFERERS, counts=(1, 2, 3))
+    for p in sweep_interferer_count(mode, n, n, 15.0, 12.0, counts, n):
+        alone = SweepSpec(SweepKind.NUM_INTERFERERS, counts=(int(p.x),))
+        (q,) = sweep_interferer_count(mode, n, n, 15.0, 12.0, alone, n)
+        assert _bits(p) == _bits(q)
+
+
+def test_long_sweeps_are_inverted_in_batches(monkeypatch):
+    from ranksinr import sweeps
+
+    spec = SweepSpec(SweepKind.INR, 0.0, 4.0, 1.0)
+    whole = sweep_inr(OwnMode.OSTBC, 2, 2, 15.0, spec, 2)
+    monkeypatch.setattr(sweeps, "POINTS_PER_BATCH", 2)
+    assert [_bits(p) for p in sweep_inr(OwnMode.OSTBC, 2, 2, 15.0, spec, 2)] == [
+        _bits(p) for p in whole]
+
+
 # --- crossing search ---
 
 
