@@ -28,9 +28,7 @@ evaluation does not read them.
 from __future__ import annotations
 
 from .engine import SinrModel
-from .errors import ConfigError
-from .mixture import build_mixture
-from .scenario import OwnMode, ScenarioConfig, build_rate_set, own_numerator_scale
+from .scenario import OwnMode, ScenarioConfig
 from .wishart import compute_weights
 
 
@@ -48,16 +46,8 @@ class BfModel(SinrModel):
     sinr_pdf = SinrModel.sinr_pdf
 
 
-def from_config(cfg: ScenarioConfig) -> BfModel:
-    """Build the beamforming model for a scenario."""
-    if cfg.own_mode is not OwnMode.BEAMFORMING:
-        raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected bf")
-    rates = build_rate_set(cfg)
-    mix = build_mixture(rates) if rates else None
-    return BfModel(
-        weights=compute_weights(cfg.n_r, cfg.n_t).weights,
-        mixture=mix,
-        rho_bar=own_numerator_scale(cfg),
-        rates=rates,
-        notes=cfg.warnings(),
-    )
+def from_config(cfg: ScenarioConfig, *more: ScenarioConfig) -> BfModel:
+    """Build the beamforming model for a scenario, or with more scenarios
+    of its size one row per scenario (``SinrModel.for_scenarios``)."""
+    return BfModel.for_scenarios(OwnMode.BEAMFORMING,
+                                 compute_weights(cfg.n_r, cfg.n_t).weights, cfg, *more)

@@ -56,8 +56,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import inversion
+from . import inversion, mixture
+from .errors import ConfigError
 from .mixture import MixtureSpec
+from .scenario import build_rate_set, own_numerator_scale
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -115,17 +117,34 @@ class SinrModel:
         self._inv_orders = 1.0 / np.arange(1.0, ls.max() + 2.0)[:, None, None]
         self._pdf_scale = (psis * kvals[kidx])[:, None]
 
-    def _counts(self, gamma: np.ndarray, rows=0):
-        """log g_{k,0}, g_{k,n} for n = 0..lmax+1 and d_{k,n} for n = 0..lmax.
+    @classmethod
+    def for_scenarios(cls, mode, weights, cfg, *more):
+        """The `mode` model of scenario cfg, or with more scenarios of its
+        size one row per scenario; a model of several rows has no mixture."""
+        cfgs = (cfg, *more)
+        for c in cfgs:
+            if c.own_mode is not mode:
+                raise ConfigError(f"scenario own_mode is {c.own_mode.value}, expected {mode.value}")
+            if (c.n_r, c.n_t) != (cfg.n_r, cfg.n_t):
+                raise ConfigError("the rows of one model must share n_r and n_t")
+        rho_bar, rates = tuple(map(own_numerator_scale, cfgs)), tuple(map(build_rate_set, cfgs))
+        if more:
+            return cls(weights, None, rho_bar, rates, cfg.warnings())
+        mix = mixture.build_mixture(rates[0]) if rates[0] else None  # on the module: wrappers see it
+        return cls(weights, mix, rho_bar[0], rates[0], cfg.warnings())
 
-        gamma is 1-d, rows the row of each point or of all.  log g_0 is
-        (K, G), g is (lmax+2, K, G) and d is (lmax+1, K, G); the rates
-        run down axis 0 of the (R, K, G) terms.
+    def _counts(self, gamma: np.ndarray, rows=0, top=None):
+        """log g_{k,0}, g_{k,n} for n <= top and d_{k,n} for n < top, top =
+        lmax + 1 by default (the outage reads no d).  gamma is 1-d, rows
+        the row of each point or of all; log g_0 is (K, G), g (top+1, K,
+        G), d (top, K, G), and the rates run down axis 0 of (R, K, G) terms.
         """
-        # np.take, unlike x[:, rows], lays the terms out C-contiguous: the
-        # recursion runs at strided speed on the other layout
-        rho = np.take(self.rho, rows, axis=1).reshape(len(self.rho), 1, -1)
-        count = np.take(self.count, rows, axis=1).reshape(rho.shape)
+        if isinstance(rows, np.ndarray):
+            # np.take, unlike x[:, rows], lays the terms out C-contiguous:
+            # the recursion runs at strided speed on the other layout
+            rho, count = (np.take(t, rows, axis=1)[:, None] for t in (self.rho, self.count))
+        else:
+            rho, count = self.rho[:, rows, None, None], self.count[:, rows, None, None]
         with np.errstate(over="ignore"):
             a = np.minimum(self.kvals[:, None] * (gamma / self._rho_bar[rows]),
                            np.finfo(np.float64).max)
@@ -137,12 +156,12 @@ class SinrModel:
         log_g0 = -a - _sum_rows(count * np.log1p(ar))
         cs = count * (rho / (1.0 + ar))
         ac = a / count
-        step = a * self._inv_orders
+        step = a * self._inv_orders[:top]
         g = np.empty((step.shape[0] + 1, *a.shape))
         d = np.empty_like(step)
         g[0] = np.exp(log_g0)
         # h holds c_r h_{r,n} = c_r s_r (g_n + (a/c_r) c_r h_{r,n-1})
-        h = np.zeros_like(ar)
+        h = np.zeros(ar.shape)
         for g_n, g_next, d_n, step_n in zip(g, g[1:], d, step):
             h *= ac
             h += g_n
@@ -157,7 +176,7 @@ class SinrModel:
 
     def _outage(self, gamma: np.ndarray, rows=0) -> np.ndarray:
         """P(SINR <= gamma) on a 1-d array of gamma > 0, unclamped."""
-        log_g0, pmf, _ = self._counts(gamma, rows)
+        log_g0, pmf, _ = self._counts(gamma, rows, self.ls.max())
         # sum_{1<=n<=l} g_n summed from g_1 up: cumsum(g) - g_0 would round
         # it to 0 as gamma -> 0, where 1 - g_0 keeps its digits
         pmf[0] = 0.0
@@ -177,12 +196,14 @@ class SinrModel:
         rows = np.arange(self._rho_bar.size) if rows is None else np.asarray(rows)
         if rows.size > 1 and arr.shape[:1] != rows.shape:
             raise ValueError(f"axis 0 of gamma must run over {rows.size} model rows")
-        flat, point_rows = arr.ravel(), np.repeat(rows, arr.size // rows.size)
-        out = np.empty(flat.size)
+        # one row's rates broadcast over its points, several rows' are
+        # gathered point by point
+        one, flat = rows.size == 1, arr.ravel()
+        point_rows = rows.item() if one else np.repeat(rows, flat.size // rows.size)
         step = max(1, BLOCK // self.kvals.size)
-        for s in range(0, flat.size, step):
-            out[s:s + step] = kernel(flat[s:s + step], point_rows[s:s + step])
-        return out.reshape(arr.shape)
+        out = [kernel(flat[s:s + step], point_rows if one else point_rows[s:s + step])
+               for s in range(0, flat.size, step)]
+        return (out[0] if len(out) == 1 else np.concatenate(out or [flat])).reshape(arr.shape)
 
     def sinr_pdf(self, gamma):
         """Density of the SINR at gamma (scalar or array)."""
@@ -196,14 +217,17 @@ class SinrModel:
         """P(SINR <= gamma0), scalar or array; in a model of several rows
         axis 0 runs over the row indices `rows`, all rows by default."""
         arr = np.asarray(gamma0, dtype=np.float64)
-        if not (np.isfinite(arr).all() and (arr > 0).all()):
+        # written as "not <" so that NaN is refused too
+        if not (0.0 < arr.min() and arr.max() < np.inf):
             raise ValueError("outage requires finite gamma0 > 0")
         return inversion.clamp_probability(self._evaluate(self._outage, arr, rows))
 
-    def threshold(self, p_target: float):
-        """Outage threshold gamma0 with outage(gamma0) = p_target: a float,
-        or one per row of a model of several rows, all inverted together."""
+    def threshold(self, p_target: float, rows=None):
+        """Outage threshold gamma0 with outage(gamma0) = p_target: a float, or one
+        per row of `rows` (all by default) of a model of several, inverted together."""
+        rows = np.arange(self._rho_bar.size) if rows is None else np.asarray(rows)
         # looked up on the module at call time, like self.outage on the
         # class, so that wrappers installed there see every inversion
-        thr = inversion.threshold_at_outage(self.outage, p_target, self._rho_bar.size)
+        thr = inversion.threshold_at_outage(lambda x, at: self.outage(x, rows[at]),
+                                            p_target, rows.size)
         return thr if np.ndim(self.rho_bar) else float(thr[0])

@@ -1,8 +1,4 @@
-"""Probability clamping and inversion of monotone outage curves.
-
-The curves of a batch are inverted together: every call evaluates all
-the rows still open, so a batch costs as many calls as its slowest curve.
-"""
+"""Probability clamping and inversion of monotone outage curves."""
 
 from __future__ import annotations
 
@@ -22,9 +18,10 @@ PROB_SLACK = 1e-9
 # in one call, the outer parts are searched only when it does not
 LATTICE = 4.0 ** np.arange(-249, 250)
 INNER = slice(249 - 75, 249 + 76)
-# interior points per n-section step: the bracket shrinks 33x per call
+# interior points per n-section step: the bracket shrinks 33x per call;
+# EDGES places them, between the bracket ends 0 and 1
 SECTIONS = 32
-FRACTIONS = np.arange(1, SECTIONS + 1) / (SECTIONS + 1)
+EDGES = np.arange(SECTIONS + 2) / (SECTIONS + 1)
 # relative width at which threshold_at_outage stops n-sectioning
 THRESHOLD_REL_TOL = 1e-10
 
@@ -32,23 +29,29 @@ THRESHOLD_REL_TOL = 1e-10
 def clamp_probability(p):
     """Clamp round-off excursions; refuse anything materially outside [0,1].
 
-    Takes a float or an array and returns the same kind.
+    Takes a float or an array and returns the same kind; an array that
+    lies in [0, 1] already comes back as it is.
     """
     arr = np.asarray(p, dtype=np.float64)
+    lo, hi = arr.min(), arr.max()
     # written as "not >=" so that NaN is refused too
-    if not (arr.min() >= -PROB_SLACK and arr.max() <= 1.0 + PROB_SLACK):
+    if not (lo >= -PROB_SLACK and hi <= 1.0 + PROB_SLACK):
         bad = arr[~((arr >= -PROB_SLACK) & (arr <= 1.0 + PROB_SLACK))]
         raise NumericInstabilityError(
             f"SINR outage evaluated to {float(bad[0])!r}, outside [0, 1]; "
             "the coefficient expansion has lost too much precision"
         )
-    out = arr.clip(0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    if lo < 0.0 or hi > 1.0:
+        arr = arr.clip(0.0, 1.0)
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _first_true(hits: np.ndarray) -> np.ndarray:
-    """Per row of hits, the index of the first True; the row length if none."""
-    return np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1])
+    """Per row of hits, the index of the first True, or of a True past the end."""
+    padded = np.empty((hits.shape[0], hits.shape[1] + 1), dtype=bool)
+    padded[:, -1] = True
+    padded[:, :-1] = hits
+    return padded.argmax(axis=1)
 
 
 def _nsection(pred, lo: np.ndarray, hi: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -62,15 +65,17 @@ def _nsection(pred, lo: np.ndarray, hi: np.ndarray, rel_tol: float) -> np.ndarra
     """
     lo, hi = lo.copy(), hi.copy()
     rows = np.flatnonzero(hi - lo > rel_tol * lo)
+    starts = EDGES.size * np.arange(rows.size)
     while rows.size:
-        l, h = lo[rows, None], hi[rows, None]
-        # each row's bracket ends around its interior points
-        x = np.hstack((l, l + (h - l) * FRACTIONS, h))
-        i = _first_true(pred(x[:, 1:-1], rows))
-        at = np.arange(rows.size)
-        new_lo, new_hi = x[at, i], x[at, i + 1]
+        l, h = lo[rows], hi[rows]
+        # each row's points l + (h - l) * EDGES, with the end h exact
+        x = np.multiply.outer(h - l, EDGES)
+        x += l[:, None]
+        x[:, -1] = h
+        k = _first_true(pred(x[:, 1:-1], rows)) + starts[:rows.size]
+        new_lo, new_hi = x.ravel()[k], x.ravel()[k + 1]
         # a bracket a few ulps wide stops shrinking
-        moved = (new_lo != l[:, 0]) | (new_hi != h[:, 0])
+        moved = (new_lo != l) | (new_hi != h)
         lo[rows], hi[rows] = new_lo, new_hi
         rows = rows[moved & (new_hi - new_lo > rel_tol * new_lo)]
     return 0.5 * (lo + hi)
@@ -79,10 +84,10 @@ def _nsection(pred, lo: np.ndarray, hi: np.ndarray, rel_tol: float) -> np.ndarra
 def _bracket(reached, p_target: float, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Neighbouring lattice points lo < hi per row, reached false at lo."""
     inner = LATTICE[INNER]
-    i = _first_true(reached(np.broadcast_to(inner, (n_rows, inner.size)),
-                            np.arange(n_rows)))
-    lo, hi = inner[np.maximum(i - 1, 0)], inner[np.minimum(i, inner.size - 1)]
-    rows = np.flatnonzero((i == 0) | (i == inner.size))
+    i = _first_true(reached(inner[None].repeat(n_rows, axis=0), np.arange(n_rows)))
+    # the rows with i = 0 or i = inner.size get their bracket below
+    lo, hi = LATTICE[INNER.start - 1 + i], LATTICE[INNER.start + i]
+    rows = np.flatnonzero(i % inner.size == 0)
     if rows.size:
         # the rows outside the inner part search the outer part on their side
         x = np.where((i[rows] == 0)[:, None], LATTICE[:INNER.start + 1],

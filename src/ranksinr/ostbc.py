@@ -32,9 +32,7 @@ if read, and evaluation does not read them.
 from __future__ import annotations
 
 from .engine import SinrModel
-from .errors import ConfigError
-from .mixture import build_mixture
-from .scenario import OwnMode, ScenarioConfig, build_rate_set, own_numerator_scale
+from .scenario import OwnMode, ScenarioConfig
 
 
 class OstbcModel(SinrModel):
@@ -51,17 +49,8 @@ class OstbcModel(SinrModel):
     sinr_pdf = SinrModel.sinr_pdf
 
 
-def from_config(cfg: ScenarioConfig) -> OstbcModel:
-    """Build the OSTBC model for a scenario."""
-    if cfg.own_mode is not OwnMode.OSTBC:
-        raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected ostbc")
-    rates = build_rate_set(cfg)
-    mix = build_mixture(rates) if rates else None
-    return OstbcModel(
-        weights={(1, cfg.n_r * cfg.n_t - 1): 1},
-        mixture=mix,
-        rho_bar=own_numerator_scale(cfg),
-        rates=rates,
-        notes=cfg.warnings(),
-    )
-
+def from_config(cfg: ScenarioConfig, *more: ScenarioConfig) -> OstbcModel:
+    """Build the OSTBC model for a scenario, or with more scenarios of its
+    size one row per scenario (``SinrModel.for_scenarios``)."""
+    return OstbcModel.for_scenarios(OwnMode.OSTBC, {(1, cfg.n_r * cfg.n_t - 1): 1},
+                                    cfg, *more)

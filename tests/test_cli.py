@@ -193,9 +193,9 @@ def test_sweep_n_counts(tmp_path, capsys):
 ])
 def test_one_failing_row_refuses_the_whole_sweep(tmp_path, capsys, monkeypatch,
                                                  fault, message):
-    # the sweep's thresholds are inverted together, rank 1 and rank r per
-    # point; row 3, the rank-2 row of the second point, reads the fault:
-    # 0 leaves it no bracket, 1.5 lies outside [0, 1]
+    # the sweep's model holds a row per rank and point, rank 1 first, and
+    # inverts each rank's rows together; row 3, the rank-1 row of the fourth
+    # point, reads the fault: 0 leaves it no bracket, 1.5 lies outside [0, 1]
     real = SinrModel._outage
 
     def faulty(self, gamma, rows=0):
@@ -204,7 +204,7 @@ def test_one_failing_row_refuses_the_whole_sweep(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(SinrModel, "_outage", faulty)
     out = tmp_path / "sweep.csv"
     code, _, err = run(capsys, "sweep-inr", "--config", write_cfg(tmp_path),
-                       "--grid=0:6:3", "--out", str(out))
+                       "--grid=0:9:3", "--out", str(out))
     assert code == cli.EXIT_NUMERIC
     assert message in err
     assert not out.exists()

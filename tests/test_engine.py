@@ -16,6 +16,7 @@ import pytest
 
 from ranksinr import bf, cli, ostbc
 from ranksinr.engine import SinrModel
+from ranksinr.errors import ConfigError
 from ranksinr.scenario import (
     InterfererSpec,
     OwnMode,
@@ -150,8 +151,9 @@ def test_stacked_rows_are_the_bits_of_their_own_models(n):
             _cfg(n, n, OwnMode.BEAMFORMING, [], snr_db=3.0),
             _cfg(n, n, OwnMode.BEAMFORMING, [_sm(9.0, n)], snr_db=12.0)]
     models = [bf.from_config(cfg) for cfg in cfgs]
-    stacked = bf.BfModel(models[0].weights, None, tuple(m.rho_bar for m in models),
-                         tuple(m.rates for m in models))
+    stacked = bf.from_config(*cfgs)
+    # evaluation does not read the mixture, so a stacked model builds none
+    assert stacked.mixture is None and models[0].mixture is not None
     gammas = 10.0 ** (GRID_DB / 10.0)
     grid = np.tile(gammas, (len(models), 1))
     for method in ("outage", "sinr_pdf"):
@@ -164,8 +166,18 @@ def test_stacked_rows_are_the_bits_of_their_own_models(n):
                           [models[3].outage(gammas), models[1].outage(gammas)])
     assert [t.hex() for t in stacked.threshold(0.01)] == [
         m.threshold(0.01).hex() for m in models]
+    assert [t.hex() for t in stacked.threshold(0.01, [3, 1])] == [
+        models[3].threshold(0.01).hex(), models[1].threshold(0.01).hex()]
     with pytest.raises(ValueError, match="4 model rows"):
         stacked.outage(gammas)
+
+
+def test_stacked_rows_share_mode_and_size():
+    cfg = _cfg(4, 4, OwnMode.BEAMFORMING, REF_INTERFERERS)
+    with pytest.raises(ConfigError, match="share n_r and n_t"):
+        bf.from_config(cfg, _cfg(2, 4, OwnMode.BEAMFORMING, REF_INTERFERERS))
+    with pytest.raises(ConfigError, match="own_mode is ostbc, expected bf"):
+        bf.from_config(cfg, _cfg(4, 4, OwnMode.OSTBC, REF_INTERFERERS))
 
 
 def test_large_grids_are_evaluated_in_bounded_memory():
