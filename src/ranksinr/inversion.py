@@ -68,7 +68,7 @@ def _nsection(pred, lo: np.ndarray, hi: np.ndarray, rel_tol: float) -> np.ndarra
     starts = EDGES.size * np.arange(rows.size)
     while rows.size:
         l, h = lo[rows], hi[rows]
-        # each row's points l + (h - l) * EDGES, with the end h exact
+        # each row's points l + (h - l) * EDGES, h exact; row j's from starts[j] in x.ravel()
         x = np.multiply.outer(h - l, EDGES)
         x += l[:, None]
         x[:, -1] = h
