@@ -65,7 +65,7 @@ from .scenario import build_rate_set, own_numerator_scale
 def _sum_rows(x: np.ndarray) -> np.ndarray:
     """Sum over axis 0 one row after the other, whatever the column count
     (numpy's pairwise `sum` regroups a single column of more than 8)."""
-    return x[0] if len(x) == 1 else np.cumsum(x, axis=0)[-1]
+    return x[0] if len(x) == 1 else x[0] + x[1] if len(x) == 2 else np.add.accumulate(x)[-1]
 
 
 # (k, point) columns evaluated at once: the count tables stay a few MB
@@ -180,7 +180,7 @@ class SinrModel:
         # sum_{1<=n<=l} g_n summed from g_1 up: cumsum(g) - g_0 would round
         # it to 0 as gamma -> 0, where 1 - g_0 keeps its digits
         pmf[0] = 0.0
-        partial = np.cumsum(pmf, axis=0)
+        partial = np.add.accumulate(pmf)
         return (_sum_rows(self.psi_k[:, None] * -np.expm1(log_g0))
                 - _sum_rows(self.psis[:, None] * self._per_term(partial)))
 
