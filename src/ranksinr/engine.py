@@ -51,6 +51,7 @@ and it falls as a grows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,18 +73,53 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
 BLOCK = 4096
 
 
+class _Identity:
+    """A psi table as a cache key, by identity: a dict is unhashable, and
+    hashing its Fractions would cost about what rounding them does."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table) -> None:
+        self.table = table
+
+    def __hash__(self) -> int:
+        return id(self.table)
+
+    def __eq__(self, other) -> bool:
+        return self.table is other.table
+
+
+@functools.lru_cache(maxsize=64)
+def _psi_arrays(key: _Identity) -> tuple[np.ndarray, ...]:
+    """kvals, kidx, ls, psis, psi_k, 1/(n+1) for n <= lmax, and psi_kl k of
+    a psi table, read-only: every model of the table shares them.  A
+    cached entry holds its table, so no other table can take its id."""
+    items = sorted(key.table.items())
+    kvals, kidx = np.unique([k for (k, _), _ in items], return_inverse=True)
+    ls = np.array([l for (_, l), _ in items])
+    psis = np.array([float(w) for _, w in items])
+    arrays = (kvals, kidx, ls, psis, np.bincount(kidx, weights=psis, minlength=kvals.size),
+              1.0 / np.arange(1.0, ls.max() + 2.0)[:, None, None],
+              (psis * kvals[kidx])[:, None])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @dataclass(eq=False)
 class SinrModel:
     """Outage, density and outage thresholds of rho_bar*Z/(1+Y).
 
     `weights` maps (k, l) to psi_kl.  Exact rationals are rounded once
-    here, correctly: that keeps sum psi = 1, and with it the outage at
-    large gamma, within 1e-12 even at 8x8.  `rates` is the raw
-    interference rate set, empty for no interferers, and `mixture` its
-    grouping (None without interferers), whose partial-fraction
-    coefficients are computed only if read; evaluation does not read
-    `mixture`.  `notes` carries model caveats (e.g. no full-rate code
-    above two transmit antennas).
+    per table, correctly: that keeps sum psi = 1, and with it the outage
+    at large gamma, within 1e-12 even at 8x8.  The arrays derived from a
+    table are cached by its identity (the tables of ``wishart`` and
+    ``ostbc`` are cached too), so a table must not change once a model
+    has read it.  `rates` is the raw interference rate set, empty for
+    no interferers, and `mixture` its grouping (None without
+    interferers), whose partial-fraction coefficients are computed only
+    if read; evaluation does not read `mixture`.  `notes` carries model
+    caveats (e.g. no full-rate code above two transmit antennas).
 
     A model of several rows takes a tuple of rho_bar and one rate set
     per row; axis 0 of its arguments runs over the rows.
@@ -99,12 +135,8 @@ class SinrModel:
         rho_bar = np.asarray(self.rho_bar, dtype=np.float64)
         if (rho_bar <= 0).any():
             raise ValueError(f"rho_bar must be positive, got {self.rho_bar}")
-        items = sorted(self.weights.items())
-        kvals, kidx = np.unique([k for (k, _), _ in items], return_inverse=True)
-        ls = np.array([l for (_, l), _ in items])
-        psis = np.array([float(w) for _, w in items])
-        self.kvals, self.kidx, self.ls, self.psis = kvals, kidx, ls, psis
-        self.psi_k = np.bincount(kidx, weights=psis, minlength=kvals.size)
+        (self.kvals, self.kidx, self.ls, self.psis, self.psi_k, self._inv_orders,
+         self._pdf_scale) = _psi_arrays(_Identity(self.weights))
         # rates down axis 0, rows across; absent rates, and no interferers, are
         # rate 0 with count 1: they add exact zeros and keep a/c_r finite
         rows = [np.unique(np.asarray(r, dtype=np.float64).reshape(-1), return_counts=True)
@@ -114,8 +146,6 @@ class SinrModel:
         for j, (rho, count) in enumerate(rows):
             self.rho[:rho.size, j], self.count[:count.size, j] = rho, count
         self._rho_bar = rho_bar.reshape(-1)
-        self._inv_orders = 1.0 / np.arange(1.0, ls.max() + 2.0)[:, None, None]
-        self._pdf_scale = (psis * kvals[kidx])[:, None]
 
     @classmethod
     def for_scenarios(cls, mode, weights, cfg, *more):

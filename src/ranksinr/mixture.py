@@ -145,7 +145,7 @@ def group_rates(rates) -> tuple[tuple[float, ...], tuple[int, ...]]:
     Returns (group scales descending, multiplicities).  A scale joins
     the current group when its relative gap to the group's running
     power-weighted mean is at most GROUP_TOL; the merged scale is the
-    power-weighted mean sum(rho^2)/sum(rho).
+    power-weighted mean sum(rho^2)/sum(rho), at any scale of the rates.
     """
     rates = [float(r) for r in rates]
     if not rates:
@@ -158,18 +158,26 @@ def group_rates(rates) -> tuple[tuple[float, ...], tuple[int, ...]]:
     ordered = sorted(rates, reverse=True)
     group_scales: list[float] = []
     group_counts: list[int] = []
+    # a group's sums run over its rates times 2^-e, e the exponent of its
+    # largest: the power of two is exact, so the mean keeps the bits of
+    # the plain sums where those neither underflow nor overflow, and
+    # stays finite and nonzero where they would
     sum_r = sum_r2 = 0.0
-    count = 0
+    count = e = 0
     for r in ordered:
-        if count and (sum_r2 / sum_r - r) / (sum_r2 / sum_r) > GROUP_TOL:
-            group_scales.append(sum_r2 / sum_r)
+        x = math.ldexp(r, -e)
+        if count and (sum_r2 / sum_r - x) / (sum_r2 / sum_r) > GROUP_TOL:
+            group_scales.append(math.ldexp(sum_r2 / sum_r, e))
             group_counts.append(count)
             sum_r = sum_r2 = 0.0
             count = 0
-        sum_r += r
-        sum_r2 += r * r
+        if not count:
+            e = math.frexp(r)[1]
+            x = math.ldexp(r, -e)
+        sum_r += x
+        sum_r2 += x * x
         count += 1
-    group_scales.append(sum_r2 / sum_r)
+    group_scales.append(math.ldexp(sum_r2 / sum_r, e))
     group_counts.append(count)
     return tuple(group_scales), tuple(group_counts)
 

@@ -31,6 +31,8 @@ if read, and evaluation does not read them.
 
 from __future__ import annotations
 
+import functools
+
 from .engine import SinrModel
 from .scenario import OwnMode, ScenarioConfig
 
@@ -49,8 +51,13 @@ class OstbcModel(SinrModel):
     sinr_pdf = SinrModel.sinr_pdf
 
 
+@functools.cache
+def _weights(order: int) -> dict[tuple[int, int], int]:
+    """The table of Z ~ Gamma(order, 1), one object per order."""
+    return {(1, order - 1): 1}
+
+
 def from_config(cfg: ScenarioConfig, *more: ScenarioConfig) -> OstbcModel:
     """Build the OSTBC model for a scenario, or with more scenarios of its
     size one row per scenario (``SinrModel.for_scenarios``)."""
-    return OstbcModel.for_scenarios(OwnMode.OSTBC, {(1, cfg.n_r * cfg.n_t - 1): 1},
-                                    cfg, *more)
+    return OstbcModel.for_scenarios(OwnMode.OSTBC, _weights(cfg.n_r * cfg.n_t), cfg, *more)

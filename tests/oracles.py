@@ -168,6 +168,10 @@ def find_crossing(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float, inr_db: 
     if not (d > 0).any():
         raise ConfigError("outage curves do not cross below the search cap")
     k = int(np.argmax(d > 0))
-    gamma_cross = float(_nsection(lambda g, rows: diff(g) > 0, grid[k - 1:k], grid[k:k + 1],
-                                  1e-9)[0])
+    # the outage ratio rank r / rank 1 reaches 1 where diff does 0
+    def ratio(g, rows):
+        return mr.outage(g) / m1.outage(g)
+
+    bracket = (grid[k - 1:k], grid[k:k + 1], ratio(grid[k - 1:k], None), ratio(grid[k:k + 1], None))
+    gamma_cross = float(_nsection(ratio, 1.0, bracket, 1e-9)[0])
     return gamma_cross, float(m1.outage(gamma_cross))

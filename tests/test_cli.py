@@ -459,6 +459,16 @@ def test_thresholds_whose_scaled_value_overflows_read_the_limits(tmp_path, capsy
     assert [r[1] for r in parse_csv(out)[2]] == ["1"] * 3
 
 
+@pytest.mark.parametrize("command", ["outage", "pdf", "dump-xi"])
+def test_interference_too_weak_to_square_is_answered(tmp_path, capsys, command):
+    # at -2000 dB the rates are about 1e-200, whose squares underflow to 0;
+    # the mixture's grouping must neither divide by them nor crash
+    cfg = write_cfg(tmp_path, own_mode="ostbc",
+                    interferers=[{"technique": "sm", "inr_db": -2000.0, "layers": 2}])
+    code, _, _ = run(capsys, command, "--config", cfg)
+    assert code in (cli.EXIT_OK, cli.EXIT_NUMERIC)
+
+
 # --- failure modes ---
 
 

@@ -1,4 +1,4 @@
-"""Threshold inversion: n-section on the x4 lattice bracket, every row in lockstep."""
+"""Threshold inversion: secant-steered n-section on the x4 lattice bracket, rows in lockstep."""
 
 import math
 
@@ -9,6 +9,7 @@ from ranksinr import bf, ostbc
 from ranksinr.errors import NumericInstabilityError
 from ranksinr.inversion import _nsection, clamp_probability, threshold_at_outage
 from ranksinr.scenario import InterfererSpec, OwnMode, ScenarioConfig, Technique
+from ranksinr.sweeps import threshold_gain
 
 from conftest import REF_BF, REF_INTERFERERS, REF_OSTBC
 
@@ -58,6 +59,15 @@ def test_n_section_agrees_with_bisection(name, p):
     outage = Counting(model.outage)
     (thr,) = threshold_at_outage(outage, p)
     assert thr == pytest.approx(bisection(model.outage, p), rel=1e-10)
+    # the bracket call and about three n-section calls; the secant of
+    # log outage is poorer in the upper tail, where the outage flattens
+    assert outage.calls <= (5 if p <= 0.5 else 8)
+
+
+def test_gain_takes_four_outage_calls_per_threshold(monkeypatch):
+    outage = Counting(bf.BfModel.outage)
+    monkeypatch.setattr(bf.BfModel, "outage", lambda self, *args: outage(self, *args))
+    threshold_gain(OwnMode.BEAMFORMING, 4, 4, 15.0, 10.0, 4)
     assert outage.calls <= 10
 
 
@@ -66,7 +76,15 @@ def test_target_beyond_the_inner_lattice():
     outage = Counting(lambda g, rows: -np.expm1(-g / 1e60))
     (thr,) = threshold_at_outage(outage, 0.01)
     assert thr == pytest.approx(-1e60 * math.log1p(-0.01), rel=1e-10)
-    assert outage.calls <= 10
+    assert outage.calls <= 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_outage_zero_at_the_low_end_falls_back_to_the_geometric_midpoint():
+    # a step reads 0 below it: no secant, no log(0) warning, and the even
+    # points alone still shrink the bracket 9x per call
+    (thr,) = threshold_at_outage(lambda g, rows: (g >= 0.3).astype(float), 0.5)
+    assert thr == pytest.approx(0.3, rel=1e-10)
 
 
 @pytest.mark.parametrize("value, message", [(0.0, "reaches"), (1.0, "stays under")])
@@ -93,8 +111,12 @@ def test_clamp_probability_on_arrays():
 
 def test_tolerance_below_resolution_still_terminates():
     # with rel_tol = 0 the bracket stops shrinking a few ulps wide
-    (thr,) = _nsection(lambda g, rows: -np.expm1(-g) >= 0.5, np.array([0.5]),
-                       np.array([1.0]), 0.0)
+    def outage(g, rows):
+        return -np.expm1(-g)
+
+    bracket = (np.array([0.5]), np.array([1.0]), outage(np.array([0.5]), None),
+               outage(np.array([1.0]), None))
+    (thr,) = _nsection(outage, 0.5, bracket, 0.0)
     assert thr == pytest.approx(math.log(2.0), rel=1e-15)
 
 
@@ -110,7 +132,7 @@ def exponential_rows(g, rows):
 def test_batch_mixing_inner_and_outer_rows_gives_the_one_row_thresholds():
     outage = Counting(exponential_rows)
     thr = threshold_at_outage(outage, 0.01, SCALES.size)
-    assert outage.calls <= 10
+    assert outage.calls <= 5
     for row, scale in enumerate(SCALES):
         (alone,) = threshold_at_outage(lambda g, rows: -np.expm1(-g / scale), 0.01)
         assert thr[row].hex() == alone.hex()
@@ -120,13 +142,15 @@ def test_batch_mixing_inner_and_outer_rows_gives_the_one_row_thresholds():
 def test_converged_rows_drop_out():
     seen = []
 
-    def pred(g, rows):
+    def outage(g, rows):
         seen.append(rows.tolist())
-        return g >= 1.0 + 1e-13 * (1.0 + rows[:, None])
+        return 0.5 + g - (1.0 + 1e-13 * (1.0 + rows[:, None]))
 
     # the last bracket is already 1e-10 wide, the middle one after one call
     lo, hi = np.ones(3), np.array([4.0, 1.0 + 1e-9, 1.0 + 1e-12])
-    thr = _nsection(pred, lo, hi, 1e-10)
+    f_lo, f_hi = (outage(x[:, None], np.arange(3))[:, 0] for x in (lo, hi))
+    seen.clear()
+    thr = _nsection(outage, 0.5, (lo, hi, f_lo, f_hi), 1e-10)
     assert seen[:2] == [[0, 1], [0]] and all(rows == [0] for rows in seen[2:])
     assert thr[2] == 0.5 * (lo[2] + hi[2])
     assert thr[:2] == pytest.approx([1.0 + 1e-13, 1.0 + 2e-13], abs=1e-10)
