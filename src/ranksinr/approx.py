@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
-from .montecarlo import DEFAULT_CHUNK, complex_normal, run_chunks
+from .montecarlo import DEFAULT_CHUNK, _abs2, complex_normal, run_chunks
 from .scenario import MAX_ANTENNAS
 
 
@@ -125,15 +125,14 @@ def product_pdf(x, pd: ProductDistribution):
 def _exact_terms_chunk(
     n_r: int, n_t: int, n_l: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    h0 = complex_normal(rng, (n, n_r, n_t))
-    hi = complex_normal(rng, (n, n_r, n_t))
+    h0 = complex_normal(rng, (n_r, n_t, n))
+    hi = complex_normal(rng, (n_r, n_t, n))
     # the first column of a Haar n_l-frame, drawn as the whole frame's
     # Gaussian matrix so the stream is that of haar_columns
-    z = complex_normal(rng, (n, n_t, n_l))[:, :, 0]
-    v = z / (np.linalg.norm(z, axis=1, keepdims=True) * math.sqrt(n_l))
-    u = np.einsum("brt,bt->br", hi, v)
-    fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
-    return np.abs(np.einsum("br,br->b", h0[:, :, 0].conj(), u)) ** 2 / fro2
+    z = complex_normal(rng, (n_t, n_l, n))[:, 0]
+    v = z / (np.sqrt(_abs2(z).sum(axis=0)) * math.sqrt(n_l))
+    s = np.einsum("rb,rb->b", h0[:, 0].conj(), np.einsum("rtb,tb->rb", hi, v))
+    return _abs2(s) / _abs2(h0).reshape(-1, n).sum(axis=0)
 
 
 def simulate_exact_terms(

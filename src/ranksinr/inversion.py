@@ -5,7 +5,8 @@ row at once: one call on a x4 lattice brackets the target and keeps the
 outages F at the bracket ends, then each n-section call evaluates
 SECTIONS points per row.  Most of them sit in a window around the secant
 estimate of the crossing, the straight line through the bracket ends in
-(log gamma, log F): on a smooth curve it misses by about the square of
+(log gamma, log F), or in (log gamma, log(1 - F)) for targets above 1/2,
+where log F flattens: on a smooth curve it misses by about the square of
 the bracket's relative width, so a window that holds the crossing takes
 the bracket from 3 to about 2e-2, 5e-6 and the 1e-10 tolerance in three
 calls.  The rest are spread evenly over the bracket, so a window that
@@ -91,12 +92,16 @@ def _nsection(outage_fn, p_target: float, bracket, rel_tol: float) -> np.ndarray
     p_target, with its end values; a row drops out once its bracket is
     rel_tol wide or stops shrinking.  A row's points depend on its own
     bracket alone: EVEN spread over it, WINDOW around the secant
-    estimate of the crossing in (log x, log f), or around the geometric
-    midpoint where f_lo is 0.
+    estimate of the crossing in (log x, log f), or in (log x,
+    log(1 - f)) for p_target in (1/2, 1), or around the geometric
+    midpoint where f_lo is 0, or f_hi is 1 in that range.
     """
     # lo, hi, f_lo, f_hi of every row
     ends = np.stack(bracket, axis=1, dtype=np.float64)
-    log_p = math.log(p_target)
+    # for a probability above 1/2 the secant runs in log(1 - f), where
+    # log f flattens; a target of 1 or more is no probability
+    upper = 0.5 < p_target < 1.0
+    log_p = math.log1p(-p_target) if upper else math.log(p_target)
     rows = np.flatnonzero(ends[:, 1] - ends[:, 0] > rel_tol * ends[:, 0])
     # the same, in xf.ravel(), for the block of the j-th open row
     picks = 2 * (SECTIONS + 2) * np.arange(rows.size)[:, None] + PICKS
@@ -104,9 +109,9 @@ def _nsection(outage_fn, p_target: float, bracket, rel_tol: float) -> np.ndarray
         e = ends[rows]
         l, h, width = e[:, 0], e[:, 1], e[:, 1] - e[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_f = np.log(e[:, 2:])
+            log_f = np.log1p(-e[:, 2:]) if upper else np.log(e[:, 2:])
             t = (log_p - log_f[:, 0]) / (log_f[:, 1] - log_f[:, 0])
-        t[e[:, 2] <= 0.0] = 0.5
+        t[e[:, 3] >= 1.0 if upper else e[:, 2] <= 0.0] = 0.5
         w = width / l
         est = l * (1.0 + w) ** t
         half = est * np.minimum(np.maximum(WINDOW_SCALE * w * w, 0.5 * rel_tol), WINDOW_MAX)

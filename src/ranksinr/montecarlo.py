@@ -2,22 +2,23 @@
 
 Every analytic result in this package is validated against this module,
 so it deliberately shares no math with the closed-form paths beyond the
-scenario definitions.  Per channel draw it builds i.i.d. Rayleigh
-matrices, the serving link's transmit/receive processing, and each
-interferer's equivalent channels, then records the post-processing SINR
-conditioned on the channels (interference power averaged over data
-symbols, which unit-modulus constellations make exact).
-
-Conventions that must match the analytic model:
+scenario definitions.  Per draw of i.i.d. Rayleigh channels it records
+the post-processing SINR conditioned on the channels (interference
+power averaged over data symbols, which unit-modulus constellations
+make exact).  Every per-draw array has its draw axis last and
+contiguous, so each contraction is a short loop over antenna indices of
+length-n vector operations, and each interferer is reduced to its
+leakage as it is drawn.  Conventions that must match the analytic model:
 
 * Beamforming reception: the serving BS beamforms along the dominant
-  eigenvector of H0^H H0 (one batched LAPACK ``eigh`` per chunk); MRC
-  makes SINR = rho*lam/(1+Y) with Y the per-layer leakage sum.  A
-  precoded interferer's layer enters through a Haar column scaled
-  1/sqrt(n_L); an OSTBC interferer enters through
-  H*q/n_T with q a unit-modulus symbol vector, i.e. the symbol vector
-  is normalized to unit norm, which is what gives the analysis's
-  Exp(rate n_T) leakage term and rate P/(n_T sigma2).
+  eigenvector w of H0^H H0 (one batched LAPACK ``eigh`` per chunk);
+  MRC makes SINR = rho*lam/(1+Y) with Y the per-layer leakage sum.
+  The combiner f = H0 w is projected first, g = f^H H, and a layer
+  leaks |g c|^2: c is a Haar column scaled 1/sqrt(n_L) times its
+  symbol for a precoded interferer, q/n_T for an OSTBC one with q a
+  unit-modulus symbol vector, i.e. the symbol vector is normalized to
+  unit norm, which is what gives the analysis's Exp(rate n_T) leakage
+  term and rate P/(n_T sigma2).
 * OSTBC reception (n_T = 2): exact Alamouti combining.  The numerator
   is P0*||H0||_F^2/(n_T^2 sigma2); the per-symbol noise reference is
   n_T*sigma2*||H0||_F^2, matching the quadrupled noise in the
@@ -64,16 +65,30 @@ def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. circularly-symmetric complex Gaussians, unit variance."""
+    """i.i.d. circularly-symmetric complex Gaussians, unit variance.
+
+    The last axis of shape is the draw axis.  The values are the draws
+    of the batch-first shape (shape[-1], *shape[:-1]), real parts then
+    imaginary parts, written transposed 1024 draws at a time, so both
+    sides of the copy stay in cache.
+    """
+    n = shape[-1]
     z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
+    flat = z.reshape(-1, n)
+    for part in (flat.real, flat.imag):
+        draws = rng.standard_normal((n, flat.shape[0]))
+        for s in range(0, n, 1024):
+            part[:, s:s + 1024] = draws[s:s + 1024].T
     z *= 1.0 / math.sqrt(2.0)
     return z
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2  # np.abs(z)**2 would go through hypot
+
+
 def haar_columns(rng: np.random.Generator, batch: int, n: int, k: int) -> np.ndarray:
-    """Haar-random orthonormal k-frames in C^n, batched.
+    """Haar-random orthonormal k-frames in C^n, shape (n, k, batch).
 
     Classical Gram-Schmidt, applied twice per column, orthonormalises
     the columns of a complex Gaussian matrix Z.  It computes Z = QR with
@@ -87,21 +102,18 @@ def haar_columns(rng: np.random.Generator, batch: int, n: int, k: int) -> np.nda
     on all earlier ones at once, so the loop runs over columns, never
     over the batch.  At k = 1 the frame is z/||z||.
     """
-    q = complex_normal(rng, (batch, n, k))
+    q = complex_normal(rng, (n, k, batch))
     for j in range(k):
-        v = q[:, :, j]
-        if j:
-            prev = q[:, :, :j]
-            prev_h = prev.conj()
-            for _ in range(2):
-                v -= np.einsum("bnk,bk->bn", prev, np.einsum("bnk,bn->bk", prev_h, v))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v, prev = q[:, j], q[:, :j]
+        for _ in range(2 if j else 0):
+            v -= np.einsum("nkb,kb->nb", prev, np.einsum("nkb,nb->kb", prev.conj(), v))
+        v /= np.sqrt(_abs2(v).sum(axis=0))
     return q
 
 
 def qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-modulus QPSK symbols."""
-    return _QPSK[rng.integers(0, 4, size=shape)]
+    """Unit-modulus QPSK symbols, drawn batch-first as complex_normal draws."""
+    return _QPSK[np.moveaxis(rng.integers(0, 4, size=(shape[-1], *shape[:-1])), 0, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +124,26 @@ def qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
 EIGH_RESIDUAL_TOL = 1e-10
 
 
-def _top_eigpair(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenpair of each Hermitian PSD matrix in a batch.
+def _gram(h: np.ndarray) -> np.ndarray:
+    """H^H H of each draw, (p, p, n): the lower triangle row by row, mirrored."""
+    p = h.shape[1]
+    m = np.empty((p, p, h.shape[-1]), dtype=complex)
+    h_h = h.conj()
+    for i in range(p):
+        np.einsum("rb,rjb->jb", h_h[:, i], h[:, :i + 1], out=m[i, :i + 1])
+        m[:i, i] = m[i, :i].conj()
+    return m
 
-    One batched LAPACK ``eigh``; its result must pass the residual test
-    ||M w - lam w|| <= EIGH_RESIDUAL_TOL*lam, and any draw that fails it
-    raises NumericInstabilityError.
+
+def _top_eigpair(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenpair, lam (n,) and w (p, n), of each Hermitian PSD (p, p, n) draw.
+
+    One batched LAPACK ``eigh`` on a moved-axis view; a draw whose residual
+    ||M w - lam w|| exceeds EIGH_RESIDUAL_TOL*lam raises NumericInstabilityError.
     """
-    evals, evecs = np.linalg.eigh(mats)
-    lam, w = evals[:, -1], evecs[:, :, -1]
-    resid = np.linalg.norm((mats @ w[..., None])[..., 0] - lam[:, None] * w, axis=1)
+    evals, evecs = np.linalg.eigh(np.moveaxis(mats, -1, 0))
+    lam, w = evals[:, -1], np.ascontiguousarray(evecs[:, :, -1].T)
+    resid = np.sqrt(_abs2(np.einsum("ijb,jb->ib", mats, w) - lam * w).sum(axis=0))
     # written as "not <=" so that a NaN residual is refused too
     bad = ~(resid <= EIGH_RESIDUAL_TOL * np.maximum(lam, np.finfo(float).tiny))
     if np.any(bad):
@@ -203,35 +225,24 @@ def run_chunks(
 
 def _simulate_bf_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     sigma2 = cfg.noise_power
-    h0 = complex_normal(rng, (n, cfg.n_r, cfg.n_t))
-
-    # the eigensolve draws nothing, so each chunk's stream is H0 then the
-    # interferers in config order
-    draws = []
+    h0 = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
+    # the eigensolve draws nothing, so each chunk's stream is still H0
+    # then the interferers in config order
+    _, w = _top_eigpair(_gram(h0))
+    f_h = np.einsum("rtb,tb->rb", h0, w).conj()  # the MRC combiner f = H0 w, conjugated
+    lam = _abs2(f_h).sum(axis=0)  # ||H0 w||^2, consistent with f
+    y = np.zeros(n)
     for spec in cfg.interferers:
-        h = complex_normal(rng, (n, cfg.n_r, cfg.n_t))
+        # the combiner projected first: g = f^H H, one row per draw
+        g = np.einsum("rb,rtb->tb", f_h, complex_normal(rng, (cfg.n_r, cfg.n_t, n)))
         if spec.technique is Technique.OSTBC:
-            d = qpsk_symbols(rng, (n, cfg.n_t))
-            equiv = np.einsum("brt,bt->br", h, d) / cfg.n_t
-            draws.append((spec, equiv[..., None]))
+            cols = qpsk_symbols(rng, (cfg.n_t, 1, n)) / cfg.n_t
         else:
             v = haar_columns(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
-            d = qpsk_symbols(rng, (n, spec.layers))
-            equiv = np.einsum("btl,bl->btl", v, d)
-            draws.append((spec, h @ equiv))
-
-    mats = np.conj(np.swapaxes(h0, 1, 2)) @ h0
-    _, w = _top_eigpair(mats)
-    f = np.einsum("brt,bt->br", h0, w)
-    lam = np.sum(np.abs(f) ** 2, axis=1)  # ||H0 w||^2, consistent with f
-
-    y = np.zeros(n)
-    for spec, equiv in draws:
-        p_i = spec.power(sigma2)
-        leak = np.abs(np.einsum("br,brl->bl", f.conj(), equiv)) ** 2
-        y += (p_i / sigma2) * np.sum(leak, axis=1) / lam
-    rho = own_numerator_scale(cfg)
-    return rho * lam / (1.0 + y)
+            cols = v * qpsk_symbols(rng, (spec.layers, n))
+        leak = _abs2(np.einsum("tb,tlb->lb", g, cols)).sum(axis=0)
+        y += (spec.power(sigma2) / sigma2) * leak / lam
+    return own_numerator_scale(cfg) * lam / (1.0 + y)
 
 
 def simulate_bf_sinr(
@@ -257,49 +268,37 @@ def simulate_bf_sinr(
 # OSTBC-mode simulation
 
 
-def _ostbc_interference_terms(
-    cfg: ScenarioConfig, h0: np.ndarray, rng: np.random.Generator, alamouti: bool
-) -> np.ndarray:
-    """Normalized interference Y per draw, symbol-averaged powers."""
-    n = h0.shape[0]
-    sigma2 = cfg.noise_power
-    fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
-    y = np.zeros(n)
-    for spec in cfg.interferers:
-        h = complex_normal(rng, (n, cfg.n_r, cfg.n_t))
-        p_i = spec.power(sigma2)
-        if spec.technique is Technique.OSTBC and alamouti:
-            # interfering Alamouti block combines into two exact terms
-            c1, c2 = h0[:, :, 0], h0[:, :, 1]
-            g1, g2 = h[:, :, 0], h[:, :, 1]
-            a = np.sum(c1.conj() * g1, axis=1) + np.sum(c2 * g2.conj(), axis=1)
-            b = np.sum(c1.conj() * g2, axis=1) - np.sum(c2 * g1.conj(), axis=1)
-            y += (p_i / (cfg.n_t**2 * sigma2)) * (np.abs(a) ** 2 + np.abs(b) ** 2) / fro2
-        elif spec.technique is Technique.OSTBC:
-            # component path: fresh full-power symbol vector per instant
-            d = qpsk_symbols(rng, (n, cfg.n_t, cfg.n_t))
-            g = np.einsum("brt,btm->brm", h, d) / math.sqrt(cfg.n_t)
-            proj = np.abs(np.einsum("brm,brm->bm", h0.conj(), g)) ** 2
-            y += (p_i / (cfg.n_t * sigma2)) * np.sum(proj, axis=1) / fro2
-        else:
-            v = haar_columns(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
-            u = h @ v
-            # every column of H0 is a combining direction once per block
-            proj = np.abs(np.einsum("brm,brl->bml", h0.conj(), u)) ** 2
-            y += (p_i / (cfg.n_t * sigma2)) * np.sum(proj, axis=(1, 2)) / fro2
-    return y
-
-
 def _simulate_ostbc_chunk(
     cfg: ScenarioConfig, n: int, rng: np.random.Generator, force_component: bool
 ) -> np.ndarray:
     sigma2 = cfg.noise_power
-    h0 = complex_normal(rng, (n, cfg.n_r, cfg.n_t))
+    h0 = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
+    h0_h = h0.conj()
+    fro2 = _abs2(h0).reshape(-1, n).sum(axis=0)
     alamouti = cfg.n_t == 2 and not force_component
-    y = _ostbc_interference_terms(cfg, h0, rng, alamouti)
-    fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
-    x = own_numerator_scale(cfg) * fro2
-    return x / (1.0 + y)
+    # normalized interference Y per draw, symbol-averaged powers
+    y = np.zeros(n)
+    for spec in cfg.interferers:
+        h = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
+        p_i = spec.power(sigma2)
+        if spec.technique is Technique.OSTBC and alamouti:
+            # interfering Alamouti block combines into two exact terms
+            c1, c2, g1, g2 = h0_h[:, 0], h0[:, 1], h[:, 0], h[:, 1]
+            a = np.einsum("rb,rb->b", c1, g1) + np.einsum("rb,rb->b", c2, g2.conj())
+            b = np.einsum("rb,rb->b", c1, g2) - np.einsum("rb,rb->b", c2, g1.conj())
+            y += (p_i / (cfg.n_t**2 * sigma2)) * (_abs2(a) + _abs2(b)) / fro2
+            continue
+        if spec.technique is Technique.OSTBC:
+            # component path: fresh full-power symbol vector per instant
+            d = qpsk_symbols(rng, (cfg.n_t, cfg.n_t, n))
+            g = np.einsum("rtb,tmb->rmb", h, d) / math.sqrt(cfg.n_t)
+            proj = np.einsum("rmb,rmb->mb", h0_h, g)
+        else:
+            v = haar_columns(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
+            # every column of H0 is a combining direction once per block
+            proj = np.einsum("rmb,rlb->mlb", h0_h, np.einsum("rtb,tlb->rlb", h, v))
+        y += (p_i / (cfg.n_t * sigma2)) * _abs2(proj).reshape(-1, n).sum(axis=0) / fro2
+    return own_numerator_scale(cfg) * fro2 / (1.0 + y)
 
 
 def simulate_ostbc_sinr(

@@ -1,10 +1,11 @@
 """Oracles and reference curves that only the tests read.
 
-Sharing no evaluation code with the closed forms: the interference sum
-drawn term by term; the Xi coefficients and the law of that sum in
-mpmath at any precision; the exponential-beta product of the OSTBC
-approximation chain drawn from its two factors, and that product's mean
-by quadrature.  Built on the library's models: the OSTBC
+Sharing no evaluation code with the closed forms: the Monte Carlo chunk
+kernels written batch-first, the draw axis leading, on the same draws;
+the interference sum drawn term by term; the Xi coefficients and the law
+of that sum in mpmath at any precision; the exponential-beta product of
+the OSTBC approximation chain drawn from its two factors, and that
+product's mean by quadrature.  Built on the library's models: the OSTBC
 white-interference limit, and the threshold where the rank-1 and rank-r
 outage curves cross.
 """
@@ -20,7 +21,96 @@ from ranksinr.errors import ConfigError, EmptyMixtureError
 from ranksinr.inversion import _nsection
 from ranksinr.montecarlo import _generator
 from ranksinr.ostbc import OstbcModel
-from ranksinr.scenario import OwnMode, ScenarioConfig, own_numerator_scale
+from ranksinr.scenario import OwnMode, ScenarioConfig, Technique, own_numerator_scale
+
+_QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
+
+
+def complex_normal_batch_first(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit complex Gaussians of shape (n, ...), the draw axis first:
+    real parts, then imaginary parts."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
+def haar_frames_batch_first(rng: np.random.Generator, batch: int, n: int, k: int) -> np.ndarray:
+    """(batch, n, k) Haar frames: LAPACK QR of a Gaussian matrix with the
+    R-diagonal phases divided out (Mezzadri 2007)."""
+    q, r = np.linalg.qr(complex_normal_batch_first(rng, (batch, n, k)))
+    diag = np.einsum("bkk->bk", r)
+    return q * (diag / np.abs(diag)).conj()[:, None, :]
+
+
+def qpsk_batch_first(rng: np.random.Generator, shape) -> np.ndarray:
+    return _QPSK[rng.integers(0, 4, size=shape)]
+
+
+def bf_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Beamforming SINR samples: every channel drawn first, then the
+    dominant eigenvector of H0^H H0, then the leakage of H V d."""
+    sigma2 = cfg.noise_power
+    h0 = complex_normal_batch_first(rng, (n, cfg.n_r, cfg.n_t))
+    draws = []
+    for spec in cfg.interferers:
+        h = complex_normal_batch_first(rng, (n, cfg.n_r, cfg.n_t))
+        if spec.technique is Technique.OSTBC:
+            d = qpsk_batch_first(rng, (n, cfg.n_t))
+            draws.append((spec, (np.einsum("brt,bt->br", h, d) / cfg.n_t)[..., None]))
+        else:
+            v = haar_frames_batch_first(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
+            d = qpsk_batch_first(rng, (n, spec.layers))
+            draws.append((spec, h @ np.einsum("btl,bl->btl", v, d)))
+    _, evecs = np.linalg.eigh(np.conj(np.swapaxes(h0, 1, 2)) @ h0)
+    f = np.einsum("brt,bt->br", h0, evecs[:, :, -1])
+    lam = np.sum(np.abs(f) ** 2, axis=1)
+    y = np.zeros(n)
+    for spec, equiv in draws:
+        leak = np.abs(np.einsum("br,brl->bl", f.conj(), equiv)) ** 2
+        y += (spec.power(sigma2) / sigma2) * np.sum(leak, axis=1) / lam
+    return own_numerator_scale(cfg) * lam / (1.0 + y)
+
+
+def ostbc_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generator,
+                            force_component: bool) -> np.ndarray:
+    """OSTBC SINR samples: Alamouti combining at n_t = 2 unless
+    force_component, else the per-instant column projections."""
+    sigma2 = cfg.noise_power
+    h0 = complex_normal_batch_first(rng, (n, cfg.n_r, cfg.n_t))
+    fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
+    alamouti = cfg.n_t == 2 and not force_component
+    y = np.zeros(n)
+    for spec in cfg.interferers:
+        h = complex_normal_batch_first(rng, (n, cfg.n_r, cfg.n_t))
+        p_i = spec.power(sigma2)
+        if spec.technique is Technique.OSTBC and alamouti:
+            c1, c2 = h0[:, :, 0], h0[:, :, 1]
+            g1, g2 = h[:, :, 0], h[:, :, 1]
+            a = np.sum(c1.conj() * g1, axis=1) + np.sum(c2 * g2.conj(), axis=1)
+            b = np.sum(c1.conj() * g2, axis=1) - np.sum(c2 * g1.conj(), axis=1)
+            y += (p_i / (cfg.n_t**2 * sigma2)) * (np.abs(a) ** 2 + np.abs(b) ** 2) / fro2
+        elif spec.technique is Technique.OSTBC:
+            d = qpsk_batch_first(rng, (n, cfg.n_t, cfg.n_t))
+            g = np.einsum("brt,btm->brm", h, d) / math.sqrt(cfg.n_t)
+            proj = np.abs(np.einsum("brm,brm->bm", h0.conj(), g)) ** 2
+            y += (p_i / (cfg.n_t * sigma2)) * np.sum(proj, axis=1) / fro2
+        else:
+            v = haar_frames_batch_first(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
+            proj = np.abs(np.einsum("brm,brl->bml", h0.conj(), h @ v)) ** 2
+            y += (p_i / (cfg.n_t * sigma2)) * np.sum(proj, axis=(1, 2)) / fro2
+    return own_numerator_scale(cfg) * fro2 / (1.0 + y)
+
+
+def exact_terms_batch_first(n_r: int, n_t: int, n_l: int, n: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """|c^H u|^2 / ||H0||_F^2 with u = H v, v the first column of a Haar
+    n_l-frame over sqrt(n_l) and c the first column of H0."""
+    h0 = complex_normal_batch_first(rng, (n, n_r, n_t))
+    hi = complex_normal_batch_first(rng, (n, n_r, n_t))
+    v = haar_frames_batch_first(rng, n, n_t, n_l)[:, :, 0] / math.sqrt(n_l)
+    u = np.einsum("brt,bt->br", hi, v)
+    fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
+    return np.abs(np.einsum("br,br->b", h0[:, :, 0].conj(), u)) ** 2 / fro2
 
 
 def sample_sum(rates, size: int, rng: np.random.Generator) -> np.ndarray:

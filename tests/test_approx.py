@@ -96,13 +96,13 @@ def test_exact_terms_use_the_first_column_of_a_full_frame(n_r, n_t, n_l):
     # first column kept; one chunk draws from the first spawned stream
     n, seed = 5_000, 31
     rng = _generator(np.random.SeedSequence(seed).spawn(1)[0])
-    h0 = complex_normal(rng, (n, n_r, n_t))
-    hi = complex_normal(rng, (n, n_r, n_t))
-    q, r = np.linalg.qr(complex_normal(rng, (n, n_t, n_l)))
+    h0 = complex_normal(rng, (n_r, n_t, n))
+    hi = complex_normal(rng, (n_r, n_t, n))
+    q, r = np.linalg.qr(np.moveaxis(complex_normal(rng, (n_t, n_l, n)), -1, 0))
     v = q[:, :, 0] * (r[:, 0, 0] / np.abs(r[:, 0, 0])).conj()[:, None] / math.sqrt(n_l)
-    u = np.einsum("brt,bt->br", hi, v)
-    fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
-    ref = np.abs(np.einsum("br,br->b", h0[:, :, 0].conj(), u)) ** 2 / fro2
+    u = np.einsum("rtb,bt->br", hi, v)
+    fro2 = np.sum(np.abs(h0) ** 2, axis=(0, 1))
+    ref = np.abs(np.einsum("rb,br->b", h0[:, 0].conj(), u)) ** 2 / fro2
     s = simulate_exact_terms(n_r, n_t, n_l, n, seed)
     assert np.max(np.abs(s - ref) / ref) <= 1e-12
 

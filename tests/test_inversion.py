@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ranksinr import bf, ostbc
+from ranksinr import bf, inversion, ostbc
 from ranksinr.errors import NumericInstabilityError
 from ranksinr.inversion import _nsection, clamp_probability, threshold_at_outage
 from ranksinr.scenario import InterfererSpec, OwnMode, ScenarioConfig, Technique
@@ -59,9 +59,9 @@ def test_n_section_agrees_with_bisection(name, p):
     outage = Counting(model.outage)
     (thr,) = threshold_at_outage(outage, p)
     assert thr == pytest.approx(bisection(model.outage, p), rel=1e-10)
-    # the bracket call and about three n-section calls; the secant of
-    # log outage is poorer in the upper tail, where the outage flattens
-    assert outage.calls <= (5 if p <= 0.5 else 8)
+    # the bracket call and about three n-section calls; in the upper tail
+    # the secant runs in log(1 - outage), so it is as good there
+    assert outage.calls <= 5
 
 
 def test_gain_takes_four_outage_calls_per_threshold(monkeypatch):
@@ -69,6 +69,45 @@ def test_gain_takes_four_outage_calls_per_threshold(monkeypatch):
     monkeypatch.setattr(bf.BfModel, "outage", lambda self, *args: outage(self, *args))
     threshold_gain(OwnMode.BEAMFORMING, 4, 4, 15.0, 10.0, 4)
     assert outage.calls <= 10
+
+
+@pytest.mark.parametrize("own_mode", [OwnMode.BEAMFORMING, OwnMode.OSTBC], ids=["bf", "ostbc"])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_upper_tail_gain_takes_at_most_two_more_n_section_calls(n, own_mode, monkeypatch):
+    # a full-rank interferer at 10 dB against a victim at 15 dB
+    counters = []
+    nsection = inversion._nsection
+
+    def counting(outage_fn, *args):
+        counters.append(Counting(outage_fn))
+        return nsection(counters[-1], *args)
+
+    monkeypatch.setattr(inversion, "_nsection", counting)
+
+    def calls(p):
+        counters.clear()
+        threshold_gain(own_mode, n, n, 15.0, 10.0, n, p_star=p)
+        return sum(c.calls for c in counters)
+
+    at_one_percent = calls(0.01)
+    for p in (0.99, 1.0 - 1e-6):
+        assert calls(p) <= at_one_percent + 2, p
+
+
+@pytest.mark.filterwarnings("error")
+def test_outage_one_at_the_high_end_falls_back_to_the_geometric_midpoint():
+    # above the median an outage of 1 at the bracket's top end gives no
+    # secant in log(1 - outage): the window sits around sqrt(lo * hi)
+    seen = []
+
+    def step(g, rows):
+        seen.append(g[0].copy())
+        return np.where(g >= 0.3, 1.0, 0.5)
+
+    (thr,) = _nsection(step, 0.9, (np.array([0.1]), np.array([1.0]), np.full(1, 0.5),
+                                   np.ones(1)), 1e-10)
+    assert thr == pytest.approx(0.3, rel=1e-10)
+    assert np.sum(np.abs(seen[0] / math.sqrt(0.1) - 1.0) <= 0.2) >= 24
 
 
 def test_target_beyond_the_inner_lattice():

@@ -5,8 +5,6 @@ analytic machinery (exponential/gamma limits, Haar isotropy), so that
 using it to judge the closed forms is not circular.
 """
 
-import math
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -32,6 +30,13 @@ from ranksinr.scenario import (
 )
 
 from conftest import REF_BF, REF_OSTBC, ks_distance
+from oracles import (
+    bf_chunk_batch_first,
+    complex_normal_batch_first,
+    exact_terms_batch_first,
+    haar_frames_batch_first,
+    ostbc_chunk_batch_first,
+)
 
 
 def test_runs_are_byte_identical():
@@ -54,22 +59,22 @@ def test_dominant_eigvec_matches_dense_solver():
     for n in (2, 3, 4, 6):
         h = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         m = h.conj().T @ h
-        lam, w = _top_eigpair(m[None])
+        lam, w = _top_eigpair(m[..., None])
         evals, evecs = np.linalg.eigh(m)
         assert lam[0] == pytest.approx(evals[-1], rel=1e-8)
         top = evecs[:, -1]
-        overlap = abs(np.vdot(top, w[0]))
+        overlap = abs(np.vdot(top, w[:, 0]))
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
 def test_dominant_eigvec_trivial_and_guard(monkeypatch):
-    lam, w = _top_eigpair(np.diag([4.0, 1.0]).astype(complex)[None])
+    lam, w = _top_eigpair(np.diag([4.0, 1.0]).astype(complex)[..., None])
     assert lam[0] == pytest.approx(4.0, rel=1e-12)
     assert abs(w[0, 0]) == pytest.approx(1.0, abs=1e-10)
     # the residual check: no draw of a random Hermitian batch has an
     # exactly zero residual, so a zero tolerance refuses the batch
-    h = complex_normal(np.random.default_rng(6), (50, 3, 3))
-    mats = np.swapaxes(h.conj(), 1, 2) @ h
+    h = complex_normal(np.random.default_rng(6), (3, 3, 50))
+    mats = np.einsum("rib,rjb->ijb", h.conj(), h)
     _top_eigpair(mats)
     monkeypatch.setattr(montecarlo, "EIGH_RESIDUAL_TOL", 0.0)
     with pytest.raises(NumericInstabilityError, match="eigh residual"):
@@ -78,20 +83,24 @@ def test_dominant_eigvec_trivial_and_guard(monkeypatch):
 
 def test_dominant_eigvec_on_a_tied_top_eigenvalue():
     m = np.eye(3, dtype=complex)
-    lam, w = _top_eigpair(m[None])
+    lam, w = _top_eigpair(m[..., None])
     assert lam[0] == 1.0
-    assert np.linalg.norm(w[0]) == pytest.approx(1.0, abs=1e-15)
-    assert np.linalg.norm(m @ w[0] - lam[0] * w[0]) <= montecarlo.EIGH_RESIDUAL_TOL * lam[0]
+    assert np.linalg.norm(w[:, 0]) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(m @ w[:, 0] - lam[0] * w[:, 0]) <= montecarlo.EIGH_RESIDUAL_TOL * lam[0]
 
 
 def test_complex_normal_matches_the_two_array_construction():
-    # same generator state, same draw order: real parts, then imaginary
-    a = np.random.default_rng(8)
-    b = np.random.default_rng(8)
-    z = complex_normal(a, (1000, 3, 2))
-    re = b.standard_normal((1000, 3, 2))
-    im = b.standard_normal((1000, 3, 2))
-    assert z.tobytes() == ((re + 1j * im) / math.sqrt(2.0)).tobytes()
+    # same generator state, same draw order: real parts, then imaginary,
+    # of the batch-first shape; the draws land transposed, draw axis last
+    for shape in [(1000,), (1, 1000), (3, 2, 1000), (8, 8, 2500)]:
+        a = _generator(np.random.SeedSequence(8))
+        b = _generator(np.random.SeedSequence(8))
+        z = complex_normal(a, shape)
+        ref = complex_normal_batch_first(b, (shape[-1], *shape[:-1]))
+        assert z.flags.c_contiguous
+        assert z.tobytes() == np.ascontiguousarray(np.moveaxis(ref, 0, -1)).tobytes(), shape
+        # both leave the generator in the same state
+        assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes(), shape
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -104,8 +113,8 @@ def test_bf_without_interference_is_rho_times_top_singular_value_squared(n):
     seed, draws = 17, 2_000
     dist = simulate_bf_sinr(cfg, draws, seed=seed)
     rng = _generator(np.random.SeedSequence(seed).spawn(1)[0])
-    h0 = complex_normal(rng, (draws, n, n))
-    sigma_max = np.linalg.svd(h0, compute_uv=False)[:, 0]
+    h0 = complex_normal(rng, (n, n, draws))
+    sigma_max = np.linalg.svd(np.moveaxis(h0, -1, 0), compute_uv=False)[:, 0]
     expected = own_numerator_scale(cfg) * sigma_max**2
     assert np.max(np.abs(dist.samples / expected - 1.0)) <= 1e-12
 
@@ -114,20 +123,14 @@ def test_haar_columns_isotropy():
     rng = np.random.default_rng(11)
     n_t, n_l, draws = 4, 2, 100_000
     q = haar_columns(rng, draws, n_t, n_l)
+    assert q.shape == (n_t, n_l, draws)
     v = q / np.sqrt(n_l)
     # exact per draw: V^H V = I / n_l
-    gram = np.swapaxes(v.conj(), 1, 2) @ v
-    assert np.max(np.abs(gram - np.eye(n_l) / n_l)) < 1e-12
+    gram = np.einsum("tkb,tlb->klb", v.conj(), v)
+    assert np.max(np.abs(gram - (np.eye(n_l) / n_l)[..., None])) < 1e-12
     # on average: E[V V^H] = I / n_t
-    outer = np.mean(v @ np.swapaxes(v.conj(), 1, 2), axis=0)
+    outer = np.einsum("skb,tkb->st", v, v.conj()) / draws
     assert np.max(np.abs(outer - np.eye(n_t) / n_t)) < 0.01
-
-
-def _phase_fixed_qr_frames(rng, batch, n, k):
-    # reference: LAPACK QR with the R-diagonal phases divided out (Mezzadri 2007)
-    q, r = np.linalg.qr(complex_normal(rng, (batch, n, k)))
-    diag = np.einsum("bkk->bk", r)
-    return q * (diag / np.abs(diag)).conj()[:, None, :]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -137,12 +140,64 @@ def test_haar_columns_equal_phase_fixed_qr_frames(n):
         seed = np.random.SeedSequence([n, k])
         a, b = _generator(seed), _generator(seed)
         q = haar_columns(a, draws, n, k)
-        ref = _phase_fixed_qr_frames(b, draws, n, k)
-        assert np.max(np.abs(q - ref)) <= 1e-12, (n, k)
-        gram = np.swapaxes(q.conj(), 1, 2) @ q
-        assert np.max(np.abs(gram - np.eye(k))) <= 1e-13, (n, k)
+        # reference: LAPACK QR with the R-diagonal phases divided out
+        ref = haar_frames_batch_first(b, draws, n, k)
+        assert np.max(np.abs(np.moveaxis(q, -1, 0) - ref)) <= 1e-12, (n, k)
+        gram = np.einsum("nib,njb->ijb", q.conj(), q)
+        assert np.max(np.abs(gram - np.eye(k)[..., None])) <= 1e-13, (n, k)
         # both consumed the stream identically
         assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes()
+
+
+_SIZES = [(1, 1), (2, 2), (2, 4), (4, 4)]
+
+
+def _every_interferer_kind(n_r, n_t, own_mode):
+    """An OSTBC, a BF and an SM interferer of each layer count 1..n_t."""
+    interferers = (
+        InterfererSpec(technique=Technique.OSTBC, inr_db=6.0),
+        InterfererSpec(technique=Technique.BEAMFORMING, inr_db=8.0),
+        *(InterfererSpec(technique=Technique.SPATIAL_MULTIPLEXING, inr_db=10.0 - layers,
+                         layers=layers) for layers in range(1, n_t + 1)),
+    )
+    return ScenarioConfig(n_r=n_r, n_t=n_t, noise_power=1.0, snr_db=15.0,
+                          own_mode=own_mode, interferers=interferers)
+
+
+def _assert_same_samples_and_stream(kernel, reference, draws=3_000):
+    # both on the same generator state; they must draw the same values
+    seed = np.random.SeedSequence(29)
+    a, b = _generator(seed), _generator(seed)
+    got, ref = kernel(draws, a), reference(draws, b)
+    assert got.shape == ref.shape == (draws,)
+    err = np.abs(got - ref)
+    assert np.all((err <= 1e-12 * np.abs(ref)) | (err <= 1e-15)), float(np.max(err / ref))
+    assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes()
+
+
+@pytest.mark.parametrize("n_r,n_t", _SIZES)
+def test_bf_kernel_matches_the_batch_first_reference(n_r, n_t):
+    cfg = _every_interferer_kind(n_r, n_t, OwnMode.BEAMFORMING)
+    _assert_same_samples_and_stream(
+        lambda n, rng: montecarlo._simulate_bf_chunk(cfg, n, rng),
+        lambda n, rng: bf_chunk_batch_first(cfg, n, rng))
+
+
+@pytest.mark.parametrize("force_component", [False, True], ids=["alamouti", "component"])
+@pytest.mark.parametrize("n_r,n_t", _SIZES)
+def test_ostbc_kernel_matches_the_batch_first_reference(n_r, n_t, force_component):
+    cfg = _every_interferer_kind(n_r, n_t, OwnMode.OSTBC)
+    _assert_same_samples_and_stream(
+        lambda n, rng: montecarlo._simulate_ostbc_chunk(cfg, n, rng, force_component),
+        lambda n, rng: ostbc_chunk_batch_first(cfg, n, rng, force_component))
+
+
+@pytest.mark.parametrize("n_r,n_t", _SIZES)
+def test_exact_terms_kernel_matches_the_batch_first_reference(n_r, n_t):
+    for n_l in range(1, n_t + 1):
+        _assert_same_samples_and_stream(
+            lambda n, rng: approx._exact_terms_chunk(n_r, n_t, n_l, n, rng),
+            lambda n, rng: exact_terms_batch_first(n_r, n_t, n_l, n, rng))
 
 
 def test_single_antenna_no_interference_is_unit_exponential():
@@ -170,14 +225,14 @@ def test_bf_layer_leakage_is_exponential():
     # an Exp(rate n_l) power: |w^H H v_l|^2 with v = haar/sqrt(n_l)
     rng = np.random.default_rng(21)
     n, n_r, n_t, n_l = 400_000, 2, 4, 4
-    h = complex_normal(rng, (n, n_r, n_t))
+    h = complex_normal(rng, (n_r, n_t, n))
     v = haar_columns(rng, n, n_t, n_l) / np.sqrt(n_l)
-    w = complex_normal(rng, (n, n_r))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    u = np.einsum("brt,btl->brl", h, v)
-    leak = np.abs(np.einsum("br,brl->bl", w.conj(), u)) ** 2
+    w = complex_normal(rng, (n_r, n))
+    w /= np.linalg.norm(w, axis=0)
+    u = np.einsum("rtb,tlb->rlb", h, v)
+    leak = np.abs(np.einsum("rb,rlb->lb", w.conj(), u)) ** 2
     for layer in range(n_l):
-        s = np.sort(leak[:, layer])
+        s = np.sort(leak[layer])
         ks = ks_distance(s, 1.0 - np.exp(-n_l * s))
         assert ks < 0.005, f"layer {layer}: KS = {ks:.5f}"
 
