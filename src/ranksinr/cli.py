@@ -49,6 +49,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VALIDATION = 4
+DKW_ALPHA = 0.01
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:
@@ -263,11 +264,14 @@ def cmd_mc_validate(args) -> int:
         notes.append(
             "closed form is approximate for OSTBC reception; mismatch concentrates near the mode"
         )
-    worst_se = 0.5 / math.sqrt(args.samples)
-    if 3.0 * worst_se > tolerance:
+    # the empirical CDF is within dkw_band of the true CDF everywhere with
+    # probability 1 - DKW_ALPHA (Dvoretzky-Kiefer-Wolfowitz inequality with
+    # Massart's constant, Ann. Probab. 18, 1990)
+    dkw_band = math.sqrt(math.log(2.0 / DKW_ALPHA) / (2.0 * args.samples))
+    if dkw_band > tolerance:
         notes.append(
             f"sample count {args.samples} is statistically insufficient for "
-            f"tolerance {tolerance} (3 sigma = {3 * worst_se:.4f})"
+            f"tolerance {tolerance} (DKW band = {dkw_band:.4f})"
         )
     max_delta = float(np.max(np.abs(deltas)))
     passed = max_delta <= tolerance
@@ -278,6 +282,7 @@ def cmd_mc_validate(args) -> int:
                               grid_db=args.grid)),
         "own_mode": cfg.own_mode.value,
         "tolerance": tolerance,
+        "dkw_band": dkw_band,
         "max_abs_outage_delta": max_delta,
         "pdf_sup_norm_per_db": sup_pdf,
         "passed": passed,

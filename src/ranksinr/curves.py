@@ -1,9 +1,9 @@
 """Self-describing CSV/JSON emitters.
 
-Every file carries the tool version, a config hash, the seed, and the
-grid in a comment header (CSV) or a meta object (JSON), and nothing
-time- or host-dependent, so reruns with the same inputs are
-byte-identical.
+Every file carries the tool version, a config hash, the seed, the grid
+and the config's model caveats, if it has any, in a comment header (CSV)
+or a meta object (JSON), and nothing time- or host-dependent, so reruns
+with the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def _fmt(v) -> str:
 
 def metadata(cfg: ScenarioConfig, **extra) -> dict[str, str]:
     meta = {"tool": f"ranksinr {__version__}", "config_hash": config_hash(cfg)}
-    for k, v in extra.items():
+    for k, v in {**extra, "caveats": " | ".join(cfg.warnings()) or None}.items():
         if v is not None:
             meta[k] = _fmt(v)
     return meta

@@ -118,8 +118,7 @@ class SinrModel:
     has read it.  `rates` is the raw interference rate set, empty for
     no interferers, and `mixture` its grouping (None without
     interferers), whose partial-fraction coefficients are computed only
-    if read; evaluation does not read `mixture`.  `notes` carries model
-    caveats (e.g. no full-rate code above two transmit antennas).
+    if read; evaluation does not read `mixture`.
 
     A model of several rows takes a tuple of rho_bar and one rate set
     per row; axis 0 of its arguments runs over the rows.
@@ -129,7 +128,6 @@ class SinrModel:
     mixture: MixtureSpec | None
     rho_bar: float | tuple[float, ...]
     rates: tuple[float, ...] | tuple[tuple[float, ...], ...] = ()
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         rho_bar = np.asarray(self.rho_bar, dtype=np.float64)
@@ -159,9 +157,9 @@ class SinrModel:
                 raise ConfigError("the rows of one model must share n_r and n_t")
         rho_bar, rates = tuple(map(own_numerator_scale, cfgs)), tuple(map(build_rate_set, cfgs))
         if more:
-            return cls(weights, None, rho_bar, rates, cfg.warnings())
+            return cls(weights, None, rho_bar, rates)
         mix = mixture.build_mixture(rates[0]) if rates[0] else None  # on the module: wrappers see it
-        return cls(weights, mix, rho_bar[0], rates[0], cfg.warnings())
+        return cls(weights, mix, rho_bar[0], rates[0])
 
     def _counts(self, gamma: np.ndarray, rows=0, top=None):
         """log g_{k,0}, g_{k,n} for n <= top and d_{k,n} for n < top, top =

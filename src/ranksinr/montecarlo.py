@@ -67,18 +67,11 @@ def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. circularly-symmetric complex Gaussians, unit variance.
 
-    The last axis of shape is the draw axis.  The values are the draws
-    of the batch-first shape (shape[-1], *shape[:-1]), real parts then
-    imaginary parts, written transposed 1024 draws at a time, so both
-    sides of the copy stay in cache.
+    The last axis of shape is the draw axis.  A value's real and
+    imaginary parts are two consecutive standard normals, scaled by
+    1/sqrt(2); the result is C-contiguous.
     """
-    n = shape[-1]
-    z = np.empty(shape, dtype=complex)
-    flat = z.reshape(-1, n)
-    for part in (flat.real, flat.imag):
-        draws = rng.standard_normal((n, flat.shape[0]))
-        for s in range(0, n, 1024):
-            part[:, s:s + 1024] = draws[s:s + 1024].T
+    z = rng.standard_normal((*shape, 2)).view(complex)[..., 0]
     z *= 1.0 / math.sqrt(2.0)
     return z
 
@@ -112,8 +105,8 @@ def haar_columns(rng: np.random.Generator, batch: int, n: int, k: int) -> np.nda
 
 
 def qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-modulus QPSK symbols, drawn batch-first as complex_normal draws."""
-    return _QPSK[np.moveaxis(rng.integers(0, 4, size=(shape[-1], *shape[:-1])), 0, -1)]
+    """Unit-modulus QPSK symbols of the given shape, draw axis last."""
+    return _QPSK[rng.integers(0, 4, size=shape)]
 
 
 # ---------------------------------------------------------------------------

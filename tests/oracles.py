@@ -1,7 +1,8 @@
 """Oracles and reference curves that only the tests read.
 
 Sharing no evaluation code with the closed forms: the Monte Carlo chunk
-kernels written batch-first, the draw axis leading, on the same draws;
+kernels written batch-first, the draw axis leading, on the same stream
+(drawn in the library's draw-axis-last order, then moved to the front);
 the interference sum drawn term by term; the Xi coefficients and the law
 of that sum in mpmath at any precision; the exponential-beta product of
 the OSTBC approximation chain drawn from its two factors, and that
@@ -27,11 +28,11 @@ _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 
 
 def complex_normal_batch_first(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit complex Gaussians of shape (n, ...), the draw axis first:
-    real parts, then imaginary parts."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+    """Unit complex Gaussians of shape (n, ...), the draw axis first: the
+    stream of the draw-axis-last shape (..., n), real and imaginary parts
+    consecutive, with the draw axis moved to the front."""
+    pairs = rng.standard_normal((*shape[1:], shape[0], 2))
+    return np.moveaxis(pairs[..., 0] + 1j * pairs[..., 1], -1, 0) / math.sqrt(2.0)
 
 
 def haar_frames_batch_first(rng: np.random.Generator, batch: int, n: int, k: int) -> np.ndarray:
@@ -43,7 +44,8 @@ def haar_frames_batch_first(rng: np.random.Generator, batch: int, n: int, k: int
 
 
 def qpsk_batch_first(rng: np.random.Generator, shape) -> np.ndarray:
-    return _QPSK[rng.integers(0, 4, size=shape)]
+    """QPSK symbols of shape (n, ...), drawn draw axis last, moved first."""
+    return np.moveaxis(_QPSK[rng.integers(0, 4, size=(*shape[1:], shape[0]))], -1, 0)
 
 
 def bf_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -386,6 +386,20 @@ def test_mc_validate_warns_on_tiny_sample_counts(tmp_path, capsys):
     assert any("insufficient" in n for n in doc["notes"])
 
 
+def test_mc_validate_insufficiency_note_follows_the_dkw_band(tmp_path, capsys):
+    # sqrt(ln(2/0.01)/(2n)) crosses the BF tolerance 0.01 between
+    # n = 26491 and n = 26492
+    cfg = write_cfg(tmp_path)
+    for samples, insufficient in ((26491, True), (26492, False)):
+        _, out, _ = run(capsys, "mc-validate", "--config", cfg,
+                        "--samples", str(samples), "--grid=5:10:5")
+        doc = json.loads(out)
+        assert doc["tolerance"] == 0.01
+        assert doc["dkw_band"] == math.sqrt(math.log(2.0 / 0.01) / (2.0 * samples))
+        assert (doc["dkw_band"] > 0.01) is insufficient
+        assert any("insufficient" in n for n in doc["notes"]) is insufficient
+
+
 def test_approx_validate_json(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code, out, _ = run(capsys, "approx-validate", "--config", cfg,

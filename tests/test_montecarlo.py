@@ -5,6 +5,8 @@ analytic machinery (exponential/gamma limits, Haar isotropy), so that
 using it to judge the closed forms is not circular.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,6 +20,7 @@ from ranksinr.montecarlo import (
     _top_eigpair,
     complex_normal,
     haar_columns,
+    qpsk_symbols,
     simulate_bf_sinr,
     simulate_ostbc_sinr,
 )
@@ -32,7 +35,6 @@ from ranksinr.scenario import (
 from conftest import REF_BF, REF_OSTBC, ks_distance
 from oracles import (
     bf_chunk_batch_first,
-    complex_normal_batch_first,
     exact_terms_batch_first,
     haar_frames_batch_first,
     ostbc_chunk_batch_first,
@@ -89,16 +91,29 @@ def test_dominant_eigvec_on_a_tied_top_eigenvalue():
     assert np.linalg.norm(m @ w[:, 0] - lam[0] * w[:, 0]) <= montecarlo.EIGH_RESIDUAL_TOL * lam[0]
 
 
-def test_complex_normal_matches_the_two_array_construction():
-    # same generator state, same draw order: real parts, then imaginary,
-    # of the batch-first shape; the draws land transposed, draw axis last
+def test_complex_normal_pairs_consecutive_normals():
+    # a value's real and imaginary parts are two consecutive standard
+    # normals over sqrt(2), draw axis last, C-contiguous
     for shape in [(1000,), (1, 1000), (3, 2, 1000), (8, 8, 2500)]:
         a = _generator(np.random.SeedSequence(8))
         b = _generator(np.random.SeedSequence(8))
         z = complex_normal(a, shape)
-        ref = complex_normal_batch_first(b, (shape[-1], *shape[:-1]))
-        assert z.flags.c_contiguous
-        assert z.tobytes() == np.ascontiguousarray(np.moveaxis(ref, 0, -1)).tobytes(), shape
+        pairs = b.standard_normal((*shape, 2))
+        ref = (pairs[..., 0] + 1j * pairs[..., 1]) / math.sqrt(2.0)
+        assert z.shape == shape and z.flags.c_contiguous
+        assert z.tobytes() == ref.tobytes(), shape
+        # both leave the generator in the same state
+        assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes(), shape
+
+
+def test_qpsk_symbols_index_the_constellation_by_integers():
+    for shape in [(1000,), (3, 1000), (4, 4, 2500)]:
+        a = _generator(np.random.SeedSequence(9))
+        b = _generator(np.random.SeedSequence(9))
+        d = qpsk_symbols(a, shape)
+        ref = montecarlo._QPSK[b.integers(0, 4, size=shape)]
+        assert d.shape == shape and d.tobytes() == ref.tobytes(), shape
+        assert np.all(np.abs(np.abs(d) - 1.0) <= 1e-15)
         # both leave the generator in the same state
         assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes(), shape
 

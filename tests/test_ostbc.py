@@ -1,12 +1,13 @@
 """OSTBC SINR model: quadrature oracle, limits, and reference bounds."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ranksinr import bf, ostbc
+from ranksinr import bf, cli, ostbc
 from ranksinr.errors import ConfigError, NumericInstabilityError
 from ranksinr.mixture import cdf_y, pdf_y
 from ranksinr.scenario import (
@@ -192,8 +193,21 @@ def test_from_config_rejects_wrong_mode():
         outage_white_interference(1.0, REF_BF)
 
 
-def test_notes_propagate():
-    cfg = ScenarioConfig(
-        n_r=4, n_t=4, noise_power=1.0, snr_db=15.0, own_mode=OwnMode.OSTBC
-    )
-    assert any("full-rate" in n for n in ostbc.from_config(cfg).notes)
+def test_caveats_reach_the_outage_output(tmp_path, capsys):
+    # the n_t > 2 caveat is in the CSV header and the JSON meta of 4x4
+    # OSTBC, and absent from both at 2x2
+    for n, caveat in ((4, True), (2, False)):
+        path = tmp_path / f"{n}x{n}.json"
+        path.write_text(json.dumps({"n_r": n, "n_t": n, "noise_power": 1.0,
+                                    "snr_db": 15.0, "own_mode": "ostbc"}))
+        args = ["outage", "--config", str(path), "--grid=0:10:5"]
+        assert cli.main(args) == 0
+        header = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# ")]
+        assert cli.main([*args, "--format", "json"]) == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        if caveat:
+            assert "full-rate" in meta["caveats"]
+            assert f"# caveats: {meta['caveats']}" in header
+        else:
+            assert "caveats" not in meta
+            assert not any(ln.startswith("# caveats") for ln in header)
