@@ -22,13 +22,25 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError, UnsupportedDimensionError
 
-# Weight-table enumeration cost grows like 2^min(n_R,n_T) * poly; eight
-# antennas is far past any scenario of interest and still runs in seconds.
+# The exact weight tables ship for every pair of counts up to this cap
+# (``_tables``, generated by tests/wishart_tables.py), and for no other.
 MAX_ANTENNAS = 8
+
+
+def _count(value, what: str, error: type[Exception]) -> int:
+    """A count as a plain int: integer types pass (a numpy integer becomes
+    an int), bool and every non-integer raise `error`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def db_to_linear(x_db: float) -> float:
@@ -86,6 +98,7 @@ class InterfererSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.inr_db):
             raise ConfigError(f"inr_db must be finite, got {self.inr_db!r}")
+        object.__setattr__(self, "layers", _count(self.layers, "layers", ConfigError))
         if self.layers < 1:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
         if self.technique is not Technique.SPATIAL_MULTIPLEXING and self.layers != 1:
@@ -115,6 +128,9 @@ class ScenarioConfig:
     interferers: tuple[InterfererSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("n_r", "n_t"):
+            object.__setattr__(self, name, _count(getattr(self, name), name,
+                                                  UnsupportedDimensionError))
         if not (1 <= self.n_r <= MAX_ANTENNAS and 1 <= self.n_t <= MAX_ANTENNAS):
             raise UnsupportedDimensionError(
                 f"antenna counts must lie in 1..{MAX_ANTENNAS}, "

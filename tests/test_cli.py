@@ -4,6 +4,7 @@ Runs main() in process for speed; one subprocess check at the end
 confirms the module entry point is wired up.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -219,6 +220,23 @@ def test_dump_weights_fractions_sum_to_one(tmp_path, capsys):
     assert meta["weight_sum"] == "1"
     total = sum(Fraction(r[2]) for r in rows)
     assert total == 1
+
+
+# sha256 over the dump-weights CSV bytes of every n_r <= n_t pair, in
+# order, taken before the tables shipped as data (while every process
+# expanded the determinant)
+DUMP_WEIGHTS_DIGEST = "8ed9ca0d2dd63cb0d44f6e6a5548ade7d63227b4855a1061acf53cd3d214c572"
+
+
+def test_dump_weights_of_every_pair_match_digest(tmp_path):
+    h = hashlib.sha256()
+    out = tmp_path / "weights.csv"
+    for n_r in range(1, 9):
+        for n_t in range(n_r, 9):
+            cfg = write_cfg(tmp_path, n_r=n_r, n_t=n_t, interferers=[])
+            assert cli.main(["dump-weights", "--config", cfg, "--out", str(out)]) == 0
+            h.update(out.read_bytes())
+    assert h.hexdigest() == DUMP_WEIGHTS_DIGEST
 
 
 def test_dump_xi_report(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ranksinr.errors import ConfigError, UnsupportedDimensionError
@@ -17,6 +18,7 @@ from ranksinr.scenario import (
     linear_to_db,
     own_numerator_scale,
 )
+from ranksinr.sweeps import model_for
 
 from conftest import REF_BF, REF_OSTBC
 
@@ -63,6 +65,35 @@ def test_antenna_bounds():
                 n_r=n_r, n_t=n_t, noise_power=1.0, snr_db=0.0,
                 own_mode=OwnMode.BEAMFORMING,
             )
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_counts_must_be_integers(value):
+    # True once answered as a 1-antenna link; floats failed deep in the model
+    for n_r, n_t in ((value, 2), (2, value)):
+        with pytest.raises(UnsupportedDimensionError):
+            ScenarioConfig(
+                n_r=n_r, n_t=n_t, noise_power=1.0, snr_db=0.0,
+                own_mode=OwnMode.OSTBC,
+            )
+    with pytest.raises(ConfigError):
+        InterfererSpec(technique=Technique.SPATIAL_MULTIPLEXING, inr_db=0.0, layers=value)
+
+
+@pytest.mark.parametrize("own_mode", list(OwnMode))
+def test_numpy_integer_counts_are_plain_ints(own_mode):
+    def config(count):
+        return ScenarioConfig(
+            n_r=count(2), n_t=count(4), noise_power=1.0, snr_db=15.0, own_mode=own_mode,
+            interferers=(InterfererSpec(technique=Technique.SPATIAL_MULTIPLEXING,
+                                        inr_db=10.0, layers=count(2)),),
+        )
+
+    plain, numpy = config(int), config(np.int64)
+    assert numpy == plain
+    assert {type(numpy.n_r), type(numpy.n_t), type(numpy.interferers[0].layers)} == {int}
+    grid = np.geomspace(0.1, 100.0, 25)
+    assert model_for(numpy).outage(grid).tobytes() == model_for(plain).outage(grid).tobytes()
 
 
 def test_sm_rank_capped_by_transmit_antennas_only():

@@ -1,12 +1,15 @@
 """Largest-eigenvalue weight tables against independent oracles.
 
-The (2,2) table is checked against a hand expansion of the 2x2
-incomplete-gamma determinant; tables up to p = 5 against the same
-determinant expanded over a dict of Fraction coefficients; all tables
-against a digest of their exact values; larger tables against
-eigendecompositions of simulated Wishart matrices and against exact
-rational invariants.  The distribution itself is evaluated through a
-beamforming model without interferers at rho_bar = 1 (``eigen_model``).
+The shipped module is checked against its generator
+(``wishart_tables``) byte for byte, and every table against the
+generator's integer expansion.  The (2,2) table is checked against a
+hand expansion of the 2x2 incomplete-gamma determinant; tables up to
+p = 5 against the same determinant expanded over a dict of Fraction
+coefficients; all tables against a digest of their exact values; larger
+tables against eigendecompositions of simulated Wishart matrices and
+against exact rational invariants.  The distribution itself is
+evaluated through a beamforming model without interferers at
+rho_bar = 1 (``eigen_model``).
 """
 
 import functools
@@ -18,9 +21,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from ranksinr import wishart
+from ranksinr.engine import _Identity, _psi_arrays
 from ranksinr.errors import UnsupportedDimensionError
 from ranksinr.wishart import compute_weights
 
+import wishart_tables
 from conftest import eigen_model, exact_mean, ks_distance
 
 # det of [[g1(x), g2(x)], [g2(x), g3(x)]] with g_n the order-n lower
@@ -41,9 +47,9 @@ TABLES_DIGEST = "8c7af7f93d8e45504c779ff9aef1e5688b9231f71b6e5d5c2c642389f34b311
 def _fraction_weights(p, q):
     """Reference expansion: ring elements as {(k, l): Fraction} dicts.
 
-    Same bitmask-memoized Laplace expansion as the library, with every
-    coefficient a Fraction; too slow for the largest sizes (3.5 s at
-    8x8), hence the digest for those.
+    Same bitmask-memoized Laplace expansion as the table generator
+    (``wishart_tables``), with every coefficient a Fraction; too slow for
+    the largest sizes (3.5 s at 8x8), hence the digest for those.
     """
 
     def entry(n):
@@ -90,6 +96,41 @@ def _fraction_weights(p, q):
 )
 def test_tables_equal_fraction_expansion(p, q):
     assert compute_weights(p, q).weights == _fraction_weights(p, q)
+
+
+def test_shipped_module_is_what_the_generator_writes():
+    assert wishart_tables.MODULE.read_bytes() == wishart_tables.render().encode()
+
+
+def test_shipped_tables_equal_integer_expansion():
+    assert list(wishart.TABLES) == wishart_tables.pairs()
+    for p, q in wishart_tables.pairs():
+        # the key order too: models and outputs read the tables in it
+        expected = list(wishart_tables.exact_weights(p, q).items())
+        assert list(compute_weights(p, q).weights.items()) == expected, (p, q)
+
+
+def test_tables_are_cached_and_rebuild_to_the_same_bits():
+    # the benchmark clears this cache to time cold tables
+    old = compute_weights(2, 4)
+    assert compute_weights(2, 4) is old
+    compute_weights.cache_clear()
+    new = compute_weights(2, 4)
+    assert new is not old and new.weights == old.weights
+    for a, b in zip(_psi_arrays(_Identity(old.weights)), _psi_arrays(_Identity(new.weights))):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "1 0 1/1\n",           # l below q - p = 1
+    "1 1 1/1\n2 1 0/1\n",  # k above p = 1
+    "1 1 1/2\n",           # sums to 1/2
+])
+def test_corrupted_table_is_refused(monkeypatch, text):
+    compute_weights.cache_clear()  # a cached 1x2 table would answer
+    monkeypatch.setitem(wishart.TABLES, (1, 2), text)
+    with pytest.raises(AssertionError):
+        compute_weights(1, 2)
 
 
 def test_all_tables_match_digest():
