@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
 from .montecarlo import DEFAULT_CHUNK, _abs2, complex_normal, run_chunks
-from .scenario import MAX_ANTENNAS
+from .scenario import MAX_ANTENNAS, _count
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -41,11 +41,12 @@ class ProductDistribution:
 
     def __post_init__(self) -> None:
         for name in ("n_r", "n_t", "n_l"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= MAX_ANTENNAS:
+            v = _count(getattr(self, name), name, UnsupportedDimensionError)
+            if not 1 <= v <= MAX_ANTENNAS:
                 raise UnsupportedDimensionError(
                     f"{name} must be an integer in 1..{MAX_ANTENNAS}, got {v!r}"
                 )
+            object.__setattr__(self, name, v)
         if self.n_l > self.n_t:
             raise UnsupportedDimensionError(
                 f"n_l={self.n_l} exceeds the {self.n_t} transmit antennas"

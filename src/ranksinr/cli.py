@@ -4,6 +4,11 @@ Subcommands evaluate the closed-form curves, the Monte Carlo oracle,
 the gain sweeps, and the approximation-chain comparison, emitting
 self-describing CSV or JSON.  Exit codes: 0 success, 2 configuration
 error, 3 numeric instability, 4 validation failure.
+
+Each input is read in one place: the subcommands and their options are
+the rows of `_COMMANDS`, the --grid text is parsed by `_grid` alone, and
+the config is checked by `scenario`.  `gain` writes the layout of the
+sweeps through their emitter, a one-point `sweep-inr` without the grid.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .montecarlo import (
     simulate_ostbc_sinr,
 )
 from .scenario import (
+    InterfererSpec,
     OwnMode,
     ScenarioConfig,
     Technique,
@@ -52,35 +58,31 @@ EXIT_VALIDATION = 4
 DKW_ALPHA = 0.01
 
 
-def _parse_grid(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
+def _grid(args, kind=SweepKind.THRESHOLD, **fields) -> SweepSpec:
+    """The --grid text START:STOP:STEP as a sweep axis of the given kind."""
+    parts = args.grid.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"grid must be START:STOP:STEP in dB, got {text!r}")
+        raise ConfigError(f"grid must be START:STOP:STEP in dB, got {args.grid!r}")
     try:
         a, b, s = (float(p) for p in parts)
     except ValueError as exc:
-        raise ConfigError(f"grid values must be numbers: {text!r}") from exc
+        raise ConfigError(f"grid values must be numbers: {args.grid!r}") from exc
     if not all(math.isfinite(v) for v in (a, b, s)):
-        raise ConfigError(f"grid values must be finite: {text!r}")
-    return a, b, s
-
-
-def _grid(args) -> tuple[np.ndarray, float]:
-    """The --grid points as given, checked as a grid only, and their step."""
-    a, b, s = _parse_grid(args.grid)
-    return SweepSpec(kind=SweepKind.THRESHOLD, start_db=a, stop_db=b, step_db=s).grid_db(), s
+        raise ConfigError(f"grid values must be finite: {args.grid!r}")
+    return SweepSpec(kind=kind, start_db=a, stop_db=b, step_db=s, **fields)
 
 
 def _grid_db(args) -> tuple[np.ndarray, np.ndarray, float]:
     """The --grid points in dB, in linear scale, and their step."""
-    grid_db, s = _grid(args)
+    spec = _grid(args)
+    grid_db = spec.grid_db()
     with np.errstate(over="ignore"):
         grid = 10.0 ** (grid_db / 10.0)
     bad = (grid == 0.0) | np.isinf(grid)
     if bad.any():
         raise ConfigError(
             f"grid point {grid_db[bad][0]} dB underflows or overflows in linear scale")
-    return grid_db, grid, s
+    return grid_db, grid, spec.step_db
 
 
 def _seed(value: str) -> int:
@@ -112,10 +114,15 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load(args) -> ScenarioConfig:
-    if not args.config:
-        raise ConfigError("--config is required for this command")
-    return load_config(args.config)
+def _emit(args, cfg: ScenarioConfig, columns: list[str], rows, **meta) -> int:
+    _write(args, render(args.format, columns, rows, metadata(cfg, **meta)))
+    return EXIT_OK
+
+
+def _mc_meta(args) -> dict:
+    """The metadata of a Monte Carlo run: the draws are a function of these."""
+    return {"seed": args.seed, "samples": args.samples, "rng": RNG_NAME,
+            "chunk_size": args.chunk_size}
 
 
 def _simulate(cfg: ScenarioConfig, args):
@@ -124,14 +131,22 @@ def _simulate(cfg: ScenarioConfig, args):
     return simulate_ostbc_sinr(cfg, args.samples, args.seed, args.chunk_size)
 
 
-def _single_interferer(cfg: ScenarioConfig):
+def _gain_config(args) -> tuple[ScenarioConfig, InterfererSpec, int]:
+    """The config of a gain command, its one interferer and that one's rank
+    (its layer count: beamforming and OSTBC interferers carry one layer)."""
+    cfg = load_config(args.config)
     if len(cfg.interferers) != 1:
         raise ConfigError(
             f"gain commands need exactly one interferer, config has {len(cfg.interferers)}"
         )
-    spec = cfg.interferers[0]
-    rank = spec.layers if spec.technique is Technique.SPATIAL_MULTIPLEXING else 1
-    return spec, rank
+    return cfg, cfg.interferers[0], cfg.interferers[0].layers
+
+
+def _emit_gains(args, cfg: ScenarioConfig, points, x_name: str, rank: int,
+                grid: str | None = None) -> int:
+    rows = [[p.x, p.threshold_rank1, p.threshold_rankr, p.gain_db] for p in points]
+    return _emit(args, cfg, [x_name, "threshold_rank1", "threshold_rankr", "gain_db"], rows,
+                 target_outage=args.target_outage, rank=rank, grid=grid)
 
 
 def _mc_density_per_db(dist, grid_db: np.ndarray, step_db: float) -> np.ndarray:
@@ -145,93 +160,62 @@ def _mc_density_per_db(dist, grid_db: np.ndarray, step_db: float) -> np.ndarray:
 
 
 def cmd_pdf(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     model = model_for(cfg)
     grid_db, grid, step_db = _grid_db(args)
     pdf = model.sinr_pdf(grid)
-    per_db = pdf * grid * math.log(10.0) / 10.0
     columns = ["gamma_db", "pdf", "pdf_per_db"]
-    rows = [list(t) for t in zip(grid_db, pdf, per_db)]
-    meta_kw = {"grid_db": args.grid}
+    values = [grid_db, pdf, pdf * grid * math.log(10.0) / 10.0]
+    meta = {"grid_db": args.grid}
     if args.mc:
-        dist = _simulate(cfg, args)
-        mc = _mc_density_per_db(dist, grid_db, step_db)
         columns.append("mc_pdf_per_db")
-        for row, v in zip(rows, mc):
-            row.append(float(v))
-        meta_kw.update(seed=args.seed, samples=args.samples, rng=RNG_NAME,
-                       chunk_size=args.chunk_size)
-    _write(args, render(args.format, columns, rows, metadata(cfg, **meta_kw)))
-    return EXIT_OK
+        values.append(_mc_density_per_db(_simulate(cfg, args), grid_db, step_db))
+        meta.update(_mc_meta(args))
+    return _emit(args, cfg, columns, zip(*values), **meta)
 
 
 def cmd_outage(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     model = model_for(cfg)
     grid_db, grid, _ = _grid_db(args)
-    out = model.outage(grid)
     columns = ["gamma0_db", "outage"]
-    rows = [list(t) for t in zip(grid_db, out)]
-    meta_kw = {"grid_db": args.grid}
+    values = [grid_db, model.outage(grid)]
+    meta = {"grid_db": args.grid}
     if args.mc:
         dist = _simulate(cfg, args)
         emp = dist.ecdf(grid)
-        se = np.sqrt(np.maximum(emp * (1 - emp), 0.0) / dist.sample_count)
         columns += ["mc_outage", "mc_se"]
-        for row, e, s in zip(rows, emp, se):
-            row += [float(e), float(s)]
-        meta_kw.update(seed=args.seed, samples=args.samples, rng=RNG_NAME,
-                       chunk_size=args.chunk_size)
-    _write(args, render(args.format, columns, rows, metadata(cfg, **meta_kw)))
-    return EXIT_OK
+        values += [emp, np.sqrt(np.maximum(emp * (1 - emp), 0.0) / dist.sample_count)]
+        meta.update(_mc_meta(args))
+    return _emit(args, cfg, columns, zip(*values), **meta)
 
 
 def cmd_gain(args) -> int:
-    cfg = _load(args)
-    spec, rank = _single_interferer(cfg)
+    cfg, spec, rank = _gain_config(args)
     point = threshold_gain(
         cfg.own_mode, cfg.n_r, cfg.n_t, cfg.snr_db, spec.inr_db, rank,
         args.target_outage,
     )
-    columns = ["inr_db", "threshold_rank1", "threshold_rankr", "gain_db"]
-    rows = [[point.x, point.threshold_rank1, point.threshold_rankr, point.gain_db]]
-    meta = metadata(cfg, target_outage=args.target_outage, rank=rank)
-    _write(args, render(args.format, columns, rows, meta))
-    return EXIT_OK
-
-
-def _emit_sweep(args, cfg, points, x_name: str, rank: int) -> int:
-    columns = [x_name, "threshold_rank1", "threshold_rankr", "gain_db"]
-    rows = [[p.x, p.threshold_rank1, p.threshold_rankr, p.gain_db] for p in points]
-    meta = metadata(cfg, target_outage=args.target_outage, rank=rank, grid=args.grid)
-    _write(args, render(args.format, columns, rows, meta))
-    return EXIT_OK
+    return _emit_gains(args, cfg, [point], "inr_db", rank)
 
 
 def cmd_sweep_snr(args) -> int:
-    cfg = _load(args)
-    spec, rank = _single_interferer(cfg)
-    a, b, s = _parse_grid(args.grid)
-    sw = SweepSpec(kind=SweepKind.SNR, start_db=a, stop_db=b, step_db=s,
-                   p_star=args.target_outage)
+    cfg, spec, rank = _gain_config(args)
+    sw = _grid(args, SweepKind.SNR, p_star=args.target_outage)
     points = sweep_snr(cfg.own_mode, cfg.n_r, cfg.n_t, spec.inr_db, sw, rank)
-    return _emit_sweep(args, cfg, points, "snr_db", rank)
+    return _emit_gains(args, cfg, points, "snr_db", rank, args.grid)
 
 
 def cmd_sweep_inr(args) -> int:
-    cfg = _load(args)
-    spec, rank = _single_interferer(cfg)
-    a, b, s = _parse_grid(args.grid)
-    sw = SweepSpec(kind=SweepKind.INR, start_db=a, stop_db=b, step_db=s,
-                   p_star=args.target_outage)
+    cfg, spec, rank = _gain_config(args)
+    sw = _grid(args, SweepKind.INR, p_star=args.target_outage)
     points = sweep_inr(cfg.own_mode, cfg.n_r, cfg.n_t, cfg.snr_db, sw, rank)
-    return _emit_sweep(args, cfg, points, "inr_db", rank)
+    return _emit_gains(args, cfg, points, "inr_db", rank, args.grid)
 
 
 def cmd_sweep_n(args) -> int:
-    cfg = _load(args)
-    spec, rank = _single_interferer(cfg)
-    grid, _ = _grid(args)
+    cfg, spec, rank = _gain_config(args)
+    grid = _grid(args).grid_db()
     counts = np.round(grid)
     bad = (np.abs(grid - counts) > 1e-9) | (counts < 1)
     if bad.any():
@@ -242,11 +226,11 @@ def cmd_sweep_n(args) -> int:
     points = sweep_interferer_count(
         cfg.own_mode, cfg.n_r, cfg.n_t, cfg.snr_db, spec.inr_db, sw, rank
     )
-    return _emit_sweep(args, cfg, points, "n_ibs", rank)
+    return _emit_gains(args, cfg, points, "n_ibs", rank, args.grid)
 
 
 def cmd_mc_validate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     model = model_for(cfg)
     tolerance = 0.01 if cfg.own_mode is OwnMode.BEAMFORMING else 0.03
     grid_db, grid, step_db = _grid_db(args)
@@ -277,9 +261,7 @@ def cmd_mc_validate(args) -> int:
     passed = max_delta <= tolerance
 
     report = {
-        "meta": dict(metadata(cfg, seed=args.seed, samples=args.samples,
-                              rng=RNG_NAME, chunk_size=args.chunk_size,
-                              grid_db=args.grid)),
+        "meta": metadata(cfg, **_mc_meta(args), grid_db=args.grid),
         "own_mode": cfg.own_mode.value,
         "tolerance": tolerance,
         "dkw_band": dkw_band,
@@ -302,29 +284,20 @@ def cmd_mc_validate(args) -> int:
 
 
 def cmd_approx_validate(args) -> int:
-    cfg = _load(args)
-    n_l = 1
-    for spec in cfg.interferers:
-        if spec.technique is Technique.SPATIAL_MULTIPLEXING:
-            n_l = spec.layers
-            break
+    cfg = load_config(args.config)
+    n_l = next((s.layers for s in cfg.interferers
+                if s.technique is Technique.SPATIAL_MULTIPLEXING), 1)
     rep = compare_chain(cfg.n_r, cfg.n_t, n_l, n_samples=args.samples, seed=args.seed,
                         chunk_size=args.chunk_size)
     passed = abs(rep.mean_exact - rep.mean_product) <= 5.0 * rep.se_exact
-    meta = metadata(cfg, seed=args.seed, samples=args.samples, rng=RNG_NAME,
-                    chunk_size=args.chunk_size, n_l=n_l,
-                    mean_exact=rep.mean_exact, mean_product=rep.mean_product,
-                    mean_exp=rep.mean_exp, passed=passed,
-                    **{
-                        f"{k}_{m}": v[m]
-                        for k, v in rep.distances.items()
-                        for m in ("ks", "l1")
-                    })
+    meta = dict(_mc_meta(args), n_l=n_l, mean_exact=rep.mean_exact,
+                mean_product=rep.mean_product, mean_exp=rep.mean_exp, passed=passed,
+                **{f"{k}_{m}": v[m] for k, v in rep.distances.items() for m in ("ks", "l1")})
     if args.format == "csv":
-        _write(args, render_csv_chain(rep, meta))
+        _emit(args, cfg, ["x", "exact", "meijer_equivalent", "exp_approx"], rep.rows(), **meta)
     else:
         payload = {
-            "meta": dict(meta),
+            "meta": metadata(cfg, **meta),
             "distances": rep.distances,
             "means": {
                 "exact": rep.mean_exact,
@@ -337,27 +310,19 @@ def cmd_approx_validate(args) -> int:
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
-def render_csv_chain(rep, meta) -> str:
-    return render(
-        "csv", ["x", "exact", "meijer_equivalent", "exp_approx"], rep.rows(), meta
-    )
-
-
 def cmd_dump_weights(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     table = compute_weights(cfg.n_r, cfg.n_t)
     rows = [
         [k, l, f"{w.numerator}/{w.denominator}", float(w)]
         for (k, l), w in sorted(table.weights.items())
     ]
-    meta = metadata(cfg, n_r=cfg.n_r, n_t=cfg.n_t,
-                    weight_sum=str(table.sum_exact()))
-    _write(args, render(args.format, ["k", "l", "psi_exact", "psi"], rows, meta))
-    return EXIT_OK
+    return _emit(args, cfg, ["k", "l", "psi_exact", "psi"], rows,
+                 n_r=cfg.n_r, n_t=cfg.n_t, weight_sum=str(table.sum_exact()))
 
 
 def cmd_dump_xi(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     rates = build_rate_set(cfg)
     mix = build_mixture(rates)
     # the printed coefficients keep 1e-12 absolute, or the dump is refused
@@ -366,14 +331,36 @@ def cmd_dump_xi(args) -> int:
     for i, (rho, beta) in enumerate(zip(mix.rates, mix.multiplicities), start=1):
         for j in range(1, beta + 1):
             rows.append([i, rho, beta, j, mix.xi[(i, j)]])
-    meta = metadata(cfg, xi_sum=mix.xi_sum(), conditioning=mix.conditioning,
-                    n_groups=mix.n_groups)
-    _write(args, render(args.format, ["group", "rho", "beta", "j", "xi"], rows, meta))
-    return EXIT_OK
+    return _emit(args, cfg, ["group", "rho", "beta", "j", "xi"], rows,
+                 xi_sum=mix.xi_sum(), conditioning=mix.conditioning, n_groups=mix.n_groups)
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+# name, help, handler, default --grid, Monte Carlo options, --mc help, --target-outage
+_COMMANDS = (
+    ("pdf", "closed-form SINR density", cmd_pdf,
+     "-5:20:0.5", True, "append empirical density", False),
+    ("outage", "closed-form outage curve", cmd_outage,
+     "-5:20:0.5", True, "append empirical outage", False),
+    ("gain", "threshold gain of the config's interferer rank", cmd_gain,
+     None, False, None, True),
+    ("sweep-snr", "gain vs SNR at the config's INR", cmd_sweep_snr,
+     "5:25:5", False, None, True),
+    ("sweep-inr", "gain vs INR at the config's SNR", cmd_sweep_inr,
+     "0:15:1", False, None, True),
+    ("sweep-n", "gain vs iBS count at constant total power", cmd_sweep_n,
+     "1:5:1", False, None, True),
+    ("mc-validate", "closed form vs Monte Carlo report", cmd_mc_validate,
+     "-5:20:0.5", True, None, False),
+    ("approx-validate", "projection-term approximation chain", cmd_approx_validate,
+     None, True, None, False),
+    ("dump-weights", "eigenvalue expansion weights", cmd_dump_weights,
+     None, False, None, False),
+    ("dump-xi", "interference mixture coefficients", cmd_dump_xi,
+     None, False, None, False),
+)
 
 
 @functools.cache
@@ -390,62 +377,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"ranksinr {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, grid_default=None, mc=False, sweep=False):
+    for name, help_, func, grid, mc, mc_help, target in _COMMANDS:
+        sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=True, help="scenario JSON path")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        if grid_default is not None:
-            sp.add_argument("--grid", default=grid_default,
-                            help=f"START:STOP:STEP in dB (default {grid_default})")
+        if grid is not None:
+            sp.add_argument("--grid", default=grid,
+                            help=f"START:STOP:STEP in dB (default {grid})")
         if mc:
             sp.add_argument("--seed", type=_seed, default=0)
             sp.add_argument("--samples", type=_positive_int, default=1_000_000)
             sp.add_argument("--chunk-size", type=_positive_int, default=DEFAULT_CHUNK)
-        if sweep:
+        if target:
             sp.add_argument("--target-outage", type=_target_outage, default=0.01)
-
-    sp = sub.add_parser("pdf", help="closed-form SINR density")
-    common(sp, grid_default="-5:20:0.5", mc=True)
-    sp.add_argument("--mc", action="store_true", help="append empirical density")
-    sp.set_defaults(func=cmd_pdf)
-
-    sp = sub.add_parser("outage", help="closed-form outage curve")
-    common(sp, grid_default="-5:20:0.5", mc=True)
-    sp.add_argument("--mc", action="store_true", help="append empirical outage")
-    sp.set_defaults(func=cmd_outage)
-
-    sp = sub.add_parser("gain", help="threshold gain of the config's interferer rank")
-    common(sp, sweep=True)
-    sp.set_defaults(func=cmd_gain)
-
-    sp = sub.add_parser("sweep-snr", help="gain vs SNR at the config's INR")
-    common(sp, grid_default="5:25:5", sweep=True)
-    sp.set_defaults(func=cmd_sweep_snr)
-
-    sp = sub.add_parser("sweep-inr", help="gain vs INR at the config's SNR")
-    common(sp, grid_default="0:15:1", sweep=True)
-    sp.set_defaults(func=cmd_sweep_inr)
-
-    sp = sub.add_parser("sweep-n", help="gain vs iBS count at constant total power")
-    common(sp, grid_default="1:5:1", sweep=True)
-    sp.set_defaults(func=cmd_sweep_n)
-
-    sp = sub.add_parser("mc-validate", help="closed form vs Monte Carlo report")
-    common(sp, grid_default="-5:20:0.5", mc=True)
-    sp.set_defaults(func=cmd_mc_validate, format="json")
-
-    sp = sub.add_parser("approx-validate", help="projection-term approximation chain")
-    common(sp, mc=True)
-    sp.set_defaults(func=cmd_approx_validate)
-
-    sp = sub.add_parser("dump-weights", help="eigenvalue expansion weights")
-    common(sp)
-    sp.set_defaults(func=cmd_dump_weights)
-
-    sp = sub.add_parser("dump-xi", help="interference mixture coefficients")
-    common(sp)
-    sp.set_defaults(func=cmd_dump_xi)
+        if mc_help is not None:
+            sp.add_argument("--mc", action="store_true", help=mc_help)
+        sp.set_defaults(func=func)
+    # its report is JSON whatever the format
+    sub.choices["mc-validate"].set_defaults(format="json")
     return p
 
 
@@ -456,7 +406,7 @@ def main(argv=None) -> int:
     except NumericInstabilityError as exc:
         print(f"numeric instability: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (RankSinrError, OSError, json.JSONDecodeError) as exc:
+    except (RankSinrError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -20,10 +20,6 @@ class DegenerateRatesError(RankSinrError):
     """
 
 
-class UnsupportedDimensionError(RankSinrError):
-    """Raised for antenna counts outside the supported range (1..8)."""
-
-
 class NumericInstabilityError(RankSinrError):
     """Raised where double precision cannot carry an answer.
 
@@ -36,3 +32,7 @@ class NumericInstabilityError(RankSinrError):
 
 class ConfigError(RankSinrError):
     """Raised for malformed scenario configuration files."""
+
+
+class UnsupportedDimensionError(ConfigError):
+    """Raised for antenna counts outside the supported range (1..8)."""

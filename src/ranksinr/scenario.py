@@ -44,13 +44,18 @@ def _count(value, what: str, error: type[Exception]) -> int:
 
 
 def db_to_linear(x_db: float) -> float:
-    """Convert a dB quantity to its linear-scale value 10^(x/10)."""
+    """Convert a dB quantity to its linear-scale value 10^(x/10), a positive
+    finite float: a value that overflows or underflows to 0 is refused."""
+    x_db = float(x_db)
     if not math.isfinite(x_db):
         raise ConfigError(f"dB value must be finite, got {x_db!r}")
     try:
-        return 10.0 ** (x_db / 10.0)
+        x = 10.0 ** (x_db / 10.0)
     except OverflowError:
         raise ConfigError(f"{x_db!r} dB overflows in linear scale") from None
+    if x == 0.0:
+        raise ConfigError(f"{x_db!r} dB underflows in linear scale")
+    return x
 
 
 def linear_to_db(x: float) -> float:
@@ -105,8 +110,6 @@ class InterfererSpec:
             raise ConfigError(
                 f"{self.technique.value} interferers carry one layer, got {self.layers}"
             )
-        if db_to_linear(self.inr_db) == 0.0:
-            raise ConfigError(f"inr_db {self.inr_db!r} underflows in linear scale")
 
     def power(self, noise_power: float) -> float:
         """Linear long-term received power of this interferer."""
@@ -220,8 +223,10 @@ _INT_KEYS = {"technique", "layers", "inr_db"}
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON object, strictly.
 
-    Unknown keys are rejected so that typos fail loudly instead of
-    silently falling back to defaults.
+    Checked here is the shape: unknown keys are rejected so that typos
+    fail loudly instead of silently falling back to defaults, and every
+    real is a JSON number; the counts and ranges are checked by
+    ScenarioConfig and InterfererSpec.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
@@ -231,12 +236,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     missing = {"n_r", "n_t", "noise_power", "snr_db", "own_mode"} - set(data)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-
-    def _int(key: str) -> int:
-        v = data[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{key} must be an integer, got {v!r}")
-        return v
 
     def _real(obj: dict, key: str) -> float:
         v = obj[key]
@@ -271,16 +270,17 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 f"interferers[{idx}]: technique must be one of "
                 f"{[t.value for t in Technique]}, got {entry['technique']!r}"
             ) from None
-        layers = entry.get("layers", 1)
-        if isinstance(layers, bool) or not isinstance(layers, int):
-            raise ConfigError(f"interferers[{idx}]: layers must be an integer")
-        interferers.append(
-            InterfererSpec(technique=tech, inr_db=_real(entry, "inr_db"), layers=layers)
-        )
+        inr_db = _real(entry, "inr_db")
+        try:
+            spec = InterfererSpec(technique=tech, inr_db=inr_db,
+                                  layers=entry.get("layers", 1))
+        except ConfigError as exc:
+            raise ConfigError(f"interferers[{idx}]: {exc}") from None
+        interferers.append(spec)
 
     return ScenarioConfig(
-        n_r=_int("n_r"),
-        n_t=_int("n_t"),
+        n_r=data["n_r"],
+        n_t=data["n_t"],
         noise_power=_real(data, "noise_power"),
         snr_db=_real(data, "snr_db"),
         own_mode=own_mode,

@@ -21,6 +21,7 @@ from .scenario import (
     OwnMode,
     ScenarioConfig,
     Technique,
+    _count,
     db_to_linear,
     linear_to_db,
 )
@@ -56,12 +57,12 @@ class SweepSpec:
         if not 0.0 < self.p_star < 1.0:
             raise ConfigError(f"p_star must lie in (0, 1), got {self.p_star}")
         if self.kind is SweepKind.NUM_INTERFERERS:
-            if not self.counts or any(
-                not isinstance(c, int) or not 1 <= c <= MAX_GRID_POINTS for c in self.counts
-            ):
+            counts = tuple(_count(c, "every entry of counts", ConfigError) for c in self.counts)
+            object.__setattr__(self, "counts", counts)
+            if not counts or any(not 1 <= c <= MAX_GRID_POINTS for c in counts):
                 raise ConfigError(
                     f"counts must be a nonempty list of integers in 1..{MAX_GRID_POINTS}")
-            if list(self.counts) != sorted(self.counts):
+            if list(counts) != sorted(counts):
                 raise ConfigError("counts must be nondecreasing")
         else:
             if self.step_db <= 0:

@@ -34,6 +34,17 @@ def test_dimension_validation():
         ProductDistribution(n_r=2, n_t=9, n_l=1)
 
 
+def test_dimensions_follow_the_one_integer_rule():
+    pd = ProductDistribution(n_r=np.int64(2), n_t=np.int32(4), n_l=np.uint8(2))
+    assert pd == ProductDistribution(n_r=2, n_t=4, n_l=2)
+    assert {type(pd.n_r), type(pd.n_t), type(pd.n_l)} == {int}
+    for bad in (True, 2.0):
+        with pytest.raises(UnsupportedDimensionError):
+            ProductDistribution(n_r=bad, n_t=2, n_l=1)
+        with pytest.raises(UnsupportedDimensionError):
+            ProductDistribution(n_r=2, n_t=2, n_l=bad)
+
+
 def test_mean_by_quadrature_matches_closed_value():
     for n_r in (1, 2, 3, 4):
         for n_t in (1, 2, 3, 4):

@@ -4,6 +4,7 @@ Runs main() in process for speed; one subprocess check at the end
 confirms the module entry point is wired up.
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -160,6 +161,27 @@ def test_gain_single_row(tmp_path, capsys):
     assert float(rows[0][3]) > 0.1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_r, n_t, own_mode, layers", [(2, 2, "bf", 2), (2, 4, "ostbc", 4)])
+def test_gain_is_the_one_point_sweep_inr(tmp_path, capsys, fmt, n_r, n_t, own_mode, layers):
+    cfg = write_cfg(tmp_path, n_r=n_r, n_t=n_t, own_mode=own_mode,
+                    interferers=[{"technique": "sm", "inr_db": 10.0, "layers": layers}])
+    code, gain, _ = run(capsys, "gain", "--config", cfg, "--format", fmt)
+    assert code == 0
+    code, sweep, _ = run(capsys, "sweep-inr", "--config", cfg, "--format", fmt,
+                         "--grid=10.0:10.0:1")
+    assert code == 0
+    # the two differ by the sweep's grid line alone; JSON floats round-trip,
+    # so equal documents hold bit-identical values
+    if fmt == "csv":
+        assert sweep.replace("# grid: 10.0:10.0:1\n", "") == gain
+        assert len(parse_csv(gain)[2]) == 1
+    else:
+        doc = json.loads(sweep)
+        assert doc["meta"].pop("grid") == "10.0:10.0:1"
+        assert doc == json.loads(gain) and len(doc["rows"]) == 1
+
+
 def test_sweep_inr_rows_follow_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code, out, _ = run(capsys, "sweep-inr", "--config", cfg, "--grid=0:6:3")
@@ -237,6 +259,26 @@ def test_dump_weights_of_every_pair_match_digest(tmp_path):
             assert cli.main(["dump-weights", "--config", cfg, "--out", str(out)]) == 0
             h.update(out.read_bytes())
     assert h.hexdigest() == DUMP_WEIGHTS_DIGEST
+
+
+# sha256 over every subcommand's name and help and, for each of its
+# actions, the option strings, dest, default, type name, choices, required
+# flag and help, taken while each subparser was built by hand
+PARSER_DIGEST = "8d41de77988de713209922ae3906c26b2c242b5ae8c8fada401b21384a37842b"
+
+
+def test_parser_matches_digest():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    h = hashlib.sha256()
+    for name, sp in sub.choices.items():
+        h.update(repr((name, helps[name])).encode())
+        for a in sp._actions:
+            h.update(repr((a.option_strings, a.dest, a.default,
+                           getattr(a.type, "__name__", a.type), a.choices,
+                           a.required, a.help)).encode())
+    assert h.hexdigest() == PARSER_DIGEST
 
 
 def test_dump_xi_report(tmp_path, capsys):
@@ -538,13 +580,14 @@ def test_bad_grids_exit_2(tmp_path, capsys, grid):
 
 
 @pytest.mark.parametrize("grid", ["-5:4000:1000", "-4000:0:1000"])
-@pytest.mark.parametrize("command", ["outage", "pdf", "mc-validate"])
+@pytest.mark.parametrize("command", ["outage", "pdf", "mc-validate", "sweep-inr",
+                                     "sweep-snr"])
 def test_grid_points_that_overflow_or_underflow_exit_2(tmp_path, capsys, command, grid):
     # 10^(dB/10) is inf at 3995 dB and 0 at -4000 dB; refused before any
-    # model or simulation runs
+    # model or simulation runs, and, for the sweeps, as an INR or SNR
     cfg = write_cfg(tmp_path)
-    code, out, err = run(capsys, command, "--config", cfg, f"--grid={grid}",
-                         "--samples", "1000")
+    samples = ["--samples", "1000"] if command == "mc-validate" else []
+    code, out, err = run(capsys, command, "--config", cfg, f"--grid={grid}", *samples)
     assert code == cli.EXIT_CONFIG
     assert err.startswith("config error") and "linear scale" in err
     assert out == ""

@@ -38,6 +38,12 @@ def test_db_roundtrip():
 def test_db_rejects_nonfinite_and_nonpositive():
     with pytest.raises(ConfigError):
         db_to_linear(math.inf)
+    # a numpy dB value once overflowed to inf with a RuntimeWarning, and
+    # -4000 dB gave 0
+    for db in (np.float64(4000.0), 4000.0, -4000.0, np.float64(-4000.0)):
+        with pytest.raises(ConfigError, match="linear scale"):
+            db_to_linear(db)
+    assert type(db_to_linear(np.float64(10.0))) is float
     with pytest.raises(ConfigError):
         linear_to_db(0.0)
     with pytest.raises(ConfigError):
@@ -184,6 +190,20 @@ def test_config_from_dict_rejects_unknown_and_missing_keys():
     bad_int["interferers"] = [{"technique": "sm", "inr_db": 0.0, "rank": 2}]
     with pytest.raises(ConfigError, match="unknown keys"):
         config_from_dict(bad_int)
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"])
+def test_config_from_dict_counts_follow_the_one_integer_rule(value):
+    # decided by ScenarioConfig and InterfererSpec; a refused layers count
+    # still names its interferer
+    good = config_to_dict(REF_BF)
+    for key in ("n_r", "n_t"):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            config_from_dict(dict(good, **{key: value}))
+    interferers = [{"technique": "bf", "inr_db": 8.0},
+                   {"technique": "sm", "inr_db": 10.0, "layers": value}]
+    with pytest.raises(ConfigError, match=r"^interferers\[1\]: layers must be an integer"):
+        config_from_dict(dict(good, interferers=interferers))
 
 
 def test_config_from_dict_rejects_wrong_types():

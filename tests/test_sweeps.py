@@ -43,6 +43,14 @@ def test_count_sweep_needs_positive_nondecreasing_counts():
     SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(1, 2, 2, 4))
 
 
+def test_counts_follow_the_one_integer_rule():
+    spec = SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(np.int64(1), np.int32(3)))
+    assert spec.counts == (1, 3) and {type(c) for c in spec.counts} == {int}
+    for bad in (True, 2.0):
+        with pytest.raises(ConfigError, match="counts"):
+            SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(1, bad))
+
+
 def test_db_grid_validation():
     with pytest.raises(ConfigError, match="step"):
         SweepSpec(kind=SweepKind.SNR, start_db=0, stop_db=5, step_db=0.0)
