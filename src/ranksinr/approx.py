@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
-from .montecarlo import DEFAULT_CHUNK, _abs2, complex_normal, run_chunks
+from .montecarlo import _abs2, complex_normal, run_chunks
 from .scenario import MAX_ANTENNAS, _count
 
 
@@ -136,10 +136,7 @@ def _exact_terms_chunk(
     return _abs2(s) / _abs2(h0).reshape(-1, n).sum(axis=0)
 
 
-def simulate_exact_terms(
-    n_r: int, n_t: int, n_l: int, n_samples: int, seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> np.ndarray:
+def simulate_exact_terms(n_r: int, n_t: int, n_l: int, n_samples: int, seed: int) -> np.ndarray:
     """Joint-simulation samples of S = |c^H u|^2 / ||H0||_F^2.
 
     c is a column of the serving channel, u the interferer channel times
@@ -147,9 +144,7 @@ def simulate_exact_terms(
     Chunked and seeded like the receiver simulations in ``montecarlo``.
     """
     return run_chunks(
-        lambda n, rng: _exact_terms_chunk(n_r, n_t, n_l, n, rng),
-        n_samples, seed, chunk_size,
-    )
+        lambda n, rng: _exact_terms_chunk(n_r, n_t, n_l, n, rng), n_samples, seed)
 
 
 @dataclass(frozen=True)
@@ -190,7 +185,6 @@ def compare_chain(
     n_l: int,
     n_samples: int = 1_000_000,
     seed: int = 0,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> ChainReport:
     """Evaluate all three chain stages and their pairwise distances.
 
@@ -200,7 +194,7 @@ def compare_chain(
     pd = ProductDistribution(n_r=n_r, n_t=n_t, n_l=n_l)
     grid = np.linspace(0.0, 3.0, 300)
 
-    samples = simulate_exact_terms(n_r, n_t, n_l, n_samples, seed, chunk_size)
+    samples = simulate_exact_terms(n_r, n_t, n_l, n_samples, seed)
     edges = np.concatenate([grid, [np.inf]])
     counts, _ = np.histogram(samples, bins=edges)
     widths = np.diff(grid)

@@ -122,13 +122,13 @@ def _emit(args, cfg: ScenarioConfig, columns: list[str], rows, **meta) -> int:
 def _mc_meta(args) -> dict:
     """The metadata of a Monte Carlo run: the draws are a function of these."""
     return {"seed": args.seed, "samples": args.samples, "rng": RNG_NAME,
-            "chunk_size": args.chunk_size}
+            "chunk_size": DEFAULT_CHUNK}
 
 
 def _simulate(cfg: ScenarioConfig, args):
     if cfg.own_mode is OwnMode.BEAMFORMING:
-        return simulate_bf_sinr(cfg, args.samples, args.seed, args.chunk_size)
-    return simulate_ostbc_sinr(cfg, args.samples, args.seed, args.chunk_size)
+        return simulate_bf_sinr(cfg, args.samples, args.seed)
+    return simulate_ostbc_sinr(cfg, args.samples, args.seed)
 
 
 def _gain_config(args) -> tuple[ScenarioConfig, InterfererSpec, int]:
@@ -287,8 +287,7 @@ def cmd_approx_validate(args) -> int:
     cfg = load_config(args.config)
     n_l = next((s.layers for s in cfg.interferers
                 if s.technique is Technique.SPATIAL_MULTIPLEXING), 1)
-    rep = compare_chain(cfg.n_r, cfg.n_t, n_l, n_samples=args.samples, seed=args.seed,
-                        chunk_size=args.chunk_size)
+    rep = compare_chain(cfg.n_r, cfg.n_t, n_l, n_samples=args.samples, seed=args.seed)
     passed = abs(rep.mean_exact - rep.mean_product) <= 5.0 * rep.se_exact
     meta = dict(_mc_meta(args), n_l=n_l, mean_exact=rep.mean_exact,
                 mean_product=rep.mean_product, mean_exp=rep.mean_exp, passed=passed,
@@ -338,27 +337,30 @@ def cmd_dump_xi(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-# name, help, handler, default --grid, Monte Carlo options, --mc help, --target-outage
+# name, help, handler, --format choices (the default first), default --grid,
+# Monte Carlo options, --mc help, --target-outage
+_BOTH = ("csv", "json")
 _COMMANDS = (
-    ("pdf", "closed-form SINR density", cmd_pdf,
+    ("pdf", "closed-form SINR density", cmd_pdf, _BOTH,
      "-5:20:0.5", True, "append empirical density", False),
-    ("outage", "closed-form outage curve", cmd_outage,
+    ("outage", "closed-form outage curve", cmd_outage, _BOTH,
      "-5:20:0.5", True, "append empirical outage", False),
-    ("gain", "threshold gain of the config's interferer rank", cmd_gain,
+    ("gain", "threshold gain of the config's interferer rank", cmd_gain, _BOTH,
      None, False, None, True),
-    ("sweep-snr", "gain vs SNR at the config's INR", cmd_sweep_snr,
+    ("sweep-snr", "gain vs SNR at the config's INR", cmd_sweep_snr, _BOTH,
      "5:25:5", False, None, True),
-    ("sweep-inr", "gain vs INR at the config's SNR", cmd_sweep_inr,
+    ("sweep-inr", "gain vs INR at the config's SNR", cmd_sweep_inr, _BOTH,
      "0:15:1", False, None, True),
-    ("sweep-n", "gain vs iBS count at constant total power", cmd_sweep_n,
+    ("sweep-n", "gain vs iBS count at constant total power", cmd_sweep_n, _BOTH,
      "1:5:1", False, None, True),
-    ("mc-validate", "closed form vs Monte Carlo report", cmd_mc_validate,
+    # its report is JSON only
+    ("mc-validate", "closed form vs Monte Carlo report", cmd_mc_validate, ("json",),
      "-5:20:0.5", True, None, False),
-    ("approx-validate", "projection-term approximation chain", cmd_approx_validate,
+    ("approx-validate", "projection-term approximation chain", cmd_approx_validate, _BOTH,
      None, True, None, False),
-    ("dump-weights", "eigenvalue expansion weights", cmd_dump_weights,
+    ("dump-weights", "eigenvalue expansion weights", cmd_dump_weights, _BOTH,
      None, False, None, False),
-    ("dump-xi", "interference mixture coefficients", cmd_dump_xi,
+    ("dump-xi", "interference mixture coefficients", cmd_dump_xi, _BOTH,
      None, False, None, False),
 )
 
@@ -377,25 +379,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"ranksinr {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_, func, grid, mc, mc_help, target in _COMMANDS:
+    for name, help_, func, formats, grid, mc, mc_help, target in _COMMANDS:
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=True, help="scenario JSON path")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--format", choices=formats, default=formats[0])
         if grid is not None:
             sp.add_argument("--grid", default=grid,
                             help=f"START:STOP:STEP in dB (default {grid})")
         if mc:
             sp.add_argument("--seed", type=_seed, default=0)
             sp.add_argument("--samples", type=_positive_int, default=1_000_000)
-            sp.add_argument("--chunk-size", type=_positive_int, default=DEFAULT_CHUNK)
         if target:
             sp.add_argument("--target-outage", type=_target_outage, default=0.01)
         if mc_help is not None:
             sp.add_argument("--mc", action="store_true", help=mc_help)
         sp.set_defaults(func=func)
-    # its report is JSON whatever the format
-    sub.choices["mc-validate"].set_defaults(format="json")
     return p
 
 

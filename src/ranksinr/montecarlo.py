@@ -18,25 +18,29 @@ leakage as it is drawn.  Conventions that must match the analytic model:
   symbol for a precoded interferer, q/n_T for an OSTBC one with q a
   unit-modulus symbol vector, i.e. the symbol vector is normalized to
   unit norm, which is what gives the analysis's Exp(rate n_T) leakage
-  term and rate P/(n_T sigma2).
+  term and rate INR/n_T.
 * OSTBC reception (n_T = 2): exact Alamouti combining.  The numerator
-  is P0*||H0||_F^2/(n_T^2 sigma2); the per-symbol noise reference is
-  n_T*sigma2*||H0||_F^2, matching the quadrupled noise in the
+  is SNR*||H0||_F^2/n_T^2; the per-symbol noise reference is
+  n_T*||H0||_F^2 noise powers, matching the quadrupled noise in the
   numerator scale.  Precoded interference projects onto both columns
   of H0; an interfering Alamouti block combines into two exact
   independent exponential terms.
-* OSTBC reception (any n_T): component path without code structure --
-  the same column projections, with a fresh symbol vector per time
-  instant for OSTBC interferers.  For n_T = 2 the two paths differ
-  only in that interferer treatment.
+* OSTBC reception (any other n_T): component path without code
+  structure -- the same column projections, with a fresh symbol vector
+  per time instant for OSTBC interferers.  For n_T = 2 the two paths
+  differ only in that interferer treatment.
 
-Determinism: per-chunk SFC64 streams spawned from the master seed;
-draw order within a chunk is fixed (H0, then interferer randomness in
-config order; the eigensolve draws nothing) so results depend only on
-(scenario, n_samples, seed, chunk_size).  Chunks run in parallel
-threads (numpy's generators, ufuncs, einsum and batched eigh release
-the GIL) and are concatenated in chunk order, so the worker count never
-changes a result.
+Only the SNR and the INRs of the scenario enter a draw, as linear
+ratios read from their dB values; noise_power does not.
+
+Determinism: a run is split into chunks of DEFAULT_CHUNK samples, each
+drawn from its own SFC64 stream spawned from the master seed; draw
+order within a chunk is fixed (H0, then interferer randomness in config
+order; the eigensolve draws nothing) so results depend only on
+(scenario, n_samples, seed).  Chunks run in parallel threads (numpy's
+generators, ufuncs, einsum and batched eigh release the GIL) and are
+concatenated in chunk order, so the worker count never changes a
+result.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericInstabilityError
-from .scenario import OwnMode, ScenarioConfig, Technique, own_numerator_scale
+from .scenario import OwnMode, ScenarioConfig, Technique, db_to_linear, own_numerator_scale
 
 RNG_NAME = "sfc64"
 # 2^14 samples: a chunk's arrays stay near the cache and a few-1e5-sample
@@ -178,13 +182,11 @@ class EmpiricalDistribution:
 # chunk runner
 
 
-def _chunk_sizes(n_samples: int, chunk_size: int) -> list[int]:
+def _chunk_sizes(n_samples: int) -> list[int]:
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    full, rem = divmod(n_samples, chunk_size)
-    return [chunk_size] * full + ([rem] if rem else [])
+    full, rem = divmod(n_samples, DEFAULT_CHUNK)
+    return [DEFAULT_CHUNK] * full + ([rem] if rem else [])
 
 
 def _usable_cpus() -> int:
@@ -197,16 +199,16 @@ def run_chunks(
     simulate: Callable[[int, np.random.Generator], np.ndarray],
     n_samples: int,
     seed: int,
-    chunk_size: int,
 ) -> np.ndarray:
-    """Concatenated ``simulate(n, rng)`` over the chunks of ``n_samples``.
+    """Concatenated ``simulate(n, rng)`` over the DEFAULT_CHUNK-sample
+    chunks of ``n_samples``, the last one holding the remainder.
 
     Chunk i draws from the i-th SFC64 stream spawned from ``seed``, so
     each chunk is independent of the others and of where it runs.  The
     chunks run on up to one thread per usable CPU and are joined in
     chunk order; an exception from any chunk is raised here.
     """
-    sizes = _chunk_sizes(n_samples, chunk_size)
+    sizes = _chunk_sizes(n_samples)
     rngs = [_generator(ss) for ss in np.random.SeedSequence(seed).spawn(len(sizes))]
     with ThreadPoolExecutor(max_workers=min(len(sizes), _usable_cpus())) as pool:
         return np.concatenate(list(pool.map(simulate, sizes, rngs)))
@@ -217,7 +219,6 @@ def run_chunks(
 
 
 def _simulate_bf_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    sigma2 = cfg.noise_power
     h0 = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
     # the eigensolve draws nothing, so each chunk's stream is still H0
     # then the interferers in config order
@@ -234,16 +235,11 @@ def _simulate_bf_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator) ->
             v = haar_columns(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
             cols = v * qpsk_symbols(rng, (spec.layers, n))
         leak = _abs2(np.einsum("tb,tlb->lb", g, cols)).sum(axis=0)
-        y += (spec.power(sigma2) / sigma2) * leak / lam
+        y += db_to_linear(spec.inr_db) * leak / lam
     return own_numerator_scale(cfg) * lam / (1.0 + y)
 
 
-def simulate_bf_sinr(
-    cfg: ScenarioConfig,
-    n_samples: int,
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> EmpiricalDistribution:
+def simulate_bf_sinr(cfg: ScenarioConfig, n_samples: int, seed: int) -> EmpiricalDistribution:
     """Simulate post-MRC SINR samples for beamforming reception.
 
     A draw whose dominant eigenpair of H0^H H0 has an eigensolver residual
@@ -252,8 +248,7 @@ def simulate_bf_sinr(
     if cfg.own_mode is not OwnMode.BEAMFORMING:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected bf")
     samples = run_chunks(
-        lambda n, rng: _simulate_bf_chunk(cfg, n, rng), n_samples, seed, chunk_size,
-    )
+        lambda n, rng: _simulate_bf_chunk(cfg, n, rng), n_samples, seed)
     return EmpiricalDistribution(samples=samples)
 
 
@@ -262,24 +257,25 @@ def simulate_bf_sinr(
 
 
 def _simulate_ostbc_chunk(
-    cfg: ScenarioConfig, n: int, rng: np.random.Generator, force_component: bool
+    cfg: ScenarioConfig, n: int, rng: np.random.Generator, component: bool
 ) -> np.ndarray:
-    sigma2 = cfg.noise_power
+    """SINR samples of one chunk: exact Alamouti combining at n_T = 2
+    unless ``component``, else the per-instant projection model."""
     h0 = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
     h0_h = h0.conj()
     fro2 = _abs2(h0).reshape(-1, n).sum(axis=0)
-    alamouti = cfg.n_t == 2 and not force_component
+    alamouti = cfg.n_t == 2 and not component
     # normalized interference Y per draw, symbol-averaged powers
     y = np.zeros(n)
     for spec in cfg.interferers:
         h = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
-        p_i = spec.power(sigma2)
+        inr = db_to_linear(spec.inr_db)
         if spec.technique is Technique.OSTBC and alamouti:
             # interfering Alamouti block combines into two exact terms
             c1, c2, g1, g2 = h0_h[:, 0], h0[:, 1], h[:, 0], h[:, 1]
             a = np.einsum("rb,rb->b", c1, g1) + np.einsum("rb,rb->b", c2, g2.conj())
             b = np.einsum("rb,rb->b", c1, g2) - np.einsum("rb,rb->b", c2, g1.conj())
-            y += (p_i / (cfg.n_t**2 * sigma2)) * (_abs2(a) + _abs2(b)) / fro2
+            y += (inr / cfg.n_t**2) * (_abs2(a) + _abs2(b)) / fro2
             continue
         if spec.technique is Technique.OSTBC:
             # component path: fresh full-power symbol vector per instant
@@ -290,26 +286,18 @@ def _simulate_ostbc_chunk(
             v = haar_columns(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
             # every column of H0 is a combining direction once per block
             proj = np.einsum("rmb,rlb->mlb", h0_h, np.einsum("rtb,tlb->rlb", h, v))
-        y += (p_i / (cfg.n_t * sigma2)) * _abs2(proj).reshape(-1, n).sum(axis=0) / fro2
+        y += (inr / cfg.n_t) * _abs2(proj).reshape(-1, n).sum(axis=0) / fro2
     return own_numerator_scale(cfg) * fro2 / (1.0 + y)
 
 
-def simulate_ostbc_sinr(
-    cfg: ScenarioConfig,
-    n_samples: int,
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
-    force_component: bool = False,
-) -> EmpiricalDistribution:
+def simulate_ostbc_sinr(cfg: ScenarioConfig, n_samples: int, seed: int) -> EmpiricalDistribution:
     """Simulate post-combining SINR samples for OSTBC reception.
 
-    n_T = 2 uses exact Alamouti combining; other antenna counts (or
-    force_component=True) use the per-instant projection model.
+    n_T = 2 uses exact Alamouti combining; other antenna counts use the
+    per-instant projection model.
     """
     if cfg.own_mode is not OwnMode.OSTBC:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected ostbc")
     samples = run_chunks(
-        lambda n, rng: _simulate_ostbc_chunk(cfg, n, rng, force_component),
-        n_samples, seed, chunk_size,
-    )
+        lambda n, rng: _simulate_ostbc_chunk(cfg, n, rng, False), n_samples, seed)
     return EmpiricalDistribution(samples=samples)

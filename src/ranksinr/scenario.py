@@ -6,15 +6,16 @@ interferer adds, and at what scale, depends on the receiver's own
 transmission mode:
 
 * Beamforming reception: an interferer precoding n_L spatial layers adds
-  n_L terms of scale P/(n_L*sigma2); an OSTBC interferer adds a single
-  term of scale P/(n_T*sigma2).
+  n_L terms of scale INR/n_L; an OSTBC interferer adds a single term of
+  scale INR/n_T.
 * OSTBC reception: every interferer adds n_T*n_L equal terms of scale
-  P/(n_T^2*n_L*sigma2) -- exactly for OSTBC interferers, approximately
-  for precoded ones.
+  INR/(n_T^2*n_L) -- exactly for OSTBC interferers, approximately for
+  precoded ones.
 
-Powers are long-term averages.  Only the ratios P/sigma2 enter the
-model, so scaling all powers and the noise by a common factor changes
-nothing downstream.
+Powers are long-term averages.  Only the ratios enter the model: the
+SNR P_0/sigma2 and each INR P_i/sigma2, read from their dB values.
+noise_power is checked and hashed with the config, but no result
+depends on it.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ class InterfererSpec:
     technique : Technique
         What the interferer transmits to its own user.
     inr_db : float
-        Long-term interference-to-noise ratio at the receiver, in dB.
-        The linear power is P = sigma2 * 10^(inr_db/10).
+        Long-term interference-to-noise ratio P/sigma2 at the receiver,
+        in dB; its linear value 10^(inr_db/10) must be a positive finite
+        float.
     layers : int
         Number of spatial layers n_L.  Meaningful for spatial
         multiplexing only; beamforming and OSTBC use a single layer.
@@ -103,6 +105,7 @@ class InterfererSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.inr_db):
             raise ConfigError(f"inr_db must be finite, got {self.inr_db!r}")
+        db_to_linear(self.inr_db)  # refused here if it overflows or underflows
         object.__setattr__(self, "layers", _count(self.layers, "layers", ConfigError))
         if self.layers < 1:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
@@ -110,10 +113,6 @@ class InterfererSpec:
             raise ConfigError(
                 f"{self.technique.value} interferers carry one layer, got {self.layers}"
             )
-
-    def power(self, noise_power: float) -> float:
-        """Linear long-term received power of this interferer."""
-        return noise_power * db_to_linear(self.inr_db)
 
 
 @dataclass(frozen=True)
@@ -143,14 +142,9 @@ class ScenarioConfig:
             raise ConfigError(f"noise_power must be positive, got {self.noise_power!r}")
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
+        db_to_linear(self.snr_db)  # refused here if it overflows or underflows
         object.__setattr__(self, "interferers", tuple(self.interferers))
-        for power in (self.own_power, *self.interferer_powers()):
-            if not 0.0 < power < math.inf:
-                raise ConfigError(
-                    f"linear power {power!r} (noise_power * 10^(dB/10)) must be "
-                    "positive and finite"
-                )
-        for spec in self.interferers:
+        for i, spec in enumerate(self.interferers):
             # an interferer's precoder has n_t rows, so its rank is capped
             # by n_t alone; the victim's antenna count does not constrain it
             if (
@@ -158,18 +152,9 @@ class ScenarioConfig:
                 and spec.layers > self.n_t
             ):
                 raise ConfigError(
-                    f"spatial multiplexing with {spec.layers} layers exceeds "
-                    f"the {self.n_t} transmit antennas"
+                    f"interferers[{i}]: spatial multiplexing with {spec.layers} "
+                    f"layers exceeds the {self.n_t} transmit antennas"
                 )
-
-    @property
-    def own_power(self) -> float:
-        """Linear long-term power of the serving link, P_0."""
-        return self.noise_power * db_to_linear(self.snr_db)
-
-    def interferer_powers(self) -> tuple[float, ...]:
-        """Linear powers P_i in config order."""
-        return tuple(s.power(self.noise_power) for s in self.interferers)
 
     def warnings(self) -> tuple[str, ...]:
         """Model caveats for this configuration."""
@@ -188,29 +173,28 @@ def build_rate_set(cfg: ScenarioConfig) -> tuple[float, ...]:
     Order is deterministic: interferers in config order, each one's
     layer terms consecutive.
     """
-    sigma2 = cfg.noise_power
     rates: list[float] = []
     for spec in cfg.interferers:
-        p = spec.power(sigma2)
+        inr = db_to_linear(spec.inr_db)
         if cfg.own_mode is OwnMode.BEAMFORMING:
             if spec.technique is Technique.OSTBC:
-                rates.append(p / (cfg.n_t * sigma2))
+                rates.append(inr / cfg.n_t)
             else:
-                rates.extend([p / (spec.layers * sigma2)] * spec.layers)
+                rates.extend([inr / spec.layers] * spec.layers)
         else:
             n_terms = cfg.n_t * spec.layers
-            rates.extend([p / (cfg.n_t**2 * spec.layers * sigma2)] * n_terms)
+            rates.extend([inr / (cfg.n_t**2 * spec.layers)] * n_terms)
     return tuple(rates)
 
 
 def own_numerator_scale(cfg: ScenarioConfig) -> float:
     """Scale of the numerator statistic X of the SINR.
 
-    Beamforming: X = rho * lambda_max with rho = P_0/sigma2.  OSTBC: X is
-    gamma distributed with scale rho = P_0/(n_T^2 sigma2); the squared
-    code normalization quadruples (n_T=2) the effective noise.
+    Beamforming: X = rho * lambda_max with rho = P_0/sigma2, the SNR.
+    OSTBC: X is gamma distributed with scale rho = P_0/(n_T^2 sigma2); the
+    squared code normalization quadruples (n_T=2) the effective noise.
     """
-    rho = cfg.own_power / cfg.noise_power
+    rho = db_to_linear(cfg.snr_db)
     if cfg.own_mode is OwnMode.OSTBC:
         rho /= cfg.n_t**2
     return rho
@@ -270,9 +254,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 f"interferers[{idx}]: technique must be one of "
                 f"{[t.value for t in Technique]}, got {entry['technique']!r}"
             ) from None
-        inr_db = _real(entry, "inr_db")
         try:
-            spec = InterfererSpec(technique=tech, inr_db=inr_db,
+            spec = InterfererSpec(technique=tech, inr_db=_real(entry, "inr_db"),
                                   layers=entry.get("layers", 1))
         except ConfigError as exc:
             raise ConfigError(f"interferers[{idx}]: {exc}") from None

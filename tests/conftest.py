@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from ranksinr import bf
-from ranksinr.montecarlo import simulate_bf_sinr, simulate_ostbc_sinr
+from ranksinr.montecarlo import (
+    EmpiricalDistribution,
+    _simulate_ostbc_chunk,
+    run_chunks,
+    simulate_bf_sinr,
+    simulate_ostbc_sinr,
+)
 from ranksinr.scenario import (
     InterfererSpec,
     OwnMode,
@@ -73,8 +79,11 @@ def ostbc_ref_run():
 
 @pytest.fixture(scope="session")
 def ostbc_ref_component_run():
-    dist = simulate_ostbc_sinr(REF_OSTBC, N_REF, seed=1, force_component=True)
-    return dist
+    """The reference OSTBC simulation on the component path, which the
+    library takes only at n_t != 2."""
+    samples = run_chunks(lambda n, rng: _simulate_ostbc_chunk(REF_OSTBC, n, rng, True),
+                         N_REF, seed=1)
+    return EmpiricalDistribution(samples=samples)
 
 
 def ks_distance(samples: np.ndarray, cdf_values_at_sorted: np.ndarray) -> float:

@@ -22,7 +22,13 @@ from ranksinr.errors import ConfigError, EmptyMixtureError
 from ranksinr.inversion import _nsection
 from ranksinr.montecarlo import _generator
 from ranksinr.ostbc import OstbcModel
-from ranksinr.scenario import OwnMode, ScenarioConfig, Technique, own_numerator_scale
+from ranksinr.scenario import (
+    OwnMode,
+    ScenarioConfig,
+    Technique,
+    db_to_linear,
+    own_numerator_scale,
+)
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 
@@ -51,7 +57,6 @@ def qpsk_batch_first(rng: np.random.Generator, shape) -> np.ndarray:
 def bf_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Beamforming SINR samples: every channel drawn first, then the
     dominant eigenvector of H0^H H0, then the leakage of H V d."""
-    sigma2 = cfg.noise_power
     h0 = complex_normal_batch_first(rng, (n, cfg.n_r, cfg.n_t))
     draws = []
     for spec in cfg.interferers:
@@ -69,37 +74,36 @@ def bf_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generator) 
     y = np.zeros(n)
     for spec, equiv in draws:
         leak = np.abs(np.einsum("br,brl->bl", f.conj(), equiv)) ** 2
-        y += (spec.power(sigma2) / sigma2) * np.sum(leak, axis=1) / lam
+        y += db_to_linear(spec.inr_db) * np.sum(leak, axis=1) / lam
     return own_numerator_scale(cfg) * lam / (1.0 + y)
 
 
 def ostbc_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generator,
-                            force_component: bool) -> np.ndarray:
+                            component: bool) -> np.ndarray:
     """OSTBC SINR samples: Alamouti combining at n_t = 2 unless
-    force_component, else the per-instant column projections."""
-    sigma2 = cfg.noise_power
+    component, else the per-instant column projections."""
     h0 = complex_normal_batch_first(rng, (n, cfg.n_r, cfg.n_t))
     fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
-    alamouti = cfg.n_t == 2 and not force_component
+    alamouti = cfg.n_t == 2 and not component
     y = np.zeros(n)
     for spec in cfg.interferers:
         h = complex_normal_batch_first(rng, (n, cfg.n_r, cfg.n_t))
-        p_i = spec.power(sigma2)
+        inr = db_to_linear(spec.inr_db)
         if spec.technique is Technique.OSTBC and alamouti:
             c1, c2 = h0[:, :, 0], h0[:, :, 1]
             g1, g2 = h[:, :, 0], h[:, :, 1]
             a = np.sum(c1.conj() * g1, axis=1) + np.sum(c2 * g2.conj(), axis=1)
             b = np.sum(c1.conj() * g2, axis=1) - np.sum(c2 * g1.conj(), axis=1)
-            y += (p_i / (cfg.n_t**2 * sigma2)) * (np.abs(a) ** 2 + np.abs(b) ** 2) / fro2
+            y += (inr / cfg.n_t**2) * (np.abs(a) ** 2 + np.abs(b) ** 2) / fro2
         elif spec.technique is Technique.OSTBC:
             d = qpsk_batch_first(rng, (n, cfg.n_t, cfg.n_t))
             g = np.einsum("brt,btm->brm", h, d) / math.sqrt(cfg.n_t)
             proj = np.abs(np.einsum("brm,brm->bm", h0.conj(), g)) ** 2
-            y += (p_i / (cfg.n_t * sigma2)) * np.sum(proj, axis=1) / fro2
+            y += (inr / cfg.n_t) * np.sum(proj, axis=1) / fro2
         else:
             v = haar_frames_batch_first(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
             proj = np.abs(np.einsum("brm,brl->bml", h0.conj(), h @ v)) ** 2
-            y += (p_i / (cfg.n_t * sigma2)) * np.sum(proj, axis=(1, 2)) / fro2
+            y += (inr / cfg.n_t) * np.sum(proj, axis=(1, 2)) / fro2
     return own_numerator_scale(cfg) * fro2 / (1.0 + y)
 
 
@@ -220,7 +224,7 @@ def outage_white_interference(gamma0, cfg: ScenarioConfig):
     """Outage in the white-interference limit of the OSTBC model.
 
     Spreading a fixed interference budget over ever more streams drives
-    the denominator sum Y to its mean sum(P_i)/(n_T sigma2); replacing Y
+    the denominator sum Y to its mean sum(INR_i)/n_T; replacing Y
     by that constant inflates the noise and keeps X gamma distributed:
     the OSTBC model without interferers at rho_bar/(1 + E[Y]).  This is
     the frontier the maximal-rank curve approaches from above: no rank
@@ -228,7 +232,7 @@ def outage_white_interference(gamma0, cfg: ScenarioConfig):
     """
     if cfg.own_mode is not OwnMode.OSTBC:
         raise ConfigError("white-interference reference is defined for ostbc mode")
-    mean_y = sum(cfg.interferer_powers()) / (cfg.n_t * cfg.noise_power)
+    mean_y = sum(db_to_linear(s.inr_db) for s in cfg.interferers) / cfg.n_t
     white = OstbcModel(weights={(1, cfg.n_r * cfg.n_t - 1): 1}, mixture=None,
                        rho_bar=own_numerator_scale(cfg) / (1.0 + mean_y))
     return white.outage(gamma0)

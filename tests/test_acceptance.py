@@ -297,7 +297,7 @@ def test_criterion_10_monte_carlo_reruns_are_byte_identical(announce, tmp_path):
             out = tmp_path / f"{command}-{attempt}.dat"
             argv = [
                 command, "--config", str(cfg_path), "--seed", "11",
-                "--samples", "60000", "--chunk-size", "25000",
+                "--samples", "60000",
                 "--out", str(out), *extra,
             ]
             code = cli.main(argv)

@@ -264,7 +264,7 @@ def test_dump_weights_of_every_pair_match_digest(tmp_path):
 # sha256 over every subcommand's name and help and, for each of its
 # actions, the option strings, dest, default, type name, choices, required
 # flag and help, taken while each subparser was built by hand
-PARSER_DIGEST = "8d41de77988de713209922ae3906c26b2c242b5ae8c8fada401b21384a37842b"
+PARSER_DIGEST = "ed743475d3a14d02a4cd9a1b9275e12e5295aff2bb701276c44078dd4664e783"
 
 
 def test_parser_matches_digest():
@@ -472,13 +472,6 @@ def test_approx_validate_json(tmp_path, capsys):
     assert doc["meta"]["rng"] == "sfc64"
     assert doc["meta"]["chunk_size"] == str(DEFAULT_CHUNK)
 
-    # the chunk size moves the stream boundaries, so it must reach the draws
-    code, out, _ = run(capsys, "approx-validate", "--config", cfg, "--format", "json",
-                       "--samples", "50000", "--chunk-size", "20000")
-    rechunked = json.loads(out)
-    assert rechunked["meta"]["chunk_size"] == "20000"
-    assert rechunked["means"]["exact"] != doc["means"]["exact"]
-
 
 # --- determinism ---
 
@@ -494,6 +487,27 @@ def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+def _without_config_hash(text):
+    return [line for line in text.splitlines() if "config_hash" not in line]
+
+
+def test_outputs_do_not_depend_on_noise_power(tmp_path, capsys):
+    # only the dB ratios enter the model; noise_power reaches the config
+    # hash and nothing else
+    configs = [write_cfg(tmp_path, f"cfg-{sigma2}.json", noise_power=sigma2)
+               for sigma2 in (1.0, 1e-3)]
+    mc = ["--samples", "20000", "--seed", "5"]
+    for argv in (["outage", "--format", "csv"], ["outage", "--format", "json"],
+                 ["pdf", "--format", "csv"], ["pdf", "--format", "json"],
+                 ["outage", "--mc", *mc, "--format", "csv"],
+                 ["outage", "--mc", *mc, "--format", "json"],
+                 ["mc-validate", *mc, "--grid=0:10:5"]):
+        unit, small = (run(capsys, *argv, "--config", cfg) for cfg in configs)
+        assert unit[0] == small[0] == 0, argv
+        assert unit[1] != small[1], argv
+        assert _without_config_hash(unit[1]) == _without_config_hash(small[1]), argv
 
 
 def test_main_runs_back_to_back_in_one_process(tmp_path, capsys):
@@ -600,7 +614,7 @@ def parse_exit_code(*argv):
     return exc.value.code
 
 
-@pytest.mark.parametrize("option", ["--samples", "--chunk-size"])
+@pytest.mark.parametrize("option", ["--samples"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 @pytest.mark.parametrize("command", [
     ["mc-validate"], ["outage", "--mc"], ["pdf", "--mc"], ["approx-validate"],
@@ -609,6 +623,31 @@ def test_nonpositive_sample_options_exit_2(tmp_path, capsys, command, option, va
     cfg = write_cfg(tmp_path)
     assert parse_exit_code(*command, "--config", cfg, option, value) == cli.EXIT_CONFIG
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["mc-validate"], ["outage", "--mc"], ["pdf", "--mc"], ["approx-validate"],
+], ids="-".join)
+def test_chunk_size_is_not_an_option(tmp_path, capsys, command):
+    # the Monte Carlo chunk size is fixed: a run depends on its seed and
+    # sample count alone
+    cfg = write_cfg(tmp_path)
+    code = parse_exit_code(*command, "--config", cfg, "--chunk-size", str(DEFAULT_CHUNK))
+    assert code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --chunk-size" in capsys.readouterr().err
+
+
+def test_mc_validate_writes_json_only(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "report.csv"
+    argv = ["mc-validate", "--config", cfg, "--samples", "20000", "--grid=0:10:5"]
+    assert parse_exit_code(*argv, "--format", "csv", "--out", str(out)) == cli.EXIT_CONFIG
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert not out.exists()
+    code, default, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--format", "json") == (0, default, "")
+    assert json.loads(default)["passed"] is True
 
 
 @pytest.mark.parametrize("command", ["gain", "sweep-inr"])

@@ -5,6 +5,7 @@ analytic machinery (exponential/gamma limits, Haar isotropy), so that
 using it to judge the closed forms is not circular.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from ranksinr.montecarlo import (
     complex_normal,
     haar_columns,
     qpsk_symbols,
+    run_chunks,
     simulate_bf_sinr,
     simulate_ostbc_sinr,
 )
@@ -198,13 +200,13 @@ def test_bf_kernel_matches_the_batch_first_reference(n_r, n_t):
         lambda n, rng: bf_chunk_batch_first(cfg, n, rng))
 
 
-@pytest.mark.parametrize("force_component", [False, True], ids=["alamouti", "component"])
+@pytest.mark.parametrize("component", [False, True], ids=["alamouti", "component"])
 @pytest.mark.parametrize("n_r,n_t", _SIZES)
-def test_ostbc_kernel_matches_the_batch_first_reference(n_r, n_t, force_component):
+def test_ostbc_kernel_matches_the_batch_first_reference(n_r, n_t, component):
     cfg = _every_interferer_kind(n_r, n_t, OwnMode.OSTBC)
     _assert_same_samples_and_stream(
-        lambda n, rng: montecarlo._simulate_ostbc_chunk(cfg, n, rng, force_component),
-        lambda n, rng: ostbc_chunk_batch_first(cfg, n, rng, force_component))
+        lambda n, rng: montecarlo._simulate_ostbc_chunk(cfg, n, rng, component),
+        lambda n, rng: ostbc_chunk_batch_first(cfg, n, rng, component))
 
 
 @pytest.mark.parametrize("n_r,n_t", _SIZES)
@@ -295,24 +297,28 @@ def test_histogram_density_in_db():
     assert 0.97 < mass <= 1.0 + 1e-9
 
 
-def test_chunking_covers_all_samples():
-    dist = simulate_bf_sinr(REF_BF, 123_457, seed=1, chunk_size=50_000)
+def test_chunking_covers_all_samples(monkeypatch):
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 50_000)
+    assert montecarlo._chunk_sizes(123_457) == [50_000, 50_000, 23_457]
+    dist = simulate_bf_sinr(REF_BF, 123_457, seed=1)
     assert dist.sample_count == 123_457
 
 
 _CHUNK, _N_CHUNKED = 1_000, 3_357  # three full chunks and a remainder
 _RUNNERS = {
-    "bf": (lambda seed: simulate_bf_sinr(REF_BF, _N_CHUNKED, seed, _CHUNK).samples,
+    "bf": (lambda seed: simulate_bf_sinr(REF_BF, _N_CHUNKED, seed).samples,
            lambda n, rng: montecarlo._simulate_bf_chunk(REF_BF, n, rng)),
     "ostbc-alamouti": (
-        lambda seed: simulate_ostbc_sinr(REF_OSTBC, _N_CHUNKED, seed, _CHUNK).samples,
+        lambda seed: simulate_ostbc_sinr(REF_OSTBC, _N_CHUNKED, seed).samples,
         lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng, False)),
+    # the library takes the component path only at n_t != 2
     "ostbc-component": (
-        lambda seed: simulate_ostbc_sinr(REF_OSTBC, _N_CHUNKED, seed, _CHUNK,
-                                         force_component=True).samples,
+        lambda seed: run_chunks(
+            lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng, True),
+            _N_CHUNKED, seed),
         lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng, True)),
     "exact-terms": (
-        lambda seed: simulate_exact_terms(2, 4, 2, _N_CHUNKED, seed, _CHUNK),
+        lambda seed: simulate_exact_terms(2, 4, 2, _N_CHUNKED, seed),
         lambda n, rng: approx._exact_terms_chunk(2, 4, 2, n, rng)),
 }
 
@@ -321,6 +327,7 @@ _RUNNERS = {
 def test_results_do_not_depend_on_the_worker_count(name, monkeypatch):
     # reference: the chunks one after another in this thread, chunk i on
     # the i-th spawned stream
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", _CHUNK)
     run, chunk = _RUNNERS[name]
     seed = 23
     children = np.random.SeedSequence(seed).spawn(4)
@@ -332,15 +339,28 @@ def test_results_do_not_depend_on_the_worker_count(name, monkeypatch):
         assert run(seed).tobytes() == serial.tobytes()
 
 
-@pytest.mark.parametrize("simulate,cfg,kw", [
-    (simulate_bf_sinr, REF_BF, {}),
-    # the Alamouti path draws no symbols, the component path does
-    (simulate_ostbc_sinr, REF_OSTBC, {"force_component": True}),
+@pytest.mark.parametrize("simulate,cfg", [
+    (simulate_bf_sinr, REF_BF),
+    # the Alamouti path draws no symbols, the component path (n_t = 4) does
+    (simulate_ostbc_sinr, dataclasses.replace(REF_OSTBC, n_t=4)),
 ])
-def test_an_error_inside_a_chunk_reaches_the_caller(simulate, cfg, kw, monkeypatch):
+def test_an_error_inside_a_chunk_reaches_the_caller(simulate, cfg, monkeypatch):
     def fail(rng, shape):
         raise RuntimeError("symbol draw failed")
 
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", _CHUNK)
     monkeypatch.setattr(montecarlo, "qpsk_symbols", fail)
     with pytest.raises(RuntimeError, match="symbol draw failed"):
-        simulate(cfg, _N_CHUNKED, 0, _CHUNK, **kw)
+        simulate(cfg, _N_CHUNKED, 0)
+
+
+@pytest.mark.parametrize("simulate,cfg", [
+    (simulate_bf_sinr, REF_BF),
+    (simulate_ostbc_sinr, REF_OSTBC),
+    (simulate_ostbc_sinr, dataclasses.replace(REF_OSTBC, n_t=4)),
+], ids=["bf", "ostbc-alamouti", "ostbc-component"])
+def test_draws_do_not_depend_on_noise_power(simulate, cfg):
+    # the kernels read the SNR and INRs as ratios; noise_power scales nothing
+    runs = [simulate(dataclasses.replace(cfg, noise_power=sigma2), 20_000, seed=3).samples
+            for sigma2 in (1.0, 1e-3, 7.25)]
+    assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()

@@ -1,5 +1,6 @@
 """Config validation and the interferer-to-rate-set expansion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -127,7 +128,8 @@ def test_sm_rank_capped_by_transmit_antennas_only():
 
 
 def test_own_power_and_numerator_scale():
-    assert REF_BF.own_power == pytest.approx(31.62, abs=0.01)
+    # the own power enters as the SNR P_0/sigma2 alone
+    assert own_numerator_scale(REF_BF) == db_to_linear(15.0)
     assert own_numerator_scale(REF_BF) == pytest.approx(31.6228, abs=1e-3)
     # squared Alamouti normalization divides by n_t^2
     assert own_numerator_scale(REF_OSTBC) == pytest.approx(7.905, abs=0.003)
@@ -153,15 +155,12 @@ def test_reference_rate_set_ostbc_mode():
 
 
 def test_rate_set_invariant_to_common_power_scale():
-    base = build_rate_set(REF_BF)
-    scaled_cfg = ScenarioConfig(
-        n_r=2, n_t=2, noise_power=7.25, snr_db=15.0,
-        own_mode=OwnMode.BEAMFORMING, interferers=REF_BF.interferers,
-    )
-    assert build_rate_set(scaled_cfg) == pytest.approx(base, rel=1e-14)
-    assert own_numerator_scale(scaled_cfg) == pytest.approx(
-        own_numerator_scale(REF_BF), rel=1e-14
-    )
+    # only the dB ratios enter: no bit depends on noise_power
+    for cfg in (REF_BF, REF_OSTBC):
+        for sigma2 in (7.25, 1e-3):
+            scaled_cfg = dataclasses.replace(cfg, noise_power=sigma2)
+            assert build_rate_set(scaled_cfg) == build_rate_set(cfg)
+            assert own_numerator_scale(scaled_cfg) == own_numerator_scale(cfg)
 
 
 def test_warnings_flag_large_ostbc_arrays():
@@ -225,5 +224,19 @@ def test_config_from_dict_rejects_wrong_types():
             config_from_dict(dict(good, snr_db=db))
         with pytest.raises(ConfigError, match="linear"):
             config_from_dict(dict(good, interferers=[{"technique": "bf", "inr_db": db}]))
-    with pytest.raises(ConfigError, match="linear"):
-        config_from_dict(dict(good, noise_power=1e300, snr_db=100.0))
+    # noise_power scales nothing, so no product with it can overflow
+    big = config_from_dict(dict(good, noise_power=1e300, snr_db=100.0))
+    unit = config_from_dict(dict(good, snr_db=100.0))
+    assert build_rate_set(big) == build_rate_set(unit)
+    assert own_numerator_scale(big) == own_numerator_scale(unit)
+
+
+def test_interferer_refusals_name_their_interferer():
+    good = config_to_dict(REF_BF)
+    sm3 = {"technique": "sm", "inr_db": 10.0, "layers": 3}
+    bad_inr = {"technique": "sm", "inr_db": "10", "layers": 2}
+    for interferer, message in ((sm3, "spatial multiplexing with 3 layers exceeds"),
+                                (bad_inr, "inr_db must be a number")):
+        interferers = [{"technique": "bf", "inr_db": 8.0}, interferer]
+        with pytest.raises(ConfigError, match=rf"^interferers\[1\]: {message}"):
+            config_from_dict(dict(good, interferers=interferers))
