@@ -21,8 +21,8 @@ below 1e-13 absolute up to 4x4, about 1e-9 at 8x8.  With no interferers
 g_k is the Poisson(a_k) pmf and the outage is the eigenvalue CDF itself.
 
 `mixture` holds the grouping of the paper's partial-fraction form of Y;
-its coefficients are computed only if read (``dump-xi``, ``pdf_y``), and
-evaluation does not read them.
+its coefficients are computed only if read, which only ``dump-xi`` does
+(``pdf_y``/``cdf_y`` take the raw `rates`).
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .scenario import (
     ScenarioConfig,
     Technique,
     build_rate_set,
+    db_to_linear,
     load_config,
 )
 from .sweeps import (
@@ -76,13 +77,7 @@ def _grid_db(args) -> tuple[np.ndarray, np.ndarray, float]:
     """The --grid points in dB, in linear scale, and their step."""
     spec = _grid(args)
     grid_db = spec.grid_db()
-    with np.errstate(over="ignore"):
-        grid = 10.0 ** (grid_db / 10.0)
-    bad = (grid == 0.0) | np.isinf(grid)
-    if bad.any():
-        raise ConfigError(
-            f"grid point {grid_db[bad][0]} dB underflows or overflows in linear scale")
-    return grid_db, grid, spec.step_db
+    return grid_db, db_to_linear(grid_db, "grid point"), spec.step_db
 
 
 def _seed(value: str) -> int:

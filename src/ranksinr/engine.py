@@ -118,7 +118,8 @@ class SinrModel:
     has read it.  `rates` is the raw interference rate set, empty for
     no interferers, and `mixture` its grouping (None without
     interferers), whose partial-fraction coefficients are computed only
-    if read; evaluation does not read `mixture`.
+    if read, which only ``dump-xi`` does: neither evaluation nor
+    ``pdf_y``/``cdf_y`` reads `mixture`.
 
     A model of several rows takes a tuple of rho_bar and one rate set
     per row; axis 0 of its arguments runs over the rows.

@@ -25,8 +25,9 @@ class NumericInstabilityError(RankSinrError):
 
     Two cases: an evaluated probability lands outside [0, 1] (results
     within inversion.PROB_SLACK, 1e-9, are clamped, anything further is
-    refused), and the Xi coefficients of Y's law cancel so much that
-    sum|Xi| > 1e-12 2^53 (``mixture.reliable_terms``).  The CLI exits 3.
+    refused), and the Xi coefficients that ``dump-xi`` prints cancel so
+    much that sum|Xi| > 1e-12 2^53 (``mixture.reliable_terms``); the laws
+    of Y do not read them.  The CLI exits 3.
     """
 
 

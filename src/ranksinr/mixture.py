@@ -1,9 +1,9 @@
-"""Hyper-exponential model of the aggregate interference power.
+"""The law of the aggregate interference power Y, and the paper's form of it.
 
 The normalized interference Y is a sum of independent exponential terms
 with scales rho taken from the scenario's rate set.  Collecting equal
-scales into G groups (scale rho_i, multiplicity beta_i), the density of
-the sum is a signed mixture of gamma densities
+scales into G groups (scale rho_i, multiplicity beta_i), the paper
+writes its density as a signed mixture of gamma densities
 
     p_Y(y) = sum_{i=1..G} sum_{j=1..beta_i} Xi_ij y^{j-1} e^{-y/rho_i}
              / (Gamma(j) rho_i^j),
@@ -28,52 +28,127 @@ near-equal group rates; near-ties must be merged before coefficients are
 computed, and the coefficients themselves are evaluated in 40-digit
 arithmetic because the alternating signs cancel heavily for large
 multiplicities.  Rounding a coefficient to double costs up to
-|Xi_ij| 2^-53, and each term's regularized gamma is at most 1 (its
-density at most 1/rho_i), so the dumped coefficients, their sums and the
-CDF keep 1e-12 absolute only while sum|Xi| <= 1e-12 2^53 (about 9.0e3).
-That one rule, ``reliable_terms``, decides for ``dump-xi``, ``pdf_y`` and
-``cdf_y`` alike; past it they raise ``NumericInstabilityError``.  The 2x2
-OSTBC reference mix already has sum|Xi| = 1.5e5, 8x8 OSTBC 3.1e24.
+|Xi_ij| 2^-53, so the dumped coefficients and their sums keep 1e-12
+absolute only while sum|Xi| <= 1e-12 2^53 (about 9.0e3); past it
+``reliable_terms`` raises ``NumericInstabilityError``.  The 2x2 OSTBC
+reference mix already has sum|Xi| = 1.5e5, 8x8 OSTBC 3.1e24.  Only
+``dump-xi`` reads the coefficients, on first read of ``MixtureSpec.xi``;
+no model build or curve does (``engine``), and neither do the laws.
 
-This is the paper's form of the interference law.  ``dump-xi`` and
-``pdf_y``/``cdf_y`` compute it on first read of ``MixtureSpec.xi``; no
-model build or curve reads it (``engine``).  The gamma orders here are
-integers, so both laws read one table of Pois(m; y/rho_i), m < max j:
-the density of term (i, j) is its (j-1) entry over rho_i, and its CDF is
-P(j, x) = -expm1(-x) - sum_{1<=m<j} Pois(m; x), with no incomplete gamma
-function.
+``pdf_y``/``cdf_y`` take the raw rates and read a series of positive
+terms instead (Moschopoulos, Ann. Inst. Statist. Math. 37, 1985).  With
+c_r the multiplicity of the distinct rate rho_r, b = min rho_r,
+C = sum c_r and q_r = 1 - b/rho_r, Y has the law of Gamma(C + K, b),
+K = sum_r NB(c_r, q_r).  So with x = y/b and Pois(n; x) = e^{-x} x^n/n!,
+
+    cdf_y = sum_{n>=C} Pois(n; x) F_K(n - C)
+          = 1 - sum_{n>=0} Pois(n; x) P(K > n - C),
+    pdf_y = (1/b) sum_{j>=0} P_K(j) Pois(C + j - 1; x).
+
+The cdf takes the first form up to the mean E[Y] and the second past
+it: summed where it is small, the second keeps the cdf non-decreasing up
+to 1, where the first one's rounding would jitter.  K's generating
+function prod_r ((1 - q_r)/(1 - q_r t))^{c_r} gives its pmf p_j = P_K(j)
+with positive terms only:
+
+    p_0 = prod_r (b/rho_r)^{c_r},   h_{r,-1} = 0,
+    h_{r,n} = q_r (p_n + h_{r,n-1}),   (n+1) p_{n+1} = sum_r c_r h_{r,n}.
+
+p_0 is exact on the given doubles, scaled by a power of two where it
+would underflow.  q_r is carried as two doubles: rounded to one, it
+would move the scale b/(1 - q_r) of its terms by up to 2^-53 q_r/(1 -
+q_r), about 1e-12 at a 40 dB spread, so the recursion runs at the
+leading double and carries its derivative toward the second.  F_K is a compensated running sum, and P(K > m) = 1 - F_K(m).
+The Poisson weights start each strip of STRIP orders from Loader's
+saddle-point form exp(-stirlerr(n) - bd0(n, x))/sqrt(2 pi n) ("Fast and
+Accurate Computation of Binomial Probabilities", 2000), whose error is
+about bd0 2^-53 where exp(n log x - x - log n!) loses (x log x) 2^-53,
+and go on by the ratios x/n.
+
+Truncation.  Each NB(c, q) with c >= 1 has a log-concave pmf, and so
+has their convolution K: past its mode the ratio r = p_{n+1}/p_n only
+falls, so the tail beyond p_n is at most p_n r/(1 - r).  The series
+stops where that is below TAIL_EPS (2^-60) of the sum so far, which
+bounds the cdf's relative error by about TAIL_EPS.  A point sums the
+orders n from max(C', x - sqrt(2Lx)) to m + sqrt(2Lm) + 2L/3, with C'
+the first order of its sum (C - 1 for the pdf, C for the cdf's first
+form, 0 for its second), m = max(x, C') and L = 36 - log p_0.  By
+Bennett's inequality the Poisson weights outside hold less than e^-L of
+the one at m, and no table entry (P_K, F_K or P(K > m), at most 1)
+passes 1/p_0 times the entry at m where that is at least p_0: the cdf at
+every point, the pdf up to past the mode of K.  There the dropped terms
+are below e^-36 of the sum; elsewhere they are below e^-36 absolute, or
+e^-36/b for the pdf.  The cost is O(N R) for the N terms of K over R
+distinct rates, N about (E[K] + 40 sd)/(1 - max q_r), once per rate set
+(the series is cached), and O(sqrt(x) + L) per point; past
+MAX_COUNT_TERMS terms the laws refuse with ``RankSinrError``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateRatesError, EmptyMixtureError, NumericInstabilityError
+from .errors import (
+    DegenerateRatesError,
+    EmptyMixtureError,
+    NumericInstabilityError,
+    RankSinrError,
+)
 
 # relative gap below which two scales count as one group
 GROUP_TOL = 1e-9
 # the largest sum|Xi| whose double coefficients keep 1e-12 absolute
 XI_ABS_SUM_MAX = 1e-12 * 2.0**53
+# K's series stops once its tail is at most this share of its sum
+TAIL_EPS = 2.0**-60
+# the most terms of K the laws compute: about 5 s and 130 MB at the cap
+MAX_COUNT_TERMS = 2**22
+# Poisson terms evaluated at once across points, and in one run of ratios
+BLOCK, STRIP = 2**18, 32
 
 
-def log_factorials(n: int) -> np.ndarray:
-    """log m! for m = 0..n."""
-    return np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
+def _log_weights(top: int) -> np.ndarray:
+    """-stirlerr(n) - log sqrt(2 pi n) = n log n - n - log n! for n = 0..top:
+    directly to n = 15, then Stirling's series to n^-9, off by less than
+    1e-16 there, where the direct form would cancel."""
+    n = np.arange(1.0, top + 1.0)
+    nn = n * n
+    out = -(1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+    out -= 0.5 * np.log(2.0 * math.pi * n)
+    out[:15] = [k * math.log(k) - k - math.lgamma(k + 1) for k in range(1, min(top, 15) + 1)]
+    return np.concatenate(([0.0], out))
 
 
-def log_floored(x: np.ndarray) -> np.ndarray:
-    """log x for x >= 0, with log 0 floored at -1e300.
+def _bd0(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """n log(n/x) + x - n for n >= 1 and x >= 0 (inf at x = 0), within a few
+    2^-53 relative: within 10% of each other n and x take Loader's series
+    (n-x)v + 2n sum_k v^{2k+1}/(2k+1), v = (n-x)/(n+x)."""
+    d = n - x
+    v = d / (n + x)
+    series = 0.0  # sum_{k=1..9} v^{2k}/(2k+1), the rest below 1e-20 of it
+    for k in range(9, 0, -1):
+        series = (series + 1.0 / (2 * k + 1)) * v * v
+    with np.errstate(divide="ignore"):
+        return np.where(np.abs(v) < 0.1, d * v + 2.0 * n * v * series, n * np.log(n / x) - d)
 
-    Then m * log x is 0 at m = 0 and exp(m * log x) exactly 0 for m >= 1,
-    the limits x^m takes at x = 0, with no divide-by-zero warning.
-    """
-    return np.log(x, out=np.full(np.shape(x), -1e300), where=x > 0)
+
+def _checked(rates) -> list[float]:
+    """The rates as floats, each positive and finite, and at least one."""
+    rates = [float(r) for r in rates]
+    if not rates:
+        raise EmptyMixtureError("no interference terms; a scenario without interferers has no mixture")
+    if any(not (r > 0 and math.isfinite(r)) for r in rates):
+        raise ValueError(f"rates must be positive and finite, got {rates}")
+    return rates
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,15 +222,7 @@ def group_rates(rates) -> tuple[tuple[float, ...], tuple[int, ...]]:
     power-weighted mean is at most GROUP_TOL; the merged scale is the
     power-weighted mean sum(rho^2)/sum(rho), at any scale of the rates.
     """
-    rates = [float(r) for r in rates]
-    if not rates:
-        raise EmptyMixtureError(
-            "no interference terms; a scenario without interferers has no mixture"
-        )
-    if any(not (r > 0 and math.isfinite(r)) for r in rates):
-        raise ValueError(f"rates must be positive and finite, got {rates}")
-
-    ordered = sorted(rates, reverse=True)
+    ordered = sorted(_checked(rates), reverse=True)
     group_scales: list[float] = []
     group_counts: list[int] = []
     # a group's sums run over its rates times 2^-e, e the exponent of its
@@ -228,32 +295,118 @@ def reliable_terms(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return spec.terms()
 
 
-def _poisson_table(y, spec: MixtureSpec, law: str):
-    """The terms and Pois(m; y/rho_i) for m < max j, shape (points, terms, m)."""
+@functools.lru_cache(maxsize=4)
+def _count_law(rho: tuple[float, ...], c: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """P(K = j) and P(K <= j) from j = 0 up to the module docstring's
+    truncation; rho ascending with multiplicities c."""
+    # p_0 exactly, and q_r = 1 - b/rho_r as q_hi + q_lo: q_hi^j alone is
+    # off by j |q_lo|/q_r, so the recursion carries its derivative toward q_lo
+    ratios = [Fraction(rho[0]) / Fraction(r) for r in rho]
+    p0 = math.prod(f**k for f, k in zip(ratios, c))
+    e = p0.numerator.bit_length() - p0.denominator.bit_length()
+    qs = [(float(1 - f), float(1 - f - Fraction(float(1 - f))), k)
+          for f, k in zip(ratios[1:], c[1:])]
+    h, dh = [0.0] * len(qs), [0.0] * len(qs)
+    # P(K = j) = (p + dp) 2^e, p_0 in [1/2, 2]; whenever p passes 2^960,
+    # all is scaled by 2^-960: only a p_0 below the smallest double allows it
+    p = total = float(p0 * Fraction(2) ** -e)
+    dp = comp = 0.0
+    pmf, cdf = array("d", [p]), array("d", [p])
+    for n in range(1, MAX_COUNT_TERMS + 1):
+        s = ds = 0.0
+        for i, (q_hi, q_lo, k) in enumerate(qs):
+            t, dt = p + h[i], dp + dh[i]
+            h[i], dh[i] = q_hi * t, q_hi * dt + q_lo * t
+            s += k * h[i]
+            ds += k * dh[i]
+        p_n, p, dp = p, s / n, ds / n
+        # P(K <= n) = total + comp, Neumaier's compensated sum
+        v = p + dp
+        t = total + v
+        comp += (total - t) + v if total >= v else (v - t) + total
+        total = t
+        pmf.append(v)
+        cdf.append(total + comp)
+        # past the mode the tail is at most p r/(1 - r), r = p/p_n
+        if p < p_n and p * p <= TAIL_EPS * total * (p_n - p):
+            return tuple(np.ldexp(np.frombuffer(a), e) for a in (pmf, cdf))
+        if p > 2.0**960:
+            for a in (pmf, cdf):
+                np.frombuffer(a)[:] *= 2.0**-960
+            p, dp, total, comp = (math.ldexp(v, -960) for v in (p, dp, total, comp))
+            h, dh, e = [math.ldexp(v, -960) for v in h], [math.ldexp(v, -960) for v in dh], e + 960
+    raise RankSinrError(f"the law of Y needs more than {MAX_COUNT_TERMS} terms of its count "
+                        f"series: the rates span a ratio of {rho[-1] / rho[0]:.3g}")
+
+
+def _sums(x, lo, hi, table: np.ndarray) -> np.ndarray:
+    """sum_{lo<=n<=hi} Pois(n; x) table[n] per point, table[n] read as its
+    last entry past its end (module docstring)."""
+    vals = np.full(x.shape, table[-1])
+    live = np.flatnonzero(lo < table.size - 1)
+    # each window in strips of STRIP orders: Loader's weight at a strip's
+    # first order, x/n from there on
+    strips = (hi[live] - lo[live]).astype(np.int64) // STRIP + 1
+    top = int(hi[live].max(initial=0.0))
+    log_weights = _log_weights(top)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(table, (0, max(0, top + STRIP - table.size)), mode="edge"), STRIP)
+    # points in blocks of about BLOCK terms
+    for part in np.split(np.arange(live.size),
+                         np.flatnonzero(np.diff(np.cumsum(strips) * STRIP // BLOCK)) + 1):
+        k, at = strips[part], live[part]
+        first = np.cumsum(k) - k
+        n0 = np.repeat(lo[at], k) + STRIP * (np.arange(k.sum()) - np.repeat(first, k))
+        xs = np.repeat(x[at], k)
+        # orders down axis 0, strips across; Pois(0; x) = e^-x
+        terms = np.empty((STRIP, n0.size))
+        n1 = np.maximum(n0, 1.0)
+        terms[0] = np.where(n0 == 0, np.exp(-xs),
+                            np.exp(log_weights[n1.astype(np.intp)] - _bd0(n1, xs)))
+        np.divide(xs, n0 + np.arange(1.0, STRIP)[:, None], out=terms[1:])
+        for i in range(1, STRIP):
+            terms[i] *= terms[i - 1]
+        terms *= windows[n0.astype(np.intp)].T
+        vals[at] = np.add.reduceat(terms.sum(axis=0), first)
+    return vals
+
+
+def _law(y, rates, density: bool):
+    """pdf_y (density) or cdf_y at y, scalar or array (module docstring)."""
     arr = np.asarray(y, dtype=np.float64)
     if not (np.isfinite(arr).all() and (arr >= 0).all()):
-        raise ValueError(f"{law} requires finite y >= 0")
-    rho, jj, xi = reliable_terms(spec)
-    x = np.atleast_1d(arr)[:, None] / rho
-    m = np.arange(int(jj.max()))
-    table = m * log_floored(x)[:, :, None]
-    table -= x[:, :, None]
-    table -= log_factorials(m.size - 1)
-    np.exp(table, out=table)
-    return arr, x, table, rho, jj.astype(int), xi
-
-
-def pdf_y(y, spec: MixtureSpec):
-    """Density of the interference sum at y (scalar or array)."""
-    arr, _, table, rho, jj, xi = _poisson_table(y, spec, "pdf_y")
-    vals = table[:, np.arange(jj.size), jj - 1] @ (xi / rho)
+        raise ValueError(f"{'pdf_y' if density else 'cdf_y'} requires finite y >= 0")
+    rho, c = np.unique(_checked(rates), return_counts=True)
+    b, count = rho[0], int(c.sum())
+    pmf, below = _count_law(tuple(rho.tolist()), tuple(c.tolist()))
+    # each point sums its window of Poisson orders n: from the first
+    # order read (C - 1 for the pdf, C for the cdf) or x - sqrt(2Lx) up
+    lead = count - density
+    x = arr.ravel() / b
+    span = 36.0 - float(np.sum(c * np.log(b / rho)))
+    reach = np.floor(x - np.sqrt(2.0 * span * x))
+    m = np.maximum(x, lead)
+    hi = np.ceil(m + np.sqrt(2.0 * span * m) + 2.0 * span / 3.0)
+    # the tables run over n: P_K(n - C + 1)/b, F_K(n - C), P(K > n - C)
+    if density:
+        vals = _sums(x, np.maximum(lead, reach), hi, np.concatenate((np.zeros(lead), pmf / b, [0.0])))
+    else:
+        # past the mean, 1 - sum_n Pois(n; x) P(K > n - C): summed where it
+        # is small, it keeps the cdf non-decreasing up to 1
+        up = x > count + float(np.sum(c * (rho / b - 1.0)))
+        vals = np.empty_like(x)
+        vals[~up] = _sums(x[~up], np.maximum(lead, reach[~up]), hi[~up],
+                          np.concatenate((np.zeros(lead), below)))
+        vals[up] = 1.0 - _sums(x[up], np.maximum(0.0, reach[up]), hi[up],
+                               np.concatenate((np.ones(lead), 1.0 - below)))
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
-def cdf_y(y, spec: MixtureSpec):
-    """CDF of the interference sum; mixture of regularized gammas."""
-    arr, x, table, _, jj, xi = _poisson_table(y, spec, "cdf_y")
-    m = np.arange(1, table.shape[2])
-    lower = -np.expm1(-x) - np.sum(table[:, :, 1:] * (m < jj[:, None]), axis=2)
-    vals = lower @ xi
-    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
+def pdf_y(y, rates):
+    """Density of the interference sum over the raw rates at y (scalar or array)."""
+    return _law(y, rates, True)
+
+
+def cdf_y(y, rates):
+    """CDF of the interference sum over the raw rates at y (scalar or array)."""
+    return _law(y, rates, False)

@@ -26,7 +26,7 @@ Both are approximations: the exponential step flattens the true
 product-of-exponential-and-beta shape, which shows up as a visible
 mismatch around the density mode.  `mixture` holds the grouping of the
 paper's partial-fraction form of Y; its coefficients are computed only
-if read, and evaluation does not read them.
+if read, which only ``dump-xi`` does.
 """
 
 from __future__ import annotations

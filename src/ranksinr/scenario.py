@@ -26,6 +26,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, UnsupportedDimensionError
 
 # The exact weight tables ship for every pair of counts up to this cap
@@ -44,19 +46,30 @@ def _count(value, what: str, error: type[Exception]) -> int:
     raise error(f"{what} must be an integer, got {value!r}")
 
 
-def db_to_linear(x_db: float) -> float:
-    """Convert a dB quantity to its linear-scale value 10^(x/10), a positive
-    finite float: a value that overflows or underflows to 0 is refused."""
-    x_db = float(x_db)
-    if not math.isfinite(x_db):
-        raise ConfigError(f"dB value must be finite, got {x_db!r}")
-    try:
-        x = 10.0 ** (x_db / 10.0)
-    except OverflowError:
-        raise ConfigError(f"{x_db!r} dB overflows in linear scale") from None
-    if x == 0.0:
-        raise ConfigError(f"{x_db!r} dB underflows in linear scale")
-    return x
+def db_to_linear(x_db, what: str = "dB value"):
+    """The linear-scale value 10^(x/10) of a dB quantity, a positive finite
+    float, or of an array of them by numpy's elementwise power.
+
+    The one rule for a dB value: one that is not finite, or whose power
+    overflows or underflows to 0, is refused, and the message names `what`.
+    """
+    if isinstance(x_db, np.ndarray) and x_db.ndim:
+        with np.errstate(over="ignore"):
+            x = 10.0 ** (x_db / 10.0)
+        bad = ~((x > 0.0) & (x < math.inf))
+        if not bad.any():
+            return x
+        x_db = float(x_db[bad][0])
+    else:
+        x_db = float(x_db)
+        try:
+            x = 10.0 ** (x_db / 10.0)
+        except OverflowError:
+            x = math.inf
+        # a NaN fails both comparisons, so it is refused too
+        if 0.0 < x < math.inf:
+            return x
+    raise ConfigError(f"{what} {x_db!r} dB is not positive and finite in linear scale")
 
 
 def linear_to_db(x: float) -> float:
@@ -103,9 +116,7 @@ class InterfererSpec:
     layers: int = 1
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.inr_db):
-            raise ConfigError(f"inr_db must be finite, got {self.inr_db!r}")
-        db_to_linear(self.inr_db)  # refused here if it overflows or underflows
+        db_to_linear(self.inr_db, "inr_db")  # refused here, not at first use
         object.__setattr__(self, "layers", _count(self.layers, "layers", ConfigError))
         if self.layers < 1:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
@@ -140,9 +151,7 @@ class ScenarioConfig:
             )
         if not (self.noise_power > 0 and math.isfinite(self.noise_power)):
             raise ConfigError(f"noise_power must be positive, got {self.noise_power!r}")
-        if not math.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
-        db_to_linear(self.snr_db)  # refused here if it overflows or underflows
+        db_to_linear(self.snr_db, "snr_db")  # refused here, not at first use
         object.__setattr__(self, "interferers", tuple(self.interferers))
         for i, spec in enumerate(self.interferers):
             # an interferer's precoder has n_t rows, so its rank is capped

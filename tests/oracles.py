@@ -11,6 +11,7 @@ white-interference limit, and the threshold where the rank-1 and rank-r
 outage curves cross.
 """
 
+import collections
 import math
 
 import mpmath
@@ -158,42 +159,48 @@ def xi_series(rates, multiplicities, dps=40):
 
 
 class MpMixture:
-    """The law of Y from Xi in mpmath at dps digits, for a grouped spec's
-    double scales; its pdf and cdf return floats."""
+    """The law of Y from Xi in mpmath at dps digits over the raw rates:
+    equal rates are counted, near-equal ones are never merged."""
 
-    def __init__(self, spec, dps=50):
+    def __init__(self, rates, dps=200):
+        counts = collections.Counter(float(r) for r in rates)
         self.dps = dps
-        self.rates = spec.rates
-        self.xi = xi_series(spec.rates, spec.multiplicities, dps)
+        self.rates = sorted(counts, reverse=True)
+        self.xi = xi_series(self.rates, [counts[r] for r in self.rates], dps)
 
-    def pdf(self, y: float) -> float:
+    def law(self, y: float) -> tuple[float, float]:
+        """(pdf, cdf) at y: term (i, j) is Xi_ij Pois(j-1; x)/rho_i in the
+        density and Xi_ij P(Pois(x) >= j) in the CDF, x = y/rho_i."""
         with mpmath.workdps(self.dps):
             y = mpmath.mpf(y)
-            return float(mpmath.fsum(
-                v * y ** (j - 1) * mpmath.exp(-y / self.rates[i - 1])
-                / (mpmath.factorial(j - 1) * mpmath.mpf(self.rates[i - 1]) ** j)
-                for (i, j), v in self.xi.items()))
-
-    def cdf(self, y: float) -> float:
-        # P(j, x) = 1 - e^{-x} sum_{m<j} x^m/m!
-        with mpmath.workdps(self.dps):
-            y = mpmath.mpf(y)
-            total = mpmath.mpf(0)
-            for (i, j), v in self.xi.items():
-                x = y / self.rates[i - 1]
-                head = mpmath.fsum(x**m / mpmath.factorial(m) for m in range(j))
-                total += v * (1 - mpmath.exp(-x) * head)
-            return float(total)
+            pdf = cdf = mpmath.mpf(0)
+            for i, rho in enumerate(self.rates, start=1):
+                rho = mpmath.mpf(rho)
+                x = y / rho
+                weight, below, j = mpmath.exp(-x), mpmath.mpf(0), 1
+                while (i, j) in self.xi:
+                    below += weight
+                    pdf += self.xi[(i, j)] * weight / rho
+                    cdf += self.xi[(i, j)] * (1 - below)
+                    weight *= x / j
+                    j += 1
+            return float(pdf), float(cdf)
 
 
-def law_gaps(spec, y, pdf, cdf) -> tuple[float, float, float]:
-    """Largest |cdf - reference| and |pdf - reference| on y, and the
-    reference density's peak on y, against ``MpMixture(spec)``."""
-    law = MpMixture(spec)
-    pdf_ref = np.array([law.pdf(v) for v in y])
-    cdf_ref = np.array([law.cdf(v) for v in y])
-    return (float(np.max(np.abs(cdf(y, spec) - cdf_ref))),
-            float(np.max(np.abs(pdf(y, spec) - pdf_ref))), float(np.max(pdf_ref)))
+def law_gaps(rates, y, pdf, cdf, dps=200) -> tuple[float, float, float]:
+    """Errors of pdf(y, rates) and cdf(y, rates) against ``MpMixture(rates,
+    dps)``: the cdf's largest relative error where the reference is at
+    least 1e-300, the pdf's largest error over the reference's peak on y,
+    and its largest relative error at 0 < y <= E[Y]."""
+    law = MpMixture(rates, dps)
+    pdf_ref, cdf_ref = np.array([law.law(v) for v in y]).T
+    pdf_val, cdf_val = pdf(y, rates), cdf(y, rates)
+    resolved = cdf_ref >= 1e-300
+    below_mean = (y > 0) & (y <= sum(rates))
+    return (float(np.max(np.abs(cdf_val - cdf_ref)[resolved] / cdf_ref[resolved])),
+            float(np.max(np.abs(pdf_val - pdf_ref)) / np.max(pdf_ref)),
+            float(np.max(np.abs(pdf_val - pdf_ref)[below_mean] / pdf_ref[below_mean],
+                         initial=0.0)))
 
 
 def sample_product(pd: ProductDistribution, n_samples: int, seed: int) -> np.ndarray:

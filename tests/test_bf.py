@@ -14,7 +14,7 @@ from scipy import integrate
 
 from ranksinr import bf
 from ranksinr.errors import ConfigError
-from ranksinr.mixture import build_mixture, pdf_y
+from ranksinr.mixture import pdf_y
 from ranksinr.scenario import (
     InterfererSpec,
     OwnMode,
@@ -41,7 +41,7 @@ def mixing_pdf(model: bf.BfModel, cfg: ScenarioConfig, g: float) -> float:
                    / math.factorial(l) for k, l, w in terms) / model.rho_bar
 
     def integrand(y):
-        return float(pdf_x(g * (1.0 + y)) * (1.0 + y) * pdf_y(y, model.mixture))
+        return float(pdf_x(g * (1.0 + y)) * (1.0 + y) * pdf_y(y, model.rates))
 
     val, _ = integrate.quad(integrand, 0.0, np.inf, limit=300)
     return val

@@ -2,7 +2,7 @@
 
 Oracles: hand-expanded two-term hypoexponential, the paper's term-by-term
 Omega-tuple sum for the coefficients, the same series product run in
-mpmath and Y's law from it at 50 digits, direct convolution by
+mpmath and Y's law from it at 200 digits or more, direct convolution by
 quadrature, simulated sums, and the sum-of-scales mean identity.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from ranksinr import bf, ostbc
-from ranksinr.errors import DegenerateRatesError, EmptyMixtureError, NumericInstabilityError
+from ranksinr.errors import DegenerateRatesError, EmptyMixtureError
 from ranksinr.mixture import (
     MixtureSpec,
     build_mixture,
@@ -36,7 +36,7 @@ from ranksinr.scenario import (
 )
 
 from conftest import REF_BF, REF_OSTBC, ks_distance
-from oracles import law_gaps, sample_sum, xi_series
+from oracles import MpMixture, law_gaps, sample_sum, xi_series
 
 
 def test_two_scale_hypoexponential_by_hand():
@@ -45,13 +45,15 @@ def test_two_scale_hypoexponential_by_hand():
     assert spec.xi[(1, 1)] == pytest.approx(2.0, rel=1e-12)
     assert spec.xi[(2, 1)] == pytest.approx(-1.0, rel=1e-12)
     y = np.linspace(0.0, 12.0, 60)
-    assert pdf_y(y, spec) == pytest.approx(np.exp(-y / 2) - np.exp(-y), rel=1e-12)
-    assert cdf_y(y, spec) == pytest.approx(
+    assert pdf_y(y, (2.0, 1.0)) == pytest.approx(np.exp(-y / 2) - np.exp(-y), rel=1e-12)
+    assert cdf_y(y, (2.0, 1.0)) == pytest.approx(
         1 - 2 * np.exp(-y / 2) + np.exp(-y), abs=1e-12
     )
     for law in (pdf_y, cdf_y):
         with pytest.raises(ValueError, match="finite"):
-            law(np.inf, spec)
+            law(np.inf, (2.0, 1.0))
+        with pytest.raises(EmptyMixtureError):
+            law(1.0, ())
 
 
 def test_single_group_is_erlang():
@@ -59,7 +61,7 @@ def test_single_group_is_erlang():
     assert spec.n_groups == 1
     assert spec.multiplicities == (3,)
     y = np.linspace(0.0, 30.0, 80)
-    assert pdf_y(y, spec) == pytest.approx(
+    assert pdf_y(y, (3.0, 3.0, 3.0)) == pytest.approx(
         stats.gamma.pdf(y, a=3, scale=3.0), abs=1e-12
     )
 
@@ -68,7 +70,6 @@ def test_convolution_quadrature_oracle():
     # three distinct scales plus one repeat; density from pairwise
     # numerical convolution must match the coefficient expansion
     rates = (5.0, 2.0, 2.0, 0.7)
-    spec = build_mixture(rates)
 
     def conv(f, g, grid):
         out = np.empty_like(grid)
@@ -90,7 +91,7 @@ def test_convolution_quadrature_oracle():
 
     f123 = interp1d(inner_grid, inner, bounds_error=False, fill_value=0.0)
     target = conv(f123, f4, grid)
-    assert pdf_y(grid, spec) == pytest.approx(target, abs=5e-4)
+    assert pdf_y(grid, rates) == pytest.approx(target, abs=5e-4)
 
 
 def omega_tuple_sum(rates, multiplicities):
@@ -238,28 +239,58 @@ def silent_build(rates) -> MixtureSpec:
 
 
 def test_epsilon_split_continuity():
-    # grouped evaluation works; a barely-split pair, conditioning 1e-7,
-    # builds but its pdf and cdf are refused (sum|Xi| = 2.67e7), not
-    # answered inaccurately
+    # a barely-split pair, conditioning 1e-7, where the Xi coefficients
+    # cancel (sum|Xi| = 2.67e7): the laws over the raw rates answer it, and
+    # differ from the merged pair's by O(1e-7)
     y = np.linspace(0.05, 30.0, 40)
-    merged = silent_build((4.0, 4.0, 1.0))
-    assert np.all(np.isfinite(pdf_y(y, merged)))
-    split = silent_build((4.0 * (1 + 1e-7), 4.0, 1.0))
-    assert split.n_groups == 3
-    with pytest.raises(NumericInstabilityError, match=r"sum\|Xi\| = 2.67e\+07"):
-        pdf_y(y, split)
-    with pytest.raises(NumericInstabilityError, match=r"sum\|Xi\| = 2.67e\+07"):
-        cdf_y(y, split)
+    merged, split = (4.0, 4.0, 1.0), (4.0 * (1 + 1e-7), 4.0, 1.0)
+    assert silent_build(split).n_groups == 3
+    for law in (pdf_y, cdf_y):
+        assert law(y, split) == pytest.approx(law(y, merged), rel=1e-6)
+    cdf_rel, pdf_peak, pdf_rel = law_gaps(split, y, pdf_y, cdf_y)
+    assert max(cdf_rel, pdf_peak, pdf_rel) <= 1e-12
 
 
 def test_close_groups_are_answered_accurately():
-    # groups 5e-4 apart, sum|Xi| = 4.0e3: close, but the doubles carry the law
-    spec = silent_build((1.0, 1.0005))
-    assert spec.conditioning < 1e-3
-    # cdf within 1e-12 absolute, pdf within 1e-12 of its peak
-    cdf_gap, pdf_gap, peak = law_gaps(spec, np.linspace(0.0, 12.0, 241), pdf_y, cdf_y)
-    assert cdf_gap <= 1e-12
-    assert pdf_gap <= 1e-12 * peak
+    # groups 5e-4 apart, sum|Xi| = 4.0e3
+    rates = (1.0, 1.0005)
+    assert silent_build(rates).conditioning < 1e-3
+    cdf_rel, pdf_peak, pdf_rel = law_gaps(rates, np.linspace(0.0, 12.0, 241), pdf_y, cdf_y)
+    assert max(cdf_rel, pdf_peak, pdf_rel) <= 1e-12
+
+
+def test_pdf_near_its_peak_on_the_2x4_ostbc_12_4_9_mix():
+    # the Xi form read 1.11e-12 of the peak off at y = 0.164 here
+    # (sum|Xi| = 1.85e3); the count series is held to the laws' bar
+    cfg = ScenarioConfig(
+        n_r=2, n_t=4, noise_power=1.0, snr_db=15.0, own_mode=OwnMode.OSTBC,
+        interferers=(InterfererSpec(technique=Technique.OSTBC, inr_db=12.0),
+                     InterfererSpec(technique=Technique.BEAMFORMING, inr_db=4.0),
+                     InterfererSpec(technique=Technique.SPATIAL_MULTIPLEXING,
+                                    inr_db=9.0, layers=2)),
+    )
+    rates = build_rate_set(cfg)
+    y = np.linspace(0.0, 6.0 * sum(rates), 241)
+    assert 0.16 < y[1] < 0.17
+    cdf_rel, pdf_peak, pdf_rel = law_gaps(rates, y, pdf_y, cdf_y)
+    assert max(cdf_rel, pdf_peak, pdf_rel) <= 1e-12
+
+
+@pytest.mark.parametrize("rates", [
+    # 4-layer SM at 30 and -10 dB at a 4x4 OSTBC victim: a 40 dB INR spread,
+    # about 8e5 terms of K
+    (1000.0 / 64,) * 16 + (0.1 / 64,) * 16,
+    # 64 rates 1..20, 8 each: prod (b/rho)^c = 1.2e-333 underflows
+    tuple(np.repeat(np.geomspace(1.0, 20.0, 64), 8)),
+], ids=["40-db-spread", "64-rates-p0-underflows"])
+def test_wide_spreads_and_underflowing_p0_are_answered(rates):
+    y = np.linspace(0.0, 3.0 * sum(rates), 13)
+    law = MpMixture(rates)
+    pdf_ref, cdf_ref = np.array([law.law(v) for v in y]).T
+    cdf = cdf_y(y, rates)
+    assert np.max(np.abs(cdf - cdf_ref)) <= 1e-12
+    assert np.max(np.abs(pdf_y(y, rates) - pdf_ref)) <= 1e-12 * np.max(pdf_ref)
+    assert np.all(np.diff(cdf) >= 0) and cdf[0] == 0.0 and cdf[-1] <= 1.0
 
 
 def test_degenerate_rates_error():
@@ -281,24 +312,23 @@ def test_mean_matches_sum_of_scales():
 
 
 def test_pdf_integrates_to_one_reference():
-    spec = build_mixture(build_rate_set(REF_BF))
-    val, err = integrate.quad(lambda t: pdf_y(t, spec), 0.0, np.inf, limit=200)
+    rates = build_rate_set(REF_BF)
+    val, err = integrate.quad(lambda t: pdf_y(t, rates), 0.0, np.inf, limit=200)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cdf_consistent_with_pdf():
-    spec = build_mixture((3.0, 1.0, 0.25))
+    rates = (3.0, 1.0, 0.25)
     for y0 in (0.5, 2.0, 10.0):
-        val, _ = integrate.quad(lambda t: pdf_y(t, spec), 0.0, y0, limit=200)
-        assert cdf_y(y0, spec) == pytest.approx(val, abs=1e-10)
+        val, _ = integrate.quad(lambda t: pdf_y(t, rates), 0.0, y0, limit=200)
+        assert cdf_y(y0, rates) == pytest.approx(val, abs=1e-10)
 
 
 def test_sampled_sums_match_cdf():
     rates = build_rate_set(REF_BF)
-    spec = build_mixture(rates)
     rng = np.random.default_rng(77)
     samples = np.sort(sample_sum(rates, 400_000, rng))
-    ks = ks_distance(samples, cdf_y(samples, spec))
+    ks = ks_distance(samples, cdf_y(samples, rates))
     assert ks < 0.005, f"KS = {ks:.5f}"
 
 
