@@ -18,7 +18,6 @@ from .bf import BfModel
 from .engine import SinrModel
 from .errors import (
     ConfigError,
-    DegenerateRatesError,
     EmptyMixtureError,
     NumericInstabilityError,
     RankSinrError,
@@ -44,7 +43,6 @@ __all__ = [
     "BfModel",
     "ChainReport",
     "ConfigError",
-    "DegenerateRatesError",
     "EigenWeightTable",
     "EmptyMixtureError",
     "EmpiricalDistribution",

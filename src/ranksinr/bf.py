@@ -20,9 +20,10 @@ share the call.  The only cancellation left is in the signed psi sum:
 below 1e-13 absolute up to 4x4, about 1e-9 at 8x8.  With no interferers
 g_k is the Poisson(a_k) pmf and the outage is the eigenvalue CDF itself.
 
-`mixture` holds the grouping of the paper's partial-fraction form of Y;
-its coefficients are computed only if read, which only ``dump-xi`` does
-(``pdf_y``/``cdf_y`` take the raw `rates`).
+`mixture` holds the paper's partial-fraction form of Y over groups of
+exactly equal rates (``mixture.count_rates``, the rule the model's own
+rows follow); its coefficients are computed only if read, which only
+``dump-xi`` does (``pdf_y``/``cdf_y`` take the raw `rates`).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from ._version import __version__
 from .approx import compare_chain
 from .curves import metadata, render
 from .errors import ConfigError, NumericInstabilityError, RankSinrError
-from .mixture import build_mixture, reliable_terms
+from .mixture import build_mixture, reliable_xi
 from .montecarlo import (
     DEFAULT_CHUNK,
     RNG_NAME,
@@ -320,11 +320,11 @@ def cmd_dump_xi(args) -> int:
     rates = build_rate_set(cfg)
     mix = build_mixture(rates)
     # the printed coefficients keep 1e-12 absolute, or the dump is refused
-    reliable_terms(mix)
+    xi = reliable_xi(mix)
     rows = []
     for i, (rho, beta) in enumerate(zip(mix.rates, mix.multiplicities), start=1):
         for j in range(1, beta + 1):
-            rows.append([i, rho, beta, j, mix.xi[(i, j)]])
+            rows.append([i, rho, beta, j, xi[(i, j)]])
     return _emit(args, cfg, ["group", "rho", "beta", "j", "xi"], rows,
                  xi_sum=mix.xi_sum(), conditioning=mix.conditioning, n_groups=mix.n_groups)
 

@@ -6,8 +6,10 @@ only in that table and in rho_bar (``scenario.own_numerator_scale``):
 beamforming (``bf``) takes the largest Wishart eigenvalue, whose exact
 weights come from ``wishart``; OSTBC (``ostbc``) takes the one-term
 table {(1, N-1): 1}, Z ~ Gamma(N, 1).  The interference
-Y = sum_r Exp(rho_r) runs over the raw rate set; equal rates are
-counted, near-equal ones are never merged.
+Y = sum_r Exp(rho_r) runs over the raw rate set, read by
+``mixture.count_rates`` as for the laws of Y and ``dump-xi``: a rate that
+is not positive and finite is refused, equal rates are counted and
+near-equal ones are never merged.
 
 Conditioning on Y, P(k Z <= x) for one gamma term is P(Pois(x) > l),
 so everything reduces to the count N_k = Pois(a_k (1+Y)),
@@ -116,10 +118,12 @@ class SinrModel:
     table are cached by its identity (the tables of ``wishart`` and
     ``ostbc`` are cached too), so a table must not change once a model
     has read it.  `rates` is the raw interference rate set, empty for
-    no interferers, and `mixture` its grouping (None without
-    interferers), whose partial-fraction coefficients are computed only
-    if read, which only ``dump-xi`` does: neither evaluation nor
-    ``pdf_y``/``cdf_y`` reads `mixture`.
+    no interferers; each rate must be positive and finite, or the model
+    refuses it with a ValueError that names its row.  `mixture` is
+    ``mixture.build_mixture`` of the rates (None without interferers),
+    whose partial-fraction coefficients are computed only if read, which
+    only ``dump-xi`` does: neither evaluation nor ``pdf_y``/``cdf_y``
+    reads `mixture`.
 
     A model of several rows takes a tuple of rho_bar and one rate set
     per row; axis 0 of its arguments runs over the rows.
@@ -138,12 +142,12 @@ class SinrModel:
          self._pdf_scale) = _psi_arrays(_Identity(self.weights))
         # rates down axis 0, rows across; absent rates, and no interferers, are
         # rate 0 with count 1: they add exact zeros and keep a/c_r finite
-        rows = [np.unique(np.asarray(r, dtype=np.float64).reshape(-1), return_counts=True)
-                for r in ((self.rates,) if rho_bar.ndim == 0 else self.rates)]
-        self.rho = np.zeros((max(1, *(r.size for r, _ in rows)), len(rows)))
+        rows = [mixture.count_rates(r, f"the rates of row {j}")
+                for j, r in enumerate((self.rates,) if rho_bar.ndim == 0 else self.rates)]
+        self.rho = np.zeros((max(1, *(len(r) for r, _ in rows)), len(rows)))
         self.count = np.ones_like(self.rho)
         for j, (rho, count) in enumerate(rows):
-            self.rho[:rho.size, j], self.count[:count.size, j] = rho, count
+            self.rho[:len(rho), j], self.count[:len(count), j] = rho, count
         self._rho_bar = rho_bar.reshape(-1)
 
     @classmethod

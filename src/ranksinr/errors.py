@@ -6,28 +6,24 @@ class RankSinrError(ValueError):
 
 
 class EmptyMixtureError(RankSinrError):
-    """Raised when an interference mixture is built from no rate entries."""
+    """Raised when an interference mixture is built from no rate entries.
 
-
-class DegenerateRatesError(RankSinrError):
-    """Raised when mixture rates are too close to treat as distinct.
-
-    The partial-fraction weights contain factors 1/(1 - rho_k/rho_i); when
-    two group rates nearly coincide these blow up and the expansion loses
-    all precision.  Equal rates belong in one group: ``build_mixture``
-    merges rates within ``mixture.GROUP_TOL`` of each other before the
-    coefficients are computed.
+    A rate that is not positive and finite is a plain ValueError, raised
+    by ``mixture.count_rates`` for the mixture, the laws of Y and every
+    model row alike.
     """
 
 
 class NumericInstabilityError(RankSinrError):
     """Raised where double precision cannot carry an answer.
 
-    Two cases: an evaluated probability lands outside [0, 1] (results
+    Two cases: an evaluated probability lands outside [0, 1], where the
+    signed psi sum of the eigenvalue table has lost its digits (results
     within inversion.PROB_SLACK, 1e-9, are clamped, anything further is
     refused), and the Xi coefficients that ``dump-xi`` prints cancel so
-    much that sum|Xi| > 1e-12 2^53 (``mixture.reliable_terms``); the laws
-    of Y do not read them.  The CLI exits 3.
+    much that sum|Xi| > 1e-12 2^53 (``mixture.reliable_xi``), as they do
+    for a near-equal pair of rates, which is never merged; the laws of Y
+    do not read them.  The CLI exits 3.
     """
 
 

@@ -66,7 +66,7 @@ def clamp_probability(p):
         bad = arr[~((arr >= -PROB_SLACK) & (arr <= 1.0 + PROB_SLACK))]
         raise NumericInstabilityError(
             f"SINR outage evaluated to {float(bad[0])!r}, outside [0, 1]; "
-            "the coefficient expansion has lost too much precision"
+            "the signed psi sum of the eigenvalue table has lost too much precision"
         )
     if lo < 0.0 or hi > 1.0:
         arr = arr.clip(0.0, 1.0)

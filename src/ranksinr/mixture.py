@@ -1,8 +1,11 @@
 """The law of the aggregate interference power Y, and the paper's form of it.
 
 The normalized interference Y is a sum of independent exponential terms
-with scales rho taken from the scenario's rate set.  Collecting equal
-scales into G groups (scale rho_i, multiplicity beta_i), the paper
+with scales rho taken from the scenario's rate set.  One rule reads a
+rate set, here and in ``engine`` alike: ``count_rates`` refuses a rate
+that is not positive and finite and counts each distinct rate, so a
+group holds exactly equal rates and near-equal ones are never merged.
+Over those G groups (scale rho_i, multiplicity beta_i), the paper
 writes its density as a signed mixture of gamma densities
 
     p_Y(y) = sum_{i=1..G} sum_{j=1..beta_i} Xi_ij y^{j-1} e^{-y/rho_i}
@@ -24,16 +27,18 @@ count grows combinatorially.  G = 1 degenerates to a plain gamma
 density (Xi_{1,beta_1} = 1, the other orders 0).
 
 The (1 - rho_k/rho_i) denominators make the expansion explosive for
-near-equal group rates; near-ties must be merged before coefficients are
-computed, and the coefficients themselves are evaluated in 40-digit
-arithmetic because the alternating signs cancel heavily for large
-multiplicities.  Rounding a coefficient to double costs up to
-|Xi_ij| 2^-53, so the dumped coefficients and their sums keep 1e-12
-absolute only while sum|Xi| <= 1e-12 2^53 (about 9.0e3); past it
-``reliable_terms`` raises ``NumericInstabilityError``.  The 2x2 OSTBC
-reference mix already has sum|Xi| = 1.5e5, 8x8 OSTBC 3.1e24.  Only
-``dump-xi`` reads the coefficients, on first read of ``MixtureSpec.xi``;
-no model build or curve does (``engine``), and neither do the laws.
+near-equal group rates, and the alternating signs cancel heavily for
+large multiplicities, so the coefficients are evaluated in 40-digit
+arithmetic.  Rounding a coefficient to double costs up to |Xi_ij|
+2^-53, so the dumped coefficients and their sums keep 1e-12 absolute
+only while sum|Xi| <= 1e-12 2^53 (about 9.0e3); past it ``reliable_xi``
+raises ``NumericInstabilityError``.  Two rates a relative gap d apart
+carry |Xi| of about 1/d, damped only by the factors 1/(1 - rho_k/rho_i)
+of far larger rates, so near-equal rates are refused: a pair on its own
+at every gap below about 2e-4.  The 2x2 OSTBC reference mix already has
+sum|Xi| = 1.5e5, 8x8 OSTBC 3.1e24.  Only ``dump-xi`` reads the
+coefficients, on first read of ``MixtureSpec.xi``; no model build or
+curve does (``engine``), and neither do the laws.
 
 ``pdf_y``/``cdf_y`` take the raw rates and read a series of positive
 terms instead (Moschopoulos, Ann. Inst. Statist. Math. 37, 1985).  With
@@ -87,9 +92,9 @@ MAX_COUNT_TERMS terms the laws refuse with ``RankSinrError``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -97,15 +102,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateRatesError,
-    EmptyMixtureError,
-    NumericInstabilityError,
-    RankSinrError,
-)
+from .errors import EmptyMixtureError, NumericInstabilityError, RankSinrError
 
-# relative gap below which two scales count as one group
-GROUP_TOL = 1e-9
 # the largest sum|Xi| whose double coefficients keep 1e-12 absolute
 XI_ABS_SUM_MAX = 1e-12 * 2.0**53
 # K's series stops once its tail is at most this share of its sum
@@ -141,14 +139,26 @@ def _bd0(n: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.where(np.abs(v) < 0.1, d * v + 2.0 * n * v * series, n * np.log(n / x) - d)
 
 
-def _checked(rates) -> list[float]:
-    """The rates as floats, each positive and finite, and at least one."""
+def count_rates(rates, what: str = "rates") -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The distinct rates ascending and the count of each, the values and
+    order numpy's `unique` with counts gives: only exactly equal rates
+    form a group.  Refuses a rate that is not positive and finite,
+    naming it `what`; an empty rate set gives two empty tuples."""
     rates = [float(r) for r in rates]
-    if not rates:
+    counts = Counter(rates)
+    # written as "not <" so that NaN is refused too
+    if not all(0.0 < r < math.inf for r in counts):
+        raise ValueError(f"{what} must be positive and finite, got {rates}")
+    rho = sorted(counts)
+    return tuple(rho), tuple(counts[r] for r in rho)
+
+
+def _groups(rates) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """``count_rates`` of a rate set that must hold at least one rate."""
+    rho, c = count_rates(rates)
+    if not rho:
         raise EmptyMixtureError("no interference terms; a scenario without interferers has no mixture")
-    if any(not (r > 0 and math.isfinite(r)) for r in rates):
-        raise ValueError(f"rates must be positive and finite, got {rates}")
-    return rates
+    return rho, c
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,76 +224,19 @@ class MixtureSpec:
         return tuple(a.copy() for a in self._flat)
 
 
-def group_rates(rates) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Merge near-equal scales into groups.
-
-    Returns (group scales descending, multiplicities).  A scale joins
-    the current group when its relative gap to the group's running
-    power-weighted mean is at most GROUP_TOL; the merged scale is the
-    power-weighted mean sum(rho^2)/sum(rho), at any scale of the rates.
-    """
-    ordered = sorted(_checked(rates), reverse=True)
-    group_scales: list[float] = []
-    group_counts: list[int] = []
-    # a group's sums run over its rates times 2^-e, e the exponent of its
-    # largest: the power of two is exact, so the mean keeps the bits of
-    # the plain sums where those neither underflow nor overflow, and
-    # stays finite and nonzero where they would
-    sum_r = sum_r2 = 0.0
-    count = e = 0
-    for r in ordered:
-        x = math.ldexp(r, -e)
-        if count and (sum_r2 / sum_r - x) / (sum_r2 / sum_r) > GROUP_TOL:
-            group_scales.append(math.ldexp(sum_r2 / sum_r, e))
-            group_counts.append(count)
-            sum_r = sum_r2 = 0.0
-            count = 0
-        if not count:
-            e = math.frexp(r)[1]
-            x = math.ldexp(r, -e)
-        sum_r += x
-        sum_r2 += x * x
-        count += 1
-    group_scales.append(math.ldexp(sum_r2 / sum_r, e))
-    group_counts.append(count)
-    return tuple(group_scales), tuple(group_counts)
-
-
-def xi_coefficients(
-    rates: tuple[float, ...], multiplicities: tuple[int, ...]
-) -> MixtureSpec:
-    """Validate grouped rates; the spec computes their coefficients on
-    first read of `xi`."""
-    g = len(rates)
-    if g == 0:
-        raise EmptyMixtureError("no groups")
-    if len(multiplicities) != g:
-        raise ValueError("rates and multiplicities must have equal length")
-
-    conditioning = math.inf
-    for a, b in itertools.combinations(range(g), 2):
-        gap = abs(1.0 - rates[b] / rates[a])
-        conditioning = min(conditioning, gap)
-    if conditioning == 0.0:
-        raise DegenerateRatesError(
-            "duplicate group rates; pass the raw rates to build_mixture, "
-            "which merges equal ones into one group"
-        )
-    return MixtureSpec(
-        rates=tuple(float(r) for r in rates),
-        multiplicities=tuple(multiplicities),
-        conditioning=conditioning,
-    )
-
-
 def build_mixture(rates) -> MixtureSpec:
-    """Group and validate raw scales; coefficients follow on first read."""
-    return xi_coefficients(*group_rates(rates))
+    """The groups of the raw rates, scales descending; their coefficients
+    follow on first read of `xi`."""
+    rho, beta = _groups(rates)
+    rho, beta = rho[::-1], beta[::-1]
+    # rho_k/rho_i is largest for neighbours, so they hold the smallest gap
+    conditioning = min((1.0 - b / a for a, b in zip(rho, rho[1:])), default=math.inf)
+    return MixtureSpec(rates=rho, multiplicities=beta, conditioning=conditioning)
 
 
-def reliable_terms(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``spec.terms()``, or NumericInstabilityError where their doubles
-    cannot carry 1e-12 absolute (module docstring)."""
+def reliable_xi(spec: MixtureSpec) -> dict[tuple[int, int], float]:
+    """``spec.xi``, or NumericInstabilityError where its doubles cannot
+    carry 1e-12 absolute (module docstring)."""
     abs_sum = math.fsum(abs(v) for v in spec.xi.values())
     # written as "not <=" so that a NaN sum is refused too
     if not abs_sum <= XI_ABS_SUM_MAX:
@@ -292,7 +245,7 @@ def reliable_terms(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
             f"{XI_ABS_SUM_MAX:.2g}, so in double they are off by more than "
             "1e-12 absolute"
         )
-    return spec.terms()
+    return spec.xi
 
 
 @functools.lru_cache(maxsize=4)
@@ -376,9 +329,10 @@ def _law(y, rates, density: bool):
     arr = np.asarray(y, dtype=np.float64)
     if not (np.isfinite(arr).all() and (arr >= 0).all()):
         raise ValueError(f"{'pdf_y' if density else 'cdf_y'} requires finite y >= 0")
-    rho, c = np.unique(_checked(rates), return_counts=True)
+    rho, c = _groups(rates)
+    pmf, below = _count_law(rho, c)
+    rho, c = np.array(rho), np.array(c)
     b, count = rho[0], int(c.sum())
-    pmf, below = _count_law(tuple(rho.tolist()), tuple(c.tolist()))
     # each point sums its window of Poisson orders n: from the first
     # order read (C - 1 for the pdf, C for the cdf) or x - sqrt(2Lx) up
     lead = count - density

@@ -24,9 +24,10 @@ the call.
 
 Both are approximations: the exponential step flattens the true
 product-of-exponential-and-beta shape, which shows up as a visible
-mismatch around the density mode.  `mixture` holds the grouping of the
-paper's partial-fraction form of Y; its coefficients are computed only
-if read, which only ``dump-xi`` does.
+mismatch around the density mode.  `mixture` holds the paper's
+partial-fraction form of Y over groups of exactly equal rates
+(``mixture.count_rates``, the rule the model's own rows follow); its
+coefficients are computed only if read, which only ``dump-xi`` does.
 """
 
 from __future__ import annotations

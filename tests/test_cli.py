@@ -386,6 +386,40 @@ def test_dump_xi_json_bytes_on_the_reference_mix(tmp_path, capsys):
     assert out.read_text() == json.dumps(expect, indent=1) + "\n"
 
 
+def test_dump_xi_prints_the_configs_own_rates(tmp_path, capsys):
+    # each group is printed at its rate; a power-weighted merge of the two
+    # equal rates of the SM layers printed 12.5594321575479, an ulp off
+    cfg = write_cfg(tmp_path, interferers=[
+        {"technique": "ostbc", "inr_db": 10.0},
+        {"technique": "bf", "inr_db": 10.5},
+        {"technique": "sm", "inr_db": 14.0, "layers": 2},
+    ])
+    out = tmp_path / "xi.json"
+    code, _, _ = run(capsys, "dump-xi", "--config", cfg, "--format", "json",
+                     "--out", str(out))
+    assert code == cli.EXIT_OK
+    assert "12.559432157547898," in out.read_text()
+    rates = build_rate_set(load_config(cfg))
+    assert [row[1:3] for row in json.loads(out.read_text())["rows"] if row[3] == 1] == [
+        [rho, rates.count(rho)] for rho in sorted(set(rates), reverse=True)]
+
+
+def test_dump_xi_refuses_a_near_tie(tmp_path, capsys):
+    # rates 2.3e-10 apart stay two groups, whose coefficients cancel; the
+    # merge made them one group of multiplicity 2 and exited 0
+    cfg = write_cfg(tmp_path, interferers=[
+        {"technique": "bf", "inr_db": 5.0},
+        {"technique": "bf", "inr_db": 5.000000001},
+    ])
+    rates = build_rate_set(load_config(cfg))
+    assert 0.0 < rates[1] / rates[0] - 1.0 < 3e-10
+    out = tmp_path / "xi.csv"
+    code, _, err = run(capsys, "dump-xi", "--config", cfg, "--out", str(out))
+    assert code == cli.EXIT_NUMERIC
+    assert "sum|Xi|" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n, interferers, abs_sum", [
     (2, REF_MIX, "1.48e+05"),
     (4, REF_MIX, "3.54e+11"),

@@ -9,6 +9,7 @@ a stacked model the bits of its own one-row model.
 """
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -248,3 +249,13 @@ def test_equal_rates_are_counted_not_merged():
         return SinrModel({(1, 3): 1}, None, 4.0, (2.0, second)).outage(1.0)
 
     assert outage(2.0 * (1 + 1e-10)) == pytest.approx(outage(2.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_rows_refuse_rates_that_are_not_positive_and_finite(bad):
+    # -1 read an outage of 4.6e-3 at gamma = 1, 0 counted as no interferer,
+    # NaN reached the clamp and +inf raised a RuntimeWarning
+    with pytest.raises(ValueError, match=r"the rates of row 0 must be positive and finite"):
+        SinrModel({(1, 3): 1}, None, 4.0, (bad,))
+    with pytest.raises(ValueError, match=r"the rates of row 1 must be positive and finite"):
+        SinrModel({(1, 3): 1}, None, (4.0, 4.0), ((2.0,), (2.0, bad)))

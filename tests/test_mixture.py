@@ -18,15 +18,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from ranksinr import bf, ostbc
-from ranksinr.errors import DegenerateRatesError, EmptyMixtureError
-from ranksinr.mixture import (
-    MixtureSpec,
-    build_mixture,
-    cdf_y,
-    group_rates,
-    pdf_y,
-    xi_coefficients,
-)
+from ranksinr.errors import EmptyMixtureError
+from ranksinr.mixture import MixtureSpec, build_mixture, cdf_y, count_rates, pdf_y
 from ranksinr.scenario import (
     InterfererSpec,
     OwnMode,
@@ -94,6 +87,11 @@ def test_convolution_quadrature_oracle():
     assert pdf_y(grid, rates) == pytest.approx(target, abs=5e-4)
 
 
+def raw(rates, multiplicities):
+    """The raw rate set of groups: each rate repeated by its multiplicity."""
+    return [r for r, beta in zip(rates, multiplicities) for _ in range(beta)]
+
+
 def omega_tuple_sum(rates, multiplicities):
     """Xi_ij summed term by term over Omega(i, j), the paper's form.
 
@@ -143,8 +141,11 @@ def omega_tuple_sum(rates, multiplicities):
          "g4-mixed", "g4-order8", "g3-near-tie", "g4-near-tie"],
 )
 def test_series_matches_omega_tuple_sum_bit_for_bit(rates, multiplicities):
-    spec = xi_coefficients(rates, multiplicities)
-    expect = omega_tuple_sum(rates, multiplicities)
+    spec = build_mixture(raw(rates, multiplicities))
+    # the groups come back with their scales descending
+    groups = sorted(zip(rates, multiplicities), reverse=True)
+    assert list(zip(spec.rates, spec.multiplicities)) == groups
+    expect = omega_tuple_sum(spec.rates, spec.multiplicities)
     # hex compares every bit, the sign of zero included
     assert {k: v.hex() for k, v in spec.xi.items()} == {
         k: v.hex() for k, v in expect.items()
@@ -162,7 +163,7 @@ def assert_matches_mpmath_series(spec):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(-1.0, 1.5), st.integers(1, 8)), min_size=1, max_size=5))
 def test_decimal_series_matches_mpmath_series(groups):
-    # scales 10^U(-1, 1.5); equal or near-equal draws merge into one group
+    # scales 10^U(-1, 1.5); equal draws form one group, near-equal ones stay apart
     rates = [10.0**e for e, beta in groups for _ in range(beta)]
     assert_matches_mpmath_series(build_mixture(rates))
 
@@ -171,7 +172,14 @@ def test_decimal_series_matches_mpmath_series(groups):
 def test_decimal_series_matches_mpmath_series_at_large_sizes(n_groups, beta):
     # scales log-spaced over the drawn range 10^1.5 .. 10^-1
     rates = [10.0 ** (1.5 - 2.5 * i / (n_groups - 1)) for i in range(n_groups)]
-    assert_matches_mpmath_series(xi_coefficients(rates, (beta,) * n_groups))
+    assert_matches_mpmath_series(build_mixture(raw(rates, (beta,) * n_groups)))
+
+
+def config_groups(cfg):
+    """The config's own rates, descending, and the count of each."""
+    rates = build_rate_set(cfg)
+    rho = sorted(set(rates), reverse=True)
+    return tuple(rho), tuple(rates.count(r) for r in rho)
 
 
 @pytest.mark.parametrize("cfg, expect", [
@@ -183,8 +191,13 @@ def test_decimal_series_matches_mpmath_series_at_large_sizes(n_groups, beta):
                  (3, 1): "0x1.0a9a25a4e5b70p+14", (3, 2): "0x1.5499255b25a7ep+9"}),
 ], ids=["bf-2x2", "ostbc-2x2"])
 def test_reference_mix_coefficients_bit_for_bit(cfg, expect):
-    spec = xi_coefficients(*group_rates(build_rate_set(cfg)))
-    assert {k: v.hex() for k, v in spec.xi.items()} == expect
+    # the groups are the config's own rates, and the coefficients are the
+    # paper's tuple sum on them, rounded once
+    spec = build_mixture(build_rate_set(cfg))
+    assert (spec.rates, spec.multiplicities) == config_groups(cfg)
+    hexes = {k: v.hex() for k, v in spec.xi.items()}
+    assert hexes == {k: v.hex() for k, v in omega_tuple_sum(*config_groups(cfg)).items()}
+    assert hexes == expect
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -192,10 +205,10 @@ def test_reference_mix_coefficients_bit_for_bit(cfg, expect):
 def test_model_mixture_reads_the_same_coefficients(receiver, n):
     base = REF_BF if receiver is bf else REF_OSTBC
     cfg = dataclasses.replace(base, n_r=n, n_t=n)
-    model = receiver.from_config(cfg)
-    expect = xi_coefficients(*group_rates(build_rate_set(cfg))).xi
-    assert {k: v.hex() for k, v in model.mixture.xi.items()} == {
-        k: v.hex() for k, v in expect.items()
+    mix = receiver.from_config(cfg).mixture
+    assert (mix.rates, mix.multiplicities) == config_groups(cfg)
+    assert {k: v.hex() for k, v in mix.xi.items()} == {
+        k: float(v).hex() for k, v in xi_series(*config_groups(cfg)).items()
     }
 
 
@@ -210,26 +223,47 @@ def test_eight_by_eight_ostbc_with_eight_full_rank_sm_interferers():
             for inr in range(1, 9)
         ),
     )
-    spec = xi_coefficients(*group_rates(build_rate_set(cfg)))
+    spec = build_mixture(build_rate_set(cfg))
     assert spec.multiplicities == (64,) * 8
     assert len(spec.xi) == 512
     assert all(math.isfinite(v) for v in spec.xi.values())
 
 
 def test_grouping_reference_powers_stay_distinct():
-    scales, counts = group_rates((10.0, 6.31, 3.98))
-    assert scales == pytest.approx((10.0, 6.31, 3.98), rel=1e-14)
-    assert counts == (1, 1, 1)
+    assert count_rates((10.0, 6.31, 3.98)) == ((3.98, 6.31, 10.0), (1, 1, 1))
 
 
-def test_grouping_merges_near_ties_power_weighted():
-    scales, counts = group_rates((5.0, 5.0 * (1 + 1e-12), 1.0))
-    assert counts == (2, 1)
-    assert scales[0] == pytest.approx(5.0, rel=1e-9)
-    assert scales[1] == 1.0
-    # above tolerance the pair must stay split
-    scales2, counts2 = group_rates((5.0, 5.0 * 1.001, 1.0))
-    assert counts2 == (1, 1, 1)
+def test_grouping_counts_only_exact_ties():
+    # a near tie stays two groups, each at its own rate: a merge moved even
+    # exactly equal rates by an ulp
+    near = 5.0 * (1 + 1e-12)
+    assert count_rates((5.0, near, 1.0, 5.0)) == ((1.0, 5.0, near), (1, 2, 1))
+    spec = build_mixture((5.0, near, 1.0, 5.0))
+    assert (spec.rates, spec.multiplicities) == ((near, 5.0, 1.0), (1, 2, 1))
+    assert spec.conditioning == 1.0 - 5.0 / near
+
+
+def test_count_rates_gives_the_values_and_order_of_np_unique():
+    # the engine reads these into its tables, so its bits hang on them
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        rates = rng.choice(10.0 ** rng.uniform(-3.0, 3.0, 4), size=rng.integers(1, 9))
+        rho, c = np.unique(rates, return_counts=True)
+        expect = (tuple(rho.tolist()), tuple(c.tolist()))
+        assert count_rates(rates) == count_rates(rates.tolist()) == expect
+    assert count_rates(()) == ((), ())
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_invalid_rates_are_refused(bad):
+    # one rule for every reader of a rate set: the mixture and both laws
+    # here, each row of a model in test_engine
+    rates = (2.0, bad)
+    with pytest.raises(ValueError, match=r"rates must be positive and finite"):
+        build_mixture(rates)
+    for law in (pdf_y, cdf_y):
+        with pytest.raises(ValueError, match=r"rates must be positive and finite"):
+            law(1.0, rates)
 
 
 def silent_build(rates) -> MixtureSpec:
@@ -291,11 +325,6 @@ def test_wide_spreads_and_underflowing_p0_are_answered(rates):
     assert np.max(np.abs(cdf - cdf_ref)) <= 1e-12
     assert np.max(np.abs(pdf_y(y, rates) - pdf_ref)) <= 1e-12 * np.max(pdf_ref)
     assert np.all(np.diff(cdf) >= 0) and cdf[0] == 0.0 and cdf[-1] <= 1.0
-
-
-def test_degenerate_rates_error():
-    with pytest.raises(DegenerateRatesError):
-        xi_coefficients((2.0, 2.0), (1, 1))
 
 
 def test_empty_rates_rejected():
