@@ -23,7 +23,11 @@ import numpy as np
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
 from .montecarlo import _abs2, complex_normal, run_chunks
-from .scenario import MAX_ANTENNAS, _count
+from .scenario import MAX_ANTENNAS, check_count, check_points
+
+
+def _antennas(n, what: str) -> int:
+    return check_count(n, what, MAX_ANTENNAS, UnsupportedDimensionError)
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -33,7 +37,11 @@ def _log_beta(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ProductDistribution:
-    """Exp(rate n_L) times an independent Beta(n_R, n_R(n_T-1)) weight."""
+    """Exp(rate n_L) times an independent Beta(n_R, n_R(n_T-1)) weight.
+
+    Each count is an integer in 1..MAX_ANTENNAS and n_l <= n_t, or
+    UnsupportedDimensionError, a ConfigError, refuses it.
+    """
 
     n_r: int
     n_t: int
@@ -41,12 +49,7 @@ class ProductDistribution:
 
     def __post_init__(self) -> None:
         for name in ("n_r", "n_t", "n_l"):
-            v = _count(getattr(self, name), name, UnsupportedDimensionError)
-            if not 1 <= v <= MAX_ANTENNAS:
-                raise UnsupportedDimensionError(
-                    f"{name} must be an integer in 1..{MAX_ANTENNAS}, got {v!r}"
-                )
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _antennas(getattr(self, name), name))
         if self.n_l > self.n_t:
             raise UnsupportedDimensionError(
                 f"n_l={self.n_l} exceeds the {self.n_t} transmit antennas"
@@ -67,17 +70,18 @@ class ProductDistribution:
 
 
 def exp_approx_pdf(x, n_t: int, n_l: int):
-    """Mean-matched exponential stand-in: n_T*n_L*exp(-n_T*n_L*x)."""
-    rate = n_t * n_l
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= 0, rate * np.exp(-np.minimum(rate * x, 700.0)), 0.0)
+    """Mean-matched exponential stand-in: n_T*n_L*exp(-n_T*n_L*x).
+
+    x must be finite and >= 0, a ConfigError refuses any other point, and
+    each count an integer in 1..MAX_ANTENNAS (UnsupportedDimensionError).
+    """
+    rate = _antennas(n_t, "n_t") * _antennas(n_l, "n_l")
+    out = rate * np.exp(-np.minimum(rate * check_points(x, "x"), 700.0))
     return out if out.ndim else float(out)
 
 
 def _product_pdf_scalar(x: float, pd: ProductDistribution) -> float:
     n_l, a, b = pd.n_l, pd.alpha, pd.beta
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
     if b == 0:
         # single-column channel: the beta weight is identically 1
         return n_l * math.exp(-n_l * x)
@@ -117,8 +121,9 @@ def _product_pdf_scalar(x: float, pd: ProductDistribution) -> float:
 
 
 def product_pdf(x, pd: ProductDistribution):
-    """Density of the exponential-beta product via its mixing integral."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    """Density of the exponential-beta product via its mixing integral;
+    x must be finite and >= 0, or a ConfigError refuses it."""
+    arr = np.atleast_1d(check_points(x, "x"))
     out = np.array([_product_pdf_scalar(float(v), pd) for v in arr])
     return out if np.ndim(x) else float(out[0])
 

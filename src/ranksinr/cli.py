@@ -38,6 +38,7 @@ from .scenario import (
     ScenarioConfig,
     Technique,
     build_rate_set,
+    check_probability,
     db_to_linear,
     load_config,
 )
@@ -95,10 +96,10 @@ def _positive_int(value: str) -> int:
 
 
 def _target_outage(value: str) -> float:
-    p = float(value)
-    if not 0.0 < p < 1.0:
-        raise argparse.ArgumentTypeError(f"target outage must lie in (0, 1), got {value}")
-    return p
+    try:
+        return check_probability(float(value), "target outage")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _write(args, text: str) -> None:
@@ -212,7 +213,8 @@ def cmd_sweep_n(args) -> int:
     cfg, spec, rank = _gain_config(args)
     grid = _grid(args).grid_db()
     counts = np.round(grid)
-    bad = (np.abs(grid - counts) > 1e-9) | (counts < 1)
+    # the sweep checks the counts' range
+    bad = np.abs(grid - counts) > 1e-9
     if bad.any():
         raise ConfigError(
             f"interferer counts must be positive integers, got {grid[bad][0]}")

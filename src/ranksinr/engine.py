@@ -60,9 +60,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import inversion, mixture
-from .errors import ConfigError
+from .errors import ConfigError, NumericInstabilityError
 from .mixture import MixtureSpec
-from .scenario import build_rate_set, own_numerator_scale
+from .scenario import build_rate_set, check_points, own_numerator_scale
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -117,9 +117,12 @@ class SinrModel:
     at large gamma, within 1e-12 even at 8x8.  The arrays derived from a
     table are cached by its identity (the tables of ``wishart`` and
     ``ostbc`` are cached too), so a table must not change once a model
-    has read it.  `rates` is the raw interference rate set, empty for
-    no interferers; each rate must be positive and finite, or the model
-    refuses it with a ValueError that names its row.  `mixture` is
+    has read it.  `rho_bar` must be positive and finite, and the points
+    of an outage positive and finite, those of a density nonnegative and
+    finite (``scenario.check_points``): a ConfigError refuses any other.
+    `rates` is the raw interference rate set, empty for no interferers;
+    each rate must be positive and finite, or ``mixture.count_rates``
+    refuses it with a plain ValueError that names its row.  `mixture` is
     ``mixture.build_mixture`` of the rates (None without interferers),
     whose partial-fraction coefficients are computed only if read, which
     only ``dump-xi`` does: neither evaluation nor ``pdf_y``/``cdf_y``
@@ -135,9 +138,7 @@ class SinrModel:
     rates: tuple[float, ...] | tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        rho_bar = np.asarray(self.rho_bar, dtype=np.float64)
-        if (rho_bar <= 0).any():
-            raise ValueError(f"rho_bar must be positive, got {self.rho_bar}")
+        rho_bar = check_points(self.rho_bar, "rho_bar", positive=True)
         (self.kvals, self.kidx, self.ls, self.psis, self.psi_k, self._inv_orders,
          self._pdf_scale) = _psi_arrays(_Identity(self.weights))
         # rates down axis 0, rows across; absent rates, and no interferers, are
@@ -239,20 +240,23 @@ class SinrModel:
         return (out[0] if len(out) == 1 else np.concatenate(out or [flat])).reshape(arr.shape)
 
     def sinr_pdf(self, gamma):
-        """Density of the SINR at gamma (scalar or array)."""
-        arr = np.asarray(gamma, dtype=np.float64)
-        if not (np.isfinite(arr).all() and (arr >= 0).all()):
-            raise ValueError("sinr_pdf requires finite gamma >= 0")
-        vals = self._evaluate(self._pdf, arr, None)
+        """Density of the SINR at gamma (scalar or array).
+
+        A density past the double range is refused: psi_kl k/rho_bar
+        overflows where rho_bar is below about 1e-307.
+        """
+        arr = check_points(gamma, "gamma")
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self._evaluate(self._pdf, arr, None)
+        # written as "not <" so that NaN is refused too
+        if not np.abs(vals).max(initial=0.0) < np.inf:
+            raise NumericInstabilityError("the SINR density overflows double precision")
         return float(vals) if arr.ndim == 0 else vals
 
     def outage(self, gamma0, rows=None):
         """P(SINR <= gamma0), scalar or array; in a model of several rows
         axis 0 runs over the row indices `rows`, all rows by default."""
-        arr = np.asarray(gamma0, dtype=np.float64)
-        # written as "not <" so that NaN is refused too
-        if not (0.0 < arr.min() and arr.max() < np.inf):
-            raise ValueError("outage requires finite gamma0 > 0")
+        arr = check_points(gamma0, "gamma0", positive=True)
         return inversion.clamp_probability(self._evaluate(self._outage, arr, rows))
 
     def threshold(self, p_target: float, rows=None):

@@ -10,7 +10,7 @@ class EmptyMixtureError(RankSinrError):
 
     A rate that is not positive and finite is a plain ValueError, raised
     by ``mixture.count_rates`` for the mixture, the laws of Y and every
-    model row alike.
+    model row alike; every other input value is a ConfigError.
     """
 
 
@@ -28,8 +28,12 @@ class NumericInstabilityError(RankSinrError):
 
 
 class ConfigError(RankSinrError):
-    """Raised for malformed scenario configuration files."""
+    """Raised for an input value outside its rule: a malformed
+    configuration file, and a count, real number, dB value, probability,
+    enum member or evaluation point that the rules of ``scenario``
+    refuse, in a file or passed to the Python API.  The CLI exits 2.
+    """
 
 
 class UnsupportedDimensionError(ConfigError):
-    """Raised for antenna counts outside the supported range (1..8)."""
+    """Raised for an antenna count that is not an integer in 1..8."""

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericInstabilityError
+from .scenario import check_probability
 
 # round-off slack accepted on probabilities before declaring instability;
 # the signed psi sum of the 8x8 eigenvalue table wobbles by about 1e-9,
@@ -180,9 +181,9 @@ def threshold_at_outage(outage_fn: Callable[[np.ndarray, np.ndarray], np.ndarray
     it would see alone, so a batch takes as many calls as its slowest
     row.  The curves are CDFs, hence monotone with full support, so a
     bracket always exists within floating range; a row without one
-    refuses all.
+    refuses all.  A p_target outside (0, 1), NaN included, is refused
+    with ConfigError (``scenario.check_probability``).
     """
-    if not (0.0 < p_target < 1.0):
-        raise ValueError(f"target outage must lie in (0, 1), got {p_target}")
+    p_target = check_probability(p_target, "target outage")
     return _nsection(outage_fn, p_target, _bracket(outage_fn, p_target, n_rows),
                      THRESHOLD_REL_TOL)

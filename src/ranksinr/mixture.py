@@ -103,6 +103,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyMixtureError, NumericInstabilityError, RankSinrError
+from .scenario import check_points
 
 # the largest sum|Xi| whose double coefficients keep 1e-12 absolute
 XI_ABS_SUM_MAX = 1e-12 * 2.0**53
@@ -135,7 +136,8 @@ def _bd0(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     series = 0.0  # sum_{k=1..9} v^{2k}/(2k+1), the rest below 1e-20 of it
     for k in range(9, 0, -1):
         series = (series + 1.0 / (2 * k + 1)) * v * v
-    with np.errstate(divide="ignore"):
+    # n/x overflows to inf at a subnormal x, as it divides to inf at 0
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(np.abs(v) < 0.1, d * v + 2.0 * n * v * series, n * np.log(n / x) - d)
 
 
@@ -325,10 +327,10 @@ def _sums(x, lo, hi, table: np.ndarray) -> np.ndarray:
 
 
 def _law(y, rates, density: bool):
-    """pdf_y (density) or cdf_y at y, scalar or array (module docstring)."""
-    arr = np.asarray(y, dtype=np.float64)
-    if not (np.isfinite(arr).all() and (arr >= 0).all()):
-        raise ValueError(f"{'pdf_y' if density else 'cdf_y'} requires finite y >= 0")
+    """pdf_y (density) or cdf_y at y, scalar or array (module docstring);
+    y must be finite and >= 0 (``scenario.check_points``, a ConfigError),
+    a rate positive and finite (``count_rates``, a plain ValueError)."""
+    arr = check_points(y, "y")
     rho, c = _groups(rates)
     pmf, below = _count_law(rho, c)
     rho, c = np.array(rho), np.array(c)

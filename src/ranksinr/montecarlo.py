@@ -54,7 +54,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericInstabilityError
-from .scenario import OwnMode, ScenarioConfig, Technique, db_to_linear, own_numerator_scale
+from .scenario import (OwnMode, ScenarioConfig, Technique, check_count, db_to_linear,
+                       own_numerator_scale)
 
 RNG_NAME = "sfc64"
 # 2^14 samples: a chunk's arrays stay near the cache and a few-1e5-sample
@@ -183,8 +184,6 @@ class EmpiricalDistribution:
 
 
 def _chunk_sizes(n_samples: int) -> list[int]:
-    if n_samples <= 0:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
     full, rem = divmod(n_samples, DEFAULT_CHUNK)
     return [DEFAULT_CHUNK] * full + ([rem] if rem else [])
 
@@ -203,12 +202,15 @@ def run_chunks(
     """Concatenated ``simulate(n, rng)`` over the DEFAULT_CHUNK-sample
     chunks of ``n_samples``, the last one holding the remainder.
 
+    ``n_samples`` is a positive integer and ``seed`` an integer in
+    0..2^64-1 (``scenario.check_count``); ConfigError refuses any other.
     Chunk i draws from the i-th SFC64 stream spawned from ``seed``, so
     each chunk is independent of the others and of where it runs.  The
     chunks run on up to one thread per usable CPU and are joined in
     chunk order; an exception from any chunk is raised here.
     """
-    sizes = _chunk_sizes(n_samples)
+    sizes = _chunk_sizes(check_count(n_samples, "n_samples", np.iinfo(np.intp).max))
+    seed = check_count(seed, "seed", 2**64 - 1, lo=0)
     rngs = [_generator(ss) for ss in np.random.SeedSequence(seed).spawn(len(sizes))]
     with ThreadPoolExecutor(max_workers=min(len(sizes), _usable_cpus())) as pool:
         return np.concatenate(list(pool.map(simulate, sizes, rngs)))

@@ -16,6 +16,18 @@ Powers are long-term averages.  Only the ratios enter the model: the
 SNR P_0/sigma2 and each INR P_i/sigma2, read from their dB values.
 noise_power is checked and hashed with the config, but no result
 depends on it.
+
+Each kind of input value has one rule here, and every public entry
+point of the package calls it: ``check_count`` (an integer in lo..hi;
+bool and every non-integer are refused, a numpy integer becomes an
+int), ``check_real`` (an int or float, numpy's too, as a float; bool
+and str are refused), ``check_probability`` (a real number in (0, 1)),
+``check_points`` (evaluation points, finite and > 0 or >= 0),
+``check_enum`` (an enum member, given as itself or by its value) and
+``db_to_linear`` (a dB value whose linear value is positive and finite).
+Each refusal is a ConfigError that names the value.  ScenarioConfig and
+InterfererSpec keep what the rules return, so two equal configs hold the
+same values and hash alike, whether built in Python or read from JSON.
 """
 
 from __future__ import annotations
@@ -23,8 +35,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -35,15 +46,67 @@ from .errors import ConfigError, UnsupportedDimensionError
 MAX_ANTENNAS = 8
 
 
-def _count(value, what: str, error: type[Exception]) -> int:
-    """A count as a plain int: integer types pass (a numpy integer becomes
-    an int), bool and every non-integer raise `error`."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise error(f"{what} must be an integer, got {value!r}")
+# isinstance against these is a few times cheaper than against the
+# abstract numbers.Integral and numbers.Real
+_INTEGERS = (int, np.integer)
+_REALS = (*_INTEGERS, float, np.floating)
+
+
+def check_count(value, what: str, hi: int, error: type[ConfigError] = ConfigError,
+                lo: int = 1) -> int:
+    """The one integer rule: `value` as a plain int in lo..hi.  Integer
+    types pass (a numpy integer becomes an int); bool, every non-integer
+    and every value outside the range raise `error`, naming `what`."""
+    if isinstance(value, _INTEGERS) and not isinstance(value, bool) and lo <= int(value) <= hi:
+        return int(value)
+    raise error(f"{what} must be an integer in {lo}..{hi}, got {value!r}")
+
+
+def check_real(value, what: str) -> float:
+    """A real number as a float: int and float types, numpy's too, pass;
+    bool, str, every other type and an int past the double range raise
+    ConfigError, naming `what`."""
+    try:
+        if isinstance(value, _REALS) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
+def check_probability(p, what: str) -> float:
+    """A probability in (0, 1), open at both ends, as a float."""
+    p = check_real(p, what)
+    # written as "not <" so that NaN is refused too
+    if not 0.0 < p < 1.0:
+        raise ConfigError(f"{what} must lie in (0, 1), got {p!r}")
+    return p
+
+
+def check_points(x, what: str, positive: bool = False) -> np.ndarray:
+    """Evaluation points, a scalar or an array of real numbers, as float64
+    (a numpy scalar for a scalar): each finite and >= 0, or > 0 where
+    `positive`, with -0.0 read as 0.0.  A bool or non-real point, NaN,
+    inf or a point out of range raises ConfigError, naming `what`."""
+    arr = np.asarray(x)
+    if arr.dtype.kind in "iuf":
+        arr = np.add(arr, 0.0, dtype=np.float64)  # a copy, where -0.0 reads +0.0
+        # NaN fails every comparison, so it is refused too
+        if not arr.size or ((arr.min() > 0.0 if positive else arr.min() >= 0.0)
+                            and arr.max() < math.inf):
+            return arr
+    raise ConfigError(f"{what} must be finite and {'>' if positive else '>='} 0, got {x!r}")
+
+
+def check_enum(value, kind: type[enum.Enum], what: str):
+    """A member of the enum `kind`, given as itself or by its value."""
+    if type(value) is kind:
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(
+            f"{what} must be one of {[m.value for m in kind]}, got {value!r}") from None
 
 
 def db_to_linear(x_db, what: str = "dB value"):
@@ -61,7 +124,7 @@ def db_to_linear(x_db, what: str = "dB value"):
             return x
         x_db = float(x_db[bad][0])
     else:
-        x_db = float(x_db)
+        x_db = check_real(x_db, what)
         try:
             x = 10.0 ** (x_db / 10.0)
         except OverflowError:
@@ -101,14 +164,16 @@ class InterfererSpec:
     Parameters
     ----------
     technique : Technique
-        What the interferer transmits to its own user.
+        What the interferer transmits to its own user, as a member or
+        by its value ("bf", "sm" or "ostbc").
     inr_db : float
         Long-term interference-to-noise ratio P/sigma2 at the receiver,
         in dB; its linear value 10^(inr_db/10) must be a positive finite
         float.
     layers : int
-        Number of spatial layers n_L.  Meaningful for spatial
-        multiplexing only; beamforming and OSTBC use a single layer.
+        Number of spatial layers n_L, 1..MAX_ANTENNAS.  Meaningful for
+        spatial multiplexing only; beamforming and OSTBC use a single
+        layer.
     """
 
     technique: Technique
@@ -116,10 +181,11 @@ class InterfererSpec:
     layers: int = 1
 
     def __post_init__(self) -> None:
+        # frozen: the checked values go straight into the instance __dict__
+        vars(self).update(technique=check_enum(self.technique, Technique, "technique"),
+                          inr_db=check_real(self.inr_db, "inr_db"),
+                          layers=check_count(self.layers, "layers", MAX_ANTENNAS))
         db_to_linear(self.inr_db, "inr_db")  # refused here, not at first use
-        object.__setattr__(self, "layers", _count(self.layers, "layers", ConfigError))
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
         if self.technique is not Technique.SPATIAL_MULTIPLEXING and self.layers != 1:
             raise ConfigError(
                 f"{self.technique.value} interferers carry one layer, got {self.layers}"
@@ -130,7 +196,10 @@ class InterfererSpec:
 class ScenarioConfig:
     """Full description of one interference scenario.
 
-    Antenna counts are shared by all base stations in the model.
+    Antenna counts are shared by all base stations in the model and lie
+    in 1..MAX_ANTENNAS; noise_power is a positive finite number, snr_db
+    a dB value, own_mode a member or its value ("bf" or "ostbc") and
+    interferers a tuple or list of InterfererSpec.
     """
 
     n_r: int
@@ -141,25 +210,24 @@ class ScenarioConfig:
     interferers: tuple[InterfererSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("n_r", "n_t"):
-            object.__setattr__(self, name, _count(getattr(self, name), name,
-                                                  UnsupportedDimensionError))
-        if not (1 <= self.n_r <= MAX_ANTENNAS and 1 <= self.n_t <= MAX_ANTENNAS):
-            raise UnsupportedDimensionError(
-                f"antenna counts must lie in 1..{MAX_ANTENNAS}, "
-                f"got n_r={self.n_r}, n_t={self.n_t}"
-            )
+        if not isinstance(self.interferers, (tuple, list)):
+            raise ConfigError(f"interferers must be a tuple or list, got {self.interferers!r}")
+        vars(self).update(
+            n_r=check_count(self.n_r, "n_r", MAX_ANTENNAS, UnsupportedDimensionError),
+            n_t=check_count(self.n_t, "n_t", MAX_ANTENNAS, UnsupportedDimensionError),
+            noise_power=check_real(self.noise_power, "noise_power"),
+            snr_db=check_real(self.snr_db, "snr_db"),
+            own_mode=check_enum(self.own_mode, OwnMode, "own_mode"),
+            interferers=tuple(self.interferers))
         if not (self.noise_power > 0 and math.isfinite(self.noise_power)):
             raise ConfigError(f"noise_power must be positive, got {self.noise_power!r}")
         db_to_linear(self.snr_db, "snr_db")  # refused here, not at first use
-        object.__setattr__(self, "interferers", tuple(self.interferers))
         for i, spec in enumerate(self.interferers):
+            if not isinstance(spec, InterfererSpec):
+                raise ConfigError(f"interferers[{i}] must be an InterfererSpec, got {spec!r}")
             # an interferer's precoder has n_t rows, so its rank is capped
             # by n_t alone; the victim's antenna count does not constrain it
-            if (
-                spec.technique is Technique.SPATIAL_MULTIPLEXING
-                and spec.layers > self.n_t
-            ):
+            if spec.layers > self.n_t:
                 raise ConfigError(
                     f"interferers[{i}]: spatial multiplexing with {spec.layers} "
                     f"layers exceeds the {self.n_t} transmit antennas"
@@ -209,75 +277,46 @@ def own_numerator_scale(cfg: ScenarioConfig) -> float:
     return rho
 
 
-_TOP_KEYS = {"n_r", "n_t", "noise_power", "snr_db", "own_mode", "interferers"}
-_INT_KEYS = {"technique", "layers", "inr_db"}
+# the fields of each config dataclass, and those without a default
+_FIELDS = {cls: ({f.name for f in fields(cls)},
+                 {f.name for f in fields(cls) if f.default is MISSING})
+           for cls in (InterfererSpec, ScenarioConfig)}
+
+
+def _json_fields(cls, obj, where: str) -> None:
+    """Refuse obj unless it is a JSON object whose keys are fields of the
+    dataclass cls, among them every field without a default."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
+    names, required = _FIELDS[cls]
+    for word, keys in (("unknown", obj.keys() - names), ("missing", required - obj.keys())):
+        if keys:
+            raise ConfigError(f"{where}: {word} keys {sorted(keys)}")
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON object, strictly.
 
-    Checked here is the shape: unknown keys are rejected so that typos
-    fail loudly instead of silently falling back to defaults, and every
-    real is a JSON number; the counts and ranges are checked by
-    ScenarioConfig and InterfererSpec.
+    Checked here is the JSON shape alone: an object with the fields of
+    ScenarioConfig, and interferers a list of objects with those of
+    InterfererSpec.  Unknown keys are rejected so that typos fail loudly
+    instead of silently falling back to defaults.  Every value is decided
+    by ScenarioConfig and InterfererSpec, so a config read from JSON
+    equals, and hashes like, one built from the same values in Python.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"n_r", "n_t", "noise_power", "snr_db", "own_mode"} - set(data)
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-
-    def _real(obj: dict, key: str) -> float:
-        v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {v!r}")
-        return float(v)
-
-    try:
-        own_mode = OwnMode(data["own_mode"])
-    except ValueError:
-        raise ConfigError(
-            f"own_mode must be one of {[m.value for m in OwnMode]}, "
-            f"got {data['own_mode']!r}"
-        ) from None
-
+    _json_fields(ScenarioConfig, data, "config")
     entries = data.get("interferers", [])
     if not isinstance(entries, list):
         raise ConfigError(f"interferers must be a list, got {entries!r}")
     interferers = []
     for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"interferers[{idx}] must be an object")
-        bad = set(entry) - _INT_KEYS
-        if bad:
-            raise ConfigError(f"interferers[{idx}]: unknown keys {sorted(bad)}")
-        if "technique" not in entry or "inr_db" not in entry:
-            raise ConfigError(f"interferers[{idx}]: technique and inr_db are required")
+        where = f"interferers[{idx}]"
+        _json_fields(InterfererSpec, entry, where)
         try:
-            tech = Technique(entry["technique"])
-        except ValueError:
-            raise ConfigError(
-                f"interferers[{idx}]: technique must be one of "
-                f"{[t.value for t in Technique]}, got {entry['technique']!r}"
-            ) from None
-        try:
-            spec = InterfererSpec(technique=tech, inr_db=_real(entry, "inr_db"),
-                                  layers=entry.get("layers", 1))
+            interferers.append(InterfererSpec(**entry))
         except ConfigError as exc:
-            raise ConfigError(f"interferers[{idx}]: {exc}") from None
-        interferers.append(spec)
-
-    return ScenarioConfig(
-        n_r=data["n_r"],
-        n_t=data["n_t"],
-        noise_power=_real(data, "noise_power"),
-        snr_db=_real(data, "snr_db"),
-        own_mode=own_mode,
-        interferers=tuple(interferers),
-    )
+            raise ConfigError(f"{where}: {exc}") from None
+    return ScenarioConfig(**dict(data, interferers=tuple(interferers)))
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -293,15 +332,9 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Inverse of config_from_dict; canonical form for hashing/echoing."""
-    return {
-        "n_r": cfg.n_r,
-        "n_t": cfg.n_t,
-        "noise_power": cfg.noise_power,
-        "snr_db": cfg.snr_db,
-        "own_mode": cfg.own_mode.value,
-        "interferers": [
-            {"technique": s.technique.value, "layers": s.layers, "inr_db": s.inr_db}
-            for s in cfg.interferers
-        ],
-    }
+    """Inverse of config_from_dict, the fields by name and the enums by
+    value; canonical form for hashing."""
+    def plain(obj) -> dict:
+        # a dataclass instance's __dict__ holds its fields, in their order
+        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in vars(obj).items()}
+    return dict(plain(cfg), interferers=[plain(spec) for spec in cfg.interferers])

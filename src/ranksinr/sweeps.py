@@ -17,11 +17,15 @@ import numpy as np
 from . import bf, ostbc
 from .errors import ConfigError
 from .scenario import (
+    MAX_ANTENNAS,
     InterfererSpec,
     OwnMode,
     ScenarioConfig,
     Technique,
-    _count,
+    check_count,
+    check_enum,
+    check_probability,
+    check_real,
     db_to_linear,
     linear_to_db,
 )
@@ -44,7 +48,12 @@ class SweepKind(Enum):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep axis: a dB grid, or an interferer-count list."""
+    """A sweep axis: a dB grid, or an interferer-count list.
+
+    kind is a SweepKind or its value, the grid ends and step real
+    numbers, p_star a probability and each count an integer in
+    1..MAX_GRID_POINTS (the rules of ``scenario``).
+    """
 
     kind: SweepKind
     start_db: float = 0.0
@@ -54,19 +63,22 @@ class SweepSpec:
     p_star: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_star < 1.0:
-            raise ConfigError(f"p_star must lie in (0, 1), got {self.p_star}")
+        object.__setattr__(self, "kind", check_enum(self.kind, SweepKind, "kind"))
+        object.__setattr__(self, "p_star", check_probability(self.p_star, "p_star"))
+        for name in ("start_db", "stop_db", "step_db"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if self.kind is SweepKind.NUM_INTERFERERS:
-            counts = tuple(_count(c, "every entry of counts", ConfigError) for c in self.counts)
+            counts = tuple(check_count(c, "every entry of counts", MAX_GRID_POINTS)
+                           for c in self.counts)
             object.__setattr__(self, "counts", counts)
-            if not counts or any(not 1 <= c <= MAX_GRID_POINTS for c in counts):
-                raise ConfigError(
-                    f"counts must be a nonempty list of integers in 1..{MAX_GRID_POINTS}")
+            if not counts:
+                raise ConfigError("counts must be a nonempty list")
             if list(counts) != sorted(counts):
                 raise ConfigError("counts must be nondecreasing")
         else:
-            if self.step_db <= 0:
-                raise ConfigError(f"step must be positive, got {self.step_db}")
+            # an infinite step would put inf * 0, a NaN, in the grid
+            if not 0.0 < self.step_db < math.inf:
+                raise ConfigError(f"step must be positive and finite, got {self.step_db}")
             if self.stop_db < self.start_db:
                 raise ConfigError(
                     f"empty grid: stop {self.stop_db} dB < start {self.start_db} dB"
@@ -98,13 +110,16 @@ def equal_power_config(
     count: int,
     rank: int,
 ) -> ScenarioConfig:
-    """count equal-power iBSs of the given rank at fixed total power.
+    """count equal-power iBSs of the given rank at fixed total power;
+    count is an integer in 1..MAX_GRID_POINTS, rank one in 1..MAX_ANTENNAS.
 
     A single iBS keeps the INR as given, with no round trip through
     linear scale; the rank-1 vs rank-r studies build their configs so.
     """
+    count = check_count(count, "count", MAX_GRID_POINTS)
+    rank = check_count(rank, "rank", MAX_ANTENNAS)
     per_inr_db = (total_inr_db if count == 1
-                  else linear_to_db(db_to_linear(total_inr_db) / count))
+                  else linear_to_db(db_to_linear(total_inr_db, "total_inr_db") / count))
     if rank == 1:
         spec = InterfererSpec(technique=Technique.BEAMFORMING, inr_db=per_inr_db)
     else:

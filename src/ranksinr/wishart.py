@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from ._tables import TABLES
 from .errors import UnsupportedDimensionError
-from .scenario import MAX_ANTENNAS
+from .scenario import MAX_ANTENNAS, check_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,13 +48,10 @@ class EigenWeightTable:
 # typed: True == 1 must not reach the cached 1 x q table past the check
 @functools.lru_cache(maxsize=None, typed=True)
 def compute_weights(n_r: int, n_t: int) -> EigenWeightTable:
-    """Read the exact weight table of an n_r x n_t channel."""
-    if not all(isinstance(n, int) and not isinstance(n, bool)
-               and 1 <= n <= MAX_ANTENNAS for n in (n_r, n_t)):
-        raise UnsupportedDimensionError(
-            f"antenna counts must be integers in 1..{MAX_ANTENNAS}, got "
-            f"({n_r!r}, {n_t!r}); exact weight tables ship for those sizes only"
-        )
+    """Read the exact weight table of an n_r x n_t channel; each count is
+    an integer in 1..MAX_ANTENNAS, or UnsupportedDimensionError."""
+    n_r, n_t = (check_count(n, name, MAX_ANTENNAS, UnsupportedDimensionError)
+                for n, name in ((n_r, "n_r"), (n_t, "n_t")))
     p, q = min(n_r, n_t), max(n_r, n_t)
     weights: dict[tuple[int, int], Fraction] = {}
     for line in TABLES[p, q].splitlines():

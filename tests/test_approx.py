@@ -18,7 +18,7 @@ from ranksinr.approx import (
     product_pdf,
     simulate_exact_terms,
 )
-from ranksinr.errors import UnsupportedDimensionError
+from ranksinr.errors import ConfigError, UnsupportedDimensionError
 from ranksinr.montecarlo import _generator, complex_normal
 
 from conftest import ks_distance
@@ -43,6 +43,30 @@ def test_dimensions_follow_the_one_integer_rule():
             ProductDistribution(n_r=bad, n_t=2, n_l=1)
         with pytest.raises(UnsupportedDimensionError):
             ProductDistribution(n_r=2, n_t=2, n_l=bad)
+
+
+@pytest.mark.parametrize("x", [math.nan, -1.0, math.inf, True, "1", None])
+def test_densities_follow_the_point_rule(x):
+    # exp_approx_pdf once read NaN as 0.0, and product_pdf raised
+    # OverflowError at NaN
+    with pytest.raises(ConfigError, match="x must be finite and >= 0"):
+        exp_approx_pdf(x, 2, 1)
+    with pytest.raises(ConfigError, match="x must be finite and >= 0"):
+        product_pdf(x, ProductDistribution(n_r=2, n_t=2, n_l=1))
+
+
+@pytest.mark.parametrize("n_t, n_l", [(0, 1), (2, 0), (9, 1), (2.0, 1), (2, True), ("2", 1)])
+def test_exp_approx_counts_follow_the_one_integer_rule(n_t, n_l):
+    # a count of 0 once gave a density of 0.0
+    with pytest.raises(UnsupportedDimensionError):
+        exp_approx_pdf(1.0, n_t, n_l)
+
+
+def test_exp_approx_reads_numpy_counts_and_integer_points():
+    x = np.linspace(0.0, 2.0, 5)
+    assert (exp_approx_pdf(x, np.int64(2), np.uint8(2)).tobytes()
+            == exp_approx_pdf(x, 2, 2).tobytes())
+    assert exp_approx_pdf(1, 2, 2) == exp_approx_pdf(1.0, 2, 2)
 
 
 def test_mean_by_quadrature_matches_closed_value():

@@ -738,7 +738,7 @@ def test_sweep_n_counts_are_not_db_values(tmp_path, capsys):
     _, _, rows = parse_csv(out)
     assert [r[0] for r in rows] == ["1", "1001", "2001", "3001", "4001"]
     for grid, message in (("5:1:1", "empty grid"), ("1:1e9:1", "more than"),
-                          ("1e300:1e300:1", "integers in 1..100000")):
+                          ("1e300:1e300:1", "an integer in 1..100000")):
         code, _, err = run(capsys, "sweep-n", "--config", cfg, f"--grid={grid}")
         assert code == cli.EXIT_CONFIG
         assert message in err

@@ -17,7 +17,7 @@ import pytest
 
 from ranksinr import bf, cli, ostbc
 from ranksinr.engine import SinrModel
-from ranksinr.errors import ConfigError
+from ranksinr.errors import ConfigError, NumericInstabilityError
 from ranksinr.scenario import (
     InterfererSpec,
     OwnMode,
@@ -259,3 +259,37 @@ def test_rows_refuse_rates_that_are_not_positive_and_finite(bad):
         SinrModel({(1, 3): 1}, None, 4.0, (bad,))
     with pytest.raises(ValueError, match=r"the rates of row 1 must be positive and finite"):
         SinrModel({(1, 3): 1}, None, (4.0, 4.0), ((2.0,), (2.0, bad)))
+
+
+@pytest.mark.parametrize("rho_bar", [math.nan, math.inf, -1.0, 0.0, (4.0, math.nan), True, "4"])
+def test_rho_bar_follows_the_point_rule(rho_bar):
+    # NaN once built a model whose density read nan and whose outage blamed
+    # the psi sum; inf built too
+    rates = ((2.0,), (2.0,)) if isinstance(rho_bar, tuple) else (2.0,)
+    with pytest.raises(ConfigError, match="rho_bar must be finite and > 0"):
+        SinrModel({(1, 3): 1}, None, rho_bar, rates)
+
+
+def test_evaluation_points_follow_the_point_rule():
+    model = SinrModel({(1, 3): 1}, None, 4.0, (2.0,))
+    for bad in (math.nan, -1.0, math.inf, True, "1", None, [1.0, "x"]):
+        with pytest.raises(ConfigError, match="gamma must be finite and >= 0"):
+            model.sinr_pdf(bad)
+    for bad in (math.nan, 0.0, -0.0, math.inf, True, "1", None):
+        with pytest.raises(ConfigError, match="gamma0 must be finite and > 0"):
+            model.outage(bad)
+    for bad in (0.0, 1.0, math.nan, True, "0.01", None):
+        with pytest.raises(ConfigError, match="target outage must"):
+            model.threshold(bad)
+    # integer points are real numbers, and read as floats
+    assert model.outage(np.array([1, 2])).tolist() == model.outage([1.0, 2.0]).tolist()
+    assert model.sinr_pdf(0) == model.sinr_pdf(0.0)
+
+
+def test_a_density_past_the_double_range_is_refused():
+    # psi k/rho_bar overflowed at a subnormal rho_bar: a RuntimeWarning,
+    # then inf times a count of 0 gave NaN
+    model = SinrModel({(1, 3): 1}, None, 1e-310, (2.0,))
+    with pytest.raises(NumericInstabilityError, match="density overflows"):
+        model.sinr_pdf([0.0, 1.0])
+    assert 0.0 <= model.outage(1.0) <= 1.0

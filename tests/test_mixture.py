@@ -45,6 +45,12 @@ def test_two_scale_hypoexponential_by_hand():
     for law in (pdf_y, cdf_y):
         with pytest.raises(ValueError, match="finite"):
             law(np.inf, (2.0, 1.0))
+        # -0.0 once read log(-inf) and a subnormal y overflowed n/y, each a
+        # RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert law(-0.0, (2.0, 1.0)) == law(0.0, (2.0, 1.0))
+            assert law(5e-324, (2.0, 1.0)) == pytest.approx(law(0.0, (2.0, 1.0)), abs=1e-300)
         with pytest.raises(EmptyMixtureError):
             law(1.0, ())
 

@@ -51,6 +51,25 @@ def test_runs_are_byte_identical():
     assert a.samples.tobytes() != c.samples.tobytes()
 
 
+@pytest.mark.parametrize("n_samples", [True, 2.5, 0, -1, "3", None, np.float64(3.0)])
+def test_sample_count_follows_the_one_integer_rule(n_samples):
+    # True once drew 1 sample and 2.5 raised TypeError
+    with pytest.raises(ConfigError, match="n_samples must be an integer"):
+        simulate_bf_sinr(REF_BF, n_samples, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2.5, True, None, "0"])
+def test_seed_follows_the_one_integer_rule(seed):
+    # None once drew from fresh OS entropy, so no two runs agreed
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        simulate_ostbc_sinr(REF_OSTBC, 10, seed=seed)
+
+
+def test_numpy_integer_counts_draw_the_same_samples():
+    assert (simulate_bf_sinr(REF_BF, np.int64(30), seed=np.uint64(5)).samples.tobytes()
+            == simulate_bf_sinr(REF_BF, 30, seed=5).samples.tobytes())
+
+
 def test_mode_mismatch_rejected():
     with pytest.raises(ConfigError):
         simulate_bf_sinr(REF_OSTBC, 10, seed=0)

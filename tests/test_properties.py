@@ -7,20 +7,28 @@ hunts for counterexamples.
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from ranksinr import bf, ostbc
-from ranksinr.mixture import build_mixture
+from ranksinr.approx import ProductDistribution, exp_approx_pdf, product_pdf
+from ranksinr.curves import config_hash
+from ranksinr.engine import SinrModel
+from ranksinr.errors import RankSinrError
+from ranksinr.mixture import build_mixture, cdf_y, pdf_y
+from ranksinr.montecarlo import simulate_bf_sinr
 from ranksinr.scenario import (
     InterfererSpec,
     OwnMode,
     ScenarioConfig,
     Technique,
     build_rate_set,
+    config_from_dict,
+    config_to_dict,
     db_to_linear,
 )
-from ranksinr.sweeps import model_for
+from ranksinr.sweeps import equal_power_config, model_for, threshold_gain
 from ranksinr.wishart import compute_weights
 
 from conftest import exact_mean
@@ -164,3 +172,73 @@ def test_eigenvalue_mean_scales_linearly(n_r, n_t, scale):
     area = sum(quad(lambda x: 1.0 - model.outage(x), a, b, limit=200)[0]
                for a, b in ((0.0, split), (split, math.inf)))
     assert math.isclose(area, scale * float(mean), rel_tol=1e-9)
+
+
+# one strategy for every argument of every entry point: bools, numpy ints
+# and floats, str, None, +-0, negatives, NaN, +-inf, enum members and
+# values in and out of range.  The in-range integers stay small, so that
+# a Monte Carlo call draws a handful of samples and a sweep config holds
+# a few interferers, and the reals stay within a few tens of dB
+ANY_VALUE = st.one_of(
+    st.sampled_from([True, False, None, "2", "0.5", "bf", "sm", "ostbc", 0, -0.0, 0.0,
+                     math.nan, math.inf, -math.inf, 2**64, 10**400, 1e300, np.True_]),
+    st.sampled_from(list(OwnMode) + list(Technique)),
+    st.integers(-2, 9),
+    st.integers(-2, 9).map(np.int64),
+    st.floats(-30.0, 30.0, allow_nan=False),
+    st.floats(0.0, 1.0).map(np.float64),
+)
+
+
+# name: (call on drawn arguments, argument count, kind of answer)
+ENTRY_POINTS = {
+    "ScenarioConfig": (lambda n_r, n_t, noise, snr, mode, tech, inr, layers, g:
+                       model_for(ScenarioConfig(n_r, n_t, noise, snr, mode,
+                                                (InterfererSpec(tech, inr, layers),))).outage(g),
+                       9, "probability"),
+    "equal_power_config": (equal_power_config, 7, "config"),
+    "threshold_gain": (lambda *args: threshold_gain(*args).gain_db, 7, "finite"),
+    "compute_weights": (lambda n_r, n_t: compute_weights(n_r, n_t).sum_exact() == 1, 2, "true"),
+    "SinrModel.outage": (lambda rho_bar, g: SinrModel({(1, 3): 1}, None, rho_bar, (2.0,)).outage(g),
+                         2, "probability"),
+    "SinrModel.sinr_pdf": (lambda rho_bar, g: SinrModel({(2, 3): 1}, None, rho_bar, (2.0, 1.0))
+                           .sinr_pdf(g), 2, "finite"),
+    "SinrModel.threshold": (lambda rho_bar, p: SinrModel({(1, 3): 1}, None, rho_bar, (2.0,))
+                            .threshold(p), 2, "finite"),
+    "simulate_bf_sinr": (lambda n, seed: simulate_bf_sinr(SCENARIO, n, seed).samples, 2, "finite"),
+    "exp_approx_pdf": (exp_approx_pdf, 3, "finite"),
+    "product_pdf": (lambda x, n_r, n_t, n_l: product_pdf(x, ProductDistribution(n_r, n_t, n_l)),
+                    4, "density"),
+    "pdf_y": (lambda y: pdf_y(y, (2.0, 1.0, 1.0)), 1, "finite"),
+    "cdf_y": (lambda y: cdf_y(y, (2.0, 1.0, 1.0)), 1, "probability"),
+}
+SCENARIO = ScenarioConfig(2, 2, 1.0, 15.0, OwnMode.BEAMFORMING,
+                          (InterfererSpec(Technique.SPATIAL_MULTIPLEXING, 10.0, 2),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ENTRY_POINTS)), st.lists(ANY_VALUE, min_size=9, max_size=9))
+def test_entry_points_answer_or_refuse(name, values):
+    # every input is either answered, finitely and in [0, 1] for a
+    # probability, or refused with a RankSinrError: never a TypeError,
+    # AttributeError, ZeroDivisionError or OverflowError, and never a NaN
+    call, n_args, kind = ENTRY_POINTS[name]
+    try:
+        answer = call(*values[:n_args])
+    except RankSinrError:
+        return
+    if kind == "config":
+        # the values it holds are decided, so it hashes like its JSON twin
+        assert config_hash(config_from_dict(config_to_dict(answer))) == config_hash(answer)
+        return
+    if kind == "true":
+        assert answer is True
+        return
+    answer = np.asarray(answer, dtype=np.float64)
+    if kind == "density":
+        # the density of the product diverges at 0 for n_r = 1, and only there
+        x, n_r = values[:2]
+        answer = answer[np.isfinite(answer) | (np.asarray(x) != 0) | (n_r != 1)]
+    assert np.isfinite(answer).all()
+    if kind == "probability":
+        assert ((answer >= 0.0) & (answer <= 1.0)).all()

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from ranksinr.curves import config_hash
 from ranksinr.errors import ConfigError, UnsupportedDimensionError
+from ranksinr.montecarlo import simulate_bf_sinr
 from ranksinr.scenario import (
     InterfererSpec,
     OwnMode,
@@ -17,6 +19,7 @@ from ranksinr.scenario import (
     config_to_dict,
     db_to_linear,
     linear_to_db,
+    load_config,
     own_numerator_scale,
 )
 from ranksinr.sweeps import model_for
@@ -103,6 +106,83 @@ def test_numpy_integer_counts_are_plain_ints(own_mode):
     assert model_for(numpy).outage(grid).tobytes() == model_for(plain).outage(grid).tobytes()
 
 
+def test_enums_may_be_given_by_value():
+    # a str own_mode once built and failed at first use with AttributeError
+    by_value = ScenarioConfig(2, 2, 1.0, 15.0, "bf", (InterfererSpec("sm", 10.0, 2),))
+    members = ScenarioConfig(2, 2, 1.0, 15.0, OwnMode.BEAMFORMING,
+                             (InterfererSpec(Technique.SPATIAL_MULTIPLEXING, 10.0, 2),))
+    assert by_value == members and config_hash(by_value) == config_hash(members)
+    assert by_value.own_mode is OwnMode.BEAMFORMING
+    assert model_for(by_value).outage(2.0) == model_for(members).outage(2.0)
+    assert (simulate_bf_sinr(by_value, 10, 0).samples.tobytes()
+            == simulate_bf_sinr(members, 10, 0).samples.tobytes())
+    for own_mode in ("mrc", Technique.BEAMFORMING, None, 1):
+        with pytest.raises(ConfigError, match="own_mode must be one of"):
+            ScenarioConfig(2, 2, 1.0, 15.0, own_mode)
+    for technique in ("mrc", OwnMode.BEAMFORMING, None):
+        with pytest.raises(ConfigError, match="technique must be one of"):
+            InterfererSpec(technique, 10.0)
+
+
+@pytest.mark.parametrize("field", ["noise_power", "snr_db", "inr_db"])
+@pytest.mark.parametrize("value", ["1", True, None, [1.0],
+                                   pytest.param(10**400, id="int-past-double")])
+def test_real_values_must_be_numbers(field, value):
+    # "15" and "10" once built, "1" raised TypeError and 10**400 OverflowError
+    cfg = dict(n_r=2, n_t=2, noise_power=1.0, snr_db=15.0, own_mode=OwnMode.BEAMFORMING)
+    with pytest.raises(ConfigError, match=f"{field} must be a number"):
+        if field == "inr_db":
+            InterfererSpec(Technique.BEAMFORMING, value)
+        else:
+            ScenarioConfig(**dict(cfg, **{field: value}))
+
+
+def test_numpy_reals_are_plain_floats():
+    cfg = ScenarioConfig(2, 2, np.float32(0.5), np.int64(15), OwnMode.BEAMFORMING,
+                         [InterfererSpec(Technique.BEAMFORMING, np.float64(8.0))])
+    assert cfg == ScenarioConfig(2, 2, 0.5, 15.0, OwnMode.BEAMFORMING,
+                                 (InterfererSpec(Technique.BEAMFORMING, 8.0),))
+    assert {type(cfg.noise_power), type(cfg.snr_db), type(cfg.interferers[0].inr_db)} == {float}
+
+
+@pytest.mark.parametrize("interferers", [None, 5, "bf", (5,), ({"technique": "bf"},)])
+def test_interferers_must_be_a_sequence_of_specs(interferers):
+    with pytest.raises(ConfigError, match="interferers"):
+        ScenarioConfig(2, 2, 1.0, 15.0, OwnMode.BEAMFORMING, interferers)
+
+
+def test_equal_configs_hash_equal():
+    # only the JSON path once turned integers into floats, so these two
+    # were equal and hashed 2b82b921ed9c... and efcff7b37049...
+    cfg = ScenarioConfig(2, 2, 1, 15, OwnMode.BEAMFORMING,
+                         (InterfererSpec(Technique.BEAMFORMING, 8),))
+    twin = config_from_dict(config_to_dict(cfg))
+    assert twin == cfg
+    assert config_hash(twin) == config_hash(cfg) == (
+        "efcff7b3704916f8bfa133d7dbe1da12ba81111c7fffa93e1401bb96e90eff57")
+
+
+def test_readme_example_config_hash_is_pinned(tmp_path):
+    # the hash every CLI output of the README's example config prints
+    path = tmp_path / "scenario.json"
+    path.write_text("""{
+  "n_r": 2,
+  "n_t": 2,
+  "noise_power": 1.0,
+  "snr_db": 15.0,
+  "own_mode": "bf",
+  "interferers": [
+    {"technique": "ostbc", "inr_db": 6.0},
+    {"technique": "bf", "inr_db": 8.0},
+    {"technique": "sm", "inr_db": 10.0, "layers": 2}
+  ]
+}
+""")
+    assert config_hash(load_config(str(path))) == (
+        "77483962ec61fb9e4098f224e27b3b2de0e58187cf503a4579ae7f2f1624c616")
+    assert config_hash(REF_BF) == config_hash(load_config(str(path)))
+
+
 def test_sm_rank_capped_by_transmit_antennas_only():
     # a rank-4 interferer hitting a 2-antenna receiver is legal
     cfg = ScenarioConfig(
@@ -180,10 +260,10 @@ def test_config_dict_roundtrip():
 def test_config_from_dict_rejects_unknown_and_missing_keys():
     good = config_to_dict(REF_BF)
     bad = dict(good, typo_key=1)
-    with pytest.raises(ConfigError, match="unknown config keys"):
+    with pytest.raises(ConfigError, match=r"config: unknown keys \['typo_key'\]"):
         config_from_dict(bad)
     missing = {k: v for k, v in good.items() if k != "noise_power"}
-    with pytest.raises(ConfigError, match="missing config keys"):
+    with pytest.raises(ConfigError, match=r"config: missing keys \['noise_power'\]"):
         config_from_dict(missing)
     bad_int = dict(good)
     bad_int["interferers"] = [{"technique": "sm", "inr_db": 0.0, "rank": 2}]

@@ -51,6 +51,35 @@ def test_counts_follow_the_one_integer_rule():
             SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(1, bad))
 
 
+def test_spec_values_follow_the_rules():
+    by_value = SweepSpec(kind="inr", start_db=0, stop_db=np.int64(3), step_db=1)
+    assert by_value == SweepSpec(kind=SweepKind.INR, start_db=0.0, stop_db=3.0, step_db=1.0)
+    assert by_value.grid_db().tolist() == [0.0, 1.0, 2.0, 3.0]
+    for bad in (dict(kind="db"), dict(start_db="0"), dict(step_db=None), dict(step_db=math.nan),
+                dict(step_db=math.inf),
+                dict(p_star=True), dict(p_star=math.nan), dict(p_star="0.01")):
+        with pytest.raises(ConfigError):
+            SweepSpec(**dict(dict(kind=SweepKind.INR, stop_db=5.0), **bad))
+
+
+@pytest.mark.parametrize("count, rank", [(0, 2), (2.5, 2), (-1, 2), (True, 2), (100_001, 2),
+                                         (1, 0), (1, 2.0), (1, True), (1, 9)])
+def test_equal_power_config_counts_follow_the_one_integer_rule(count, rank):
+    # count 0 once raised ZeroDivisionError, 2.5 TypeError, and -1 was
+    # refused for a linear value of -10
+    with pytest.raises(ConfigError, match="count must be an integer|rank must be an integer"):
+        equal_power_config(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, count, rank)
+
+
+def test_threshold_gain_refuses_a_bool_rank():
+    # True was once read as rank 1, a gain of 0 dB
+    with pytest.raises(ConfigError, match="rank must be an integer"):
+        threshold_gain(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, True)
+    # a numpy rank and an own_mode by value answer like their plain twins
+    assert (threshold_gain("bf", np.int64(2), 2, 15.0, 10.0, np.int64(2))
+            == threshold_gain(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, 2))
+
+
 def test_db_grid_validation():
     with pytest.raises(ConfigError, match="step"):
         SweepSpec(kind=SweepKind.SNR, start_db=0, stop_db=5, step_db=0.0)

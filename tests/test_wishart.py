@@ -212,8 +212,15 @@ def test_rejects_oversized_dimensions():
         compute_weights(2, 0)
 
 
+def test_numpy_integer_dimensions_read_the_same_table():
+    # the one integer rule of ScenarioConfig: np.int64(2) was once refused
+    for count in (np.int64, np.int32, np.uint8):
+        table = compute_weights(count(2), count(3))
+        assert (table.p, table.q) == (2, 3) and table.weights == compute_weights(2, 3).weights
+
+
 @pytest.mark.parametrize(
-    "n_r,n_t", [(True, 2), (2, False), (2.0, 2), (2, 3.5), ("2", 2)]
+    "n_r,n_t", [(True, 2), (2, False), (2.0, 2), (2, 3.5), ("2", 2), (None, 2), (2, np.True_)]
 )
 def test_rejects_non_integer_dimensions(n_r, n_t):
     compute_weights(1, 2)  # a cached 1x2 table must not answer for True
