@@ -28,6 +28,8 @@ from .errors import ConfigError, NumericInstabilityError, RankSinrError
 from .mixture import build_mixture, reliable_xi
 from .montecarlo import (
     DEFAULT_CHUNK,
+    MAX_SAMPLES,
+    MAX_SEED,
     RNG_NAME,
     simulate_bf_sinr,
     simulate_ostbc_sinr,
@@ -38,6 +40,7 @@ from .scenario import (
     ScenarioConfig,
     Technique,
     build_rate_set,
+    check_count,
     check_probability,
     db_to_linear,
     load_config,
@@ -81,25 +84,25 @@ def _grid_db(args) -> tuple[np.ndarray, np.ndarray, float]:
     return grid_db, db_to_linear(grid_db, "grid point"), spec.step_db
 
 
+def _option(check, value, *args, **kwargs):
+    """An option value under one of the scenario rules; argparse reports
+    a refusal and exits 2."""
+    try:
+        return check(value, *args, **kwargs)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _seed(value: str) -> int:
-    n = int(value)
-    if not 0 <= n < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
-    return n
+    return _option(check_count, int(value), "seed", MAX_SEED, lo=0)
 
 
 def _positive_int(value: str) -> int:
-    n = int(value)
-    if n <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return n
+    return _option(check_count, int(value), "samples", MAX_SAMPLES)
 
 
 def _target_outage(value: str) -> float:
-    try:
-        return check_probability(float(value), "target outage")
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return _option(check_probability, float(value), "target outage")
 
 
 def _write(args, text: str) -> None:
@@ -217,7 +220,7 @@ def cmd_sweep_n(args) -> int:
     bad = np.abs(grid - counts) > 1e-9
     if bad.any():
         raise ConfigError(
-            f"interferer counts must be positive integers, got {grid[bad][0]}")
+            f"interferer counts must be integers, got {grid[bad][0]}")
     sw = SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=tuple(int(c) for c in counts),
                    p_star=args.target_outage)
     points = sweep_interferer_count(

@@ -221,8 +221,11 @@ class SinrModel:
     def _pdf(self, gamma: np.ndarray, rows=0) -> np.ndarray:
         """SINR density on a 1-d array of gamma >= 0."""
         _, _, d = self._counts(gamma, rows)
-        scale = self._pdf_scale / self._rho_bar[rows]
-        return _sum_rows(scale * self._per_term(d))
+        # psi_kl k/rho_bar overflows where rho_bar is tiny; sinr_pdf refuses
+        # the inf or NaN this leaves
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = self._pdf_scale / self._rho_bar[rows]
+            return _sum_rows(scale * self._per_term(d))
 
     def _evaluate(self, kernel, arr: np.ndarray, rows) -> np.ndarray:
         """kernel at every point of arr in blocks of at most BLOCK columns;
@@ -246,8 +249,7 @@ class SinrModel:
         overflows where rho_bar is below about 1e-307.
         """
         arr = check_points(gamma, "gamma")
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = self._evaluate(self._pdf, arr, None)
+        vals = self._evaluate(self._pdf, arr, None)
         # written as "not <" so that NaN is refused too
         if not np.abs(vals).max(initial=0.0) < np.inf:
             raise NumericInstabilityError("the SINR density overflows double precision")

@@ -62,6 +62,8 @@ RNG_NAME = "sfc64"
 # run still splits into enough chunks to keep every CPU busy; on the oracle
 # benchmark (2-CPU host) it beat 2^15 and 2^16
 DEFAULT_CHUNK = 16_384
+# what run_chunks takes: a sample count numpy can index, a 64-bit seed
+MAX_SAMPLES, MAX_SEED = int(np.iinfo(np.intp).max), 2**64 - 1
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 
 
@@ -209,8 +211,8 @@ def run_chunks(
     chunks run on up to one thread per usable CPU and are joined in
     chunk order; an exception from any chunk is raised here.
     """
-    sizes = _chunk_sizes(check_count(n_samples, "n_samples", np.iinfo(np.intp).max))
-    seed = check_count(seed, "seed", 2**64 - 1, lo=0)
+    sizes = _chunk_sizes(check_count(n_samples, "n_samples", MAX_SAMPLES))
+    seed = check_count(seed, "seed", MAX_SEED, lo=0)
     rngs = [_generator(ss) for ss in np.random.SeedSequence(seed).spawn(len(sizes))]
     with ThreadPoolExecutor(max_workers=min(len(sizes), _usable_cpus())) as pool:
         return np.concatenate(list(pool.map(simulate, sizes, rngs)))

@@ -277,8 +277,8 @@ def own_numerator_scale(cfg: ScenarioConfig) -> float:
     return rho
 
 
-# the fields of each config dataclass, and those without a default
-_FIELDS = {cls: ({f.name for f in fields(cls)},
+# the fields of each config dataclass in order, and those without a default
+_FIELDS = {cls: (tuple(f.name for f in fields(cls)),
                  {f.name for f in fields(cls) if f.default is MISSING})
            for cls in (InterfererSpec, ScenarioConfig)}
 
@@ -335,6 +335,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Inverse of config_from_dict, the fields by name and the enums by
     value; canonical form for hashing."""
     def plain(obj) -> dict:
-        # a dataclass instance's __dict__ holds its fields, in their order
-        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in vars(obj).items()}
+        return {k: v.value if isinstance(v := getattr(obj, k), enum.Enum) else v
+                for k in _FIELDS[type(obj)][0]}
     return dict(plain(cfg), interferers=[plain(spec) for spec in cfg.interferers])

@@ -646,7 +646,7 @@ def parse_exit_code(*argv):
 
 # --chunk-size no longer exists, so argparse refuses it as an unknown option
 NONPOSITIVE_OPTION_ERRORS = {
-    "--samples": "positive integer",
+    "--samples": "samples must be an integer in 1..",
     "--chunk-size": "unrecognized arguments: --chunk-size",
 }
 
@@ -726,7 +726,7 @@ def test_sweep_n_rejects_fractional_counts(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code, _, err = run(capsys, "sweep-n", "--config", cfg, "--grid=1:3:0.5")
     assert code == cli.EXIT_CONFIG
-    assert "positive integers" in err
+    assert "counts must be integers" in err
 
 
 def test_sweep_n_counts_are_not_db_values(tmp_path, capsys):
