@@ -58,10 +58,10 @@ def clamp_probability(p):
     """Clamp round-off excursions; refuse anything materially outside [0,1].
 
     Takes a float or an array and returns the same kind; an array that
-    lies in [0, 1] already comes back as it is.
+    lies in [0, 1] already comes back as it is, an empty one included.
     """
     arr = np.asarray(p, dtype=np.float64)
-    lo, hi = arr.min(), arr.max()
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
     # written as "not >=" so that NaN is refused too
     if not (lo >= -PROB_SLACK and hi <= 1.0 + PROB_SLACK):
         bad = arr[~((arr >= -PROB_SLACK) & (arr <= 1.0 + PROB_SLACK))]

@@ -45,14 +45,16 @@ class EigenWeightTable:
         return sum(self.weights.values(), Fraction(0))
 
 
-# typed: True == 1 must not reach the cached 1 x q table past the check
-@functools.lru_cache(maxsize=None, typed=True)
 def compute_weights(n_r: int, n_t: int) -> EigenWeightTable:
     """Read the exact weight table of an n_r x n_t channel; each count is
     an integer in 1..MAX_ANTENNAS, or UnsupportedDimensionError."""
     n_r, n_t = (check_count(n, name, MAX_ANTENNAS, UnsupportedDimensionError)
                 for n, name in ((n_r, "n_r"), (n_t, "n_t")))
-    p, q = min(n_r, n_t), max(n_r, n_t)
+    return _table(min(n_r, n_t), max(n_r, n_t))
+
+
+@functools.lru_cache(maxsize=None)
+def _table(p: int, q: int) -> EigenWeightTable:
     weights: dict[tuple[int, int], Fraction] = {}
     for line in TABLES[p, q].splitlines():
         k, l, w = line.split()
@@ -67,3 +69,7 @@ def compute_weights(n_r: int, n_t: int) -> EigenWeightTable:
     if total != 1:
         raise AssertionError(f"weights sum to {total}, expected exactly 1")
     return table
+
+
+# drops the parsed tables, so that the next read of each is cold
+compute_weights.cache_clear = _table.cache_clear

@@ -7,6 +7,7 @@ mean-matched exponential.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -22,7 +23,7 @@ from ranksinr.errors import ConfigError, UnsupportedDimensionError
 from ranksinr.montecarlo import _generator, complex_normal
 
 from conftest import ks_distance
-from oracles import product_mean_quadrature, sample_product
+from oracles import product_mean_quadrature, product_pdf_mp, sample_product
 
 
 def test_dimension_validation():
@@ -98,6 +99,53 @@ def test_density_at_origin():
 
     expected = 1.0 * beta_fn(1, 2) / beta_fn(2, 2)
     assert product_pdf(0.0, pd) == pytest.approx(expected, rel=1e-10)
+    # n_l (a+b-1)/(a-1) exactly, and the rule meets it from the right
+    pd = ProductDistribution(n_r=8, n_t=8, n_l=7)
+    assert product_pdf(np.array([0.0]), pd)[0] == 7 * 63 / 7
+    assert product_pdf(1e-300, pd) == pytest.approx(63.0, rel=1e-14)
+
+
+# the 300-point grid of compare_chain without x = 0, points near 0 and
+# points past it, where the density falls to 2e-143 at n_l x = 240
+PRODUCT_POINTS = np.concatenate([[1e-6, 1e-3], np.linspace(0.0, 3.0, 300)[1:], [4.0, 7.0, 30.0]])
+
+
+@pytest.mark.parametrize("n_l", range(1, 9))
+def test_product_pdf_matches_the_exact_sum(n_l):
+    shapes = [(n_r, n_t) for n_r in range(1, 9) for n_t in range(n_l, 9)]
+    for (n_r, n_t), ref in product_pdf_mp(PRODUCT_POINTS, n_l, shapes).items():
+        got = product_pdf(PRODUCT_POINTS, ProductDistribution(n_r, n_t, n_l))
+        held = ref >= 1e-300
+        assert held.all() and np.max(np.abs(got - ref) / ref) <= 1e-13, (n_r, n_t)
+
+
+@pytest.mark.parametrize("x, n_r, n_t, n_l", [
+    (1e-6, 1, 2, 1), (0.5, 3, 5, 2), (30.0, 8, 8, 8),
+    # the 40-digit alternating sum of benchmarks/reference.py reads -9.6e-25 here
+    (2.779264214046823, 8, 8, 7),
+])
+def test_exact_sum_agrees_with_hyperu(x, n_r, n_t, n_l):
+    # DLMF 13.4.4: n_l Gamma(a+b)/Gamma(a) e^-z U(b, 2-a, z), z = n_l x
+    a, b = n_r, n_r * (n_t - 1)
+    with mpmath.workdps(60):
+        z = n_l * mpmath.mpf(x)
+        want = float(n_l * mpmath.gamma(a + b) / mpmath.gamma(a) * mpmath.exp(-z)
+                     * mpmath.hyperu(b, 2 - a, z))
+    assert product_pdf_mp([x], n_l, [(n_r, n_t)])[n_r, n_t][0] == want
+
+
+def test_product_pdf_covers_the_whole_half_line_at_one_receive_antenna():
+    # below n_l x = 1e-3 the n_R = 1 integral goes through E_1; the density
+    # grows like n_l b ln(1/(n_l x)) and is finite at every x > 0
+    pd = ProductDistribution(n_r=1, n_t=4, n_l=2)
+    x = np.array([5e-324, 1e-300, 1e-100, 1e-20, 4.99e-4, 5e-4, 5.01e-4])
+    got = product_pdf(x, pd)
+    c = [mpmath.mpf(float(v)) * 2 for v in x]
+    # int t^-1 (1-t)^2 e^(-c/t) dt = E_1 - 2 E_2 + E_3
+    want = np.array([float(6 * (mpmath.expint(1, v) - 2 * mpmath.expint(2, v)
+                                + mpmath.expint(3, v))) for v in c])
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+    assert product_pdf(1e300, pd) == 0.0
 
 
 def test_degenerate_single_transmit_antenna():

@@ -821,21 +821,24 @@ def test_package_entry_point():
     assert proc.stdout.strip() == f"ranksinr {ranksinr.__version__}"
 
 
-def test_import_leaves_scipy_unloaded():
-    # only approx's quadratures need scipy, imported on use; nothing in
-    # the library imports mpmath
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # nothing in the library imports scipy or mpmath, not even after a run
+    # of approx-validate, whose product density is a numpy quadrature
+    cfg = write_cfg(tmp_path, own_mode="ostbc", interferers=REF_MIX)
+    chain = ["approx-validate", "--config", cfg, "--samples", "20000",
+             "--out", str(tmp_path / "chain.csv")]
     probe = ("import sys, {}; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('scipy', 'mpmath')))")
-    for module in ("ranksinr", "ranksinr.cli"):
+    for module in ("ranksinr", "ranksinr.cli", f"ranksinr.cli; ranksinr.cli.main({chain!r})"):
         proc = subprocess.run([sys.executable, "-c", probe.format(module)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
+    assert (tmp_path / "chain.csv").stat().st_size > 0
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # every command but approx-validate; "import scipy" and "import
-    # mpmath" fail in the child
+    # every command; "import scipy" and "import mpmath" fail in the child
     ref = write_cfg(tmp_path, "ref.json", interferers=REF_MIX)
     single = write_cfg(tmp_path, "single.json")
     runs = [
@@ -848,6 +851,7 @@ def test_commands_run_without_scipy(tmp_path):
         ["mc-validate", "--config", ref, "--samples", "100000", "--grid=0:10:5"],
         ["dump-weights", "--config", ref],
         ["dump-xi", "--config", ref],
+        ["approx-validate", "--config", ref, "--samples", "20000"],
     ]
     for i, argv in enumerate(runs):
         argv += ["--out", str(tmp_path / f"out{i}")]

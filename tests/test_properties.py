@@ -8,6 +8,7 @@ hunts for counterexamples.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -242,3 +243,24 @@ def test_entry_points_answer_or_refuse(name, values):
     assert np.isfinite(answer).all()
     if kind == "probability":
         assert ((answer >= 0.0) & (answer <= 1.0)).all()
+
+
+# every entry point that evaluates at given points
+EVALUATIONS = {
+    "SinrModel.outage": lambda x: SinrModel({(1, 3): 1}, None, 2.0, (2.0,)).outage(x),
+    "SinrModel.sinr_pdf": lambda x: SinrModel({(2, 3): 1}, None, 2.0, (2.0, 1.0)).sinr_pdf(x),
+    "model_for.outage": lambda x: model_for(SCENARIO).outage(x),
+    "pdf_y": lambda y: pdf_y(y, (2.0, 1.0, 1.0)),
+    "cdf_y": lambda y: cdf_y(y, (2.0, 1.0, 1.0)),
+    "exp_approx_pdf": lambda x: exp_approx_pdf(x, 2, 1),
+    "product_pdf.n_r=1": lambda x: product_pdf(x, ProductDistribution(1, 2, 1)),
+    "product_pdf.n_r=2": lambda x: product_pdf(x, ProductDistribution(2, 4, 2)),
+    "product_pdf.n_t=1": lambda x: product_pdf(x, ProductDistribution(2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATIONS))
+def test_evaluations_answer_empty_with_empty(name):
+    # outage once raised numpy's ValueError from the minimum of no values
+    out = EVALUATIONS[name]([])
+    assert isinstance(out, np.ndarray) and out.shape == (0,)

@@ -220,7 +220,9 @@ def test_numpy_integer_dimensions_read_the_same_table():
 
 
 @pytest.mark.parametrize(
-    "n_r,n_t", [(True, 2), (2, False), (2.0, 2), (2, 3.5), ("2", 2), (None, 2), (2, np.True_)]
+    "n_r,n_t", [(True, 2), (2, False), (2.0, 2), (2, 3.5), ("2", 2), (None, 2), (2, np.True_),
+                # unhashable: these once met the cache first, a TypeError
+                ([2], 2), ({}, 2)]
 )
 def test_rejects_non_integer_dimensions(n_r, n_t):
     compute_weights(1, 2)  # a cached 1x2 table must not answer for True
