@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
-from .montecarlo import _abs2, complex_normal, run_chunks
+from .montecarlo import _abs2, chunk_draws, complex_normal, run_chunks
 from .scenario import MAX_ANTENNAS, check_count, check_points
 
 
@@ -169,9 +169,8 @@ def _exact_terms_chunk(
 ) -> np.ndarray:
     h0 = complex_normal(rng, (n_r, n_t, n))
     hi = complex_normal(rng, (n_r, n_t, n))
-    # the first column of a Haar n_l-frame, drawn as the whole frame's
-    # Gaussian matrix so the stream is that of haar_columns
-    z = complex_normal(rng, (n_t, n_l, n))[:, 0]
+    # the first column of a Haar n_l-frame: a Gaussian vector over its norm
+    z = complex_normal(rng, (n_t, n))
     v = z / (np.sqrt(_abs2(z).sum(axis=0)) * math.sqrt(n_l))
     s = np.einsum("rb,rb->b", h0[:, 0].conj(), np.einsum("rtb,tb->rb", hi, v))
     return _abs2(s) / _abs2(h0).reshape(-1, n).sum(axis=0)
@@ -182,10 +181,12 @@ def simulate_exact_terms(n_r: int, n_t: int, n_l: int, n_samples: int, seed: int
 
     c is a column of the serving channel, u the interferer channel times
     one unit-Frobenius precoder column; nothing is assumed independent.
-    Chunked and seeded like the receiver simulations in ``montecarlo``.
+    Chunked and seeded like the receiver simulations in ``montecarlo``;
+    each count is checked as by ``ProductDistribution``.
     """
-    return run_chunks(
-        lambda n, rng: _exact_terms_chunk(n_r, n_t, n_l, n, rng), n_samples, seed)
+    pd = ProductDistribution(n_r=n_r, n_t=n_t, n_l=n_l)
+    return run_chunks(lambda n, rng: _exact_terms_chunk(pd.n_r, pd.n_t, pd.n_l, n, rng),
+                      n_samples, seed, chunk_draws(pd.n_r, pd.n_t))
 
 
 @dataclass(frozen=True)
@@ -229,20 +230,20 @@ def compare_chain(
 ) -> ChainReport:
     """Evaluate all three chain stages and their pairwise distances.
 
-    The grid is 300 points on [0, 3].  The exact stage is binned on it; distances use grid-evaluated
-    CDFs (cumulative trapezoid for the product stage).
+    The grid is 300 points on [0, 3].  The exact stage is binned on it, in
+    the half-open bins [x_i, x_i+1); distances use grid-evaluated CDFs
+    (cumulative trapezoid for the product stage).
     """
     pd = ProductDistribution(n_r=n_r, n_t=n_t, n_l=n_l)
     grid = np.linspace(0.0, 3.0, 300)
 
     samples = simulate_exact_terms(n_r, n_t, n_l, n_samples, seed)
-    edges = np.concatenate([grid, [np.inf]])
-    counts, _ = np.histogram(samples, bins=edges)
-    widths = np.diff(grid)
-    exact_density = np.zeros_like(grid)
-    exact_density[:-1] = counts[:-1] / (n_samples * widths)
-    exact_density[-1] = exact_density[-2]
-    exact_cdf = np.searchsorted(np.sort(samples), grid, side="right") / n_samples
+    mean_exact, se_exact = float(np.mean(samples)), float(np.std(samples) / math.sqrt(n_samples))
+    samples.sort()  # the one sort that the density and the CDF both read
+    counts = np.diff(np.searchsorted(samples, grid, side="left"))
+    exact_density = counts / (n_samples * np.diff(grid))
+    exact_density = np.append(exact_density, exact_density[-1])  # x = 3 repeats its left bin
+    exact_cdf = np.searchsorted(samples, grid, side="right") / n_samples
 
     product_density = product_pdf(grid, pd)
     if not np.isfinite(product_density[0]):
@@ -266,9 +267,9 @@ def compare_chain(
         exact_density=exact_density,
         product_density=product_density,
         exp_density=exp_density,
-        mean_exact=float(np.mean(samples)),
+        mean_exact=mean_exact,
         mean_product=pd.mean,
         mean_exp=1.0 / rate,
-        se_exact=float(np.std(samples) / math.sqrt(n_samples)),
+        se_exact=se_exact,
         distances=distances,
     )

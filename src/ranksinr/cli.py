@@ -27,10 +27,10 @@ from .curves import metadata, render
 from .errors import ConfigError, NumericInstabilityError, RankSinrError
 from .mixture import build_mixture, reliable_xi
 from .montecarlo import (
-    DEFAULT_CHUNK,
     MAX_SAMPLES,
     MAX_SEED,
     RNG_NAME,
+    chunk_draws,
     simulate_bf_sinr,
     simulate_ostbc_sinr,
 )
@@ -118,10 +118,10 @@ def _emit(args, cfg: ScenarioConfig, columns: list[str], rows, **meta) -> int:
     return EXIT_OK
 
 
-def _mc_meta(args) -> dict:
+def _mc_meta(args, cfg: ScenarioConfig) -> dict:
     """The metadata of a Monte Carlo run: the draws are a function of these."""
     return {"seed": args.seed, "samples": args.samples, "rng": RNG_NAME,
-            "chunk_size": DEFAULT_CHUNK}
+            "chunk_size": chunk_draws(cfg.n_r, cfg.n_t)}
 
 
 def _simulate(cfg: ScenarioConfig, args):
@@ -169,7 +169,7 @@ def cmd_pdf(args) -> int:
     if args.mc:
         columns.append("mc_pdf_per_db")
         values.append(_mc_density_per_db(_simulate(cfg, args), grid_db, step_db))
-        meta.update(_mc_meta(args))
+        meta.update(_mc_meta(args, cfg))
     return _emit(args, cfg, columns, zip(*values), **meta)
 
 
@@ -185,7 +185,7 @@ def cmd_outage(args) -> int:
         emp = dist.ecdf(grid)
         columns += ["mc_outage", "mc_se"]
         values += [emp, np.sqrt(np.maximum(emp * (1 - emp), 0.0) / dist.sample_count)]
-        meta.update(_mc_meta(args))
+        meta.update(_mc_meta(args, cfg))
     return _emit(args, cfg, columns, zip(*values), **meta)
 
 
@@ -261,7 +261,7 @@ def cmd_mc_validate(args) -> int:
     passed = max_delta <= tolerance
 
     report = {
-        "meta": metadata(cfg, **_mc_meta(args), grid_db=args.grid),
+        "meta": metadata(cfg, **_mc_meta(args, cfg), grid_db=args.grid),
         "own_mode": cfg.own_mode.value,
         "tolerance": tolerance,
         "dkw_band": dkw_band,
@@ -289,7 +289,7 @@ def cmd_approx_validate(args) -> int:
                 if s.technique is Technique.SPATIAL_MULTIPLEXING), 1)
     rep = compare_chain(cfg.n_r, cfg.n_t, n_l, n_samples=args.samples, seed=args.seed)
     passed = abs(rep.mean_exact - rep.mean_product) <= 5.0 * rep.se_exact
-    meta = dict(_mc_meta(args), n_l=n_l, mean_exact=rep.mean_exact,
+    meta = dict(_mc_meta(args, cfg), n_l=n_l, mean_exact=rep.mean_exact,
                 mean_product=rep.mean_product, mean_exp=rep.mean_exp, passed=passed,
                 **{f"{k}_{m}": v[m] for k, v in rep.distances.items() for m in ("ks", "l1")})
     if args.format == "csv":

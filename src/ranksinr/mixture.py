@@ -96,7 +96,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import MAX_PREC, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 
@@ -107,6 +107,8 @@ from .scenario import check_points
 
 # the largest sum|Xi| whose double coefficients keep 1e-12 absolute
 XI_ABS_SUM_MAX = 1e-12 * 2.0**53
+# a difference of two doubles, exact in Decimal
+_EXACT = Context(prec=MAX_PREC)
 # K's series stops once its tail is at most this share of its sum
 TAIL_EPS = 2.0**-60
 # the most terms of K the laws compute: about 5 s and 130 MB at the cap
@@ -199,8 +201,10 @@ class MixtureSpec:
                 for k, (rho_k, beta_k) in enumerate(groups):
                     if k == i:
                         continue
-                    r = rho_k / rho_i
-                    x, head = r / (r - 1), (1 - r) ** beta_k
+                    # with r = rho_k/rho_i: x = r/(r - 1) and head = (1 - r)^beta_k,
+                    # from the exact gap, so that near-equal rates cancel nothing
+                    gap = _EXACT.subtract(rho_i, rho_k)
+                    x, head = -rho_k / gap, (gap / rho_i) ** beta_k
                     factor = [math.comb(beta_k + q - 1, q) * x**q / head
                               for q in range(beta_i)]
                     series = [sum(series[p] * factor[n - p] for p in range(n + 1))

@@ -33,14 +33,15 @@ leakage as it is drawn.  Conventions that must match the analytic model:
 Only the SNR and the INRs of the scenario enter a draw, as linear
 ratios read from their dB values; noise_power does not.
 
-Determinism: a run is split into chunks of DEFAULT_CHUNK samples, each
-drawn from its own SFC64 stream spawned from the master seed; draw
-order within a chunk is fixed (H0, then interferer randomness in config
-order; the eigensolve draws nothing) so results depend only on
-(scenario, n_samples, seed).  Chunks run in parallel threads (numpy's
-generators, ufuncs, einsum and batched eigh release the GIL) and are
-concatenated in chunk order, so the worker count never changes a
-result.
+Determinism: a run is split into chunks of ``chunk_draws(n_r, n_t)``
+samples, so that no per-draw array of a chunk holds more than
+CHUNK_ENTRIES complex entries.  Each chunk draws from its own SFC64
+stream spawned from the master seed; draw order within a chunk is fixed
+(H0, then interferer randomness in config order; the eigensolve draws
+nothing) so results depend only on (scenario, n_samples, seed).  Chunks
+run in parallel threads (numpy's generators, ufuncs, einsum and batched
+eigh release the GIL) and each writes its samples into its own slice of
+one array, so the worker count never changes a result.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,10 +60,12 @@ from .scenario import (OwnMode, ScenarioConfig, Technique, check_count, db_to_li
                        own_numerator_scale)
 
 RNG_NAME = "sfc64"
-# 2^14 samples: a chunk's arrays stay near the cache and a few-1e5-sample
-# run still splits into enough chunks to keep every CPU busy; on the oracle
-# benchmark (2-CPU host) it beat 2^15 and 2^16
-DEFAULT_CHUNK = 16_384
+# complex entries of one chunk's largest per-draw array: 8192 draws at 2x2,
+# 2048 at 2x4 and 4x4, 512 at 8x8.  One chunk of the reference mix then
+# allocates at most 2.0-5.0 MB (tracemalloc peak, either receiver, any
+# antenna pair), where a fixed 16384 draws took 6-8 MB at 2x2 and 59-130 MB
+# at 8x8 and ran no faster
+CHUNK_ENTRIES = 2**15
 # what run_chunks takes: a sample count numpy can index, a 64-bit seed
 MAX_SAMPLES, MAX_SEED = int(np.iinfo(np.intp).max), 2**64 - 1
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
@@ -160,7 +164,7 @@ def _top_eigpair(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Raw SINR samples (linear)."""
+    """Raw SINR samples (linear), in draw order."""
 
     samples: np.ndarray
 
@@ -168,26 +172,45 @@ class EmpiricalDistribution:
     def sample_count(self) -> int:
         return int(self.samples.size)
 
+    @cached_property
+    def _sorted(self) -> np.ndarray:
+        # the one sort that the ECDF and the histogram both read
+        return np.sort(self.samples)
+
     def ecdf(self, grid) -> np.ndarray:
         """Empirical CDF evaluated on a grid of linear SINR values."""
-        sorted_samples = np.sort(self.samples)
-        return np.searchsorted(sorted_samples, np.asarray(grid), side="right") / self.samples.size
+        return np.searchsorted(self._sorted, np.asarray(grid), side="right") / self.samples.size
 
     def histogram_db(self, edges_db: np.ndarray) -> np.ndarray:
-        """Density per dB over the given dB bin edges."""
-        vals_db = 10.0 * np.log10(self.samples[self.samples > 0])
-        counts, _ = np.histogram(vals_db, bins=edges_db)
-        widths = np.diff(edges_db)
-        return counts / (self.samples.size * widths)
+        """Density per dB over the given increasing dB bin edges.
+
+        The bins of ``np.histogram`` on 10 log10 of the positive samples,
+        the last one closed, counted on the sorted samples at the linear
+        edges 10^(e/10).
+        """
+        edges = 10.0 ** (np.asarray(edges_db) / 10.0)
+        below = np.searchsorted(self._sorted, edges, side="left")
+        below[-1] = np.searchsorted(self._sorted, edges[-1], side="right")
+        # no bin holds a sample <= 0, also where an edge underflows to 0
+        counts = np.diff(np.maximum(below, np.searchsorted(self._sorted, 0.0, side="right")))
+        return counts / (self.samples.size * np.diff(edges_db))
 
 
 # ---------------------------------------------------------------------------
 # chunk runner
 
 
-def _chunk_sizes(n_samples: int) -> list[int]:
-    full, rem = divmod(n_samples, DEFAULT_CHUNK)
-    return [DEFAULT_CHUNK] * full + ([rem] if rem else [])
+def chunk_draws(n_r: int, n_t: int) -> int:
+    """Draws per chunk: the most whose per-draw arrays each hold at most
+    CHUNK_ENTRIES complex entries.  The largest hold n_t max(n_r, n_t):
+    the n_r x n_t channels and the n_t x n_t Gram matrices, precoder
+    frames and OSTBC symbol blocks."""
+    return CHUNK_ENTRIES // (n_t * max(n_r, n_t))
+
+
+def _chunk_sizes(n_samples: int, chunk: int) -> list[int]:
+    full, rem = divmod(n_samples, chunk)
+    return [chunk] * full + ([rem] if rem else [])
 
 
 def _usable_cpus() -> int:
@@ -200,22 +223,32 @@ def run_chunks(
     simulate: Callable[[int, np.random.Generator], np.ndarray],
     n_samples: int,
     seed: int,
+    chunk: int,
 ) -> np.ndarray:
-    """Concatenated ``simulate(n, rng)`` over the DEFAULT_CHUNK-sample
-    chunks of ``n_samples``, the last one holding the remainder.
+    """``simulate(n, rng)`` over the ``chunk``-sample chunks of
+    ``n_samples``, the last one holding the remainder, in one array.
 
     ``n_samples`` is a positive integer and ``seed`` an integer in
     0..2^64-1 (``scenario.check_count``); ConfigError refuses any other.
-    Chunk i draws from the i-th SFC64 stream spawned from ``seed``, so
-    each chunk is independent of the others and of where it runs.  The
-    chunks run on up to one thread per usable CPU and are joined in
-    chunk order; an exception from any chunk is raised here.
+    ``chunk`` comes from ``chunk_draws``.  Chunk i draws from the i-th
+    SFC64 stream spawned from ``seed``, so each chunk is independent of
+    the others and of where it runs.  The chunks run on up to one thread
+    per usable CPU, each writing its slice of the result; an exception
+    from any chunk is raised here.
     """
-    sizes = _chunk_sizes(check_count(n_samples, "n_samples", MAX_SAMPLES))
+    n_samples = check_count(n_samples, "n_samples", MAX_SAMPLES)
     seed = check_count(seed, "seed", MAX_SEED, lo=0)
+    sizes = _chunk_sizes(n_samples, chunk)
     rngs = [_generator(ss) for ss in np.random.SeedSequence(seed).spawn(len(sizes))]
+    out = np.empty(n_samples)
+
+    def fill(start: int, n: int, rng: np.random.Generator) -> None:
+        out[start:start + n] = simulate(n, rng)
+
     with ThreadPoolExecutor(max_workers=min(len(sizes), _usable_cpus())) as pool:
-        return np.concatenate(list(pool.map(simulate, sizes, rngs)))
+        # reading every result raises a failed chunk's exception
+        list(pool.map(fill, range(0, n_samples, chunk), sizes, rngs))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +284,8 @@ def simulate_bf_sinr(cfg: ScenarioConfig, n_samples: int, seed: int) -> Empirica
     """
     if cfg.own_mode is not OwnMode.BEAMFORMING:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected bf")
-    samples = run_chunks(
-        lambda n, rng: _simulate_bf_chunk(cfg, n, rng), n_samples, seed)
+    samples = run_chunks(lambda n, rng: _simulate_bf_chunk(cfg, n, rng), n_samples, seed,
+                         chunk_draws(cfg.n_r, cfg.n_t))
     return EmpiricalDistribution(samples=samples)
 
 
@@ -302,6 +335,6 @@ def simulate_ostbc_sinr(cfg: ScenarioConfig, n_samples: int, seed: int) -> Empir
     """
     if cfg.own_mode is not OwnMode.OSTBC:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected ostbc")
-    samples = run_chunks(
-        lambda n, rng: _simulate_ostbc_chunk(cfg, n, rng, False), n_samples, seed)
+    samples = run_chunks(lambda n, rng: _simulate_ostbc_chunk(cfg, n, rng, False), n_samples,
+                         seed, chunk_draws(cfg.n_r, cfg.n_t))
     return EmpiricalDistribution(samples=samples)

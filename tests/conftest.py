@@ -14,6 +14,7 @@ from ranksinr import bf
 from ranksinr.montecarlo import (
     EmpiricalDistribution,
     _simulate_ostbc_chunk,
+    chunk_draws,
     run_chunks,
     simulate_bf_sinr,
     simulate_ostbc_sinr,
@@ -82,7 +83,7 @@ def ostbc_ref_component_run():
     """The reference OSTBC simulation on the component path, which the
     library takes only at n_t != 2."""
     samples = run_chunks(lambda n, rng: _simulate_ostbc_chunk(REF_OSTBC, n, rng, True),
-                         N_REF, seed=1)
+                         N_REF, 1, chunk_draws(REF_OSTBC.n_r, REF_OSTBC.n_t))
     return EmpiricalDistribution(samples=samples)
 
 

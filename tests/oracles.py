@@ -2,7 +2,8 @@
 
 Sharing no evaluation code with the closed forms: the Monte Carlo chunk
 kernels written batch-first, the draw axis leading, on the same stream
-(drawn in the library's draw-axis-last order, then moved to the front);
+(drawn in the library's draw-axis-last order, then moved to the front),
+and the library's chunk layout run serially;
 the interference sum drawn term by term; the Xi coefficients and the law
 of that sum in mpmath at any precision; the exponential-beta product of
 the OSTBC approximation chain drawn from its two factors, and that
@@ -22,7 +23,7 @@ from ranksinr import sweeps
 from ranksinr.approx import ProductDistribution
 from ranksinr.errors import ConfigError, EmptyMixtureError
 from ranksinr.inversion import _nsection
-from ranksinr.montecarlo import _generator
+from ranksinr.montecarlo import _chunk_sizes, _generator
 from ranksinr.ostbc import OstbcModel
 from ranksinr.scenario import (
     OwnMode,
@@ -112,13 +113,22 @@ def ostbc_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generato
 def exact_terms_batch_first(n_r: int, n_t: int, n_l: int, n: int,
                             rng: np.random.Generator) -> np.ndarray:
     """|c^H u|^2 / ||H0||_F^2 with u = H v, v the first column of a Haar
-    n_l-frame over sqrt(n_l) and c the first column of H0."""
+    n_l-frame over sqrt(n_l) and c the first column of H0.  That column
+    has the law of a Haar 1-frame, drawn as one."""
     h0 = complex_normal_batch_first(rng, (n, n_r, n_t))
     hi = complex_normal_batch_first(rng, (n, n_r, n_t))
-    v = haar_frames_batch_first(rng, n, n_t, n_l)[:, :, 0] / math.sqrt(n_l)
+    v = haar_frames_batch_first(rng, n, n_t, 1)[:, :, 0] / math.sqrt(n_l)
     u = np.einsum("brt,bt->br", hi, v)
     fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
     return np.abs(np.einsum("br,br->b", h0[:, :, 0].conj(), u)) ** 2 / fro2
+
+
+def serial_chunks(kernel, n_samples: int, seed: int, chunk: int) -> np.ndarray:
+    """``kernel(n, rng)`` over the library's chunk layout, one chunk after
+    another in this thread, chunk i on the i-th stream spawned from seed."""
+    sizes = _chunk_sizes(n_samples, chunk)
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    return np.concatenate([kernel(n, _generator(ss)) for n, ss in zip(sizes, children)])
 
 
 def sample_sum(rates, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -138,7 +148,8 @@ def xi_series(rates, multiplicities, dps=40):
 
     Every convolution sum is exactly rounded by ``mpmath.fsum``.  Rounded
     to double at 40 digits, this is the library's form before it moved
-    to ``decimal``.
+    to ``decimal``, with 1 - rho_k/rho_i formed, as there, from the gap
+    rho_i - rho_k, which is exact for rates less than a factor 2^80 apart.
     """
     xi = {}
     groups = list(zip(rates, multiplicities))
@@ -148,8 +159,8 @@ def xi_series(rates, multiplicities, dps=40):
             for k, (rho_k, beta_k) in enumerate(groups):
                 if k == i:
                     continue
-                r = mpmath.mpf(rho_k) / mpmath.mpf(rho_i)
-                x, head = r / (r - 1), (1 - r) ** beta_k
+                gap = mpmath.mpf(rho_i) - mpmath.mpf(rho_k)
+                x, head = -mpmath.mpf(rho_k) / gap, (gap / rho_i) ** beta_k
                 factor = [math.comb(beta_k + q - 1, q) * x**q / head
                           for q in range(beta_i)]
                 series = [mpmath.fsum(series[p] * factor[n - p] for p in range(n + 1))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from ranksinr import approx
 from ranksinr.approx import (
     ProductDistribution,
     compare_chain,
@@ -20,10 +21,10 @@ from ranksinr.approx import (
     simulate_exact_terms,
 )
 from ranksinr.errors import ConfigError, UnsupportedDimensionError
-from ranksinr.montecarlo import _generator, complex_normal
+from ranksinr.montecarlo import chunk_draws, complex_normal
 
 from conftest import ks_distance
-from oracles import product_mean_quadrature, product_pdf_mp, sample_product
+from oracles import product_mean_quadrature, product_pdf_mp, sample_product, serial_chunks
 
 
 def test_dimension_validation():
@@ -175,17 +176,20 @@ def test_exact_simulation_mean():
 
 @pytest.mark.parametrize("n_r,n_t,n_l", [(2, 2, 1), (2, 2, 2), (3, 4, 3), (4, 4, 4), (2, 8, 8)])
 def test_exact_terms_use_the_first_column_of_a_full_frame(n_r, n_t, n_l):
-    # reference: the whole n_l-frame orthonormalised by a phase-fixed QR,
-    # first column kept; one chunk draws from the first spawned stream
+    # reference: a Haar frame's first column has the law of a Haar 1-frame,
+    # orthonormalised here by a phase-fixed QR; chunk i of the library's
+    # layout draws from the i-th spawned stream
+    def chunk(n, rng):
+        h0 = complex_normal(rng, (n_r, n_t, n))
+        hi = complex_normal(rng, (n_r, n_t, n))
+        q, r = np.linalg.qr(np.moveaxis(complex_normal(rng, (n_t, 1, n)), -1, 0))
+        v = q[:, :, 0] * (r[:, 0, 0] / np.abs(r[:, 0, 0])).conj()[:, None] / math.sqrt(n_l)
+        u = np.einsum("rtb,bt->br", hi, v)
+        fro2 = np.sum(np.abs(h0) ** 2, axis=(0, 1))
+        return np.abs(np.einsum("rb,br->b", h0[:, 0].conj(), u)) ** 2 / fro2
+
     n, seed = 5_000, 31
-    rng = _generator(np.random.SeedSequence(seed).spawn(1)[0])
-    h0 = complex_normal(rng, (n_r, n_t, n))
-    hi = complex_normal(rng, (n_r, n_t, n))
-    q, r = np.linalg.qr(np.moveaxis(complex_normal(rng, (n_t, n_l, n)), -1, 0))
-    v = q[:, :, 0] * (r[:, 0, 0] / np.abs(r[:, 0, 0])).conj()[:, None] / math.sqrt(n_l)
-    u = np.einsum("rtb,bt->br", hi, v)
-    fro2 = np.sum(np.abs(h0) ** 2, axis=(0, 1))
-    ref = np.abs(np.einsum("rb,br->b", h0[:, 0].conj(), u)) ** 2 / fro2
+    ref = serial_chunks(chunk, n, seed, chunk_draws(n_r, n_t))
     s = simulate_exact_terms(n_r, n_t, n_l, n, seed)
     assert np.max(np.abs(s - ref) / ref) <= 1e-12
 
@@ -200,6 +204,28 @@ def test_chain_report_fields_and_rows():
     assert abs(rep.mean_exact - 0.5) < 5 * rep.se_exact
     for key in ("exact_vs_product", "exact_vs_exp", "product_vs_exp"):
         assert set(rep.distances[key]) == {"ks", "l1"}
+
+
+def test_chain_bins_and_cdf_match_the_histogram_forms(monkeypatch):
+    grid = np.linspace(0.0, 3.0, 300)
+    rng = np.random.default_rng(12)
+    # zeros, every grid point (the top one too) and points past it
+    samples = np.concatenate([rng.exponential(0.5, 30_000), np.zeros(11),
+                              np.repeat(grid, 2), [3.5, 40.0]])
+    rng.shuffle(samples)
+    monkeypatch.setattr(approx, "simulate_exact_terms", lambda *args: samples.copy())
+    rep = compare_chain(2, 2, 1, n_samples=samples.size, seed=0)
+    counts, _ = np.histogram(samples, bins=np.append(grid, np.inf))
+    expect = counts[:-1] / (samples.size * np.diff(grid))
+    assert rep.exact_density.tobytes() == np.append(expect, expect[-1]).tobytes()
+    cdf = np.searchsorted(np.sort(samples), grid, side="right") / samples.size
+    product = product_pdf(grid, rep.pd)
+    trapezoids = np.diff(grid) * (product[1:] + product[:-1]) / 2.0
+    product_cdf = np.concatenate([[0.0], np.cumsum(trapezoids)])
+    assert rep.distances["exact_vs_product"]["ks"] == float(np.max(np.abs(cdf - product_cdf)))
+    # the moments are those of the samples in draw order
+    assert rep.mean_exact == float(np.mean(samples))
+    assert rep.se_exact == float(np.std(samples) / math.sqrt(samples.size))
 
 
 def test_independence_approximation_is_tight():

@@ -21,7 +21,7 @@ from ranksinr import cli
 from ranksinr.engine import SinrModel
 from ranksinr.errors import NumericInstabilityError
 from ranksinr.mixture import MixtureSpec, cdf_y, pdf_y
-from ranksinr.montecarlo import DEFAULT_CHUNK
+from ranksinr.montecarlo import chunk_draws
 from ranksinr.scenario import build_rate_set, load_config
 
 from oracles import law_gaps, xi_series
@@ -138,6 +138,17 @@ def test_outage_with_mc_columns(tmp_path, capsys):
     for r in rows:
         cf, emp, se = float(r[1]), float(r[2]), float(r[3])
         assert abs(emp - cf) < max(5 * se, 0.01)
+
+
+@pytest.mark.parametrize("n_r,n_t", [(1, 1), (2, 4), (8, 1), (8, 8)])
+def test_mc_metadata_reports_the_chunk_of_the_antenna_pair(tmp_path, capsys, n_r, n_t):
+    cfg = write_cfg(tmp_path, n_r=n_r, n_t=n_t, interferers=[])
+    for command in (["outage", "--mc", "--grid=0:10:5"], ["approx-validate"]):
+        code, out, _ = run(capsys, *command, "--config", cfg, "--samples", "5")
+        # five draws may fail approx-validate's mean check; it reports either way
+        assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+        meta, _, _ = parse_csv(out)
+        assert meta["chunk_size"] == str(chunk_draws(n_r, n_t)), command
 
 
 def test_pdf_mc_density_tracks_closed_form(tmp_path, capsys):
@@ -500,7 +511,8 @@ def test_approx_validate_json(tmp_path, capsys):
     assert set(doc["means"]) == {"exact", "product", "exp_approx"}
     assert "product_vs_exp" in doc["distances"]
     assert doc["meta"]["rng"] == "sfc64"
-    assert doc["meta"]["chunk_size"] == str(DEFAULT_CHUNK)
+    # the chunk rule of the 2x2 config, the exact-terms runner's too
+    assert doc["meta"]["chunk_size"] == str(chunk_draws(2, 2))
 
 
 # --- determinism ---
@@ -669,7 +681,7 @@ def test_chunk_size_is_not_an_option(tmp_path, capsys, command):
     # the Monte Carlo chunk size is fixed: a run depends on its seed and
     # sample count alone
     cfg = write_cfg(tmp_path)
-    code = parse_exit_code(*command, "--config", cfg, "--chunk-size", str(DEFAULT_CHUNK))
+    code = parse_exit_code(*command, "--config", cfg, "--chunk-size", str(chunk_draws(2, 2)))
     assert code == cli.EXIT_CONFIG
     assert "unrecognized arguments: --chunk-size" in capsys.readouterr().err
 

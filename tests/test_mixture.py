@@ -174,6 +174,14 @@ def test_decimal_series_matches_mpmath_series(groups):
     assert_matches_mpmath_series(build_mixture(rates))
 
 
+def test_rates_an_ulp_apart_give_correctly_rounded_coefficients():
+    # 1 - rho_k/rho_i in 40 digits once rounded Xi_11 to ...7p+309; the gap
+    # rho_i - rho_k is exact
+    spec = build_mixture([1.0] * 3 + [1.0 + 2.0**-51] * 4)
+    assert spec.xi[(1, 1)].hex() == "-0x1.4000000000008p+309"
+    assert_matches_mpmath_series(spec)
+
+
 @pytest.mark.parametrize("n_groups, beta", [(4, 64), (8, 32), (8, 64)])
 def test_decimal_series_matches_mpmath_series_at_large_sizes(n_groups, beta):
     # scales log-spaced over the drawn range 10^1.5 .. 10^-1

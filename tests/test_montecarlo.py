@@ -19,6 +19,7 @@ from ranksinr.montecarlo import (
     EmpiricalDistribution,
     _generator,
     _top_eigpair,
+    chunk_draws,
     complex_normal,
     haar_columns,
     qpsk_symbols,
@@ -40,6 +41,7 @@ from oracles import (
     exact_terms_batch_first,
     haar_frames_batch_first,
     ostbc_chunk_batch_first,
+    serial_chunks,
 )
 
 
@@ -141,17 +143,19 @@ def test_qpsk_symbols_index_the_constellation_by_integers():
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_bf_without_interference_is_rho_times_top_singular_value_squared(n):
-    # one chunk draws H0 first from the first spawned stream; without
+    # each chunk draws H0 first from its spawned stream; without
     # interferers each sample is rho * sigma_max(H0)^2
     cfg = ScenarioConfig(
         n_r=n, n_t=n, noise_power=1.0, snr_db=10.0, own_mode=OwnMode.BEAMFORMING
     )
     seed, draws = 17, 2_000
     dist = simulate_bf_sinr(cfg, draws, seed=seed)
-    rng = _generator(np.random.SeedSequence(seed).spawn(1)[0])
-    h0 = complex_normal(rng, (n, n, draws))
-    sigma_max = np.linalg.svd(np.moveaxis(h0, -1, 0), compute_uv=False)[:, 0]
-    expected = own_numerator_scale(cfg) * sigma_max**2
+
+    def chunk(size, rng):
+        h0 = complex_normal(rng, (n, n, size))
+        return np.linalg.svd(np.moveaxis(h0, -1, 0), compute_uv=False)[:, 0] ** 2
+
+    expected = own_numerator_scale(cfg) * serial_chunks(chunk, draws, seed, chunk_draws(n, n))
     assert np.max(np.abs(dist.samples / expected - 1.0)) <= 1e-12
 
 
@@ -316,46 +320,108 @@ def test_histogram_density_in_db():
     assert 0.97 < mass <= 1.0 + 1e-9
 
 
-def test_chunking_covers_all_samples(monkeypatch):
-    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 50_000)
-    assert montecarlo._chunk_sizes(123_457) == [50_000, 50_000, 23_457]
+# dB edges whose linear value maps back onto the edge in double, so that a
+# sample exactly on an edge falls in the same bin in either scale
+_ROUND_TRIP_EDGES = np.array([-20.0, -10.0, -7.5, -5.0, -2.5, 0.0, 2.5, 5.0, 7.5, 10.0, 20.0])
+
+
+def test_one_sort_ecdf_and_histogram_match_the_log_forms():
+    linear_edges = 10.0 ** (_ROUND_TRIP_EDGES / 10.0)
+    assert np.array_equal(10.0 * np.log10(linear_edges), _ROUND_TRIP_EDGES)
+    rng = np.random.default_rng(5)
+    samples = np.concatenate([
+        rng.exponential(2.0, 20_000),
+        np.zeros(37),  # no dB value: counted in no bin, but in the sample count
+        np.repeat(linear_edges, 3),  # every edge, the top one (a closed bin) too
+        [1e3, 1e-5],  # above and below every bin
+    ])
+    rng.shuffle(samples)
+    dist = EmpiricalDistribution(samples=samples)
+    positive = samples[samples > 0]
+    counts, _ = np.histogram(10.0 * np.log10(positive), bins=_ROUND_TRIP_EDGES)
+    expect = counts / (samples.size * np.diff(_ROUND_TRIP_EDGES))
+    assert dist.histogram_db(_ROUND_TRIP_EDGES).tobytes() == expect.tobytes()
+    # bins of unequal width, on edges that do not round trip
+    edges = np.sort(rng.uniform(-25.0, 15.0, 40))
+    counts, _ = np.histogram(10.0 * np.log10(positive), bins=edges)
+    expect = counts / (samples.size * np.diff(edges))
+    assert dist.histogram_db(edges).tobytes() == expect.tobytes()
+    grid = np.concatenate([[0.0, -1.0], linear_edges, rng.exponential(2.0, 50)])
+    expect = np.searchsorted(np.sort(samples), grid, side="right") / samples.size
+    assert dist.ecdf(grid).tobytes() == expect.tobytes()
+    # the raw samples keep their draw order
+    assert np.array_equal(dist.samples, samples)
+
+
+@pytest.mark.parametrize("n_r", range(1, 9))
+def test_every_antenna_pair_gets_a_chunk_within_the_budget(n_r, monkeypatch):
+    seen = []
+
+    def spy(simulate, n_samples, seed, chunk):
+        seen.append(chunk)
+        return run_chunks(simulate, n_samples, seed, chunk)
+
+    monkeypatch.setattr(montecarlo, "run_chunks", spy)
+    monkeypatch.setattr(approx, "run_chunks", spy)
+    for n_t in range(1, 9):
+        chunk = chunk_draws(n_r, n_t)
+        # the most draws whose n_r x n_t channels and n_t x n_t Gram
+        # matrices each fit the budget
+        largest = max(n_r * n_t, n_t * n_t)
+        assert chunk * largest <= montecarlo.CHUNK_ENTRIES < (chunk + 1) * largest
+        seen.clear()
+        for mode, simulate in ((OwnMode.BEAMFORMING, simulate_bf_sinr),
+                               (OwnMode.OSTBC, simulate_ostbc_sinr)):
+            cfg = ScenarioConfig(n_r=n_r, n_t=n_t, noise_power=1.0, snr_db=10.0,
+                                 own_mode=mode, interferers=REF_BF.interferers[:2])
+            assert simulate(cfg, 3, seed=0).sample_count == 3
+        assert simulate_exact_terms(n_r, n_t, 1, 3, 0).shape == (3,)
+        assert seen == [chunk] * 3, (n_r, n_t)
+
+
+def test_chunking_covers_all_samples():
+    assert montecarlo._chunk_sizes(123_457, 50_000) == [50_000, 50_000, 23_457]
+    chunk = chunk_draws(REF_BF.n_r, REF_BF.n_t)
+    assert montecarlo._chunk_sizes(123_457, chunk) == [chunk] * 15 + [123_457 - 15 * chunk]
     dist = simulate_bf_sinr(REF_BF, 123_457, seed=1)
     assert dist.sample_count == 123_457
 
 
-_CHUNK, _N_CHUNKED = 1_000, 3_357  # three full chunks and a remainder
 _RUNNERS = {
-    "bf": (lambda seed: simulate_bf_sinr(REF_BF, _N_CHUNKED, seed).samples,
+    "bf": ((REF_BF.n_r, REF_BF.n_t),
+           lambda n, seed: simulate_bf_sinr(REF_BF, n, seed).samples,
            lambda n, rng: montecarlo._simulate_bf_chunk(REF_BF, n, rng)),
     "ostbc-alamouti": (
-        lambda seed: simulate_ostbc_sinr(REF_OSTBC, _N_CHUNKED, seed).samples,
+        (REF_OSTBC.n_r, REF_OSTBC.n_t),
+        lambda n, seed: simulate_ostbc_sinr(REF_OSTBC, n, seed).samples,
         lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng, False)),
     # the library takes the component path only at n_t != 2
     "ostbc-component": (
-        lambda seed: run_chunks(
-            lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng, True),
-            _N_CHUNKED, seed),
+        (REF_OSTBC.n_r, REF_OSTBC.n_t),
+        lambda n, seed: run_chunks(
+            lambda m, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, m, rng, True),
+            n, seed, chunk_draws(REF_OSTBC.n_r, REF_OSTBC.n_t)),
         lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng, True)),
     "exact-terms": (
-        lambda seed: simulate_exact_terms(2, 4, 2, _N_CHUNKED, seed),
+        (2, 4),
+        lambda n, seed: simulate_exact_terms(2, 4, 2, n, seed),
         lambda n, rng: approx._exact_terms_chunk(2, 4, 2, n, rng)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_RUNNERS))
 def test_results_do_not_depend_on_the_worker_count(name, monkeypatch):
-    # reference: the chunks one after another in this thread, chunk i on
-    # the i-th spawned stream
-    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", _CHUNK)
-    run, chunk = _RUNNERS[name]
-    seed = 23
-    children = np.random.SeedSequence(seed).spawn(4)
-    sizes = [_CHUNK] * 3 + [_N_CHUNKED - 3 * _CHUNK]
-    serial = np.concatenate([chunk(n, _generator(ss)) for n, ss in zip(sizes, children)])
-    assert run(seed).tobytes() == serial.tobytes()
+    # reference: the chunks of the library's layout one after another in
+    # this thread, chunk i on the i-th spawned stream
+    dims, run, chunk = _RUNNERS[name]
+    size = chunk_draws(*dims)
+    n, seed = 3 * size + 357, 23  # three full chunks and a remainder
+    assert montecarlo._chunk_sizes(n, size) == [size] * 3 + [357]
+    serial = serial_chunks(chunk, n, seed, size)
+    assert run(n, seed).tobytes() == serial.tobytes()
     for workers in (1, 3):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
-        assert run(seed).tobytes() == serial.tobytes()
+        assert run(n, seed).tobytes() == serial.tobytes()
 
 
 @pytest.mark.parametrize("simulate,cfg", [
@@ -367,10 +433,11 @@ def test_an_error_inside_a_chunk_reaches_the_caller(simulate, cfg, monkeypatch):
     def fail(rng, shape):
         raise RuntimeError("symbol draw failed")
 
-    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", _CHUNK)
+    # a budget of 64 entries: chunks of 16 draws at 2x2 and 8 at 2x4
+    monkeypatch.setattr(montecarlo, "CHUNK_ENTRIES", 64)
     monkeypatch.setattr(montecarlo, "qpsk_symbols", fail)
     with pytest.raises(RuntimeError, match="symbol draw failed"):
-        simulate(cfg, _N_CHUNKED, 0)
+        simulate(cfg, 3_357, 0)
 
 
 @pytest.mark.parametrize("simulate,cfg", [
