@@ -54,6 +54,7 @@ and it falls as a grows.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,7 +63,7 @@ import numpy as np
 from . import inversion, mixture
 from .errors import ConfigError, NumericInstabilityError
 from .mixture import MixtureSpec
-from .scenario import build_rate_set, check_points, own_numerator_scale
+from .scenario import build_rate_set, check_indices, check_points, own_numerator_scale
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -227,16 +228,21 @@ class SinrModel:
             scale = self._pdf_scale / self._rho_bar[rows]
             return _sum_rows(scale * self._per_term(d))
 
+    def _rows(self, rows) -> np.ndarray:
+        """The row indices `rows` (``scenario.check_indices``), all rows for None."""
+        n = self._rho_bar.size
+        return np.arange(n) if rows is None else check_indices(rows, "rows", n)
+
     def _evaluate(self, kernel, arr: np.ndarray, rows) -> np.ndarray:
         """kernel at every point of arr in blocks of at most BLOCK columns;
         in a model of several rows axis 0 runs over `rows`, or all rows."""
-        rows = np.arange(self._rho_bar.size) if rows is None else np.asarray(rows)
-        if rows.size > 1 and arr.shape[:1] != rows.shape:
-            raise ValueError(f"axis 0 of gamma must run over {rows.size} model rows")
+        rows = self._rows(rows)
+        if rows.size != 1 and arr.shape[:1] != rows.shape:
+            raise ConfigError(f"axis 0 of gamma must run over {rows.size} model rows")
         # one row's rates broadcast over its points, several rows' are
         # gathered point by point
         one, flat = rows.size == 1, arr.ravel()
-        point_rows = rows.item() if one else np.repeat(rows, flat.size // rows.size)
+        point_rows = rows.item() if one else rows.repeat(math.prod(arr.shape[1:]))
         step = max(1, BLOCK // self.kvals.size)
         out = [kernel(flat[s:s + step], point_rows if one else point_rows[s:s + step])
                for s in range(0, flat.size, step)]
@@ -257,16 +263,21 @@ class SinrModel:
 
     def outage(self, gamma0, rows=None):
         """P(SINR <= gamma0), scalar or array; in a model of several rows
-        axis 0 runs over the row indices `rows`, all rows by default."""
+        axis 0 runs over the row indices `rows`, all rows by default.
+        An index outside 0..n_rows-1, or a gamma0 whose axis 0 does not
+        run over the rows, is refused with ConfigError; no rows and no
+        points answer an empty array."""
         arr = check_points(gamma0, "gamma0", positive=True)
         return inversion.clamp_probability(self._evaluate(self._outage, arr, rows))
 
     def threshold(self, p_target: float, rows=None):
-        """Outage threshold gamma0 with outage(gamma0) = p_target: a float, or one
-        per row of `rows` (all by default) of a model of several, inverted together."""
-        rows = np.arange(self._rho_bar.size) if rows is None else np.asarray(rows)
+        """Outage threshold gamma0 with outage(gamma0) = p_target: a float for a
+        model of one row, or one per index of `rows` (all rows by default),
+        inverted together; `rows` follows the rule of `outage`."""
+        one = rows is None and np.ndim(self.rho_bar) == 0
+        rows = self._rows(rows)
         # looked up on the module at call time, like self.outage on the
         # class, so that wrappers installed there see every inversion
         thr = inversion.threshold_at_outage(lambda x, at: self.outage(x, rows[at]),
                                             p_target, rows.size)
-        return thr if np.ndim(self.rho_bar) else float(thr[0])
+        return float(thr[0]) if one else thr

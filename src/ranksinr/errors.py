@@ -30,8 +30,9 @@ class NumericInstabilityError(RankSinrError):
 class ConfigError(RankSinrError):
     """Raised for an input value outside its rule: a malformed
     configuration file, and a count, real number, dB value, probability,
-    enum member or evaluation point that the rules of ``scenario``
-    refuse, in a file or passed to the Python API.  The CLI exits 2.
+    enum member, evaluation point or model row index that the rules of
+    ``scenario`` refuse, in a file or passed to the Python API.  The CLI
+    exits 2.
     """
 
 

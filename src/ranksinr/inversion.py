@@ -5,12 +5,16 @@ row at once: one call on a x4 lattice brackets the target and keeps the
 outages F at the bracket ends, then each n-section call evaluates
 SECTIONS points per row.  Most of them sit in a window around the secant
 estimate of the crossing, the straight line through the bracket ends in
-(log gamma, log F), or in (log gamma, log(1 - F)) for targets above 1/2,
-where log F flattens: on a smooth curve it misses by about the square of
-the bracket's relative width, so a window that holds the crossing takes
-the bracket from 3 to about 2e-2, 5e-6 and the 1e-10 tolerance in three
-calls.  The rest are spread evenly over the bracket, so a window that
-misses, on a noisy or strongly bent curve, still shrinks it 9-fold.
+(log gamma, log(-log(1 - F))).  An outage curve is straight there in both
+tails: F ~ c gamma^N in the lower one, where -log(1 - F) ~ F, and
+-log(1 - F) ~ k gamma in the upper one.  On a smooth curve the secant
+misses by about the square of the bracket's relative width, so a window
+that holds the crossing takes the bracket from 3 to about 2e-2, 5e-6 and
+the 1e-10 tolerance in three calls.  The rest are spread evenly over the
+bracket, so a window that misses, on a noisy or strongly bent curve,
+still shrinks it 9-fold.  The steering is a few float operations per row
+and call, kept in Python floats; only the points and their outages are
+arrays, one (rows, SECTIONS) block per call.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ INNER = slice(249 - 75, 249 + 76)
 SECTIONS = 32
 EVEN = np.arange(1, 9) / 9.0
 WINDOW = np.arange(1, SECTIONS - EVEN.size + 1) / (SECTIONS - EVEN.size + 1)
+# a row's points are base + scale * FRACTIONS, base and scale read from its
+# (lo, width, window start, window width) at the columns BASE and SCALE
+FRACTIONS = np.concatenate([EVEN, WINDOW])
+BASE = np.repeat([0, 2], [EVEN.size, WINDOW.size])
+SCALE = BASE + 1
 # the window's half-width over the estimate: WINDOW_SCALE w^2 for a bracket
 # of relative width w (the secant misses by about that on a smooth curve),
 # at most WINDOW_MAX (what the x4 lattice bracket gets) and at least half
@@ -47,9 +56,6 @@ WINDOW = np.arange(1, SECTIONS - EVEN.size + 1) / (SECTIONS - EVEN.size + 1)
 # the search
 WINDOW_SCALE = 0.25
 WINDOW_MAX = 0.2
-# where a row's new lo, hi, f_lo and f_hi sit in its (2, SECTIONS + 2)
-# block, points then values, relative to its first point reaching the target
-PICKS = np.array([-1, 0, SECTIONS + 1, SECTIONS + 2])
 # relative width at which threshold_at_outage stops n-sectioning
 THRESHOLD_REL_TOL = 1e-10
 
@@ -74,12 +80,16 @@ def clamp_probability(p):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _first_true(hits: np.ndarray) -> np.ndarray:
-    """Per row of hits, the index of the first True, or of a True past the end."""
-    padded = np.empty((hits.shape[0], hits.shape[1] + 1), dtype=bool)
-    padded[:, -1] = True
-    padded[:, :-1] = hits
-    return padded.argmax(axis=1)
+def _first_reaching(f: np.ndarray, p_target: float) -> list[int]:
+    """Per row of f, the index of its first value at or above p_target,
+    or 0 where none is."""
+    return (f >= p_target).argmax(axis=1).tolist()
+
+
+def _log_hazard(f: float) -> float:
+    """log(-log(1 - f)), the coordinate in which a probability target is
+    steered, for f in (0, 1)."""
+    return math.log(-math.log1p(-f))
 
 
 def _nsection(outage_fn, p_target: float, bracket, rel_tol: float) -> np.ndarray:
@@ -89,80 +99,88 @@ def _nsection(outage_fn, p_target: float, bracket, rel_tol: float) -> np.ndarray
     indices rows, to values that cross p_target once per row: below it
     at lo, at least p_target at hi.  bracket is (lo, hi, f_lo, f_hi),
     f the values at lo and hi.  Each call on SECTIONS interior points of
-    every open bracket keeps the sub-interval where the values reach
-    p_target, with its end values; a row drops out once its bracket is
-    rel_tol wide or stops shrinking.  A row's points depend on its own
-    bracket alone: EVEN spread over it, WINDOW around the secant
-    estimate of the crossing in (log x, log f), or in (log x,
-    log(1 - f)) for p_target in (1/2, 1), or around the geometric
-    midpoint where f_lo is 0, or f_hi is 1 in that range.
+    every open bracket keeps the sub-interval that ends at the first
+    point reaching p_target, with its end values; a row drops out once
+    its bracket is rel_tol wide or stops shrinking.  A row's points
+    depend on its own bracket alone, and its bookkeeping runs in floats
+    of its own: EVEN spread over the bracket, WINDOW around the secant
+    estimate of the crossing in (log x, log(-log(1 - f))) for a
+    probability p_target, in (log x, log f) for a target of 1 or more,
+    or around the geometric midpoint where that coordinate is infinite
+    at an end (f_lo = 0, or f_hi = 1 for a probability).
     """
-    # lo, hi, f_lo, f_hi of every row
-    ends = np.stack(bracket, axis=1, dtype=np.float64)
-    # for a probability above 1/2 the secant runs in log(1 - f), where
-    # log f flattens; a target of 1 or more is no probability
-    upper = 0.5 < p_target < 1.0
-    log_p = math.log1p(-p_target) if upper else math.log(p_target)
-    rows = np.flatnonzero(ends[:, 1] - ends[:, 0] > rel_tol * ends[:, 0])
-    # the same, in xf.ravel(), for the block of the j-th open row
-    picks = 2 * (SECTIONS + 2) * np.arange(rows.size)[:, None] + PICKS
-    while rows.size:
-        e = ends[rows]
-        l, h, width = e[:, 0], e[:, 1], e[:, 1] - e[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_f = np.log1p(-e[:, 2:]) if upper else np.log(e[:, 2:])
-            t = (log_p - log_f[:, 0]) / (log_f[:, 1] - log_f[:, 0])
-        t[e[:, 3] >= 1.0 if upper else e[:, 2] <= 0.0] = 0.5
-        w = width / l
-        est = l * (1.0 + w) ** t
-        half = est * np.minimum(np.maximum(WINDOW_SCALE * w * w, 0.5 * rel_tol), WINDOW_MAX)
-        a = np.maximum(est - half, l)
-        # each row's points from l to h, both ends exact, and their values;
-        # no point rounds past either end, so sorting keeps them in place
-        xf = np.empty((rows.size, 2, SECTIONS + 2))
-        x, f = xf[:, 0], xf[:, 1]
-        xf[:, :, 0], xf[:, :, -1] = e[:, ::2], e[:, 1::2]
-        np.add(l[:, None], width[:, None] * EVEN, out=x[:, 1:EVEN.size + 1])
-        np.add(a[:, None], (np.minimum(est + half, h) - a)[:, None] * WINDOW,
-               out=x[:, EVEN.size + 1:-1])
+    # (lo, hi, f_lo, f_hi) of every row
+    ends = list(zip(*(map(float, b) for b in bracket)))
+    if p_target < 1.0:
+        coordinate, top = _log_hazard, 1.0
+    else:
+        coordinate, top = math.log, math.inf
+    u_target, floor = coordinate(p_target), 0.5 * rel_tol
+    rows = [j for j, (l, h, _, _) in enumerate(ends) if h - l > rel_tol * l]
+    while rows:
+        spans = []
+        for l, h, fl, fh in map(ends.__getitem__, rows):
+            w = (h - l) / l
+            t = 0.5
+            if 0.0 < fl and fh < top:
+                u_lo = coordinate(fl)
+                du = coordinate(fh) - u_lo
+                if du > 0.0:
+                    t = (u_target - u_lo) / du
+            est = l * (1.0 + w) ** t
+            half = est * min(max(WINDOW_SCALE * w * w, floor), WINDOW_MAX)
+            a = max(est - half, l)
+            spans.append((l, h - l, a, min(est + half, h) - a))
+        # no point rounds past either end of its bracket, so sorting a row
+        # keeps its points between them
+        c = np.array(spans)
+        x = c[:, BASE]
+        x += c[:, SCALE] * FRACTIONS
         x.sort(axis=1)
-        f[:, 1:-1] = outage_fn(x[:, 1:-1], rows)
-        # f_lo < p_target <= f_hi, so the first point that reaches it is inner or h
-        ends[rows] = new = xf.ravel()[(f >= p_target).argmax(axis=1)[:, None] + picks[:rows.size]]
-        # a bracket a few ulps wide stops shrinking
-        new_width = new[:, 1] - new[:, 0]
-        rows = rows[(new_width < width) & (new_width > rel_tol * new[:, 0])]
-    return 0.5 * (ends[:, 0] + ends[:, 1])
+        f = np.asarray(outage_fn(x, np.array(rows)))
+        still = []
+        for j, k, xs, fs in zip(rows, _first_reaching(f, p_target), x.tolist(), f.tolist()):
+            l, h, fl, fh = ends[j]
+            # f_lo < p_target <= f_hi: the bracket ends at the first point
+            # that reaches p_target, or at hi where none does
+            if fs[k] < p_target:
+                ends[j] = new = xs[-1], h, fs[-1], fh
+            elif k:
+                ends[j] = new = xs[k - 1], xs[k], fs[k - 1], fs[k]
+            else:
+                ends[j] = new = l, xs[0], fl, fs[0]
+            # a bracket a few ulps wide stops shrinking
+            if rel_tol * new[0] < new[1] - new[0] < h - l:
+                still.append(j)
+        rows = still
+    return np.array([0.5 * (l + h) for l, h, _, _ in ends])
 
 
-def _bracket(outage_fn, p_target: float, n_rows: int):
+def _bracket(outage_fn, p_target: float, n_rows: int) -> list[tuple[float, ...]]:
     """Neighbouring lattice points lo < hi per row, the outage below
     p_target at lo, and the outages there: (lo, hi, f_lo, f_hi)."""
     inner = LATTICE[INNER]
     f = np.asarray(outage_fn(inner[None].repeat(n_rows, axis=0), np.arange(n_rows)))
-    i = _first_true(f >= p_target)
-    # the rows with i = 0 or i = inner.size get their bracket below
-    lo, hi = LATTICE[INNER.start - 1 + i], LATTICE[INNER.start + i]
-    at = np.arange(n_rows)
-    f_lo, f_hi = f[at, i - 1], f[at, i % inner.size]
-    rows = np.flatnonzero(i % inner.size == 0)
-    if rows.size:
-        # the rows outside the inner part search the outer part on their side
-        x = np.where((i[rows] == 0)[:, None], LATTICE[:INNER.start + 1],
-                     LATTICE[INNER.stop - 1:])
-        f = np.asarray(outage_fn(x, rows))
-        j = _first_true(f >= p_target)
-        bad = (j == 0) | (j == x.shape[1])
-        if bad.any():
-            raise NumericInstabilityError(
-                f"no threshold above 1e-150 stays under outage {p_target}"
-                if j[bad.argmax()] == 0 else
-                f"no threshold below 1e150 reaches outage {p_target}"
-            )
-        at = np.arange(rows.size)
-        lo[rows], hi[rows] = x[at, j - 1], x[at, j]
-        f_lo[rows], f_hi[rows] = f[at, j - 1], f[at, j]
-    return lo, hi, f_lo, f_hi
+    # per row its points, their outages and the index of the first that
+    # reaches p_target
+    crossings = list(zip([inner] * n_rows, f, _first_reaching(f, p_target)))
+    # a row whose first point reaches the target searches the outer part
+    # below, a row where none does the outer part above
+    rows = [j for j, (_, _, i) in enumerate(crossings) if i == 0]
+    if rows:
+        x = np.array([LATTICE[:INNER.start + 1] if crossings[j][1][0] >= p_target
+                      else LATTICE[INNER.stop - 1:] for j in rows])
+        f = np.asarray(outage_fn(x, np.array(rows)))
+        for j, xs, fs, i in zip(rows, x, f, _first_reaching(f, p_target)):
+            if i == 0:
+                raise NumericInstabilityError(
+                    f"no threshold above 1e-150 stays under outage {p_target}"
+                    if fs[0] >= p_target else
+                    f"no threshold below 1e150 reaches outage {p_target}"
+                )
+            crossings[j] = xs, fs, i
+    ends = [(xs[i - 1], xs[i], fs[i - 1], fs[i]) for xs, fs, i in crossings]
+    return list(zip(*ends)) or [()] * 4
 
 
 def threshold_at_outage(outage_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -179,10 +197,11 @@ def threshold_at_outage(outage_fn: Callable[[np.ndarray, np.ndarray], np.ndarray
     the secant estimate of the crossing from the bracket ends, so a
     threshold takes about four calls in all.  Each row sees the points
     it would see alone, so a batch takes as many calls as its slowest
-    row.  The curves are CDFs, hence monotone with full support, so a
-    bracket always exists within floating range; a row without one
-    refuses all.  A p_target outside (0, 1), NaN included, is refused
-    with ConfigError (``scenario.check_probability``).
+    row, and each threshold has the bits of its one-row inversion.  The
+    curves are CDFs, hence monotone with full support, so a bracket
+    always exists within floating range; a row without one refuses all.
+    A p_target outside (0, 1), NaN included, is refused with ConfigError
+    (``scenario.check_probability``).
     """
     p_target = check_probability(p_target, "target outage")
     return _nsection(outage_fn, p_target, _bracket(outage_fn, p_target, n_rows),

@@ -23,6 +23,7 @@ bool and every non-integer are refused, a numpy integer becomes an
 int), ``check_real`` (an int or float, numpy's too, as a float; bool
 and str are refused), ``check_probability`` (a real number in (0, 1)),
 ``check_points`` (evaluation points, finite and > 0 or >= 0),
+``check_indices`` (indices of the rows of a model, integers in 0..n-1),
 ``check_enum`` (an enum member, given as itself or by its value) and
 ``db_to_linear`` (a dB value whose linear value is positive and finite).
 Each refusal is a ConfigError that names the value.  ScenarioConfig and
@@ -96,6 +97,21 @@ def check_points(x, what: str, positive: bool = False) -> np.ndarray:
                             and arr.max() < math.inf):
             return arr
     raise ConfigError(f"{what} must be finite and {'>' if positive else '>='} 0, got {x!r}")
+
+
+def check_indices(values, what: str, n: int) -> np.ndarray:
+    """Indices of n items, an integer or a 1-d sequence or array of them,
+    as a 1-d intp array, empty for an empty sequence.  Each must lie in
+    0..n-1: a negative index, one past the end, bool and non-integer
+    entries raise ConfigError, naming `what`.  A sequence is read as
+    numpy reads it, in one vectorized check."""
+    arr = np.asarray(values)
+    # a negative index, cast to unsigned, wraps past every n: one reduction
+    # checks both ends
+    if arr.ndim <= 1 and (not arr.size or arr.dtype.kind in "iu"
+                          and np.maximum.reduce(arr.astype(np.uintp), axis=None) < n):
+        return arr.reshape(-1).astype(np.intp, copy=False)
+    raise ConfigError(f"{what} must be integers in 0..{n - 1}, got {values!r}")
 
 
 def check_enum(value, kind: type[enum.Enum], what: str):

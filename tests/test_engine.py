@@ -169,8 +169,37 @@ def test_stacked_rows_are_the_bits_of_their_own_models(n):
         m.threshold(0.01).hex() for m in models]
     assert [t.hex() for t in stacked.threshold(0.01, [3, 1])] == [
         models[3].threshold(0.01).hex(), models[1].threshold(0.01).hex()]
-    with pytest.raises(ValueError, match="4 model rows"):
+    with pytest.raises(ConfigError, match="4 model rows"):
         stacked.outage(gammas)
+
+
+@pytest.mark.parametrize("rows", [[2], [5], [-1], [0.5], [True], [[0]], "0", None])
+def test_row_indices_follow_the_index_rule(rows):
+    # [5] and [0.5] raised numpy's IndexError and [-1] read the last row
+    model = SinrModel({(1, 3): 1}, None, (2.0, 3.0), ((2.0,), (1.0,)))
+    if rows is None:
+        # all rows, so that gamma's axis 0 must run over both
+        with pytest.raises(ConfigError, match="2 model rows"):
+            model.outage(1.0, rows)
+        return
+    with pytest.raises(ConfigError, match=r"rows must be integers in 0\.\.1"):
+        model.outage([1.0], rows)
+    with pytest.raises(ConfigError, match=r"rows must be integers in 0\.\.1"):
+        model.threshold(0.01, rows)
+
+
+def test_no_rows_answer_an_empty_array():
+    # both divided by zero
+    model = SinrModel({(1, 3): 1}, None, (2.0, 3.0), ((2.0,), (1.0,)))
+    for answer in (model.outage(np.empty((0, 3)), []), model.threshold(0.01, []),
+                   model.threshold(0.01, np.array([], dtype=int))):
+        assert isinstance(answer, np.ndarray) and answer.size == 0
+    assert model.outage(np.empty((0, 3)), []).shape == (0, 3)
+    # a point for no row is refused like a point for the wrong row count
+    with pytest.raises(ConfigError, match="0 model rows"):
+        model.outage(1.0, [])
+    # numpy integers and a single index are indices too
+    assert model.outage([1.0], np.array([1], dtype=np.uint8)) == model.outage([1.0], 1)
 
 
 def test_stacked_rows_share_mode_and_size():

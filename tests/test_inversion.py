@@ -9,7 +9,7 @@ from ranksinr import bf, inversion, ostbc
 from ranksinr.errors import NumericInstabilityError
 from ranksinr.inversion import _nsection, clamp_probability, threshold_at_outage
 from ranksinr.scenario import InterfererSpec, OwnMode, ScenarioConfig, Technique
-from ranksinr.sweeps import threshold_gain
+from ranksinr.sweeps import equal_power_config, model_for, threshold_gain
 
 from conftest import REF_BF, REF_INTERFERERS, REF_OSTBC
 
@@ -52,23 +52,32 @@ class Counting:
         return self.fn(*args)
 
 
+# the absolute accuracy of each model's outage: the README's bound on the
+# signed psi sum up to 4x4 for bf-4x4, a rounding of 1 for the others
+ACCURACY = {"bf-4x4": 1e-13}
+
+
 @pytest.mark.parametrize("name", list(MODELS))
-@pytest.mark.parametrize("p", [1e-4, 0.01, 0.5, 0.99])
+@pytest.mark.parametrize("p", [1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.6, 0.7, 0.9, 0.99, 1 - 1e-6])
 def test_n_section_agrees_with_bisection(name, p):
     model = MODELS[name]()
     outage = Counting(model.outage)
     (thr,) = threshold_at_outage(outage, p)
-    assert thr == pytest.approx(bisection(model.outage, p), rel=1e-10)
-    # the bracket call and about three n-section calls; in the upper tail
-    # the secant runs in log(1 - outage), so it is as good there
-    assert outage.calls <= 5
+    # where the outage's round-off, over its slope, moves the crossing by
+    # more than the tolerance (bf-4x4 at 1e-6 and 1 - 1e-6: about 1e-8),
+    # the two searches may settle on different crossings of the noise
+    rel = max(1e-10, ACCURACY.get(name, 2.0**-52) / (thr * model.sinr_pdf(thr)))
+    assert thr == pytest.approx(bisection(model.outage, p), rel=rel)
+    # the bracket call and three n-section calls: the secant in
+    # log(-log(1 - outage)) is as good in either tail
+    assert outage.calls <= 4
 
 
 def test_gain_takes_four_outage_calls_per_threshold(monkeypatch):
     outage = Counting(bf.BfModel.outage)
     monkeypatch.setattr(bf.BfModel, "outage", lambda self, *args: outage(self, *args))
     threshold_gain(OwnMode.BEAMFORMING, 4, 4, 15.0, 10.0, 4)
-    assert outage.calls <= 10
+    assert outage.calls <= 8
 
 
 @pytest.mark.parametrize("own_mode", [OwnMode.BEAMFORMING, OwnMode.OSTBC], ids=["bf", "ostbc"])
@@ -96,8 +105,8 @@ def test_upper_tail_gain_takes_at_most_two_more_n_section_calls(n, own_mode, mon
 
 @pytest.mark.filterwarnings("error")
 def test_outage_one_at_the_high_end_falls_back_to_the_geometric_midpoint():
-    # above the median an outage of 1 at the bracket's top end gives no
-    # secant in log(1 - outage): the window sits around sqrt(lo * hi)
+    # an outage of 1 at the bracket's top end gives no secant in
+    # log(-log(1 - outage)): the window sits around sqrt(lo * hi)
     seen = []
 
     def step(g, rows):
@@ -168,14 +177,27 @@ def exponential_rows(g, rows):
     return -np.expm1(-g / SCALES[rows][:, None])
 
 
+def drawn_rows():
+    """The outage of 16 rows of 4x4 BF victims, each at a drawn SNR under
+    one 4-layer interferer at a drawn INR, and of each row's own model."""
+    rng = np.random.default_rng(31)
+    cfgs = [equal_power_config(OwnMode.BEAMFORMING, 4, 4, snr, inr, 1, 4)
+            for snr, inr in rng.uniform((0.0, -5.0), (25.0, 15.0), (16, 2)).round(2).tolist()]
+    return model_for(*cfgs).outage, [model_for(cfg).outage for cfg in cfgs]
+
+
 def test_batch_mixing_inner_and_outer_rows_gives_the_one_row_thresholds():
-    outage = Counting(exponential_rows)
-    thr = threshold_at_outage(outage, 0.01, SCALES.size)
-    assert outage.calls <= 5
-    for row, scale in enumerate(SCALES):
-        (alone,) = threshold_at_outage(lambda g, rows: -np.expm1(-g / scale), 0.01)
-        assert thr[row].hex() == alone.hex()
-        assert thr[row] == pytest.approx(-scale * math.log1p(-0.01), rel=1e-10)
+    exponentials = [lambda g, scale=scale: -np.expm1(-g / scale) for scale in SCALES]
+    for rows_fn, alone_fns in ((exponential_rows, exponentials), drawn_rows()):
+        outage = Counting(rows_fn)
+        thr = threshold_at_outage(outage, 0.01, len(alone_fns))
+        assert outage.calls <= 5
+        # each row reads the bits it would read alone
+        for row, alone_fn in enumerate(alone_fns):
+            (alone,) = threshold_at_outage(lambda g, rows: alone_fn(g), 0.01)
+            assert thr[row].hex() == alone.hex()
+    assert threshold_at_outage(exponential_rows, 0.01, SCALES.size) == pytest.approx(
+        -SCALES * math.log1p(-0.01), rel=1e-10)
 
 
 def test_converged_rows_drop_out():

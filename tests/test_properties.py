@@ -206,6 +206,10 @@ ENTRY_POINTS = {
                            .sinr_pdf(g), 2, "finite"),
     "SinrModel.threshold": (lambda rho_bar, p: SinrModel({(1, 3): 1}, None, rho_bar, (2.0,))
                             .threshold(p), 2, "finite"),
+    "SinrModel.outage.rows": (lambda r0, r1, g: TWO_ROWS.outage([g, g], [r0, r1]),
+                              3, "probability"),
+    "SinrModel.threshold.rows": (lambda r0, r1, p: TWO_ROWS.threshold(p, [r0, r1]),
+                                 3, "finite"),
     "simulate_bf_sinr": (lambda n, seed: simulate_bf_sinr(SCENARIO, n, seed).samples, 2, "finite"),
     "exp_approx_pdf": (exp_approx_pdf, 3, "finite"),
     "product_pdf": (lambda x, n_r, n_t, n_l: product_pdf(x, ProductDistribution(n_r, n_t, n_l)),
@@ -215,6 +219,8 @@ ENTRY_POINTS = {
 }
 SCENARIO = ScenarioConfig(2, 2, 1.0, 15.0, OwnMode.BEAMFORMING,
                           (InterfererSpec(Technique.SPATIAL_MULTIPLEXING, 10.0, 2),))
+# a model of two rows, one and two distinct rates
+TWO_ROWS = SinrModel({(1, 3): 1}, None, (2.0, 5.0), ((2.0,), (1.0, 3.0)))
 
 
 @settings(max_examples=300, deadline=None)
