@@ -14,17 +14,20 @@ leakage as it is drawn.  Conventions that must match the analytic model:
   eigenvector w of H0^H H0 (one batched LAPACK ``eigh`` per chunk);
   MRC makes SINR = rho*lam/(1+Y) with Y the per-layer leakage sum.
   The combiner f = H0 w is projected first, g = f^H H, and a layer
-  leaks |g c|^2: c is a Haar column scaled 1/sqrt(n_L) times its
-  symbol for a precoded interferer, q/n_T for an OSTBC one with q a
-  unit-modulus symbol vector, i.e. the symbol vector is normalized to
-  unit norm, which is what gives the analysis's Exp(rate n_T) leakage
-  term and rate INR/n_T.
+  leaks |g c|^2: c is a Haar column scaled 1/sqrt(n_L) for a precoded
+  interferer, whose unit-modulus symbol cancels there and is not
+  drawn, and q/n_T for an OSTBC one with q a unit-modulus symbol
+  vector, i.e. the symbol vector is normalized to unit norm, which is
+  what gives the analysis's Exp(rate n_T) leakage term and rate
+  INR/n_T.  A full-rank precoder (n_L = n_T) is unitary, so its layers
+  leak ||g||^2/n_L in all, draw by draw, and no frame is drawn for it.
 * OSTBC reception (n_T = 2): exact Alamouti combining.  The numerator
   is SNR*||H0||_F^2/n_T^2; the per-symbol noise reference is
   n_T*||H0||_F^2 noise powers, matching the quadrupled noise in the
   numerator scale.  Precoded interference projects onto both columns
-  of H0; an interfering Alamouti block combines into two exact
-  independent exponential terms.
+  of H0, ||H0^H H V||_F^2, which is ||H0^H H||_F^2/n_L without a
+  drawn frame at full rank; an interfering Alamouti block combines
+  into two exact independent exponential terms.
 * OSTBC reception (any other n_T): component path without code
   structure -- the same column projections, with a fresh symbol vector
   per time instant for OSTBC interferers.  For n_T = 2 the two paths
@@ -266,13 +269,16 @@ def _simulate_bf_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator) ->
     for spec in cfg.interferers:
         # the combiner projected first: g = f^H H, one row per draw
         g = np.einsum("rb,rtb->tb", f_h, complex_normal(rng, (cfg.n_r, cfg.n_t, n)))
+        inr = db_to_linear(spec.inr_db)
         if spec.technique is Technique.OSTBC:
-            cols = qpsk_symbols(rng, (cfg.n_t, 1, n)) / cfg.n_t
+            g = np.einsum("tb,tlb->lb", g, qpsk_symbols(rng, (cfg.n_t, 1, n)) / cfg.n_t)
         else:
-            v = haar_columns(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
-            cols = v * qpsk_symbols(rng, (spec.layers, n))
-        leak = _abs2(np.einsum("tb,tlb->lb", g, cols)).sum(axis=0)
-        y += db_to_linear(spec.inr_db) * leak / lam
+            # a layer's unit-modulus symbol cancels in its leakage |g v|^2,
+            # and a full-rank V is unitary, so ||g V|| = ||g|| draw by draw
+            inr /= spec.layers
+            if spec.layers < cfg.n_t:
+                g = np.einsum("tb,tlb->lb", g, haar_columns(rng, n, cfg.n_t, spec.layers))
+        y += inr * _abs2(g).sum(axis=0) / lam
     return own_numerator_scale(cfg) * lam / (1.0 + y)
 
 
@@ -320,9 +326,14 @@ def _simulate_ostbc_chunk(
             g = np.einsum("rtb,tmb->rmb", h, d) / math.sqrt(cfg.n_t)
             proj = np.einsum("rmb,rmb->mb", h0_h, g)
         else:
-            v = haar_columns(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
+            if spec.layers < cfg.n_t:
+                v = haar_columns(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
+                h = np.einsum("rtb,tlb->rlb", h, v)
+            else:
+                # a full-rank V is unitary: ||H0^H H V||_F = ||H0^H H||_F draw by draw
+                inr /= spec.layers
             # every column of H0 is a combining direction once per block
-            proj = np.einsum("rmb,rlb->mlb", h0_h, np.einsum("rtb,tlb->rlb", h, v))
+            proj = np.einsum("rmb,rlb->mlb", h0_h, h)
         y += (inr / cfg.n_t) * _abs2(proj).reshape(-1, n).sum(axis=0) / fro2
     return own_numerator_scale(cfg) * fro2 / (1.0 + y)
 

@@ -104,11 +104,16 @@ def check_indices(values, what: str, n: int) -> np.ndarray:
     as a 1-d intp array, empty for an empty sequence.  Each must lie in
     0..n-1: a negative index, one past the end, bool and non-integer
     entries raise ConfigError, naming `what`.  A sequence is read as
-    numpy reads it, in one vectorized check."""
+    numpy reads it, in one vectorized check, once its entries are
+    searched for a bool, which numpy reads among integers as 0 or 1; an
+    array's dtype shows one without a search."""
     arr = np.asarray(values)
+    ints = arr.dtype.kind in "iu" and (
+        isinstance(values, np.ndarray) or arr.ndim == 0
+        or not any(getattr(v, "dtype", type(v)) == bool for v in values))
     # a negative index, cast to unsigned, wraps past every n: one reduction
     # checks both ends
-    if arr.ndim <= 1 and (not arr.size or arr.dtype.kind in "iu"
+    if arr.ndim <= 1 and (not arr.size or ints
                           and np.maximum.reduce(arr.astype(np.uintp), axis=None) < n):
         return arr.reshape(-1).astype(np.intp, copy=False)
     raise ConfigError(f"{what} must be integers in 0..{n - 1}, got {values!r}")

@@ -57,9 +57,19 @@ def qpsk_batch_first(rng: np.random.Generator, shape) -> np.ndarray:
     return np.moveaxis(_QPSK[rng.integers(0, 4, size=(*shape[1:], shape[0]))], -1, 0)
 
 
+def precoder_batch_first(rng: np.random.Generator, n: int, n_t: int, layers: int) -> np.ndarray:
+    """(n, n_t, layers) precoders over sqrt(layers): Haar frames below
+    full rank; at full rank the identity, which draws nothing and leaks
+    what any unitary frame leaks."""
+    if layers == n_t:
+        return np.broadcast_to(np.eye(n_t) / math.sqrt(layers), (n, n_t, n_t))
+    return haar_frames_batch_first(rng, n, n_t, layers) / math.sqrt(layers)
+
+
 def bf_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Beamforming SINR samples: every channel drawn first, then the
-    dominant eigenvector of H0^H H0, then the leakage of H V d."""
+    dominant eigenvector of H0^H H0, then the leakage of H V, whose
+    unit-modulus layer symbols cancel and are not drawn."""
     h0 = complex_normal_batch_first(rng, (n, cfg.n_r, cfg.n_t))
     draws = []
     for spec in cfg.interferers:
@@ -68,9 +78,7 @@ def bf_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generator) 
             d = qpsk_batch_first(rng, (n, cfg.n_t))
             draws.append((spec, (np.einsum("brt,bt->br", h, d) / cfg.n_t)[..., None]))
         else:
-            v = haar_frames_batch_first(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
-            d = qpsk_batch_first(rng, (n, spec.layers))
-            draws.append((spec, h @ np.einsum("btl,bl->btl", v, d)))
+            draws.append((spec, h @ precoder_batch_first(rng, n, cfg.n_t, spec.layers)))
     _, evecs = np.linalg.eigh(np.conj(np.swapaxes(h0, 1, 2)) @ h0)
     f = np.einsum("brt,bt->br", h0, evecs[:, :, -1])
     lam = np.sum(np.abs(f) ** 2, axis=1)
@@ -104,7 +112,7 @@ def ostbc_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generato
             proj = np.abs(np.einsum("brm,brm->bm", h0.conj(), g)) ** 2
             y += (inr / cfg.n_t) * np.sum(proj, axis=1) / fro2
         else:
-            v = haar_frames_batch_first(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
+            v = precoder_batch_first(rng, n, cfg.n_t, spec.layers)
             proj = np.abs(np.einsum("brm,brl->bml", h0.conj(), h @ v)) ** 2
             y += (inr / cfg.n_t) * np.sum(proj, axis=(1, 2)) / fro2
     return own_numerator_scale(cfg) * fro2 / (1.0 + y)

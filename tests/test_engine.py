@@ -173,9 +173,11 @@ def test_stacked_rows_are_the_bits_of_their_own_models(n):
         stacked.outage(gammas)
 
 
-@pytest.mark.parametrize("rows", [[2], [5], [-1], [0.5], [True], [[0]], "0", None])
+@pytest.mark.parametrize("rows", [[2], [5], [-1], [0.5], [True], [[0]], "0", None,
+                                  [True, 1], (1, np.False_), [np.array(True), 0]])
 def test_row_indices_follow_the_index_rule(rows):
-    # [5] and [0.5] raised numpy's IndexError and [-1] read the last row
+    # [5] and [0.5] raised numpy's IndexError, [-1] read the last row and
+    # [True, 1] read row 1 twice
     model = SinrModel({(1, 3): 1}, None, (2.0, 3.0), ((2.0,), (1.0,)))
     if rows is None:
         # all rows, so that gamma's axis 0 must run over both

@@ -18,6 +18,7 @@ from ranksinr.errors import ConfigError, NumericInstabilityError
 from ranksinr.montecarlo import (
     EmpiricalDistribution,
     _generator,
+    _gram,
     _top_eigpair,
     chunk_draws,
     complex_normal,
@@ -187,6 +188,32 @@ def test_haar_columns_equal_phase_fixed_qr_frames(n):
         assert np.max(np.abs(gram - np.eye(k)[..., None])) <= 1e-13, (n, k)
         # both consumed the stream identically
         assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes()
+
+
+@pytest.mark.parametrize("n_r", range(1, 9))
+def test_a_full_rank_frame_and_layer_symbols_leave_the_leakage_unchanged(n_r):
+    # the kernels draw neither: a full-rank precoder leaks ||g||^2 at the
+    # BF receiver and ||H0^H H||_F^2 at the OSTBC one, over n_L, and a
+    # precoded layer leaks |g v|^2 whatever its unit-modulus symbol
+    draws = 500
+    for n_t in range(1, 9):
+        rng = _generator(np.random.SeedSequence([n_r, n_t]))
+        h0, h = complex_normal(rng, (n_r, n_t, draws)), complex_normal(rng, (n_r, n_t, draws))
+        side = _generator(np.random.SeedSequence([n_r, n_t, 1]))
+        v = haar_columns(side, draws, n_t, n_t)
+        d = qpsk_symbols(side, (n_t, draws))
+        _, w = _top_eigpair(_gram(h0))
+        g = np.einsum("rb,rtb->tb", np.einsum("rtb,tb->rb", h0, w).conj(), h)
+        layers = np.abs(np.einsum("tb,tlb->lb", g, v)) ** 2
+        with_symbols = np.abs(np.einsum("tb,tlb->lb", g, v * d)) ** 2
+        assert np.max(np.abs(with_symbols / layers - 1.0)) <= 1e-12, n_t
+        free = np.sum(np.abs(g) ** 2, axis=0)
+        assert np.max(np.abs(with_symbols.sum(axis=0) / free - 1.0)) <= 1e-12, n_t
+        h0_h = h0.conj()
+        framed = np.einsum("rmb,rlb->mlb", h0_h, np.einsum("rtb,tlb->rlb", h, v * d))
+        free = np.einsum("rmb,rtb->mtb", h0_h, h)
+        assert np.max(np.abs(np.sum(np.abs(framed) ** 2, axis=(0, 1))
+                             / np.sum(np.abs(free) ** 2, axis=(0, 1)) - 1.0)) <= 1e-12, n_t
 
 
 _SIZES = [(1, 1), (2, 2), (2, 4), (4, 4)]
