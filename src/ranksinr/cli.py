@@ -132,13 +132,17 @@ def _simulate(cfg: ScenarioConfig, args):
 
 def _gain_config(args) -> tuple[ScenarioConfig, InterfererSpec, int]:
     """The config of a gain command, its one interferer and that one's rank
-    (its layer count: beamforming and OSTBC interferers carry one layer)."""
+    (its layer count: a beamforming interferer carries one layer).  The
+    gains compare precoded interferers, so an OSTBC one is refused."""
     cfg = load_config(args.config)
     if len(cfg.interferers) != 1:
         raise ConfigError(
             f"gain commands need exactly one interferer, config has {len(cfg.interferers)}"
         )
-    return cfg, cfg.interferers[0], cfg.interferers[0].layers
+    spec = cfg.interferers[0]
+    if spec.technique is Technique.OSTBC:
+        raise ConfigError("gain commands compare bf and sm interferers, config has an ostbc one")
+    return cfg, spec, spec.layers
 
 
 def _emit_gains(args, cfg: ScenarioConfig, points, x_name: str, rank: int,

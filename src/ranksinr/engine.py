@@ -130,7 +130,9 @@ class SinrModel:
     reads `mixture`.
 
     A model of several rows takes a tuple of rho_bar and one rate set
-    per row; axis 0 of its arguments runs over the rows.
+    per row; axis 0 of its arguments runs over the rows.  Any other
+    count of rate sets, or a rate set that is not a flat sequence, is
+    refused with ConfigError.
     """
 
     weights: dict[tuple[int, int], Fraction | int]
@@ -142,10 +144,15 @@ class SinrModel:
         rho_bar = check_points(self.rho_bar, "rho_bar", positive=True)
         (self.kvals, self.kidx, self.ls, self.psis, self.psi_k, self._inv_orders,
          self._pdf_scale) = _psi_arrays(_Identity(self.weights))
+        row_rates = (self.rates,) if rho_bar.ndim == 0 else self.rates
+        flat = sum(np.ndim(r) != 1 for r in row_rates)
+        if len(row_rates) != rho_bar.size or flat:
+            raise ConfigError(
+                f"rho_bar has {rho_bar.size} rows and rates {len(row_rates)} rate sets, "
+                f"{flat} of them not a flat sequence of rates: each row takes one")
         # rates down axis 0, rows across; absent rates, and no interferers, are
         # rate 0 with count 1: they add exact zeros and keep a/c_r finite
-        rows = [mixture.count_rates(r, f"the rates of row {j}")
-                for j, r in enumerate((self.rates,) if rho_bar.ndim == 0 else self.rates)]
+        rows = [mixture.count_rates(r, f"the rates of row {j}") for j, r in enumerate(row_rates)]
         self.rho = np.zeros((max(1, *(len(r) for r, _ in rows)), len(rows)))
         self.count = np.ones_like(self.rho)
         for j, (rho, count) in enumerate(rows):

@@ -92,39 +92,34 @@ def _log_hazard(f: float) -> float:
     return math.log(-math.log1p(-f))
 
 
-def _nsection(outage_fn, p_target: float, bracket, rel_tol: float) -> np.ndarray:
+def _nsection(outage_fn, p_target: float, bracket: list[tuple[float, ...]]) -> np.ndarray:
     """Midpoints of the brackets lo < hi, one per row.
 
     outage_fn(x, rows) maps points x, whose axis 0 runs over the row
-    indices rows, to values that cross p_target once per row: below it
-    at lo, at least p_target at hi.  bracket is (lo, hi, f_lo, f_hi),
-    f the values at lo and hi.  Each call on SECTIONS interior points of
-    every open bracket keeps the sub-interval that ends at the first
-    point reaching p_target, with its end values; a row drops out once
-    its bracket is rel_tol wide or stops shrinking.  A row's points
-    depend on its own bracket alone, and its bookkeeping runs in floats
-    of its own: EVEN spread over the bracket, WINDOW around the secant
-    estimate of the crossing in (log x, log(-log(1 - f))) for a
-    probability p_target, in (log x, log f) for a target of 1 or more,
-    or around the geometric midpoint where that coordinate is infinite
-    at an end (f_lo = 0, or f_hi = 1 for a probability).
+    indices rows, to probabilities that cross p_target once per row:
+    below it at lo, at least p_target at hi.  bracket holds each row's
+    (lo, hi, f_lo, f_hi) as floats, f the values at lo and hi.  Each call
+    on SECTIONS interior points of every open bracket keeps the
+    sub-interval that ends at the first point reaching p_target, with its
+    end values; a row drops out once its bracket is THRESHOLD_REL_TOL
+    wide or stops shrinking.  A row's points depend on its own bracket
+    alone, and its bookkeeping runs in floats of its own: EVEN spread
+    over the bracket, WINDOW around the secant estimate of the crossing
+    in (log x, log(-log(1 - f))), or around the geometric midpoint where
+    that coordinate is infinite at an end (f_lo = 0 or f_hi = 1).
     """
-    # (lo, hi, f_lo, f_hi) of every row
-    ends = list(zip(*(map(float, b) for b in bracket)))
-    if p_target < 1.0:
-        coordinate, top = _log_hazard, 1.0
-    else:
-        coordinate, top = math.log, math.inf
-    u_target, floor = coordinate(p_target), 0.5 * rel_tol
-    rows = [j for j, (l, h, _, _) in enumerate(ends) if h - l > rel_tol * l]
+    tol = THRESHOLD_REL_TOL
+    ends = list(bracket)
+    u_target, floor = _log_hazard(p_target), 0.5 * tol
+    rows = [j for j, (l, h, _, _) in enumerate(ends) if h - l > tol * l]
     while rows:
         spans = []
         for l, h, fl, fh in map(ends.__getitem__, rows):
             w = (h - l) / l
             t = 0.5
-            if 0.0 < fl and fh < top:
-                u_lo = coordinate(fl)
-                du = coordinate(fh) - u_lo
+            if 0.0 < fl and fh < 1.0:
+                u_lo = _log_hazard(fl)
+                du = _log_hazard(fh) - u_lo
                 if du > 0.0:
                     t = (u_target - u_lo) / du
             est = l * (1.0 + w) ** t
@@ -150,7 +145,7 @@ def _nsection(outage_fn, p_target: float, bracket, rel_tol: float) -> np.ndarray
             else:
                 ends[j] = new = l, xs[0], fl, fs[0]
             # a bracket a few ulps wide stops shrinking
-            if rel_tol * new[0] < new[1] - new[0] < h - l:
+            if tol * new[0] < new[1] - new[0] < h - l:
                 still.append(j)
         rows = still
     return np.array([0.5 * (l + h) for l, h, _, _ in ends])
@@ -158,7 +153,7 @@ def _nsection(outage_fn, p_target: float, bracket, rel_tol: float) -> np.ndarray
 
 def _bracket(outage_fn, p_target: float, n_rows: int) -> list[tuple[float, ...]]:
     """Neighbouring lattice points lo < hi per row, the outage below
-    p_target at lo, and the outages there: (lo, hi, f_lo, f_hi)."""
+    p_target at lo, and the outages there: (lo, hi, f_lo, f_hi) floats."""
     inner = LATTICE[INNER]
     f = np.asarray(outage_fn(inner[None].repeat(n_rows, axis=0), np.arange(n_rows)))
     # per row its points, their outages and the index of the first that
@@ -179,8 +174,8 @@ def _bracket(outage_fn, p_target: float, n_rows: int) -> list[tuple[float, ...]]
                     f"no threshold below 1e150 reaches outage {p_target}"
                 )
             crossings[j] = xs, fs, i
-    ends = [(xs[i - 1], xs[i], fs[i - 1], fs[i]) for xs, fs, i in crossings]
-    return list(zip(*ends)) or [()] * 4
+    return [(float(xs[i - 1]), float(xs[i]), float(fs[i - 1]), float(fs[i]))
+            for xs, fs, i in crossings]
 
 
 def threshold_at_outage(outage_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -204,5 +199,4 @@ def threshold_at_outage(outage_fn: Callable[[np.ndarray, np.ndarray], np.ndarray
     (``scenario.check_probability``).
     """
     p_target = check_probability(p_target, "target outage")
-    return _nsection(outage_fn, p_target, _bracket(outage_fn, p_target, n_rows),
-                     THRESHOLD_REL_TOL)
+    return _nsection(outage_fn, p_target, _bracket(outage_fn, p_target, n_rows))

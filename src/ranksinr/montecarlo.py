@@ -30,8 +30,7 @@ leakage as it is drawn.  Conventions that must match the analytic model:
   into two exact independent exponential terms.
 * OSTBC reception (any other n_T): component path without code
   structure -- the same column projections, with a fresh symbol vector
-  per time instant for OSTBC interferers.  For n_T = 2 the two paths
-  differ only in that interferer treatment.
+  per time instant for OSTBC interferers.
 
 Only the SNR and the INRs of the scenario enter a draw, as linear
 ratios read from their dB values; noise_power does not.
@@ -299,21 +298,18 @@ def simulate_bf_sinr(cfg: ScenarioConfig, n_samples: int, seed: int) -> Empirica
 # OSTBC-mode simulation
 
 
-def _simulate_ostbc_chunk(
-    cfg: ScenarioConfig, n: int, rng: np.random.Generator, component: bool
-) -> np.ndarray:
-    """SINR samples of one chunk: exact Alamouti combining at n_T = 2
-    unless ``component``, else the per-instant projection model."""
+def _simulate_ostbc_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """SINR samples of one chunk: exact Alamouti combining at n_T = 2,
+    else the per-instant projection model."""
     h0 = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
     h0_h = h0.conj()
     fro2 = _abs2(h0).reshape(-1, n).sum(axis=0)
-    alamouti = cfg.n_t == 2 and not component
     # normalized interference Y per draw, symbol-averaged powers
     y = np.zeros(n)
     for spec in cfg.interferers:
         h = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
         inr = db_to_linear(spec.inr_db)
-        if spec.technique is Technique.OSTBC and alamouti:
+        if spec.technique is Technique.OSTBC and cfg.n_t == 2:
             # interfering Alamouti block combines into two exact terms
             c1, c2, g1, g2 = h0_h[:, 0], h0[:, 1], h[:, 0], h[:, 1]
             a = np.einsum("rb,rb->b", c1, g1) + np.einsum("rb,rb->b", c2, g2.conj())
@@ -346,6 +342,6 @@ def simulate_ostbc_sinr(cfg: ScenarioConfig, n_samples: int, seed: int) -> Empir
     """
     if cfg.own_mode is not OwnMode.OSTBC:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected ostbc")
-    samples = run_chunks(lambda n, rng: _simulate_ostbc_chunk(cfg, n, rng, False), n_samples,
-                         seed, chunk_draws(cfg.n_r, cfg.n_t))
+    samples = run_chunks(lambda n, rng: _simulate_ostbc_chunk(cfg, n, rng), n_samples, seed,
+                         chunk_draws(cfg.n_r, cfg.n_t))
     return EmpiricalDistribution(samples=samples)

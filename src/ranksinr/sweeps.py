@@ -52,7 +52,8 @@ class SweepSpec:
 
     kind is a SweepKind or its value, the grid ends and step real
     numbers, p_star a probability and each count an integer in
-    1..MAX_GRID_POINTS (the rules of ``scenario``).
+    1..MAX_GRID_POINTS (the rules of ``scenario``).  Only a
+    NUM_INTERFERERS sweep takes counts.
     """
 
     kind: SweepKind
@@ -76,6 +77,8 @@ class SweepSpec:
             if list(counts) != sorted(counts):
                 raise ConfigError("counts must be nondecreasing")
         else:
+            if len(self.counts):
+                raise ConfigError(f"{self.kind.value} sweeps take a dB grid, not counts")
             # an infinite step would put inf * 0, a NaN, in the grid
             if not 0.0 < self.step_db < math.inf:
                 raise ConfigError(f"step must be positive and finite, got {self.step_db}")
@@ -193,5 +196,7 @@ def sweep_interferer_count(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float,
                            total_inr_db: float, spec: SweepSpec,
                            rank: int) -> list[GainPoint]:
     """Gain vs number of equal-power iBSs at constant total power."""
+    if spec.kind is not SweepKind.NUM_INTERFERERS:
+        raise ConfigError(f"{spec.kind.value} sweeps have no interferer counts")
     return _gain_points(own_mode, n_r, n_t, rank, spec.p_star,
                         [(float(c), snr_db, total_inr_db, c) for c in spec.counts])

@@ -13,7 +13,6 @@ import pytest
 from ranksinr import bf
 from ranksinr.montecarlo import (
     EmpiricalDistribution,
-    _simulate_ostbc_chunk,
     chunk_draws,
     run_chunks,
     simulate_bf_sinr,
@@ -25,6 +24,8 @@ from ranksinr.scenario import (
     ScenarioConfig,
     Technique,
 )
+
+from oracles import ostbc_chunk_batch_first
 
 REF_INTERFERERS = (
     InterfererSpec(technique=Technique.OSTBC, inr_db=6.0),
@@ -81,8 +82,8 @@ def ostbc_ref_run():
 @pytest.fixture(scope="session")
 def ostbc_ref_component_run():
     """The reference OSTBC simulation on the component path, which the
-    library takes only at n_t != 2."""
-    samples = run_chunks(lambda n, rng: _simulate_ostbc_chunk(REF_OSTBC, n, rng, True),
+    library takes only at n_t != 2, drawn by the batch-first oracle."""
+    samples = run_chunks(lambda n, rng: ostbc_chunk_batch_first(REF_OSTBC, n, rng, True),
                          N_REF, 1, chunk_draws(REF_OSTBC.n_r, REF_OSTBC.n_t))
     return EmpiricalDistribution(samples=samples)
 

@@ -90,9 +90,11 @@ def bf_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generator) 
 
 
 def ostbc_chunk_batch_first(cfg: ScenarioConfig, n: int, rng: np.random.Generator,
-                            component: bool) -> np.ndarray:
+                            component: bool = False) -> np.ndarray:
     """OSTBC SINR samples: Alamouti combining at n_t = 2 unless
-    component, else the per-instant column projections."""
+    component, else the per-instant column projections.  The library
+    takes the component path only at n_t != 2; at n_t = 2 it runs here
+    to check the Alamouti path against it."""
     h0 = complex_normal_batch_first(rng, (n, cfg.n_r, cfg.n_t))
     fro2 = np.sum(np.abs(h0) ** 2, axis=(1, 2))
     alamouti = cfg.n_t == 2 and not component
@@ -318,24 +320,22 @@ def find_crossing(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float, inr_db: 
                                                          inr_db, 1, r))
               for r in (1, rank))
 
-    def diff(g: np.ndarray) -> np.ndarray:
-        return mr.outage(g) - m1.outage(g)
+    def share(g: np.ndarray, rows=None) -> np.ndarray:
+        # the rank-r share of the two outages, 1/2 where they are equal
+        o_1, o_r = m1.outage(g), mr.outage(g)
+        return o_r / (o_1 + o_r)
 
     lo = m1.threshold(0.01)
     # one call brackets the crossing on lo * 2^k, k = 0..200
     grid = lo * 2.0 ** np.arange(201)
-    d = diff(grid)
-    if d[0] >= 0:
+    q = share(grid)
+    if q[0] >= 0.5:
         raise ConfigError(
             "no gain at the 1% outage point; crossing search needs one"
         )
-    if not (d > 0).any():
+    if not (q >= 0.5).any():
         raise ConfigError("outage curves do not cross below the search cap")
-    k = int(np.argmax(d > 0))
-    # the outage ratio rank r / rank 1 reaches 1 where diff does 0
-    def ratio(g, rows):
-        return mr.outage(g) / m1.outage(g)
-
-    bracket = (grid[k - 1:k], grid[k:k + 1], ratio(grid[k - 1:k], None), ratio(grid[k:k + 1], None))
-    gamma_cross = float(_nsection(ratio, 1.0, bracket, 1e-9)[0])
+    k = int(np.argmax(q >= 0.5))
+    bracket = [(float(grid[k - 1]), float(grid[k]), float(q[k - 1]), float(q[k]))]
+    gamma_cross = float(_nsection(share, 0.5, bracket)[0])
     return gamma_cross, float(m1.outage(gamma_cross))

@@ -23,6 +23,7 @@ from ranksinr.errors import NumericInstabilityError
 from ranksinr.mixture import MixtureSpec, cdf_y, pdf_y
 from ranksinr.montecarlo import chunk_draws
 from ranksinr.scenario import build_rate_set, load_config
+from ranksinr.sweeps import model_for, threshold_gain
 
 from oracles import law_gaps, xi_series
 
@@ -191,6 +192,39 @@ def test_gain_is_the_one_point_sweep_inr(tmp_path, capsys, fmt, n_r, n_t, own_mo
         doc = json.loads(sweep)
         assert doc["meta"].pop("grid") == "10.0:10.0:1"
         assert doc == json.loads(gain) and len(doc["rows"]) == 1
+
+
+@pytest.mark.parametrize("own_mode", ["bf", "ostbc"])
+@pytest.mark.parametrize("n_r, n_t", [(1, 3), (2, 2), (2, 4), (4, 4)])
+@pytest.mark.parametrize("technique, full_rank", [("bf", False), ("sm", False), ("sm", True)],
+                         ids=["bf", "sm-1", "sm-full"])
+def test_gain_reads_the_configured_scenario(tmp_path, capsys, own_mode, n_r, n_t, technique,
+                                            full_rank):
+    # the threshold at the config's own rank is the config's own threshold,
+    # bit for bit, through the library and through the command
+    layers = n_t if full_rank else 1
+    interferer = {"technique": technique, "inr_db": 10.0}
+    if technique == "sm":
+        interferer["layers"] = layers
+    path = write_cfg(tmp_path, n_r=n_r, n_t=n_t, own_mode=own_mode, interferers=[interferer])
+    cfg = load_config(path)
+    expect = model_for(cfg).threshold(0.01).hex()
+    point = threshold_gain(cfg.own_mode, n_r, n_t, cfg.snr_db, 10.0, layers)
+    assert point.threshold_rankr.hex() == expect
+    code, out, _ = run(capsys, "gain", "--config", path, "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row[2].hex() == expect
+
+
+@pytest.mark.parametrize("command", ["gain", "sweep-snr", "sweep-inr", "sweep-n"])
+def test_gain_commands_refuse_an_ostbc_interferer(tmp_path, capsys, command):
+    # its rank-1 row was once rebuilt as a bf interferer, so that a gain of 0
+    # read the thresholds of another scenario
+    cfg = write_cfg(tmp_path, interferers=[{"technique": "ostbc", "inr_db": 10.0}])
+    code, out, err = run(capsys, command, "--config", cfg)
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert "an ostbc one" in err
 
 
 def test_sweep_inr_rows_follow_grid(tmp_path, capsys):

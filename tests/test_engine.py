@@ -301,6 +301,18 @@ def test_rho_bar_follows_the_point_rule(rho_bar):
         SinrModel({(1, 3): 1}, None, rho_bar, rates)
 
 
+@pytest.mark.parametrize("rho_bar, rates, counts", [
+    ((2.0, 3.0), ((2.0,), (1.0,), (5.0,)), "2 rows and rates 3 rate sets, 0 of them"),
+    ((2.0, 3.0, 4.0), ((2.0,), (1.0,)), "3 rows and rates 2 rate sets, 0 of them"),
+    ((2.0, 3.0), (2.0, 1.0), "2 rows and rates 2 rate sets, 2 of them"),
+], ids=["more-rate-sets", "fewer-rate-sets", "flat-rates"])
+def test_each_row_takes_one_rate_set(rho_bar, rates, counts):
+    # the first once evaluated with its third rate set ignored, the second
+    # raised numpy's IndexError at its first outage, the third TypeError
+    with pytest.raises(ConfigError, match=counts):
+        SinrModel({(1, 3): 1}, None, rho_bar, rates)
+
+
 def test_evaluation_points_follow_the_point_rule():
     model = SinrModel({(1, 3): 1}, None, 4.0, (2.0,))
     for bad in (math.nan, -1.0, math.inf, True, "1", None, [1.0, "x"]):

@@ -113,8 +113,7 @@ def test_outage_one_at_the_high_end_falls_back_to_the_geometric_midpoint():
         seen.append(g[0].copy())
         return np.where(g >= 0.3, 1.0, 0.5)
 
-    (thr,) = _nsection(step, 0.9, (np.array([0.1]), np.array([1.0]), np.full(1, 0.5),
-                                   np.ones(1)), 1e-10)
+    (thr,) = _nsection(step, 0.9, [(0.1, 1.0, 0.5, 1.0)])
     assert thr == pytest.approx(0.3, rel=1e-10)
     assert np.sum(np.abs(seen[0] / math.sqrt(0.1) - 1.0) <= 0.2) >= 24
 
@@ -157,14 +156,14 @@ def test_clamp_probability_on_arrays():
         clamp_probability(float("nan"))
 
 
-def test_tolerance_below_resolution_still_terminates():
-    # with rel_tol = 0 the bracket stops shrinking a few ulps wide
+def test_tolerance_below_resolution_still_terminates(monkeypatch):
+    # with a zero tolerance the bracket stops shrinking a few ulps wide
+    monkeypatch.setattr(inversion, "THRESHOLD_REL_TOL", 0.0)
+
     def outage(g, rows):
         return -np.expm1(-g)
 
-    bracket = (np.array([0.5]), np.array([1.0]), outage(np.array([0.5]), None),
-               outage(np.array([1.0]), None))
-    (thr,) = _nsection(outage, 0.5, bracket, 0.0)
+    (thr,) = _nsection(outage, 0.5, [(0.5, 1.0, -math.expm1(-0.5), -math.expm1(-1.0))])
     assert thr == pytest.approx(math.log(2.0), rel=1e-15)
 
 
@@ -211,7 +210,7 @@ def test_converged_rows_drop_out():
     lo, hi = np.ones(3), np.array([4.0, 1.0 + 1e-9, 1.0 + 1e-12])
     f_lo, f_hi = (outage(x[:, None], np.arange(3))[:, 0] for x in (lo, hi))
     seen.clear()
-    thr = _nsection(outage, 0.5, (lo, hi, f_lo, f_hi), 1e-10)
+    thr = _nsection(outage, 0.5, list(zip(*(x.tolist() for x in (lo, hi, f_lo, f_hi)))))
     assert seen[:2] == [[0, 1], [0]] and all(rows == [0] for rows in seen[2:])
     assert thr[2] == 0.5 * (lo[2] + hi[2])
     assert thr[:2] == pytest.approx([1.0 + 1e-13, 1.0 + 2e-13], abs=1e-10)

@@ -250,13 +250,14 @@ def test_bf_kernel_matches_the_batch_first_reference(n_r, n_t):
         lambda n, rng: bf_chunk_batch_first(cfg, n, rng))
 
 
-@pytest.mark.parametrize("component", [False, True], ids=["alamouti", "component"])
-@pytest.mark.parametrize("n_r,n_t", _SIZES)
-def test_ostbc_kernel_matches_the_batch_first_reference(n_r, n_t, component):
+# each size named by the path the kernel takes there: Alamouti at n_t = 2
+@pytest.mark.parametrize("n_r,n_t", _SIZES, ids=[
+    f"{n_r}-{n_t}-{'alamouti' if n_t == 2 else 'component'}" for n_r, n_t in _SIZES])
+def test_ostbc_kernel_matches_the_batch_first_reference(n_r, n_t):
     cfg = _every_interferer_kind(n_r, n_t, OwnMode.OSTBC)
     _assert_same_samples_and_stream(
-        lambda n, rng: montecarlo._simulate_ostbc_chunk(cfg, n, rng, component),
-        lambda n, rng: ostbc_chunk_batch_first(cfg, n, rng, component))
+        lambda n, rng: montecarlo._simulate_ostbc_chunk(cfg, n, rng),
+        lambda n, rng: ostbc_chunk_batch_first(cfg, n, rng))
 
 
 @pytest.mark.parametrize("n_r,n_t", _SIZES)
@@ -414,6 +415,7 @@ def test_chunking_covers_all_samples():
     assert dist.sample_count == 123_457
 
 
+REF_OSTBC_2X4 = dataclasses.replace(REF_OSTBC, n_t=4)
 _RUNNERS = {
     "bf": ((REF_BF.n_r, REF_BF.n_t),
            lambda n, seed: simulate_bf_sinr(REF_BF, n, seed).samples,
@@ -421,14 +423,12 @@ _RUNNERS = {
     "ostbc-alamouti": (
         (REF_OSTBC.n_r, REF_OSTBC.n_t),
         lambda n, seed: simulate_ostbc_sinr(REF_OSTBC, n, seed).samples,
-        lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng, False)),
-    # the library takes the component path only at n_t != 2
+        lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng)),
+    # the component path, which the library takes at n_t != 2
     "ostbc-component": (
-        (REF_OSTBC.n_r, REF_OSTBC.n_t),
-        lambda n, seed: run_chunks(
-            lambda m, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, m, rng, True),
-            n, seed, chunk_draws(REF_OSTBC.n_r, REF_OSTBC.n_t)),
-        lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng, True)),
+        (REF_OSTBC_2X4.n_r, REF_OSTBC_2X4.n_t),
+        lambda n, seed: simulate_ostbc_sinr(REF_OSTBC_2X4, n, seed).samples,
+        lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC_2X4, n, rng)),
     "exact-terms": (
         (2, 4),
         lambda n, seed: simulate_exact_terms(2, 4, 2, n, seed),

@@ -102,6 +102,20 @@ def test_count_sweep_has_no_db_grid():
         spec.grid_db()
 
 
+@pytest.mark.parametrize("kind", [SweepKind.THRESHOLD, SweepKind.SNR, SweepKind.INR])
+def test_db_grid_sweep_takes_no_counts(kind):
+    # counts no rule checked were once kept
+    with pytest.raises(ConfigError, match=f"{kind.value} sweeps take a dB grid, not counts"):
+        SweepSpec(kind=kind, stop_db=5.0, counts=(0, -3))
+
+
+def test_count_sweep_refuses_a_db_grid_spec():
+    # it once returned no points
+    spec = SweepSpec(kind=SweepKind.INR, stop_db=5.0)
+    with pytest.raises(ConfigError, match="inr sweeps have no interferer counts"):
+        sweep_interferer_count(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, spec, 2)
+
+
 # --- config builders ---
 
 
