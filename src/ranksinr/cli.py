@@ -63,8 +63,8 @@ EXIT_VALIDATION = 4
 DKW_ALPHA = 0.01
 
 
-def _grid(args, kind=SweepKind.THRESHOLD, **fields) -> SweepSpec:
-    """The --grid text START:STOP:STEP as a sweep axis of the given kind."""
+def _grid(args, kind=SweepKind.THRESHOLD) -> SweepSpec:
+    """The --grid text START:STOP:STEP as a dB grid of the given kind."""
     parts = args.grid.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be START:STOP:STEP in dB, got {args.grid!r}")
@@ -74,7 +74,7 @@ def _grid(args, kind=SweepKind.THRESHOLD, **fields) -> SweepSpec:
         raise ConfigError(f"grid values must be numbers: {args.grid!r}") from exc
     if not all(math.isfinite(v) for v in (a, b, s)):
         raise ConfigError(f"grid values must be finite: {args.grid!r}")
-    return SweepSpec(kind=kind, start_db=a, stop_db=b, step_db=s, **fields)
+    return SweepSpec(kind=kind, start_db=a, stop_db=b, step_db=s)
 
 
 def _grid_db(args) -> tuple[np.ndarray, np.ndarray, float]:
@@ -204,15 +204,15 @@ def cmd_gain(args) -> int:
 
 def cmd_sweep_snr(args) -> int:
     cfg, spec, rank = _gain_config(args)
-    sw = _grid(args, SweepKind.SNR, p_star=args.target_outage)
-    points = sweep_snr(cfg.own_mode, cfg.n_r, cfg.n_t, spec.inr_db, sw, rank)
+    points = sweep_snr(cfg.own_mode, cfg.n_r, cfg.n_t, spec.inr_db,
+                       _grid(args, SweepKind.SNR), rank, args.target_outage)
     return _emit_gains(args, cfg, points, "snr_db", rank, args.grid)
 
 
 def cmd_sweep_inr(args) -> int:
     cfg, spec, rank = _gain_config(args)
-    sw = _grid(args, SweepKind.INR, p_star=args.target_outage)
-    points = sweep_inr(cfg.own_mode, cfg.n_r, cfg.n_t, cfg.snr_db, sw, rank)
+    points = sweep_inr(cfg.own_mode, cfg.n_r, cfg.n_t, cfg.snr_db,
+                       _grid(args, SweepKind.INR), rank, args.target_outage)
     return _emit_gains(args, cfg, points, "inr_db", rank, args.grid)
 
 
@@ -225,11 +225,8 @@ def cmd_sweep_n(args) -> int:
     if bad.any():
         raise ConfigError(
             f"interferer counts must be integers, got {grid[bad][0]}")
-    sw = SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=tuple(int(c) for c in counts),
-                   p_star=args.target_outage)
-    points = sweep_interferer_count(
-        cfg.own_mode, cfg.n_r, cfg.n_t, cfg.snr_db, spec.inr_db, sw, rank
-    )
+    points = sweep_interferer_count(cfg.own_mode, cfg.n_r, cfg.n_t, cfg.snr_db, spec.inr_db,
+                                    [int(c) for c in counts], rank, args.target_outage)
     return _emit_gains(args, cfg, points, "n_ibs", rank, args.grid)
 
 

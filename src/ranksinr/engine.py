@@ -123,7 +123,7 @@ class SinrModel:
     finite (``scenario.check_points``): a ConfigError refuses any other.
     `rates` is the raw interference rate set, empty for no interferers;
     each rate must be positive and finite, or ``mixture.count_rates``
-    refuses it with a plain ValueError that names its row.  `mixture` is
+    refuses it with a ConfigError that names its row.  `mixture` is
     ``mixture.build_mixture`` of the rates (None without interferers),
     whose partial-fraction coefficients are computed only if read, which
     only ``dump-xi`` does: neither evaluation nor ``pdf_y``/``cdf_y``

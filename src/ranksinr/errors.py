@@ -8,9 +8,9 @@ class RankSinrError(ValueError):
 class EmptyMixtureError(RankSinrError):
     """Raised when an interference mixture is built from no rate entries.
 
-    A rate that is not positive and finite is a plain ValueError, raised
-    by ``mixture.count_rates`` for the mixture, the laws of Y and every
-    model row alike; every other input value is a ConfigError.
+    A rate that is not positive and finite is a ConfigError, raised by
+    ``mixture.count_rates`` for the mixture, the laws of Y and every
+    model row alike, as every other input value outside its rule is.
     """
 
 

@@ -102,7 +102,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyMixtureError, NumericInstabilityError, RankSinrError
+from .errors import ConfigError, EmptyMixtureError, NumericInstabilityError, RankSinrError
 from .scenario import check_points
 
 # the largest sum|Xi| whose double coefficients keep 1e-12 absolute
@@ -146,13 +146,14 @@ def _bd0(n: np.ndarray, x: np.ndarray) -> np.ndarray:
 def count_rates(rates, what: str = "rates") -> tuple[tuple[float, ...], tuple[int, ...]]:
     """The distinct rates ascending and the count of each, the values and
     order numpy's `unique` with counts gives: only exactly equal rates
-    form a group.  Refuses a rate that is not positive and finite,
-    naming it `what`; an empty rate set gives two empty tuples."""
+    form a group.  Refuses with ConfigError, naming it `what`, a rate
+    that is not positive and finite, such as a tiny INR that the split
+    over its layers took to 0; an empty rate set gives two empty tuples."""
     rates = [float(r) for r in rates]
     counts = Counter(rates)
     # written as "not <" so that NaN is refused too
     if not all(0.0 < r < math.inf for r in counts):
-        raise ValueError(f"{what} must be positive and finite, got {rates}")
+        raise ConfigError(f"{what} must be positive and finite, got {rates}")
     rho = sorted(counts)
     return tuple(rho), tuple(counts[r] for r in rho)
 
@@ -333,7 +334,7 @@ def _sums(x, lo, hi, table: np.ndarray) -> np.ndarray:
 def _law(y, rates, density: bool):
     """pdf_y (density) or cdf_y at y, scalar or array (module docstring);
     y must be finite and >= 0 (``scenario.check_points``, a ConfigError),
-    a rate positive and finite (``count_rates``, a plain ValueError)."""
+    a rate positive and finite (``count_rates``, a ConfigError too)."""
     arr = check_points(y, "y")
     rho, c = _groups(rates)
     pmf, below = _count_law(rho, c)

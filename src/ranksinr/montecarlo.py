@@ -68,8 +68,9 @@ RNG_NAME = "sfc64"
 # antenna pair), where a fixed 16384 draws took 6-8 MB at 2x2 and 59-130 MB
 # at 8x8 and ran no faster
 CHUNK_ENTRIES = 2**15
-# what run_chunks takes: a sample count numpy can index, a 64-bit seed
-MAX_SAMPLES, MAX_SEED = int(np.iinfo(np.intp).max), 2**64 - 1
+# what run_chunks takes: a sample count whose float64 array numpy can size,
+# a 64-bit seed
+MAX_SAMPLES, MAX_SEED = int(np.iinfo(np.intp).max) // 8, 2**64 - 1
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 
 
@@ -236,13 +237,19 @@ def run_chunks(
     SFC64 stream spawned from ``seed``, so each chunk is independent of
     the others and of where it runs.  The chunks run on up to one thread
     per usable CPU, each writing its slice of the result; an exception
-    from any chunk is raised here.
+    from any chunk is raised here.  A result array the host cannot
+    allocate is a ConfigError, raised before any chunk is listed.
     """
     n_samples = check_count(n_samples, "n_samples", MAX_SAMPLES)
     seed = check_count(seed, "seed", MAX_SEED, lo=0)
+    try:
+        out = np.empty(n_samples)
+    except MemoryError:
+        raise ConfigError(
+            f"{n_samples} samples need {8 * n_samples} bytes, more than this host can allocate"
+        ) from None
     sizes = _chunk_sizes(n_samples, chunk)
     rngs = [_generator(ss) for ss in np.random.SeedSequence(seed).spawn(len(sizes))]
-    out = np.empty(n_samples)
 
     def fill(start: int, n: int, rng: np.random.Generator) -> None:
         out[start:start + n] = simulate(n, rng)

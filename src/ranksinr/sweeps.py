@@ -9,7 +9,7 @@ Positive gain means higher-rank interference is the milder one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,7 +24,6 @@ from .scenario import (
     Technique,
     check_count,
     check_enum,
-    check_probability,
     check_real,
     db_to_linear,
     linear_to_db,
@@ -43,63 +42,42 @@ class SweepKind(Enum):
     THRESHOLD = "threshold"
     SNR = "snr"
     INR = "inr"
-    NUM_INTERFERERS = "num_interferers"
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep axis: a dB grid, or an interferer-count list.
-
-    kind is a SweepKind or its value, the grid ends and step real
-    numbers, p_star a probability and each count an integer in
-    1..MAX_GRID_POINTS (the rules of ``scenario``).  Only a
-    NUM_INTERFERERS sweep takes counts.
+    """A dB grid from start_db to stop_db in steps of step_db, both ends
+    included.  kind is a SweepKind or its value, the ends and step real
+    numbers (the rules of ``scenario``); the step must be positive and
+    finite, and the grid hold at most MAX_GRID_POINTS points.
     """
 
     kind: SweepKind
     start_db: float = 0.0
     stop_db: float = 0.0
     step_db: float = 1.0
-    counts: tuple[int, ...] = field(default_factory=tuple)
-    p_star: float = 0.01
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", check_enum(self.kind, SweepKind, "kind"))
-        object.__setattr__(self, "p_star", check_probability(self.p_star, "p_star"))
         for name in ("start_db", "stop_db", "step_db"):
             object.__setattr__(self, name, check_real(getattr(self, name), name))
-        if self.kind is SweepKind.NUM_INTERFERERS:
-            counts = tuple(check_count(c, "every entry of counts", MAX_GRID_POINTS)
-                           for c in self.counts)
-            object.__setattr__(self, "counts", counts)
-            if not counts:
-                raise ConfigError("counts must be a nonempty list")
-            if list(counts) != sorted(counts):
-                raise ConfigError("counts must be nondecreasing")
-        else:
-            if len(self.counts):
-                raise ConfigError(f"{self.kind.value} sweeps take a dB grid, not counts")
-            # an infinite step would put inf * 0, a NaN, in the grid
-            if not 0.0 < self.step_db < math.inf:
-                raise ConfigError(f"step must be positive and finite, got {self.step_db}")
-            if self.stop_db < self.start_db:
-                raise ConfigError(
-                    f"empty grid: stop {self.stop_db} dB < start {self.start_db} dB"
-                )
-            # written as "not <" so that an overflowing span is refused too
-            if not self._steps() < MAX_GRID_POINTS:
-                raise ConfigError(
-                    f"grid {self.start_db}:{self.stop_db}:{self.step_db} dB holds "
-                    f"more than {MAX_GRID_POINTS} points"
-                )
+        # an infinite step would put inf * 0, a NaN, in the grid
+        if not 0.0 < self.step_db < math.inf:
+            raise ConfigError(f"step must be positive and finite, got {self.step_db}")
+        if self.stop_db < self.start_db:
+            raise ConfigError(f"empty grid: stop {self.stop_db} dB < start {self.start_db} dB")
+        # written as "not <" so that an overflowing span is refused too
+        if not self._steps() < MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid {self.start_db}:{self.stop_db}:{self.step_db} dB holds "
+                f"more than {MAX_GRID_POINTS} points"
+            )
 
     def _steps(self) -> float:
         # the slack keeps a stop that round-off leaves just short of a point
         return (self.stop_db - self.start_db) / self.step_db + 1e-9
 
     def grid_db(self) -> np.ndarray:
-        if self.kind is SweepKind.NUM_INTERFERERS:
-            raise ConfigError("count sweeps have no dB grid")
         n = int(math.floor(self._steps())) + 1
         return self.start_db + self.step_db * np.arange(n)
 
@@ -182,21 +160,26 @@ def threshold_gain(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float, inr_db,
 
 
 def sweep_inr(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float, spec: SweepSpec,
-              rank: int) -> list[GainPoint]:
-    return threshold_gain(own_mode, n_r, n_t, snr_db, spec.grid_db(), rank, spec.p_star)
+              rank: int, p_star: float = 0.01) -> list[GainPoint]:
+    return threshold_gain(own_mode, n_r, n_t, snr_db, spec.grid_db(), rank, p_star)
 
 
 def sweep_snr(own_mode: OwnMode, n_r: int, n_t: int, inr_db: float, spec: SweepSpec,
-              rank: int) -> list[GainPoint]:
-    return _gain_points(own_mode, n_r, n_t, rank, spec.p_star,
+              rank: int, p_star: float = 0.01) -> list[GainPoint]:
+    return _gain_points(own_mode, n_r, n_t, rank, p_star,
                         [(v, v, inr_db, 1) for v in spec.grid_db()])
 
 
 def sweep_interferer_count(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float,
-                           total_inr_db: float, spec: SweepSpec,
-                           rank: int) -> list[GainPoint]:
-    """Gain vs number of equal-power iBSs at constant total power."""
-    if spec.kind is not SweepKind.NUM_INTERFERERS:
-        raise ConfigError(f"{spec.kind.value} sweeps have no interferer counts")
-    return _gain_points(own_mode, n_r, n_t, rank, spec.p_star,
-                        [(float(c), snr_db, total_inr_db, c) for c in spec.counts])
+                           total_inr_db: float, counts, rank: int,
+                           p_star: float = 0.01) -> list[GainPoint]:
+    """Gain vs number of equal-power iBSs at constant total power, a point
+    per entry of counts: a nonempty, nondecreasing sequence of integers in
+    1..MAX_GRID_POINTS."""
+    counts = [check_count(c, "every entry of counts", MAX_GRID_POINTS) for c in counts]
+    if not counts:
+        raise ConfigError("counts must be a nonempty list")
+    if counts != sorted(counts):
+        raise ConfigError("counts must be nondecreasing")
+    return _gain_points(own_mode, n_r, n_t, rank, p_star,
+                        [(float(c), snr_db, total_inr_db, c) for c in counts])

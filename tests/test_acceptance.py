@@ -23,12 +23,7 @@ from ranksinr.approx import ProductDistribution
 from ranksinr.cli import _mc_density_per_db
 from ranksinr.mixture import cdf_y, pdf_y
 from ranksinr.scenario import OwnMode, build_rate_set, config_to_dict
-from ranksinr.sweeps import (
-    SweepKind,
-    SweepSpec,
-    sweep_interferer_count,
-    threshold_gain,
-)
+from ranksinr.sweeps import sweep_interferer_count, threshold_gain
 from ranksinr.wishart import compute_weights
 
 GRID_STEP_DB = 0.5
@@ -259,11 +254,10 @@ def test_criterion_08_mixture_density_matches_sampled_sums(announce, ref_bf_cfg)
 
 
 def test_criterion_09_gain_erodes_with_interferer_count(announce):
-    spec = SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(1, 2, 3, 4, 5))
     seqs = {}
     for label, (n_r, n_t, rank) in {"2x2 R2": (2, 2, 2), "4x4 R4": (4, 4, 4)}.items():
         pts = sweep_interferer_count(
-            OwnMode.BEAMFORMING, n_r, n_t, 15.0, 15.0, spec, rank
+            OwnMode.BEAMFORMING, n_r, n_t, 15.0, 15.0, (1, 2, 3, 4, 5), rank
         )
         seqs[label] = [p.gain_db for p in pts]
     mono = all(

@@ -815,6 +815,50 @@ def test_numeric_instability_exits_3(tmp_path, capsys, monkeypatch):
     assert "numeric instability" in err
 
 
+@pytest.mark.parametrize("command", ["outage", "pdf", "gain", "dump-xi", "mc-validate"])
+def test_an_interference_rate_that_underflows_exits_2(tmp_path, capsys, command):
+    # -3230 dB is 1e-323, a positive double, but split over 8 layers it is
+    # 0.0: once a plain ValueError that ended in a traceback with exit 1
+    cfg = write_cfg(tmp_path, n_t=8, interferers=[
+        {"technique": "sm", "inr_db": -3230.0, "layers": 8}])
+    samples = ["--samples", "1000"] if command == "mc-validate" else []
+    code, out, err = run(capsys, command, "--config", cfg, *samples)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("config error: ") and "must be positive and finite" in err
+    assert err.count("\n") == 1
+
+
+def test_samples_past_the_largest_array_exit_2(tmp_path, capsys):
+    # the option's old maximum, 2^63 - 1, has no float64 array numpy can
+    # size: its chunk list once ended in a MemoryError traceback
+    cfg = write_cfg(tmp_path)
+    code = parse_exit_code("mc-validate", "--config", cfg, "--samples", str(2**63 - 1))
+    assert code == cli.EXIT_CONFIG
+    assert f"samples must be an integer in 1..{2**60 - 1}," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mc-validate", "approx-validate"])
+def test_a_sample_array_the_host_cannot_allocate_exits_2(tmp_path, capsys, monkeypatch,
+                                                        command):
+    # a count the host cannot hold once raised MemoryError from the chunk
+    # list or the stream spawn; the array now comes first and its failure
+    # is a refusal.  Forced here, as a host that overcommits grants 1e11
+    from ranksinr import montecarlo
+
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if isinstance(shape, int) and shape == 4321:
+            raise MemoryError("Unable to allocate 33.8 KiB")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo.np, "empty", empty)
+    code, out, err = run(capsys, command, "--config", write_cfg(tmp_path), "--samples", "4321")
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == ("config error: 4321 samples need 34568 bytes, "
+                   "more than this host can allocate\n")
+
+
 def test_model_path_never_computes_xi(tmp_path, capsys, monkeypatch):
     # the curves, the gains and the Monte Carlo check read the count pmf
     # of engine; with the partial-fraction coefficients made to raise on

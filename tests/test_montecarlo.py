@@ -16,6 +16,7 @@ from ranksinr import approx, bf, montecarlo
 from ranksinr.approx import simulate_exact_terms
 from ranksinr.errors import ConfigError, NumericInstabilityError
 from ranksinr.montecarlo import (
+    MAX_SAMPLES,
     EmpiricalDistribution,
     _generator,
     _gram,
@@ -66,6 +67,17 @@ def test_seed_follows_the_one_integer_rule(seed):
     # None once drew from fresh OS entropy, so no two runs agreed
     with pytest.raises(ConfigError, match="seed must be an integer"):
         simulate_ostbc_sinr(REF_OSTBC, 10, seed=seed)
+
+
+def test_the_largest_sample_count_is_the_largest_float64_array():
+    # one more sample once made numpy raise its own "array is too big"
+    # ValueError; 8 EiB exceeds every 64-bit address space, so the largest
+    # count is a refusal of the allocation
+    assert MAX_SAMPLES == np.iinfo(np.intp).max // 8
+    with pytest.raises(ConfigError, match="n_samples must be an integer"):
+        simulate_bf_sinr(REF_BF, MAX_SAMPLES + 1, seed=0)
+    with pytest.raises(ConfigError, match="more than this host can allocate"):
+        simulate_bf_sinr(REF_BF, MAX_SAMPLES, seed=0)
 
 
 def test_numpy_integer_counts_draw_the_same_samples():

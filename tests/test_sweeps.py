@@ -1,5 +1,6 @@
 """Sweep driver and gain-vs-axis behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,38 +27,51 @@ from oracles import find_crossing
 # --- spec validation ---
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, True, math.nan, "0.01"])
 def test_p_star_must_be_a_probability(p):
-    with pytest.raises(ConfigError, match="p_star"):
-        SweepSpec(kind=SweepKind.INR, stop_db=5.0, p_star=p)
+    spec = SweepSpec(kind=SweepKind.INR, stop_db=5.0)
+    with pytest.raises(ConfigError, match="target outage"):
+        sweep_inr(OwnMode.BEAMFORMING, 2, 2, 15.0, spec, 2, p)
 
 
 def test_count_sweep_needs_positive_nondecreasing_counts():
+    def sweep(counts):
+        return sweep_interferer_count(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, counts, 2)
+
     with pytest.raises(ConfigError, match="counts"):
-        SweepSpec(kind=SweepKind.NUM_INTERFERERS)
+        sweep(())
     with pytest.raises(ConfigError, match="counts"):
-        SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(1, 0, 2))
+        sweep((1, 0, 2))
     with pytest.raises(ConfigError, match="nondecreasing"):
-        SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(3, 1))
+        sweep((3, 1))
     # repeats are allowed, just not reversals
-    SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(1, 2, 2, 4))
+    pts = sweep((1, 2, 2, 4))
+    assert [p.x for p in pts] == [1.0, 2.0, 2.0, 4.0] and pts[1] == pts[2]
 
 
 def test_counts_follow_the_one_integer_rule():
-    spec = SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(np.int64(1), np.int32(3)))
-    assert spec.counts == (1, 3) and {type(c) for c in spec.counts} == {int}
-    for bad in (True, 2.0):
-        with pytest.raises(ConfigError, match="counts"):
-            SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(1, bad))
+    def sweep(counts):
+        return sweep_interferer_count(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, counts, 2)
+
+    assert sweep((np.int64(1), np.int32(3))) == sweep([1, 3])
+    assert sweep(np.array([1, 3])) == sweep([1, 3])
+    for bad in (True, 2.0, 100_001):
+        with pytest.raises(ConfigError, match="every entry of counts must be an integer"):
+            sweep((1, bad))
+
+
+def test_spec_is_a_db_grid():
+    assert [f.name for f in dataclasses.fields(SweepSpec)] == [
+        "kind", "start_db", "stop_db", "step_db"]
+    assert [k.value for k in SweepKind] == ["threshold", "snr", "inr"]
 
 
 def test_spec_values_follow_the_rules():
     by_value = SweepSpec(kind="inr", start_db=0, stop_db=np.int64(3), step_db=1)
     assert by_value == SweepSpec(kind=SweepKind.INR, start_db=0.0, stop_db=3.0, step_db=1.0)
     assert by_value.grid_db().tolist() == [0.0, 1.0, 2.0, 3.0]
-    for bad in (dict(kind="db"), dict(start_db="0"), dict(step_db=None), dict(step_db=math.nan),
-                dict(step_db=math.inf),
-                dict(p_star=True), dict(p_star=math.nan), dict(p_star="0.01")):
+    for bad in (dict(kind="db"), dict(kind="num_interferers"), dict(start_db="0"),
+                dict(step_db=None), dict(step_db=math.nan), dict(step_db=math.inf)):
         with pytest.raises(ConfigError):
             SweepSpec(**dict(dict(kind=SweepKind.INR, stop_db=5.0), **bad))
 
@@ -94,26 +108,6 @@ def test_grid_includes_both_endpoints():
     g = SweepSpec(kind=SweepKind.THRESHOLD, start_db=-5, stop_db=20, step_db=0.5).grid_db()
     assert len(g) == 51
     assert g[-1] == pytest.approx(20.0, abs=1e-12)
-
-
-def test_count_sweep_has_no_db_grid():
-    spec = SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(1, 2))
-    with pytest.raises(ConfigError, match="grid"):
-        spec.grid_db()
-
-
-@pytest.mark.parametrize("kind", [SweepKind.THRESHOLD, SweepKind.SNR, SweepKind.INR])
-def test_db_grid_sweep_takes_no_counts(kind):
-    # counts no rule checked were once kept
-    with pytest.raises(ConfigError, match=f"{kind.value} sweeps take a dB grid, not counts"):
-        SweepSpec(kind=kind, stop_db=5.0, counts=(0, -3))
-
-
-def test_count_sweep_refuses_a_db_grid_spec():
-    # it once returned no points
-    spec = SweepSpec(kind=SweepKind.INR, stop_db=5.0)
-    with pytest.raises(ConfigError, match="inr sweeps have no interferer counts"):
-        sweep_interferer_count(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, spec, 2)
 
 
 # --- config builders ---
@@ -189,8 +183,7 @@ def test_snr_sweep_x_axis_is_the_grid():
 
 
 def test_splitting_power_across_ibs_erodes_the_gain():
-    spec = SweepSpec(kind=SweepKind.NUM_INTERFERERS, counts=(1, 2, 3))
-    pts = sweep_interferer_count(OwnMode.BEAMFORMING, 2, 2, 15.0, 15.0, spec, rank=2)
+    pts = sweep_interferer_count(OwnMode.BEAMFORMING, 2, 2, 15.0, 15.0, (1, 2, 3), rank=2)
     gains = [p.gain_db for p in pts]
     assert all(a >= b - 1e-12 for a, b in zip(gains, gains[1:]))
     assert gains[0] > gains[-1]
@@ -218,10 +211,8 @@ def test_sweep_rows_are_the_bits_of_gain(mode, n, inrs, snrs):
     snr = SweepSpec(SweepKind.SNR, *snrs)
     for p in sweep_snr(mode, n, n, 10.0, snr, n):
         assert _bits(p) == _bits(threshold_gain(mode, n, n, p.x, 10.0, n))
-    counts = SweepSpec(SweepKind.NUM_INTERFERERS, counts=(1, 2, 3))
-    for p in sweep_interferer_count(mode, n, n, 15.0, 12.0, counts, n):
-        alone = SweepSpec(SweepKind.NUM_INTERFERERS, counts=(int(p.x),))
-        (q,) = sweep_interferer_count(mode, n, n, 15.0, 12.0, alone, n)
+    for p in sweep_interferer_count(mode, n, n, 15.0, 12.0, (1, 2, 3), n):
+        (q,) = sweep_interferer_count(mode, n, n, 15.0, 12.0, (int(p.x),), n)
         assert _bits(p) == _bits(q)
 
 
