@@ -55,7 +55,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +64,7 @@ import numpy as np
 from . import inversion, mixture
 from .errors import ConfigError, NumericInstabilityError
 from .mixture import MixtureSpec
-from .scenario import build_rate_set, check_indices, check_points, own_numerator_scale
+from .scenario import build_rate_set, check_points, own_numerator_scale
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -92,12 +93,34 @@ class _Identity:
         return self.table is other.table
 
 
+def _is_weight(w) -> bool:
+    """A finite int, Fraction or float, numpy's too; not bool or str."""
+    try:
+        return isinstance(w, numbers.Real) and not isinstance(w, bool) and math.isfinite(w)
+    except OverflowError:  # an int or Fraction past the double range
+        return False
+
+
 @functools.lru_cache(maxsize=64)
 def _psi_arrays(key: _Identity) -> tuple[np.ndarray, ...]:
     """kvals, kidx, ls, psis, psi_k, 1/(n+1) for n <= lmax, and psi_kl k of
     a psi table, read-only: every model of the table shares them.  A
-    cached entry holds its table, so no other table can take its id."""
-    items = sorted(key.table.items())
+    cached entry holds its table, so no other table can take its id.
+    A table that is not a nonempty dict of integer pairs (k, l), k >= 1
+    and l >= 0, to finite weights is refused with ConfigError."""
+    table = key.table
+    if not isinstance(table, dict) or not table:
+        raise ConfigError(f"weights must be a nonempty dict, got {table!r}")
+    for kl, w in table.items():
+        if not (isinstance(kl, tuple) and len(kl) == 2
+                and all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in kl)
+                and kl[0] >= 1 and kl[1] >= 0):
+            raise ConfigError(f"weights must be keyed by integer pairs (k, l), k >= 1 and "
+                              f"l >= 0, got {kl!r}")
+        if not _is_weight(w):
+            raise ConfigError(f"the weight of {kl!r} must be a finite int, Fraction or float, "
+                              f"got {w!r}")
+    items = sorted(table.items())
     kvals, kidx = np.unique([k for (k, _), _ in items], return_inverse=True)
     ls = np.array([l for (_, l), _ in items])
     psis = np.array([float(w) for _, w in items])
@@ -121,35 +144,34 @@ class SinrModel:
     has read it.  `rho_bar` must be positive and finite, and the points
     of an outage positive and finite, those of a density nonnegative and
     finite (``scenario.check_points``): a ConfigError refuses any other.
-    `rates` is the raw interference rate set, empty for no interferers;
-    each rate must be positive and finite, or ``mixture.count_rates``
-    refuses it with a ConfigError that names its row.  `mixture` is
-    ``mixture.build_mixture`` of the rates (None without interferers),
-    whose partial-fraction coefficients are computed only if read, which
-    only ``dump-xi`` does: neither evaluation nor ``pdf_y``/``cdf_y``
-    reads `mixture`.
+    `rates` is the raw interference rate set, empty for no interferers,
+    read by ``mixture.count_rates``: a flat sequence of real numbers,
+    each positive and finite, or a ConfigError names its row.
+    `mixture` is derived, not passed: ``mixture.build_mixture`` of the
+    rates for a model of one row with interferers, None otherwise.  Its
+    partial-fraction coefficients are computed only if read, which only
+    ``dump-xi`` does: neither evaluation nor ``pdf_y``/``cdf_y`` reads
+    `mixture`.
 
-    A model of several rows takes a tuple of rho_bar and one rate set
-    per row; axis 0 of its arguments runs over the rows.  Any other
-    count of rate sets, or a rate set that is not a flat sequence, is
-    refused with ConfigError.
+    A model of several rows takes a tuple of rho_bar and a list or tuple
+    of one rate set per row; any other count of rate sets is refused
+    with ConfigError.  Every call answers all rows: axis 0 of its
+    points runs over them.
     """
 
     weights: dict[tuple[int, int], Fraction | int]
-    mixture: MixtureSpec | None
     rho_bar: float | tuple[float, ...]
     rates: tuple[float, ...] | tuple[tuple[float, ...], ...] = ()
+    mixture: MixtureSpec | None = field(init=False)
 
     def __post_init__(self) -> None:
         rho_bar = check_points(self.rho_bar, "rho_bar", positive=True)
         (self.kvals, self.kidx, self.ls, self.psis, self.psi_k, self._inv_orders,
          self._pdf_scale) = _psi_arrays(_Identity(self.weights))
         row_rates = (self.rates,) if rho_bar.ndim == 0 else self.rates
-        flat = sum(np.ndim(r) != 1 for r in row_rates)
-        if len(row_rates) != rho_bar.size or flat:
-            raise ConfigError(
-                f"rho_bar has {rho_bar.size} rows and rates {len(row_rates)} rate sets, "
-                f"{flat} of them not a flat sequence of rates: each row takes one")
+        if not (isinstance(row_rates, (list, tuple)) and len(row_rates) == rho_bar.size > 0):
+            raise ConfigError(f"rho_bar has {rho_bar.size} rows, and rates must hold one rate "
+                              f"set per row, got {self.rates!r}")
         # rates down axis 0, rows across; absent rates, and no interferers, are
         # rate 0 with count 1: they add exact zeros and keep a/c_r finite
         rows = [mixture.count_rates(r, f"the rates of row {j}") for j, r in enumerate(row_rates)]
@@ -158,22 +180,24 @@ class SinrModel:
         for j, (rho, count) in enumerate(rows):
             self.rho[:len(rho), j], self.count[:len(count), j] = rho, count
         self._rho_bar = rho_bar.reshape(-1)
+        # on the module: wrappers installed there see every build
+        self.mixture = (mixture.build_mixture(self.rates)
+                        if rho_bar.ndim == 0 and rows[0][0] else None)
 
     @classmethod
     def for_scenarios(cls, mode, weights, cfg, *more):
         """The `mode` model of scenario cfg, or with more scenarios of its
-        size one row per scenario; a model of several rows has no mixture."""
+        size one row per scenario."""
         cfgs = (cfg, *more)
         for c in cfgs:
             if c.own_mode is not mode:
                 raise ConfigError(f"scenario own_mode is {c.own_mode.value}, expected {mode.value}")
             if (c.n_r, c.n_t) != (cfg.n_r, cfg.n_t):
                 raise ConfigError("the rows of one model must share n_r and n_t")
-        rho_bar, rates = tuple(map(own_numerator_scale, cfgs)), tuple(map(build_rate_set, cfgs))
         if more:
-            return cls(weights, None, rho_bar, rates)
-        mix = mixture.build_mixture(rates[0]) if rates[0] else None  # on the module: wrappers see it
-        return cls(weights, mix, rho_bar[0], rates[0])
+            return cls(weights, tuple(map(own_numerator_scale, cfgs)),
+                       tuple(map(build_rate_set, cfgs)))
+        return cls(weights, own_numerator_scale(cfg), build_rate_set(cfg))
 
     def _counts(self, gamma: np.ndarray, rows=0, top=None):
         """log g_{k,0}, g_{k,n} for n <= top and d_{k,n} for n < top, top =
@@ -235,23 +259,17 @@ class SinrModel:
             scale = self._pdf_scale / self._rho_bar[rows]
             return _sum_rows(scale * self._per_term(d))
 
-    def _rows(self, rows) -> np.ndarray:
-        """The row indices `rows` (``scenario.check_indices``), all rows for None."""
-        n = self._rho_bar.size
-        return np.arange(n) if rows is None else check_indices(rows, "rows", n)
-
-    def _evaluate(self, kernel, arr: np.ndarray, rows) -> np.ndarray:
+    def _evaluate(self, kernel, arr: np.ndarray) -> np.ndarray:
         """kernel at every point of arr in blocks of at most BLOCK columns;
-        in a model of several rows axis 0 runs over `rows`, or all rows."""
-        rows = self._rows(rows)
-        if rows.size != 1 and arr.shape[:1] != rows.shape:
-            raise ConfigError(f"axis 0 of gamma must run over {rows.size} model rows")
+        in a model of several rows axis 0 runs over the rows."""
+        n, flat = self._rho_bar.size, arr.ravel()
+        if n != 1 and arr.shape[:1] != (n,):
+            raise ConfigError(f"axis 0 of gamma must run over {n} model rows")
         # one row's rates broadcast over its points, several rows' are
         # gathered point by point
-        one, flat = rows.size == 1, arr.ravel()
-        point_rows = rows.item() if one else rows.repeat(math.prod(arr.shape[1:]))
+        point_rows = 0 if n == 1 else np.arange(n).repeat(math.prod(arr.shape[1:]))
         step = max(1, BLOCK // self.kvals.size)
-        out = [kernel(flat[s:s + step], point_rows if one else point_rows[s:s + step])
+        out = [kernel(flat[s:s + step], point_rows if n == 1 else point_rows[s:s + step])
                for s in range(0, flat.size, step)]
         return (out[0] if len(out) == 1 else np.concatenate(out or [flat])).reshape(arr.shape)
 
@@ -262,29 +280,23 @@ class SinrModel:
         overflows where rho_bar is below about 1e-307.
         """
         arr = check_points(gamma, "gamma")
-        vals = self._evaluate(self._pdf, arr, None)
+        vals = self._evaluate(self._pdf, arr)
         # written as "not <" so that NaN is refused too
         if not np.abs(vals).max(initial=0.0) < np.inf:
             raise NumericInstabilityError("the SINR density overflows double precision")
         return float(vals) if arr.ndim == 0 else vals
 
-    def outage(self, gamma0, rows=None):
+    def outage(self, gamma0):
         """P(SINR <= gamma0), scalar or array; in a model of several rows
-        axis 0 runs over the row indices `rows`, all rows by default.
-        An index outside 0..n_rows-1, or a gamma0 whose axis 0 does not
-        run over the rows, is refused with ConfigError; no rows and no
-        points answer an empty array."""
+        axis 0 runs over the rows, and a gamma0 whose axis 0 does not is
+        refused with ConfigError.  No points answer an empty array."""
         arr = check_points(gamma0, "gamma0", positive=True)
-        return inversion.clamp_probability(self._evaluate(self._outage, arr, rows))
+        return inversion.clamp_probability(self._evaluate(self._outage, arr))
 
-    def threshold(self, p_target: float, rows=None):
+    def threshold(self, p_target: float):
         """Outage threshold gamma0 with outage(gamma0) = p_target: a float for a
-        model of one row, or one per index of `rows` (all rows by default),
-        inverted together; `rows` follows the rule of `outage`."""
-        one = rows is None and np.ndim(self.rho_bar) == 0
-        rows = self._rows(rows)
+        model of one row, or an array of one per row, inverted together."""
         # looked up on the module at call time, like self.outage on the
         # class, so that wrappers installed there see every inversion
-        thr = inversion.threshold_at_outage(lambda x, at: self.outage(x, rows[at]),
-                                            p_target, rows.size)
-        return float(thr[0]) if one else thr
+        thr = inversion.threshold_at_outage(self.outage, p_target, self._rho_bar.size)
+        return float(thr[0]) if np.ndim(self.rho_bar) == 0 else thr

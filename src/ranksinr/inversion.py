@@ -1,7 +1,7 @@
 """Probability clamping and inversion of monotone outage curves.
 
-A threshold is inverted in about four outage calls, each on every open
-row at once: one call on a x4 lattice brackets the target and keeps the
+A threshold is inverted in about four outage calls, each on every row
+at once: one call on a x4 lattice brackets the target and keeps the
 outages F at the bracket ends, then each n-section call evaluates
 SECTIONS points per row.  Most of them sit in a window around the secant
 estimate of the crossing, the straight line through the bracket ends in
@@ -95,26 +95,27 @@ def _log_hazard(f: float) -> float:
 def _nsection(outage_fn, p_target: float, bracket: list[tuple[float, ...]]) -> np.ndarray:
     """Midpoints of the brackets lo < hi, one per row.
 
-    outage_fn(x, rows) maps points x, whose axis 0 runs over the row
-    indices rows, to probabilities that cross p_target once per row:
-    below it at lo, at least p_target at hi.  bracket holds each row's
-    (lo, hi, f_lo, f_hi) as floats, f the values at lo and hi.  Each call
-    on SECTIONS interior points of every open bracket keeps the
-    sub-interval that ends at the first point reaching p_target, with its
-    end values; a row drops out once its bracket is THRESHOLD_REL_TOL
-    wide or stops shrinking.  A row's points depend on its own bracket
-    alone, and its bookkeeping runs in floats of its own: EVEN spread
-    over the bracket, WINDOW around the secant estimate of the crossing
-    in (log x, log(-log(1 - f))), or around the geometric midpoint where
-    that coordinate is infinite at an end (f_lo = 0 or f_hi = 1).
+    outage_fn(x) maps points x, one row of them per bracket, to
+    probabilities that cross p_target once per row: below it at lo, at
+    least p_target at hi.  bracket holds each row's (lo, hi, f_lo, f_hi)
+    as floats, f the values at lo and hi.  Each call on SECTIONS interior
+    points of every bracket keeps the sub-interval that ends at the first
+    point reaching p_target, with its end values; a bracket closes once
+    it is THRESHOLD_REL_TOL wide or stops shrinking, and a closed bracket
+    is kept, whatever its row's new values, until all have closed.  A
+    row's points depend on its own bracket alone, and its bookkeeping
+    runs in floats of its own: EVEN spread over the bracket, WINDOW
+    around the secant estimate of the crossing in (log x, log(-log(1 -
+    f))), or around the geometric midpoint where that coordinate is
+    infinite at an end (f_lo = 0 or f_hi = 1).
     """
     tol = THRESHOLD_REL_TOL
     ends = list(bracket)
     u_target, floor = _log_hazard(p_target), 0.5 * tol
-    rows = [j for j, (l, h, _, _) in enumerate(ends) if h - l > tol * l]
-    while rows:
+    open_ = [h - l > tol * l for l, h, _, _ in ends]
+    while any(open_):
         spans = []
-        for l, h, fl, fh in map(ends.__getitem__, rows):
+        for l, h, fl, fh in ends:
             w = (h - l) / l
             t = 0.5
             if 0.0 < fl and fh < 1.0:
@@ -132,9 +133,11 @@ def _nsection(outage_fn, p_target: float, bracket: list[tuple[float, ...]]) -> n
         x = c[:, BASE]
         x += c[:, SCALE] * FRACTIONS
         x.sort(axis=1)
-        f = np.asarray(outage_fn(x, np.array(rows)))
-        still = []
-        for j, k, xs, fs in zip(rows, _first_reaching(f, p_target), x.tolist(), f.tolist()):
+        f = np.asarray(outage_fn(x))
+        for j, (k, xs, fs) in enumerate(zip(_first_reaching(f, p_target), x.tolist(),
+                                            f.tolist())):
+            if not open_[j]:
+                continue
             l, h, fl, fh = ends[j]
             # f_lo < p_target <= f_hi: the bracket ends at the first point
             # that reaches p_target, or at hi where none does
@@ -145,9 +148,7 @@ def _nsection(outage_fn, p_target: float, bracket: list[tuple[float, ...]]) -> n
             else:
                 ends[j] = new = l, xs[0], fl, fs[0]
             # a bracket a few ulps wide stops shrinking
-            if tol * new[0] < new[1] - new[0] < h - l:
-                still.append(j)
-        rows = still
+            open_[j] = tol * new[0] < new[1] - new[0] < h - l
     return np.array([0.5 * (l + h) for l, h, _, _ in ends])
 
 
@@ -155,18 +156,20 @@ def _bracket(outage_fn, p_target: float, n_rows: int) -> list[tuple[float, ...]]
     """Neighbouring lattice points lo < hi per row, the outage below
     p_target at lo, and the outages there: (lo, hi, f_lo, f_hi) floats."""
     inner = LATTICE[INNER]
-    f = np.asarray(outage_fn(inner[None].repeat(n_rows, axis=0), np.arange(n_rows)))
+    f = np.asarray(outage_fn(inner[None].repeat(n_rows, axis=0)))
     # per row its points, their outages and the index of the first that
     # reaches p_target
     crossings = list(zip([inner] * n_rows, f, _first_reaching(f, p_target)))
     # a row whose first point reaches the target searches the outer part
-    # below, a row where none does the outer part above
-    rows = [j for j, (_, _, i) in enumerate(crossings) if i == 0]
-    if rows:
-        x = np.array([LATTICE[:INNER.start + 1] if crossings[j][1][0] >= p_target
-                      else LATTICE[INNER.stop - 1:] for j in rows])
-        f = np.asarray(outage_fn(x, np.array(rows)))
-        for j, xs, fs, i in zip(rows, x, f, _first_reaching(f, p_target)):
+    # below, a row where none does the outer part above; a row bracketed
+    # already is evaluated on one of them too, and keeps its bracket
+    if any(i == 0 for _, _, i in crossings):
+        x = np.array([LATTICE[:INNER.start + 1] if fs[0] >= p_target
+                      else LATTICE[INNER.stop - 1:] for _, fs, _ in crossings])
+        f = np.asarray(outage_fn(x))
+        for j, (xs, fs, i) in enumerate(zip(x, f, _first_reaching(f, p_target))):
+            if crossings[j][2]:
+                continue
             if i == 0:
                 raise NumericInstabilityError(
                     f"no threshold above 1e-150 stays under outage {p_target}"
@@ -178,25 +181,25 @@ def _bracket(outage_fn, p_target: float, n_rows: int) -> list[tuple[float, ...]]
             for xs, fs, i in crossings]
 
 
-def threshold_at_outage(outage_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def threshold_at_outage(outage_fn: Callable[[np.ndarray], np.ndarray],
                         p_target: float, n_rows: int = 1) -> np.ndarray:
     """Largest-threshold inverses of n_rows nondecreasing outage curves.
 
-    Returns gamma0 with outage = p_target for every row.  outage_fn(x,
-    rows) maps x, whose axis 0 runs over the row indices rows, to their
+    Returns gamma0 with outage = p_target for every row.  outage_fn(x)
+    maps an (n_rows, k) block x, a row of points per curve, to their
     outages.  One call on the x4 lattice brackets every row's target and
     keeps the outages at the bracket ends; then each n-section call on
-    SECTIONS interior points of every open bracket keeps the sub-interval
+    SECTIONS interior points of every bracket keeps the sub-interval
     where its curve crosses p_target, until the bracket is
     THRESHOLD_REL_TOL wide.  Most of the points sit in a window around
     the secant estimate of the crossing from the bracket ends, so a
-    threshold takes about four calls in all.  Each row sees the points
-    it would see alone, so a batch takes as many calls as its slowest
-    row, and each threshold has the bits of its one-row inversion.  The
-    curves are CDFs, hence monotone with full support, so a bracket
-    always exists within floating range; a row without one refuses all.
-    A p_target outside (0, 1), NaN included, is refused with ConfigError
-    (``scenario.check_probability``).
+    threshold takes about four calls in all.  Every call evaluates every
+    row, and each row sees the points it would see alone, so a batch
+    takes as many calls as its slowest row, and each threshold has the
+    bits of its one-row inversion.  The curves are CDFs, hence monotone
+    with full support, so a bracket always exists within floating range;
+    a row without one refuses all.  A p_target outside (0, 1), NaN
+    included, is refused with ConfigError (``scenario.check_probability``).
     """
     p_target = check_probability(p_target, "target outage")
     return _nsection(outage_fn, p_target, _bracket(outage_fn, p_target, n_rows))

@@ -103,7 +103,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, EmptyMixtureError, NumericInstabilityError, RankSinrError
-from .scenario import check_points
+from .scenario import check_points, check_real
 
 # the largest sum|Xi| whose double coefficients keep 1e-12 absolute
 XI_ABS_SUM_MAX = 1e-12 * 2.0**53
@@ -146,10 +146,16 @@ def _bd0(n: np.ndarray, x: np.ndarray) -> np.ndarray:
 def count_rates(rates, what: str = "rates") -> tuple[tuple[float, ...], tuple[int, ...]]:
     """The distinct rates ascending and the count of each, the values and
     order numpy's `unique` with counts gives: only exactly equal rates
-    form a group.  Refuses with ConfigError, naming it `what`, a rate
-    that is not positive and finite, such as a tiny INR that the split
-    over its layers took to 0; an empty rate set gives two empty tuples."""
-    rates = [float(r) for r in rates]
+    form a group.  `rates` is a flat sequence, a list, tuple or 1-d
+    array, of real numbers (``scenario.check_real``).  Refuses with
+    ConfigError, naming it `what`, any other value (a str, a mapping, a
+    scalar, a nested entry) and a rate that is not positive and finite,
+    such as a tiny INR that the split over its layers took to 0; an
+    empty rate set gives two empty tuples."""
+    if not (isinstance(rates, (list, tuple)) or isinstance(rates, np.ndarray) and rates.ndim == 1):
+        raise ConfigError(f"{what} must be a list, tuple or 1-d array of rates, got {rates!r}")
+    entry = f"every entry of {what}"
+    rates = [check_real(r, entry) for r in rates]
     counts = Counter(rates)
     # written as "not <" so that NaN is refused too
     if not all(0.0 < r < math.inf for r in counts):
@@ -289,7 +295,9 @@ def _count_law(rho: tuple[float, ...], c: tuple[int, ...]) -> tuple[np.ndarray, 
         cdf.append(total + comp)
         # past the mode the tail is at most p r/(1 - r), r = p/p_n
         if p < p_n and p * p <= TAIL_EPS * total * (p_n - p):
-            return tuple(np.ldexp(np.frombuffer(a), e) for a in (pmf, cdf))
+            pmf, cdf = (np.ldexp(np.frombuffer(a), e) for a in (pmf, cdf))
+            # the round-off of many terms can carry their sum a few ulps past 1
+            return pmf, np.minimum(cdf, 1.0)
         if p > 2.0**960:
             for a in (pmf, cdf):
                 np.frombuffer(a)[:] *= 2.0**-960

@@ -23,7 +23,6 @@ bool and every non-integer are refused, a numpy integer becomes an
 int), ``check_real`` (an int or float, numpy's too, as a float; bool
 and str are refused), ``check_probability`` (a real number in (0, 1)),
 ``check_points`` (evaluation points, finite and > 0 or >= 0),
-``check_indices`` (indices of the rows of a model, integers in 0..n-1),
 ``check_enum`` (an enum member, given as itself or by its value) and
 ``db_to_linear`` (a dB value whose linear value is positive and finite).
 Each refusal is a ConfigError that names the value.  ScenarioConfig and
@@ -89,6 +88,10 @@ def check_points(x, what: str, positive: bool = False) -> np.ndarray:
     (a numpy scalar for a scalar): each finite and >= 0, or > 0 where
     `positive`, with -0.0 read as 0.0.  A bool or non-real point, NaN,
     inf or a point out of range raises ConfigError, naming `what`."""
+    # a float, the commonest scalar, skips the array round trip; NaN fails
+    # both comparisons and is refused below
+    if type(x) is float and (x > 0.0 if positive else x >= 0.0) and x < math.inf:
+        return np.float64(x + 0.0)
     arr = np.asarray(x)
     if arr.dtype.kind in "iuf":
         arr = np.add(arr, 0.0, dtype=np.float64)  # a copy, where -0.0 reads +0.0
@@ -97,26 +100,6 @@ def check_points(x, what: str, positive: bool = False) -> np.ndarray:
                             and arr.max() < math.inf):
             return arr
     raise ConfigError(f"{what} must be finite and {'>' if positive else '>='} 0, got {x!r}")
-
-
-def check_indices(values, what: str, n: int) -> np.ndarray:
-    """Indices of n items, an integer or a 1-d sequence or array of them,
-    as a 1-d intp array, empty for an empty sequence.  Each must lie in
-    0..n-1: a negative index, one past the end, bool and non-integer
-    entries raise ConfigError, naming `what`.  A sequence is read as
-    numpy reads it, in one vectorized check, once its entries are
-    searched for a bool, which numpy reads among integers as 0 or 1; an
-    array's dtype shows one without a search."""
-    arr = np.asarray(values)
-    ints = arr.dtype.kind in "iu" and (
-        isinstance(values, np.ndarray) or arr.ndim == 0
-        or not any(getattr(v, "dtype", type(v)) == bool for v in values))
-    # a negative index, cast to unsigned, wraps past every n: one reduction
-    # checks both ends
-    if arr.ndim <= 1 and (not arr.size or ints
-                          and np.maximum.reduce(arr.astype(np.uintp), axis=None) < n):
-        return arr.reshape(-1).astype(np.intp, copy=False)
-    raise ConfigError(f"{what} must be integers in 0..{n - 1}, got {values!r}")
 
 
 def check_enum(value, kind: type[enum.Enum], what: str):

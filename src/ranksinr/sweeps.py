@@ -138,16 +138,17 @@ class GainPoint:
 def _gain_points(own_mode: OwnMode, n_r: int, n_t: int, rank: int, p_star: float,
                  points: list[tuple]) -> list[GainPoint]:
     """Thresholds at p_star under count equal rank-1, then rank-r, iBSs, at each
-    (x, snr_db, inr_db, count) of points: a model of a row per rank and point,
-    POINTS_PER_BATCH points at a time, inverts each rank's rows together."""
+    (x, snr_db, inr_db, count) of points: per rank a model of a row per
+    point, POINTS_PER_BATCH points at a time, inverts its rows together."""
     out = []
     for s in range(0, len(points), POINTS_PER_BATCH):
         batch = points[s:s + POINTS_PER_BATCH]
-        model = model_for(*(equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, count, r)
-                            for r in (1, rank) for _, snr_db, inr_db, count in batch))
-        rows = np.arange(len(batch))
-        thr1, thrr = (model.threshold(p_star, rows + j * rows.size).tolist() for j in (0, 1))
-        out += [GainPoint(x, t1, tr) for (x, *_), t1, tr in zip(batch, thr1, thrr)]
+        thresholds = []
+        for r in (1, rank):
+            model = model_for(*(equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, count, r)
+                                for _, snr_db, inr_db, count in batch))
+            thresholds.append(np.atleast_1d(model.threshold(p_star)).tolist())
+        out += [GainPoint(x, t1, tr) for (x, *_), t1, tr in zip(batch, *thresholds)]
     return out
 
 

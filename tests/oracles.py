@@ -303,7 +303,7 @@ def outage_white_interference(gamma0, cfg: ScenarioConfig):
     if cfg.own_mode is not OwnMode.OSTBC:
         raise ConfigError("white-interference reference is defined for ostbc mode")
     mean_y = sum(db_to_linear(s.inr_db) for s in cfg.interferers) / cfg.n_t
-    white = OstbcModel(weights={(1, cfg.n_r * cfg.n_t - 1): 1}, mixture=None,
+    white = OstbcModel(weights={(1, cfg.n_r * cfg.n_t - 1): 1},
                        rho_bar=own_numerator_scale(cfg) / (1.0 + mean_y))
     return white.outage(gamma0)
 
@@ -320,7 +320,7 @@ def find_crossing(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float, inr_db: 
                                                          inr_db, 1, r))
               for r in (1, rank))
 
-    def share(g: np.ndarray, rows=None) -> np.ndarray:
+    def share(g: np.ndarray) -> np.ndarray:
         # the rank-r share of the two outages, 1/2 where they are equal
         o_1, o_r = m1.outage(g), mr.outage(g)
         return o_r / (o_1 + o_r)

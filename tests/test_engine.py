@@ -162,46 +162,22 @@ def test_stacked_rows_are_the_bits_of_their_own_models(n):
         for row, model in enumerate(models):
             assert [v.hex() for v in got[row]] == [
                 v.hex() for v in getattr(model, method)(gammas)]
-    # a subset of the rows, in any order
-    assert np.array_equal(stacked.outage(grid[:2], [3, 1]),
-                          [models[3].outage(gammas), models[1].outage(gammas)])
     assert [t.hex() for t in stacked.threshold(0.01)] == [
         m.threshold(0.01).hex() for m in models]
-    assert [t.hex() for t in stacked.threshold(0.01, [3, 1])] == [
-        models[3].threshold(0.01).hex(), models[1].threshold(0.01).hex()]
     with pytest.raises(ConfigError, match="4 model rows"):
         stacked.outage(gammas)
 
 
-@pytest.mark.parametrize("rows", [[2], [5], [-1], [0.5], [True], [[0]], "0", None,
-                                  [True, 1], (1, np.False_), [np.array(True), 0]])
-def test_row_indices_follow_the_index_rule(rows):
-    # [5] and [0.5] raised numpy's IndexError, [-1] read the last row and
-    # [True, 1] read row 1 twice
-    model = SinrModel({(1, 3): 1}, None, (2.0, 3.0), ((2.0,), (1.0,)))
-    if rows is None:
-        # all rows, so that gamma's axis 0 must run over both
+def test_every_call_answers_all_rows():
+    model = SinrModel({(1, 3): 1}, (2.0, 3.0), ((2.0,), (1.0,)))
+    assert model.outage(np.empty((2, 0))).shape == (2, 0)
+    assert model.outage([[1.0], [1.0]]).shape == (2, 1)
+    thr = model.threshold(0.01)
+    assert isinstance(thr, np.ndarray) and thr.shape == (2,)
+    # a point for one row is refused like a point for the wrong row count
+    for gamma in (1.0, [1.0], [[1.0]] * 3):
         with pytest.raises(ConfigError, match="2 model rows"):
-            model.outage(1.0, rows)
-        return
-    with pytest.raises(ConfigError, match=r"rows must be integers in 0\.\.1"):
-        model.outage([1.0], rows)
-    with pytest.raises(ConfigError, match=r"rows must be integers in 0\.\.1"):
-        model.threshold(0.01, rows)
-
-
-def test_no_rows_answer_an_empty_array():
-    # both divided by zero
-    model = SinrModel({(1, 3): 1}, None, (2.0, 3.0), ((2.0,), (1.0,)))
-    for answer in (model.outage(np.empty((0, 3)), []), model.threshold(0.01, []),
-                   model.threshold(0.01, np.array([], dtype=int))):
-        assert isinstance(answer, np.ndarray) and answer.size == 0
-    assert model.outage(np.empty((0, 3)), []).shape == (0, 3)
-    # a point for no row is refused like a point for the wrong row count
-    with pytest.raises(ConfigError, match="0 model rows"):
-        model.outage(1.0, [])
-    # numpy integers and a single index are indices too
-    assert model.outage([1.0], np.array([1], dtype=np.uint8)) == model.outage([1.0], 1)
+            model.outage(gamma)
 
 
 def test_stacked_rows_share_mode_and_size():
@@ -221,7 +197,7 @@ def test_large_grids_are_evaluated_in_bounded_memory():
     tracemalloc.start()
     try:
         # the unclamped evaluation: the clamp would hide a difference below 0
-        whole = model._evaluate(model._outage, gammas, None)
+        whole = model._evaluate(model._outage, gammas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -250,7 +226,7 @@ def test_pdf_at_zero_threshold():
 
 
 def test_far_thresholds_stay_finite():
-    model = SinrModel({(1, 0): 2, (2, 2): -1}, None, 10.0, (3.0, 3.0, 0.5))
+    model = SinrModel({(1, 0): 2, (2, 2): -1}, 10.0, (3.0, 3.0, 0.5))
     g = np.array([1e-150, 1e-45, 1e45, 1e150])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         # the unclamped evaluators: the clamp would hide an overshoot
@@ -267,7 +243,7 @@ def test_overflowing_count_means_read_the_limits():
     # double there, so the outage is 1 and the density 0
     g = np.array([1e300, 1.7e308])
     for rho_bar, rates in ((1e-300, (3.0,)), (10.0, (1e308, 3.0))):
-        model = SinrModel({(1, 0): 2, (2, 2): -1}, None, rho_bar, rates)
+        model = SinrModel({(1, 0): 2, (2, 2): -1}, rho_bar, rates)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             out, pdf = model._outage(g), model._pdf(g)
         assert out.tolist() == [1.0, 1.0] and pdf.tolist() == [0.0, 0.0]
@@ -277,7 +253,7 @@ def test_equal_rates_are_counted_not_merged():
     # a near tie stays two rates, where partial fractions would divide by
     # the gap; the outage moves by no more than its derivative allows
     def outage(second):
-        return SinrModel({(1, 3): 1}, None, 4.0, (2.0, second)).outage(1.0)
+        return SinrModel({(1, 3): 1}, 4.0, (2.0, second)).outage(1.0)
 
     assert outage(2.0 * (1 + 1e-10)) == pytest.approx(outage(2.0), abs=1e-10)
 
@@ -287,9 +263,9 @@ def test_rows_refuse_rates_that_are_not_positive_and_finite(bad):
     # -1 read an outage of 4.6e-3 at gamma = 1, 0 counted as no interferer,
     # NaN reached the clamp and +inf raised a RuntimeWarning
     with pytest.raises(ValueError, match=r"the rates of row 0 must be positive and finite"):
-        SinrModel({(1, 3): 1}, None, 4.0, (bad,))
+        SinrModel({(1, 3): 1}, 4.0, (bad,))
     with pytest.raises(ValueError, match=r"the rates of row 1 must be positive and finite"):
-        SinrModel({(1, 3): 1}, None, (4.0, 4.0), ((2.0,), (2.0, bad)))
+        SinrModel({(1, 3): 1}, (4.0, 4.0), ((2.0,), (2.0, bad)))
 
 
 @pytest.mark.parametrize("rho_bar", [math.nan, math.inf, -1.0, 0.0, (4.0, math.nan), True, "4"])
@@ -298,23 +274,59 @@ def test_rho_bar_follows_the_point_rule(rho_bar):
     # the psi sum; inf built too
     rates = ((2.0,), (2.0,)) if isinstance(rho_bar, tuple) else (2.0,)
     with pytest.raises(ConfigError, match="rho_bar must be finite and > 0"):
-        SinrModel({(1, 3): 1}, None, rho_bar, rates)
+        SinrModel({(1, 3): 1}, rho_bar, rates)
 
 
-@pytest.mark.parametrize("rho_bar, rates, counts", [
-    ((2.0, 3.0), ((2.0,), (1.0,), (5.0,)), "2 rows and rates 3 rate sets, 0 of them"),
-    ((2.0, 3.0, 4.0), ((2.0,), (1.0,)), "3 rows and rates 2 rate sets, 0 of them"),
-    ((2.0, 3.0), (2.0, 1.0), "2 rows and rates 2 rate sets, 2 of them"),
-], ids=["more-rate-sets", "fewer-rate-sets", "flat-rates"])
-def test_each_row_takes_one_rate_set(rho_bar, rates, counts):
+@pytest.mark.parametrize("rho_bar, rates, message", [
+    ((2.0, 3.0), ((2.0,), (1.0,), (5.0,)), "2 rows, and rates must hold one rate set per row"),
+    ((2.0, 3.0, 4.0), ((2.0,), (1.0,)), "3 rows, and rates must hold one rate set per row"),
+    ((2.0, 3.0), 2.0, "2 rows, and rates must hold one rate set per row"),
+    ((), (), "0 rows, and rates must hold one rate set per row"),
+    ((2.0, 3.0), (2.0, 1.0), "the rates of row 0 must be a list, tuple or 1-d array"),
+], ids=["more-rate-sets", "fewer-rate-sets", "scalar-rates", "no-rows", "flat-rates"])
+def test_each_row_takes_one_rate_set(rho_bar, rates, message):
     # the first once evaluated with its third rate set ignored, the second
-    # raised numpy's IndexError at its first outage, the third TypeError
-    with pytest.raises(ConfigError, match=counts):
-        SinrModel({(1, 3): 1}, None, rho_bar, rates)
+    # raised numpy's IndexError at its first outage, the third and the
+    # fourth TypeError; the last is refused by count_rates now, in place of
+    # a count of the rate sets that were not flat
+    with pytest.raises(ConfigError, match=message):
+        SinrModel({(1, 3): 1}, rho_bar, rates)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({(0, 0): 1}, r"integer pairs \(k, l\), k >= 1 and l >= 0, got \(0, 0\)"),
+    ({(1, -1): 1}, r"got \(1, -1\)"),
+    ({(1.5, 0): 1}, r"got \(1\.5, 0\)"),
+    ({(True, 0): 1}, r"got \(True, 0\)"),
+    ({1: 1}, "got 1$"),
+    ({}, "nonempty dict, got {}"),
+    ([((1, 0), 1)], "nonempty dict"),
+    ({(1, 0): "x"}, "finite int, Fraction or float, got 'x'"),
+    ({(1, 0): True}, "got True"),
+    ({(1, 0): math.inf}, "got inf"),
+    ({(1, 0): 10**400}, "finite int, Fraction or float"),
+], ids=["k-zero", "l-negative", "k-float", "k-bool", "not-a-pair", "empty", "not-a-dict",
+        "str-weight", "bool-weight", "inf-weight", "huge-weight"])
+def test_psi_tables_follow_the_table_rule(weights, message):
+    # at gamma = 1 the first three read outages of 0.0, 0.632 and 0.777,
+    # {} and a str weight raised numpy's ValueError
+    with pytest.raises(ConfigError, match=message):
+        SinrModel(weights, 4.0, (2.0,))
+
+
+def test_mixture_is_derived_from_the_rates():
+    # mixture was once an argument that took any value: "garbage" built
+    # and evaluated
+    one = SinrModel({(1, 3): 1}, 4.0, (2.0, 1.0, 2.0))
+    assert (one.mixture.rates, one.mixture.multiplicities) == ((2.0, 1.0), (2, 1))
+    assert SinrModel({(1, 3): 1}, 4.0).mixture is None
+    assert SinrModel({(1, 3): 1}, (4.0,), ((2.0,),)).mixture is None
+    with pytest.raises(TypeError):
+        SinrModel({(1, 3): 1}, "garbage", 1.0, (5.0,))
 
 
 def test_evaluation_points_follow_the_point_rule():
-    model = SinrModel({(1, 3): 1}, None, 4.0, (2.0,))
+    model = SinrModel({(1, 3): 1}, 4.0, (2.0,))
     for bad in (math.nan, -1.0, math.inf, True, "1", None, [1.0, "x"]):
         with pytest.raises(ConfigError, match="gamma must be finite and >= 0"):
             model.sinr_pdf(bad)
@@ -332,7 +344,7 @@ def test_evaluation_points_follow_the_point_rule():
 def test_a_density_past_the_double_range_is_refused():
     # psi k/rho_bar overflowed at a subnormal rho_bar: a RuntimeWarning,
     # then inf times a count of 0 gave NaN
-    model = SinrModel({(1, 3): 1}, None, 1e-310, (2.0,))
+    model = SinrModel({(1, 3): 1}, 1e-310, (2.0,))
     with pytest.raises(NumericInstabilityError, match="density overflows"):
         model.sinr_pdf([0.0, 1.0])
     assert 0.0 <= model.outage(1.0) <= 1.0

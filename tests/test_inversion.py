@@ -109,7 +109,7 @@ def test_outage_one_at_the_high_end_falls_back_to_the_geometric_midpoint():
     # log(-log(1 - outage)): the window sits around sqrt(lo * hi)
     seen = []
 
-    def step(g, rows):
+    def step(g):
         seen.append(g[0].copy())
         return np.where(g >= 0.3, 1.0, 0.5)
 
@@ -120,7 +120,7 @@ def test_outage_one_at_the_high_end_falls_back_to_the_geometric_midpoint():
 
 def test_target_beyond_the_inner_lattice():
     # a curve whose 1% point sits near 1e60, past the one-call bracket
-    outage = Counting(lambda g, rows: -np.expm1(-g / 1e60))
+    outage = Counting(lambda g: -np.expm1(-g / 1e60))
     (thr,) = threshold_at_outage(outage, 0.01)
     assert thr == pytest.approx(-1e60 * math.log1p(-0.01), rel=1e-10)
     assert outage.calls <= 5
@@ -130,20 +130,20 @@ def test_target_beyond_the_inner_lattice():
 def test_outage_zero_at_the_low_end_falls_back_to_the_geometric_midpoint():
     # a step reads 0 below it: no secant, no log(0) warning, and the even
     # points alone still shrink the bracket 9x per call
-    (thr,) = threshold_at_outage(lambda g, rows: (g >= 0.3).astype(float), 0.5)
+    (thr,) = threshold_at_outage(lambda g: (g >= 0.3).astype(float), 0.5)
     assert thr == pytest.approx(0.3, rel=1e-10)
 
 
 @pytest.mark.parametrize("value, message", [(0.0, "reaches"), (1.0, "stays under")])
 def test_no_bracket_raises(value, message):
     with pytest.raises(NumericInstabilityError, match=message):
-        threshold_at_outage(lambda g, rows: np.full(np.shape(g), value), 0.01)
+        threshold_at_outage(lambda g: np.full(np.shape(g), value), 0.01)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, float("nan")])
 def test_target_outside_unit_interval(p):
     with pytest.raises(ValueError):
-        threshold_at_outage(lambda g, rows: g, p)
+        threshold_at_outage(lambda g: g, p)
 
 
 def test_clamp_probability_on_arrays():
@@ -160,7 +160,7 @@ def test_tolerance_below_resolution_still_terminates(monkeypatch):
     # with a zero tolerance the bracket stops shrinking a few ulps wide
     monkeypatch.setattr(inversion, "THRESHOLD_REL_TOL", 0.0)
 
-    def outage(g, rows):
+    def outage(g):
         return -np.expm1(-g)
 
     (thr,) = _nsection(outage, 0.5, [(0.5, 1.0, -math.expm1(-0.5), -math.expm1(-1.0))])
@@ -172,8 +172,8 @@ def test_tolerance_below_resolution_still_terminates(monkeypatch):
 SCALES = np.array([1.0, 1e60, 3.0, 1e-60, 0.5, 1e-100])
 
 
-def exponential_rows(g, rows):
-    return -np.expm1(-g / SCALES[rows][:, None])
+def exponential_rows(g):
+    return -np.expm1(-g / SCALES[:, None])
 
 
 def drawn_rows():
@@ -193,34 +193,58 @@ def test_batch_mixing_inner_and_outer_rows_gives_the_one_row_thresholds():
         assert outage.calls <= 5
         # each row reads the bits it would read alone
         for row, alone_fn in enumerate(alone_fns):
-            (alone,) = threshold_at_outage(lambda g, rows: alone_fn(g), 0.01)
+            (alone,) = threshold_at_outage(alone_fn, 0.01)
             assert thr[row].hex() == alone.hex()
     assert threshold_at_outage(exponential_rows, 0.01, SCALES.size) == pytest.approx(
         -SCALES * math.log1p(-0.01), rel=1e-10)
 
 
-def test_converged_rows_drop_out():
+def test_closed_brackets_ignore_their_new_values():
+    # every call evaluates every row: the last bracket is already 1e-10
+    # wide, the middle one after one call, and each keeps its ends from then
     seen = []
 
-    def outage(g, rows):
-        seen.append(rows.tolist())
-        return 0.5 + g - (1.0 + 1e-13 * (1.0 + rows[:, None]))
+    def outage(g):
+        seen.append(g.shape)
+        return 0.5 + g - (1.0 + 1e-13 * np.arange(1.0, 1.0 + g.shape[0])[:, None])
 
-    # the last bracket is already 1e-10 wide, the middle one after one call
     lo, hi = np.ones(3), np.array([4.0, 1.0 + 1e-9, 1.0 + 1e-12])
-    f_lo, f_hi = (outage(x[:, None], np.arange(3))[:, 0] for x in (lo, hi))
+    f_lo, f_hi = (outage(x[:, None])[:, 0] for x in (lo, hi))
+    brackets = list(zip(*(x.tolist() for x in (lo, hi, f_lo, f_hi))))
     seen.clear()
-    thr = _nsection(outage, 0.5, list(zip(*(x.tolist() for x in (lo, hi, f_lo, f_hi)))))
-    assert seen[:2] == [[0, 1], [0]] and all(rows == [0] for rows in seen[2:])
+    thr = _nsection(outage, 0.5, brackets)
+    assert len(seen) > 2 and all(shape == (3, inversion.SECTIONS) for shape in seen)
     assert thr[2] == 0.5 * (lo[2] + hi[2])
     assert thr[:2] == pytest.approx([1.0 + 1e-13, 1.0 + 2e-13], abs=1e-10)
+    # the middle row alone, on its own curve, closes after one call
+    alone_outage = Counting(lambda g: 0.5 + g - (1.0 + 2e-13))
+    (alone,) = _nsection(alone_outage, 0.5, brackets[1:2])
+    assert alone_outage.calls == 1 and alone.hex() == thr[1].hex()
+
+
+def test_rows_closing_after_different_call_counts_read_their_one_row_bits():
+    # a 17-point rank-8 sweep-inr on an 8x8 beamforming victim: its noisy
+    # outage curve makes the rows alone close after 4 to 7 calls, and the
+    # batch runs until the slowest has
+    cfgs = [equal_power_config(OwnMode.BEAMFORMING, 8, 8, 15.0, inr, 1, 8)
+            for inr in np.arange(-10.0, 30.0 + 1e-9, 2.5).tolist()]
+    alone = []
+    for cfg in cfgs:
+        outage = Counting(model_for(cfg).outage)
+        alone.append((threshold_at_outage(outage, 0.01)[0], outage.calls))
+    calls = [n for _, n in alone]
+    assert min(calls) == 4 and max(calls) == 7
+    outage = Counting(model_for(*cfgs).outage)
+    thr = threshold_at_outage(outage, 0.01, len(cfgs))
+    assert outage.calls == 7
+    assert [t.hex() for t in thr] == [t.hex() for t, _ in alone]
 
 
 @pytest.mark.parametrize("value, message", [(0.0, "reaches"), (1.0, "stays under")])
 def test_one_row_without_bracket_refuses_the_batch(value, message):
-    def outage(g, rows):
-        out = exponential_rows(g, rows)
-        out[rows == 2] = value
+    def outage(g):
+        out = exponential_rows(g)
+        out[2] = value
         return out
 
     with pytest.raises(NumericInstabilityError, match=message):

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from ranksinr import bf, ostbc
-from ranksinr.errors import EmptyMixtureError
+from ranksinr.engine import SinrModel
+from ranksinr.errors import ConfigError, EmptyMixtureError
 from ranksinr.mixture import MixtureSpec, build_mixture, cdf_y, count_rates, pdf_y
 from ranksinr.scenario import (
     InterfererSpec,
@@ -278,6 +279,39 @@ def test_invalid_rates_are_refused(bad):
     for law in (pdf_y, cdf_y):
         with pytest.raises(ValueError, match=r"rates must be positive and finite"):
             law(1.0, rates)
+
+
+@pytest.mark.parametrize("rates, message", [
+    ("12", "rates must be a list, tuple or 1-d array of rates, got '12'"),
+    ("1e3", "rates must be a list, tuple or 1-d array"),
+    ({1.0: 2}, "rates must be a list, tuple or 1-d array"),
+    (2.0, "rates must be a list, tuple or 1-d array"),
+    (None, "rates must be a list, tuple or 1-d array"),
+    (np.array([[1.0, 2.0]]), "rates must be a list, tuple or 1-d array"),
+    ([True, 2.0], "every entry of rates must be a number, got True"),
+    ([[1.0, 2.0]], r"every entry of rates must be a number, got \[1\.0, 2\.0\]"),
+    ([1j], r"every entry of rates must be a number, got 1j"),
+], ids=["str", "str-number", "mapping", "scalar", "none", "2-d-array", "bool", "nested",
+        "complex"])
+def test_a_rate_set_is_a_flat_sequence_of_real_numbers(rates, message):
+    # "12" and [True, 2.0] read the law of the rates (1, 2), {1.0: 2} its
+    # keys; "1e3" raised ValueError, the others TypeError
+    with pytest.raises(ConfigError, match=message):
+        count_rates(rates)
+    for law in (pdf_y, cdf_y):
+        with pytest.raises(ConfigError, match=message):
+            law(1.0, rates)
+    with pytest.raises(ConfigError, match="rates of row 0"):
+        SinrModel({(1, 3): 1}, 4.0, rates)
+
+
+def test_cdf_stays_at_most_one_past_the_mean():
+    # the count series' cdf summed a few ulps past 1, and the cdf of Y
+    # read up to 1 + 7.3e-15 far past its mean
+    y = np.geomspace(1e-3, 1e300, 601)
+    for rates in ((30.0, 0.001), (5.0, 0.01)):
+        cdf = cdf_y(y, rates)
+        assert cdf.max() == 1.0 and np.all(np.diff(cdf) >= 0)
 
 
 def silent_build(rates) -> MixtureSpec:

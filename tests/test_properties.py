@@ -166,7 +166,7 @@ def test_eigenvalue_mean_scales_linearly(n_r, n_t, scale):
     assert mean >= max(n_r, n_t)
     # E[scale * lambda_max] = int_0^inf (1 - F): a model without
     # interferers at rho_bar = scale scales the exact mean
-    model = bf.BfModel(weights=weights, mixture=None, rho_bar=scale)
+    model = bf.BfModel(weights=weights, rho_bar=scale)
     # split where the tail starts, so that quad maps only the tail to a
     # finite interval
     split = 4.0 * scale * float(mean)
@@ -200,27 +200,27 @@ ENTRY_POINTS = {
     "equal_power_config": (equal_power_config, 7, "config"),
     "threshold_gain": (lambda *args: threshold_gain(*args).gain_db, 7, "finite"),
     "compute_weights": (lambda n_r, n_t: compute_weights(n_r, n_t).sum_exact() == 1, 2, "true"),
-    "SinrModel.outage": (lambda rho_bar, g: SinrModel({(1, 3): 1}, None, rho_bar, (2.0,)).outage(g),
+    "SinrModel.outage": (lambda rho_bar, g: SinrModel({(1, 3): 1}, rho_bar, (2.0,)).outage(g),
                          2, "probability"),
-    "SinrModel.sinr_pdf": (lambda rho_bar, g: SinrModel({(2, 3): 1}, None, rho_bar, (2.0, 1.0))
+    "SinrModel.sinr_pdf": (lambda rho_bar, g: SinrModel({(2, 3): 1}, rho_bar, (2.0, 1.0))
                            .sinr_pdf(g), 2, "finite"),
-    "SinrModel.threshold": (lambda rho_bar, p: SinrModel({(1, 3): 1}, None, rho_bar, (2.0,))
+    "SinrModel.threshold": (lambda rho_bar, p: SinrModel({(1, 3): 1}, rho_bar, (2.0,))
                             .threshold(p), 2, "finite"),
-    "SinrModel.outage.rows": (lambda r0, r1, g: TWO_ROWS.outage([g, g], [r0, r1]),
-                              3, "probability"),
-    "SinrModel.threshold.rows": (lambda r0, r1, p: TWO_ROWS.threshold(p, [r0, r1]),
-                                 3, "finite"),
     "simulate_bf_sinr": (lambda n, seed: simulate_bf_sinr(SCENARIO, n, seed).samples, 2, "finite"),
     "exp_approx_pdf": (exp_approx_pdf, 3, "finite"),
     "product_pdf": (lambda x, n_r, n_t, n_l: product_pdf(x, ProductDistribution(n_r, n_t, n_l)),
                     4, "density"),
     "pdf_y": (lambda y: pdf_y(y, (2.0, 1.0, 1.0)), 1, "finite"),
     "cdf_y": (lambda y: cdf_y(y, (2.0, 1.0, 1.0)), 1, "probability"),
+    # a rate set drawn as one value or a list of two: None once raised
+    # TypeError and "bf" ValueError
+    "pdf_y.rates": (lambda y, r: pdf_y(y, r), 2, "finite"),
+    "cdf_y.rates": (lambda y, r: cdf_y(y, r), 2, "probability"),
+    "pdf_y.two_rates": (lambda y, r0, r1: pdf_y(y, [r0, r1]), 3, "finite"),
+    "cdf_y.two_rates": (lambda y, r0, r1: cdf_y(y, [r0, r1]), 3, "probability"),
 }
 SCENARIO = ScenarioConfig(2, 2, 1.0, 15.0, OwnMode.BEAMFORMING,
                           (InterfererSpec(Technique.SPATIAL_MULTIPLEXING, 10.0, 2),))
-# a model of two rows, one and two distinct rates
-TWO_ROWS = SinrModel({(1, 3): 1}, None, (2.0, 5.0), ((2.0,), (1.0, 3.0)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,8 +253,8 @@ def test_entry_points_answer_or_refuse(name, values):
 
 # every entry point that evaluates at given points
 EVALUATIONS = {
-    "SinrModel.outage": lambda x: SinrModel({(1, 3): 1}, None, 2.0, (2.0,)).outage(x),
-    "SinrModel.sinr_pdf": lambda x: SinrModel({(2, 3): 1}, None, 2.0, (2.0, 1.0)).sinr_pdf(x),
+    "SinrModel.outage": lambda x: SinrModel({(1, 3): 1}, 2.0, (2.0,)).outage(x),
+    "SinrModel.sinr_pdf": lambda x: SinrModel({(2, 3): 1}, 2.0, (2.0, 1.0)).sinr_pdf(x),
     "model_for.outage": lambda x: model_for(SCENARIO).outage(x),
     "pdf_y": lambda y: pdf_y(y, (2.0, 1.0, 1.0)),
     "cdf_y": lambda y: cdf_y(y, (2.0, 1.0, 1.0)),
