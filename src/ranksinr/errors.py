@@ -17,13 +17,14 @@ class EmptyMixtureError(RankSinrError):
 class NumericInstabilityError(RankSinrError):
     """Raised where double precision cannot carry an answer.
 
-    Two cases: an evaluated probability lands outside [0, 1], where the
-    signed psi sum of the eigenvalue table has lost its digits (results
-    within inversion.PROB_SLACK, 1e-9, are clamped, anything further is
-    refused), and the Xi coefficients that ``dump-xi`` prints cancel so
-    much that sum|Xi| > 1e-12 2^53 (``mixture.reliable_xi``), as they do
-    for a near-equal pair of rates, which is never merged; the laws of Y
-    do not read them.  The CLI exits 3.
+    Among the cases: an evaluated probability lands outside [0, 1], where
+    the signed psi sum of the eigenvalue table has lost its digits
+    (results within inversion.PROB_SLACK, 1e-9, are clamped, anything
+    further is refused); the Xi coefficients that ``dump-xi`` prints
+    cancel so much that sum|Xi| > 1e-12 2^53 (``mixture.reliable_xi``), as
+    they do for a near-equal pair of rates, which is never merged, and
+    the laws of Y do not read them; a density past the double range, of
+    the SINR or of Y.  The CLI exits 3.
     """
 
 

@@ -86,7 +86,11 @@ are below e^-36 of the sum; elsewhere they are below e^-36 absolute, or
 e^-36/b for the pdf.  The cost is O(N R) for the N terms of K over R
 distinct rates, N about (E[K] + 40 sd)/(1 - max q_r), once per rate set
 (the series is cached), and O(sqrt(x) + L) per point; past
-MAX_COUNT_TERMS terms the laws refuse with ``RankSinrError``.
+MAX_COUNT_TERMS terms the laws refuse with ``RankSinrError``, before
+the series runs where a lower bound on its terms proves it would pass
+them (``_past_the_cap``).  Where b is subnormal the density, about 1/b
+near y = b, passes the double range, and ``pdf_y`` refuses with
+``NumericInstabilityError``.
 """
 
 from __future__ import annotations
@@ -261,10 +265,39 @@ def reliable_xi(spec: MixtureSpec) -> dict[tuple[int, int], float]:
     return spec.xi
 
 
+def _past_the_cap(rho: tuple[float, ...], c: tuple[int, ...]) -> bool:
+    """Whether K's series provably runs past MAX_COUNT_TERMS terms; rho
+    ascending with multiplicities c.  K's ratio p_{n+1}/p_n falls toward
+    q = q_max from above, so the stop rule needs P(K = n) <= TAIL_EPS (1 -
+    q)/q, and P(K = n) >= P(K_max = n) P(K_rest = 0), where K_max is the
+    NB(c, q) term of the largest rate.  That bound is log-concave in n,
+    least over 1..MAX_COUNT_TERMS at an end; it must pass the rule
+    16-fold, room for the recursion's rounding."""
+    if len(rho) < 2:
+        return False
+    # log(b/rho_r), also where b/rho_r underflows; q = 1 - b/rho_max > 0
+    # even for neighbouring doubles, whose logs may round equal
+    log_u = [math.log(f) if (f := rho[0] / r) > 0.0 else math.log(rho[0]) - math.log(r)
+             for r in rho]
+    k, log_q = c[-1], math.log1p(-rho[0] / rho[-1])
+    log_rest = math.fsum(k_r * l for k_r, l in zip(c[1:-1], log_u[1:-1]))
+
+    def log_bound(n: int) -> float:
+        return (math.lgamma(k + n) - math.lgamma(n + 1.0) - math.lgamma(k)
+                + k * log_u[-1] + n * log_q + log_rest)
+
+    log_rule = math.log(16.0 * TAIL_EPS) + log_u[-1] - log_q
+    return min(log_bound(1), log_bound(MAX_COUNT_TERMS)) > log_rule
+
+
 @functools.lru_cache(maxsize=4)
 def _count_law(rho: tuple[float, ...], c: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """P(K = j) and P(K <= j) from j = 0 up to the module docstring's
-    truncation; rho ascending with multiplicities c."""
+    truncation; rho ascending with multiplicities c.  A series that would
+    pass MAX_COUNT_TERMS terms is refused with RankSinrError, before it
+    runs where ``_past_the_cap`` proves it would."""
+    if _past_the_cap(rho, c):
+        raise _too_many_terms(rho)
     # p_0 exactly, and q_r = 1 - b/rho_r as q_hi + q_lo: q_hi^j alone is
     # off by j |q_lo|/q_r, so the recursion carries its derivative toward q_lo
     ratios = [Fraction(rho[0]) / Fraction(r) for r in rho]
@@ -303,8 +336,12 @@ def _count_law(rho: tuple[float, ...], c: tuple[int, ...]) -> tuple[np.ndarray, 
                 np.frombuffer(a)[:] *= 2.0**-960
             p, dp, total, comp = (math.ldexp(v, -960) for v in (p, dp, total, comp))
             h, dh, e = [math.ldexp(v, -960) for v in h], [math.ldexp(v, -960) for v in dh], e + 960
-    raise RankSinrError(f"the law of Y needs more than {MAX_COUNT_TERMS} terms of its count "
-                        f"series: the rates span a ratio of {rho[-1] / rho[0]:.3g}")
+    raise _too_many_terms(rho)
+
+
+def _too_many_terms(rho: tuple[float, ...]) -> RankSinrError:
+    return RankSinrError(f"the law of Y needs more than {MAX_COUNT_TERMS} terms of its count "
+                         f"series: the rates span a ratio of {rho[-1] / rho[0]:.3g}")
 
 
 def _sums(x, lo, hi, table: np.ndarray) -> np.ndarray:
@@ -351,14 +388,25 @@ def _law(y, rates, density: bool):
     # each point sums its window of Poisson orders n: from the first
     # order read (C - 1 for the pdf, C for the cdf) or x - sqrt(2Lx) up
     lead = count - density
-    x = arr.ravel() / b
+    # x past 2^53 lies past the end of every table, where a point reads the
+    # table's last entry: held there, the window ends stay finite, and a
+    # y/b past the double range is answered as well
+    with np.errstate(over="ignore"):
+        x = np.minimum(arr.ravel() / b, 2.0**53)
     span = 36.0 - float(np.sum(c * np.log(b / rho)))
     reach = np.floor(x - np.sqrt(2.0 * span * x))
     m = np.maximum(x, lead)
     hi = np.ceil(m + np.sqrt(2.0 * span * m) + 2.0 * span / 3.0)
     # the tables run over n: P_K(n - C + 1)/b, F_K(n - C), P(K > n - C)
     if density:
-        vals = _sums(x, np.maximum(lead, reach), hi, np.concatenate((np.zeros(lead), pmf / b, [0.0])))
+        # the density reaches about 1/b, past the double range where b is
+        # subnormal
+        with np.errstate(over="ignore"):
+            pmf = pmf / b
+        if not pmf.max() < np.inf:
+            raise NumericInstabilityError(
+                f"the density of Y overflows double precision: its smallest rate is {float(b)!r}")
+        vals = _sums(x, np.maximum(lead, reach), hi, np.concatenate((np.zeros(lead), pmf, [0.0])))
     else:
         # past the mean, 1 - sum_n Pois(n; x) P(K > n - C): summed where it
         # is small, it keeps the cdf non-decreasing up to 1

@@ -4,6 +4,12 @@ The figure of merit is the gamma0 gain: how much higher an outage
 threshold a victim can support, at a fixed outage target (default 1%),
 when a single interferer spreads its power over more spatial layers.
 Positive gain means higher-rank interference is the milder one.
+
+Every study inverts both ranks at once: the victim's psi table is the
+same under either interferer, so one model holds a rank-1 and a rank-r
+row per point and one lockstep inversion (``inversion``) answers them
+all, in about four outage calls, each threshold with the bits of its
+one-row inversion.
 """
 
 from __future__ import annotations
@@ -33,8 +39,11 @@ from .scenario import (
 # points a dB grid may hold, and the largest interferer count a count sweep
 # takes; larger ones are refused before allocation
 MAX_GRID_POINTS = 100_000
-# sweep points inverted together: on a 2e4-point 4x4 BF sweep-inr, 64, 512
-# and 4096 took 21.4, 12.5 and 12.1 s and peaked at 6.5, 8.2 and 23.8 MiB
+# sweep points inverted together, each a rank-1 and a rank-r row: on a
+# 2e4-point 4x4 BF sweep-inr, 64, 256, 512 and 2048 took 6.9, 7.0, 4.7 and
+# 4.9 s on a 2-CPU host and peaked at 7.1, 9.1, 11.6 and 29.2 MiB
+# (tracemalloc).  The step in time is the allocator's: with glibc malloc's
+# trim and mmap thresholds raised, all four took 4.6 s
 POINTS_PER_BATCH = 512
 
 
@@ -137,18 +146,18 @@ class GainPoint:
 
 def _gain_points(own_mode: OwnMode, n_r: int, n_t: int, rank: int, p_star: float,
                  points: list[tuple]) -> list[GainPoint]:
-    """Thresholds at p_star under count equal rank-1, then rank-r, iBSs, at each
-    (x, snr_db, inr_db, count) of points: per rank a model of a row per
-    point, POINTS_PER_BATCH points at a time, inverts its rows together."""
+    """Thresholds at p_star under count equal rank-1, and rank-r, iBSs at each
+    (x, snr_db, inr_db, count) of points: one model of a rank-1 row per
+    point, then a rank-r row per point, POINTS_PER_BATCH points at a time,
+    inverts both ranks' rows together."""
     out = []
     for s in range(0, len(points), POINTS_PER_BATCH):
         batch = points[s:s + POINTS_PER_BATCH]
-        thresholds = []
-        for r in (1, rank):
-            model = model_for(*(equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, count, r)
-                                for _, snr_db, inr_db, count in batch))
-            thresholds.append(np.atleast_1d(model.threshold(p_star)).tolist())
-        out += [GainPoint(x, t1, tr) for (x, *_), t1, tr in zip(batch, *thresholds)]
+        model = model_for(*(equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, count, r)
+                            for r in (1, rank) for _, snr_db, inr_db, count in batch))
+        thresholds = model.threshold(p_star).tolist()
+        out += [GainPoint(x, t1, tr) for (x, *_), t1, tr
+                in zip(batch, thresholds, thresholds[len(batch):])]
     return out
 
 

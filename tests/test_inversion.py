@@ -74,10 +74,14 @@ def test_n_section_agrees_with_bisection(name, p):
 
 
 def test_gain_takes_four_outage_calls_per_threshold(monkeypatch):
-    outage = Counting(bf.BfModel.outage)
-    monkeypatch.setattr(bf.BfModel, "outage", lambda self, *args: outage(self, *args))
-    threshold_gain(OwnMode.BEAMFORMING, 4, 4, 15.0, 10.0, 4)
-    assert outage.calls <= 8
+    # both ranks are inverted together, so a gain takes one threshold's calls
+    for model_class, own_mode, n in ((bf.BfModel, OwnMode.BEAMFORMING, 4),
+                                     (ostbc.OstbcModel, OwnMode.OSTBC, 2)):
+        outage = Counting(model_class.outage)
+        monkeypatch.setattr(model_class, "outage",
+                            lambda self, *args, outage=outage: outage(self, *args))
+        threshold_gain(own_mode, n, n, 15.0, 10.0, n)
+        assert outage.calls <= 4, own_mode
 
 
 @pytest.mark.parametrize("own_mode", [OwnMode.BEAMFORMING, OwnMode.OSTBC], ids=["bf", "ostbc"])

@@ -9,6 +9,7 @@ quadrature, simulated sums, and the sum-of-scales mean identity.
 import dataclasses
 import itertools
 import math
+import time
 import warnings
 
 import mpmath
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from ranksinr import bf, ostbc
+from ranksinr import bf, mixture, ostbc
 from ranksinr.engine import SinrModel
-from ranksinr.errors import ConfigError, EmptyMixtureError
+from ranksinr.errors import (ConfigError, EmptyMixtureError, NumericInstabilityError,
+                             RankSinrError)
 from ranksinr.mixture import MixtureSpec, build_mixture, cdf_y, count_rates, pdf_y
 from ranksinr.scenario import (
     InterfererSpec,
@@ -373,6 +375,58 @@ def test_wide_spreads_and_underflowing_p0_are_answered(rates):
     assert np.max(np.abs(cdf - cdf_ref)) <= 1e-12
     assert np.max(np.abs(pdf_y(y, rates) - pdf_ref)) <= 1e-12 * np.max(pdf_ref)
     assert np.all(np.diff(cdf) >= 0) and cdf[0] == 0.0 and cdf[-1] <= 1.0
+
+
+def test_a_series_past_the_cap_is_refused_before_it_runs():
+    # K is geometric with q = 1 - 1.1e-6 and needs about 3.7e7 terms; the
+    # series once ran to its 2^22-term cap, 1.8 s and 130 MB, to refuse
+    for law in (pdf_y, cdf_y):
+        start = time.perf_counter()
+        with pytest.raises(RankSinrError, match="needs more than 4194304 terms of its count series"):
+            law(1.0, [9.0, 1e-5])
+        assert time.perf_counter() - start < 0.1
+    # rates 1e5 apart stop at 4.16e6 terms, just inside the cap
+    assert not mixture._past_the_cap((1.0, 1e5), (1, 1))
+    # neighbouring doubles, whose logs round equal, are answered
+    for b in (30.0, 1e300):
+        assert 0.0 < cdf_y(b, [b, math.nextafter(b, math.inf)]) < 1.0
+
+
+def test_the_cap_refuses_up_front_only_series_that_would_pass_it(monkeypatch):
+    # at a cap of 2^12 terms: a geometric K with rates 95 apart stops at
+    # about 3950 terms, 120 apart it would need about 5000
+    monkeypatch.setattr(mixture, "MAX_COUNT_TERMS", 2**12)
+    series = mixture._count_law.__wrapped__
+    series((1.0, 95.0), (1, 1))
+    with pytest.raises(RankSinrError, match="needs more than 4096 terms"):
+        series((1.0, 120.0), (1, 1))
+    # the series run in full, beside the bound that refuses up front
+    past_the_cap = mixture._past_the_cap
+    monkeypatch.setattr(mixture, "_past_the_cap", lambda rho, c: False)
+    seen = set()
+    for ratio in np.geomspace(20.0, 800.0, 9):
+        for rho, c in [((1.0, ratio), (1, 1)), ((1.0, ratio), (4, 1)), ((1.0, ratio), (1, 4)),
+                       ((1.0, 3.0, ratio), (2, 3, 1)), ((1.0, ratio / 2, ratio), (1, 1, 2))]:
+            refused = past_the_cap(rho, c)
+            try:
+                series(rho, c)
+                answered = True
+            except RankSinrError:
+                answered = False
+            assert not (refused and answered), (rho, c)
+            seen.add((refused, answered))
+    # both cases occur: refused up front, and answered
+    assert {(True, False), (False, True)} <= seen
+
+
+def test_laws_answer_past_the_double_range_of_y_over_b():
+    # y/b, and the window ends around it, once overflowed
+    assert cdf_y([1e307, 1e308], (1.0, 2.0)).tolist() == [1.0, 1.0]
+    assert pdf_y([1e307, 1e308], (1.0, 2.0)).tolist() == [0.0, 0.0]
+    tiny = (2.2250738585e-313,) * 2
+    assert cdf_y([0.0, 1.0], tiny).tolist() == [0.0, 1.0]
+    with pytest.raises(NumericInstabilityError, match="density of Y overflows double precision"):
+        pdf_y(0.0, tiny)
 
 
 def test_empty_rates_rejected():

@@ -225,6 +225,11 @@ SCENARIO = ScenarioConfig(2, 2, 1.0, 15.0, OwnMode.BEAMFORMING,
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(ENTRY_POINTS)), st.lists(ANY_VALUE, min_size=9, max_size=9))
+# a subnormal smallest rate b put the density's 1/b, and y/b, past the
+# double range; rates spread 9e5-fold ran K's series to its cap for 1.8 s
+@example(name="pdf_y.two_rates", values=[0, 2.2250738585e-313, 2.2250738585e-313] + [True] * 6)
+@example(name="cdf_y.two_rates", values=[1, 2.2250738585e-313, 2.2250738585e-313] + [True] * 6)
+@example(name="cdf_y.two_rates", values=[1.0, 9, 1e-05] + [True] * 6)
 def test_entry_points_answer_or_refuse(name, values):
     # every input is either answered, finitely and in [0, 1] for a
     # probability, or refused with a RankSinrError: never a TypeError,

@@ -216,6 +216,30 @@ def test_sweep_rows_are_the_bits_of_gain(mode, n, inrs, snrs):
         assert _bits(p) == _bits(q)
 
 
+@pytest.mark.parametrize("mode", [OwnMode.BEAMFORMING, OwnMode.OSTBC], ids=["bf", "ostbc"])
+@pytest.mark.parametrize("n_r, n_t", [(1, 2), (2, 2), (2, 4), (4, 2), (4, 4), (3, 8), (8, 8)])
+@pytest.mark.parametrize("p", [1e-6, 0.01, 0.5, 1.0 - 1e-6])
+def test_every_threshold_is_the_bits_of_its_one_row_inversion(mode, n_r, n_t, p):
+    # both ranks of every point share one model and one inversion; each
+    # threshold must come out as its rank's model of that point alone gives it
+    def alone(snr_db, inr_db, count, rank):
+        cfg = equal_power_config(mode, n_r, n_t, snr_db, inr_db, count, rank)
+        return model_for(cfg).threshold(p).hex()
+
+    for rank in sorted({2, n_t}):
+        studies = [
+            (threshold_gain(mode, n_r, n_t, 15.0, np.array([0.0, 10.0, 20.0]), rank, p),
+             lambda x: (15.0, x, 1)),
+            (sweep_snr(mode, n_r, n_t, 10.0, SweepSpec(SweepKind.SNR, 5.0, 25.0, 10.0), rank, p),
+             lambda x: (x, 10.0, 1)),
+            (sweep_interferer_count(mode, n_r, n_t, 15.0, 12.0, (1, 2, 3), rank, p),
+             lambda x: (15.0, 12.0, int(x))),
+        ]
+        for points, axes in studies:
+            for q in points:
+                assert _bits(q) == (alone(*axes(q.x), 1), alone(*axes(q.x), rank)), (rank, q)
+
+
 def test_long_sweeps_are_inverted_in_batches(monkeypatch):
     from ranksinr import sweeps
 
