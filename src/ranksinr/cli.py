@@ -25,7 +25,7 @@ from ._version import __version__
 from .approx import compare_chain
 from .curves import metadata, render
 from .errors import ConfigError, NumericInstabilityError, RankSinrError
-from .mixture import build_mixture, reliable_xi
+from .mixture import build_mixture
 from .montecarlo import (
     MAX_SAMPLES,
     MAX_SEED,
@@ -323,16 +323,16 @@ def cmd_dump_weights(args) -> int:
 
 def cmd_dump_xi(args) -> int:
     cfg = load_config(args.config)
-    rates = build_rate_set(cfg)
-    mix = build_mixture(rates)
-    # the printed coefficients keep 1e-12 absolute, or the dump is refused
-    xi = reliable_xi(mix)
+    mix = build_mixture(build_rate_set(cfg))
+    # exact coefficients, each rounded once; one past the double range is refused
+    xi = mix.xi
     rows = []
     for i, (rho, beta) in enumerate(zip(mix.rates, mix.multiplicities), start=1):
         for j in range(1, beta + 1):
             rows.append([i, rho, beta, j, xi[(i, j)]])
     return _emit(args, cfg, ["group", "rho", "beta", "j", "xi"], rows,
-                 xi_sum=mix.xi_sum(), conditioning=mix.conditioning, n_groups=mix.n_groups)
+                 xi_sum=mix.xi_sum(), xi_abs_sum=math.fsum(abs(v) for v in xi.values()),
+                 conditioning=mix.conditioning, n_groups=mix.n_groups)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ class NumericInstabilityError(RankSinrError):
     Among the cases: an evaluated probability lands outside [0, 1], where
     the signed psi sum of the eigenvalue table has lost its digits
     (results within inversion.PROB_SLACK, 1e-9, are clamped, anything
-    further is refused); the Xi coefficients that ``dump-xi`` prints
-    cancel so much that sum|Xi| > 1e-12 2^53 (``mixture.reliable_xi``), as
-    they do for a near-equal pair of rates, which is never merged, and
-    the laws of Y do not read them; a density past the double range, of
-    the SINR or of Y.  The CLI exits 3.
+    further is refused); an exact Xi coefficient of ``dump-xi`` past the
+    double range (``mixture.MixtureSpec.xi``), as for large groups of
+    near-equal rates, which are never merged (the laws of Y do not read
+    the coefficients); a density past the double range, of the SINR or
+    of Y.  The CLI exits 3.
     """
 
 

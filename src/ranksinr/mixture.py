@@ -26,19 +26,18 @@ operations for G groups of multiplicity up to beta, where the tuple
 count grows combinatorially.  G = 1 degenerates to a plain gamma
 density (Xi_{1,beta_1} = 1, the other orders 0).
 
-The (1 - rho_k/rho_i) denominators make the expansion explosive for
-near-equal group rates, and the alternating signs cancel heavily for
-large multiplicities, so the coefficients are evaluated in 40-digit
-arithmetic.  Rounding a coefficient to double costs up to |Xi_ij|
-2^-53, so the dumped coefficients and their sums keep 1e-12 absolute
-only while sum|Xi| <= 1e-12 2^53 (about 9.0e3); past it ``reliable_xi``
-raises ``NumericInstabilityError``.  Two rates a relative gap d apart
-carry |Xi| of about 1/d, damped only by the factors 1/(1 - rho_k/rho_i)
-of far larger rates, so near-equal rates are refused: a pair on its own
-at every gap below about 2e-4.  The 2x2 OSTBC reference mix already has
-sum|Xi| = 1.5e5, 8x8 OSTBC 3.1e24.  Only ``dump-xi`` reads the
-coefficients, on first read of ``MixtureSpec.xi``; no model build or
-curve does (``engine``), and neither do the laws.
+Each Xi_ij is a ratio of integers: a double rate is an integer times a
+power of two, so the rates scale to integers n_i with the same ratios.
+Each group's series, with t -> -t absorbing the sign (-1)^{beta_i+j},
+runs exactly in Python integers: a factor (1 - y t)^{-beta_k}, y =
+-n_k/(n_i - n_k), is beta_k passes of 1/(1 - y t) on a series whose t^m
+coefficient is held over the m-th power of the product of the gaps so
+far.  Each coefficient is rounded once, correctly, by one integer
+division (8 groups of 64 take about 0.5 s on one Xeon core), and only
+one past the double range is refused, with ``NumericInstabilityError``.
+Only ``dump-xi`` reads the coefficients, on first read of
+``MixtureSpec.xi``; no model build or curve does (``engine``), and
+neither do the laws.
 
 ``pdf_y``/``cdf_y`` take the raw rates and read a series of positive
 terms instead (Moschopoulos, Ann. Inst. Statist. Math. 37, 1985).  With
@@ -100,7 +99,6 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from decimal import MAX_PREC, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 
@@ -109,10 +107,6 @@ import numpy as np
 from .errors import ConfigError, EmptyMixtureError, NumericInstabilityError, RankSinrError
 from .scenario import check_points, check_real
 
-# the largest sum|Xi| whose double coefficients keep 1e-12 absolute
-XI_ABS_SUM_MAX = 1e-12 * 2.0**53
-# a difference of two doubles, exact in Decimal
-_EXACT = Context(prec=MAX_PREC)
 # K's series stops once its tail is at most this share of its sum
 TAIL_EPS = 2.0**-60
 # the most terms of K the laws compute: about 5 s and 130 MB at the cap
@@ -197,48 +191,57 @@ class MixtureSpec:
         return len(self.rates)
 
     @cached_property
-    def xi(self) -> dict[tuple[int, int], float]:
-        """Each group's coefficients from one truncated series product
-        (module docstring), in 40-digit decimal arithmetic, rounded to double."""
-        xi: dict[tuple[int, int], float] = {}
-        # Decimal(float) is exact; the context rounds every operation after it
-        groups = [(Decimal(rho), beta) for rho, beta in zip(self.rates, self.multiplicities)]
-        with localcontext(Context(prec=40)):
-            for i, (rho_i, beta_i) in enumerate(groups):
-                # the docstring's product with t -> -t, which absorbs the sign
-                # (-1)^{beta_i+j}: prod_{k != i} (1 - r_k)^{-beta_k}
-                # (1 + t r_k/(1 - r_k))^{-beta_k}, truncated at t^{beta_i-1}
-                series = [Decimal(1)] + [Decimal(0)] * (beta_i - 1)
-                for k, (rho_k, beta_k) in enumerate(groups):
-                    if k == i:
-                        continue
-                    # with r = rho_k/rho_i: x = r/(r - 1) and head = (1 - r)^beta_k,
-                    # from the exact gap, so that near-equal rates cancel nothing
-                    gap = _EXACT.subtract(rho_i, rho_k)
-                    x, head = -rho_k / gap, (gap / rho_i) ** beta_k
-                    factor = [math.comb(beta_k + q - 1, q) * x**q / head
-                              for q in range(beta_i)]
-                    series = [sum(series[p] * factor[n - p] for p in range(n + 1))
-                              for n in range(beta_i)]
-                for j in range(1, beta_i + 1):
-                    xi[(i + 1, j)] = float(series[beta_i - j])
-        return xi
+    def _series(self) -> list[tuple[list[int], int, int, int]]:
+        """Per group (c, num, den, g), exact: the t^m coefficient of its
+        series, Xi_{i, beta_i - m}, is c[m] num / (den g^m)."""
+        ratios = [rho.as_integer_ratio() for rho in self.rates]
+        scale = max(d for _, d in ratios)
+        n = [a * (scale // d) for a, d in ratios]
+        out = []
+        for i, (n_i, beta_i) in enumerate(zip(n, self.multiplicities)):
+            c, num, den, g = [1] + [0] * (beta_i - 1), 1, 1, 1
+            for k, (n_k, beta_k) in enumerate(zip(n, self.multiplicities)):
+                if k == i:
+                    continue
+                # (1 - r_k)^-beta_k = (n_i/gap)^beta_k and y = -n_k/gap; held
+                # over (g gap)^m, each pass b_m = a_m + y b_{m-1} reads
+                # c[m] += -n_k g c[m-1]
+                gap = n_i - n_k
+                c = [v * gap**m for m, v in enumerate(c)]
+                num, den, step, g = num * n_i**beta_k, den * gap**beta_k, -n_k * g, g * gap
+                for _ in range(beta_k):
+                    for m in range(1, beta_i):
+                        c[m] += step * c[m - 1]
+            out.append((c, num, den, g))
+        return out
 
     @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (rho_i, j, Xi_ij) per term, sorted by (i, j), as the laws read them
-        items = sorted(self.xi.items())
-        return (np.array([self.rates[i - 1] for (i, _), _ in items], dtype=np.float64),
-                np.array([j for (_, j), _ in items], dtype=np.float64),
-                np.array([v for _, v in items], dtype=np.float64))
+    def xi(self) -> dict[tuple[int, int], float]:
+        """The exact coefficients (module docstring), each rounded once;
+        NumericInstabilityError names one past the double range."""
+        xi = {}
+        for i, (c, num, den, g) in enumerate(self._series, start=1):
+            for j in range(1, len(c) + 1):
+                try:
+                    xi[(i, j)] = c[-j] * num / (den * g ** (len(c) - j))
+                except OverflowError:
+                    raise NumericInstabilityError(
+                        f"the Xi coefficient of group {i}, order {j} is past the double range"
+                    ) from None
+        return xi
 
     def xi_sum(self) -> float:
-        """Should be 1; drift measures loss of precision in Xi."""
-        return float(np.sum(self._flat[2]))
+        """The exact sum of the exact coefficients, rounded: 1."""
+        # each group's sum over den g^(beta_i - 1), by Horner's rule in g
+        return float(sum(Fraction(functools.reduce(lambda s, v: s * g + v, c) * num,
+                                  den * g ** (len(c) - 1)) for c, num, den, g in self._series))
 
     def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho_i, j, Xi_ij) per mixture term, sorted by (i, j)."""
-        return tuple(a.copy() for a in self._flat)
+        items = self.xi.items()
+        return (np.array([self.rates[i - 1] for (i, _), _ in items]),
+                np.array([j for (_, j), _ in items], dtype=np.float64),
+                np.array([v for _, v in items]))
 
 
 def build_mixture(rates) -> MixtureSpec:
@@ -249,20 +252,6 @@ def build_mixture(rates) -> MixtureSpec:
     # rho_k/rho_i is largest for neighbours, so they hold the smallest gap
     conditioning = min((1.0 - b / a for a, b in zip(rho, rho[1:])), default=math.inf)
     return MixtureSpec(rates=rho, multiplicities=beta, conditioning=conditioning)
-
-
-def reliable_xi(spec: MixtureSpec) -> dict[tuple[int, int], float]:
-    """``spec.xi``, or NumericInstabilityError where its doubles cannot
-    carry 1e-12 absolute (module docstring)."""
-    abs_sum = math.fsum(abs(v) for v in spec.xi.values())
-    # written as "not <=" so that a NaN sum is refused too
-    if not abs_sum <= XI_ABS_SUM_MAX:
-        raise NumericInstabilityError(
-            f"Xi coefficients cancel: sum|Xi| = {abs_sum:.3g} exceeds "
-            f"{XI_ABS_SUM_MAX:.2g}, so in double they are off by more than "
-            "1e-12 absolute"
-        )
-    return spec.xi
 
 
 def _past_the_cap(rho: tuple[float, ...], c: tuple[int, ...]) -> bool:

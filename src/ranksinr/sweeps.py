@@ -149,15 +149,18 @@ def _gain_points(own_mode: OwnMode, n_r: int, n_t: int, rank: int, p_star: float
     """Thresholds at p_star under count equal rank-1, and rank-r, iBSs at each
     (x, snr_db, inr_db, count) of points: one model of a rank-1 row per
     point, then a rank-r row per point, POINTS_PER_BATCH points at a time,
-    inverts both ranks' rows together."""
+    inverts both ranks' rows together.  A rank-1 study holds the rank-1
+    rows alone and reads each threshold for both ranks; a one-row model
+    answers a float."""
+    ranks = (1,) if check_count(rank, "rank", MAX_ANTENNAS) == 1 else (1, rank)
     out = []
     for s in range(0, len(points), POINTS_PER_BATCH):
         batch = points[s:s + POINTS_PER_BATCH]
         model = model_for(*(equal_power_config(own_mode, n_r, n_t, snr_db, inr_db, count, r)
-                            for r in (1, rank) for _, snr_db, inr_db, count in batch))
-        thresholds = model.threshold(p_star).tolist()
+                            for r in ranks for _, snr_db, inr_db, count in batch))
+        thresholds = np.ravel(model.threshold(p_star)).tolist()
         out += [GainPoint(x, t1, tr) for (x, *_), t1, tr
-                in zip(batch, thresholds, thresholds[len(batch):])]
+                in zip(batch, thresholds, thresholds[-len(batch):])]
     return out
 
 

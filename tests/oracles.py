@@ -156,10 +156,9 @@ def xi_series(rates, multiplicities, dps=40):
     """Xi_ij, keyed by 1-based (group, order), from the series product of
     ``MixtureSpec.xi`` run in mpmath at dps digits, as mpf.
 
-    Every convolution sum is exactly rounded by ``mpmath.fsum``.  Rounded
-    to double at 40 digits, this is the library's form before it moved
-    to ``decimal``, with 1 - rho_k/rho_i formed, as there, from the gap
-    rho_i - rho_k, which is exact for rates less than a factor 2^80 apart.
+    Every convolution sum is exactly rounded by ``mpmath.fsum``, and
+    1 - rho_k/rho_i is formed from the gap rho_i - rho_k, which is exact
+    for rates less than a factor 2^80 apart.
     """
     xi = {}
     groups = list(zip(rates, multiplicities))
@@ -178,6 +177,17 @@ def xi_series(rates, multiplicities, dps=40):
             for j in range(1, beta_i + 1):
                 xi[(i + 1, j)] = series[beta_i - j]
     return xi
+
+
+def xi_rounded(rates, multiplicities, dps=100):
+    """``xi_series`` rounded to double, as float hex: at dps digits, raised
+    twofold until the doubled precision rounds every coefficient alike."""
+    while True:
+        low, high = ({k: float(v).hex() for k, v in xi_series(rates, multiplicities, d).items()}
+                     for d in (dps, 2 * dps))
+        if low == high:
+            return low
+        dps *= 2
 
 
 class MpMixture:

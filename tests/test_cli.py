@@ -12,7 +12,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -25,7 +24,7 @@ from ranksinr.montecarlo import chunk_draws
 from ranksinr.scenario import build_rate_set, load_config
 from ranksinr.sweeps import model_for, threshold_gain
 
-from oracles import law_gaps, xi_series
+from oracles import law_gaps, xi_rounded
 
 
 # the reference mix: an OSTBC, a BF and a 2-layer SM interferer
@@ -353,65 +352,56 @@ def pattern_cfg(tmp_path, n_r, n_t, mode, o, b, s):
     ])
 
 
+def dumped_xi(tmp_path, capsys, cfg):
+    """dump-xi's JSON of a config: its meta, and each printed coefficient as
+    float hex beside the correctly rounded one of the rates it printed."""
+    out = tmp_path / "xi.json"
+    code, _, err = run(capsys, "dump-xi", "--config", cfg, "--format", "json", "--out", str(out))
+    assert code == cli.EXIT_OK, err
+    doc = json.loads(out.read_text())
+    out.unlink()
+    groups = {g: (rho, beta) for g, rho, beta, _, _ in doc["rows"]}
+    got = {(g, j): xi.hex() for g, _, _, j, xi in doc["rows"]}
+    return doc["meta"], got, xi_rounded(*zip(*(groups[g] for g in sorted(groups))))
+
+
 @pytest.mark.parametrize("mode", ["ostbc", "bf"])
 @pytest.mark.parametrize("n_r,n_t", [(2, 4)])
 def test_dump_xi_is_accurate_or_refused(tmp_path, capsys, n_r, n_t, mode):
-    # the mixture depends on n_t, not n_r, so 4x4 would repeat the 2x4 mixes
-    out = tmp_path / "xi.json"
-    accepted = 0
+    # every pattern answers, each coefficient correctly rounded; the mixture
+    # depends on n_t, not n_r, so 4x4 would repeat the 2x4 mixes
     for o, b, s in REF_PATTERNS:
         cfg = pattern_cfg(tmp_path, n_r, n_t, mode, o, b, s)
-        code, _, err = run(capsys, "dump-xi", "--config", cfg, "--format", "json",
-                           "--out", str(out))
-        if code == cli.EXIT_NUMERIC:
-            assert "sum|Xi|" in err
-            assert not out.exists()
-            continue
-        assert code == 0
-        accepted += 1
-        rows = json.loads(out.read_text())["rows"]
-        out.unlink()
-        groups = {g: (rho, beta) for g, rho, beta, _, _ in rows}
-        ref = xi_series(*zip(*(groups[g] for g in sorted(groups))), dps=100)
-        for g, _, _, j, xi in rows:
-            assert abs(mpmath.mpf(xi) - ref[(g, j)]) < 1e-12, (o, b, s, g, j)
-    assert accepted > 0
+        meta, got, expect = dumped_xi(tmp_path, capsys, cfg)
+        assert got == expect, (o, b, s)
+        assert meta["xi_sum"] == "1"
 
 
 @pytest.mark.parametrize("n_r,n_t,mode,patterns", [
     (2, 2, "ostbc", REF_PATTERNS[:1]),
     (2, 4, "ostbc", REF_PATTERNS), (2, 4, "bf", REF_PATTERNS),
 ], ids=["ostbc-2x2-reference-mix", "ostbc-2x4", "bf-2x4"])
-def test_law_of_y_answers_where_dump_xi_refuses(tmp_path, capsys, n_r, n_t, mode, patterns):
-    # the Xi coefficients are for dump-xi alone: the laws read the count
-    # series and answer every mix, those where dump-xi exits 3 included;
-    # the mixture depends on n_t, not n_r, so 4x4 repeats the 2x4 mixes
-    refused = 0
+def test_law_of_y_answers_every_pattern_mix(tmp_path, n_r, n_t, mode, patterns):
+    # the laws read the count series, never the Xi coefficients; the mixture
+    # depends on n_t, not n_r, so 4x4 repeats the 2x4 mixes
     for o, b, s in patterns:
-        cfg = pattern_cfg(tmp_path, n_r, n_t, mode, o, b, s)
-        code, _, _ = run(capsys, "dump-xi", "--config", cfg, "--out", str(tmp_path / "xi"))
-        assert code in (cli.EXIT_OK, cli.EXIT_NUMERIC)
-        refused += code == cli.EXIT_NUMERIC
-        rates = build_rate_set(load_config(cfg))
+        rates = build_rate_set(load_config(pattern_cfg(tmp_path, n_r, n_t, mode, o, b, s)))
         # cdf within 1e-12 relative, pdf within 1e-12 of its peak and
         # relative up to E[Y], against 200 digits; test_mixture holds the
         # (12, 4, 9) mix to this bar on the 241-point grid it once failed
         gaps = law_gaps(rates, np.linspace(0.0, 6.0 * sum(rates), 121), pdf_y, cdf_y)
         assert max(gaps) <= 1e-12, (o, b, s, gaps)
-    assert refused > 0 or mode == "bf"
 
 
 def test_dump_xi_refuses_seven_full_rank_sm_interferers(tmp_path, capsys):
-    # sum|Xi| = 7.5e55: the dump read xi_sum -2.07e39 and exited 0
+    # sum|Xi| = 7.5e55: once refused, and before that printed xi_sum
+    # -2.07e39; exact, every coefficient is correctly rounded and they sum to 1
     cfg = write_cfg(tmp_path, n_r=4, n_t=4, own_mode="ostbc", interferers=[
         {"technique": "sm", "inr_db": float(v), "layers": 4} for v in range(1, 8)
     ])
-    out = tmp_path / "xi.csv"
-    code, _, err = run(capsys, "dump-xi", "--config", cfg, "--out", str(out))
-    assert code == cli.EXIT_NUMERIC
-    assert err.startswith("numeric instability")
-    assert "Warning" not in err
-    assert not out.exists()
+    meta, got, expect = dumped_xi(tmp_path, capsys, cfg)
+    assert got == expect
+    assert (meta["xi_sum"], format(float(meta["xi_abs_sum"]), ".2g")) == ("1", "7.5e+55")
 
 
 def test_dump_xi_json_bytes_on_the_reference_mix(tmp_path, capsys):
@@ -426,7 +416,8 @@ def test_dump_xi_json_bytes_on_the_reference_mix(tmp_path, capsys):
             [3, 1.9905358527674861, 1, 1, -0.20162513971734272]]
     meta = {"conditioning": "0.207553403769",
             "config_hash": "77483962ec61fb9e4098f224e27b3b2de0e58187cf503a4579ae7f2f1624c616",
-            "n_groups": "3", "tool": f"ranksinr {ranksinr.__version__}", "xi_sum": "1"}
+            "n_groups": "3", "tool": f"ranksinr {ranksinr.__version__}",
+            "xi_abs_sum": "66.8239831967", "xi_sum": "1"}
     expect = {"columns": ["group", "rho", "beta", "j", "xi"], "meta": meta, "rows": rows}
     assert out.read_text() == json.dumps(expect, indent=1) + "\n"
 
@@ -450,37 +441,41 @@ def test_dump_xi_prints_the_configs_own_rates(tmp_path, capsys):
 
 
 def test_dump_xi_refuses_a_near_tie(tmp_path, capsys):
-    # rates 2.3e-10 apart stay two groups, whose coefficients cancel; the
-    # merge made them one group of multiplicity 2 and exited 0
+    # rates 2.3e-10 apart stay two groups, whose coefficients of about
+    # 4e9 cancel: once refused, they are printed correctly rounded
     cfg = write_cfg(tmp_path, interferers=[
         {"technique": "bf", "inr_db": 5.0},
         {"technique": "bf", "inr_db": 5.000000001},
     ])
     rates = build_rate_set(load_config(cfg))
     assert 0.0 < rates[1] / rates[0] - 1.0 < 3e-10
-    out = tmp_path / "xi.csv"
-    code, _, err = run(capsys, "dump-xi", "--config", cfg, "--out", str(out))
-    assert code == cli.EXIT_NUMERIC
-    assert "sum|Xi|" in err
-    assert not out.exists()
+    meta, got, expect = dumped_xi(tmp_path, capsys, cfg)
+    assert got == expect
+    assert meta["xi_sum"] == "1" and float(meta["xi_abs_sum"]) > 1e9
 
 
 @pytest.mark.parametrize("n, interferers, abs_sum", [
     (2, REF_MIX, "1.48e+05"),
     (4, REF_MIX, "3.54e+11"),
-    # three groups 2.3e-9 apart: 40 digits carry the coefficients, but
-    # they overflow double
+    # three groups 2.3e-9 apart: the exact coefficients overflow double
     (8, [{"technique": "sm", "inr_db": v, "layers": 8}
-         for v in (10.0, 10.00000001, 10.00000002)], "inf"),
+         for v in (10.0, 10.00000001, 10.00000002)], None),
 ], ids=["ostbc-2x2-reference-mix", "ostbc-4x4-reference-mix", "ostbc-8x8-near-tie"])
 def test_dump_xi_refuses_cancelling_coefficients(tmp_path, capsys, n, interferers, abs_sum):
+    # cancelling coefficients are printed exactly rounded, with the sum|Xi|
+    # that the refusal of 40-digit ones once quoted; only a coefficient
+    # past the double range is refused
     cfg = write_cfg(tmp_path, n_r=n, n_t=n, own_mode="ostbc", interferers=interferers)
+    if abs_sum is not None:
+        meta, got, expect = dumped_xi(tmp_path, capsys, cfg)
+        assert got == expect
+        assert (meta["xi_sum"], format(float(meta["xi_abs_sum"]), ".3g")) == ("1", abs_sum)
+        return
     out = tmp_path / "xi.csv"
     code, _, err = run(capsys, "dump-xi", "--config", cfg, "--out", str(out))
     assert code == cli.EXIT_NUMERIC
-    assert err == (f"numeric instability: Xi coefficients cancel: sum|Xi| = {abs_sum} "
-                   "exceeds 9e+03, so in double they are off by more than 1e-12 "
-                   "absolute\n")
+    assert err == ("numeric instability: the Xi coefficient of group 1, order 1 is past "
+                   "the double range\n")
     assert not out.exists()
 
 

@@ -32,7 +32,7 @@ from ranksinr.scenario import (
 )
 
 from conftest import REF_BF, REF_OSTBC, ks_distance
-from oracles import MpMixture, law_gaps, sample_sum, xi_series
+from oracles import MpMixture, law_gaps, sample_sum, xi_rounded
 
 
 def test_two_scale_hypoexponential_by_hand():
@@ -162,31 +162,29 @@ def test_series_matches_omega_tuple_sum_bit_for_bit(rates, multiplicities):
 
 
 def assert_matches_mpmath_series(spec):
-    # the series product in mpmath at 40 digits, rounded to double
-    expect = xi_series(spec.rates, spec.multiplicities)
-    assert {k: v.hex() for k, v in spec.xi.items()} == {
-        k: float(v).hex() for k, v in expect.items()
-    }
+    # the series product in mpmath at 100 digits or more, correctly rounded
+    assert {k: v.hex() for k, v in spec.xi.items()} == xi_rounded(spec.rates,
+                                                                   spec.multiplicities)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(-1.0, 1.5), st.integers(1, 8)), min_size=1, max_size=5))
-def test_decimal_series_matches_mpmath_series(groups):
+def test_exact_series_matches_mpmath_series(groups):
     # scales 10^U(-1, 1.5); equal draws form one group, near-equal ones stay apart
     rates = [10.0**e for e, beta in groups for _ in range(beta)]
     assert_matches_mpmath_series(build_mixture(rates))
 
 
 def test_rates_an_ulp_apart_give_correctly_rounded_coefficients():
-    # 1 - rho_k/rho_i in 40 digits once rounded Xi_11 to ...7p+309; the gap
-    # rho_i - rho_k is exact
+    # 1 - rho_k/rho_i rounded to 40 digits once rounded Xi_11 to ...7p+309;
+    # the exact series holds the gap rho_i - rho_k as an integer
     spec = build_mixture([1.0] * 3 + [1.0 + 2.0**-51] * 4)
     assert spec.xi[(1, 1)].hex() == "-0x1.4000000000008p+309"
     assert_matches_mpmath_series(spec)
 
 
 @pytest.mark.parametrize("n_groups, beta", [(4, 64), (8, 32), (8, 64)])
-def test_decimal_series_matches_mpmath_series_at_large_sizes(n_groups, beta):
+def test_exact_series_matches_mpmath_series_at_large_sizes(n_groups, beta):
     # scales log-spaced over the drawn range 10^1.5 .. 10^-1
     rates = [10.0 ** (1.5 - 2.5 * i / (n_groups - 1)) for i in range(n_groups)]
     assert_matches_mpmath_series(build_mixture(raw(rates, (beta,) * n_groups)))
@@ -224,14 +222,13 @@ def test_model_mixture_reads_the_same_coefficients(receiver, n):
     cfg = dataclasses.replace(base, n_r=n, n_t=n)
     mix = receiver.from_config(cfg).mixture
     assert (mix.rates, mix.multiplicities) == config_groups(cfg)
-    assert {k: v.hex() for k, v in mix.xi.items()} == {
-        k: float(v).hex() for k, v in xi_series(*config_groups(cfg)).items()
-    }
+    assert {k: v.hex() for k, v in mix.xi.items()} == xi_rounded(*config_groups(cfg))
 
 
 def test_eight_by_eight_ostbc_with_eight_full_rank_sm_interferers():
     # 8 groups of 64 equal terms: Omega holds about 1e10 tuples in all,
-    # out of reach of term-by-term summation
+    # out of reach of term-by-term summation.  sum|Xi| is about 1e67, and
+    # 40-digit arithmetic rounded 50 of the 512 coefficients wrongly
     cfg = ScenarioConfig(
         n_r=8, n_t=8, noise_power=1.0, snr_db=15.0, own_mode=OwnMode.OSTBC,
         interferers=tuple(
@@ -243,7 +240,8 @@ def test_eight_by_eight_ostbc_with_eight_full_rank_sm_interferers():
     spec = build_mixture(build_rate_set(cfg))
     assert spec.multiplicities == (64,) * 8
     assert len(spec.xi) == 512
-    assert all(math.isfinite(v) for v in spec.xi.values())
+    assert_matches_mpmath_series(spec)
+    assert spec.xi_sum() == 1.0
 
 
 def test_grouping_reference_powers_stay_distinct():
@@ -464,5 +462,19 @@ def test_sampled_sums_match_cdf():
 
 
 def test_xi_sum_is_one():
-    for rates in [(2.0, 1.0), (5.0, 2.0, 2.0, 0.7), build_rate_set(REF_BF)]:
-        assert build_mixture(rates).xi_sum() == pytest.approx(1.0, abs=1e-9)
+    # the exact sum of the exact coefficients, also where they cancel to
+    # sum|Xi| = 1.5e5 (2x2 OSTBC) and for a pair 2e-16 apart
+    for rates in [(2.0, 1.0), (5.0, 2.0, 2.0, 0.7), build_rate_set(REF_BF),
+                  build_rate_set(REF_OSTBC), (1.0, 1.0 + 2.0**-52, 3.0)]:
+        assert build_mixture(rates).xi_sum() == 1.0
+
+
+def test_a_coefficient_past_the_double_range_is_named():
+    # three groups of 64 a relative 2e-9 apart: Xi_11 is about 1e1686
+    spec = build_mixture([1.0] * 64 + [1.0 + 2e-9] * 64 + [1.0 + 4e-9] * 64)
+    with pytest.raises(NumericInstabilityError,
+                       match=r"^the Xi coefficient of group 1, order 1 is past the double range$"):
+        spec.xi
+    with pytest.raises(NumericInstabilityError):
+        spec.terms()
+    assert spec.xi_sum() == 1.0

@@ -154,10 +154,30 @@ def test_gain_point_db_arithmetic():
     assert p.gain_db == pytest.approx(10 * math.log10(2.0), rel=1e-12)
 
 
-def test_rank_one_study_has_zero_gain():
+def test_rank_one_study_has_zero_gain(monkeypatch):
     p = threshold_gain(OwnMode.BEAMFORMING, 2, 2, 15.0, 10.0, rank=1)
     assert p.threshold_rank1 == p.threshold_rankr
     assert p.gain_db == 0.0
+    # a rank-1 sweep inverts one row per point, each threshold with the bits
+    # of its one-row inversion, read for both ranks
+    from ranksinr import sweeps
+
+    rows = []
+
+    def counting(*cfgs):
+        model = model_for(*cfgs)
+        rows.append(np.size(model.rho_bar))
+        return model
+
+    monkeypatch.setattr(sweeps, "model_for", counting)
+    for mode in (OwnMode.BEAMFORMING, OwnMode.OSTBC):
+        rows.clear()
+        points = sweep_inr(mode, 2, 4, 15.0, SweepSpec(SweepKind.INR, 0.0, 20.0, 5.0), rank=1)
+        assert rows == [5]
+        for q in points:
+            alone = model_for(equal_power_config(mode, 2, 4, 15.0, q.x, 1, 1)).threshold(0.01)
+            assert _bits(q) == (alone.hex(), alone.hex()), (mode, q)
+            assert q.gain_db == 0.0
 
 
 def test_rank_two_gain_is_positive_at_moderate_inr():
