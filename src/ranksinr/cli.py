@@ -124,6 +124,14 @@ def _mc_meta(args, cfg: ScenarioConfig) -> dict:
             "chunk_size": chunk_draws(cfg.n_r, cfg.n_t)}
 
 
+def _dkw_band(samples: int) -> float:
+    """The half-width within which the empirical CDF of ``samples`` draws
+    lies of the true CDF everywhere, with probability 1 - DKW_ALPHA
+    (Dvoretzky-Kiefer-Wolfowitz inequality with Massart's constant, Ann.
+    Probab. 18, 1990)."""
+    return math.sqrt(math.log(2.0 / DKW_ALPHA) / (2.0 * samples))
+
+
 def _simulate(cfg: ScenarioConfig, args):
     if cfg.own_mode is OwnMode.BEAMFORMING:
         return simulate_bf_sinr(cfg, args.samples, args.seed)
@@ -173,7 +181,7 @@ def cmd_pdf(args) -> int:
     if args.mc:
         columns.append("mc_pdf_per_db")
         values.append(_mc_density_per_db(_simulate(cfg, args), grid_db, step_db))
-        meta.update(_mc_meta(args, cfg))
+        meta.update(_mc_meta(args, cfg), dkw_band=_dkw_band(args.samples))
     return _emit(args, cfg, columns, zip(*values), **meta)
 
 
@@ -189,7 +197,7 @@ def cmd_outage(args) -> int:
         emp = dist.ecdf(grid)
         columns += ["mc_outage", "mc_se"]
         values += [emp, np.sqrt(np.maximum(emp * (1 - emp), 0.0) / dist.sample_count)]
-        meta.update(_mc_meta(args, cfg))
+        meta.update(_mc_meta(args, cfg), dkw_band=_dkw_band(args.samples))
     return _emit(args, cfg, columns, zip(*values), **meta)
 
 
@@ -249,10 +257,7 @@ def cmd_mc_validate(args) -> int:
         notes.append(
             "closed form is approximate for OSTBC reception; mismatch concentrates near the mode"
         )
-    # the empirical CDF is within dkw_band of the true CDF everywhere with
-    # probability 1 - DKW_ALPHA (Dvoretzky-Kiefer-Wolfowitz inequality with
-    # Massart's constant, Ann. Probab. 18, 1990)
-    dkw_band = math.sqrt(math.log(2.0 / DKW_ALPHA) / (2.0 * args.samples))
+    dkw_band = _dkw_band(args.samples)
     if dkw_band > tolerance:
         notes.append(
             f"sample count {args.samples} is statistically insufficient for "

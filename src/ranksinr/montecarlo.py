@@ -44,6 +44,11 @@ nothing) so results depend only on (scenario, n_samples, seed).  Chunks
 run in parallel threads (numpy's generators, ufuncs, einsum and batched
 eigh release the GIL) and each writes its samples into its own slice of
 one array, so the worker count never changes a result.
+
+Memory: a run holds its samples, 8 bytes each, and no other array of
+their length.  ``EmpiricalDistribution`` answers each ECDF or histogram
+query by sorting the samples block by block in one CHUNK_ENTRIES buffer
+and adding up the ``searchsorted`` counts of the blocks.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -167,35 +171,57 @@ def _top_eigpair(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Raw SINR samples (linear), in draw order."""
+    """Raw SINR samples (linear), in draw order: a nonempty 1-d array of
+    finite real numbers, never mutated.  Each query counts them block by
+    block and keeps no sorted copy (the module docstring's Memory note)."""
 
     samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        s = self.samples
+        # min and max are reductions, not copies, and propagate a NaN
+        if not (isinstance(s, np.ndarray) and s.ndim == 1 and s.size
+                and s.dtype.kind in "iuf" and np.isfinite(s.min()) and np.isfinite(s.max())):
+            raise ConfigError("samples must be a nonempty 1-d array of finite real numbers")
 
     @property
     def sample_count(self) -> int:
         return int(self.samples.size)
 
-    @cached_property
-    def _sorted(self) -> np.ndarray:
-        # the one sort that the ECDF and the histogram both read
-        return np.sort(self.samples)
+    def _count_below(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The number of samples < each point of ``left`` and <= each point
+        of ``right``, in one pass: each block of CHUNK_ENTRIES samples is
+        copied into one buffer, sorted there, and its counts added up, which
+        are then the counts of the whole sorted array."""
+        n = self.samples.size
+        buf = np.empty(min(n, CHUNK_ENTRIES), dtype=self.samples.dtype)
+        below = np.zeros(left.shape, dtype=np.intp)
+        at_or_below = np.zeros(right.shape, dtype=np.intp)
+        for start in range(0, n, buf.size):
+            block = buf[:min(buf.size, n - start)]
+            block[...] = self.samples[start:start + block.size]
+            block.sort()
+            below += np.searchsorted(block, left, side="left")
+            at_or_below += np.searchsorted(block, right, side="right")
+        return below, at_or_below
 
     def ecdf(self, grid) -> np.ndarray:
         """Empirical CDF evaluated on a grid of linear SINR values."""
-        return np.searchsorted(self._sorted, np.asarray(grid), side="right") / self.samples.size
+        _, at_or_below = self._count_below(np.empty(0), np.asarray(grid))
+        return at_or_below / self.samples.size
 
     def histogram_db(self, edges_db: np.ndarray) -> np.ndarray:
         """Density per dB over the given increasing dB bin edges.
 
         The bins of ``np.histogram`` on 10 log10 of the positive samples,
-        the last one closed, counted on the sorted samples at the linear
-        edges 10^(e/10).
+        the last one closed, counted block by block at the linear edges
+        10^(e/10).
         """
         edges = 10.0 ** (np.asarray(edges_db) / 10.0)
-        below = np.searchsorted(self._sorted, edges, side="left")
-        below[-1] = np.searchsorted(self._sorted, edges[-1], side="right")
+        below, (last, nonpositive) = self._count_below(edges, np.array([edges[-1], 0.0]))
+        below[-1] = last
         # no bin holds a sample <= 0, also where an edge underflows to 0
-        counts = np.diff(np.maximum(below, np.searchsorted(self._sorted, 0.0, side="right")))
+        counts = np.diff(np.maximum(below, nonpositive))
         return counts / (self.samples.size * np.diff(edges_db))
 
 

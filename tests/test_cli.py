@@ -530,6 +530,23 @@ def test_mc_validate_insufficiency_note_follows_the_dkw_band(tmp_path, capsys):
         assert any("insufficient" in n for n in doc["notes"]) is insufficient
 
 
+@pytest.mark.parametrize("command", ["outage", "pdf"])
+def test_mc_curves_print_the_dkw_band_of_mc_validate(tmp_path, capsys, command):
+    # the same band as mc-validate's, printed in the meta of both formats
+    cfg = write_cfg(tmp_path)
+    _, out, _ = run(capsys, "mc-validate", "--config", cfg, "--samples", "3000",
+                    "--grid=5:10:5")
+    band = json.loads(out)["dkw_band"]
+    for fmt in ("csv", "json"):
+        code, out, _ = run(capsys, command, "--config", cfg, "--mc", "--samples", "3000",
+                           "--grid=5:10:5", "--format", fmt)
+        assert code == 0
+        meta = parse_csv(out)[0] if fmt == "csv" else json.loads(out)["meta"]
+        assert meta["dkw_band"] == format(band, ".12g"), fmt
+    code, out, _ = run(capsys, command, "--config", cfg, "--grid=5:10:5")
+    assert code == 0 and "dkw_band" not in parse_csv(out)[0]
+
+
 def test_approx_validate_json(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code, out, _ = run(capsys, "approx-validate", "--config", cfg,

@@ -15,7 +15,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from ranksinr import bf, mixture, ostbc
@@ -169,10 +169,19 @@ def assert_matches_mpmath_series(spec):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(-1.0, 1.5), st.integers(1, 8)), min_size=1, max_size=5))
+# scales 1 (x13) and 1 + 2^-51 (x8): two exact coefficients past the double range
+@example(groups=[(0.0, 1), (0.0, 4), (0.0, 8), (2.220446049250313e-16, 8)])
 def test_exact_series_matches_mpmath_series(groups):
     # scales 10^U(-1, 1.5); equal draws form one group, near-equal ones stay apart
     rates = [10.0**e for e, beta in groups for _ in range(beta)]
-    assert_matches_mpmath_series(build_mixture(rates))
+    spec = build_mixture(rates)
+    expect = xi_rounded(spec.rates, spec.multiplicities)
+    if "inf" in {v.lstrip("-") for v in expect.values()}:
+        # an exact coefficient that rounds past the double range is refused
+        with pytest.raises(NumericInstabilityError, match="past the double range"):
+            spec.xi
+    else:
+        assert {k: v.hex() for k, v in spec.xi.items()} == expect
 
 
 def test_rates_an_ulp_apart_give_correctly_rounded_coefficients():

@@ -7,6 +7,7 @@ using it to judge the closed forms is not circular.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,6 +392,71 @@ def test_one_sort_ecdf_and_histogram_match_the_log_forms():
     assert dist.ecdf(grid).tobytes() == expect.tobytes()
     # the raw samples keep their draw order
     assert np.array_equal(dist.samples, samples)
+
+
+_B = montecarlo.CHUNK_ENTRIES
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 3 * _B + 17])
+def test_block_counts_are_the_counts_of_the_sorted_samples(n):
+    # sizes around the block length: one partial block, one full block, a
+    # full one and a one-sample tail, several and a short tail
+    linear_edges = 10.0 ** (_ROUND_TRIP_EDGES / 10.0)
+    rng = np.random.default_rng(n)
+    grid = np.concatenate([linear_edges, rng.exponential(2.0, 30)])
+    special = np.concatenate([
+        [0.0, -0.0, -1.0, 1e3, 1e-5],  # on 0 and outside every edge
+        np.repeat(linear_edges, 2),  # tied to an edge and a grid point
+        np.repeat(grid[-30:], 2),  # tied to a grid point only
+    ])
+    samples = np.concatenate([special, rng.exponential(2.0, n)])[:n]
+    rng.shuffle(samples)
+    before = samples.tobytes()
+    dist = EmpiricalDistribution(samples=samples)
+    ordered = np.sort(samples)
+    queries = np.concatenate([[0.0, -0.0, -2.0, 1e4], grid])
+    expect = np.searchsorted(ordered, queries, side="right") / n
+    assert dist.ecdf(queries).tobytes() == expect.tobytes()
+    rough = np.sort(rng.uniform(-60.0, 40.0, 25))  # edges beyond every sample too
+    for edges_db in (_ROUND_TRIP_EDGES, rough):
+        edges = 10.0 ** (edges_db / 10.0)
+        below = np.searchsorted(ordered, edges, side="left")
+        below[-1] = np.searchsorted(ordered, edges[-1], side="right")
+        counts = np.diff(np.maximum(below, np.searchsorted(ordered, 0.0, side="right")))
+        expect = counts / (n * np.diff(edges_db))
+        assert dist.histogram_db(edges_db).tobytes() == expect.tobytes()
+    assert dist.samples is samples and samples.tobytes() == before
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([]),
+    [0.5, 1.0],
+    np.ones((2, 3)),
+    np.array([0.5, np.nan, 1.0]),
+    np.array([0.5, np.inf]),
+    np.array([-np.inf, 0.5]),
+    np.array([0.5 + 1j]),
+    np.array([True, False]),
+], ids=["empty", "list", "2-d", "nan", "inf", "-inf", "complex", "bool"])
+def test_samples_must_be_a_nonempty_1d_array_of_finite_reals(samples):
+    with pytest.raises(ConfigError, match="samples"):
+        EmpiricalDistribution(samples=samples)
+
+
+@pytest.mark.parametrize("query", ["ecdf", "histogram_db"])
+def test_a_query_holds_no_copy_of_the_samples(query):
+    # a sorted copy of 1e6 samples alone takes 7.6 MiB
+    samples = np.random.default_rng(11).exponential(2.0, 1_000_000)
+    dist = EmpiricalDistribution(samples=samples)
+    grid_db = np.arange(-5.0, 20.25, 0.5)
+    points = 10.0 ** (grid_db / 10.0) if query == "ecdf" else np.append(grid_db - 0.25, 20.25)
+    tracemalloc.start()
+    try:
+        getattr(dist, query)(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 @pytest.mark.parametrize("n_r", range(1, 9))
