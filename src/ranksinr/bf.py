@@ -12,13 +12,13 @@ the pmf of N_k = Pois(a_k (1+Y)),
 
     f(gamma) = sum_kl psi_kl (k/rho_bar) (l+1) g_{k,l+1}/a_k.
 
-These are the formulas of ``engine.SinrModel``; this module only
-supplies the psi table and rho_bar.  g_k comes from one recursion over
-the count order with positive terms only, O(lmax R) per (k, gamma) for
-R distinct rates, and each value is the same whichever other points
-share the call.  The only cancellation left is in the signed psi sum:
-below 1e-13 absolute up to 4x4, about 1e-9 at 8x8.  With no interferers
-g_k is the Poisson(a_k) pmf and the outage is the eigenvalue CDF itself.
+``engine.SinrModel`` evaluates both as one weighted sum over a positive
+recursion in the count order, O(lmax R) per (k, gamma) for R distinct
+rates, with the exact tail sums sum_{l>=n} psi_kl as the outage's
+weights; this module only supplies the psi table and rho_bar.  Each
+value is the same whichever other points share the call, and is good
+to below 1e-14 absolute up to 4x4, about 2e-11 at 8x8.  With no
+interferers the outage is the eigenvalue CDF itself.
 
 `mixture` holds the paper's partial-fraction form of Y over groups of
 exactly equal rates (``mixture.count_rates``, the rule the model's own

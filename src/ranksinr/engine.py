@@ -20,28 +20,29 @@ positive terms only.  With s_r = rho_r/(1 + a rho_r), finite at a = 0,
 
     g_0 = exp(-a - sum_r c_r log1p(a rho_r)),   h_{r,-1} = 0,
     h_{r,n} = s_r (g_n + a h_{r,n-1}),
-    d_n = g_n + sum_r c_r h_{r,n} = (n+1) g_{n+1}/a,
-    g_{n+1} = a d_n/(n+1),
+    e_n = (g_n + sum_r c_r h_{r,n})/(n+1) = g_{n+1}/a,
 
 the series behind Moschopoulos' representation of gamma sums (Ann.
-Inst. Statist. Math. 37, 1985).  Then
+Inst. Statist. Math. 37, 1985).  Outage and density are one weighted
+sum over it, total_k = sum_n w_kn e_kn, with W_kn = sum_{l>=n} psi_kl:
 
-    P(gamma) = sum_k Psi_k (1 - g_{k,0}) - sum_kl psi_kl sum_{1<=n<=l} g_{k,n},
-    f(gamma) = sum_kl psi_kl (k/rho_bar) d_{k,l},
+    P(gamma) = sum_k [Psi_k (1 - g_k0) - a_k total_k],   w_kn = W_{k,n+1},
+    f(gamma) = sum_k total_k / rho_bar,                  w_kn = k (n+1) psi_kn,
 
-with Psi_k = sum_l psi_kl and 1 - g_0 = -expm1(log g_0), which keeps
-the outage's leading term as gamma -> 0.  The density is the outage's
-derivative term by term: E[(1+Y) Pois(l; a(1+Y))] = (l+1) g_{l+1}/a.
-With no interferers g is the Poisson(a) pmf and the outage is the
-eigenvalue CDF sum psi_kl P(l+1, a_k).  The only signed sum is the one
-over psi: none for OSTBC, about 1e-9 absolute at 8x8 beamforming.
+as sum_l psi_kl P(1 <= N_k <= l) = sum_{n>=1} W_kn g_kn with Psi_k = W_k0;
+the density is the outage's derivative term by term, and
+1 - g_0 = -expm1(log g_0) keeps the outage's digits as gamma -> 0.  The
+weights are formed exactly and rounded once, so the signed psi sum
+cancels exactly within each k; the rest, none for OSTBC, is below 1e-14
+absolute up to 4x4 and about 2e-11 at 8x8 beamforming (8e-10 summed
+term by term).
 
 Each (k, gamma) column costs O(lmax R) for R distinct rates, and every
-sum (over rates, over k, over psi terms) runs in a fixed order down its
+sum (over rates, over k, over orders) runs in a fixed order down its
 axis, so a value does not depend on which other points share the call.
 So one model can carry rows, each with its own rho_bar and rates over
 one psi table, and each row reads the bits of its own one-row model; a
-call runs in blocks of BLOCK columns, a few MB however many points.
+call runs in blocks of BLOCK columns, about 2 MB however many points.
 g starts in linear scale: g_0 reads 0 once a + sum_r c_r log1p(a rho_r)
 passes about 745, and every g_n with it.  The mass dropped there,
 sum_{n<=lmax} g_n, is at most g_0 times the sum of the coefficients of
@@ -69,12 +70,23 @@ from .scenario import build_rate_set, check_points, own_numerator_scale
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
     """Sum over axis 0 one row after the other, whatever the column count
-    (numpy's pairwise `sum` regroups a single column of more than 8)."""
-    return x[0] if len(x) == 1 else x[0] + x[1] if len(x) == 2 else np.add.accumulate(x)[-1]
+    (numpy's pairwise `sum` regroups a single column of more than 8), by
+    add.accumulate or, past ACCUMULATE_COLUMNS, one add per row."""
+    if x[0].size <= ACCUMULATE_COLUMNS:
+        return np.add.accumulate(x)[-1]
+    total = x[0].copy()
+    for row in x[1:]:
+        total += row
+    return total
 
 
-# (k, point) columns evaluated at once: the count tables stay a few MB
+# (k, point) columns evaluated at once, a few hundred KB of arrays
 BLOCK = 4096
+# count orders weighted at once
+CHUNK = 8
+# add.accumulate down axis 0 runs an inner loop per column: the faster sum
+# of rows up to this many columns, 15 times the slower on (4, 4, 1024)
+ACCUMULATE_COLUMNS = 96
 
 
 class _Identity:
@@ -93,21 +105,17 @@ class _Identity:
         return self.table is other.table
 
 
-def _is_weight(w) -> bool:
-    """A finite int, Fraction or float, numpy's too; not bool or str."""
-    try:
-        return isinstance(w, numbers.Real) and not isinstance(w, bool) and math.isfinite(w)
-    except OverflowError:  # an int or Fraction past the double range
-        return False
-
-
 @functools.lru_cache(maxsize=64)
 def _psi_arrays(key: _Identity) -> tuple[np.ndarray, ...]:
-    """kvals, kidx, ls, psis, psi_k, 1/(n+1) for n <= lmax, and psi_kl k of
-    a psi table, read-only: every model of the table shares them.  A
-    cached entry holds its table, so no other table can take its id.
-    A table that is not a nonempty dict of integer pairs (k, l), k >= 1
-    and l >= 0, to finite weights is refused with ConfigError."""
+    """kvals, Psi_k, the outage and density weights and 1/(n+1) for n <=
+    lmax of a psi table, read-only: every model of the table shares them.
+    The outage weight of order n < lmax is W_{k,n+1} = sum_{l>n} psi_kl,
+    the density weight of order n <= lmax is k (n+1) psi_kn, each table
+    (orders, K, 1); every weight is formed exactly and rounded once.  A
+    cached entry holds its table, so no other table can take its id.  A
+    table that is not a nonempty dict of integer pairs (k, l), k >= 1 and
+    l >= 0, to finite weights is refused with ConfigError, and so is one
+    whose derived weight passes the double range."""
     table = key.table
     if not isinstance(table, dict) or not table:
         raise ConfigError(f"weights must be a nonempty dict, got {table!r}")
@@ -117,16 +125,26 @@ def _psi_arrays(key: _Identity) -> tuple[np.ndarray, ...]:
                 and kl[0] >= 1 and kl[1] >= 0):
             raise ConfigError(f"weights must be keyed by integer pairs (k, l), k >= 1 and "
                               f"l >= 0, got {kl!r}")
-        if not _is_weight(w):
+        try:  # a finite int, Fraction or float, numpy's too; not bool or str
+            finite = isinstance(w, numbers.Real) and not isinstance(w, bool) and math.isfinite(w)
+        except OverflowError:  # an int or Fraction past the double range
+            finite = False
+        if not finite:
             raise ConfigError(f"the weight of {kl!r} must be a finite int, Fraction or float, "
                               f"got {w!r}")
-    items = sorted(table.items())
-    kvals, kidx = np.unique([k for (k, _), _ in items], return_inverse=True)
-    ls = np.array([l for (_, l), _ in items])
-    psis = np.array([float(w) for _, w in items])
-    arrays = (kvals, kidx, ls, psis, np.bincount(kidx, weights=psis, minlength=kvals.size),
-              1.0 / np.arange(1.0, ls.max() + 2.0)[:, None, None],
-              (psis * kvals[kidx])[:, None])
+    kvals, lmax = np.unique([k for k, _ in table]), max(l for _, l in table)
+    psi = np.full((lmax + 1, kvals.size, 1), Fraction(0), dtype=object)
+    for (k, l), w in table.items():
+        psi[l, kvals.searchsorted(k), 0] = (Fraction(w) if isinstance(w, numbers.Rational)
+                                            else Fraction(float(w)))
+    # the tail sums W_kn and k (n+1) psi_kn in exact arithmetic
+    tails = np.cumsum(psi[::-1], axis=0)[::-1]
+    scale = (np.arange(1, lmax + 2)[:, None, None] * kvals[:, None]).astype(object)
+    try:
+        arrays = (kvals, tails[0, :, 0].astype(float), tails[1:].astype(float),
+                  (psi * scale).astype(float), 1.0 / np.arange(1.0, lmax + 2.0))
+    except OverflowError:
+        raise ConfigError("a weight derived from the table passes the double range") from None
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -136,22 +154,21 @@ def _psi_arrays(key: _Identity) -> tuple[np.ndarray, ...]:
 class SinrModel:
     """Outage, density and outage thresholds of rho_bar*Z/(1+Y).
 
-    `weights` maps (k, l) to psi_kl.  Exact rationals are rounded once
-    per table, correctly: that keeps sum psi = 1, and with it the outage
-    at large gamma, within 1e-12 even at 8x8.  The arrays derived from a
-    table are cached by its identity (the tables of ``wishart`` and
-    ``ostbc`` are cached too), so a table must not change once a model
-    has read it.  `rho_bar` must be positive and finite, and the points
-    of an outage positive and finite, those of a density nonnegative and
-    finite (``scenario.check_points``): a ConfigError refuses any other.
+    `weights` maps (k, l) to psi_kl.  The weights derived from it are
+    formed exactly and rounded once: the Psi_k of the shipped tables are
+    integers, so they sum to exactly 1 and the outage at large gamma
+    reads 1.  They are cached by the table's identity (the tables of
+    ``wishart`` and ``ostbc`` are cached too), so a table must not change
+    once a model has read it.
+    `rho_bar` must be positive and finite, and the points of an outage
+    positive and finite, those of a density nonnegative and finite
+    (``scenario.check_points``): a ConfigError refuses any other.
     `rates` is the raw interference rate set, empty for no interferers,
     read by ``mixture.count_rates``: a flat sequence of real numbers,
     each positive and finite, or a ConfigError names its row.
     `mixture` is derived, not passed: ``mixture.build_mixture`` of the
-    rates for a model of one row with interferers, None otherwise.  Its
-    partial-fraction coefficients are computed only if read, which only
-    ``dump-xi`` does: neither evaluation nor ``pdf_y``/``cdf_y`` reads
-    `mixture`.
+    rates for a model of one row with interferers, None otherwise; only
+    ``dump-xi`` reads its partial-fraction coefficients.
 
     A model of several rows takes a tuple of rho_bar and a list or tuple
     of one rate set per row; any other count of rate sets is refused
@@ -166,8 +183,8 @@ class SinrModel:
 
     def __post_init__(self) -> None:
         rho_bar = check_points(self.rho_bar, "rho_bar", positive=True)
-        (self.kvals, self.kidx, self.ls, self.psis, self.psi_k, self._inv_orders,
-         self._pdf_scale) = _psi_arrays(_Identity(self.weights))
+        (self.kvals, self.psi_k, self._outage_weights, self._pdf_weights,
+         self._inv_orders) = _psi_arrays(_Identity(self.weights))
         row_rates = (self.rates,) if rho_bar.ndim == 0 else self.rates
         if not (isinstance(row_rates, (list, tuple)) and len(row_rates) == rho_bar.size > 0):
             raise ConfigError(f"rho_bar has {rho_bar.size} rows, and rates must hold one rate "
@@ -199,18 +216,14 @@ class SinrModel:
                        tuple(map(build_rate_set, cfgs)))
         return cls(weights, own_numerator_scale(cfg), build_rate_set(cfg))
 
-    def _counts(self, gamma: np.ndarray, rows=0, top=None):
-        """log g_{k,0}, g_{k,n} for n <= top and d_{k,n} for n < top, top =
-        lmax + 1 by default (the outage reads no d).  gamma is 1-d, rows
-        the row of each point or of all; log g_0 is (K, G), g (top+1, K,
-        G), d (top, K, G), and the rates run down axis 0 of (R, K, G) terms.
-        """
-        if isinstance(rows, np.ndarray):
-            # np.take, unlike x[:, rows], lays the terms out C-contiguous:
-            # the recursion runs at strided speed on the other layout
-            rho, count = (np.take(t, rows, axis=1)[:, None] for t in (self.rho, self.count))
-        else:
-            rho, count = self.rho[:, rows, None, None], self.count[:, rows, None, None]
+    def _weighted_sum(self, gamma: np.ndarray, rows, weights: np.ndarray):
+        """a_k, log g_{k,0} and sum_n w[n, k] e_{k,n} over the orders n of
+        `weights`, each (K, G).  gamma is 1-d and rows the row of each
+        point, or one row for all; the rates run down axis 0."""
+        # np.take, unlike x[:, rows], lays the terms out C-contiguous:
+        # the recursion runs at strided speed on the other layout
+        rho, count = (np.take(t, rows, axis=1).reshape(len(t), 1, -1)
+                      for t in (self.rho, self.count))
         with np.errstate(over="ignore"):
             a = np.minimum(self.kvals[:, None] * (gamma / self._rho_bar[rows]),
                            np.finfo(np.float64).max)
@@ -220,44 +233,35 @@ class SinrModel:
         # the largest double and s_r is 0 there, so the outage reads
         # sum psi and the density 0
         log_g0 = -a - _sum_rows(count * np.log1p(ar))
-        cs = count * (rho / (1.0 + ar))
-        ac = a / count
-        step = a * self._inv_orders[:top]
-        g = np.empty((step.shape[0] + 1, *a.shape))
-        d = np.empty_like(step)
-        g[0] = np.exp(log_g0)
-        # h holds c_r h_{r,n} = c_r s_r (g_n + (a/c_r) c_r h_{r,n-1})
-        h = np.zeros(ar.shape)
-        for g_n, g_next, d_n, step_n in zip(g, g[1:], d, step):
+        cs, ac = count * (rho / (1.0 + ar)), a / count
+        # g_n above c_r h_{r,n} = c_r s_r (g_n + (a/c_r) c_r h_{r,n-1}); es is
+        # the running total over the e_n of up to CHUNK orders, each chunk
+        # weighted in one call and added in order: two calls per order fewer
+        gh = np.concatenate([np.exp(log_g0)[None], np.zeros(ar.shape)])
+        g, h = gh[0], gh[1:]
+        es = np.zeros((CHUNK + 1, *a.shape))
+        for n, inv_n in enumerate(self._inv_orders[:len(weights)].tolist()):
             h *= ac
-            h += g_n
+            h += g
             h *= cs
-            np.add(g_n, _sum_rows(h), out=d_n)
-            np.multiply(step_n, d_n, out=g_next)
-        return log_g0, g, d
-
-    def _per_term(self, x: np.ndarray) -> np.ndarray:
-        """(n, K, G) -> (T, G): order l_i of block k_i for each psi term."""
-        return x[self.ls, self.kidx]
+            j = n % CHUNK + 1
+            np.multiply(a, np.multiply(_sum_rows(gh), inv_n, out=es[j]), out=g)
+            if j == CHUNK or n + 1 == len(weights):
+                es[1:j + 1] *= weights[n + 1 - j:n + 1]
+                es[0] = _sum_rows(es[:j + 1])
+        return a, log_g0, es[0]
 
     def _outage(self, gamma: np.ndarray, rows=0) -> np.ndarray:
         """P(SINR <= gamma) on a 1-d array of gamma > 0, unclamped."""
-        log_g0, pmf, _ = self._counts(gamma, rows, self.ls.max())
-        # sum_{1<=n<=l} g_n summed from g_1 up: cumsum(g) - g_0 would round
-        # it to 0 as gamma -> 0, where 1 - g_0 keeps its digits
-        pmf[0] = 0.0
-        partial = np.add.accumulate(pmf)
-        return (_sum_rows(self.psi_k[:, None] * -np.expm1(log_g0))
-                - _sum_rows(self.psis[:, None] * self._per_term(partial)))
+        a, log_g0, total = self._weighted_sum(gamma, rows, self._outage_weights)
+        return _sum_rows(self.psi_k[:, None] * -np.expm1(log_g0) - a * total)
 
     def _pdf(self, gamma: np.ndarray, rows=0) -> np.ndarray:
         """SINR density on a 1-d array of gamma >= 0."""
-        _, _, d = self._counts(gamma, rows)
-        # psi_kl k/rho_bar overflows where rho_bar is tiny; sinr_pdf refuses
-        # the inf or NaN this leaves
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = self._pdf_scale / self._rho_bar[rows]
-            return _sum_rows(scale * self._per_term(d))
+        _, _, total = self._weighted_sum(gamma, rows, self._pdf_weights)
+        # past the double range it overflows; sinr_pdf refuses the inf
+        with np.errstate(over="ignore"):
+            return _sum_rows(total) / self._rho_bar[rows]
 
     def _evaluate(self, kernel, arr: np.ndarray) -> np.ndarray:
         """kernel at every point of arr in blocks of at most BLOCK columns;
@@ -265,20 +269,15 @@ class SinrModel:
         n, flat = self._rho_bar.size, arr.ravel()
         if n != 1 and arr.shape[:1] != (n,):
             raise ConfigError(f"axis 0 of gamma must run over {n} model rows")
-        # one row's rates broadcast over its points, several rows' are
-        # gathered point by point
-        point_rows = 0 if n == 1 else np.arange(n).repeat(math.prod(arr.shape[1:]))
+        point_rows = np.arange(n).repeat(flat.size // n)
         step = max(1, BLOCK // self.kvals.size)
-        out = [kernel(flat[s:s + step], point_rows if n == 1 else point_rows[s:s + step])
+        out = [kernel(flat[s:s + step], point_rows[s:s + step])
                for s in range(0, flat.size, step)]
         return (out[0] if len(out) == 1 else np.concatenate(out or [flat])).reshape(arr.shape)
 
     def sinr_pdf(self, gamma):
-        """Density of the SINR at gamma (scalar or array).
-
-        A density past the double range is refused: psi_kl k/rho_bar
-        overflows where rho_bar is below about 1e-307.
-        """
+        """Density of the SINR at gamma (scalar or array); a density past
+        the double range is refused."""
         arr = check_points(gamma, "gamma")
         vals = self._evaluate(self._pdf, arr)
         # written as "not <" so that NaN is refused too

@@ -18,8 +18,8 @@ class NumericInstabilityError(RankSinrError):
     """Raised where double precision cannot carry an answer.
 
     Among the cases: an evaluated probability lands outside [0, 1], where
-    the signed psi sum of the eigenvalue table has lost its digits
-    (results within inversion.PROB_SLACK, 1e-9, are clamped, anything
+    the eigenvalue table's signed sum has lost its digits (8x8 BF reads
+    down to -2e-11; within inversion.PROB_SLACK, 1e-9, it is clamped, any
     further is refused); an exact Xi coefficient of ``dump-xi`` past the
     double range (``mixture.MixtureSpec.xi``), as for large groups of
     near-equal rates, which are never merged (the laws of Y do not read

@@ -28,8 +28,8 @@ from .errors import NumericInstabilityError
 from .scenario import check_probability
 
 # round-off slack accepted on probabilities before declaring instability;
-# the signed psi sum of the 8x8 eigenvalue table wobbles by about 1e-9,
-# genuine breakdown overshoots by 1e-3 or more
+# the 8x8 beamforming outage, the noisiest, reads down to about -2e-11
+# and never above 1, genuine breakdown overshoots by 1e-3 or more
 PROB_SLACK = 1e-9
 
 # the x4 lattice 4^j, |j| <= 249, spans the search range [1e-150, 1e150];
@@ -51,9 +51,10 @@ BASE = np.repeat([0, 2], [EVEN.size, WINDOW.size])
 SCALE = BASE + 1
 # the window's half-width over the estimate: WINDOW_SCALE w^2 for a bracket
 # of relative width w (the secant misses by about that on a smooth curve),
-# at most WINDOW_MAX (what the x4 lattice bracket gets) and at least half
-# the stopping tolerance, so that a window that holds the crossing ends
-# the search
+# at most WINDOW_MAX (what the x4 lattice bracket gets) and at least the
+# stopping tolerance: a window that holds the crossing, its points 2 tol/25
+# apart, ends the search, and holds it too where round-off moves the
+# secant by a few tol/2
 WINDOW_SCALE = 0.25
 WINDOW_MAX = 0.2
 # relative width at which threshold_at_outage stops n-sectioning
@@ -111,7 +112,7 @@ def _nsection(outage_fn, p_target: float, bracket: list[tuple[float, ...]]) -> n
     """
     tol = THRESHOLD_REL_TOL
     ends = list(bracket)
-    u_target, floor = _log_hazard(p_target), 0.5 * tol
+    u_target = _log_hazard(p_target)
     open_ = [h - l > tol * l for l, h, _, _ in ends]
     while any(open_):
         spans = []
@@ -124,7 +125,7 @@ def _nsection(outage_fn, p_target: float, bracket: list[tuple[float, ...]]) -> n
                 if du > 0.0:
                     t = (u_target - u_lo) / du
             est = l * (1.0 + w) ** t
-            half = est * min(max(WINDOW_SCALE * w * w, floor), WINDOW_MAX)
+            half = est * min(max(WINDOW_SCALE * w * w, tol), WINDOW_MAX)
             a = max(est - half, l)
             spans.append((l, h - l, a, min(est + half, h) - a))
         # no point rounds past either end of its bracket, so sorting a row

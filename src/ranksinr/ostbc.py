@@ -17,10 +17,10 @@ probability and density are
     f(gamma) ~= (1/rho_bar) N g_N/a.
 
 The g_n come from one recursion over the count order with positive
-terms only (see ``engine``), O(N R) per gamma for R distinct rates, so
-no signed sum is formed: the results are good to a few 1e-15 absolute
-at any size, and each value is the same whichever other points share
-the call.
+terms only (see ``engine``), O(N R) per gamma for R distinct rates, and
+the table's tail sums, all 1, weigh them: no signed sum is formed, the
+results are good to a few 1e-15 absolute at any size, and each value is
+the same whichever other points share the call.
 
 Both are approximations: the exponential step flattens the true
 product-of-exponential-and-beta shape, which shows up as a visible

@@ -40,10 +40,10 @@ from .scenario import (
 # takes; larger ones are refused before allocation
 MAX_GRID_POINTS = 100_000
 # sweep points inverted together, each a rank-1 and a rank-r row: on a
-# 2e4-point 4x4 BF sweep-inr, 64, 256, 512 and 2048 took 6.9, 7.0, 4.7 and
-# 4.9 s on a 2-CPU host and peaked at 7.1, 9.1, 11.6 and 29.2 MiB
-# (tracemalloc).  The step in time is the allocator's: with glibc malloc's
-# trim and mmap thresholds raised, all four took 4.6 s
+# 2e4-point 4x4 BF sweep-inr, 64, 256, 512 and 2048 took 5.4, 5.2, 5.1 and
+# 4.8 s (best of 3, one CPU of a 2-CPU host; 4.8, 5.3, 4.7 and 4.7 s with
+# glibc malloc's trim and mmap thresholds raised, within the runs' spread)
+# and peaked at 6.4, 8.4, 11.4 and 29.2 MiB (tracemalloc)
 POINTS_PER_BATCH = 512
 
 

@@ -11,12 +11,13 @@ a stacked model the bits of its own one-row model.
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ranksinr import bf, cli, ostbc
-from ranksinr.engine import SinrModel
+from ranksinr import bf, cli, ostbc, wishart
+from ranksinr.engine import SinrModel, _sum_rows
 from ranksinr.errors import ConfigError, NumericInstabilityError
 from ranksinr.scenario import (
     InterfererSpec,
@@ -114,10 +115,61 @@ def test_counts_where_g0_underflows(cfg, peak_db, a_values):
     # show.  The point near the density's mode sets its scale.
     model = ostbc.from_config(cfg)
     gammas = np.append(10.0 ** (peak_db / 10.0), a_values * model.rho_bar)
-    assert np.count_nonzero(model._counts(gammas)[1][0] == 0.0) >= 4
+    log_g0 = model._weighted_sum(gammas, 0, model._outage_weights)[1]
+    assert np.count_nonzero(np.exp(log_g0) == 0.0) >= 4
     outage, pdf = reference_curves(cfg, gammas)
     assert np.max(np.abs(model.outage(gammas) - outage)) <= TOL
     assert np.max(np.abs(model.sinr_pdf(gammas) - pdf)) / max(pdf) <= TOL
+
+
+# (grid in dB, absolute outage bound, bound for gamma <= 0 dB): the signed
+# psi sum of the eigenvalue table is formed per k as exact tail sums, so
+# what is left is the cancellation across k and within each k's weighted
+# count sum, about 1e-16 times sum_kn |W_kn| g_kn, 4e5 at 8x8 on the grid
+BF_BOUNDS = {4: ("-15:30:2.5", 2e-15, None), 6: ("-15:30:2.5", 1e-13, None),
+             8: ("-15:20:2.5", 1e-11, 1e-13)}
+
+
+@pytest.mark.parametrize("interferers", ["reference-mix", "one-full-rank-sm"])
+@pytest.mark.parametrize("n", list(BF_BOUNDS))
+def test_bf_outage_is_within_its_rounding_bound(n, interferers):
+    # the per-term psi sum was off by 5.6e-15 (4x4), 3.2e-13 (6x6) and
+    # 1.7e-10 (8x8) on the reference mix, and by 6.1e-15, 8.0e-13 and
+    # 4.4e-10 under one n-layer SM interferer at 10 dB; the 8x8 outage read
+    # up to 1.7e-10 where the exact values are at most 1.6e-25 (gamma <= 0 dB)
+    grid, bound, left_bound = BF_BOUNDS[n]
+    lo, hi, step = map(float, grid.split(":"))
+    grid_db = np.arange(lo, hi + 1e-9, step)
+    cfg = _cfg(n, n, OwnMode.BEAMFORMING,
+               REF_INTERFERERS if interferers == "reference-mix" else [_sm(10.0, n)])
+    gammas = 10.0 ** (grid_db / 10.0)
+    outage, _ = reference_curves(cfg, gammas)
+    err = np.abs(bf.from_config(cfg)._outage(gammas) - outage)
+    assert err.max() <= bound
+    if left_bound is not None:
+        assert err[grid_db <= 0.0].max() <= left_bound
+
+
+def _exact_tables():
+    """Every shipped eigenvalue table, then the OSTBC tables of orders 1..64."""
+    yield from (wishart.compute_weights(p, q).weights for p, q in wishart.TABLES)
+    yield from ({(1, order - 1): 1} for order in range(1, 65))
+
+
+def test_outage_weights_are_exact_tail_sums_rounded_once():
+    # Psi_k of the shipped tables are integers (+-binomials), so they sum
+    # to exactly 1 in _sum_rows order and the outage at large gamma reads 1
+    for table in _exact_tables():
+        model = SinrModel(table, 1.0)
+        lmax = max(l for _, l in table)
+        assert model._outage_weights.shape == (lmax, model.kvals.size, 1)
+        for i, k in enumerate(model.kvals.tolist()):
+            tails = [sum((Fraction(w) for (kk, l), w in table.items() if kk == k and l >= n),
+                         Fraction(0)) for n in range(lmax + 1)]
+            assert model.psi_k[i] == tails[0] and tails[0].denominator == 1
+            assert model._outage_weights[:, i, 0].tolist() == [float(t) for t in tails[1:]]
+        assert _sum_rows(model.psi_k) == 1.0
+        assert model._outage(np.array([1e6])).tolist() == [1.0]
 
 
 GRID_CASES = {
@@ -189,22 +241,25 @@ def test_stacked_rows_share_mode_and_size():
 
 
 def test_large_grids_are_evaluated_in_bounded_memory():
-    # 8x8 beamforming keeps about 9 KB of count tables per point: a 2e4-point
-    # outage peaked at 181 MB in one block, about 5 MB in blocks of BLOCK
-    # columns; the blocks leave every value the same bits
+    # 8x8 beamforming once kept about 9 KB of count tables per point: a
+    # 2e4-point outage peaked at 181 MB in one block, 4.7 MiB in blocks of
+    # BLOCK columns and the density at 30 MiB; a block now holds a few
+    # (rates + 1, K, points) arrays, about 2 MiB at the peak.  The blocks
+    # leave every value the same bits
     model = bf.from_config(GRID_CASES["bf-8x8-reference-mix"])
     gammas = 10.0 ** (np.linspace(-5.0, 20.0, 20_001) / 10.0)
-    tracemalloc.start()
-    try:
-        # the unclamped evaluation: the clamp would hide a difference below 0
-        whole = model._evaluate(model._outage, gammas)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
     sub = gammas[::400]
     assert sub.size == 51
-    assert [v.hex() for v in whole[::400]] == [v.hex() for v in model._outage(sub)]
+    # the unclamped evaluators: the clamp would hide a difference below 0
+    for evaluate in (model._outage, model._pdf):
+        tracemalloc.start()
+        try:
+            whole = model._evaluate(evaluate, gammas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, evaluate.__name__
+        assert [v.hex() for v in whole[::400]] == [v.hex() for v in evaluate(sub)]
 
 
 def test_motivation_case_value_at_zero_db():
@@ -343,8 +398,11 @@ def test_evaluation_points_follow_the_point_rule():
 
 def test_a_density_past_the_double_range_is_refused():
     # psi k/rho_bar overflowed at a subnormal rho_bar: a RuntimeWarning,
-    # then inf times a count of 0 gave NaN
+    # then inf times a count of 0 gave NaN.  At gamma = 0 and 1 the density
+    # is exactly 0 (Z ~ Gamma(4, 1) at 0, a past the double range at 1);
+    # at 3e-310, a = 3, it is about 1e310
     model = SinrModel({(1, 3): 1}, 1e-310, (2.0,))
+    assert model.sinr_pdf([0.0, 1.0]).tolist() == [0.0, 0.0]
     with pytest.raises(NumericInstabilityError, match="density overflows"):
-        model.sinr_pdf([0.0, 1.0])
+        model.sinr_pdf([0.0, 3e-310])
     assert 0.0 <= model.outage(1.0) <= 1.0

@@ -227,9 +227,10 @@ def test_closed_brackets_ignore_their_new_values():
 
 
 def test_rows_closing_after_different_call_counts_read_their_one_row_bits():
-    # a 17-point rank-8 sweep-inr on an 8x8 beamforming victim: its noisy
-    # outage curve makes the rows alone close after 4 to 7 calls, and the
-    # batch runs until the slowest has
+    # a 17-point rank-8 sweep-inr on an 8x8 beamforming victim: its outage
+    # curve, whose round-off the secant window barely covers, makes the
+    # rows alone close after 4 or 5 calls, and the batch runs until the
+    # slowest has
     cfgs = [equal_power_config(OwnMode.BEAMFORMING, 8, 8, 15.0, inr, 1, 8)
             for inr in np.arange(-10.0, 30.0 + 1e-9, 2.5).tolist()]
     alone = []
@@ -237,10 +238,10 @@ def test_rows_closing_after_different_call_counts_read_their_one_row_bits():
         outage = Counting(model_for(cfg).outage)
         alone.append((threshold_at_outage(outage, 0.01)[0], outage.calls))
     calls = [n for _, n in alone]
-    assert min(calls) == 4 and max(calls) == 7
+    assert min(calls) == 4 and max(calls) == 5
     outage = Counting(model_for(*cfgs).outage)
     thr = threshold_at_outage(outage, 0.01, len(cfgs))
-    assert outage.calls == 7
+    assert outage.calls == 5
     assert [t.hex() for t in thr] == [t.hex() for t, _ in alone]
 
 
