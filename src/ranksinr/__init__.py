@@ -14,18 +14,15 @@ from .approx import (
     exp_approx_pdf,
     product_pdf,
 )
-from .bf import BfModel
 from .engine import SinrModel
 from .errors import (
     ConfigError,
-    EmptyMixtureError,
     NumericInstabilityError,
     RankSinrError,
     UnsupportedDimensionError,
 )
 from .mixture import MixtureSpec, build_mixture, cdf_y, pdf_y
 from .montecarlo import EmpiricalDistribution, simulate_bf_sinr, simulate_ostbc_sinr
-from .ostbc import OstbcModel
 from .scenario import (
     InterfererSpec,
     OwnMode,
@@ -35,27 +32,23 @@ from .scenario import (
     config_from_dict,
     load_config,
 )
-from .sweeps import SweepKind, SweepSpec, threshold_gain
+from .sweeps import SweepSpec, threshold_gain
 from .wishart import EigenWeightTable, compute_weights
 
 __all__ = [
     "__version__",
-    "BfModel",
     "ChainReport",
     "ConfigError",
     "EigenWeightTable",
-    "EmptyMixtureError",
     "EmpiricalDistribution",
     "InterfererSpec",
     "MixtureSpec",
     "NumericInstabilityError",
-    "OstbcModel",
     "OwnMode",
     "ProductDistribution",
     "RankSinrError",
     "ScenarioConfig",
     "SinrModel",
-    "SweepKind",
     "SweepSpec",
     "Technique",
     "UnsupportedDimensionError",

@@ -63,8 +63,8 @@ EXIT_VALIDATION = 4
 DKW_ALPHA = 0.01
 
 
-def _grid(args, kind=SweepKind.THRESHOLD) -> SweepSpec:
-    """The --grid text START:STOP:STEP as a dB grid of the given kind."""
+def _grid(args) -> SweepSpec:
+    """The --grid text START:STOP:STEP as a dB grid."""
     parts = args.grid.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be START:STOP:STEP in dB, got {args.grid!r}")
@@ -74,7 +74,7 @@ def _grid(args, kind=SweepKind.THRESHOLD) -> SweepSpec:
         raise ConfigError(f"grid values must be numbers: {args.grid!r}") from exc
     if not all(math.isfinite(v) for v in (a, b, s)):
         raise ConfigError(f"grid values must be finite: {args.grid!r}")
-    return SweepSpec(kind=kind, start_db=a, stop_db=b, step_db=s)
+    return SweepSpec(kind=SweepKind.THRESHOLD, start_db=a, stop_db=b, step_db=s)
 
 
 def _grid_db(args) -> tuple[np.ndarray, np.ndarray, float]:
@@ -213,14 +213,14 @@ def cmd_gain(args) -> int:
 def cmd_sweep_snr(args) -> int:
     cfg, spec, rank = _gain_config(args)
     points = sweep_snr(cfg.own_mode, cfg.n_r, cfg.n_t, spec.inr_db,
-                       _grid(args, SweepKind.SNR), rank, args.target_outage)
+                       _grid(args), rank, args.target_outage)
     return _emit_gains(args, cfg, points, "snr_db", rank, args.grid)
 
 
 def cmd_sweep_inr(args) -> int:
     cfg, spec, rank = _gain_config(args)
     points = sweep_inr(cfg.own_mode, cfg.n_r, cfg.n_t, cfg.snr_db,
-                       _grid(args, SweepKind.INR), rank, args.target_outage)
+                       _grid(args), rank, args.target_outage)
     return _emit_gains(args, cfg, points, "inr_db", rank, args.grid)
 
 

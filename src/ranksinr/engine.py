@@ -39,7 +39,10 @@ term by term).
 
 Each (k, gamma) column costs O(lmax R) for R distinct rates, and every
 sum (over rates, over k, over orders) runs in a fixed order down its
-axis, so a value does not depend on which other points share the call.
+axis, so a value does not depend on which other points share the call:
+numpy's reduction adds a slow axis row by row, in index order, and
+regroups only the fast axis pairwise, so a single column, as a one-point
+call has, is added by add.accumulate.
 So one model can carry rows, each with its own rho_bar and rates over
 one psi table, and each row reads the bits of its own one-row model; a
 call runs in blocks of BLOCK columns, about 2 MB however many points.
@@ -69,24 +72,18 @@ from .scenario import build_rate_set, check_points, own_numerator_scale
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 one row after the other, whatever the column count
-    (numpy's pairwise `sum` regroups a single column of more than 8), by
-    add.accumulate or, past ACCUMULATE_COLUMNS, one add per row."""
-    if x[0].size <= ACCUMULATE_COLUMNS:
-        return np.add.accumulate(x)[-1]
-    total = x[0].copy()
-    for row in x[1:]:
-        total += row
-    return total
+    """Sum over axis 0, one row after the other: numpy's reduction adds a
+    slow axis row by row, in index order, but regroups the fast axis
+    pairwise from 8 entries on, so a single column goes through
+    add.accumulate.  The reduction starts from 0.0, so a column of -0.0
+    alone sums to 0.0; no kernel sum has one."""
+    return np.add.reduce(x) if x[0].size > 1 else np.add.accumulate(x)[-1]
 
 
 # (k, point) columns evaluated at once, a few hundred KB of arrays
 BLOCK = 4096
 # count orders weighted at once
 CHUNK = 8
-# add.accumulate down axis 0 runs an inner loop per column: the faster sum
-# of rows up to this many columns, 15 times the slower on (4, 4, 1024)
-ACCUMULATE_COLUMNS = 96
 
 
 class _Identity:
@@ -107,8 +104,8 @@ class _Identity:
 
 @functools.lru_cache(maxsize=64)
 def _psi_arrays(key: _Identity) -> tuple[np.ndarray, ...]:
-    """kvals, Psi_k, the outage and density weights and 1/(n+1) for n <=
-    lmax of a psi table, read-only: every model of the table shares them.
+    """kvals, Psi_k and the outage and density weights of a psi table,
+    read-only: every model of the table shares them.
     The outage weight of order n < lmax is W_{k,n+1} = sum_{l>n} psi_kl,
     the density weight of order n <= lmax is k (n+1) psi_kn, each table
     (orders, K, 1); every weight is formed exactly and rounded once.  A
@@ -132,7 +129,8 @@ def _psi_arrays(key: _Identity) -> tuple[np.ndarray, ...]:
         if not finite:
             raise ConfigError(f"the weight of {kl!r} must be a finite int, Fraction or float, "
                               f"got {w!r}")
-    kvals, lmax = np.unique([k for k, _ in table]), max(l for _, l in table)
+    # sorted() rather than np.unique, which imports numpy.ma (about 1 MB)
+    kvals, lmax = np.array(sorted({k for k, _ in table})), max(l for _, l in table)
     psi = np.full((lmax + 1, kvals.size, 1), Fraction(0), dtype=object)
     for (k, l), w in table.items():
         psi[l, kvals.searchsorted(k), 0] = (Fraction(w) if isinstance(w, numbers.Rational)
@@ -142,7 +140,7 @@ def _psi_arrays(key: _Identity) -> tuple[np.ndarray, ...]:
     scale = (np.arange(1, lmax + 2)[:, None, None] * kvals[:, None]).astype(object)
     try:
         arrays = (kvals, tails[0, :, 0].astype(float), tails[1:].astype(float),
-                  (psi * scale).astype(float), 1.0 / np.arange(1.0, lmax + 2.0))
+                  (psi * scale).astype(float))
     except OverflowError:
         raise ConfigError("a weight derived from the table passes the double range") from None
     for a in arrays:
@@ -183,8 +181,8 @@ class SinrModel:
 
     def __post_init__(self) -> None:
         rho_bar = check_points(self.rho_bar, "rho_bar", positive=True)
-        (self.kvals, self.psi_k, self._outage_weights, self._pdf_weights,
-         self._inv_orders) = _psi_arrays(_Identity(self.weights))
+        (self.kvals, self.psi_k, self._outage_weights,
+         self._pdf_weights) = _psi_arrays(_Identity(self.weights))
         row_rates = (self.rates,) if rho_bar.ndim == 0 else self.rates
         if not (isinstance(row_rates, (list, tuple)) and len(row_rates) == rho_bar.size > 0):
             raise ConfigError(f"rho_bar has {rho_bar.size} rows, and rates must hold one rate "
@@ -240,12 +238,12 @@ class SinrModel:
         gh = np.concatenate([np.exp(log_g0)[None], np.zeros(ar.shape)])
         g, h = gh[0], gh[1:]
         es = np.zeros((CHUNK + 1, *a.shape))
-        for n, inv_n in enumerate(self._inv_orders[:len(weights)].tolist()):
+        for n in range(len(weights)):
             h *= ac
             h += g
             h *= cs
             j = n % CHUNK + 1
-            np.multiply(a, np.multiply(_sum_rows(gh), inv_n, out=es[j]), out=g)
+            np.multiply(a, np.multiply(_sum_rows(gh), 1.0 / (n + 1), out=es[j]), out=g)
             if j == CHUNK or n + 1 == len(weights):
                 es[1:j + 1] *= weights[n + 1 - j:n + 1]
                 es[0] = _sum_rows(es[:j + 1])

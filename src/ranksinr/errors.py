@@ -5,15 +5,6 @@ class RankSinrError(ValueError):
     """Base class for all package-specific errors."""
 
 
-class EmptyMixtureError(RankSinrError):
-    """Raised when an interference mixture is built from no rate entries.
-
-    A rate that is not positive and finite is a ConfigError, raised by
-    ``mixture.count_rates`` for the mixture, the laws of Y and every
-    model row alike, as every other input value outside its rule is.
-    """
-
-
 class NumericInstabilityError(RankSinrError):
     """Raised where double precision cannot carry an answer.
 
@@ -32,7 +23,8 @@ class ConfigError(RankSinrError):
     """Raised for an input value outside its rule: a malformed
     configuration file, and a count, real number, dB value, probability,
     enum member, evaluation point or model row index that the rules of
-    ``scenario`` refuse, in a file or passed to the Python API.  The CLI
+    ``scenario`` refuse, in a file or passed to the Python API, and an
+    empty rate set where a mixture or a law of Y needs one.  The CLI
     exits 2.
     """
 

@@ -104,7 +104,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, EmptyMixtureError, NumericInstabilityError, RankSinrError
+from .errors import ConfigError, NumericInstabilityError, RankSinrError
 from .scenario import check_points, check_real
 
 # K's series stops once its tail is at most this share of its sum
@@ -166,7 +166,7 @@ def _groups(rates) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """``count_rates`` of a rate set that must hold at least one rate."""
     rho, c = count_rates(rates)
     if not rho:
-        raise EmptyMixtureError("no interference terms; a scenario without interferers has no mixture")
+        raise ConfigError("no interference terms; a scenario without interferers has no mixture")
     return rho, c
 
 

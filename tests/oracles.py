@@ -21,7 +21,7 @@ import numpy as np
 
 from ranksinr import sweeps
 from ranksinr.approx import ProductDistribution
-from ranksinr.errors import ConfigError, EmptyMixtureError
+from ranksinr.errors import ConfigError
 from ranksinr.inversion import _nsection
 from ranksinr.montecarlo import _chunk_sizes, _generator
 from ranksinr.ostbc import OstbcModel
@@ -145,7 +145,7 @@ def sample_sum(rates, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the interference sum directly; oracle for the Xi machinery."""
     rates = list(rates)
     if not rates:
-        raise EmptyMixtureError("no interference terms to sample")
+        raise ConfigError("no interference terms to sample")
     out = np.zeros(size)
     for r in rates:
         out += rng.exponential(scale=r, size=size)

@@ -172,11 +172,45 @@ def test_outage_weights_are_exact_tail_sums_rounded_once():
         assert model._outage(np.array([1e6])).tolist() == [1.0]
 
 
+def _loop_sum(x):
+    total = x[0].copy()
+    for row in x[1:]:
+        total += row
+    return total
+
+
+def test_rows_are_summed_one_after_the_other():
+    # numpy's reduction adds a slow axis row by row, in index order, which
+    # _sum_rows relies on; a single column it regroups pairwise, so that
+    # one goes through add.accumulate.  Magnitudes spread over 16 decades
+    # make any other grouping show in the last bits
+    rng = np.random.default_rng(43)
+
+    def draw(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape[:1] + (1,) * (
+            len(shape) - 1))
+
+    for g in (2, 51, 302, 4096):
+        for _ in range(6):
+            x = draw((int(rng.integers(2, 71)), int(rng.integers(1, 9)), g))
+            assert _sum_rows(x).tobytes() == _loop_sum(x).tobytes(), x.shape
+    regrouped = 0
+    for rows in range(8, 71):
+        column = draw((rows,))
+        for x in (column, column.reshape(rows, 1, 1)):
+            assert _sum_rows(x).tobytes() == _loop_sum(x).tobytes(), x.shape
+        regrouped += np.add.reduce(column) != _loop_sum(column)
+    # without the accumulate branch a single column would read other bits
+    assert regrouped > 0
+
+
 GRID_CASES = {
     **{f"{mode.value}-{n}x{n}-reference-mix": _cfg(n, n, mode, REF_INTERFERERS)
        for mode in (OwnMode.BEAMFORMING, OwnMode.OSTBC) for n in (2, 4, 8)},
     "bf-4x4-ten-distinct-rates": _cfg(4, 4, OwnMode.BEAMFORMING, TEN_BF),
     "ostbc-4x4-ten-distinct-rates": _cfg(4, 4, OwnMode.OSTBC, TEN_BF),
+    # one point: 64 orders, each summing a single column of 11 rows
+    "ostbc-8x8-ten-distinct-rates": _cfg(8, 8, OwnMode.OSTBC, TEN_BF),
 }
 
 
