@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
-from .montecarlo import _abs2, chunk_draws, complex_normal, run_chunks
+from .montecarlo import (DrawBuffers, _abs2, block_counts, chunk_draws, run_chunks,
+                         sample_chunks)
 from .scenario import MAX_ANTENNAS, check_count, check_points
 
 
@@ -165,12 +166,12 @@ def product_pdf(x, pd: ProductDistribution):
 
 
 def _exact_terms_chunk(
-    n_r: int, n_t: int, n_l: int, n: int, rng: np.random.Generator
+    n_r: int, n_t: int, n_l: int, n: int, rng: np.random.Generator, buffers: DrawBuffers
 ) -> np.ndarray:
-    h0 = complex_normal(rng, (n_r, n_t, n))
-    hi = complex_normal(rng, (n_r, n_t, n))
+    h0 = buffers.normal(rng, (n_r, n_t, n), "h0")
+    hi = buffers.normal(rng, (n_r, n_t, n), "h")
     # the first column of a Haar n_l-frame: a Gaussian vector over its norm
-    z = complex_normal(rng, (n_t, n))
+    z = buffers.normal(rng, (n_t, n), "frame")
     v = z / (np.sqrt(_abs2(z).sum(axis=0)) * math.sqrt(n_l))
     s = np.einsum("rb,rb->b", h0[:, 0].conj(), np.einsum("rtb,tb->rb", hi, v))
     return _abs2(s) / _abs2(h0).reshape(-1, n).sum(axis=0)
@@ -185,8 +186,9 @@ def simulate_exact_terms(n_r: int, n_t: int, n_l: int, n_samples: int, seed: int
     each count is checked as by ``ProductDistribution``.
     """
     pd = ProductDistribution(n_r=n_r, n_t=n_t, n_l=n_l)
-    return run_chunks(lambda n, rng: _exact_terms_chunk(pd.n_r, pd.n_t, pd.n_l, n, rng),
-                      n_samples, seed, chunk_draws(pd.n_r, pd.n_t))
+    return sample_chunks(
+        lambda n, rng, buffers: _exact_terms_chunk(pd.n_r, pd.n_t, pd.n_l, n, rng, buffers),
+        n_samples, seed, chunk_draws(pd.n_r, pd.n_t))
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,18 @@ def _ks_and_l1(grid, cdf_a, cdf_b, pdf_a, pdf_b) -> dict[str, float]:
     return {"ks": ks, "l1": l1}
 
 
+def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
+    """The count, sum and centred sum of squares of the union of two sample
+    sets, from those of each: the pairwise update of Chan, Golub and
+    LeVeque (Am. Stat. 37, 1983).  An empty ``a`` (count 0) gives ``b``."""
+    m, total, centred = a
+    n, b_total, b_centred = b
+    if not m:
+        return b
+    return (m + n, total + b_total,
+            centred + b_centred + m / (n * (m + n)) * (n / m * total - b_total) ** 2)
+
+
 def compare_chain(
     n_r: int,
     n_t: int,
@@ -230,20 +244,44 @@ def compare_chain(
 ) -> ChainReport:
     """Evaluate all three chain stages and their pairwise distances.
 
-    The grid is 300 points on [0, 3].  The exact stage is binned on it, in
-    the half-open bins [x_i, x_i+1); distances use grid-evaluated CDFs
-    (cumulative trapezoid for the product stage).
+    The grid is 300 points on [0, 3].  The exact stage draws the samples of
+    ``simulate_exact_terms`` and counts each chunk as it is drawn: it is
+    binned on the grid, in the half-open bins [x_i, x_i+1), by the integer
+    counts of the chunks, so its density and CDF are those of all the
+    samples, byte for byte.  ``mean_exact`` and ``se_exact`` (the standard
+    deviation, over sqrt(n_samples)) come from each chunk's count, sum and
+    centred sum of squares, combined in chunk order.  No array of
+    ``n_samples`` is held.  Distances use grid-evaluated CDFs (cumulative
+    trapezoid for the product stage).
     """
     pd = ProductDistribution(n_r=n_r, n_t=n_t, n_l=n_l)
     grid = np.linspace(0.0, 3.0, 300)
 
-    samples = simulate_exact_terms(n_r, n_t, n_l, n_samples, seed)
-    mean_exact, se_exact = float(np.mean(samples)), float(np.std(samples) / math.sqrt(n_samples))
-    samples.sort()  # the one sort that the density and the CDF both read
-    counts = np.diff(np.searchsorted(samples, grid, side="left"))
-    exact_density = counts / (n_samples * np.diff(grid))
+    below = np.zeros(grid.shape, dtype=np.intp)
+    at_or_below = np.zeros(grid.shape, dtype=np.intp)
+    moments = (0, 0.0, 0.0)
+
+    def simulate(n: int, rng: np.random.Generator, buffers: DrawBuffers):
+        block = _exact_terms_chunk(pd.n_r, pd.n_t, pd.n_l, n, rng, buffers)
+        counts = block_counts(block, grid, grid)
+        total = float(block.sum())
+        block -= total / n
+        return counts, (n, total, float(np.square(block, out=block).sum()))
+
+    def take(_start: int, result) -> None:
+        nonlocal moments
+        (lo, hi), part = result
+        below[...] += lo
+        at_or_below[...] += hi
+        moments = _merge_moments(moments, part)
+
+    run_chunks(simulate, n_samples, seed, chunk_draws(pd.n_r, pd.n_t), take)
+    _, total, centred = moments
+    mean_exact = total / n_samples
+    se_exact = math.sqrt(centred / n_samples) / math.sqrt(n_samples)
+    exact_density = np.diff(below) / (n_samples * np.diff(grid))
     exact_density = np.append(exact_density, exact_density[-1])  # x = 3 repeats its left bin
-    exact_cdf = np.searchsorted(samples, grid, side="right") / n_samples
+    exact_cdf = at_or_below / n_samples
 
     product_density = product_pdf(grid, pd)
     if not np.isfinite(product_density[0]):

@@ -31,8 +31,7 @@ from .montecarlo import (
     MAX_SEED,
     RNG_NAME,
     chunk_draws,
-    simulate_bf_sinr,
-    simulate_ostbc_sinr,
+    count_sinr,
 )
 from .scenario import (
     InterfererSpec,
@@ -132,12 +131,6 @@ def _dkw_band(samples: int) -> float:
     return math.sqrt(math.log(2.0 / DKW_ALPHA) / (2.0 * samples))
 
 
-def _simulate(cfg: ScenarioConfig, args):
-    if cfg.own_mode is OwnMode.BEAMFORMING:
-        return simulate_bf_sinr(cfg, args.samples, args.seed)
-    return simulate_ostbc_sinr(cfg, args.samples, args.seed)
-
-
 def _gain_config(args) -> tuple[ScenarioConfig, InterfererSpec, int]:
     """The config of a gain command, its one interferer and that one's rank
     (its layer count: a beamforming interferer carries one layer).  The
@@ -160,10 +153,9 @@ def _emit_gains(args, cfg: ScenarioConfig, points, x_name: str, rank: int,
                  target_outage=args.target_outage, rank=rank, grid=grid)
 
 
-def _mc_density_per_db(dist, grid_db: np.ndarray, step_db: float) -> np.ndarray:
-    """Empirical density per dB in bins of width step_db centred on the grid."""
-    edges = np.append(grid_db - step_db / 2, grid_db[-1] + step_db / 2)
-    return dist.histogram_db(edges)
+def _bin_edges_db(grid_db: np.ndarray, step_db: float) -> np.ndarray:
+    """The edges of the bins of width step_db centred on the grid, in dB."""
+    return np.append(grid_db - step_db / 2, grid_db[-1] + step_db / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +172,9 @@ def cmd_pdf(args) -> int:
     meta = {"grid_db": args.grid}
     if args.mc:
         columns.append("mc_pdf_per_db")
-        values.append(_mc_density_per_db(_simulate(cfg, args), grid_db, step_db))
+        _, density = count_sinr(cfg, args.samples, args.seed,
+                                edges_db=_bin_edges_db(grid_db, step_db))
+        values.append(density)
         meta.update(_mc_meta(args, cfg), dkw_band=_dkw_band(args.samples))
     return _emit(args, cfg, columns, zip(*values), **meta)
 
@@ -193,10 +187,9 @@ def cmd_outage(args) -> int:
     values = [grid_db, model.outage(grid)]
     meta = {"grid_db": args.grid}
     if args.mc:
-        dist = _simulate(cfg, args)
-        emp = dist.ecdf(grid)
+        emp, _ = count_sinr(cfg, args.samples, args.seed, grid=grid)
         columns += ["mc_outage", "mc_se"]
-        values += [emp, np.sqrt(np.maximum(emp * (1 - emp), 0.0) / dist.sample_count)]
+        values += [emp, np.sqrt(np.maximum(emp * (1 - emp), 0.0) / args.samples)]
         meta.update(_mc_meta(args, cfg), dkw_band=_dkw_band(args.samples))
     return _emit(args, cfg, columns, zip(*values), **meta)
 
@@ -243,13 +236,12 @@ def cmd_mc_validate(args) -> int:
     model = model_for(cfg)
     tolerance = 0.01 if cfg.own_mode is OwnMode.BEAMFORMING else 0.03
     grid_db, grid, step_db = _grid_db(args)
-    dist = _simulate(cfg, args)
+    emp, pdf_emp = count_sinr(cfg, args.samples, args.seed, grid=grid,
+                              edges_db=_bin_edges_db(grid_db, step_db))
 
     closed = np.asarray(model.outage(grid), dtype=float)
-    emp = dist.ecdf(grid)
     deltas = emp - closed
     pdf_closed = np.asarray(model.sinr_pdf(grid), dtype=float) * grid * math.log(10.0) / 10.0
-    pdf_emp = _mc_density_per_db(dist, grid_db, step_db)
     sup_pdf = float(np.max(np.abs(pdf_closed - pdf_emp)))
 
     notes = []

@@ -42,22 +42,36 @@ stream spawned from the master seed; draw order within a chunk is fixed
 (H0, then interferer randomness in config order; the eigensolve draws
 nothing) so results depend only on (scenario, n_samples, seed).  Chunks
 run in parallel threads (numpy's generators, ufuncs, einsum and batched
-eigh release the GIL) and each writes its samples into its own slice of
-one array, so the worker count never changes a result.
+eigh release the GIL) and ``run_chunks`` hands each chunk's result to the
+caller in chunk order, so the worker count never changes a result.  A
+chunk's standard normals are drawn into its worker's ``DrawBuffers`` with
+``standard_normal(out=...)``, which draws the values a fresh array would
+hold.
 
-Memory: a run holds its samples, 8 bytes each, and no other array of
-their length.  ``EmpiricalDistribution`` answers each ECDF or histogram
-query by sorting the samples block by block in one CHUNK_ENTRIES buffer
-and adding up the ``searchsorted`` counts of the blocks.
+Memory: the counting path, ``count_sinr``, holds no array of the sample
+count.  Each chunk worker sorts its chunk in place and returns the
+integer ``searchsorted`` counts at the query points, which the caller
+adds up; the ECDF and the per-dB histogram are then those of all the
+samples, byte for byte, and a run holds a few chunks of arrays per
+worker at any sample count.  Each worker refills one block of draw
+buffers chunk after chunk (``DrawBuffers``), so its chunks do not hand
+their draws back to the OS and fault them in again.
+``simulate_bf_sinr`` and ``simulate_ostbc_sinr`` return the samples
+themselves, 8 bytes each, in one array; ``EmpiricalDistribution``
+answers each ECDF or histogram query on them by sorting them block by
+block in one CHUNK_ENTRIES buffer and adding up the counts of the
+blocks, as the counting path does.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -72,7 +86,7 @@ RNG_NAME = "sfc64"
 # antenna pair), where a fixed 16384 draws took 6-8 MB at 2x2 and 59-130 MB
 # at 8x8 and ran no faster
 CHUNK_ENTRIES = 2**15
-# what run_chunks takes: a sample count whose float64 array numpy can size,
+# what a run takes: a sample count whose float64 array numpy can size,
 # a 64-bit seed
 MAX_SAMPLES, MAX_SEED = int(np.iinfo(np.intp).max) // 8, 2**64 - 1
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
@@ -82,23 +96,65 @@ def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seed_seq))
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
     """i.i.d. circularly-symmetric complex Gaussians, unit variance.
 
     The last axis of shape is the draw axis.  A value's real and
     imaginary parts are two consecutive standard normals, scaled by
-    1/sqrt(2); the result is C-contiguous.
+    1/sqrt(2); the result is C-contiguous.  With ``out``, a float64
+    array of at least 2 prod(shape) entries, the normals fill its first
+    entries in place and the result is a view of them; the values are
+    those of a fresh array.
     """
-    z = rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+    if out is None:
+        pairs = rng.standard_normal((*shape, 2))
+    else:
+        pairs = out[:2 * math.prod(shape)].reshape(*shape, 2)
+        rng.standard_normal(out=pairs)
+    z = pairs.view(complex)[..., 0]
     z *= 1.0 / math.sqrt(2.0)
     return z
+
+
+class DrawBuffers:
+    """One worker's standard-normal draw arrays, kept from chunk to chunk.
+
+    A kernel names each draw "h0", "h" or "frame", and ``normal`` refills
+    that name's stretch of one float64 block in place; two draws alive at
+    once need two names.  A stretch holds CHUNK_ENTRIES complex entries,
+    the most that any per-draw array of a ``chunk_draws`` chunk holds; a
+    larger draw, from a caller that sizes its own chunks, moves the block
+    to one with larger stretches.  One block is allocated once for all the
+    draws of a worker, and it is larger than any temporary of a chunk:
+    glibc's malloc raises its mmap and trim thresholds to the size of a
+    mapped block when it frees one, so once a run's blocks are freed, the
+    chunk temporaries of later runs stay on the heap instead of being
+    mapped, unmapped and faulted in chunk after chunk.
+    """
+
+    NAMES = ("h0", "h", "frame")
+
+    def __init__(self) -> None:
+        self._stretch = 2 * CHUNK_ENTRIES
+        self._block = np.empty(len(self.NAMES) * self._stretch)
+
+    def normal(self, rng: np.random.Generator, shape, name: str) -> np.ndarray:
+        """``complex_normal(rng, shape)`` drawn into the stretch ``name``."""
+        size = 2 * math.prod(shape)
+        if size > self._stretch:
+            # the draws of this chunk made before keep the old block alive
+            self._stretch = size
+            self._block = np.empty(len(self.NAMES) * size)
+        start = self.NAMES.index(name) * self._stretch
+        return complex_normal(rng, shape, out=self._block[start:start + size])
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2  # np.abs(z)**2 would go through hypot
 
 
-def haar_columns(rng: np.random.Generator, batch: int, n: int, k: int) -> np.ndarray:
+def haar_columns(rng: np.random.Generator, batch: int, n: int, k: int,
+                 buffers: DrawBuffers | None = None) -> np.ndarray:
     """Haar-random orthonormal k-frames in C^n, shape (n, k, batch).
 
     Classical Gram-Schmidt, applied twice per column, orthonormalises
@@ -111,9 +167,12 @@ def haar_columns(rng: np.random.Generator, batch: int, n: int, k: int) -> np.nda
     positive diagonal from a phase fix).  The second pass only removes
     the round-off the first one leaves behind.  Each column is projected
     on all earlier ones at once, so the loop runs over columns, never
-    over the batch.  At k = 1 the frame is z/||z||.
+    over the batch.  At k = 1 the frame is z/||z||.  With ``buffers`` the
+    Gaussian matrix is drawn into, and the frame returned in, its stretch
+    "frame".
     """
-    q = complex_normal(rng, (n, k, batch))
+    shape = (n, k, batch)
+    q = complex_normal(rng, shape) if buffers is None else buffers.normal(rng, shape, "frame")
     for j in range(k):
         v, prev = q[:, j], q[:, :j]
         for _ in range(2 if j else 0):
@@ -169,6 +228,34 @@ def _top_eigpair(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # empirical results
 
 
+_SAMPLES_RULE = "samples must be a nonempty 1-d array of finite real numbers"
+
+
+def block_counts(block: np.ndarray, left: np.ndarray,
+                 right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``block`` in place and count its values: the number < each
+    point of ``left`` and <= each point of ``right``.  Added up over the
+    blocks of a sample set, these are the counts of the whole sorted set.
+    A non-finite value is refused with a ConfigError."""
+    block.sort()
+    # the sort puts -inf first, +inf and NaN last
+    if not (np.isfinite(block[0]) and np.isfinite(block[-1])):
+        raise ConfigError(_SAMPLES_RULE)
+    return (np.searchsorted(block, left, side="left"),
+            np.searchsorted(block, right, side="right"))
+
+
+def _density_per_db(edges_db, below: np.ndarray, at_or_below_last, nonpositive,
+                    n: int) -> np.ndarray:
+    """The per-dB histogram over ``edges_db`` of n samples, from the counts
+    below each linear edge and at or below the last edge and 0: the bins
+    of ``np.histogram`` on their dB values, the last bin closed."""
+    below[-1] = at_or_below_last
+    # no bin holds a sample <= 0, also where an edge underflows to 0
+    counts = np.diff(np.maximum(below, nonpositive))
+    return counts / (n * np.diff(edges_db))
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Raw SINR samples (linear), in draw order: a nonempty 1-d array of
@@ -182,17 +269,15 @@ class EmpiricalDistribution:
         # min and max are reductions, not copies, and propagate a NaN
         if not (isinstance(s, np.ndarray) and s.ndim == 1 and s.size
                 and s.dtype.kind in "iuf" and np.isfinite(s.min()) and np.isfinite(s.max())):
-            raise ConfigError("samples must be a nonempty 1-d array of finite real numbers")
+            raise ConfigError(_SAMPLES_RULE)
 
     @property
     def sample_count(self) -> int:
         return int(self.samples.size)
 
     def _count_below(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The number of samples < each point of ``left`` and <= each point
-        of ``right``, in one pass: each block of CHUNK_ENTRIES samples is
-        copied into one buffer, sorted there, and its counts added up, which
-        are then the counts of the whole sorted array."""
+        """The ``block_counts`` of all the samples, in one pass: each block
+        of CHUNK_ENTRIES samples is copied into one buffer and counted there."""
         n = self.samples.size
         buf = np.empty(min(n, CHUNK_ENTRIES), dtype=self.samples.dtype)
         below = np.zeros(left.shape, dtype=np.intp)
@@ -200,9 +285,9 @@ class EmpiricalDistribution:
         for start in range(0, n, buf.size):
             block = buf[:min(buf.size, n - start)]
             block[...] = self.samples[start:start + block.size]
-            block.sort()
-            below += np.searchsorted(block, left, side="left")
-            at_or_below += np.searchsorted(block, right, side="right")
+            lo, hi = block_counts(block, left, right)
+            below += lo
+            at_or_below += hi
         return below, at_or_below
 
     def ecdf(self, grid) -> np.ndarray:
@@ -219,10 +304,7 @@ class EmpiricalDistribution:
         """
         edges = 10.0 ** (np.asarray(edges_db) / 10.0)
         below, (last, nonpositive) = self._count_below(edges, np.array([edges[-1], 0.0]))
-        below[-1] = last
-        # no bin holds a sample <= 0, also where an edge underflows to 0
-        counts = np.diff(np.maximum(below, nonpositive))
-        return counts / (self.samples.size * np.diff(edges_db))
+        return _density_per_db(edges_db, below, last, nonpositive, self.samples.size)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +319,10 @@ def chunk_draws(n_r: int, n_t: int) -> int:
     return CHUNK_ENTRIES // (n_t * max(n_r, n_t))
 
 
-def _chunk_sizes(n_samples: int, chunk: int) -> list[int]:
-    full, rem = divmod(n_samples, chunk)
-    return [chunk] * full + ([rem] if rem else [])
+def _chunk_sizes(n_samples: int, chunk: int) -> Iterator[int]:
+    """The sample count of each chunk, the last one holding the remainder,
+    made one at a time: a run of any length lists none of them."""
+    return (min(chunk, n_samples - start) for start in range(0, n_samples, chunk))
 
 
 def _usable_cpus() -> int:
@@ -248,41 +331,74 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _check_run(n_samples: int, seed: int) -> tuple[int, int]:
+    return (check_count(n_samples, "n_samples", MAX_SAMPLES),
+            check_count(seed, "seed", MAX_SEED, lo=0))
+
+
 def run_chunks(
-    simulate: Callable[[int, np.random.Generator], np.ndarray],
+    simulate: Callable[[int, np.random.Generator, DrawBuffers], object],
     n_samples: int,
     seed: int,
     chunk: int,
-) -> np.ndarray:
-    """``simulate(n, rng)`` over the ``chunk``-sample chunks of
-    ``n_samples``, the last one holding the remainder, in one array.
+    take: Callable[[int, object], None],
+) -> None:
+    """``simulate(n, rng, buffers)`` on each ``chunk``-sample chunk of
+    ``n_samples``, the last one holding the remainder, and ``take(start,
+    result)`` on each chunk's result, in this thread and in chunk order.
 
     ``n_samples`` is a positive integer and ``seed`` an integer in
     0..2^64-1 (``scenario.check_count``); ConfigError refuses any other.
     ``chunk`` comes from ``chunk_draws``.  Chunk i draws from the i-th
     SFC64 stream spawned from ``seed``, so each chunk is independent of
     the others and of where it runs.  The chunks run on up to one thread
-    per usable CPU, each writing its slice of the result; an exception
-    from any chunk is raised here.  A result array the host cannot
-    allocate is a ConfigError, raised before any chunk is listed.
+    per usable CPU; each thread passes one ``DrawBuffers`` to all the
+    chunks it runs.  At most two chunks per thread are queued or done but
+    not yet taken, so a run holds the same few chunk results at any
+    sample count.  An exception from any chunk is raised here.
     """
-    n_samples = check_count(n_samples, "n_samples", MAX_SAMPLES)
-    seed = check_count(seed, "seed", MAX_SEED, lo=0)
+    n_samples, seed = _check_run(n_samples, seed)
+    workers = min(-(-n_samples // chunk), _usable_cpus())
+    local = threading.local()
+
+    def run(i: int, n: int):
+        if not hasattr(local, "buffers"):
+            local.buffers = DrawBuffers()
+        # the i-th child of SeedSequence(seed).spawn, made when needed
+        rng = _generator(np.random.SeedSequence(seed, spawn_key=(i,)))
+        return simulate(n, rng, local.buffers)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = collections.deque()
+        for i, n in enumerate(_chunk_sizes(n_samples, chunk)):
+            pending.append((i * chunk, pool.submit(run, i, n)))
+            if len(pending) == 2 * workers:
+                start, done = pending.popleft()
+                take(start, done.result())
+        for start, done in pending:
+            take(start, done.result())
+
+
+def sample_chunks(
+    simulate: Callable[[int, np.random.Generator, DrawBuffers], np.ndarray],
+    n_samples: int,
+    seed: int,
+    chunk: int,
+) -> np.ndarray:
+    """The samples of ``run_chunks`` in one array, in draw order.  An array
+    the host cannot allocate is a ConfigError, raised before any chunk runs."""
+    n_samples, seed = _check_run(n_samples, seed)
     try:
         out = np.empty(n_samples)
     except MemoryError:
         raise ConfigError(
             f"{n_samples} samples need {8 * n_samples} bytes, more than this host can allocate"
         ) from None
-    sizes = _chunk_sizes(n_samples, chunk)
-    rngs = [_generator(ss) for ss in np.random.SeedSequence(seed).spawn(len(sizes))]
 
-    def fill(start: int, n: int, rng: np.random.Generator) -> None:
-        out[start:start + n] = simulate(n, rng)
+    def take(start: int, samples: np.ndarray) -> None:
+        out[start:start + samples.size] = samples
 
-    with ThreadPoolExecutor(max_workers=min(len(sizes), _usable_cpus())) as pool:
-        # reading every result raises a failed chunk's exception
-        list(pool.map(fill, range(0, n_samples, chunk), sizes, rngs))
+    run_chunks(simulate, n_samples, seed, chunk, take)
     return out
 
 
@@ -290,8 +406,9 @@ def run_chunks(
 # beamforming-mode simulation
 
 
-def _simulate_bf_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    h0 = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
+def _simulate_bf_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator,
+                       buffers: DrawBuffers) -> np.ndarray:
+    h0 = buffers.normal(rng, (cfg.n_r, cfg.n_t, n), "h0")
     # the eigensolve draws nothing, so each chunk's stream is still H0
     # then the interferers in config order
     _, w = _top_eigpair(_gram(h0))
@@ -300,7 +417,7 @@ def _simulate_bf_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator) ->
     y = np.zeros(n)
     for spec in cfg.interferers:
         # the combiner projected first: g = f^H H, one row per draw
-        g = np.einsum("rb,rtb->tb", f_h, complex_normal(rng, (cfg.n_r, cfg.n_t, n)))
+        g = np.einsum("rb,rtb->tb", f_h, buffers.normal(rng, (cfg.n_r, cfg.n_t, n), "h"))
         inr = db_to_linear(spec.inr_db)
         if spec.technique is Technique.OSTBC:
             g = np.einsum("tb,tlb->lb", g, qpsk_symbols(rng, (cfg.n_t, 1, n)) / cfg.n_t)
@@ -309,7 +426,8 @@ def _simulate_bf_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator) ->
             # and a full-rank V is unitary, so ||g V|| = ||g|| draw by draw
             inr /= spec.layers
             if spec.layers < cfg.n_t:
-                g = np.einsum("tb,tlb->lb", g, haar_columns(rng, n, cfg.n_t, spec.layers))
+                g = np.einsum("tb,tlb->lb", g,
+                              haar_columns(rng, n, cfg.n_t, spec.layers, buffers))
         y += inr * _abs2(g).sum(axis=0) / lam
     return own_numerator_scale(cfg) * lam / (1.0 + y)
 
@@ -322,25 +440,26 @@ def simulate_bf_sinr(cfg: ScenarioConfig, n_samples: int, seed: int) -> Empirica
     """
     if cfg.own_mode is not OwnMode.BEAMFORMING:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected bf")
-    samples = run_chunks(lambda n, rng: _simulate_bf_chunk(cfg, n, rng), n_samples, seed,
-                         chunk_draws(cfg.n_r, cfg.n_t))
-    return EmpiricalDistribution(samples=samples)
+    return EmpiricalDistribution(samples=sample_chunks(
+        lambda n, rng, buffers: _simulate_bf_chunk(cfg, n, rng, buffers),
+        n_samples, seed, chunk_draws(cfg.n_r, cfg.n_t)))
 
 
 # ---------------------------------------------------------------------------
 # OSTBC-mode simulation
 
 
-def _simulate_ostbc_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+def _simulate_ostbc_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator,
+                          buffers: DrawBuffers) -> np.ndarray:
     """SINR samples of one chunk: exact Alamouti combining at n_T = 2,
     else the per-instant projection model."""
-    h0 = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
+    h0 = buffers.normal(rng, (cfg.n_r, cfg.n_t, n), "h0")
     h0_h = h0.conj()
     fro2 = _abs2(h0).reshape(-1, n).sum(axis=0)
     # normalized interference Y per draw, symbol-averaged powers
     y = np.zeros(n)
     for spec in cfg.interferers:
-        h = complex_normal(rng, (cfg.n_r, cfg.n_t, n))
+        h = buffers.normal(rng, (cfg.n_r, cfg.n_t, n), "h")
         inr = db_to_linear(spec.inr_db)
         if spec.technique is Technique.OSTBC and cfg.n_t == 2:
             # interfering Alamouti block combines into two exact terms
@@ -356,7 +475,7 @@ def _simulate_ostbc_chunk(cfg: ScenarioConfig, n: int, rng: np.random.Generator)
             proj = np.einsum("rmb,rmb->mb", h0_h, g)
         else:
             if spec.layers < cfg.n_t:
-                v = haar_columns(rng, n, cfg.n_t, spec.layers) / math.sqrt(spec.layers)
+                v = haar_columns(rng, n, cfg.n_t, spec.layers, buffers) / math.sqrt(spec.layers)
                 h = np.einsum("rtb,tlb->rlb", h, v)
             else:
                 # a full-rank V is unitary: ||H0^H H V||_F = ||H0^H H||_F draw by draw
@@ -375,6 +494,45 @@ def simulate_ostbc_sinr(cfg: ScenarioConfig, n_samples: int, seed: int) -> Empir
     """
     if cfg.own_mode is not OwnMode.OSTBC:
         raise ConfigError(f"scenario own_mode is {cfg.own_mode.value}, expected ostbc")
-    samples = run_chunks(lambda n, rng: _simulate_ostbc_chunk(cfg, n, rng), n_samples, seed,
-                         chunk_draws(cfg.n_r, cfg.n_t))
-    return EmpiricalDistribution(samples=samples)
+    return EmpiricalDistribution(samples=sample_chunks(
+        lambda n, rng, buffers: _simulate_ostbc_chunk(cfg, n, rng, buffers),
+        n_samples, seed, chunk_draws(cfg.n_r, cfg.n_t)))
+
+
+# ---------------------------------------------------------------------------
+# counted runs
+
+
+def count_sinr(cfg: ScenarioConfig, n_samples: int, seed: int, grid=None,
+               edges_db=None) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The empirical CDF on ``grid`` (1-d, linear SINR) and the density per
+    dB over the increasing dB bin edges ``edges_db`` of the SINR samples that
+    ``simulate_bf_sinr`` or ``simulate_ostbc_sinr`` (by ``cfg.own_mode``)
+    draws: the bytes of that distribution's ``ecdf`` and ``histogram_db``.
+    Each chunk worker counts its chunk as it is drawn (``block_counts``) and
+    the integer counts are added up here, so no array of ``n_samples`` is
+    held.  A query left as None is not counted and is returned as None.
+    """
+    kernel = _simulate_bf_chunk if cfg.own_mode is OwnMode.BEAMFORMING else _simulate_ostbc_chunk
+    points = np.empty(0) if grid is None else np.asarray(grid)
+    left, right = np.empty(0), points
+    if edges_db is not None:
+        left = 10.0 ** (np.asarray(edges_db) / 10.0)
+        right = np.concatenate([points, [left[-1], 0.0]])
+    below = np.zeros(left.shape, dtype=np.intp)
+    at_or_below = np.zeros(right.shape, dtype=np.intp)
+
+    def count(n: int, rng: np.random.Generator, buffers: DrawBuffers):
+        return block_counts(kernel(cfg, n, rng, buffers), left, right)
+
+    def take(_start: int, counts: tuple[np.ndarray, np.ndarray]) -> None:
+        below[...] += counts[0]
+        at_or_below[...] += counts[1]
+
+    run_chunks(count, n_samples, seed, chunk_draws(cfg.n_r, cfg.n_t), take)
+    ecdf = density = None
+    if grid is not None:
+        ecdf = at_or_below[:points.size] / n_samples
+    if edges_db is not None:
+        density = _density_per_db(edges_db, below, *at_or_below[points.size:], n_samples)
+    return ecdf, density

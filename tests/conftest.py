@@ -14,7 +14,7 @@ from ranksinr import bf
 from ranksinr.montecarlo import (
     EmpiricalDistribution,
     chunk_draws,
-    run_chunks,
+    sample_chunks,
     simulate_bf_sinr,
     simulate_ostbc_sinr,
 )
@@ -83,8 +83,9 @@ def ostbc_ref_run():
 def ostbc_ref_component_run():
     """The reference OSTBC simulation on the component path, which the
     library takes only at n_t != 2, drawn by the batch-first oracle."""
-    samples = run_chunks(lambda n, rng: ostbc_chunk_batch_first(REF_OSTBC, n, rng, True),
-                         N_REF, 1, chunk_draws(REF_OSTBC.n_r, REF_OSTBC.n_t))
+    samples = sample_chunks(
+        lambda n, rng, _buffers: ostbc_chunk_batch_first(REF_OSTBC, n, rng, True),
+        N_REF, 1, chunk_draws(REF_OSTBC.n_r, REF_OSTBC.n_t))
     return EmpiricalDistribution(samples=samples)
 
 

@@ -136,7 +136,7 @@ def exact_terms_batch_first(n_r: int, n_t: int, n_l: int, n: int,
 def serial_chunks(kernel, n_samples: int, seed: int, chunk: int) -> np.ndarray:
     """``kernel(n, rng)`` over the library's chunk layout, one chunk after
     another in this thread, chunk i on the i-th stream spawned from seed."""
-    sizes = _chunk_sizes(n_samples, chunk)
+    sizes = list(_chunk_sizes(n_samples, chunk))
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     return np.concatenate([kernel(n, _generator(ss)) for n, ss in zip(sizes, children)])
 

@@ -20,7 +20,7 @@ from conftest import REF_BF, eigen_model, ks_distance
 from oracles import find_crossing, product_mean_quadrature, sample_sum
 from ranksinr import bf, cli, ostbc
 from ranksinr.approx import ProductDistribution
-from ranksinr.cli import _mc_density_per_db
+from ranksinr.cli import _bin_edges_db
 from ranksinr.mixture import cdf_y, pdf_y
 from ranksinr.scenario import OwnMode, build_rate_set, config_to_dict
 from ranksinr.sweeps import sweep_interferer_count, threshold_gain
@@ -96,7 +96,7 @@ def test_criterion_03_ostbc_surrogate_within_band(
     )
 
     pdf_closed = np.asarray(model.sinr_pdf(gamma)) * gamma * math.log(10.0) / 10.0
-    pdf_emp = _mc_density_per_db(dist, GRID_DB, GRID_STEP_DB)
+    pdf_emp = dist.histogram_db(_bin_edges_db(GRID_DB, GRID_STEP_DB))
     diff = np.abs(pdf_closed - pdf_emp)
     peak_at = float(GRID_DB[int(np.argmax(diff))])
     mode_at = float(GRID_DB[int(np.argmax(pdf_closed))])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ranksinr import approx
+from ranksinr import approx, montecarlo
 from ranksinr.approx import (
     ProductDistribution,
     compare_chain,
@@ -213,7 +213,11 @@ def test_chain_bins_and_cdf_match_the_histogram_forms(monkeypatch):
     samples = np.concatenate([rng.exponential(0.5, 30_000), np.zeros(11),
                               np.repeat(grid, 2), [3.5, 40.0]])
     rng.shuffle(samples)
-    monkeypatch.setattr(approx, "simulate_exact_terms", lambda *args: samples.copy())
+    # the chain counts each chunk as it is drawn: one worker takes the
+    # chunks in order, each one the next slice of the samples
+    chunks = iter(np.split(samples, np.arange(1, 5) * chunk_draws(2, 2)))
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(approx, "_exact_terms_chunk", lambda *args: next(chunks).copy())
     rep = compare_chain(2, 2, 1, n_samples=samples.size, seed=0)
     counts, _ = np.histogram(samples, bins=np.append(grid, np.inf))
     expect = counts[:-1] / (samples.size * np.diff(grid))
@@ -223,9 +227,36 @@ def test_chain_bins_and_cdf_match_the_histogram_forms(monkeypatch):
     trapezoids = np.diff(grid) * (product[1:] + product[:-1]) / 2.0
     product_cdf = np.concatenate([[0.0], np.cumsum(trapezoids)])
     assert rep.distances["exact_vs_product"]["ks"] == float(np.max(np.abs(cdf - product_cdf)))
-    # the moments are those of the samples in draw order
-    assert rep.mean_exact == float(np.mean(samples))
-    assert rep.se_exact == float(np.std(samples) / math.sqrt(samples.size))
+    # the moments are those of the samples, summed chunk by chunk
+    assert rep.mean_exact == pytest.approx(float(np.mean(samples)), rel=1e-14)
+    assert rep.se_exact == pytest.approx(float(np.std(samples) / math.sqrt(samples.size)),
+                                         rel=1e-13)
+
+
+def test_chunk_moments_combine_to_those_of_the_union():
+    rng = np.random.default_rng(3)
+    parts = [rng.exponential(0.5, n) + shift for n, shift in ((1, 0.0), (4096, 1e3), (77, -2.0))]
+    moments = (0, 0.0, 0.0)
+    for part in parts:
+        moments = approx._merge_moments(
+            moments, (part.size, float(part.sum()), float(np.sum((part - part.mean()) ** 2))))
+    union = np.concatenate(parts)
+    assert moments[0] == union.size
+    assert moments[1] == pytest.approx(float(union.sum()), rel=1e-15)
+    assert moments[2] == pytest.approx(float(np.sum((union - union.mean()) ** 2)), rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_exact_term_is_refused(bad, monkeypatch):
+    def kernel(n_r, n_t, n_l, n, rng, buffers):
+        samples = rng.exponential(0.5, n)
+        samples[-1] = bad
+        return samples
+
+    monkeypatch.setattr(approx, "_exact_terms_chunk", kernel)
+    with pytest.raises(ConfigError) as err:
+        compare_chain(2, 2, 1, n_samples=10_000, seed=0)
+    assert str(err.value) == "samples must be a nonempty 1-d array of finite real numbers"
 
 
 def test_independence_approximation_is_tight():

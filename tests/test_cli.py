@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -849,12 +850,15 @@ def test_samples_past_the_largest_array_exit_2(tmp_path, capsys):
     assert f"samples must be an integer in 1..{2**60 - 1}," in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["mc-validate", "approx-validate"])
-def test_a_sample_array_the_host_cannot_allocate_exits_2(tmp_path, capsys, monkeypatch,
-                                                        command):
-    # a count the host cannot hold once raised MemoryError from the chunk
-    # list or the stream spawn; the array now comes first and its failure
-    # is a refusal.  Forced here, as a host that overcommits grants 1e11
+@pytest.mark.parametrize("command", [
+    ["mc-validate"], ["outage", "--mc"], ["pdf", "--mc"], ["approx-validate"],
+], ids="-".join)
+def test_no_monte_carlo_command_allocates_a_sample_array(tmp_path, capsys, monkeypatch,
+                                                         command):
+    # the commands count each chunk as it is drawn.  An array of the sample
+    # count, which mc-validate and approx-validate once allocated and
+    # refused (exit 2) where the host could not hold it, is made to fail
+    # here, and every command still answers
     from ranksinr import montecarlo
 
     real_empty = np.empty
@@ -865,10 +869,33 @@ def test_a_sample_array_the_host_cannot_allocate_exits_2(tmp_path, capsys, monke
         return real_empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo.np, "empty", empty)
-    code, out, err = run(capsys, command, "--config", write_cfg(tmp_path), "--samples", "4321")
-    assert (code, out) == (cli.EXIT_CONFIG, "")
-    assert err == ("config error: 4321 samples need 34568 bytes, "
-                   "more than this host can allocate\n")
+    code, out, err = run(capsys, *command, "--config", write_cfg(tmp_path), "--samples", "4321")
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION) and out and not err
+
+
+def test_a_streamed_mc_validate_holds_no_samples(tmp_path, monkeypatch):
+    # the tracemalloc peak of mc-validate at 1e6 samples is within 1 MB of
+    # its peak at 1e5, where 1e6 samples alone take 7.6 MiB.  On one worker,
+    # so that neither peak depends on how two threads' chunks overlap
+    from ranksinr import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    cfg = write_cfg(tmp_path, own_mode="ostbc", interferers=REF_MIX)
+    out = tmp_path / "report.json"
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            code = cli.main(["mc-validate", "--config", cfg, "--samples", str(samples),
+                             "--out", str(out)])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)  # the imports and caches of a first run
+    (small_code, small), (large_code, large) = peak(100_000), peak(1_000_000)
+    assert small_code == large_code == cli.EXIT_OK
+    assert large - small < 2**20, (small, large)
 
 
 def test_model_path_never_computes_xi(tmp_path, capsys, monkeypatch):

@@ -18,12 +18,14 @@ from ranksinr.approx import simulate_exact_terms
 from ranksinr.errors import ConfigError, NumericInstabilityError
 from ranksinr.montecarlo import (
     MAX_SAMPLES,
+    DrawBuffers,
     EmpiricalDistribution,
     _generator,
     _gram,
     _top_eigpair,
     chunk_draws,
     complex_normal,
+    count_sinr,
     haar_columns,
     qpsk_symbols,
     run_chunks,
@@ -245,10 +247,14 @@ def _every_interferer_kind(n_r, n_t, own_mode):
 
 
 def _assert_same_samples_and_stream(kernel, reference, draws=3_000):
-    # both on the same generator state; they must draw the same values
+    # both on the same generator state; they must draw the same values.  The
+    # kernel draws into buffers that an earlier, larger chunk left full of
+    # other values, as a worker's second chunk does
+    buffers = DrawBuffers()
+    kernel(draws + 500, _generator(np.random.SeedSequence(30)), buffers)
     seed = np.random.SeedSequence(29)
     a, b = _generator(seed), _generator(seed)
-    got, ref = kernel(draws, a), reference(draws, b)
+    got, ref = kernel(draws, a, buffers), reference(draws, b)
     assert got.shape == ref.shape == (draws,)
     err = np.abs(got - ref)
     assert np.all((err <= 1e-12 * np.abs(ref)) | (err <= 1e-15)), float(np.max(err / ref))
@@ -259,7 +265,7 @@ def _assert_same_samples_and_stream(kernel, reference, draws=3_000):
 def test_bf_kernel_matches_the_batch_first_reference(n_r, n_t):
     cfg = _every_interferer_kind(n_r, n_t, OwnMode.BEAMFORMING)
     _assert_same_samples_and_stream(
-        lambda n, rng: montecarlo._simulate_bf_chunk(cfg, n, rng),
+        lambda n, rng, buffers: montecarlo._simulate_bf_chunk(cfg, n, rng, buffers),
         lambda n, rng: bf_chunk_batch_first(cfg, n, rng))
 
 
@@ -269,7 +275,7 @@ def test_bf_kernel_matches_the_batch_first_reference(n_r, n_t):
 def test_ostbc_kernel_matches_the_batch_first_reference(n_r, n_t):
     cfg = _every_interferer_kind(n_r, n_t, OwnMode.OSTBC)
     _assert_same_samples_and_stream(
-        lambda n, rng: montecarlo._simulate_ostbc_chunk(cfg, n, rng),
+        lambda n, rng, buffers: montecarlo._simulate_ostbc_chunk(cfg, n, rng, buffers),
         lambda n, rng: ostbc_chunk_batch_first(cfg, n, rng))
 
 
@@ -277,7 +283,7 @@ def test_ostbc_kernel_matches_the_batch_first_reference(n_r, n_t):
 def test_exact_terms_kernel_matches_the_batch_first_reference(n_r, n_t):
     for n_l in range(1, n_t + 1):
         _assert_same_samples_and_stream(
-            lambda n, rng: approx._exact_terms_chunk(n_r, n_t, n_l, n, rng),
+            lambda n, rng, buffers: approx._exact_terms_chunk(n_r, n_t, n_l, n, rng, buffers),
             lambda n, rng: exact_terms_batch_first(n_r, n_t, n_l, n, rng))
 
 
@@ -463,9 +469,9 @@ def test_a_query_holds_no_copy_of_the_samples(query):
 def test_every_antenna_pair_gets_a_chunk_within_the_budget(n_r, monkeypatch):
     seen = []
 
-    def spy(simulate, n_samples, seed, chunk):
+    def spy(simulate, n_samples, seed, chunk, take):
         seen.append(chunk)
-        return run_chunks(simulate, n_samples, seed, chunk)
+        return run_chunks(simulate, n_samples, seed, chunk, take)
 
     monkeypatch.setattr(montecarlo, "run_chunks", spy)
     monkeypatch.setattr(approx, "run_chunks", spy)
@@ -486,53 +492,120 @@ def test_every_antenna_pair_gets_a_chunk_within_the_budget(n_r, monkeypatch):
 
 
 def test_chunking_covers_all_samples():
-    assert montecarlo._chunk_sizes(123_457, 50_000) == [50_000, 50_000, 23_457]
+    assert list(montecarlo._chunk_sizes(123_457, 50_000)) == [50_000, 50_000, 23_457]
     chunk = chunk_draws(REF_BF.n_r, REF_BF.n_t)
-    assert montecarlo._chunk_sizes(123_457, chunk) == [chunk] * 15 + [123_457 - 15 * chunk]
+    assert list(montecarlo._chunk_sizes(123_457, chunk)) == [chunk] * 15 + [123_457 - 15 * chunk]
     dist = simulate_bf_sinr(REF_BF, 123_457, seed=1)
     assert dist.sample_count == 123_457
 
 
 REF_OSTBC_2X4 = dataclasses.replace(REF_OSTBC, n_t=4)
+# the CLI's default grid, -5..20 dB in 0.5 dB steps, and its per-dB bins
+_GRID_DB = np.arange(-5.0, 20.25, 0.5)
+_GRID, _EDGES_DB = 10.0 ** (_GRID_DB / 10.0), np.append(_GRID_DB - 0.25, 20.25)
+
+
+def _kernel(simulate, cfg):
+    # one chunk of the library's kernel, on buffers of its own
+    return lambda n, rng: simulate(cfg, n, rng, DrawBuffers())
+
+
+def _counted(cfg):
+    return lambda n, seed: np.concatenate(count_sinr(cfg, n, seed, _GRID, _EDGES_DB))
+
+
+def _counts_of(samples):
+    dist = EmpiricalDistribution(samples=samples)
+    return np.concatenate([dist.ecdf(_GRID), dist.histogram_db(_EDGES_DB)])
+
+
+def _chain(n, seed):
+    rep = approx.compare_chain(2, 4, 2, n_samples=n, seed=seed)
+    return rep.exact_density, np.array([rep.mean_exact, rep.se_exact])
+
+
+def _chain_of(samples):
+    # the chain's bins and its moments, these only to round-off
+    grid = np.linspace(0.0, 3.0, 300)
+    density = (np.diff(np.searchsorted(np.sort(samples), grid, side="left"))
+               / (samples.size * np.diff(grid)))
+    return (np.append(density, density[-1]),
+            np.array([np.mean(samples), np.std(samples) / math.sqrt(samples.size)]))
+
+
+def _exactly(run):
+    return lambda n, seed: (run(n, seed), np.empty(0))
+
+
+# name: (antenna pair, run(n, seed), one chunk's kernel(n, rng), and the
+# (bytes, round-off) parts of the run's result, from the serial samples)
 _RUNNERS = {
     "bf": ((REF_BF.n_r, REF_BF.n_t),
-           lambda n, seed: simulate_bf_sinr(REF_BF, n, seed).samples,
-           lambda n, rng: montecarlo._simulate_bf_chunk(REF_BF, n, rng)),
+           _exactly(lambda n, seed: simulate_bf_sinr(REF_BF, n, seed).samples),
+           _kernel(montecarlo._simulate_bf_chunk, REF_BF),
+           lambda samples: (samples, np.empty(0))),
     "ostbc-alamouti": (
         (REF_OSTBC.n_r, REF_OSTBC.n_t),
-        lambda n, seed: simulate_ostbc_sinr(REF_OSTBC, n, seed).samples,
-        lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC, n, rng)),
+        _exactly(lambda n, seed: simulate_ostbc_sinr(REF_OSTBC, n, seed).samples),
+        _kernel(montecarlo._simulate_ostbc_chunk, REF_OSTBC),
+        lambda samples: (samples, np.empty(0))),
     # the component path, which the library takes at n_t != 2
     "ostbc-component": (
         (REF_OSTBC_2X4.n_r, REF_OSTBC_2X4.n_t),
-        lambda n, seed: simulate_ostbc_sinr(REF_OSTBC_2X4, n, seed).samples,
-        lambda n, rng: montecarlo._simulate_ostbc_chunk(REF_OSTBC_2X4, n, rng)),
+        _exactly(lambda n, seed: simulate_ostbc_sinr(REF_OSTBC_2X4, n, seed).samples),
+        _kernel(montecarlo._simulate_ostbc_chunk, REF_OSTBC_2X4),
+        lambda samples: (samples, np.empty(0))),
     "exact-terms": (
         (2, 4),
-        lambda n, seed: simulate_exact_terms(2, 4, 2, n, seed),
-        lambda n, rng: approx._exact_terms_chunk(2, 4, 2, n, rng)),
+        _exactly(lambda n, seed: simulate_exact_terms(2, 4, 2, n, seed)),
+        lambda n, rng: approx._exact_terms_chunk(2, 4, 2, n, rng, DrawBuffers()),
+        lambda samples: (samples, np.empty(0))),
+    # the counting path: the ECDF and the per-dB histogram, counted chunk by chunk
+    "bf-counted": (
+        (REF_BF.n_r, REF_BF.n_t),
+        _exactly(_counted(REF_BF)),
+        _kernel(montecarlo._simulate_bf_chunk, REF_BF),
+        lambda samples: (_counts_of(samples), np.empty(0))),
+    "ostbc-component-counted": (
+        (REF_OSTBC_2X4.n_r, REF_OSTBC_2X4.n_t),
+        _exactly(_counted(REF_OSTBC_2X4)),
+        _kernel(montecarlo._simulate_ostbc_chunk, REF_OSTBC_2X4),
+        lambda samples: (_counts_of(samples), np.empty(0))),
+    "compare-chain": (
+        (2, 4),
+        _chain,
+        lambda n, rng: approx._exact_terms_chunk(2, 4, 2, n, rng, DrawBuffers()),
+        _chain_of),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_RUNNERS))
 def test_results_do_not_depend_on_the_worker_count(name, monkeypatch):
     # reference: the chunks of the library's layout one after another in
-    # this thread, chunk i on the i-th spawned stream
-    dims, run, chunk = _RUNNERS[name]
+    # this thread, chunk i on the i-th spawned stream.  A run's bytes are
+    # those of the reference, but the chain's moments, which it sums chunk
+    # by chunk, match the reference's to round-off and each other's bytes
+    dims, run, chunk, expect = _RUNNERS[name]
     size = chunk_draws(*dims)
     n, seed = 3 * size + 357, 23  # three full chunks and a remainder
-    assert montecarlo._chunk_sizes(n, size) == [size] * 3 + [357]
-    serial = serial_chunks(chunk, n, seed, size)
-    assert run(n, seed).tobytes() == serial.tobytes()
+    assert list(montecarlo._chunk_sizes(n, size)) == [size] * 3 + [357]
+    exact, rounded = expect(serial_chunks(chunk, n, seed, size))
+    first = run(n, seed)
+    assert first[0].tobytes() == exact.tobytes()
+    assert np.allclose(first[1], rounded, rtol=1e-13, atol=0.0)
     for workers in (1, 3):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
-        assert run(n, seed).tobytes() == serial.tobytes()
+        again = run(n, seed)
+        assert again[0].tobytes() == exact.tobytes()
+        assert again[1].tobytes() == first[1].tobytes()
 
 
 @pytest.mark.parametrize("simulate,cfg", [
     (simulate_bf_sinr, REF_BF),
     # the Alamouti path draws no symbols, the component path (n_t = 4) does
     (simulate_ostbc_sinr, dataclasses.replace(REF_OSTBC, n_t=4)),
+    (count_sinr, REF_BF),
+    (count_sinr, dataclasses.replace(REF_OSTBC, n_t=4)),
 ])
 def test_an_error_inside_a_chunk_reaches_the_caller(simulate, cfg, monkeypatch):
     def fail(rng, shape):
@@ -543,6 +616,48 @@ def test_an_error_inside_a_chunk_reaches_the_caller(simulate, cfg, monkeypatch):
     monkeypatch.setattr(montecarlo, "qpsk_symbols", fail)
     with pytest.raises(RuntimeError, match="symbol draw failed"):
         simulate(cfg, 3_357, 0)
+
+
+# n = 1, one short of a chunk, one chunk, one past it, three and a tail
+_AROUND_A_CHUNK = {"1": lambda c: 1, "chunk-1": lambda c: c - 1, "chunk": lambda c: c,
+                   "chunk+1": lambda c: c + 1, "3chunk+17": lambda c: 3 * c + 17}
+
+
+@pytest.mark.parametrize("count", sorted(_AROUND_A_CHUNK))
+@pytest.mark.parametrize("n_r", [2, 4])
+@pytest.mark.parametrize("simulate", [simulate_bf_sinr, simulate_ostbc_sinr])
+def test_streamed_counts_are_the_counts_of_the_sorted_samples(simulate, n_r, count):
+    mode = OwnMode.BEAMFORMING if simulate is simulate_bf_sinr else OwnMode.OSTBC
+    cfg = dataclasses.replace(REF_BF, n_r=n_r, n_t=n_r, own_mode=mode)
+    n, seed = _AROUND_A_CHUNK[count](chunk_draws(n_r, n_r)), 5
+    ordered = np.sort(simulate(cfg, n, seed).samples)
+    # dB edges past every sample too
+    edges_db = np.concatenate([[-80.0], _EDGES_DB, [90.0]])
+    ecdf, density = count_sinr(cfg, n, seed, grid=_GRID, edges_db=edges_db)
+    assert ecdf.tobytes() == (np.searchsorted(ordered, _GRID, side="right") / n).tobytes()
+    edges = 10.0 ** (edges_db / 10.0)
+    below = np.searchsorted(ordered, edges, side="left")
+    below[-1] = np.searchsorted(ordered, edges[-1], side="right")
+    counts = np.diff(np.maximum(below, np.searchsorted(ordered, 0.0, side="right")))
+    assert density.tobytes() == (counts / (n * np.diff(edges_db))).tobytes()
+    # either query alone counts the same
+    alone, no_density = count_sinr(cfg, n, seed, grid=_GRID)
+    assert alone.tobytes() == ecdf.tobytes() and no_density is None
+    no_ecdf, alone = count_sinr(cfg, n, seed, edges_db=edges_db)
+    assert alone.tobytes() == density.tobytes() and no_ecdf is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_sample_is_refused_as_it_is_counted(bad, monkeypatch):
+    def kernel(cfg, n, rng, buffers):
+        samples = rng.exponential(size=n)
+        samples[n // 2] = bad
+        return samples
+
+    monkeypatch.setattr(montecarlo, "_simulate_bf_chunk", kernel)
+    with pytest.raises(ConfigError) as err:
+        count_sinr(REF_BF, 20_000, 0, grid=_GRID)
+    assert str(err.value) == "samples must be a nonempty 1-d array of finite real numbers"
 
 
 @pytest.mark.parametrize("simulate,cfg", [
