@@ -30,7 +30,8 @@ sum over it, total_k = sum_n w_kn e_kn, with W_kn = sum_{l>=n} psi_kl:
     f(gamma) = sum_k total_k / rho_bar,                  w_kn = k (n+1) psi_kn,
 
 as sum_l psi_kl P(1 <= N_k <= l) = sum_{n>=1} W_kn g_kn with Psi_k = W_k0;
-the density is the outage's derivative term by term, and
+the density is the outage's derivative term by term, one pass over the
+orders can weigh them with both tables (``outage(..., density=True)``), and
 1 - g_0 = -expm1(log g_0) keeps the outage's digits as gamma -> 0.  The
 weights are formed exactly and rounded once, so the signed psi sum
 cancels exactly within each k; the rest, none for OSTBC, is below 1e-14
@@ -80,6 +81,7 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x) if x[0].size > 1 else np.add.accumulate(x)[-1]
 
 
+_FLOAT_MAX = np.finfo(np.float64).max
 # (k, point) columns evaluated at once, a few hundred KB of arrays
 BLOCK = 4096
 # count orders weighted at once
@@ -107,9 +109,11 @@ def _psi_arrays(key: _Identity) -> tuple[np.ndarray, ...]:
     """kvals, Psi_k and the outage and density weights of a psi table,
     read-only: every model of the table shares them.
     The outage weight of order n < lmax is W_{k,n+1} = sum_{l>n} psi_kl,
-    the density weight of order n <= lmax is k (n+1) psi_kn, each table
-    (orders, K, 1); every weight is formed exactly and rounded once.  A
-    cached entry holds its table, so no other table can take its id.  A
+    the density weight of order n <= lmax is k (n+1) psi_kn: the tables
+    are (lmax + 1, 2, K, 1), the outage's first with a weight of 0 at
+    order lmax, so one pass over the orders weighs both, and each weight
+    is formed exactly and rounded once.  A cached entry holds its table,
+    so no other table can take its id.  A
     table that is not a nonempty dict of integer pairs (k, l), k >= 1 and
     l >= 0, to finite weights is refused with ConfigError, and so is one
     whose derived weight passes the double range."""
@@ -138,9 +142,10 @@ def _psi_arrays(key: _Identity) -> tuple[np.ndarray, ...]:
     # the tail sums W_kn and k (n+1) psi_kn in exact arithmetic
     tails = np.cumsum(psi[::-1], axis=0)[::-1]
     scale = (np.arange(1, lmax + 2)[:, None, None] * kvals[:, None]).astype(object)
+    outage = np.concatenate([tails[1:], np.zeros_like(tails[:1])])
     try:
-        arrays = (kvals, tails[0, :, 0].astype(float), tails[1:].astype(float),
-                  (psi * scale).astype(float))
+        arrays = (kvals, tails[0, :, 0].astype(float),
+                  np.stack([outage, psi * scale], axis=1).astype(float))
     except OverflowError:
         raise ConfigError("a weight derived from the table passes the double range") from None
     for a in arrays:
@@ -181,19 +186,21 @@ class SinrModel:
 
     def __post_init__(self) -> None:
         rho_bar = check_points(self.rho_bar, "rho_bar", positive=True)
-        (self.kvals, self.psi_k, self._outage_weights,
-         self._pdf_weights) = _psi_arrays(_Identity(self.weights))
+        self.kvals, self.psi_k, self._weights = _psi_arrays(_Identity(self.weights))
+        self._kcol = self.kvals[:, None].astype(float)
+        self._outage_weights, self._pdf_weights = self._weights[:-1, :1], self._weights[:, 1:]
         row_rates = (self.rates,) if rho_bar.ndim == 0 else self.rates
         if not (isinstance(row_rates, (list, tuple)) and len(row_rates) == rho_bar.size > 0):
             raise ConfigError(f"rho_bar has {rho_bar.size} rows, and rates must hold one rate "
                               f"set per row, got {self.rates!r}")
-        # rates down axis 0, rows across; absent rates, and no interferers, are
+        # each rate rho_r over its count c_r, rates down axis 1, rows across,
+        # so that one take gathers both; absent rates, and no interferers, are
         # rate 0 with count 1: they add exact zeros and keep a/c_r finite
         rows = [mixture.count_rates(r, f"the rates of row {j}") for j, r in enumerate(row_rates)]
-        self.rho = np.zeros((max(1, *(len(r) for r, _ in rows)), len(rows)))
-        self.count = np.ones_like(self.rho)
+        self._rates = np.zeros((2, max(1, *(len(r) for r, _ in rows)), len(rows)))
+        self._rates[1] = 1.0
         for j, (rho, count) in enumerate(rows):
-            self.rho[:len(rho), j], self.count[:len(count), j] = rho, count
+            self._rates[:, :len(rho), j] = rho, count
         self._rho_bar = rho_bar.reshape(-1)
         # on the module: wrappers installed there see every build
         self.mixture = (mixture.build_mixture(self.rates)
@@ -215,16 +222,16 @@ class SinrModel:
         return cls(weights, own_numerator_scale(cfg), build_rate_set(cfg))
 
     def _weighted_sum(self, gamma: np.ndarray, rows, weights: np.ndarray):
-        """a_k, log g_{k,0} and sum_n w[n, k] e_{k,n} over the orders n of
-        `weights`, each (K, G).  gamma is 1-d and rows the row of each
-        point, or one row for all; the rates run down axis 0."""
+        """a_k and log g_{k,0}, each (K, G), and per table t of `weights`
+        sum_n w[n, t, k] e_{k,n} over its orders n, (T, K, G).  gamma is
+        1-d and rows the row of each point, or one row for all; the rates
+        run down axis 0.  A table's sums read the same bits whichever
+        tables share the pass, a weight of 0 past its last order aside."""
         # np.take, unlike x[:, rows], lays the terms out C-contiguous:
         # the recursion runs at strided speed on the other layout
-        rho, count = (np.take(t, rows, axis=1).reshape(len(t), 1, -1)
-                      for t in (self.rho, self.count))
+        rho, count = np.take(self._rates, rows, axis=2).reshape(*self._rates.shape[:2], 1, -1)
         with np.errstate(over="ignore"):
-            a = np.minimum(self.kvals[:, None] * (gamma / self._rho_bar[rows]),
-                           np.finfo(np.float64).max)
+            a = np.minimum(self._kcol * (gamma / self._rho_bar[rows]), _FLOAT_MAX)
             ar = rho * a
         # where a or a rho_r overflows, e^{-a} or (1 + a rho_r)^{-1}, and with
         # it every g_{k,n}, lies far below the smallest double: a is held at
@@ -232,46 +239,61 @@ class SinrModel:
         # sum psi and the density 0
         log_g0 = -a - _sum_rows(count * np.log1p(ar))
         cs, ac = count * (rho / (1.0 + ar)), a / count
-        # g_n above c_r h_{r,n} = c_r s_r (g_n + (a/c_r) c_r h_{r,n-1}); es is
-        # the running total over the e_n of up to CHUNK orders, each chunk
-        # weighted in one call and added in order: two calls per order fewer
-        gh = np.concatenate([np.exp(log_g0)[None], np.zeros(ar.shape)])
-        g, h = gh[0], gh[1:]
-        es = np.zeros((CHUNK + 1, *a.shape))
+        # g_n above c_r h_{r,n} = c_r s_r (g_n + (a/c_r) c_r h_{r,n-1}); es
+        # holds the e_n of up to CHUNK orders, each chunk weighted in one
+        # call and added in order below the running totals in wes[0]: two
+        # calls per order fewer
+        gh = np.zeros((len(ar) + 1, *a.shape))
+        g, h = np.exp(log_g0, out=gh[0]), gh[1:]
+        es = np.empty((CHUNK, *a.shape))
+        wes = np.zeros((CHUNK + 1, weights.shape[1], *a.shape))
         for n in range(len(weights)):
             h *= ac
             h += g
             h *= cs
             j = n % CHUNK + 1
-            np.multiply(a, np.multiply(_sum_rows(gh), 1.0 / (n + 1), out=es[j]), out=g)
+            np.multiply(a, np.multiply(_sum_rows(gh), 1.0 / (n + 1), out=es[j - 1]), out=g)
             if j == CHUNK or n + 1 == len(weights):
-                es[1:j + 1] *= weights[n + 1 - j:n + 1]
-                es[0] = _sum_rows(es[:j + 1])
-        return a, log_g0, es[0]
+                np.multiply(es[:j, None], weights[n + 1 - j:n + 1], out=wes[1:j + 1])
+                wes[0] = _sum_rows(wes[:j + 1])
+        return a, log_g0, wes[0]
 
     def _outage(self, gamma: np.ndarray, rows=0) -> np.ndarray:
         """P(SINR <= gamma) on a 1-d array of gamma > 0, unclamped."""
-        a, log_g0, total = self._weighted_sum(gamma, rows, self._outage_weights)
+        a, log_g0, (total,) = self._weighted_sum(gamma, rows, self._outage_weights)
         return _sum_rows(self.psi_k[:, None] * -np.expm1(log_g0) - a * total)
 
     def _pdf(self, gamma: np.ndarray, rows=0) -> np.ndarray:
         """SINR density on a 1-d array of gamma >= 0."""
-        _, _, total = self._weighted_sum(gamma, rows, self._pdf_weights)
+        _, _, (total,) = self._weighted_sum(gamma, rows, self._pdf_weights)
         # past the double range it overflows; sinr_pdf refuses the inf
         with np.errstate(over="ignore"):
             return _sum_rows(total) / self._rho_bar[rows]
 
+    def _outage_pdf(self, gamma: np.ndarray, rows=0) -> np.ndarray:
+        """_outage and _pdf on a 1-d array of gamma > 0, (2, G), from one
+        pass over the orders, each with the bits of its own pass."""
+        a, log_g0, (total, dtotal) = self._weighted_sum(gamma, rows, self._weights)
+        out = np.empty((2, gamma.size))
+        out[0] = _sum_rows(self.psi_k[:, None] * -np.expm1(log_g0) - a * total)
+        with np.errstate(over="ignore"):
+            np.divide(_sum_rows(dtotal), self._rho_bar[rows], out=out[1])
+        return out
+
     def _evaluate(self, kernel, arr: np.ndarray) -> np.ndarray:
-        """kernel at every point of arr in blocks of at most BLOCK columns;
-        in a model of several rows axis 0 runs over the rows."""
+        """kernel at every point of arr in blocks of at most BLOCK columns,
+        the points down the kernel's last axis; in a model of several rows
+        axis 0 of arr runs over the rows."""
         n, flat = self._rho_bar.size, arr.ravel()
         if n != 1 and arr.shape[:1] != (n,):
             raise ConfigError(f"axis 0 of gamma must run over {n} model rows")
         point_rows = np.arange(n).repeat(flat.size // n)
         step = max(1, BLOCK // self.kvals.size)
+        # an empty arr takes one call on no points, for the kernel's shape
         out = [kernel(flat[s:s + step], point_rows[s:s + step])
-               for s in range(0, flat.size, step)]
-        return (out[0] if len(out) == 1 else np.concatenate(out or [flat])).reshape(arr.shape)
+               for s in range(0, max(flat.size, 1), step)]
+        vals = out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
+        return vals.reshape(vals.shape[:-1] + arr.shape)
 
     def sinr_pdf(self, gamma):
         """Density of the SINR at gamma (scalar or array); a density past
@@ -283,12 +305,18 @@ class SinrModel:
             raise NumericInstabilityError("the SINR density overflows double precision")
         return float(vals) if arr.ndim == 0 else vals
 
-    def outage(self, gamma0):
+    def outage(self, gamma0, density: bool = False):
         """P(SINR <= gamma0), scalar or array; in a model of several rows
         axis 0 runs over the rows, and a gamma0 whose axis 0 does not is
-        refused with ConfigError.  No points answer an empty array."""
+        refused with ConfigError.  No points answer an empty array.
+        With density, the pair (outage, density at gamma0) from one pass,
+        each with the bits of its own call; a density past the double
+        range reads inf here, where sinr_pdf refuses it."""
         arr = check_points(gamma0, "gamma0", positive=True)
-        return inversion.clamp_probability(self._evaluate(self._outage, arr))
+        if not density:
+            return inversion.clamp_probability(self._evaluate(self._outage, arr))
+        out, pdf = self._evaluate(self._outage_pdf, arr)
+        return inversion.clamp_probability(out), (float(pdf) if arr.ndim == 0 else pdf)
 
     def threshold(self, p_target: float):
         """Outage threshold gamma0 with outage(gamma0) = p_target: a float for a

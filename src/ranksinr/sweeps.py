@@ -8,8 +8,8 @@ Positive gain means higher-rank interference is the milder one.
 Every study inverts both ranks at once: the victim's psi table is the
 same under either interferer, so one model holds a rank-1 and a rank-r
 row per point and one lockstep inversion (``inversion``) answers them
-all, in about four outage calls, each threshold with the bits of its
-one-row inversion.
+all, in three outage calls up to 4x4 antennas, each threshold with the
+bits of its one-row inversion.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ from .scenario import (
 # takes; larger ones are refused before allocation
 MAX_GRID_POINTS = 100_000
 # sweep points inverted together, each a rank-1 and a rank-r row: on a
-# 2e4-point 4x4 BF sweep-inr, 64, 256, 512 and 2048 took 5.4, 5.2, 5.1 and
-# 4.8 s (best of 3, one CPU of a 2-CPU host; 4.8, 5.3, 4.7 and 4.7 s with
-# glibc malloc's trim and mmap thresholds raised, within the runs' spread)
-# and peaked at 6.4, 8.4, 11.4 and 29.2 MiB (tracemalloc)
+# 2e4-point 4x4 BF sweep-inr at 15 dB SNR, 64, 256, 512 and 2048 took 3.1,
+# 3.4, 2.8 and 2.9 s (best of 3, one CPU of a 2-CPU host) and peaked at
+# 1.5, 2.6, 4.1 and 14.6 MiB (tracemalloc)
 POINTS_PER_BATCH = 512
 
 

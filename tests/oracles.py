@@ -22,7 +22,7 @@ import numpy as np
 from ranksinr import sweeps
 from ranksinr.approx import ProductDistribution
 from ranksinr.errors import ConfigError
-from ranksinr.inversion import _nsection
+from ranksinr.inversion import _end, _nsection
 from ranksinr.montecarlo import _chunk_sizes, _generator
 from ranksinr.ostbc import OstbcModel
 from ranksinr.scenario import (
@@ -330,15 +330,18 @@ def find_crossing(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float, inr_db: 
                                                          inr_db, 1, r))
               for r in (1, rank))
 
-    def share(g: np.ndarray) -> np.ndarray:
-        # the rank-r share of the two outages, 1/2 where they are equal
-        o_1, o_r = m1.outage(g), mr.outage(g)
-        return o_r / (o_1 + o_r)
+    def share(g: np.ndarray, density: bool = False):
+        # the rank-r share of the two outages, 1/2 where they are equal,
+        # with density its derivative, from each model's outage and density
+        (o_1, d_1), (o_r, d_r) = m1.outage(g, density=True), mr.outage(g, density=True)
+        total = o_1 + o_r
+        q = o_r / total
+        return (q, (d_r * o_1 - o_r * d_1) / (total * total)) if density else q
 
     lo = m1.threshold(0.01)
     # one call brackets the crossing on lo * 2^k, k = 0..200
     grid = lo * 2.0 ** np.arange(201)
-    q = share(grid)
+    q, dq = share(grid, density=True)
     if q[0] >= 0.5:
         raise ConfigError(
             "no gain at the 1% outage point; crossing search needs one"
@@ -346,6 +349,6 @@ def find_crossing(own_mode: OwnMode, n_r: int, n_t: int, snr_db: float, inr_db: 
     if not (q >= 0.5).any():
         raise ConfigError("outage curves do not cross below the search cap")
     k = int(np.argmax(q >= 0.5))
-    bracket = [(float(grid[k - 1]), float(grid[k]), float(q[k - 1]), float(q[k]))]
+    bracket = [tuple(_end(float(grid[i]), float(q[i]), float(dq[i])) for i in (k - 1, k))]
     gamma_cross = float(_nsection(share, 0.5, bracket)[0])
     return gamma_cross, float(m1.outage(gamma_cross))

@@ -263,13 +263,13 @@ def test_one_failing_row_refuses_the_whole_sweep(tmp_path, capsys, monkeypatch,
                                                  fault, message):
     # the sweep's model holds a row per rank and point, rank 1 first, and
     # inverts each rank's rows together; row 3, the rank-1 row of the fourth
-    # point, reads the fault: 0 leaves it no bracket, 1.5 lies outside [0, 1]
-    real = SinrModel._outage
+    # point, reads the fault, in the outage alone and in the outage and
+    # density of one pass: 0 leaves it no bracket, 1.5 lies outside [0, 1]
+    for kernel in ("_outage", "_outage_pdf"):
+        def faulty(self, gamma, rows=0, real=getattr(SinrModel, kernel)):
+            return np.where(np.asarray(rows) == 3, fault, real(self, gamma, rows))
 
-    def faulty(self, gamma, rows=0):
-        return np.where(np.asarray(rows) == 3, fault, real(self, gamma, rows))
-
-    monkeypatch.setattr(SinrModel, "_outage", faulty)
+        monkeypatch.setattr(SinrModel, kernel, faulty)
     out = tmp_path / "sweep.csv"
     code, _, err = run(capsys, "sweep-inr", "--config", write_cfg(tmp_path),
                        "--grid=0:9:3", "--out", str(out))

@@ -159,15 +159,20 @@ def _exact_tables():
 def test_outage_weights_are_exact_tail_sums_rounded_once():
     # Psi_k of the shipped tables are integers (+-binomials), so they sum
     # to exactly 1 in _sum_rows order and the outage at large gamma reads 1
+    # the density's weights k (n+1) psi_kn share the table, the outage's
+    # with a weight of 0 at order lmax
     for table in _exact_tables():
         model = SinrModel(table, 1.0)
         lmax = max(l for _, l in table)
-        assert model._outage_weights.shape == (lmax, model.kvals.size, 1)
+        assert model._weights.shape == (lmax + 1, 2, model.kvals.size, 1)
+        assert model._outage_weights.shape == (lmax, 1, model.kvals.size, 1)
         for i, k in enumerate(model.kvals.tolist()):
             tails = [sum((Fraction(w) for (kk, l), w in table.items() if kk == k and l >= n),
                          Fraction(0)) for n in range(lmax + 1)]
             assert model.psi_k[i] == tails[0] and tails[0].denominator == 1
-            assert model._outage_weights[:, i, 0].tolist() == [float(t) for t in tails[1:]]
+            assert model._weights[:, 0, i, 0].tolist() == [float(t) for t in tails[1:]] + [0.0]
+            assert model._weights[:, 1, i, 0].tolist() == [
+                float(k * (n + 1) * Fraction(table.get((k, n), 0))) for n in range(lmax + 1)]
         assert _sum_rows(model.psi_k) == 1.0
         assert model._outage(np.array([1e6])).tolist() == [1.0]
 
@@ -252,6 +257,29 @@ def test_stacked_rows_are_the_bits_of_their_own_models(n):
         m.threshold(0.01).hex() for m in models]
     with pytest.raises(ConfigError, match="4 model rows"):
         stacked.outage(gammas)
+
+
+@pytest.mark.parametrize("mode", [OwnMode.BEAMFORMING, OwnMode.OSTBC], ids=["bf", "ostbc"])
+@pytest.mark.parametrize("n_r, n_t", [(2, 2), (2, 4), (4, 4), (8, 8)])
+def test_outage_with_density_reads_the_bits_of_separate_calls(mode, n_r, n_t):
+    # the inversion reads outage and density from one pass over the count
+    # orders; each must carry the bits of its own call, one row or several,
+    # on a grid and at single points (a single column is summed otherwise)
+    cfgs = [_cfg(n_r, n_t, mode, REF_INTERFERERS),
+            _cfg(n_r, n_t, mode, TEN_BF, snr_db=20.0),
+            _cfg(n_r, n_t, mode, [], snr_db=3.0),
+            _cfg(n_r, n_t, mode, [_sm(9.0, n_t)], snr_db=12.0)]
+    module = bf if mode is OwnMode.BEAMFORMING else ostbc
+    gammas = 10.0 ** (GRID_DB / 10.0)
+    for model, grid in [(module.from_config(cfg), gammas) for cfg in cfgs] + [
+            (module.from_config(*cfgs), np.tile(gammas, (len(cfgs), 1)))]:
+        for points in (grid, grid[..., 7:8]):
+            out, pdf = model.outage(points, density=True)
+            assert [v.hex() for v in out.ravel()] == [v.hex() for v in model.outage(points).ravel()]
+            assert [v.hex() for v in pdf.ravel()] == [
+                v.hex() for v in model.sinr_pdf(points).ravel()]
+    out, pdf = module.from_config(cfgs[0]).outage(gammas[7], density=True)
+    assert isinstance(out, float) and isinstance(pdf, float)
 
 
 def test_every_call_answers_all_rows():

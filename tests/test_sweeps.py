@@ -314,9 +314,9 @@ class CountingModel:
     def threshold(self, p):
         return self.model.threshold(p)
 
-    def outage(self, g):
+    def outage(self, g, **kw):
         self.calls += 1
-        return self.model.outage(g)
+        return self.model.outage(g, **kw)
 
 
 @pytest.mark.parametrize(
