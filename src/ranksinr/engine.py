@@ -86,6 +86,30 @@ _FLOAT_MAX = np.finfo(np.float64).max
 BLOCK = 4096
 # count orders weighted at once
 CHUNK = 8
+# round-off slack accepted on probabilities before declaring instability;
+# the 8x8 beamforming outage, the noisiest, reads down to about -2e-11
+# and never above 1, genuine breakdown overshoots by 1e-3 or more
+PROB_SLACK = 1e-9
+
+
+def clamp_probability(p):
+    """Clamp round-off excursions; refuse anything materially outside [0,1].
+
+    Takes a float or an array and returns the same kind; an array that
+    lies in [0, 1] already comes back as it is, an empty one included.
+    """
+    arr = np.asarray(p, dtype=np.float64)
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+    # written as "not >=" so that NaN is refused too
+    if not (lo >= -PROB_SLACK and hi <= 1.0 + PROB_SLACK):
+        bad = arr[~((arr >= -PROB_SLACK) & (arr <= 1.0 + PROB_SLACK))]
+        raise NumericInstabilityError(
+            f"SINR outage evaluated to {float(bad[0])!r}, outside [0, 1]; "
+            "the signed psi sum of the eigenvalue table has lost too much precision"
+        )
+    if lo < 0.0 or hi > 1.0:
+        arr = arr.clip(0.0, 1.0)
+    return float(arr) if arr.ndim == 0 else arr
 
 
 class _Identity:
@@ -188,7 +212,6 @@ class SinrModel:
         rho_bar = check_points(self.rho_bar, "rho_bar", positive=True)
         self.kvals, self.psi_k, self._weights = _psi_arrays(_Identity(self.weights))
         self._kcol = self.kvals[:, None].astype(float)
-        self._outage_weights, self._pdf_weights = self._weights[:-1, :1], self._weights[:, 1:]
         row_rates = (self.rates,) if rho_bar.ndim == 0 else self.rates
         if not (isinstance(row_rates, (list, tuple)) and len(row_rates) == rho_bar.size > 0):
             raise ConfigError(f"rho_bar has {rho_bar.size} rows, and rates must hold one rate "
@@ -258,39 +281,34 @@ class SinrModel:
                 wes[0] = _sum_rows(wes[:j + 1])
         return a, log_g0, wes[0]
 
-    def _outage(self, gamma: np.ndarray, rows=0) -> np.ndarray:
-        """P(SINR <= gamma) on a 1-d array of gamma > 0, unclamped."""
-        a, log_g0, (total,) = self._weighted_sum(gamma, rows, self._outage_weights)
-        return _sum_rows(self.psi_k[:, None] * -np.expm1(log_g0) - a * total)
-
-    def _pdf(self, gamma: np.ndarray, rows=0) -> np.ndarray:
-        """SINR density on a 1-d array of gamma >= 0."""
-        _, _, (total,) = self._weighted_sum(gamma, rows, self._pdf_weights)
-        # past the double range it overflows; sinr_pdf refuses the inf
-        with np.errstate(over="ignore"):
-            return _sum_rows(total) / self._rho_bar[rows]
-
-    def _outage_pdf(self, gamma: np.ndarray, rows=0) -> np.ndarray:
-        """_outage and _pdf on a 1-d array of gamma > 0, (2, G), from one
-        pass over the orders, each with the bits of its own pass."""
-        a, log_g0, (total, dtotal) = self._weighted_sum(gamma, rows, self._weights)
-        out = np.empty((2, gamma.size))
-        out[0] = _sum_rows(self.psi_k[:, None] * -np.expm1(log_g0) - a * total)
-        with np.errstate(over="ignore"):
-            np.divide(_sum_rows(dtotal), self._rho_bar[rows], out=out[1])
+    def _kernel(self, gamma: np.ndarray, rows, tables: slice) -> np.ndarray:
+        """The rows `tables` picks of (unclamped outage, density) on a 1-d
+        array of gamma, from one pass over the orders, each row with the
+        bits of its own pass: slice(0, 1) the outage and slice(0, 2) both
+        at gamma > 0, slice(1, 2) the density at gamma >= 0."""
+        # the outage alone skips its weight of 0 at order lmax
+        weights = self._weights[:-1 if tables.stop == 1 else None, tables]
+        a, log_g0, totals = self._weighted_sum(gamma, rows, weights)
+        out = np.empty((len(totals), gamma.size))
+        if tables.start == 0:
+            out[0] = _sum_rows(self.psi_k[:, None] * -np.expm1(log_g0) - a * totals[0])
+        if tables.stop == 2:
+            # past the double range it overflows; sinr_pdf refuses the inf
+            with np.errstate(over="ignore"):
+                np.divide(_sum_rows(totals[-1]), self._rho_bar[rows], out=out[-1])
         return out
 
-    def _evaluate(self, kernel, arr: np.ndarray) -> np.ndarray:
-        """kernel at every point of arr in blocks of at most BLOCK columns,
-        the points down the kernel's last axis; in a model of several rows
-        axis 0 of arr runs over the rows."""
+    def _evaluate(self, arr: np.ndarray, tables: slice) -> np.ndarray:
+        """``_kernel`` at every point of arr in blocks of at most BLOCK
+        columns, (tables, *arr.shape); in a model of several rows axis 0
+        of arr runs over the rows."""
         n, flat = self._rho_bar.size, arr.ravel()
         if n != 1 and arr.shape[:1] != (n,):
             raise ConfigError(f"axis 0 of gamma must run over {n} model rows")
         point_rows = np.arange(n).repeat(flat.size // n)
         step = max(1, BLOCK // self.kvals.size)
         # an empty arr takes one call on no points, for the kernel's shape
-        out = [kernel(flat[s:s + step], point_rows[s:s + step])
+        out = [self._kernel(flat[s:s + step], point_rows[s:s + step], tables)
                for s in range(0, max(flat.size, 1), step)]
         vals = out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
         return vals.reshape(vals.shape[:-1] + arr.shape)
@@ -299,7 +317,7 @@ class SinrModel:
         """Density of the SINR at gamma (scalar or array); a density past
         the double range is refused."""
         arr = check_points(gamma, "gamma")
-        vals = self._evaluate(self._pdf, arr)
+        (vals,) = self._evaluate(arr, slice(1, 2))
         # written as "not <" so that NaN is refused too
         if not np.abs(vals).max(initial=0.0) < np.inf:
             raise NumericInstabilityError("the SINR density overflows double precision")
@@ -313,10 +331,10 @@ class SinrModel:
         each with the bits of its own call; a density past the double
         range reads inf here, where sinr_pdf refuses it."""
         arr = check_points(gamma0, "gamma0", positive=True)
+        vals = self._evaluate(arr, slice(0, 2 if density else 1))
         if not density:
-            return inversion.clamp_probability(self._evaluate(self._outage, arr))
-        out, pdf = self._evaluate(self._outage_pdf, arr)
-        return inversion.clamp_probability(out), (float(pdf) if arr.ndim == 0 else pdf)
+            return clamp_probability(vals[0])
+        return clamp_probability(vals[0]), (float(vals[1]) if arr.ndim == 0 else vals[1])
 
     def threshold(self, p_target: float):
         """Outage threshold gamma0 with outage(gamma0) = p_target: a float for a

@@ -1,4 +1,4 @@
-"""Probability clamping and inversion of monotone outage curves.
+"""Inversion of monotone outage curves: bracket, then steer.
 
 A threshold is inverted in three outage calls, each on every row at
 once: one call on a x16 lattice brackets the target and keeps the
@@ -36,11 +36,6 @@ import numpy as np
 from .errors import NumericInstabilityError
 from .scenario import check_probability
 
-# round-off slack accepted on probabilities before declaring instability;
-# the 8x8 beamforming outage, the noisiest, reads down to about -2e-11
-# and never above 1, genuine breakdown overshoots by 1e-3 or more
-PROB_SLACK = 1e-9
-
 # the x16 lattice 16^j, |j| <= 125, spans the search range [1e-150, 1e150];
 # its inner part |j| <= 19 (about 1e+-23) brackets any practical target
 # in one call, the outer parts are searched only when it does not
@@ -68,37 +63,12 @@ WINDOW_SCALE = 0.015
 WINDOW_GROWTH = 3.0
 WINDOW_MAX = 0.2
 WINDOW_MIN = 6.0
-# a row's points are base + scale * FRACTIONS in log x, base and scale read
-# from its (log lo, span, window start, window width) at BASE and SCALE
-FRACTIONS = np.concatenate([EVEN, WINDOW])
-BASE = np.repeat([0, 2], [EVEN.size, WINDOW.size])
-SCALE = BASE + 1
 # the half-width of a noisy row's last window, in THRESHOLD_REL_TOL: its
 # points lie 2 NOISE_WINDOW / 25 of it apart, so noise whose crossings
 # spread over a few THRESHOLD_REL_TOL crosses p_target between many of them
 NOISE_WINDOW = 2.0
 # relative width at which threshold_at_outage stops n-sectioning
 THRESHOLD_REL_TOL = 1e-10
-
-
-def clamp_probability(p):
-    """Clamp round-off excursions; refuse anything materially outside [0,1].
-
-    Takes a float or an array and returns the same kind; an array that
-    lies in [0, 1] already comes back as it is, an empty one included.
-    """
-    arr = np.asarray(p, dtype=np.float64)
-    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
-    # written as "not >=" so that NaN is refused too
-    if not (lo >= -PROB_SLACK and hi <= 1.0 + PROB_SLACK):
-        bad = arr[~((arr >= -PROB_SLACK) & (arr <= 1.0 + PROB_SLACK))]
-        raise NumericInstabilityError(
-            f"SINR outage evaluated to {float(bad[0])!r}, outside [0, 1]; "
-            "the signed psi sum of the eigenvalue table has lost too much precision"
-        )
-    if lo < 0.0 or hi > 1.0:
-        arr = arr.clip(0.0, 1.0)
-    return float(arr) if arr.ndim == 0 else arr
 
 
 def _end(x: float, f: float, d) -> tuple:
@@ -198,9 +168,8 @@ def _nsection(outage_fn, p_target: float, bracket: list[tuple]) -> np.ndarray:
         # every point lies at least 1/25 of its window inside the bracket
         # in log x, far more than exp rounds off unless the bracket is a few
         # ulps wide, where it stops shrinking
-        c = np.array(spans)
-        x = np.take(c, BASE, axis=1)
-        x += np.take(c, SCALE, axis=1) * FRACTIONS
+        log_lo, span, start, width = np.array(spans).T[..., None]
+        x = np.concatenate([log_lo + span * EVEN, start + width * WINDOW], axis=1)
         x.sort(axis=1)
         np.exp(x, out=x)
         f, d = outage_fn(x, density=True) if True in keep else (outage_fn(x), None)

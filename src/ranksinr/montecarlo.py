@@ -245,15 +245,44 @@ def block_counts(block: np.ndarray, left: np.ndarray,
             np.searchsorted(block, right, side="right"))
 
 
-def _density_per_db(edges_db, below: np.ndarray, at_or_below_last, nonpositive,
-                    n: int) -> np.ndarray:
-    """The per-dB histogram over ``edges_db`` of n samples, from the counts
-    below each linear edge and at or below the last edge and 0: the bins
-    of ``np.histogram`` on their dB values, the last bin closed."""
-    below[-1] = at_or_below_last
-    # no bin holds a sample <= 0, also where an edge underflows to 0
-    counts = np.diff(np.maximum(below, nonpositive))
-    return counts / (n * np.diff(edges_db))
+def _query_points(grid, edges_db) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """The points at which the samples are counted for an ECDF on ``grid``
+    (linear SINR, any shape) and a per-dB histogram over the dB bin edges
+    ``edges_db``, either None where not asked: (left, right, answer), the
+    samples counted < each point of left (the linear edges) and <= each
+    of right (the grid points, then the last edge and 0), as
+    ``block_counts`` does.  answer(below, at_or_below, n) reads the ECDF
+    and the histogram, None where not asked, from the counts of n samples:
+    the histogram has the bins of ``np.histogram`` on the samples' dB
+    values, the last one closed.  A grid point that is NaN or not a real
+    number, and edges that are not a 1-d array of at least two finite,
+    strictly increasing real numbers, are refused with ConfigError;
+    negative and infinite grid points are counted."""
+    points = np.empty(0) if grid is None else np.asarray(grid)
+    if points.dtype.kind not in "iuf" or np.isnan(points).any():
+        raise ConfigError(f"grid points must be real numbers, none NaN, got {grid!r}")
+    left, right = np.empty(0), points.ravel()
+    if edges_db is not None:
+        edges_db = np.asarray(edges_db)
+        if not (edges_db.dtype.kind in "iuf" and edges_db.ndim == 1 and edges_db.size > 1
+                and np.isfinite(edges_db).all() and (np.diff(edges_db) > 0).all()):
+            raise ConfigError("edges_db must be a 1-d array of at least two finite, strictly "
+                              f"increasing real numbers, got {edges_db!r}")
+        left = 10.0 ** (edges_db / 10.0)
+        right = np.concatenate([right, [left[-1], 0.0]])
+
+    def answer(below: np.ndarray, at_or_below: np.ndarray, n: int):
+        ecdf = density = None
+        if grid is not None:
+            ecdf = at_or_below[:points.size].reshape(points.shape) / n
+        if edges_db is not None:
+            last, nonpositive = at_or_below[points.size:]
+            below[-1] = last
+            # no bin holds a sample <= 0, also where an edge underflows to 0
+            density = np.diff(np.maximum(below, nonpositive)) / (n * np.diff(edges_db))
+        return ecdf, density
+
+    return left, right, answer
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,20 +320,20 @@ class EmpiricalDistribution:
         return below, at_or_below
 
     def ecdf(self, grid) -> np.ndarray:
-        """Empirical CDF evaluated on a grid of linear SINR values."""
-        _, at_or_below = self._count_below(np.empty(0), np.asarray(grid))
-        return at_or_below / self.samples.size
+        """Empirical CDF evaluated on a grid of linear SINR values
+        (``_query_points``)."""
+        left, right, answer = _query_points(grid, None)
+        return answer(*self._count_below(left, right), self.samples.size)[0]
 
     def histogram_db(self, edges_db: np.ndarray) -> np.ndarray:
         """Density per dB over the given increasing dB bin edges.
 
         The bins of ``np.histogram`` on 10 log10 of the positive samples,
         the last one closed, counted block by block at the linear edges
-        10^(e/10).
+        10^(e/10) (``_query_points``).
         """
-        edges = 10.0 ** (np.asarray(edges_db) / 10.0)
-        below, (last, nonpositive) = self._count_below(edges, np.array([edges[-1], 0.0]))
-        return _density_per_db(edges_db, below, last, nonpositive, self.samples.size)
+        left, right, answer = _query_points(None, edges_db)
+        return answer(*self._count_below(left, right), self.samples.size)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -505,20 +534,17 @@ def simulate_ostbc_sinr(cfg: ScenarioConfig, n_samples: int, seed: int) -> Empir
 
 def count_sinr(cfg: ScenarioConfig, n_samples: int, seed: int, grid=None,
                edges_db=None) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The empirical CDF on ``grid`` (1-d, linear SINR) and the density per
-    dB over the increasing dB bin edges ``edges_db`` of the SINR samples that
+    """The empirical CDF on ``grid`` (linear SINR) and the density per dB
+    over the increasing dB bin edges ``edges_db`` of the SINR samples that
     ``simulate_bf_sinr`` or ``simulate_ostbc_sinr`` (by ``cfg.own_mode``)
     draws: the bytes of that distribution's ``ecdf`` and ``histogram_db``.
     Each chunk worker counts its chunk as it is drawn (``block_counts``) and
     the integer counts are added up here, so no array of ``n_samples`` is
-    held.  A query left as None is not counted and is returned as None.
+    held.  A query left as None is not counted and is returned as None;
+    the queries follow the rule of ``_query_points``.
     """
     kernel = _simulate_bf_chunk if cfg.own_mode is OwnMode.BEAMFORMING else _simulate_ostbc_chunk
-    points = np.empty(0) if grid is None else np.asarray(grid)
-    left, right = np.empty(0), points
-    if edges_db is not None:
-        left = 10.0 ** (np.asarray(edges_db) / 10.0)
-        right = np.concatenate([points, [left[-1], 0.0]])
+    left, right, answer = _query_points(grid, edges_db)
     below = np.zeros(left.shape, dtype=np.intp)
     at_or_below = np.zeros(right.shape, dtype=np.intp)
 
@@ -530,9 +556,4 @@ def count_sinr(cfg: ScenarioConfig, n_samples: int, seed: int, grid=None,
         at_or_below[...] += counts[1]
 
     run_chunks(count, n_samples, seed, chunk_draws(cfg.n_r, cfg.n_t), take)
-    ecdf = density = None
-    if grid is not None:
-        ecdf = at_or_below[:points.size] / n_samples
-    if edges_db is not None:
-        density = _density_per_db(edges_db, below, *at_or_below[points.size:], n_samples)
-    return ecdf, density
+    return answer(below, at_or_below, n_samples)

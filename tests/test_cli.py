@@ -265,11 +265,10 @@ def test_one_failing_row_refuses_the_whole_sweep(tmp_path, capsys, monkeypatch,
     # inverts each rank's rows together; row 3, the rank-1 row of the fourth
     # point, reads the fault, in the outage alone and in the outage and
     # density of one pass: 0 leaves it no bracket, 1.5 lies outside [0, 1]
-    for kernel in ("_outage", "_outage_pdf"):
-        def faulty(self, gamma, rows=0, real=getattr(SinrModel, kernel)):
-            return np.where(np.asarray(rows) == 3, fault, real(self, gamma, rows))
+    def faulty(self, gamma, rows, tables, real=SinrModel._kernel):
+        return np.where(np.asarray(rows) == 3, fault, real(self, gamma, rows, tables))
 
-        monkeypatch.setattr(SinrModel, kernel, faulty)
+    monkeypatch.setattr(SinrModel, "_kernel", faulty)
     out = tmp_path / "sweep.csv"
     code, _, err = run(capsys, "sweep-inr", "--config", write_cfg(tmp_path),
                        "--grid=0:9:3", "--out", str(out))

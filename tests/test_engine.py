@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ranksinr import bf, cli, ostbc, wishart
-from ranksinr.engine import SinrModel, _sum_rows
+from ranksinr.engine import SinrModel, _sum_rows, clamp_probability
 from ranksinr.errors import ConfigError, NumericInstabilityError
 from ranksinr.scenario import (
     InterfererSpec,
@@ -34,6 +34,13 @@ GRID = "-5:20:0.5"
 GRID_DB = np.arange(-5.0, 20.0 + 1e-9, 0.5)
 # absolute on the outage, and on the density divided by its peak
 TOL = 1e-12
+# the tables of the one evaluation kernel: the outage alone, the density alone
+OUTAGE, DENSITY = slice(0, 1), slice(1, 2)
+
+
+def _unclamped(model, tables, gammas):
+    """The kernel's outage (unclamped) or density on a 1-d array, one row."""
+    return model._kernel(gammas, 0, tables)[0]
 
 
 def _cfg(n_r, n_t, mode, interferers, snr_db=15.0):
@@ -115,7 +122,7 @@ def test_counts_where_g0_underflows(cfg, peak_db, a_values):
     # show.  The point near the density's mode sets its scale.
     model = ostbc.from_config(cfg)
     gammas = np.append(10.0 ** (peak_db / 10.0), a_values * model.rho_bar)
-    log_g0 = model._weighted_sum(gammas, 0, model._outage_weights)[1]
+    log_g0 = model._weighted_sum(gammas, 0, model._weights[:-1, :1])[1]
     assert np.count_nonzero(np.exp(log_g0) == 0.0) >= 4
     outage, pdf = reference_curves(cfg, gammas)
     assert np.max(np.abs(model.outage(gammas) - outage)) <= TOL
@@ -144,7 +151,7 @@ def test_bf_outage_is_within_its_rounding_bound(n, interferers):
                REF_INTERFERERS if interferers == "reference-mix" else [_sm(10.0, n)])
     gammas = 10.0 ** (grid_db / 10.0)
     outage, _ = reference_curves(cfg, gammas)
-    err = np.abs(bf.from_config(cfg)._outage(gammas) - outage)
+    err = np.abs(_unclamped(bf.from_config(cfg), OUTAGE, gammas) - outage)
     assert err.max() <= bound
     if left_bound is not None:
         assert err[grid_db <= 0.0].max() <= left_bound
@@ -165,7 +172,10 @@ def test_outage_weights_are_exact_tail_sums_rounded_once():
         model = SinrModel(table, 1.0)
         lmax = max(l for _, l in table)
         assert model._weights.shape == (lmax + 1, 2, model.kvals.size, 1)
-        assert model._outage_weights.shape == (lmax, 1, model.kvals.size, 1)
+        # the kernel weighs the outage alone without its order lmax
+        shapes, weighted_sum = [], model._weighted_sum
+        model._weighted_sum = lambda g, rows, w: (shapes.append(w.shape),
+                                                  weighted_sum(g, rows, w))[1]
         for i, k in enumerate(model.kvals.tolist()):
             tails = [sum((Fraction(w) for (kk, l), w in table.items() if kk == k and l >= n),
                          Fraction(0)) for n in range(lmax + 1)]
@@ -174,7 +184,8 @@ def test_outage_weights_are_exact_tail_sums_rounded_once():
             assert model._weights[:, 1, i, 0].tolist() == [
                 float(k * (n + 1) * Fraction(table.get((k, n), 0))) for n in range(lmax + 1)]
         assert _sum_rows(model.psi_k) == 1.0
-        assert model._outage(np.array([1e6])).tolist() == [1.0]
+        assert _unclamped(model, OUTAGE, np.array([1e6])).tolist() == [1.0]
+        assert shapes == [(lmax, 1, model.kvals.size, 1)]
 
 
 def _loop_sum(x):
@@ -226,7 +237,10 @@ def test_values_do_not_depend_on_the_other_points(name):
     gammas = 10.0 ** (GRID_DB / 10.0)
     n = gammas.size
     # the unclamped evaluators: the clamp would hide a difference below 0
-    for evaluate in (model._outage, model._pdf):
+    for tables in (OUTAGE, DENSITY):
+        def evaluate(g):
+            return _unclamped(model, tables, g)
+
         whole = [v.hex() for v in evaluate(gammas)]
         assert [evaluate(gammas[i:i + 1])[0].hex() for i in range(n)] == whole
         pairs = [evaluate(gammas[[i, (i + 1) % n]]) for i in range(n)]
@@ -313,15 +327,26 @@ def test_large_grids_are_evaluated_in_bounded_memory():
     sub = gammas[::400]
     assert sub.size == 51
     # the unclamped evaluators: the clamp would hide a difference below 0
-    for evaluate in (model._outage, model._pdf):
+    for tables in (OUTAGE, DENSITY):
         tracemalloc.start()
         try:
-            whole = model._evaluate(evaluate, gammas)
+            (whole,) = model._evaluate(gammas, tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6, evaluate.__name__
-        assert [v.hex() for v in whole[::400]] == [v.hex() for v in evaluate(sub)]
+        assert peak < 4e6, tables
+        assert [v.hex() for v in whole[::400]] == [
+            v.hex() for v in _unclamped(model, tables, sub)]
+
+
+def test_clamp_probability_on_arrays():
+    assert clamp_probability(1.0 + 1e-12) == 1.0
+    out = clamp_probability(np.array([-1e-12, 0.5, 1.0 + 1e-12]))
+    assert out.tolist() == [0.0, 0.5, 1.0]
+    with pytest.raises(NumericInstabilityError, match="1.001"):
+        clamp_probability(np.array([0.5, 1.001]))
+    with pytest.raises(NumericInstabilityError):
+        clamp_probability(float("nan"))
 
 
 def test_motivation_case_value_at_zero_db():
@@ -347,7 +372,7 @@ def test_far_thresholds_stay_finite():
     g = np.array([1e-150, 1e-45, 1e45, 1e150])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         # the unclamped evaluators: the clamp would hide an overshoot
-        out, pdf = model._outage(g), model._pdf(g)
+        out, pdf = _unclamped(model, OUTAGE, g), _unclamped(model, DENSITY, g)
         assert np.array_equal(model.outage(g), out)
         assert np.array_equal(model.sinr_pdf(g), pdf)
     assert 0.0 < out[0] < 1e-149 and out[-1] == 1.0
@@ -362,7 +387,7 @@ def test_overflowing_count_means_read_the_limits():
     for rho_bar, rates in ((1e-300, (3.0,)), (10.0, (1e308, 3.0))):
         model = SinrModel({(1, 0): 2, (2, 2): -1}, rho_bar, rates)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            out, pdf = model._outage(g), model._pdf(g)
+            out, pdf = _unclamped(model, OUTAGE, g), _unclamped(model, DENSITY, g)
         assert out.tolist() == [1.0, 1.0] and pdf.tolist() == [0.0, 0.0]
 
 

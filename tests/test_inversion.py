@@ -7,7 +7,7 @@ import pytest
 
 from ranksinr import bf, inversion, ostbc
 from ranksinr.errors import NumericInstabilityError
-from ranksinr.inversion import _end, _nsection, clamp_probability, threshold_at_outage
+from ranksinr.inversion import _end, _nsection, threshold_at_outage
 from ranksinr.scenario import InterfererSpec, OwnMode, ScenarioConfig, Technique
 from ranksinr.sweeps import equal_power_config, model_for, threshold_gain
 
@@ -219,16 +219,6 @@ def test_no_bracket_raises(value, message):
 def test_target_outside_unit_interval(p):
     with pytest.raises(ValueError):
         threshold_at_outage(lambda g: g, p)
-
-
-def test_clamp_probability_on_arrays():
-    assert clamp_probability(1.0 + 1e-12) == 1.0
-    out = clamp_probability(np.array([-1e-12, 0.5, 1.0 + 1e-12]))
-    assert out.tolist() == [0.0, 0.5, 1.0]
-    with pytest.raises(NumericInstabilityError, match="1.001"):
-        clamp_probability(np.array([0.5, 1.001]))
-    with pytest.raises(NumericInstabilityError):
-        clamp_probability(float("nan"))
 
 
 def test_tolerance_below_resolution_still_terminates(monkeypatch):

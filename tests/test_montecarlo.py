@@ -660,6 +660,48 @@ def test_a_non_finite_sample_is_refused_as_it_is_counted(bad, monkeypatch):
     assert str(err.value) == "samples must be a nonempty 1-d array of finite real numbers"
 
 
+@pytest.mark.parametrize("edges_db", [None, _EDGES_DB], ids=["alone", "with-edges"])
+def test_a_counted_scalar_grid_reads_as_the_ecdf_does(edges_db):
+    # count_sinr took a scalar grid's [:size] and raised IndexError, and
+    # beside edges_db a ValueError from its concatenation
+    dist = simulate_bf_sinr(REF_BF, 1000, 0)
+    ecdf, density = count_sinr(REF_BF, 1000, 0, grid=10.0, edges_db=edges_db)
+    assert type(ecdf) is type(dist.ecdf(10.0)) and ecdf == dist.ecdf(10.0)
+    if edges_db is not None:
+        assert density.tobytes() == dist.histogram_db(edges_db).tobytes()
+
+
+@pytest.mark.parametrize("query", ["ecdf", "count_sinr"])
+def test_a_nan_grid_point_is_refused(query):
+    # a NaN point read an ECDF of 1.0
+    grid = np.array([1.0, np.nan])
+    with pytest.raises(ConfigError, match="grid"):
+        if query == "ecdf":
+            EmpiricalDistribution(samples=np.array([0.5, 2.0])).ecdf(grid)
+        else:
+            count_sinr(REF_BF, 1000, 0, grid=grid)
+
+
+@pytest.mark.parametrize("edges_db", [
+    [20.0, 10.0, 0.0],
+    [0.0, 0.0, 1.0],
+    [5.0],
+    np.reshape(_EDGES_DB, (2, -1)),
+    [0.0, np.nan, 1.0],
+    [0.0, np.inf],
+    ["0", "1"],
+], ids=["decreasing", "tied", "one-edge", "2-d", "nan", "inf", "str"])
+@pytest.mark.parametrize("query", ["histogram_db", "count_sinr"])
+def test_edges_db_must_be_finite_and_strictly_increasing(query, edges_db):
+    # decreasing edges read positive densities, where np.histogram refuses
+    # them; a 2-d array raised a bare ValueError
+    with pytest.raises(ConfigError, match="edges_db"):
+        if query == "histogram_db":
+            EmpiricalDistribution(samples=np.array([0.5, 2.0])).histogram_db(edges_db)
+        else:
+            count_sinr(REF_BF, 1000, 0, grid=_GRID, edges_db=edges_db)
+
+
 @pytest.mark.parametrize("simulate,cfg", [
     (simulate_bf_sinr, REF_BF),
     (simulate_ostbc_sinr, REF_OSTBC),

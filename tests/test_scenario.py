@@ -15,6 +15,7 @@ from ranksinr.scenario import (
     ScenarioConfig,
     Technique,
     build_rate_set,
+    check_points,
     config_from_dict,
     config_to_dict,
     db_to_linear,
@@ -143,6 +144,29 @@ def test_numpy_reals_are_plain_floats():
     assert cfg == ScenarioConfig(2, 2, 0.5, 15.0, OwnMode.BEAMFORMING,
                                  (InterfererSpec(Technique.BEAMFORMING, 8.0),))
     assert {type(cfg.noise_power), type(cfg.snr_db), type(cfg.interferers[0].inr_db)} == {float}
+
+
+@pytest.mark.parametrize("point", [2.0, np.float64(2.0), 2, np.int64(2), np.array(2.0),
+                                   -0.0, np.float64(-0.0), np.array(-0.0)],
+                         ids=["float", "np-float", "int", "np-int", "0-d", "-0.0", "np--0.0",
+                              "0-d--0.0"])
+def test_every_scalar_point_reads_as_one_float64(point):
+    # the Python-float fast path and the array path give the same scalar,
+    # -0.0 read as +0.0
+    got = check_points(point, "gamma")
+    assert type(got) is np.float64
+    assert got == abs(float(point)) and math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("point, positive", [
+    (math.nan, False), (np.float64(math.nan), False), (math.inf, False), (-math.inf, False),
+    (np.array([1.0, math.inf]), False), (True, False), ("1.0", False), (1 + 0j, False),
+    (-1.0, False), (0, True), (0.0, True), (np.array([1.0, 0.0]), True),
+], ids=["nan", "np-nan", "inf", "-inf", "array-inf", "bool", "str", "complex", "negative",
+        "int-0-positive", "0.0-positive", "array-0-positive"])
+def test_points_outside_the_rule_are_refused_by_name(point, positive):
+    with pytest.raises(ConfigError, match="^the point must be finite and"):
+        check_points(point, "the point", positive=positive)
 
 
 @pytest.mark.parametrize("interferers", [None, 5, "bf", (5,), ({"technique": "bf"},)])
