@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericInstabilityError, UnsupportedDimensionError
-from .montecarlo import (DrawBuffers, _abs2, block_counts, chunk_draws, run_chunks,
-                         sample_chunks)
+from .montecarlo import DrawBuffers, _abs2, add_counts, block_counts, chunk_draws, run_chunks
 from .scenario import MAX_ANTENNAS, check_count, check_points
 
 
@@ -168,6 +167,9 @@ def product_pdf(x, pd: ProductDistribution):
 def _exact_terms_chunk(
     n_r: int, n_t: int, n_l: int, n: int, rng: np.random.Generator, buffers: DrawBuffers
 ) -> np.ndarray:
+    """One chunk's joint-simulation samples of S = |c^H u|^2 / ||H0||_F^2: c a
+    column of the serving channel, u the interferer channel times one
+    unit-Frobenius precoder column; nothing is assumed independent."""
     h0 = buffers.normal(rng, (n_r, n_t, n), "h0")
     hi = buffers.normal(rng, (n_r, n_t, n), "h")
     # the first column of a Haar n_l-frame: a Gaussian vector over its norm
@@ -175,20 +177,6 @@ def _exact_terms_chunk(
     v = z / (np.sqrt(_abs2(z).sum(axis=0)) * math.sqrt(n_l))
     s = np.einsum("rb,rb->b", h0[:, 0].conj(), np.einsum("rtb,tb->rb", hi, v))
     return _abs2(s) / _abs2(h0).reshape(-1, n).sum(axis=0)
-
-
-def simulate_exact_terms(n_r: int, n_t: int, n_l: int, n_samples: int, seed: int) -> np.ndarray:
-    """Joint-simulation samples of S = |c^H u|^2 / ||H0||_F^2.
-
-    c is a column of the serving channel, u the interferer channel times
-    one unit-Frobenius precoder column; nothing is assumed independent.
-    Chunked and seeded like the receiver simulations in ``montecarlo``;
-    each count is checked as by ``ProductDistribution``.
-    """
-    pd = ProductDistribution(n_r=n_r, n_t=n_t, n_l=n_l)
-    return sample_chunks(
-        lambda n, rng, buffers: _exact_terms_chunk(pd.n_r, pd.n_t, pd.n_l, n, rng, buffers),
-        n_samples, seed, chunk_draws(pd.n_r, pd.n_t))
 
 
 @dataclass(frozen=True)
@@ -244,22 +232,18 @@ def compare_chain(
 ) -> ChainReport:
     """Evaluate all three chain stages and their pairwise distances.
 
-    The grid is 300 points on [0, 3].  The exact stage draws the samples of
-    ``simulate_exact_terms`` and counts each chunk as it is drawn: it is
+    The grid is 300 points on [0, 3].  The exact stage counts the samples
+    of S chunk by chunk, in the order ``run_chunks`` yields them: it is
     binned on the grid, in the half-open bins [x_i, x_i+1), by the integer
-    counts of the chunks, so its density and CDF are those of all the
-    samples, byte for byte.  ``mean_exact`` and ``se_exact`` (the standard
-    deviation, over sqrt(n_samples)) come from each chunk's count, sum and
-    centred sum of squares, combined in chunk order.  No array of
-    ``n_samples`` is held.  Distances use grid-evaluated CDFs (cumulative
-    trapezoid for the product stage).
+    counts of the chunks (``add_counts``), so its density and CDF are those
+    of all the samples, byte for byte.  ``mean_exact`` and ``se_exact``
+    (the standard deviation, over sqrt(n_samples)) come from each chunk's
+    count, sum and centred sum of squares, combined in chunk order.  No
+    array of ``n_samples`` is held.  Distances use grid-evaluated CDFs
+    (cumulative trapezoid for the product stage).
     """
     pd = ProductDistribution(n_r=n_r, n_t=n_t, n_l=n_l)
     grid = np.linspace(0.0, 3.0, 300)
-
-    below = np.zeros(grid.shape, dtype=np.intp)
-    at_or_below = np.zeros(grid.shape, dtype=np.intp)
-    moments = (0, 0.0, 0.0)
 
     def simulate(n: int, rng: np.random.Generator, buffers: DrawBuffers):
         block = _exact_terms_chunk(pd.n_r, pd.n_t, pd.n_l, n, rng, buffers)
@@ -268,15 +252,11 @@ def compare_chain(
         block -= total / n
         return counts, (n, total, float(np.square(block, out=block).sum()))
 
-    def take(_start: int, result) -> None:
-        nonlocal moments
-        (lo, hi), part = result
-        below[...] += lo
-        at_or_below[...] += hi
-        moments = _merge_moments(moments, part)
+    def merge(a, b):
+        return add_counts((a[0], b[0])), _merge_moments(a[1], b[1])
 
-    run_chunks(simulate, n_samples, seed, chunk_draws(pd.n_r, pd.n_t), take)
-    _, total, centred = moments
+    (below, at_or_below), (_, total, centred) = functools.reduce(
+        merge, run_chunks(simulate, n_samples, seed, chunk_draws(pd.n_r, pd.n_t)))
     mean_exact = total / n_samples
     se_exact = math.sqrt(centred / n_samples) / math.sqrt(n_samples)
     exact_density = np.diff(below) / (n_samples * np.diff(grid))

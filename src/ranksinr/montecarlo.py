@@ -42,17 +42,18 @@ stream spawned from the master seed; draw order within a chunk is fixed
 (H0, then interferer randomness in config order; the eigensolve draws
 nothing) so results depend only on (scenario, n_samples, seed).  Chunks
 run in parallel threads (numpy's generators, ufuncs, einsum and batched
-eigh release the GIL) and ``run_chunks`` hands each chunk's result to the
+eigh release the GIL) and ``run_chunks`` yields each chunk's result to the
 caller in chunk order, so the worker count never changes a result.  A
 chunk's standard normals are drawn into its worker's ``DrawBuffers`` with
 ``standard_normal(out=...)``, which draws the values a fresh array would
 hold.
 
-Memory: the counting path, ``count_sinr``, holds no array of the sample
-count.  Each chunk worker sorts its chunk in place and returns the
-integer ``searchsorted`` counts at the query points, which the caller
-adds up; the ECDF and the per-dB histogram are then those of all the
-samples, byte for byte, and a run holds a few chunks of arrays per
+Memory: every run reads one ordered stream of chunk results.  The
+counting path, ``count_sinr``, holds no array of the sample count: each
+chunk worker sorts its chunk in place and returns the integer
+``searchsorted`` counts at the query points, which ``add_counts`` adds
+up in chunk order, so the ECDF and the per-dB histogram are those of all
+the samples, byte for byte, and a run holds a few chunks of arrays per
 worker at any sample count.  Each worker refills one block of draw
 buffers chunk after chunk (``DrawBuffers``), so its chunks do not hand
 their draws back to the OS and fault them in again.
@@ -66,12 +67,13 @@ blocks, as the counting path does.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -245,19 +247,26 @@ def block_counts(block: np.ndarray, left: np.ndarray,
             np.searchsorted(block, right, side="right"))
 
 
+def add_counts(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``block_counts`` pairs of a sample set's blocks, added up in
+    order: the counts of the whole set."""
+    return functools.reduce(lambda a, b: (a[0] + b[0], a[1] + b[1]), pairs)
+
+
 def _query_points(grid, edges_db) -> tuple[np.ndarray, np.ndarray, Callable]:
     """The points at which the samples are counted for an ECDF on ``grid``
     (linear SINR, any shape) and a per-dB histogram over the dB bin edges
     ``edges_db``, either None where not asked: (left, right, answer), the
     samples counted < each point of left (the linear edges) and <= each
-    of right (the grid points, then the last edge and 0), as
-    ``block_counts`` does.  answer(below, at_or_below, n) reads the ECDF
-    and the histogram, None where not asked, from the counts of n samples:
-    the histogram has the bins of ``np.histogram`` on the samples' dB
-    values, the last one closed.  A grid point that is NaN or not a real
-    number, and edges that are not a 1-d array of at least two finite,
-    strictly increasing real numbers, are refused with ConfigError;
-    negative and infinite grid points are counted."""
+    of right (the grid points, then the last edge), as ``block_counts``
+    does.  answer(below, at_or_below, n) reads the ECDF and the histogram,
+    None where not asked, from the counts of n samples: the histogram has
+    the bins of ``np.histogram`` on the samples' dB values, the last one
+    closed.  A grid point that is NaN or not a real number, and edges that
+    are not a 1-d array of at least two finite, strictly increasing real
+    numbers whose linear values are positive and finite
+    (``scenario.db_to_linear``), are refused with ConfigError; negative
+    and infinite grid points are counted."""
     points = np.empty(0) if grid is None else np.asarray(grid)
     if points.dtype.kind not in "iuf" or np.isnan(points).any():
         raise ConfigError(f"grid points must be real numbers, none NaN, got {grid!r}")
@@ -265,21 +274,21 @@ def _query_points(grid, edges_db) -> tuple[np.ndarray, np.ndarray, Callable]:
     if edges_db is not None:
         edges_db = np.asarray(edges_db)
         if not (edges_db.dtype.kind in "iuf" and edges_db.ndim == 1 and edges_db.size > 1
-                and np.isfinite(edges_db).all() and (np.diff(edges_db) > 0).all()):
+                and np.isfinite(edges_db).all() and (edges_db[1:] > edges_db[:-1]).all()):
             raise ConfigError("edges_db must be a 1-d array of at least two finite, strictly "
                               f"increasing real numbers, got {edges_db!r}")
-        left = 10.0 ** (edges_db / 10.0)
-        right = np.concatenate([right, [left[-1], 0.0]])
+        edges_db = edges_db.astype(float)  # integer edges' widths could wrap
+        left = db_to_linear(edges_db, "edges_db")
+        right = np.append(right, left[-1])
 
     def answer(below: np.ndarray, at_or_below: np.ndarray, n: int):
         ecdf = density = None
         if grid is not None:
             ecdf = at_or_below[:points.size].reshape(points.shape) / n
         if edges_db is not None:
-            last, nonpositive = at_or_below[points.size:]
-            below[-1] = last
-            # no bin holds a sample <= 0, also where an edge underflows to 0
-            density = np.diff(np.maximum(below, nonpositive)) / (n * np.diff(edges_db))
+            # every edge is positive, so no bin holds a sample <= 0
+            below[-1] = at_or_below[-1]
+            density = np.diff(below) / (n * np.diff(edges_db))
         return ecdf, density
 
     return left, right, answer
@@ -309,15 +318,14 @@ class EmpiricalDistribution:
         of CHUNK_ENTRIES samples is copied into one buffer and counted there."""
         n = self.samples.size
         buf = np.empty(min(n, CHUNK_ENTRIES), dtype=self.samples.dtype)
-        below = np.zeros(left.shape, dtype=np.intp)
-        at_or_below = np.zeros(right.shape, dtype=np.intp)
-        for start in range(0, n, buf.size):
+
+        def copied(start: int) -> np.ndarray:
             block = buf[:min(buf.size, n - start)]
             block[...] = self.samples[start:start + block.size]
-            lo, hi = block_counts(block, left, right)
-            below += lo
-            at_or_below += hi
-        return below, at_or_below
+            return block
+
+        return add_counts(block_counts(copied(start), left, right)
+                          for start in range(0, n, buf.size))
 
     def ecdf(self, grid) -> np.ndarray:
         """Empirical CDF evaluated on a grid of linear SINR values
@@ -370,11 +378,10 @@ def run_chunks(
     n_samples: int,
     seed: int,
     chunk: int,
-    take: Callable[[int, object], None],
-) -> None:
+) -> Iterator:
     """``simulate(n, rng, buffers)`` on each ``chunk``-sample chunk of
-    ``n_samples``, the last one holding the remainder, and ``take(start,
-    result)`` on each chunk's result, in this thread and in chunk order.
+    ``n_samples``, the last one holding the remainder, yielding each
+    chunk's result in chunk order.
 
     ``n_samples`` is a positive integer and ``seed`` an integer in
     0..2^64-1 (``scenario.check_count``); ConfigError refuses any other.
@@ -383,8 +390,9 @@ def run_chunks(
     the others and of where it runs.  The chunks run on up to one thread
     per usable CPU; each thread passes one ``DrawBuffers`` to all the
     chunks it runs.  At most two chunks per thread are queued or done but
-    not yet taken, so a run holds the same few chunk results at any
-    sample count.  An exception from any chunk is raised here.
+    not yet yielded, so a run holds the same few chunk results at any
+    sample count.  An exception from any chunk is raised to the consumer.
+    Closed early, it runs only the chunks queued, then joins its threads.
     """
     n_samples, seed = _check_run(n_samples, seed)
     workers = min(-(-n_samples // chunk), _usable_cpus())
@@ -400,12 +408,11 @@ def run_chunks(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = collections.deque()
         for i, n in enumerate(_chunk_sizes(n_samples, chunk)):
-            pending.append((i * chunk, pool.submit(run, i, n)))
+            pending.append(pool.submit(run, i, n))
             if len(pending) == 2 * workers:
-                start, done = pending.popleft()
-                take(start, done.result())
-        for start, done in pending:
-            take(start, done.result())
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def sample_chunks(
@@ -423,11 +430,8 @@ def sample_chunks(
         raise ConfigError(
             f"{n_samples} samples need {8 * n_samples} bytes, more than this host can allocate"
         ) from None
-
-    def take(start: int, samples: np.ndarray) -> None:
-        out[start:start + samples.size] = samples
-
-    run_chunks(simulate, n_samples, seed, chunk, take)
+    for i, samples in enumerate(run_chunks(simulate, n_samples, seed, chunk)):
+        out[i * chunk:i * chunk + samples.size] = samples
     return out
 
 
@@ -539,21 +543,15 @@ def count_sinr(cfg: ScenarioConfig, n_samples: int, seed: int, grid=None,
     ``simulate_bf_sinr`` or ``simulate_ostbc_sinr`` (by ``cfg.own_mode``)
     draws: the bytes of that distribution's ``ecdf`` and ``histogram_db``.
     Each chunk worker counts its chunk as it is drawn (``block_counts``) and
-    the integer counts are added up here, so no array of ``n_samples`` is
-    held.  A query left as None is not counted and is returned as None;
-    the queries follow the rule of ``_query_points``.
+    ``add_counts`` adds up the integer counts in chunk order, so no array of
+    ``n_samples`` is held.  A query left as None is not counted and is
+    returned as None; the queries follow the rule of ``_query_points``.
     """
     kernel = _simulate_bf_chunk if cfg.own_mode is OwnMode.BEAMFORMING else _simulate_ostbc_chunk
     left, right, answer = _query_points(grid, edges_db)
-    below = np.zeros(left.shape, dtype=np.intp)
-    at_or_below = np.zeros(right.shape, dtype=np.intp)
 
     def count(n: int, rng: np.random.Generator, buffers: DrawBuffers):
         return block_counts(kernel(cfg, n, rng, buffers), left, right)
 
-    def take(_start: int, counts: tuple[np.ndarray, np.ndarray]) -> None:
-        below[...] += counts[0]
-        at_or_below[...] += counts[1]
-
-    run_chunks(count, n_samples, seed, chunk_draws(cfg.n_r, cfg.n_t), take)
-    return answer(below, at_or_below, n_samples)
+    counts = add_counts(run_chunks(count, n_samples, seed, chunk_draws(cfg.n_r, cfg.n_t)))
+    return answer(*counts, n_samples)

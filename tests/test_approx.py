@@ -5,6 +5,7 @@ independence approximation as an exp x beta product, and the final
 mean-matched exponential.
 """
 
+import functools
 import math
 
 import mpmath
@@ -18,10 +19,9 @@ from ranksinr.approx import (
     compare_chain,
     exp_approx_pdf,
     product_pdf,
-    simulate_exact_terms,
 )
 from ranksinr.errors import ConfigError, UnsupportedDimensionError
-from ranksinr.montecarlo import chunk_draws, complex_normal
+from ranksinr.montecarlo import chunk_draws, complex_normal, sample_chunks
 
 from conftest import ks_distance
 from oracles import product_mean_quadrature, product_pdf_mp, sample_product, serial_chunks
@@ -169,7 +169,8 @@ def test_sampling_oracle_matches_pdf():
 
 
 def test_exact_simulation_mean():
-    s = simulate_exact_terms(2, 2, 1, 400_000, seed=8)
+    s = sample_chunks(functools.partial(approx._exact_terms_chunk, 2, 2, 1), 400_000, 8,
+                      chunk_draws(2, 2))
     assert s.mean() == pytest.approx(0.5, abs=0.005)
     assert np.all(s >= 0)
 
@@ -190,7 +191,8 @@ def test_exact_terms_use_the_first_column_of_a_full_frame(n_r, n_t, n_l):
 
     n, seed = 5_000, 31
     ref = serial_chunks(chunk, n, seed, chunk_draws(n_r, n_t))
-    s = simulate_exact_terms(n_r, n_t, n_l, n, seed)
+    s = sample_chunks(functools.partial(approx._exact_terms_chunk, n_r, n_t, n_l), n, seed,
+                      chunk_draws(n_r, n_t))
     assert np.max(np.abs(s - ref) / ref) <= 1e-12
 
 

@@ -6,7 +6,9 @@ using it to judge the closed forms is not circular.
 """
 
 import dataclasses
+import functools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,6 @@ import pytest
 from scipy import stats
 
 from ranksinr import approx, bf, montecarlo
-from ranksinr.approx import simulate_exact_terms
 from ranksinr.errors import ConfigError, NumericInstabilityError
 from ranksinr.montecarlo import (
     MAX_SAMPLES,
@@ -29,6 +30,7 @@ from ranksinr.montecarlo import (
     haar_columns,
     qpsk_symbols,
     run_chunks,
+    sample_chunks,
     simulate_bf_sinr,
     simulate_ostbc_sinr,
 )
@@ -469,9 +471,9 @@ def test_a_query_holds_no_copy_of_the_samples(query):
 def test_every_antenna_pair_gets_a_chunk_within_the_budget(n_r, monkeypatch):
     seen = []
 
-    def spy(simulate, n_samples, seed, chunk, take):
+    def spy(simulate, n_samples, seed, chunk):
         seen.append(chunk)
-        return run_chunks(simulate, n_samples, seed, chunk, take)
+        return run_chunks(simulate, n_samples, seed, chunk)
 
     monkeypatch.setattr(montecarlo, "run_chunks", spy)
     monkeypatch.setattr(approx, "run_chunks", spy)
@@ -487,7 +489,8 @@ def test_every_antenna_pair_gets_a_chunk_within_the_budget(n_r, monkeypatch):
             cfg = ScenarioConfig(n_r=n_r, n_t=n_t, noise_power=1.0, snr_db=10.0,
                                  own_mode=mode, interferers=REF_BF.interferers[:2])
             assert simulate(cfg, 3, seed=0).sample_count == 3
-        assert simulate_exact_terms(n_r, n_t, 1, 3, 0).shape == (3,)
+        exact_terms = functools.partial(approx._exact_terms_chunk, n_r, n_t, 1)
+        assert sample_chunks(exact_terms, 3, 0, chunk).shape == (3,)
         assert seen == [chunk] * 3, (n_r, n_t)
 
 
@@ -557,7 +560,8 @@ _RUNNERS = {
         lambda samples: (samples, np.empty(0))),
     "exact-terms": (
         (2, 4),
-        _exactly(lambda n, seed: simulate_exact_terms(2, 4, 2, n, seed)),
+        _exactly(lambda n, seed: sample_chunks(
+            functools.partial(approx._exact_terms_chunk, 2, 4, 2), n, seed, chunk_draws(2, 4))),
         lambda n, rng: approx._exact_terms_chunk(2, 4, 2, n, rng, DrawBuffers()),
         lambda samples: (samples, np.empty(0))),
     # the counting path: the ECDF and the per-dB histogram, counted chunk by chunk
@@ -616,6 +620,36 @@ def test_an_error_inside_a_chunk_reaches_the_caller(simulate, cfg, monkeypatch):
     monkeypatch.setattr(montecarlo, "qpsk_symbols", fail)
     with pytest.raises(RuntimeError, match="symbol draw failed"):
         simulate(cfg, 3_357, 0)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["closed", "raised"])
+def test_a_stream_left_early_starts_few_chunks_and_ends_its_threads(fail, monkeypatch):
+    # a consumer that closes the stream after k results, or meets a chunk's
+    # exception there, has started at most the 2 chunks per thread queued
+    # ahead of it, of a run of 1000 chunks
+    workers, taken = 3, 4
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+    started = []
+
+    def simulate(n, rng, buffers):
+        # chunk i draws from the i-th stream spawned from the seed
+        i = rng.bit_generator.seed_seq.spawn_key[0]
+        started.append(i)
+        if fail and i == taken:
+            raise RuntimeError("chunk failed")
+        return i
+
+    before = threading.active_count()
+    stream, results = run_chunks(simulate, 16_000, 0, 16), []
+    if fail:
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            results.extend(stream)
+    else:
+        results = [next(stream) for _ in range(taken)]
+        stream.close()
+    assert results == list(range(taken))
+    assert len(started) <= taken + 2 * workers, sorted(started)
+    assert threading.active_count() == before
 
 
 # n = 1, one short of a chunk, one chunk, one past it, three and a tail
@@ -690,16 +724,37 @@ def test_a_nan_grid_point_is_refused(query):
     [0.0, np.nan, 1.0],
     [0.0, np.inf],
     ["0", "1"],
-], ids=["decreasing", "tied", "one-edge", "2-d", "nan", "inf", "str"])
+    [0.0, 1e308],
+    [0.0, 3100.0],
+    [-1e308, 0.0],
+    [-1e308, 1e308],
+], ids=["decreasing", "tied", "one-edge", "2-d", "nan", "inf", "str", "overflow", "inf-linear",
+        "underflow", "diff-overflow"])
 @pytest.mark.parametrize("query", ["histogram_db", "count_sinr"])
 def test_edges_db_must_be_finite_and_strictly_increasing(query, edges_db):
     # decreasing edges read positive densities, where np.histogram refuses
-    # them; a 2-d array raised a bare ValueError
+    # them; a 2-d array raised a bare ValueError; an edge whose linear value
+    # or width overflowed raised a RuntimeWarning, and without it read a
+    # density of 0
     with pytest.raises(ConfigError, match="edges_db"):
         if query == "histogram_db":
             EmpiricalDistribution(samples=np.array([0.5, 2.0])).histogram_db(edges_db)
         else:
             count_sinr(REF_BF, 1000, 0, grid=_GRID, edges_db=edges_db)
+
+
+@pytest.mark.parametrize("edges_db,decreasing", [
+    (np.array([-100, 100], dtype=np.int8), [100, -100]),
+    (np.array([0, 1], dtype=np.uint8), [1, 0]),
+], ids=["int8", "uint8"])
+def test_integer_edges_read_as_their_float_values(edges_db, decreasing):
+    # integer widths wrapped: int8 edges 200 dB apart were refused as not
+    # increasing (-56 dB), and decreasing uint8 edges were accepted (255 dB)
+    dist = EmpiricalDistribution(samples=np.array([0.5, 2.0, 1e-5]))
+    expect = dist.histogram_db(edges_db.astype(float))
+    assert dist.histogram_db(edges_db).tobytes() == expect.tobytes()
+    with pytest.raises(ConfigError, match="edges_db"):
+        dist.histogram_db(np.array(decreasing, dtype=edges_db.dtype))
 
 
 @pytest.mark.parametrize("simulate,cfg", [
